@@ -185,8 +185,11 @@ def _prolong(h: MgHierarchy, level_idx: int, e: np.ndarray) -> np.ndarray:
     return transfer.prolong_2d(e.reshape(m, m)).ravel()
 
 
-def vcycle(h: MgHierarchy, v: np.ndarray, f: np.ndarray, level: int = 0) -> np.ndarray:
+def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray, level: int = 0) -> np.ndarray:
     """One V-cycle sweep starting from iterate ``v`` on the given level.
+
+    ``v=None`` is the zero start of every coarse-grid correction; its first
+    pre-smoothing sweep is exactly ``omega_pre * f / diag``, with no apply.
 
     On the one-point coarsest grid the equation is solved exactly, so the
     recursion implements an approximate inverse whose error propagator
@@ -199,10 +202,13 @@ def vcycle(h: MgHierarchy, v: np.ndarray, f: np.ndarray, level: int = 0) -> np.n
     if level == h.depth - 1:
         return f / lv.diag
 
-    v = smooth(lv, np.asarray(v), f, h.omega_pre, h.pre_count)
+    pre = h.pre_count
+    if v is None:
+        v, pre = ((h.omega_pre / lv.diag) * f, pre - 1) if pre else (np.zeros_like(f), 0)
+    v = smooth(lv, np.asarray(v), f, h.omega_pre, pre)
     residual = f - lv.operator.apply(v)
     coarse_rhs = _restrict(h, level, residual)
-    coarse_err = vcycle(h, np.zeros_like(coarse_rhs), coarse_rhs, level + 1)
+    coarse_err = vcycle(h, None, coarse_rhs, level + 1)
     v = v + _prolong(h, level, coarse_err)
     return smooth(lv, v, f, h.omega_post, h.post_smooths)
 
@@ -217,7 +223,8 @@ def solve(
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
     Non-convergence within ``max_iter`` is reported, not raised: the report
-    comes back with ``converged=False`` and the full residual history.
+    comes back with ``converged=False`` and the full residual history.  A
+    non-finite residual, ``r0`` included, stops the iteration at once.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -227,6 +234,8 @@ def solve(
     r0 = float(np.linalg.norm(f - lv.operator.apply(x)))
     if r0 == 0.0:
         return x, SolveReport(iterations=0, residuals=[], converged=True, contraction_factor=0.0)
+    if not math.isfinite(r0):
+        return x, SolveReport(iterations=0, residuals=[math.nan])
 
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
@@ -236,6 +245,8 @@ def solve(
         report.iterations = it
         if rel < tol:
             report.converged = True
+            break
+        if not math.isfinite(rel):
             break
 
     ratios = [
@@ -298,11 +309,10 @@ def dense_approximate_inverse(h: MgHierarchy) -> np.ndarray:
     """Materialise B, the linear map applied by one zero-start V-cycle."""
     n = h.fine.unknowns
     cols = []
-    zero = np.zeros(n)
     for j in range(n):
         ej = np.zeros(n)
         ej[j] = 1.0
-        cols.append(vcycle(h, zero.copy(), ej))
+        cols.append(vcycle(h, None, ej))
     return np.column_stack(cols)
 
 

@@ -2,13 +2,16 @@
 
 Every operator in the package is stored matrix-free: a 1D operator is a
 tuple of band values (a_0, a_1, ..., a_b), a 2D operator is a short sum of
-Kronecker products of two 1D stencils.  Dense materialisation exists only
-so tests can compare against explicit matrices.
+Kronecker products of two 1D stencils.  Both are applied by shifted-slice
+multiply-adds, a 2D operator in one pass over its (2b+1)**2 point
+coefficients.  Dense materialisation exists only so tests can compare
+against explicit matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -74,8 +77,7 @@ class ToeplitzStencil:
         if v.ndim == 0:
             raise DimensionError("expected an array, got a scalar")
         out = self.bands[0] * v
-        vv = np.moveaxis(v, axis, 0)
-        oo = np.moveaxis(out, axis, 0)
+        vv, oo = (v, out) if axis == 0 else (np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0))
         for j, a in enumerate(self.bands[1:], start=1):
             if a == 0.0 or j >= vv.shape[0]:
                 continue
@@ -128,8 +130,11 @@ class TensorOperator2D:
     """2D operator ``c_mass * E (x) E + c_stiff * (E (x) S + S (x) E)``.
 
     ``E`` and ``S`` are 1D stencils (identity-like and Laplacian-like
-    factors).  Fields live on square grids stored row-major; ``apply``
-    accepts either the (m, m) grid or its flattened length-m**2 vector and
+    factors) of half-bandwidth at most ``b``.  ``apply`` is one pass over the
+    nonzero ones among the (2b+1)**2 coefficients ``c_ij = c_mass*e_i*e_j +
+    c_stiff*(e_i*s_j + s_i*e_j)``, computed once: 5 for identity mass, 9 for
+    a tridiagonal one.  Fields live on square grids stored row-major;
+    ``apply`` takes the (m, m) grid or its flat length-m**2 vector and
     returns the same shape.
     """
 
@@ -137,6 +142,16 @@ class TensorOperator2D:
     c_stiff: float
     mass: ToeplitzStencil
     stiff: ToeplitzStencil
+
+    @cached_property
+    def _points(self) -> tuple:
+        """Half-width ``b``, center ``c_00`` and the nonzero off-center ``(i, j, c_ij)``."""
+        b = max(self.mass.half_bandwidth, self.stiff.half_bandwidth)
+        k = np.abs(np.arange(-b, b + 1))
+        e, s = (np.pad(op.bands, (0, b - op.half_bandwidth))[k] for op in (self.mass, self.stiff))
+        c = self.c_mass * e[:, None] * e + self.c_stiff * (e[:, None] * s + s[:, None] * e)
+        taps = tuple((i - b, j - b, c[i, j]) for i, j in zip(*np.nonzero(c)) if (i, j) != (b, b))
+        return b, c[b, b], taps
 
     def grid_of(self, v: np.ndarray) -> tuple[np.ndarray, bool]:
         v = np.asarray(v)
@@ -151,11 +166,14 @@ class TensorOperator2D:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         x, flat = self.grid_of(v)
-        out = self.c_mass * self.mass.apply(self.mass.apply(x, axis=1), axis=0)
-        ex_rows = self.stiff.apply(x, axis=1)
-        out += self.c_stiff * self.mass.apply(ex_rows, axis=0)
-        ms_rows = self.mass.apply(x, axis=1)
-        out += self.c_stiff * self.stiff.apply(ms_rows, axis=0)
+        m = x.shape[0]
+        b, center, taps = self._points
+        out = center * x
+        xp = np.zeros((m + 2 * b, m + 2 * b), out.dtype)
+        xp[b : b + m, b : b + m] = x
+        for i, j, c in taps:
+            if abs(i) < m and abs(j) < m:
+                out += c * xp[b + i : b + i + m, b + j : b + j + m]
         return out.ravel() if flat else out
 
     def diagonal(self) -> float:

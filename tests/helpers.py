@@ -2,10 +2,14 @@
 
 Everything here deliberately avoids the package's own fast paths: transfers
 are dense matrices, coarse operators come from explicit triple products,
-series powers from binomial expansion with naive convolution.
+series powers from binomial expansion with naive convolution, and the
+reference V-cycle applies the operator to every iterate, zero or not.
 """
 
 import numpy as np
+
+from mgfk import transfer
+from mgfk.multigrid import smooth
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:
@@ -129,3 +133,25 @@ def random_eligible_tridiag(rng, strict: bool = False):
     if a1 > 0 and a0 - 2 * a1 < 1e-6 * a0:
         a1 = 0.45 * a0
     return a0, a1
+
+
+def reference_vcycle(h, v, f, level: int = 0):
+    """V-cycle that starts each coarse level from an explicit zero vector and
+    smooths it through the operator, with the package's own smoother and
+    transfers, so its result must equal ``multigrid.vcycle`` bit for bit."""
+    lv = h.levels[level]
+    if level == h.depth - 1:
+        return f / lv.diag
+    v = smooth(lv, v, f, h.omega_pre, h.pre_count)
+    residual = f - lv.operator.apply(v)
+    if h.ndim == 1:
+        coarse_rhs = transfer.restrict_1d(residual)
+    else:
+        coarse_rhs = transfer.restrict_2d(residual.reshape(lv.m, lv.m)).ravel()
+    e = reference_vcycle(h, np.zeros_like(coarse_rhs), coarse_rhs, level + 1)
+    if h.ndim == 1:
+        v = v + transfer.prolong_1d(e)
+    else:
+        mc = h.levels[level + 1].m
+        v = v + transfer.prolong_2d(e.reshape(mc, mc)).ravel()
+    return smooth(lv, v, f, h.omega_post, h.post_smooths)

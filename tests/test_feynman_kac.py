@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mgfk.coarsen import fk_stencil_1d, mu_coefficient
-from mgfk.errors import MgfkError
+from mgfk.errors import ConvergenceFailure, MgfkError
 from mgfk.feynman_kac import (
     Evolution1D,
     Evolution2D,
@@ -189,3 +189,27 @@ def test_max_error_requires_exact():
     ev = Evolution1D(zero_problem_1d(), order=1, solver="direct").run()
     with pytest.raises(MgfkError):
         ev.max_error()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_non_finite_data_raises_convergence_failure(ndim, bad):
+    # one bad forcing value must end the solve at once and surface as
+    # ConvergenceFailure, not cycle to max_iter or crash formatting the report
+    def spoil(g):
+        g = np.array(g, dtype=complex)
+        g.flat[g.size // 2] = bad
+        return g
+
+    if ndim == 1:
+        p = example_6_1(0.3, 32)
+        p.forcing = lambda x, t, f=p.forcing: spoil(f(x, t))
+        ev = Evolution1D(p, order=2, solver="mgm")
+    else:
+        p = example_6_2(0.3, 16)
+        p.forcing = lambda x, y, t, f=p.forcing: spoil(f(x, y, t))
+        ev = Evolution2D(p, order=2, solver="mgm")
+    with pytest.raises(ConvergenceFailure) as info:
+        ev.step()
+    assert info.value.report.iterations <= 1
+    assert not info.value.report.converged

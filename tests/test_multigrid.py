@@ -3,10 +3,12 @@ import pytest
 
 from mgfk.coarsen import (
     fk_geometric_rule_1d,
+    fk_geometric_rule_2d,
     fk_operator_2d,
     fk_stencil_1d,
     mu_coefficient,
 )
+from mgfk import multigrid
 from mgfk.errors import EligibilityError, GridSizeError
 from mgfk.fsd import weights
 from mgfk.multigrid import (
@@ -22,7 +24,7 @@ from mgfk.multigrid import (
 )
 from mgfk.stencil import LAPLACIAN, ToeplitzStencil
 
-from helpers import prolongation_matrix, restriction_matrix
+from helpers import prolongation_matrix, reference_vcycle, restriction_matrix
 
 
 def fk_hierarchy_1d(alpha=0.3, nu=4, intervals=32, **kwargs):
@@ -281,3 +283,53 @@ def test_energy_norm_value():
     e = np.ones(7)
     expected = np.sqrt(np.ones(7) @ LAPLACIAN.to_dense(7) @ np.ones(7))
     assert energy_norm(h.levels[0], e) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_solve_stops_at_non_finite_residual(ndim):
+    h = fk_hierarchy_1d(intervals=128) if ndim == 1 else fk_hierarchy_2d(intervals=32)
+    n = h.fine.unknowns
+    for bad in (np.nan, np.inf):
+        f = np.ones(n)
+        f[n // 2] = bad
+        _, report = solve(h, f, tol=1e-11)
+        assert not report.converged
+        assert report.iterations <= 1
+
+
+def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
+    # finite r0, then a V-cycle that blows up: the loop must stop after it
+    h = fk_hierarchy_1d(intervals=32)
+    monkeypatch.setattr(multigrid, "vcycle", lambda h, v, f, level=0: np.full_like(v, np.nan))
+    _, report = solve(h, np.ones(h.fine.unknowns), tol=1e-11)
+    assert not report.converged
+    assert report.iterations == 1
+    assert np.isnan(report.residuals[-1])
+
+
+@pytest.mark.parametrize("pre_count", [0, 1, 2])
+@pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
+    # coarse levels skip the operator apply on their zero start; the iterates
+    # must not move by a single bit
+    alpha, intervals = 0.3, 32 if ndim == 1 else 16
+    l0 = weights(alpha, 2, 0)[0]
+    mu = mu_coefficient(1.0, alpha, 1.0 / intervals, 1.0 / intervals)
+    if ndim == 1:
+        fine, rule = fk_stencil_1d(l0, mu), fk_geometric_rule_1d(l0, mu)
+    else:
+        fine, rule = fk_operator_2d(l0, mu), fk_geometric_rule_2d(l0, mu)
+    h = build_hierarchy(
+        fine, intervals - 1, strategy=rule if coarsening == "geometric" else "galerkin",
+        pre_count=pre_count,
+    )
+    n = h.fine.unknowns
+    rng = np.random.default_rng(17)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for start in (v, np.zeros(n, dtype=complex)):
+        x, ref = start, start
+        for _ in range(3):
+            x, ref = vcycle(h, x, f), reference_vcycle(h, ref, f)
+            assert np.array_equal(x, ref)

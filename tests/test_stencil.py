@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgfk.coarsen import galerkin_step
 from mgfk.errors import DimensionError, EligibilityError, EstimationError, GridSizeError
 from mgfk.stencil import (
     COMPACT_MASS,
@@ -136,14 +137,31 @@ def test_grid_depth():
             grid_depth(bad)
 
 
-def test_tensor_operator_matches_dense_kron():
+WIDE_MASS = ToeplitzStencil((0.9, 0.15, -0.05))
+WIDE_STIFF = ToeplitzStencil((2.5, -1.0, -0.25))
+
+
+@pytest.mark.parametrize("stiff", [LAPLACIAN, WIDE_STIFF], ids=["laplacian", "wide"])
+@pytest.mark.parametrize(
+    "mass",
+    [IDENTITY, COMPACT_MASS, galerkin_step(COMPACT_MASS), WIDE_MASS],
+    ids=["identity", "compact", "galerkin", "wide"],
+)
+def test_tensor_operator_matches_dense_kron(mass, stiff):
     rng = np.random.default_rng(11)
-    op = TensorOperator2D(c_mass=1.3, c_stiff=0.7, mass=COMPACT_MASS, stiff=LAPLACIAN)
-    m = 7
-    v = rng.standard_normal(m * m)
-    assert np.allclose(op.apply(v), op.to_dense(m) @ v, rtol=1e-13, atol=1e-13)
-    grid = v.reshape(m, m)
-    assert np.allclose(op.apply(grid).ravel(), op.apply(v), rtol=1e-15)
+    op = TensorOperator2D(c_mass=1.3, c_stiff=0.7, mass=mass, stiff=stiff)
+    for m in (1, 3, 7, 15):
+        dense = op.to_dense(m)
+        real = rng.standard_normal(m * m)
+        for v in (real, real + 1j * rng.standard_normal(m * m)):
+            want = dense @ v
+            atol = 1e-13 * max(1.0, np.abs(want).max())
+            flat = op.apply(v)
+            assert flat.shape == v.shape
+            assert np.allclose(flat, want, rtol=0.0, atol=atol)
+            grid = op.apply(v.reshape(m, m))
+            assert grid.shape == (m, m)
+            assert np.allclose(grid.ravel(), want, rtol=0.0, atol=atol)
 
 
 def test_tensor_operator_diagonal():
