@@ -13,8 +13,9 @@ and forcing terms are identity-weighted and the system operator is
 l_0 I(x)I + mu (I(x)L + L(x)I).
 
 The system matrix is real SPD; solves carry complex right-hand sides
-end-to-end.  The memory convolution is evaluated naively at O(n) per step
-with the per-level H-products cached, which is fine at desk scale.
+end-to-end.  The memory convolution is evaluated naively at O(n) per step as
+one matrix-vector product over the stored levels; in 1D the mass H is linear
+and the weights are scalars, so H is applied once to the summed level.
 """
 
 from __future__ import annotations
@@ -140,6 +141,10 @@ class Evolution1D:
         p = problem
         self.l = weights(p.alpha, order, p.n_steps)
         self.decay = np.exp(-p.rho * p.tau * np.arange(p.n_steps + 1))
+        # w_N..w_1 of w_k = e^{-rho k tau} l_k, reversed once into a contiguous
+        # array: a positive-stride slice goes to BLAS, while numpy runs its own
+        # unblocked loop on the negative-stride view w[1:n][::-1].
+        self._w_rev = (self.decay * self.l)[:0:-1].copy()
         self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
         self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
         self.system = fk_stencil_1d(self.l[0], self.mu)
@@ -176,8 +181,6 @@ class Evolution1D:
         self.g_right = np.array([complex(p.bc_right(tn)) for tn in self.t])
         self.history = np.zeros((p.n_steps + 1, p.m), dtype=complex)
         self.history[0] = np.asarray(p.initial(x), dtype=complex)
-        self._mass_products = np.zeros_like(self.history)
-        self._mass_products[0] = COMPACT_MASS.apply(self.history[0])
         self.step_index = 0
         self.iterations: list[int] = []
         self.reports: list[vc.SolveReport] = []
@@ -188,23 +191,20 @@ class Evolution1D:
         completion of the truncated operators."""
         p = self.problem
         tau_alpha = p.tau**p.alpha
-        w = self.decay * self.l
-        rhs = self.partial_sums[n] * self.decay[n] * self._mass_products[0]
-        if n >= 2:
-            rhs = rhs - w[1:n][::-1] @ self._mass_products[1:n]
+        w = self._w_rev[p.n_steps + 1 - n :]
         fn = np.asarray(p.forcing(p.grid, self.t[n]), dtype=complex)
-        rhs = rhs + tau_alpha * COMPACT_MASS.apply(fn)
+        levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
+        rhs = COMPACT_MASS.apply(levels + tau_alpha * fn)
 
         # Dirichlet completion of the truncated operators at both walls.
         for pos, trace, x_ghost in (
             (0, self.g_left, 0.0),
             (p.m - 1, self.g_right, p.length),
         ):
-            hist = w[1:n][::-1] @ trace[1:n] if n >= 2 else 0.0
             f_ghost = complex(p.forcing(np.array([x_ghost]), self.t[n])[0])
             rhs[pos] += self.mu * trace[n] + (
                 -self.l[0] * trace[n]
-                - hist
+                - w @ trace[1:n]
                 + self.partial_sums[n] * self.decay[n] * trace[0]
                 + tau_alpha * f_ghost
             ) / 12.0
@@ -229,7 +229,6 @@ class Evolution1D:
         else:
             g = solve_banded((1, 1), self._banded, rhs)
         self.history[n] = g
-        self._mass_products[n] = COMPACT_MASS.apply(g)
         self.step_index = n
 
     def run(self) -> "Evolution1D":
@@ -255,6 +254,8 @@ class Evolution1D:
 
     def write_snapshot_csv(self, path, step: Optional[int] = None) -> None:
         n = self.step_index if step is None else step
+        if not 0 <= n <= self.step_index:
+            raise MgfkError(f"step {n} not computed; levels 0..{self.step_index} are")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "re", "im"])
@@ -288,6 +289,8 @@ class Evolution2D:
         p = problem
         self.l = weights(p.alpha, order, p.n_steps)
         self.decay = np.exp(-p.rho * p.tau * np.arange(p.n_steps + 1))
+        # w_N..w_1, reversed and contiguous for BLAS (see Evolution1D)
+        self._w_rev = (self.decay * self.l)[:0:-1].copy()
         self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
         self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
         self.system = fk_operator_2d(self.l[0], self.mu)
@@ -326,10 +329,8 @@ class Evolution2D:
         """History convolution, initial-condition sum, and plain forcing;
         boundary data is identically zero in this scheme."""
         p = self.problem
-        w = self.decay * self.l
-        rhs = self.partial_sums[n] * self.decay[n] * self.history[0]
-        if n >= 2:
-            rhs = rhs - w[1:n][::-1] @ self.history[1:n]
+        w = self._w_rev[p.n_steps + 1 - n :]
+        rhs = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
         fn = np.asarray(p.forcing(self._xg, self._yg, self.t[n]), dtype=complex).ravel()
         return rhs + p.tau**p.alpha * fn
 
@@ -376,6 +377,8 @@ class Evolution2D:
 
     def write_snapshot_csv(self, path, step: Optional[int] = None) -> None:
         n = self.step_index if step is None else step
+        if not 0 <= n <= self.step_index:
+            raise MgfkError(f"step {n} not computed; levels 0..{self.step_index} are")
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["index", "re", "im"])

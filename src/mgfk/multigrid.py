@@ -229,6 +229,8 @@ def solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lv = h.fine
+    if v0 is not None and np.shape(v0) != (lv.unknowns,):
+        raise DimensionError(f"v0 has shape {np.shape(v0)}, level needs ({lv.unknowns},)")
     f = np.asarray(f)
     x = np.zeros(lv.unknowns, dtype=np.result_type(f.dtype, np.float64)) if v0 is None else np.array(v0)
     r0 = float(np.linalg.norm(f - lv.operator.apply(x)))

@@ -2,8 +2,9 @@
 
 Everything here deliberately avoids the package's own fast paths: transfers
 are dense matrices, coarse operators come from explicit triple products,
-series powers from binomial expansion with naive convolution, and the
-reference V-cycle applies the operator to every iterate, zero or not.
+series powers from binomial expansion with naive convolution, the
+reference V-cycle applies the operator to every iterate, zero or not, and
+the time-level right-hand side is summed term by term in Python loops.
 """
 
 import numpy as np
@@ -155,3 +156,47 @@ def reference_vcycle(h, v, f, level: int = 0):
         mc = h.levels[level + 1].m
         v = v + transfer.prolong_2d(e.reshape(mc, mc)).ravel()
     return smooth(lv, v, f, h.omega_post, h.post_smooths)
+
+
+def naive_level_rhs(ev, n: int) -> np.ndarray:
+    """Level-n right-hand side of ``Evolution1D`` or ``Evolution2D``, rebuilt
+    with plain Python loops (no matmul, no stencil apply) from the stepper's
+    ``history``, ``l``, ``decay`` and ``mu`` and the problem's forcing and
+    boundary traces.
+
+    Every grid value, and in 1D each wall's ghost value, gets the tempered
+    memory sum S_n d_n G^0 - sum_{k=1..n-1} d_k l_k G^{n-k} + tau**alpha F^n
+    with S_n = l_0 + ... + l_{n-1} and d_k = e^{-rho k tau}.  In 1D the sum is
+    then weighted by H = (1/12) tridiag(1, 10, 1), truncated at the walls, and
+    each wall row gets the Dirichlet completion mu g^n + (ghost - l_0 g^n) / 12.
+    This is the naive history convolution any fast one must reproduce.
+    """
+    p = ev.problem
+    t = n * p.tau
+    tau_alpha = p.tau**p.alpha
+    s_n = sum(ev.l[k] for k in range(n))
+
+    def memory(level, f):
+        acc = s_n * ev.decay[n] * level(0)
+        for k in range(1, n):
+            acc -= ev.decay[k] * ev.l[k] * level(n - k)
+        return acc + tau_alpha * f
+
+    if not hasattr(p, "bc_left"):
+        xg, yg = p.mesh
+        f = np.asarray(p.forcing(xg, yg, t), dtype=complex).ravel()
+        return np.array([memory(lambda j: ev.history[j][i], f[i]) for i in range(f.size)])
+
+    f = np.asarray(p.forcing(p.grid, t), dtype=complex)
+    u = [memory(lambda j: ev.history[j][i], f[i]) for i in range(p.m)]
+    rhs = []
+    for i in range(p.m):
+        left = u[i - 1] if i > 0 else 0.0
+        right = u[i + 1] if i < p.m - 1 else 0.0
+        rhs.append((left + 10.0 * u[i] + right) / 12.0)
+    for pos, bc, x_ghost in ((0, p.bc_left, 0.0), (p.m - 1, p.bc_right, p.length)):
+        g_n = complex(bc(t))
+        f_ghost = complex(p.forcing(np.array([x_ghost]), t)[0])
+        ghost = memory(lambda j: complex(bc(j * p.tau)), f_ghost)
+        rhs[pos] += ev.mu * g_n + (ghost - ev.l[0] * g_n) / 12.0
+    return np.array(rhs)

@@ -15,6 +15,8 @@ from mgfk.feynman_kac import (
 )
 from mgfk.fsd import weights
 
+from helpers import naive_level_rhs
+
 
 def zero_problem_1d(m=7, n_steps=4):
     return Problem1D(
@@ -213,3 +215,31 @@ def test_non_finite_data_raises_convergence_failure(ndim, bad):
         ev.step()
     assert info.value.report.iterations <= 1
     assert not info.value.report.converged
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_assemble_rhs_matches_naive_memory_loop(ndim):
+    n_steps = 16
+    if ndim == 1:
+        ev = Evolution1D(example_6_1(0.3, n_steps), order=4, solver="direct")
+    else:
+        ev = Evolution2D(example_6_2(0.3, n_steps), order=4, solver="direct")
+    for n in range(1, n_steps + 1):
+        if n in (1, 2, 3, n_steps):
+            got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        ev.step()
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_snapshot_of_uncomputed_step_raises(ndim, tmp_path):
+    if ndim == 1:
+        ev = Evolution1D(example_6_1(0.3, 8), order=2, solver="direct")
+    else:
+        ev = Evolution2D(example_6_2(0.3, 8), order=2, solver="direct")
+    ev.step()
+    for bad in (2, 5, -1):
+        with pytest.raises(MgfkError):
+            ev.write_snapshot_csv(tmp_path / "snap.csv", step=bad)
+    ev.write_snapshot_csv(tmp_path / "snap.csv", step=0)
+    ev.write_snapshot_csv(tmp_path / "snap.csv", step=1)

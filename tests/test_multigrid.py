@@ -9,7 +9,7 @@ from mgfk.coarsen import (
     mu_coefficient,
 )
 from mgfk import multigrid
-from mgfk.errors import EligibilityError, GridSizeError
+from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
 from mgfk.multigrid import (
     build_hierarchy,
@@ -112,6 +112,18 @@ def test_solve_already_converged_initial_guess():
     assert report.iterations == 0
     assert report.converged
     assert np.array_equal(x, x0)
+
+
+@pytest.mark.parametrize(
+    "ndim, shape",
+    [(1, (32,)), (1, (31, 1)), (1, (1, 31)), (2, (15, 15))],
+)
+def test_solve_rejects_misshapen_initial_guess(ndim, shape):
+    # a wrong v0 must fail at entry, not broadcast into a V-cycle or fail a level down
+    h = fk_hierarchy_1d() if ndim == 1 else fk_hierarchy_2d()
+    f = np.ones(h.fine.unknowns)
+    with pytest.raises(DimensionError):
+        solve(h, f, v0=np.zeros(shape))
 
 
 def test_solve_reports_nonconvergence_without_raising():
