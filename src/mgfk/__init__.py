@@ -39,6 +39,6 @@ from .multigrid import (
     vcycle,
 )
 from .fsd import FsdCoefficients, weights
-from .feynman_kac import Evolution1D, Evolution2D, Problem1D, Problem2D, preset
+from .feynman_kac import Evolution, Problem, preset
 
 __version__ = "0.1.0"

@@ -9,16 +9,15 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
 
 from . import analysis, multigrid as vc
-from .coarsen import fk_stencil_1d, mu_coefficient
+from .coarsen import fk_operator_2d, fk_stencil_1d, mu_coefficient
 from .errors import ConvergenceFailure, MgfkError
-from .feynman_kac import Evolution1D, Evolution2D, Problem1D, preset
-from .fsd import FsdCoefficients, write_csv
+from .feynman_kac import Evolution, convergence_rate, preset
+from .fsd import FsdCoefficients, weights, write_csv
 from .stencil import LAPLACIAN
 
 CSV_COLUMNS = ["M", "error", "rate", "iter", "cpu_s"]
@@ -88,8 +87,7 @@ def run_table(cfg: ExperimentConfig) -> list[dict]:
     for m in cfg.m_values:
         problem = preset(cfg.preset, cfg.alpha, m)
         t0 = time.perf_counter()
-        stepper_cls = Evolution1D if isinstance(problem, Problem1D) else Evolution2D
-        ev = stepper_cls(
+        ev = Evolution(
             problem,
             order=cfg.nu,
             solver="mgm",
@@ -100,7 +98,7 @@ def run_table(cfg: ExperimentConfig) -> list[dict]:
         ).run()
         cpu = time.perf_counter() - t0
         err = ev.max_error()
-        rate = math.log2(prev_err / err) if prev_err else None
+        rate = convergence_rate(prev_err, err) if prev_err else None
         rows.append(
             {"M": m, "error": err, "rate": rate, "iter": ev.avg_iterations, "cpu_s": cpu}
         )
@@ -151,25 +149,13 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
         fine = LAPLACIAN
         ndim = 1
         m0 = analysis.approx_constant_tridiag(*LAPLACIAN.bands)
-    elif cfg.preset == "example-6.1":
-        problem = preset(cfg.preset, cfg.alpha, cfg.m_values[0])
-        from .fsd import weights
-
-        l0 = weights(cfg.alpha, cfg.nu, 0)[0]
-        mu = mu_coefficient(problem.kappa, problem.alpha, problem.tau, problem.h)
-        fine = fk_stencil_1d(l0, mu)
-        ndim = 1
-        m0 = 16.0
     else:
         problem = preset(cfg.preset, cfg.alpha, cfg.m_values[0])
-        from .coarsen import fk_operator_2d
-        from .fsd import weights
-
+        ndim = problem.ndim
         l0 = weights(cfg.alpha, cfg.nu, 0)[0]
         mu = mu_coefficient(problem.kappa, problem.alpha, problem.tau, problem.h)
-        fine = fk_operator_2d(l0, mu)
-        ndim = 2
-        m0 = 1536.0
+        fine = (fk_stencil_1d if ndim == 1 else fk_operator_2d)(l0, mu)
+        m0 = 16.0 if ndim == 1 else 1536.0
 
     omega = cfg.omega if cfg.omega is not None else (0.5 if ndim == 1 else 0.25)
     hier = vc.build_hierarchy(

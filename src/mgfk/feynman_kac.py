@@ -1,8 +1,8 @@
 """Time stepping for the backward fractional Feynman-Kac equation.
 
-1D uses the fourth-order compact scheme: with H = (1/12) tridiag(1, 10, 1),
-L = tridiag(-1, 2, -1) and mu = kappa * tau**alpha / h**2, every time level
-solves
+One stepper serves both model problems.  1D uses the fourth-order compact
+scheme: with H = (1/12) tridiag(1, 10, 1), L = tridiag(-1, 2, -1) and
+mu = kappa * tau**alpha / h**2, every time level solves
 
     (l_0 H + mu L) G^n = -sum_{k=1..n-1} e^{-rho k tau} l_k H G^{n-k}
                          + (sum_{k=0..n-1} l_k) e^{-rho n tau} H G^0
@@ -10,12 +10,15 @@ solves
 
 2D uses the second-order centred scheme with zero boundary data; the history
 and forcing terms are identity-weighted and the system operator is
-l_0 I(x)I + mu (I(x)L + L(x)I).
+l_0 I(x)I + mu (I(x)L + L(x)I).  The dimension decides only the system
+operator (and its geometric coarsening rule), the grid coordinates, and the
+compact-mass weighting with Dirichlet completion of the 1D right-hand side.
 
 The system matrix is real SPD; solves carry complex right-hand sides
-end-to-end.  The memory convolution is evaluated naively at O(n) per step as
-one matrix-vector product over the stored levels; in 1D the mass H is linear
-and the weights are scalars, so H is applied once to the summed level.
+end-to-end, by V-cycle multigrid or by an exact sine-transform solve.  The
+memory convolution is evaluated naively at O(n) per step as one
+matrix-vector product over the stored levels; in 1D the mass H is linear and
+the weights are scalars, so H is applied once to the summed level.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, solve_banded
 
 from . import multigrid as vc
 from .coarsen import (
@@ -38,16 +40,19 @@ from .coarsen import (
 )
 from .errors import ConvergenceFailure, MgfkError
 from .fsd import weights
-from .stencil import COMPACT_MASS
+from .stencil import COMPACT_MASS, dst_solve
 
 
 @dataclass
-class Problem1D:
-    """1D problem data on (0, length) x (0, t_final].
+class Problem:
+    """Problem data on (0, length)**ndim x (0, t_final].
 
-    ``m`` interior points, spacing h = length / (m + 1); ``n_steps`` time
-    levels of size tau = t_final / n_steps.  ``forcing(x, t)`` must accept a
-    vector of positions and a scalar time.
+    ``m`` interior points per dimension, spacing h = length / (m + 1);
+    ``n_steps`` time levels of size tau = t_final / n_steps.  ``forcing``,
+    ``initial`` and ``exact`` take one coordinate array per dimension (the
+    ij-meshgrid in 2D), and ``forcing`` and ``exact`` then a scalar time.
+    ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
+    means zero.  The 2D scheme has zero boundary data only.
     """
 
     length: float
@@ -57,11 +62,18 @@ class Problem1D:
     t_final: float
     m: int
     n_steps: int
-    forcing: Callable[[np.ndarray, float], np.ndarray]
-    initial: Callable[[np.ndarray], np.ndarray]
-    bc_left: Callable[[float], complex]
-    bc_right: Callable[[float], complex]
-    exact: Optional[Callable[[np.ndarray, float], np.ndarray]] = None
+    forcing: Callable[..., np.ndarray]
+    initial: Callable[..., np.ndarray]
+    bc_left: Optional[Callable[[float], complex]] = None
+    bc_right: Optional[Callable[[float], complex]] = None
+    exact: Optional[Callable[..., np.ndarray]] = None
+    ndim: int = 1
+
+    def __post_init__(self):
+        if self.ndim not in (1, 2):
+            raise MgfkError(f"ndim must be 1 or 2, got {self.ndim}")
+        if self.ndim == 2 and (self.bc_left is not None or self.bc_right is not None):
+            raise MgfkError("the 2D centred scheme takes zero boundary data only")
 
     @property
     def h(self) -> float:
@@ -72,55 +84,28 @@ class Problem1D:
         return self.t_final / self.n_steps
 
     @property
-    def grid(self) -> np.ndarray:
-        return self.h * np.arange(1, self.m + 1)
-
-
-@dataclass
-class Problem2D:
-    """2D problem on (0, length)^2 with zero boundary data."""
-
-    length: float
-    kappa: float
-    alpha: float
-    rho: complex
-    t_final: float
-    m: int
-    n_steps: int
-    forcing: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
-    initial: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    exact: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
-
-    @property
-    def h(self) -> float:
-        return self.length / (self.m + 1)
-
-    @property
-    def tau(self) -> float:
-        return self.t_final / self.n_steps
-
-    @property
-    def mesh(self) -> tuple[np.ndarray, np.ndarray]:
+    def coords(self) -> tuple:
+        """Interior grid coordinates: ``(x,)`` in 1D, the ij-meshgrid ``(X, Y)`` in 2D."""
         x = self.h * np.arange(1, self.m + 1)
-        return np.meshgrid(x, x, indexing="ij")
+        return (x,) if self.ndim == 1 else tuple(np.meshgrid(x, x, indexing="ij"))
 
 
-class Evolution1D:
-    """Stepper for the 1D compact scheme.
+class Evolution:
+    """Stepper for the 1D compact and the 2D centred scheme.
 
     Parameters
     ----------
-    problem : Problem1D
+    problem : Problem
     order : int
         Temporal accuracy order nu in 1..4.
     solver : "mgm" or "direct"
-        Multigrid (requires m = 2**K - 1) or banded LU per step.
+        V-cycle multigrid (requires m = 2**K - 1) or the exact DST-I solve.
     coarsening : "galerkin" or "geometric"
     """
 
     def __init__(
         self,
-        problem: Problem1D,
+        problem: Problem,
         order: int,
         solver: str = "mgm",
         coarsening: str = "galerkin",
@@ -147,53 +132,55 @@ class Evolution1D:
         self._w_rev = (self.decay * self.l)[:0:-1].copy()
         self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
         self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
-        self.system = fk_stencil_1d(self.l[0], self.mu)
+        build, rule = (
+            (fk_stencil_1d, fk_geometric_rule_1d)
+            if p.ndim == 1
+            else (fk_operator_2d, fk_geometric_rule_2d)
+        )
+        self.system = build(self.l[0], self.mu)
 
         if solver == "mgm":
-            rule = (
-                fk_geometric_rule_1d(self.l[0], self.mu)
-                if coarsening == "geometric"
-                else "galerkin"
-            )
             self.hierarchy = vc.build_hierarchy(
                 self.system,
                 p.m,
-                strategy=rule,
+                strategy=rule(self.l[0], self.mu) if coarsening == "geometric" else "galerkin",
                 omega_pre=omega[0],
                 omega_post=omega[1],
                 pre_count=counts[0],
                 post_count=counts[1],
                 literal_post_indexing=literal_post_indexing,
             )
+            self._solve = self._multigrid_solve
         elif solver == "direct":
-            ab = np.zeros((3, p.m))
-            a0, a1 = self.system.bands
-            ab[0, 1:] = a1
-            ab[1, :] = a0
-            ab[2, :-1] = a1
-            self._banded = ab
+            self._solve = lambda n, rhs: dst_solve(self.system, rhs)
         else:
             raise ValueError(f"unknown solver {solver!r}")
 
-        x = p.grid
+        self.coords = p.coords
         self.t = p.tau * np.arange(p.n_steps + 1)
-        self.g_left = np.array([complex(p.bc_left(tn)) for tn in self.t])
-        self.g_right = np.array([complex(p.bc_right(tn)) for tn in self.t])
-        self.history = np.zeros((p.n_steps + 1, p.m), dtype=complex)
-        self.history[0] = np.asarray(p.initial(x), dtype=complex)
+        self.g_left, self.g_right = (
+            np.zeros(self.t.size, dtype=complex)
+            if bc is None
+            else np.array([complex(bc(tn)) for tn in self.t])
+            for bc in (p.bc_left, p.bc_right)
+        )
+        self.history = np.zeros((p.n_steps + 1, p.m**p.ndim), dtype=complex)
+        self.history[0] = np.asarray(p.initial(*self.coords), dtype=complex).ravel()
         self.step_index = 0
         self.iterations: list[int] = []
         self.reports: list[vc.SolveReport] = []
 
     def assemble_rhs(self, n: int) -> np.ndarray:
         """Right-hand side of the level-n system: history convolution,
-        initial-condition sum, compact-weighted forcing, and the boundary
-        completion of the truncated operators."""
+        initial-condition sum and forcing; in 1D compact-weighted, plus the
+        boundary completion of the truncated operators."""
         p = self.problem
         tau_alpha = p.tau**p.alpha
         w = self._w_rev[p.n_steps + 1 - n :]
-        fn = np.asarray(p.forcing(p.grid, self.t[n]), dtype=complex)
+        fn = np.asarray(p.forcing(*self.coords, self.t[n]), dtype=complex).ravel()
         levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
+        if p.ndim == 2:
+            return levels + tau_alpha * fn
         rhs = COMPACT_MASS.apply(levels + tau_alpha * fn)
 
         # Dirichlet completion of the truncated operators at both walls.
@@ -210,28 +197,27 @@ class Evolution1D:
             ) / 12.0
         return rhs
 
+    def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
+        guess = self.history[n - 1].copy() if self.warm_start else None
+        g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
+        if not report.converged:
+            raise ConvergenceFailure(
+                f"multigrid stalled at step {n}: relative residual "
+                f"{report.residuals[-1]:.3e} after {report.iterations} cycles",
+                report=report,
+            )
+        self.reports.append(report)
+        self.iterations.append(report.iterations)
+        return g
+
     def step(self) -> None:
         if self.step_index >= self.problem.n_steps:
             raise MgfkError("time stepping already complete")
         n = self.step_index + 1
-        rhs = self.assemble_rhs(n)
-        if self.solver == "mgm":
-            guess = self.history[n - 1].copy() if self.warm_start else None
-            g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
-            if not report.converged:
-                raise ConvergenceFailure(
-                    f"multigrid stalled at step {n}: relative residual "
-                    f"{report.residuals[-1]:.3e} after {report.iterations} cycles",
-                    report=report,
-                )
-            self.reports.append(report)
-            self.iterations.append(report.iterations)
-        else:
-            g = solve_banded((1, 1), self._banded, rhs)
-        self.history[n] = g
+        self.history[n] = self._solve(n, self.assemble_rhs(n))
         self.step_index = n
 
-    def run(self) -> "Evolution1D":
+    def run(self) -> "Evolution":
         while self.step_index < self.problem.n_steps:
             self.step()
         return self
@@ -249,130 +235,7 @@ class Evolution1D:
         p = self.problem
         if p.exact is None:
             raise MgfkError("problem has no exact solution attached")
-        ref = np.asarray(p.exact(p.grid, self.t[self.step_index]), dtype=complex)
-        return float(np.max(np.abs(self.state - ref)))
-
-    def write_snapshot_csv(self, path, step: Optional[int] = None) -> None:
-        n = self.step_index if step is None else step
-        if not 0 <= n <= self.step_index:
-            raise MgfkError(f"step {n} not computed; levels 0..{self.step_index} are")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i, val in enumerate(self.history[n], start=1):
-                writer.writerow([i, repr(float(val.real)), repr(float(val.imag))])
-
-
-class Evolution2D:
-    """Stepper for the 2D centred scheme with zero boundary conditions."""
-
-    def __init__(
-        self,
-        problem: Problem2D,
-        order: int,
-        solver: str = "mgm",
-        coarsening: str = "geometric",
-        tol: float = 1e-7,
-        max_iter: int = 200,
-        omega=(1.0, 0.5),
-        counts=(1, 2),
-        literal_post_indexing: bool = True,
-        warm_start: bool = True,
-    ):
-        self.problem = problem
-        self.order = order
-        self.solver = solver
-        self.warm_start = warm_start
-        self.tol = tol
-        self.max_iter = max_iter
-
-        p = problem
-        self.l = weights(p.alpha, order, p.n_steps)
-        self.decay = np.exp(-p.rho * p.tau * np.arange(p.n_steps + 1))
-        # w_N..w_1, reversed and contiguous for BLAS (see Evolution1D)
-        self._w_rev = (self.decay * self.l)[:0:-1].copy()
-        self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
-        self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
-        self.system = fk_operator_2d(self.l[0], self.mu)
-
-        if solver == "mgm":
-            rule = (
-                fk_geometric_rule_2d(self.l[0], self.mu)
-                if coarsening == "geometric"
-                else "galerkin"
-            )
-            self.hierarchy = vc.build_hierarchy(
-                self.system,
-                p.m,
-                strategy=rule,
-                omega_pre=omega[0],
-                omega_post=omega[1],
-                pre_count=counts[0],
-                post_count=counts[1],
-                literal_post_indexing=literal_post_indexing,
-            )
-        elif solver == "direct":
-            self._lu = lu_factor(self.system.to_dense(p.m))
-        else:
-            raise ValueError(f"unknown solver {solver!r}")
-
-        xg, yg = p.mesh
-        self._xg, self._yg = xg, yg
-        self.t = p.tau * np.arange(p.n_steps + 1)
-        self.history = np.zeros((p.n_steps + 1, p.m * p.m), dtype=complex)
-        self.history[0] = np.asarray(p.initial(xg, yg), dtype=complex).ravel()
-        self.step_index = 0
-        self.iterations: list[int] = []
-        self.reports: list[vc.SolveReport] = []
-
-    def assemble_rhs(self, n: int) -> np.ndarray:
-        """History convolution, initial-condition sum, and plain forcing;
-        boundary data is identically zero in this scheme."""
-        p = self.problem
-        w = self._w_rev[p.n_steps + 1 - n :]
-        rhs = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
-        fn = np.asarray(p.forcing(self._xg, self._yg, self.t[n]), dtype=complex).ravel()
-        return rhs + p.tau**p.alpha * fn
-
-    def step(self) -> None:
-        if self.step_index >= self.problem.n_steps:
-            raise MgfkError("time stepping already complete")
-        n = self.step_index + 1
-        rhs = self.assemble_rhs(n)
-        if self.solver == "mgm":
-            guess = self.history[n - 1].copy() if self.warm_start else None
-            g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
-            if not report.converged:
-                raise ConvergenceFailure(
-                    f"multigrid stalled at step {n}: relative residual "
-                    f"{report.residuals[-1]:.3e} after {report.iterations} cycles",
-                    report=report,
-                )
-            self.reports.append(report)
-            self.iterations.append(report.iterations)
-        else:
-            g = lu_solve(self._lu, rhs)
-        self.history[n] = g
-        self.step_index = n
-
-    def run(self) -> "Evolution2D":
-        while self.step_index < self.problem.n_steps:
-            self.step()
-        return self
-
-    @property
-    def state(self) -> np.ndarray:
-        return self.history[self.step_index]
-
-    @property
-    def avg_iterations(self) -> float:
-        return float(np.mean(self.iterations)) if self.iterations else 0.0
-
-    def max_error(self) -> float:
-        p = self.problem
-        if p.exact is None:
-            raise MgfkError("problem has no exact solution attached")
-        ref = np.asarray(p.exact(self._xg, self._yg, self.t[self.step_index]), dtype=complex)
+        ref = np.asarray(p.exact(*self.coords, self.t[self.step_index]), dtype=complex)
         return float(np.max(np.abs(self.state - ref.ravel())))
 
     def write_snapshot_csv(self, path, step: Optional[int] = None) -> None:
@@ -386,12 +249,20 @@ class Evolution2D:
                 writer.writerow([i, repr(float(val.real)), repr(float(val.imag))])
 
 
+# The benchmark harness (benchmarks/workloads.py) builds its steppers through
+# these names and its tracer patches methods on them; they go once it uses
+# Evolution and Problem directly.
+Evolution1D = Evolution
+Evolution2D = Evolution
+Problem1D = Problem
+
+
 def convergence_rate(err_coarse: float, err_fine: float) -> float:
     """Observed order between two runs whose resolutions differ by 2x."""
     return math.log2(err_coarse / err_fine)
 
 
-def example_6_1(alpha: float, intervals: int) -> Problem1D:
+def example_6_1(alpha: float, intervals: int) -> Problem:
     """Manufactured 1D problem with exact solution
     ``exp(-rho t) (t**(4+alpha) + 1) (sin(pi x) + 1)`` on (0, 1), rho = 1+1j.
 
@@ -418,7 +289,7 @@ def example_6_1(alpha: float, intervals: int) -> Problem1D:
     def exact(x, t):
         return np.exp(-rho * t) * (t ** (4.0 + alpha) + 1.0) * (np.sin(np.pi * x) + 1.0)
 
-    return Problem1D(
+    return Problem(
         length=1.0,
         kappa=kappa,
         alpha=alpha,
@@ -434,7 +305,7 @@ def example_6_1(alpha: float, intervals: int) -> Problem1D:
     )
 
 
-def example_6_2(alpha: float, intervals: int) -> Problem2D:
+def example_6_2(alpha: float, intervals: int) -> Problem:
     """Manufactured 2D problem with exact solution
     ``exp(-rho t) t**(4+alpha) sin(pi x) sin(pi y)`` on (0, 1)^2, rho = 1.
 
@@ -457,7 +328,7 @@ def example_6_2(alpha: float, intervals: int) -> Problem2D:
     def exact(x, y, t):
         return np.exp(-rho * t) * t ** (4.0 + alpha) * np.sin(np.pi * x) * np.sin(np.pi * y)
 
-    return Problem2D(
+    return Problem(
         length=1.0,
         kappa=kappa,
         alpha=alpha,
@@ -468,6 +339,7 @@ def example_6_2(alpha: float, intervals: int) -> Problem2D:
         forcing=forcing,
         initial=initial,
         exact=exact,
+        ndim=2,
     )
 
 

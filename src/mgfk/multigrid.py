@@ -185,11 +185,19 @@ def _prolong(h: MgHierarchy, level_idx: int, e: np.ndarray) -> np.ndarray:
     return transfer.prolong_2d(e.reshape(m, m)).ravel()
 
 
-def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray, level: int = 0) -> np.ndarray:
+def vcycle(
+    h: MgHierarchy,
+    v: np.ndarray | None,
+    f: np.ndarray,
+    level: int = 0,
+    r: np.ndarray | None = None,
+) -> np.ndarray:
     """One V-cycle sweep starting from iterate ``v`` on the given level.
 
     ``v=None`` is the zero start of every coarse-grid correction; its first
     pre-smoothing sweep is exactly ``omega_pre * f / diag``, with no apply.
+    ``r``, the residual ``f - A v`` a caller has already formed, likewise
+    spares the first pre-smoothing sweep its apply.
 
     On the one-point coarsest grid the equation is solved exactly, so the
     recursion implements an approximate inverse whose error propagator
@@ -205,6 +213,8 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray, level: int = 0) 
     pre = h.pre_count
     if v is None:
         v, pre = ((h.omega_pre / lv.diag) * f, pre - 1) if pre else (np.zeros_like(f), 0)
+    elif r is not None and pre:
+        v, pre = v + (h.omega_pre / lv.diag) * r, pre - 1
     v = smooth(lv, np.asarray(v), f, h.omega_pre, pre)
     residual = f - lv.operator.apply(v)
     coarse_rhs = _restrict(h, level, residual)
@@ -229,11 +239,13 @@ def solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lv = h.fine
-    if v0 is not None and np.shape(v0) != (lv.unknowns,):
-        raise DimensionError(f"v0 has shape {np.shape(v0)}, level needs ({lv.unknowns},)")
     f = np.asarray(f)
+    for name, arg in (("f", f), ("v0", v0)):
+        if arg is not None and np.shape(arg) != (lv.unknowns,):
+            raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
     x = np.zeros(lv.unknowns, dtype=np.result_type(f.dtype, np.float64)) if v0 is None else np.array(v0)
-    r0 = float(np.linalg.norm(f - lv.operator.apply(x)))
+    r = f - lv.operator.apply(x)
+    r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
         return x, SolveReport(iterations=0, residuals=[], converged=True, contraction_factor=0.0)
     if not math.isfinite(r0):
@@ -241,8 +253,9 @@ def solve(
 
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        x = vcycle(h, x, f)
-        rel = float(np.linalg.norm(f - lv.operator.apply(x))) / r0
+        x = vcycle(h, x, f, r=r)
+        r = f - lv.operator.apply(x)
+        rel = float(np.linalg.norm(r)) / r0
         report.residuals.append(rel)
         report.iterations = it
         if rel < tol:
@@ -305,33 +318,3 @@ def measure_contraction(
                 worst = max(worst, ratio)
             prev = cur
     return worst
-
-
-def dense_approximate_inverse(h: MgHierarchy) -> np.ndarray:
-    """Materialise B, the linear map applied by one zero-start V-cycle."""
-    n = h.fine.unknowns
-    cols = []
-    for j in range(n):
-        ej = np.zeros(n)
-        ej[j] = 1.0
-        cols.append(vcycle(h, None, ej))
-    return np.column_stack(cols)
-
-
-def dense_operator(h: MgHierarchy) -> np.ndarray:
-    lv = h.fine
-    return lv.operator.to_dense(lv.m)
-
-
-def dense_contraction_norm(h: MgHierarchy) -> float:
-    """Exact ||I - B A||_A via dense materialisation (small grids only)."""
-    a = dense_operator(h)
-    b = dense_approximate_inverse(h)
-    n = a.shape[0]
-    prop = np.eye(n) - b @ a
-    evals, evecs = np.linalg.eigh(a)
-    if evals.min() <= 0.0:
-        raise EligibilityError("fine operator is not positive definite")
-    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-    return float(np.linalg.norm(root @ prop @ inv_root, 2))

@@ -4,8 +4,9 @@ Every operator in the package is stored matrix-free: a 1D operator is a
 tuple of band values (a_0, a_1, ..., a_b), a 2D operator is a short sum of
 Kronecker products of two 1D stencils.  Both are applied by shifted-slice
 multiply-adds, a 2D operator in one pass over its (2b+1)**2 point
-coefficients.  Dense materialisation exists only so tests can compare
-against explicit matrices.
+coefficients.  Tridiagonal ones are also solved exactly, by a sine
+transform.  Dense materialisation exists only so tests can compare against
+explicit matrices.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, EligibilityError, EstimationError, GridSizeError
+from .errors import DimensionError, EligibilityError, EstimationError, GridSizeError, MgfkError
 
 #: Relative slack used in eligibility comparisons.
 _ELIG_RTOL = 1e-12
@@ -199,6 +200,39 @@ class TensorOperator2D:
     def gershgorin_bound(self) -> float:
         ge, gs = self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()
         return self.c_mass * ge * ge + 2.0 * self.c_stiff * ge * gs
+
+
+def dst_solve(op, b: np.ndarray) -> np.ndarray:
+    """Solve ``op x = b`` exactly for a tridiagonal 1D stencil or a 2D
+    operator with tridiagonal factors, matrix-free in O(m**d log m).
+
+    The type-I discrete sine transform diagonalises every symmetric
+    tridiagonal Toeplitz matrix, with eigenvalues a_0 + 2 a_1 cos(k pi/(m+1)),
+    k = 1..m (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  ``b``
+    may be complex and has the shape ``apply`` takes.
+    """
+    from scipy.fft import dstn, idstn  # imported here so that `import mgfk` loads no scipy
+
+    two_d = isinstance(op, TensorOperator2D)
+    x, flat = op.grid_of(b) if two_d else (np.asarray(b), False)
+    if x.ndim != (2 if two_d else 1):
+        raise DimensionError(f"expected a vector, got shape {x.shape}")
+    m = x.shape[0]
+    cos = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
+
+    def eigenvalues(s: ToeplitzStencil) -> np.ndarray:
+        if s.half_bandwidth > 1:
+            raise MgfkError(f"DST solve needs a tridiagonal stencil, got {s.bands}")
+        a0, a1 = (s.bands + (0.0,))[:2]
+        return a0 + 2.0 * a1 * cos
+
+    if two_d:
+        e, s = eigenvalues(op.mass), eigenvalues(op.stiff)
+        lam = op.c_mass * np.outer(e, e) + op.c_stiff * (np.outer(e, s) + np.outer(s, e))
+    else:
+        lam = eigenvalues(op)
+    out = idstn(dstn(x, type=1) / lam, type=1)
+    return out.ravel() if flat else out
 
 
 def grid_depth(m: int) -> int:

@@ -3,14 +3,16 @@
 Everything here deliberately avoids the package's own fast paths: transfers
 are dense matrices, coarse operators come from explicit triple products,
 series powers from binomial expansion with naive convolution, the
-reference V-cycle applies the operator to every iterate, zero or not, and
-the time-level right-hand side is summed term by term in Python loops.
+reference V-cycle applies the operator to every iterate, zero or not, the
+time-level right-hand side is summed term by term in Python loops, and the
+V-cycle's approximate inverse and contraction norm are dense matrices.
 """
 
 import numpy as np
 
 from mgfk import transfer
-from mgfk.multigrid import smooth
+from mgfk.errors import EligibilityError
+from mgfk.multigrid import MgHierarchy, smooth, vcycle
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:
@@ -159,7 +161,7 @@ def reference_vcycle(h, v, f, level: int = 0):
 
 
 def naive_level_rhs(ev, n: int) -> np.ndarray:
-    """Level-n right-hand side of ``Evolution1D`` or ``Evolution2D``, rebuilt
+    """Level-n right-hand side of a 1D or 2D ``Evolution``, rebuilt
     with plain Python loops (no matmul, no stencil apply) from the stepper's
     ``history``, ``l``, ``decay`` and ``mu`` and the problem's forcing and
     boundary traces.
@@ -182,12 +184,12 @@ def naive_level_rhs(ev, n: int) -> np.ndarray:
             acc -= ev.decay[k] * ev.l[k] * level(n - k)
         return acc + tau_alpha * f
 
-    if not hasattr(p, "bc_left"):
-        xg, yg = p.mesh
+    if p.ndim == 2:
+        xg, yg = p.coords
         f = np.asarray(p.forcing(xg, yg, t), dtype=complex).ravel()
         return np.array([memory(lambda j: ev.history[j][i], f[i]) for i in range(f.size)])
 
-    f = np.asarray(p.forcing(p.grid, t), dtype=complex)
+    f = np.asarray(p.forcing(*p.coords, t), dtype=complex)
     u = [memory(lambda j: ev.history[j][i], f[i]) for i in range(p.m)]
     rhs = []
     for i in range(p.m):
@@ -200,3 +202,33 @@ def naive_level_rhs(ev, n: int) -> np.ndarray:
         ghost = memory(lambda j: complex(bc(j * p.tau)), f_ghost)
         rhs[pos] += ev.mu * g_n + (ghost - ev.l[0] * g_n) / 12.0
     return np.array(rhs)
+
+
+def dense_approximate_inverse(h: MgHierarchy) -> np.ndarray:
+    """Materialise B, the linear map applied by one zero-start V-cycle."""
+    n = h.fine.unknowns
+    cols = []
+    for j in range(n):
+        ej = np.zeros(n)
+        ej[j] = 1.0
+        cols.append(vcycle(h, None, ej))
+    return np.column_stack(cols)
+
+
+def dense_operator(h: MgHierarchy) -> np.ndarray:
+    lv = h.fine
+    return lv.operator.to_dense(lv.m)
+
+
+def dense_contraction_norm(h: MgHierarchy) -> float:
+    """Exact ||I - B A||_A via dense materialisation (small grids only)."""
+    a = dense_operator(h)
+    b = dense_approximate_inverse(h)
+    n = a.shape[0]
+    prop = np.eye(n) - b @ a
+    evals, evecs = np.linalg.eigh(a)
+    if evals.min() <= 0.0:
+        raise EligibilityError("fine operator is not positive definite")
+    root = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
+    inv_root = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
+    return float(np.linalg.norm(root @ prop @ inv_root, 2))

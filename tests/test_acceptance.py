@@ -17,14 +17,15 @@ from mgfk.coarsen import (
     galerkin_step,
     mu_coefficient,
 )
-from mgfk.feynman_kac import Evolution1D, Evolution2D, preset
+from mgfk.feynman_kac import Evolution, preset
 from mgfk.fsd import generating_poly, weights
-from mgfk.multigrid import build_hierarchy, dense_contraction_norm, measure_contraction, solve
+from mgfk.multigrid import build_hierarchy, measure_contraction, solve
 from mgfk.stencil import ToeplitzStencil
 from mgfk.transfer import prolong_1d, prolong_2d, restrict_1d, restrict_2d
 
 from helpers import (
     binomial_weights,
+    dense_contraction_norm,
     dense_galerkin,
     naive_series_power,
     random_eligible_tridiag,
@@ -61,7 +62,7 @@ _cache = {}
 def run_1d(alpha, intervals, strategy):
     key = ("1d", alpha, intervals, strategy)
     if key not in _cache:
-        ev = Evolution1D(
+        ev = Evolution(
             preset("example-6.1", alpha, intervals), order=4,
             solver="mgm", coarsening=strategy, tol=1e-11,
         ).run()
@@ -72,7 +73,7 @@ def run_1d(alpha, intervals, strategy):
 def run_2d(alpha, intervals):
     key = ("2d", alpha, intervals)
     if key not in _cache:
-        ev = Evolution2D(
+        ev = Evolution(
             preset("example-6.2", alpha, intervals), order=2,
             solver="mgm", coarsening="geometric", tol=1e-7,
         ).run()

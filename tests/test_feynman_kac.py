@@ -1,13 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mgfk.coarsen import fk_stencil_1d, mu_coefficient
 from mgfk.errors import ConvergenceFailure, MgfkError
 from mgfk.feynman_kac import (
-    Evolution1D,
-    Evolution2D,
-    Problem1D,
-    Problem2D,
+    Evolution,
+    Problem,
     convergence_rate,
     example_6_1,
     example_6_2,
@@ -19,7 +19,7 @@ from helpers import naive_level_rhs
 
 
 def zero_problem_1d(m=7, n_steps=4):
-    return Problem1D(
+    return Problem(
         length=1.0,
         kappa=1.0,
         alpha=0.5,
@@ -29,62 +29,80 @@ def zero_problem_1d(m=7, n_steps=4):
         n_steps=n_steps,
         forcing=lambda x, t: np.zeros_like(x, dtype=complex),
         initial=lambda x: np.zeros_like(x, dtype=complex),
-        bc_left=lambda t: 0.0,
-        bc_right=lambda t: 0.0,
     )
 
 
 def test_preset_lookup():
     p1 = preset("example-6.1", 0.3, 32)
-    assert isinstance(p1, Problem1D)
+    assert isinstance(p1, Problem) and p1.ndim == 1
     assert p1.m == 31 and p1.n_steps == 32
     p2 = preset("example-6.2", 0.8, 16)
-    assert isinstance(p2, Problem2D)
+    assert isinstance(p2, Problem) and p2.ndim == 2
     with pytest.raises(MgfkError):
         preset("example-9.9", 0.3, 32)
 
 
 def test_zero_data_gives_zero_rhs_and_zero_evolution():
-    ev = Evolution1D(zero_problem_1d(), order=2, solver="direct")
+    ev = Evolution(zero_problem_1d(), order=2, solver="direct")
     assert np.allclose(ev.assemble_rhs(1), 0.0, atol=1e-300)
     ev.run()
     assert np.allclose(ev.history, 0.0, atol=1e-300)
 
 
 def test_zero_data_2d():
-    p = Problem2D(
+    p = Problem(
         length=1.0, kappa=1.0, alpha=0.4, rho=1.0, t_final=1.0, m=7, n_steps=3,
         forcing=lambda x, y, t: np.zeros_like(x, dtype=complex),
         initial=lambda x, y: np.zeros_like(x, dtype=complex),
+        ndim=2,
     )
-    ev = Evolution2D(p, order=2, solver="direct").run()
+    ev = Evolution(p, order=2, solver="direct").run()
     assert np.allclose(ev.history, 0.0, atol=1e-300)
+
+
+def test_2d_problem_rejects_boundary_traces():
+    p = example_6_2(0.3, 8)
+    for side in ("bc_left", "bc_right"):
+        with pytest.raises(MgfkError):
+            dataclasses.replace(p, **{side: lambda t: 1.0})
+
+
+def test_direct_2d_solver_steps_where_dense_lu_cannot():
+    # m = 255: a dense LU of the m**2 x m**2 system would need about 34 GB
+    p = dataclasses.replace(example_6_2(0.3, 256), n_steps=2)
+    ev = Evolution(p, order=2, solver="direct")
+    ev.step()
+    rhs = ev.assemble_rhs(2)
+    ev.step()
+    assert ev.step_index == 2 and ev.state.shape == (255 * 255,)
+    residual = np.linalg.norm(ev.system.apply(ev.state) - rhs)
+    assert residual <= 1e-14 * ev.system.gershgorin_bound() * np.linalg.norm(ev.state)
 
 
 def test_direct_and_multigrid_steppers_agree():
     p = example_6_1(0.3, 8)
-    a = Evolution1D(p, order=4, solver="direct").run()
-    b = Evolution1D(p, order=4, solver="mgm", coarsening="galerkin", tol=1e-13).run()
+    a = Evolution(p, order=4, solver="direct").run()
+    b = Evolution(p, order=4, solver="mgm", coarsening="galerkin", tol=1e-13).run()
     assert np.max(np.abs(a.state - b.state)) < 1e-10
 
 
 def test_coarsening_strategies_agree_to_three_digits():
     p = example_6_1(0.3, 32)
-    gal = Evolution1D(p, order=4, coarsening="galerkin").run().max_error()
-    geo = Evolution1D(p, order=4, coarsening="geometric").run().max_error()
+    gal = Evolution(p, order=4, coarsening="galerkin").run().max_error()
+    geo = Evolution(p, order=4, coarsening="geometric").run().max_error()
     assert gal == pytest.approx(geo, rel=5e-3)
 
 
 def test_2d_multigrid_matches_dense_direct():
     p = example_6_2(0.3, 8)
-    a = Evolution2D(p, order=2, solver="direct").run()
-    b = Evolution2D(p, order=2, solver="mgm", coarsening="geometric", tol=1e-10).run()
+    a = Evolution(p, order=2, solver="direct").run()
+    b = Evolution(p, order=2, solver="mgm", coarsening="geometric", tol=1e-10).run()
     assert np.max(np.abs(a.state - b.state)) < 1e-6
 
 
 def test_conjugating_problem_conjugates_trajectory():
     p = example_6_1(0.4, 8)
-    conj = Problem1D(
+    conj = Problem(
         length=p.length, kappa=p.kappa, alpha=p.alpha, rho=np.conj(p.rho),
         t_final=p.t_final, m=p.m, n_steps=p.n_steps,
         forcing=lambda x, t: np.conj(p.forcing(x, t)),
@@ -92,15 +110,15 @@ def test_conjugating_problem_conjugates_trajectory():
         bc_left=lambda t: np.conj(p.bc_left(t)),
         bc_right=lambda t: np.conj(p.bc_right(t)),
     )
-    a = Evolution1D(p, order=4, solver="direct").run()
-    b = Evolution1D(conj, order=4, solver="direct").run()
+    a = Evolution(p, order=4, solver="direct").run()
+    b = Evolution(conj, order=4, solver="direct").run()
     assert np.allclose(b.history, np.conj(a.history), atol=1e-12)
 
 
 def test_exact_solution_fed_back_reports_zero_error():
     p = example_6_1(0.3, 8)
-    ev = Evolution1D(p, order=4, solver="direct").run()
-    ev.history[p.n_steps] = p.exact(p.grid, 1.0)
+    ev = Evolution(p, order=4, solver="direct").run()
+    ev.history[p.n_steps] = p.exact(*p.coords, 1.0)
     assert ev.max_error() == 0.0
 
 
@@ -124,7 +142,7 @@ def test_observed_temporal_order(nu):
     # with tau = h the temporal error dominates the fourth-order spatial part
     errs = []
     for intervals in (16, 32, 64):
-        ev = Evolution1D(example_6_1(0.5, intervals), order=nu, solver="direct").run()
+        ev = Evolution(example_6_1(0.5, intervals), order=nu, solver="direct").run()
         errs.append(ev.max_error())
     rate = convergence_rate(errs[-2], errs[-1])
     assert rate == pytest.approx(nu, abs=0.3)
@@ -134,7 +152,7 @@ def test_snapshot_csv_round_trip(tmp_path):
     import csv
 
     p = example_6_1(0.3, 8)
-    ev = Evolution1D(p, order=4, solver="direct").run()
+    ev = Evolution(p, order=4, solver="direct").run()
     path = tmp_path / "snap.csv"
     ev.write_snapshot_csv(path)
     with open(path, newline="") as fh:
@@ -148,7 +166,7 @@ def test_snapshot_csv_2d(tmp_path):
     import csv
 
     p = example_6_2(0.3, 8)
-    ev = Evolution2D(p, order=2, solver="direct").run()
+    ev = Evolution(p, order=2, solver="direct").run()
     path = tmp_path / "snap2d.csv"
     ev.write_snapshot_csv(path)
     with open(path, newline="") as fh:
@@ -167,28 +185,28 @@ def test_transfers_preserve_complex_dtype():
 
 
 def test_step_past_end_raises():
-    ev = Evolution1D(zero_problem_1d(n_steps=1), order=1, solver="direct")
+    ev = Evolution(zero_problem_1d(n_steps=1), order=1, solver="direct")
     ev.run()
     with pytest.raises(MgfkError):
         ev.step()
 
 
 def test_average_iterations_tracked():
-    ev = Evolution1D(example_6_1(0.3, 16), order=4, solver="mgm", tol=1e-11).run()
+    ev = Evolution(example_6_1(0.3, 16), order=4, solver="mgm", tol=1e-11).run()
     assert len(ev.iterations) == 16
     assert 5 <= ev.avg_iterations <= 15
 
 
 def test_warm_start_reduces_cycles():
     p = example_6_1(0.3, 16)
-    warm = Evolution1D(p, order=4, warm_start=True).run()
-    cold = Evolution1D(p, order=4, warm_start=False).run()
+    warm = Evolution(p, order=4, warm_start=True).run()
+    cold = Evolution(p, order=4, warm_start=False).run()
     assert np.max(np.abs(warm.state - cold.state)) < 1e-9
     assert warm.avg_iterations <= cold.avg_iterations + 1
 
 
 def test_max_error_requires_exact():
-    ev = Evolution1D(zero_problem_1d(), order=1, solver="direct").run()
+    ev = Evolution(zero_problem_1d(), order=1, solver="direct").run()
     with pytest.raises(MgfkError):
         ev.max_error()
 
@@ -206,11 +224,11 @@ def test_non_finite_data_raises_convergence_failure(ndim, bad):
     if ndim == 1:
         p = example_6_1(0.3, 32)
         p.forcing = lambda x, t, f=p.forcing: spoil(f(x, t))
-        ev = Evolution1D(p, order=2, solver="mgm")
+        ev = Evolution(p, order=2, solver="mgm")
     else:
         p = example_6_2(0.3, 16)
         p.forcing = lambda x, y, t, f=p.forcing: spoil(f(x, y, t))
-        ev = Evolution2D(p, order=2, solver="mgm")
+        ev = Evolution(p, order=2, solver="mgm")
     with pytest.raises(ConvergenceFailure) as info:
         ev.step()
     assert info.value.report.iterations <= 1
@@ -221,9 +239,9 @@ def test_non_finite_data_raises_convergence_failure(ndim, bad):
 def test_assemble_rhs_matches_naive_memory_loop(ndim):
     n_steps = 16
     if ndim == 1:
-        ev = Evolution1D(example_6_1(0.3, n_steps), order=4, solver="direct")
+        ev = Evolution(example_6_1(0.3, n_steps), order=4, solver="direct")
     else:
-        ev = Evolution2D(example_6_2(0.3, n_steps), order=4, solver="direct")
+        ev = Evolution(example_6_2(0.3, n_steps), order=4, solver="direct")
     for n in range(1, n_steps + 1):
         if n in (1, 2, 3, n_steps):
             got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
@@ -234,9 +252,9 @@ def test_assemble_rhs_matches_naive_memory_loop(ndim):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_snapshot_of_uncomputed_step_raises(ndim, tmp_path):
     if ndim == 1:
-        ev = Evolution1D(example_6_1(0.3, 8), order=2, solver="direct")
+        ev = Evolution(example_6_1(0.3, 8), order=2, solver="direct")
     else:
-        ev = Evolution2D(example_6_2(0.3, 8), order=2, solver="direct")
+        ev = Evolution(example_6_2(0.3, 8), order=2, solver="direct")
     ev.step()
     for bad in (2, 5, -1):
         with pytest.raises(MgfkError):

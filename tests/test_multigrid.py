@@ -13,18 +13,22 @@ from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
 from mgfk.multigrid import (
     build_hierarchy,
-    dense_approximate_inverse,
-    dense_contraction_norm,
-    dense_operator,
     energy_norm,
     measure_contraction,
     smooth,
     solve,
     vcycle,
 )
-from mgfk.stencil import LAPLACIAN, ToeplitzStencil
+from mgfk.stencil import LAPLACIAN, ToeplitzStencil, dst_solve
 
-from helpers import prolongation_matrix, reference_vcycle, restriction_matrix
+from helpers import (
+    dense_approximate_inverse,
+    dense_contraction_norm,
+    dense_operator,
+    prolongation_matrix,
+    reference_vcycle,
+    restriction_matrix,
+)
 
 
 def fk_hierarchy_1d(alpha=0.3, nu=4, intervals=32, **kwargs):
@@ -114,16 +118,30 @@ def test_solve_already_converged_initial_guess():
     assert np.array_equal(x, x0)
 
 
+@pytest.mark.parametrize("arg", ["v0", "f"])
 @pytest.mark.parametrize(
     "ndim, shape",
     [(1, (32,)), (1, (31, 1)), (1, (1, 31)), (2, (15, 15))],
 )
-def test_solve_rejects_misshapen_initial_guess(ndim, shape):
-    # a wrong v0 must fail at entry, not broadcast into a V-cycle or fail a level down
+def test_solve_rejects_misshapen_initial_guess(ndim, shape, arg):
+    # a wrong v0 or rhs must fail at entry, not broadcast into a V-cycle or fail a level down
     h = fk_hierarchy_1d() if ndim == 1 else fk_hierarchy_2d()
-    f = np.ones(h.fine.unknowns)
+    args = {"f": np.ones(h.fine.unknowns), "v0": np.zeros(h.fine.unknowns), arg: np.zeros(shape)}
     with pytest.raises(DimensionError):
-        solve(h, f, v0=np.zeros(shape))
+        solve(h, **args)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_solve_matches_dst_solve_at_scale(ndim):
+    # sizes no dense oracle reaches: 1D m = 1023, 2D m = 255 (65025 unknowns)
+    h = fk_hierarchy_1d(intervals=1024) if ndim == 1 else fk_hierarchy_2d(intervals=256)
+    n = h.fine.unknowns
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x, report = solve(h, f, tol=1e-11)
+    assert report.converged
+    want = dst_solve(h.fine.operator, f)
+    assert np.max(np.abs(x - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_solve_reports_nonconvergence_without_raising():
@@ -312,7 +330,7 @@ def test_solve_stops_at_non_finite_residual(ndim):
 def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
     # finite r0, then a V-cycle that blows up: the loop must stop after it
     h = fk_hierarchy_1d(intervals=32)
-    monkeypatch.setattr(multigrid, "vcycle", lambda h, v, f, level=0: np.full_like(v, np.nan))
+    monkeypatch.setattr(multigrid, "vcycle", lambda h, v, f, level=0, r=None: np.full_like(v, np.nan))
     _, report = solve(h, np.ones(h.fine.unknowns), tol=1e-11)
     assert not report.converged
     assert report.iterations == 1
@@ -323,8 +341,8 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
-    # coarse levels skip the operator apply on their zero start; the iterates
-    # must not move by a single bit
+    # coarse levels skip the operator apply on their zero start, and a residual
+    # passed in spares the fine level one; the iterates must not move by a bit
     alpha, intervals = 0.3, 32 if ndim == 1 else 16
     l0 = weights(alpha, 2, 0)[0]
     mu = mu_coefficient(1.0, alpha, 1.0 / intervals, 1.0 / intervals)
@@ -343,5 +361,7 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
     for start in (v, np.zeros(n, dtype=complex)):
         x, ref = start, start
         for _ in range(3):
+            given = vcycle(h, x, f, r=f - h.fine.operator.apply(x))
             x, ref = vcycle(h, x, f), reference_vcycle(h, ref, f)
             assert np.array_equal(x, ref)
+            assert np.array_equal(given, ref)

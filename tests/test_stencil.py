@@ -1,14 +1,20 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import mgfk
 from mgfk.coarsen import galerkin_step
-from mgfk.errors import DimensionError, EligibilityError, EstimationError, GridSizeError
+from mgfk.errors import DimensionError, EligibilityError, EstimationError, GridSizeError, MgfkError
 from mgfk.stencil import (
     COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,
     TensorOperator2D,
     ToeplitzStencil,
+    dst_solve,
     grid_depth,
     lambda_max,
     largest_eigenvalue,
@@ -174,3 +180,48 @@ def test_tensor_operator_rejects_non_square_flat_vector():
     op = TensorOperator2D(c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
     with pytest.raises(DimensionError):
         op.apply(np.ones(10))
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        0.9 * IDENTITY + 3.0 * LAPLACIAN,
+        0.9 * COMPACT_MASS + 3.0 * LAPLACIAN,
+        TensorOperator2D(c_mass=0.9, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN),
+        TensorOperator2D(c_mass=1.3, c_stiff=0.7, mass=COMPACT_MASS, stiff=LAPLACIAN),
+    ],
+    ids=["1d-identity", "1d-compact", "2d-identity", "2d-compact"],
+)
+def test_dst_solve_matches_dense_solve(op):
+    rng = np.random.default_rng(12)
+    for m in (1, 3, 7, 15):
+        dense = op.to_dense(m)
+        real = rng.standard_normal(dense.shape[0])
+        for b in (real, real + 1j * rng.standard_normal(real.size)):
+            want = np.linalg.solve(dense, b)
+            got = dst_solve(op, b)
+            assert got.shape == b.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if isinstance(op, TensorOperator2D):
+                assert np.array_equal(dst_solve(op, b.reshape(m, m)).ravel(), got)
+
+
+def test_dst_solve_rejects_wide_stencils_and_misshapen_data():
+    for op in (WIDE_STIFF, TensorOperator2D(c_mass=1.0, c_stiff=1.0, mass=WIDE_MASS, stiff=LAPLACIAN)):
+        with pytest.raises(MgfkError):
+            dst_solve(op, np.ones(9))
+    with pytest.raises(DimensionError):
+        dst_solve(LAPLACIAN, np.ones((3, 3)))
+
+
+def test_import_loads_no_scipy_fft_or_linalg():
+    # the multigrid path needs neither module, and importing them raises the
+    # peak RSS of every run (the direct solve imports scipy.fft when called)
+    code = (
+        "import sys, mgfk; "
+        "print(' '.join(m for m in sys.modules if m.startswith(('scipy.fft', 'scipy.linalg'))))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mgfk.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == ""
