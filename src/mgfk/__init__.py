@@ -1,5 +1,6 @@
-"""V-cycle multigrid for symmetric Toeplitz tridiagonal and Kronecker
-block-tridiagonal systems, applied to fractional Feynman-Kac time stepping."""
+"""V-cycle multigrid for Kronecker sums of symmetric Toeplitz tridiagonal
+stencils (tridiagonal in 1D, block-tridiagonal in 2D), applied to fractional
+Feynman-Kac time stepping."""
 
 from .errors import (
     ConvergenceFailure,
@@ -14,19 +15,16 @@ from .stencil import (
     COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,
-    TensorOperator2D,
+    KroneckerSum,
     ToeplitzStencil,
     grid_depth,
     lambda_max,
 )
 from .coarsen import (
-    GeometricRule,
     closed_form_constants,
     closed_form_tridiag,
-    fk_operator_2d,
-    fk_stencil_1d,
+    fk_operator,
     galerkin_step,
-    galerkin_step_2d,
     mu_coefficient,
 )
 from .multigrid import (

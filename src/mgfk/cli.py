@@ -14,11 +14,11 @@ import time
 from dataclasses import dataclass, field, replace
 
 from . import analysis, multigrid as vc
-from .coarsen import fk_operator_2d, fk_stencil_1d, mu_coefficient
+from .coarsen import fk_operator, mu_coefficient
 from .errors import ConvergenceFailure, MgfkError
 from .feynman_kac import Evolution, convergence_rate, preset
 from .fsd import FsdCoefficients, weights, write_csv
-from .stencil import LAPLACIAN
+from .stencil import IDENTITY, LAPLACIAN, KroneckerSum
 
 CSV_COLUMNS = ["M", "error", "rate", "iter", "cpu_s"]
 
@@ -146,18 +146,16 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
     m = cfg.m_values[0] - 1 if cfg.preset != "laplacian" else 31
 
     if cfg.preset == "laplacian":
-        fine = LAPLACIAN
-        ndim = 1
+        fine = KroneckerSum(1, 0.0, 1.0, IDENTITY, LAPLACIAN)
         m0 = analysis.approx_constant_tridiag(*LAPLACIAN.bands)
     else:
         problem = preset(cfg.preset, cfg.alpha, cfg.m_values[0])
-        ndim = problem.ndim
         l0 = weights(cfg.alpha, cfg.nu, 0)[0]
         mu = mu_coefficient(problem.kappa, problem.alpha, problem.tau, problem.h)
-        fine = (fk_stencil_1d if ndim == 1 else fk_operator_2d)(l0, mu)
-        m0 = 16.0 if ndim == 1 else 1536.0
+        fine = fk_operator(problem.ndim, l0, mu)
+        m0 = 16.0 if problem.ndim == 1 else 1536.0
 
-    omega = cfg.omega if cfg.omega is not None else (0.5 if ndim == 1 else 0.25)
+    omega = cfg.omega if cfg.omega is not None else 0.5**fine.ndim
     hier = vc.build_hierarchy(
         fine, m, strategy="galerkin", omega_pre=omega, omega_post=omega,
         pre_count=cfg.m1, post_count=cfg.m2,

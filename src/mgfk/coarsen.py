@@ -5,8 +5,8 @@ Two strategies are supported:
 * Galerkin (algebraic): the coarse operator is restriction * fine *
   prolongation.  For banded Toeplitz stencils this collapses to an O(band)
   recurrence on the band values, so no matrix product is ever formed.
-* Geometric: the operator is re-discretised with the mesh spacing doubled;
-  defined here for the two Feynman-Kac system families only.
+* Geometric: the operator is re-discretised with the mesh spacing doubled
+  (``KroneckerSum.rediscretised``).
 
 Closed-form level-k stencils and exact integer coefficient tables are
 provided as cross-checks of the recurrence.
@@ -15,17 +15,9 @@ provided as cross-checks of the recurrence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from functools import partial
 
-from .stencil import (
-    COMPACT_MASS,
-    IDENTITY,
-    LAPLACIAN,
-    TensorOperator2D,
-    ToeplitzStencil,
-)
-
-Operator = Union[ToeplitzStencil, TensorOperator2D]
+from .stencil import COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
 
 
 def galerkin_step_unscaled(stencil: ToeplitzStencil) -> ToeplitzStencil:
@@ -63,17 +55,6 @@ def galerkin_step(stencil: ToeplitzStencil) -> ToeplitzStencil:
     tridiagonal output, so the bandwidth never grows along a hierarchy.
     """
     return 0.125 * galerkin_step_unscaled(stencil)
-
-
-def galerkin_step_2d(op: TensorOperator2D) -> TensorOperator2D:
-    """Coarsen each Kronecker factor independently; the sum structure of the
-    operator is preserved exactly."""
-    return TensorOperator2D(
-        c_mass=op.c_mass,
-        c_stiff=op.c_stiff,
-        mass=galerkin_step(op.mass),
-        stiff=galerkin_step(op.stiff),
-    )
 
 
 @dataclass(frozen=True)
@@ -229,33 +210,11 @@ def mu_coefficient(kappa_alpha: float, alpha: float, tau: float, h: float) -> fl
     return kappa_alpha * tau**alpha / h**2
 
 
-def fk_stencil_1d(l0: float, mu: float) -> ToeplitzStencil:
-    """1D Feynman-Kac system stencil l0 * compact-mass + mu * Laplacian."""
-    return l0 * COMPACT_MASS + mu * LAPLACIAN
+def fk_operator(ndim: int, l0: float, mu: float) -> KroneckerSum:
+    """Feynman-Kac system operator l0 * M^{(x)d} + mu * sum_k M (x)..L..(x) M, whose
+    mass M is the compact H of the 1D scheme and the identity of the 2D one."""
+    return KroneckerSum(ndim, l0, mu, COMPACT_MASS if ndim == 1 else IDENTITY, LAPLACIAN)
 
 
-def fk_operator_2d(l0: float, mu: float) -> TensorOperator2D:
-    """2D Feynman-Kac system operator l0 * I(x)I + mu * (I(x)L + L(x)I)."""
-    return TensorOperator2D(c_mass=l0, c_stiff=mu, mass=IDENTITY, stiff=LAPLACIAN)
-
-
-@dataclass(frozen=True)
-class GeometricRule:
-    """Rediscretisation rule: ``build(d)`` assembles the operator on the grid
-    whose spacing is 2**d times the finest spacing (d = 0 is the fine grid).
-    """
-
-    build: Callable[[int], Operator]
-
-    def operator_at(self, depth: int) -> Operator:
-        return self.build(depth)
-
-
-def fk_geometric_rule_1d(l0: float, mu_fine: float) -> GeometricRule:
-    """Doubling the mesh size divides the Laplacian weight by four; the
-    compact mass part is spacing-independent."""
-    return GeometricRule(lambda d: fk_stencil_1d(l0, mu_fine / 4.0**d))
-
-
-def fk_geometric_rule_2d(l0: float, mu_fine: float) -> GeometricRule:
-    return GeometricRule(lambda d: fk_operator_2d(l0, mu_fine / 4.0**d))
+# benchmarks/workloads.py builds its theory workload through this name
+fk_operator_2d = partial(fk_operator, 2)

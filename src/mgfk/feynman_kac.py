@@ -10,9 +10,9 @@ mu = kappa * tau**alpha / h**2, every time level solves
 
 2D uses the second-order centred scheme with zero boundary data; the history
 and forcing terms are identity-weighted and the system operator is
-l_0 I(x)I + mu (I(x)L + L(x)I).  The dimension decides only the system
-operator (and its geometric coarsening rule), the grid coordinates, and the
-compact-mass weighting with Dirichlet completion of the 1D right-hand side.
+l_0 I(x)I + mu (I(x)L + L(x)I).  The dimension decides only the mass factor
+of the system operator, the grid coordinates, and the compact-mass
+weighting with Dirichlet completion of the 1D right-hand side.
 
 The system matrix is real SPD; solves carry complex right-hand sides
 end-to-end, by V-cycle multigrid or by an exact sine-transform solve.  The
@@ -31,13 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import multigrid as vc
-from .coarsen import (
-    fk_geometric_rule_1d,
-    fk_geometric_rule_2d,
-    fk_operator_2d,
-    fk_stencil_1d,
-    mu_coefficient,
-)
+from .coarsen import fk_operator, mu_coefficient
 from .errors import ConvergenceFailure, MgfkError
 from .fsd import weights
 from .stencil import COMPACT_MASS, dst_solve
@@ -113,7 +107,6 @@ class Evolution:
         max_iter: int = 200,
         omega=(1.0, 0.5),
         counts=(1, 2),
-        literal_post_indexing: bool = True,
         warm_start: bool = True,
     ):
         self.problem = problem
@@ -132,23 +125,17 @@ class Evolution:
         self._w_rev = (self.decay * self.l)[:0:-1].copy()
         self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
         self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
-        build, rule = (
-            (fk_stencil_1d, fk_geometric_rule_1d)
-            if p.ndim == 1
-            else (fk_operator_2d, fk_geometric_rule_2d)
-        )
-        self.system = build(self.l[0], self.mu)
+        self.system = fk_operator(p.ndim, self.l[0], self.mu)
 
         if solver == "mgm":
             self.hierarchy = vc.build_hierarchy(
                 self.system,
                 p.m,
-                strategy=rule(self.l[0], self.mu) if coarsening == "geometric" else "galerkin",
+                strategy=coarsening,
                 omega_pre=omega[0],
                 omega_post=omega[1],
                 pre_count=counts[0],
                 post_count=counts[1],
-                literal_post_indexing=literal_post_indexing,
             )
             self._solve = self._multigrid_solve
         elif solver == "direct":

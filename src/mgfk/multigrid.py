@@ -3,49 +3,42 @@
 A hierarchy is built once from a fine operator (Galerkin or geometric
 coarsening), is immutable afterwards, and is shared by every solve.  Grids
 have 2**k - 1 points per dimension and bottom out at a single point, where
-the coarse solve is an exact scalar division.
+the coarse solve is an exact scalar division.  Cycles run on (m,)*ndim grids.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
 post-weight.  The post-smoothing loop is indexed the way the driving scheme
 counts iterates: with counts (m1, m2) the correction itself occupies iterate
-m1+1, so m2 - 1 damped-Jacobi applications follow it.  Set
-``literal_post_indexing=False`` to run m2 applications instead.
+m1+1, so m2 - 1 damped-Jacobi applications follow it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from . import transfer
-from .coarsen import GeometricRule, galerkin_step, galerkin_step_2d
 from .errors import DimensionError, EligibilityError
-from .stencil import (
-    TensorOperator2D,
-    ToeplitzStencil,
-    grid_depth,
-    require_coarsenable,
-    require_spd_eligible,
-)
-
-Operator = Union[ToeplitzStencil, TensorOperator2D]
+from .stencil import KroneckerSum, grid_depth, require_coarsenable, require_spd_eligible
 
 
 @dataclass(frozen=True)
 class GridLevel:
-    """One level of the hierarchy: operator, per-dimension size, diagonal."""
+    """One level of the hierarchy: operator, points per dimension, diagonal."""
 
-    operator: Operator
+    operator: KroneckerSum
     m: int
     diag: float
 
     @property
+    def shape(self) -> tuple:
+        return (self.m,) * self.operator.ndim
+
+    @property
     def unknowns(self) -> int:
-        return self.m if isinstance(self.operator, ToeplitzStencil) else self.m * self.m
+        return self.m**self.operator.ndim
 
 
 @dataclass(frozen=True)
@@ -53,12 +46,10 @@ class MgHierarchy:
     """Immutable multigrid hierarchy, finest level first."""
 
     levels: tuple
-    ndim: int
     omega_pre: float = 1.0
     omega_post: float = 0.5
     pre_count: int = 1
     post_count: int = 2
-    literal_post_indexing: bool = True
     strategy: str = "galerkin"
 
     @property
@@ -72,7 +63,7 @@ class MgHierarchy:
     @property
     def post_smooths(self) -> int:
         """Damped-Jacobi applications after the coarse correction."""
-        return self.post_count - 1 if self.literal_post_indexing else self.post_count
+        return self.post_count - 1
 
 
 @dataclass
@@ -85,40 +76,26 @@ class SolveReport:
     contraction_factor: float = math.nan
 
 
-def _level_diag(op: Operator) -> float:
-    return op.diagonal if isinstance(op, ToeplitzStencil) else op.diagonal()
-
-
-def _validate_level(op: Operator) -> None:
-    if isinstance(op, ToeplitzStencil):
-        require_coarsenable(op)
-    else:
-        require_spd_eligible(op)
-        require_coarsenable(op.mass)
-        require_coarsenable(op.stiff)
-
-
 def build_hierarchy(
-    fine_operator: Operator,
+    fine_operator: KroneckerSum,
     m: int,
-    strategy: Union[str, GeometricRule] = "galerkin",
+    strategy: str = "galerkin",
     *,
     omega_pre: float = 1.0,
     omega_post: float = 0.5,
     pre_count: int = 1,
     post_count: int = 2,
-    literal_post_indexing: bool = True,
 ) -> MgHierarchy:
     """Build the full hierarchy down to a one-point grid.
 
     Parameters
     ----------
-    fine_operator : ToeplitzStencil or TensorOperator2D
+    fine_operator : KroneckerSum
         Finest-level operator; must be SPD-eligible.
     m : int
         Points per dimension on the finest grid, of the form 2**K - 1.
-    strategy : "galerkin" or GeometricRule
-        Galerkin coarsening, or a rediscretisation rule queried per level.
+    strategy : "galerkin" or "geometric"
+        Each coarse level is ``galerkin()`` or ``rediscretised()`` of the one above.
     omega_pre, omega_post : float
         Damped-Jacobi weights for pre- and post-smoothing.
     pre_count, post_count : int
@@ -126,38 +103,34 @@ def build_hierarchy(
         post_count translates into actual smoother applications.
     """
     depth = grid_depth(m)
-    ndim = 1 if isinstance(fine_operator, ToeplitzStencil) else 2
     if omega_pre <= 0.0 or omega_post <= 0.0:
         raise ValueError("smoothing weights must be positive")
     if pre_count < 0 or post_count < 1:
         raise ValueError("smoothing counts must satisfy m1 >= 0, m2 >= 1")
-
-    geometric = isinstance(strategy, GeometricRule)
-    if not geometric and strategy != "galerkin":
+    coarsen = {"galerkin": KroneckerSum.galerkin, "geometric": KroneckerSum.rediscretised}
+    if strategy not in coarsen:
         raise ValueError(f"unknown coarsening strategy: {strategy!r}")
 
     levels = []
     op = fine_operator
     for d in range(depth):
-        if geometric and d > 0:
-            op = strategy.operator_at(d)
-        elif d > 0:
-            op = galerkin_step(op) if ndim == 1 else galerkin_step_2d(op)
+        if d > 0:
+            op = coarsen[strategy](op)
         try:
-            _validate_level(op)
+            require_spd_eligible(op)
+            require_coarsenable(op.mass)
+            require_coarsenable(op.stiff)
         except EligibilityError as exc:
             raise EligibilityError(f"level {d} (size {2 ** (depth - d) - 1}): {exc}") from exc
-        levels.append(GridLevel(operator=op, m=2 ** (depth - d) - 1, diag=_level_diag(op)))
+        levels.append(GridLevel(operator=op, m=2 ** (depth - d) - 1, diag=op.diagonal))
 
     return MgHierarchy(
         levels=tuple(levels),
-        ndim=ndim,
         omega_pre=omega_pre,
         omega_post=omega_post,
         pre_count=pre_count,
         post_count=post_count,
-        literal_post_indexing=literal_post_indexing,
-        strategy="geometric" if geometric else "galerkin",
+        strategy=strategy,
     )
 
 
@@ -167,22 +140,8 @@ def smooth(level: GridLevel, v: np.ndarray, f: np.ndarray, weight: float, steps:
         raise ValueError("smoothing weight must be positive")
     scale = weight / level.diag
     for _ in range(steps):
-        v = v + scale * (f - level.operator.apply(v))
+        v = v + scale * (f - level.operator.apply_grid(v))
     return v
-
-
-def _restrict(h: MgHierarchy, level_idx: int, r: np.ndarray) -> np.ndarray:
-    if h.ndim == 1:
-        return transfer.restrict_1d(r)
-    m = h.levels[level_idx].m
-    return transfer.restrict_2d(r.reshape(m, m)).ravel()
-
-
-def _prolong(h: MgHierarchy, level_idx: int, e: np.ndarray) -> np.ndarray:
-    if h.ndim == 1:
-        return transfer.prolong_1d(e)
-    m = h.levels[level_idx + 1].m
-    return transfer.prolong_2d(e.reshape(m, m)).ravel()
 
 
 def vcycle(
@@ -192,7 +151,7 @@ def vcycle(
     level: int = 0,
     r: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One V-cycle sweep starting from iterate ``v`` on the given level.
+    """One V-cycle sweep from iterate ``v`` on a level's grid or flat vector.
 
     ``v=None`` is the zero start of every coarse-grid correction; its first
     pre-smoothing sweep is exactly ``omega_pre * f / diag``, with no apply.
@@ -205,8 +164,11 @@ def vcycle(
     """
     lv = h.levels[level]
     f = np.asarray(f)
-    if f.shape != (lv.unknowns,):
-        raise DimensionError(f"rhs has shape {f.shape}, level needs ({lv.unknowns},)")
+    if f.shape != lv.shape:
+        if f.shape != (lv.unknowns,):
+            raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
+        v, f, r = (a if a is None else np.reshape(a, lv.shape) for a in (v, f, r))
+        return vcycle(h, v, f, level, r).ravel()
     if level == h.depth - 1:
         return f / lv.diag
 
@@ -216,10 +178,8 @@ def vcycle(
     elif r is not None and pre:
         v, pre = v + (h.omega_pre / lv.diag) * r, pre - 1
     v = smooth(lv, np.asarray(v), f, h.omega_pre, pre)
-    residual = f - lv.operator.apply(v)
-    coarse_rhs = _restrict(h, level, residual)
-    coarse_err = vcycle(h, None, coarse_rhs, level + 1)
-    v = v + _prolong(h, level, coarse_err)
+    coarse_err = vcycle(h, None, transfer.restrict(f - lv.operator.apply_grid(v)), level + 1)
+    v = v + transfer.prolong(coarse_err)
     return smooth(lv, v, f, h.omega_post, h.post_smooths)
 
 
@@ -239,22 +199,22 @@ def solve(
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     lv = h.fine
-    f = np.asarray(f)
     for name, arg in (("f", f), ("v0", v0)):
         if arg is not None and np.shape(arg) != (lv.unknowns,):
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
-    x = np.zeros(lv.unknowns, dtype=np.result_type(f.dtype, np.float64)) if v0 is None else np.array(v0)
-    r = f - lv.operator.apply(x)
+    f = np.reshape(f, lv.shape)
+    x = np.zeros_like(f, np.result_type(f, float)) if v0 is None else np.array(v0).reshape(f.shape)
+    r = f - lv.operator.apply_grid(x)
     r0 = float(np.linalg.norm(r))
     if r0 == 0.0:
-        return x, SolveReport(iterations=0, residuals=[], converged=True, contraction_factor=0.0)
+        return x.ravel(), SolveReport(0, [], converged=True, contraction_factor=0.0)
     if not math.isfinite(r0):
-        return x, SolveReport(iterations=0, residuals=[math.nan])
+        return x.ravel(), SolveReport(iterations=0, residuals=[math.nan])
 
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
         x = vcycle(h, x, f, r=r)
-        r = f - lv.operator.apply(x)
+        r = f - lv.operator.apply_grid(x)
         rel = float(np.linalg.norm(r)) / r0
         report.residuals.append(rel)
         report.iterations = it
@@ -272,7 +232,7 @@ def solve(
     if ratios:
         late = ratios[3:] if len(ratios) > 3 else ratios
         report.contraction_factor = max(late)
-    return x, report
+    return x.ravel(), report
 
 
 def energy_norm(level: GridLevel, e: np.ndarray) -> float:
@@ -300,10 +260,10 @@ def measure_contraction(
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     lv = h.fine
-    zero = np.zeros(lv.unknowns)
+    zero = np.zeros(lv.shape)
     worst = 0.0
     for _ in range(trials):
-        e = rng.standard_normal(lv.unknowns)
+        e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
         e /= np.linalg.norm(e)
         prev = energy_norm(lv, e)
         for i in range(1, iters + 1):

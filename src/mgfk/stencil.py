@@ -1,19 +1,20 @@
-"""Symmetric banded Toeplitz stencils and Kronecker-structured 2D operators.
+"""Symmetric banded Toeplitz stencils and the Kronecker sums built from them.
 
-Every operator in the package is stored matrix-free: a 1D operator is a
-tuple of band values (a_0, a_1, ..., a_b), a 2D operator is a short sum of
-Kronecker products of two 1D stencils.  Both are applied by shifted-slice
-multiply-adds, a 2D operator in one pass over its (2b+1)**2 point
-coefficients.  Tridiagonal ones are also solved exactly, by a sine
-transform.  Dense materialisation exists only so tests can compare against
-explicit matrices.
+Every operator in the package is stored matrix-free: a stencil is a tuple
+of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
+``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
+Both are applied by shifted-slice multiply-adds, a system operator in one
+pass over its (2b+1)**d point coefficients.  With tridiagonal factors the
+type-I sine transform diagonalises them, which gives their spectra in
+closed form and an exact direct solve.  Dense materialisation exists only
+so tests can compare against explicit matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -38,6 +39,7 @@ class ToeplitzStencil:
     """
 
     bands: tuple
+    ndim: ClassVar[int] = 1  # a stencil acts on 1D grids
 
     def __post_init__(self):
         bands = tuple(float(a) for a in self.bands)
@@ -67,24 +69,32 @@ class ToeplitzStencil:
     def __rmul__(self, c: float) -> "ToeplitzStencil":
         return ToeplitzStencil(tuple(c * a for a in self.bands))
 
-    def apply(self, v: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Apply the operator along one axis of ``v`` (matrix-free matvec).
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """Apply the operator along the first axis of ``v`` (matrix-free matvec).
 
         Out-of-range neighbours are treated as zero, which is exactly the
         product with the Dirichlet-truncated finite matrix.  Works for real
-        and complex data of any dimensionality.
+        and complex data.
         """
         v = np.asarray(v)
         if v.ndim == 0:
             raise DimensionError("expected an array, got a scalar")
         out = self.bands[0] * v
-        vv, oo = (v, out) if axis == 0 else (np.moveaxis(v, axis, 0), np.moveaxis(out, axis, 0))
         for j, a in enumerate(self.bands[1:], start=1):
-            if a == 0.0 or j >= vv.shape[0]:
+            if a == 0.0 or j >= v.shape[0]:
                 continue
-            oo[j:] += a * vv[:-j]
-            oo[:-j] += a * vv[j:]
+            out[j:] += a * v[:-j]
+            out[:-j] += a * v[j:]
         return out
+
+    def eigenvalues(self, m: int) -> np.ndarray:
+        """Eigenvalues ``a_0 + 2 a_1 cos(k pi/(m+1))``, k = 1..m, of the m-by-m
+        matrix of a tridiagonal stencil (its DST-I symbol)."""
+        if self.half_bandwidth > 1:
+            raise MgfkError(f"closed-form spectrum needs a tridiagonal stencil, got {self.bands}")
+        a0, a1 = (self.bands + (0.0,))[:2]
+        # cos(k pi/(m+1)) as sin((m+1-2k) pi/(2m+2)): exactly 0 mid-spectrum, exactly odd about it
+        return a0 + 2.0 * a1 * np.sin(np.pi * (m + 1 - 2 * np.arange(1, m + 1)) / (2 * m + 2))
 
     def to_dense(self, m: int) -> np.ndarray:
         """Materialise the m-by-m symmetric banded Toeplitz matrix."""
@@ -127,67 +137,103 @@ AVERAGING = ToeplitzStencil((2.0, 1.0))
 
 
 @dataclass(frozen=True)
-class TensorOperator2D:
-    """2D operator ``c_mass * E (x) E + c_stiff * (E (x) S + S (x) E)``.
+class KroneckerSum:
+    """Operator ``c_mass E^{(x)d} + c_stiff sum_k E (x)..(x) S (x)..(x) E`` on
+    (m,)*d grids, with S in the k-th of the d factors.
 
     ``E`` and ``S`` are 1D stencils (identity-like and Laplacian-like
-    factors) of half-bandwidth at most ``b``.  ``apply`` is one pass over the
-    nonzero ones among the (2b+1)**2 coefficients ``c_ij = c_mass*e_i*e_j +
-    c_stiff*(e_i*s_j + s_i*e_j)``, computed once: 5 for identity mass, 9 for
-    a tridiagonal one.  Fields live on square grids stored row-major;
-    ``apply`` takes the (m, m) grid or its flat length-m**2 vector and
-    returns the same shape.
+    factors) of half-bandwidth at most ``b``.  A bare stencil S used as a
+    system is ``KroneckerSum(1, 0.0, 1.0, IDENTITY, S)``.  ``apply`` is one
+    pass over the nonzero ones among the (2b+1)**d point coefficients,
+    computed once: in 1D the summed bands, in 2D 5 points for identity mass
+    and 9 for a tridiagonal one.  Fields are stored row-major; ``apply``
+    takes the grid or its flat vector and returns the same shape.
     """
 
+    ndim: int
     c_mass: float
     c_stiff: float
     mass: ToeplitzStencil
     stiff: ToeplitzStencil
 
+    def _kron_sum(self, e, s, prod=np.multiply.outer):
+        """The operator's form over factor values ``e`` and ``s`` (band
+        points, symbols or matrices), ``prod`` being their tensor product."""
+        mass, ones, stiff = self.c_mass, 1.0, 0.0
+        for _ in range(self.ndim):
+            mass, ones, stiff = prod(mass, e), prod(ones, e), prod(stiff, e) + prod(ones, s)
+        return mass + self.c_stiff * stiff
+
     @cached_property
     def _points(self) -> tuple:
-        """Half-width ``b``, center ``c_00`` and the nonzero off-center ``(i, j, c_ij)``."""
-        b = max(self.mass.half_bandwidth, self.stiff.half_bandwidth)
+        """Half-width ``b``, centre coefficient, ``(window, c)`` per nonzero
+        off-centre point, and the interior of a grid zero-padded by ``b`` on
+        every side; ``window`` slices the point's shifted copy out of it."""
+        b = self.half_bandwidth
         k = np.abs(np.arange(-b, b + 1))
         e, s = (np.pad(op.bands, (0, b - op.half_bandwidth))[k] for op in (self.mass, self.stiff))
-        c = self.c_mass * e[:, None] * e + self.c_stiff * (e[:, None] * s + s[:, None] * e)
-        taps = tuple((i - b, j - b, c[i, j]) for i, j in zip(*np.nonzero(c)) if (i, j) != (b, b))
-        return b, c[b, b], taps
+        c = self._kron_sum(e, s)
+        centre = (b,) * self.ndim
+        taps = tuple(
+            (tuple(slice(int(i), int(i) - 2 * b or None) for i in idx), c[idx])
+            for idx in zip(*np.nonzero(c))
+            if idx != centre
+        )
+        return b, c[centre], taps, (slice(b, -b or None),) * self.ndim
 
-    def grid_of(self, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    @property
+    def half_bandwidth(self) -> int:
+        return max(self.mass.half_bandwidth, self.stiff.half_bandwidth)
+
+    @property
+    def diagonal(self) -> float:
+        """``c_mass e0**d + d c_stiff e0**(d-1) s0``, multiplied out left to right."""
+        e0, s0 = self.mass.diagonal, self.stiff.diagonal
+        mass, stiff = self.c_mass, self.ndim * self.c_stiff
+        for _ in range(self.ndim - 1):
+            mass, stiff = mass * e0, stiff * e0
+        return mass * e0 + stiff * s0
+
+    def grid(self, v: np.ndarray) -> np.ndarray:
+        """``v`` viewed as the (m,)*ndim grid; ``v`` is that grid or its flat vector."""
         v = np.asarray(v)
-        if v.ndim == 2 and v.shape[0] == v.shape[1]:
-            return v, False
-        if v.ndim == 1:
-            m = int(round(np.sqrt(v.size)))
-            if m * m != v.size:
-                raise DimensionError(f"flat 2D field length {v.size} is not a square")
-            return v.reshape(m, m), True
-        raise DimensionError(f"expected square grid or flat vector, got shape {v.shape}")
+        m = v.shape[0] if v.ndim == self.ndim else round(v.size ** (1.0 / self.ndim))
+        if m < 1 or v.shape not in ((m,) * self.ndim, (m**self.ndim,)):
+            raise DimensionError(f"{v.shape} is not a square {self.ndim}D grid or its flat vector")
+        return v.reshape((m,) * self.ndim)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        x, flat = self.grid_of(v)
-        m = x.shape[0]
-        b, center, taps = self._points
-        out = center * x
-        xp = np.zeros((m + 2 * b, m + 2 * b), out.dtype)
-        xp[b : b + m, b : b + m] = x
-        for i, j, c in taps:
-            if abs(i) < m and abs(j) < m:
-                out += c * xp[b + i : b + i + m, b + j : b + j + m]
-        return out.ravel() if flat else out
+        return self.apply_grid(self.grid(v)).reshape(np.shape(v))
 
-    def diagonal(self) -> float:
-        e0, s0 = self.mass.diagonal, self.stiff.diagonal
-        return self.c_mass * e0 * e0 + 2.0 * self.c_stiff * e0 * s0
+    def apply_grid(self, x: np.ndarray) -> np.ndarray:
+        """``apply`` on an (m,)*ndim grid, the V-cycle's kernel."""
+        if x.ndim != self.ndim:
+            raise DimensionError(f"expected a {self.ndim}D grid, got shape {x.shape}")
+        b, centre, taps, inner = self._points
+        out = centre * x
+        xp = np.zeros((x.shape[0] + 2 * b,) * self.ndim, out.dtype)
+        xp[inner] = x
+        for window, c in taps:
+            out += c * xp[window]
+        return out
+
+    def eigenvalues(self, m: int) -> np.ndarray:
+        """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
+        return self._kron_sum(self.mass.eigenvalues(m), self.stiff.eigenvalues(m))
+
+    def galerkin(self) -> "KroneckerSum":
+        """Galerkin coarse operator R A P: the 1-2-1 triple product of each factor."""
+        from .coarsen import galerkin_step  # coarsen builds on this module
+
+        mass, stiff = galerkin_step(self.mass), galerkin_step(self.stiff)
+        return KroneckerSum(self.ndim, self.c_mass, self.c_stiff, mass, stiff)
+
+    def rediscretised(self) -> "KroneckerSum":
+        """The operator on the grid of twice the spacing: c_stiff ~ 1/h**2 falls fourfold."""
+        return KroneckerSum(self.ndim, self.c_mass, self.c_stiff / 4.0, self.mass, self.stiff)
 
     def to_dense(self, m: int) -> np.ndarray:
-        e = self.mass.to_dense(m)
-        s = self.stiff.to_dense(m)
-        return (
-            self.c_mass * np.kron(e, e)
-            + self.c_stiff * (np.kron(e, s) + np.kron(s, e))
-        )
+        return self._kron_sum(self.mass.to_dense(m), self.stiff.to_dense(m), np.kron)
 
     def is_spd_eligible(self) -> bool:
         return (
@@ -198,41 +244,26 @@ class TensorOperator2D:
         )
 
     def gershgorin_bound(self) -> float:
-        ge, gs = self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()
-        return self.c_mass * ge * ge + 2.0 * self.c_stiff * ge * gs
+        return float(self._kron_sum(self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()))
 
 
-def dst_solve(op, b: np.ndarray) -> np.ndarray:
-    """Solve ``op x = b`` exactly for a tridiagonal 1D stencil or a 2D
-    operator with tridiagonal factors, matrix-free in O(m**d log m).
+# benchmarks/workloads.py patches the apply span of the system operator through this name
+TensorOperator2D = KroneckerSum
+
+
+def dst_solve(op: KroneckerSum, b: np.ndarray) -> np.ndarray:
+    """Solve ``op x = b`` exactly for tridiagonal factors, matrix-free in
+    O(m**d log m).
 
     The type-I discrete sine transform diagonalises every symmetric
-    tridiagonal Toeplitz matrix, with eigenvalues a_0 + 2 a_1 cos(k pi/(m+1)),
-    k = 1..m (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  ``b``
-    may be complex and has the shape ``apply`` takes.
+    tridiagonal Toeplitz matrix, and so every Kronecker sum of them
+    (Buzbee, Golub and Nielson, SIAM J. Numer. Anal. 7, 1970).  ``b`` may
+    be complex and has the shape ``apply`` takes.
     """
     from scipy.fft import dstn, idstn  # imported here so that `import mgfk` loads no scipy
 
-    two_d = isinstance(op, TensorOperator2D)
-    x, flat = op.grid_of(b) if two_d else (np.asarray(b), False)
-    if x.ndim != (2 if two_d else 1):
-        raise DimensionError(f"expected a vector, got shape {x.shape}")
-    m = x.shape[0]
-    cos = np.cos(np.pi * np.arange(1, m + 1) / (m + 1))
-
-    def eigenvalues(s: ToeplitzStencil) -> np.ndarray:
-        if s.half_bandwidth > 1:
-            raise MgfkError(f"DST solve needs a tridiagonal stencil, got {s.bands}")
-        a0, a1 = (s.bands + (0.0,))[:2]
-        return a0 + 2.0 * a1 * cos
-
-    if two_d:
-        e, s = eigenvalues(op.mass), eigenvalues(op.stiff)
-        lam = op.c_mass * np.outer(e, e) + op.c_stiff * (np.outer(e, s) + np.outer(s, e))
-    else:
-        lam = eigenvalues(op)
-    out = idstn(dstn(x, type=1) / lam, type=1)
-    return out.ravel() if flat else out
+    x = op.grid(b)
+    return idstn(dstn(x, type=1) / op.eigenvalues(x.shape[0]), type=1).reshape(np.shape(b))
 
 
 def grid_depth(m: int) -> int:
@@ -292,18 +323,22 @@ def largest_eigenvalue(
 
 
 def lambda_max(
-    stencil: ToeplitzStencil,
+    op,
     m: int,
     tol: float = 1e-10,
     max_iter: int = 10_000,
     seed: int = 0,
 ) -> tuple[float, float]:
-    """Estimate the largest eigenvalue of the m-by-m stencil matrix.
+    """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid.
 
-    Returns ``(estimate, gershgorin_bound)``.
+    Exact from the sine symbol when every factor is tridiagonal, seeded
+    Lanczos otherwise.  Returns ``(estimate, gershgorin_bound)``.
     """
-    est = largest_eigenvalue(lambda v: stencil.apply(v), m, tol=tol, max_iter=max_iter, seed=seed)
-    return est, stencil.gershgorin_bound()
+    if op.half_bandwidth <= 1:
+        est = float(np.max(op.eigenvalues(m)))
+    else:
+        est = largest_eigenvalue(op.apply, m**op.ndim, tol=tol, max_iter=max_iter, seed=seed)
+    return est, op.gershgorin_bound()
 
 
 def require_spd_eligible(op) -> None:

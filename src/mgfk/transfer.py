@@ -1,7 +1,9 @@
 """Matrix-free grid transfers: full weighting, linear interpolation, cutting.
 
-Fine and coarse grids have sizes 2**k - 1; the prolongation is twice the
-transpose of the restriction in 1D and four times in 2D.
+Fine and coarse grids have 2**k - 1 points per dimension.  ``restrict`` and
+``prolong`` apply the 1-2-1 pair along every axis of a grid, one axis-0
+kernel per axis with the axes rotated in between, so the prolongation is
+2**ndim times the transpose of the restriction.
 """
 
 from __future__ import annotations
@@ -19,29 +21,33 @@ def _fine_sizes(m_fine: int) -> int:
     return (m_fine - 1) // 2
 
 
-def restrict_1d(v: np.ndarray) -> np.ndarray:
-    """Full weighting: coarse_i = (v_{2i-1} + 2 v_{2i} + v_{2i+1}) / 4."""
-    v = np.asarray(v)
-    mc = _fine_sizes(v.shape[0])
-    return 0.25 * (v[0 : 2 * mc - 1 : 2] + 2.0 * v[1::2] + v[2::2])
+def restrict(x: np.ndarray) -> np.ndarray:
+    """Full weighting along every axis: coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4."""
+    x = np.asarray(x)
+    axes = (*range(1, x.ndim), 0)  # moves the first axis last; ndim times is the identity
+    for _ in axes:
+        mc = _fine_sizes(x.shape[0])
+        x = (0.25 * (x[0 : 2 * mc - 1 : 2] + 2.0 * x[1::2] + x[2::2])).transpose(axes)
+    return x
 
 
-def prolong_1d(v: np.ndarray) -> np.ndarray:
-    """Linear interpolation; columns are (1/2) * [1, 2, 1]^T.
+def prolong(x: np.ndarray) -> np.ndarray:
+    """Linear interpolation along every axis; in 1D the columns are (1/2) * [1, 2, 1]^T.
 
     Fine points sitting on coarse points copy the coarse value; in-between
     points take the average of their flanking coarse values (zero outside).
     """
-    v = np.asarray(v)
-    mc = v.shape[0]
-    grid_depth(mc)
-    mf = 2 * mc + 1
-    out = np.zeros(mf, dtype=v.dtype)
-    out[1::2] = v
-    out[2:-1:2] = 0.5 * (v[:-1] + v[1:])
-    out[0] = 0.5 * v[0]
-    out[-1] = 0.5 * v[-1]
-    return out
+    x = np.asarray(x)
+    axes = (*range(1, x.ndim), 0)  # moves the first axis last; ndim times is the identity
+    for _ in axes:
+        grid_depth(x.shape[0])
+        out = np.zeros((2 * x.shape[0] + 1,) + x.shape[1:], dtype=x.dtype)
+        out[1::2] = x
+        out[2:-1:2] = 0.5 * (x[:-1] + x[1:])
+        out[0] = 0.5 * x[0]
+        out[-1] = 0.5 * x[-1]
+        x = out.transpose(axes)
+    return x
 
 
 def cut(v: np.ndarray) -> np.ndarray:
@@ -49,33 +55,3 @@ def cut(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     _fine_sizes(v.shape[0])
     return v[1::2].copy()
-
-
-def restrict_2d(field: np.ndarray) -> np.ndarray:
-    """Tensor-product full weighting on a square grid."""
-    field = np.asarray(field)
-    if field.ndim != 2 or field.shape[0] != field.shape[1]:
-        raise GridSizeError(f"expected a square grid, got shape {field.shape}")
-    mc = _fine_sizes(field.shape[0])
-    rows = 0.25 * (field[0 : 2 * mc - 1 : 2] + 2.0 * field[1::2] + field[2::2])
-    return 0.25 * (rows[:, 0 : 2 * mc - 1 : 2] + 2.0 * rows[:, 1::2] + rows[:, 2::2])
-
-
-def _prolong_axis0(x: np.ndarray) -> np.ndarray:
-    mc = x.shape[0]
-    out = np.zeros((2 * mc + 1,) + x.shape[1:], dtype=x.dtype)
-    out[1::2] = x
-    out[2:-1:2] = 0.5 * (x[:-1] + x[1:])
-    out[0] = 0.5 * x[0]
-    out[-1] = 0.5 * x[-1]
-    return out
-
-
-def prolong_2d(field: np.ndarray) -> np.ndarray:
-    """Tensor-product linear interpolation on a square grid."""
-    field = np.asarray(field)
-    if field.ndim != 2 or field.shape[0] != field.shape[1]:
-        raise GridSizeError(f"expected a square grid, got shape {field.shape}")
-    grid_depth(field.shape[0])
-    rows = _prolong_axis0(field)
-    return np.swapaxes(_prolong_axis0(np.swapaxes(rows, 0, 1)), 0, 1)

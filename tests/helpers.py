@@ -145,19 +145,12 @@ def reference_vcycle(h, v, f, level: int = 0):
     lv = h.levels[level]
     if level == h.depth - 1:
         return f / lv.diag
+    shape, v, f = np.shape(f), np.reshape(v, lv.shape), np.reshape(f, lv.shape)
     v = smooth(lv, v, f, h.omega_pre, h.pre_count)
-    residual = f - lv.operator.apply(v)
-    if h.ndim == 1:
-        coarse_rhs = transfer.restrict_1d(residual)
-    else:
-        coarse_rhs = transfer.restrict_2d(residual.reshape(lv.m, lv.m)).ravel()
+    coarse_rhs = transfer.restrict(f - lv.operator.apply(v))
     e = reference_vcycle(h, np.zeros_like(coarse_rhs), coarse_rhs, level + 1)
-    if h.ndim == 1:
-        v = v + transfer.prolong_1d(e)
-    else:
-        mc = h.levels[level + 1].m
-        v = v + transfer.prolong_2d(e.reshape(mc, mc)).ravel()
-    return smooth(lv, v, f, h.omega_post, h.post_smooths)
+    v = v + transfer.prolong(e)
+    return smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
 
 
 def naive_level_rhs(ev, n: int) -> np.ndarray:

@@ -12,16 +12,15 @@ from mgfk.analysis import check_smoother_bounds, contraction_bound
 from mgfk.coarsen import (
     closed_form_tridiag,
     coefficient_table,
-    fk_operator_2d,
-    fk_stencil_1d,
+    fk_operator,
     galerkin_step,
     mu_coefficient,
 )
 from mgfk.feynman_kac import Evolution, preset
 from mgfk.fsd import generating_poly, weights
 from mgfk.multigrid import build_hierarchy, measure_contraction, solve
-from mgfk.stencil import ToeplitzStencil
-from mgfk.transfer import prolong_1d, prolong_2d, restrict_1d, restrict_2d
+from mgfk.stencil import IDENTITY, KroneckerSum, ToeplitzStencil
+from mgfk.transfer import prolong, restrict
 
 from helpers import (
     binomial_weights,
@@ -209,12 +208,12 @@ def test_criterion_5_spectral_bounds():
     rng = np.random.default_rng(11)
     for trial in range(12):
         a0, a1 = random_eligible_tridiag(rng)
-        h = build_hierarchy(ToeplitzStencil((a0, a1)), 255)
+        h = build_hierarchy(KroneckerSum(1, 0.0, 1.0, IDENTITY, ToeplitzStencil((a0, a1))), 255)
         for r in check_smoother_bounds(h):
             if not r.satisfied:
                 failures.append(f"1D ({a0:.3f},{a1:.3f}): {r.quantity} measured {r.measured}")
     for c1, c2 in ((0.0, 1.0), (1.0, 1.0), (3.0, 0.2), (0.5, 120.0)):
-        h = build_hierarchy(fk_operator_2d(c1, c2), 15)
+        h = build_hierarchy(fk_operator(2, c1, c2), 15)
         for r in check_smoother_bounds(h):
             if not r.satisfied:
                 failures.append(f"2D (c1={c1}, c2={c2}): {r.quantity} measured {r.measured}")
@@ -225,7 +224,7 @@ def test_criterion_6_contraction_bounds():
     failures = []
     l0 = weights(0.3, 4, 0)[0]
     mu = mu_coefficient(1.0, 0.3, 1 / 32, 1 / 32)
-    h1 = build_hierarchy(fk_stencil_1d(l0, mu), 31, omega_pre=0.5, omega_post=0.5)
+    h1 = build_hierarchy(fk_operator(1, l0, mu), 31, omega_pre=0.5, omega_post=0.5)
     measured_1d = measure_contraction(h1, trials=6, iters=25, monotone_slack=1e-12)
     bound_1d = contraction_bound(16.0, 1, 0.5)
     if measured_1d > bound_1d:
@@ -238,7 +237,7 @@ def test_criterion_6_contraction_bounds():
 
     l0_2 = weights(0.3, 2, 0)[0]
     mu_2 = mu_coefficient(1.0, 0.3, 1 / 16, 1 / 16)
-    h2 = build_hierarchy(fk_operator_2d(l0_2, mu_2), 15, omega_pre=0.25, omega_post=0.25)
+    h2 = build_hierarchy(fk_operator(2, l0_2, mu_2), 15, omega_pre=0.25, omega_post=0.25)
     measured_2d = measure_contraction(h2, trials=6, iters=25, monotone_slack=1e-12)
     bound_2d = contraction_bound(1536.0, 1, 0.25)
     if measured_2d > bound_2d:
@@ -264,21 +263,21 @@ def test_criterion_7_property_suite():
     for m in (7, 31, 127):
         u = rng.standard_normal((m - 1) // 2)
         v = rng.standard_normal(m)
-        lhs, rhs = np.dot(prolong_1d(u), v), 2.0 * np.dot(u, restrict_1d(v))
+        lhs, rhs = np.dot(prolong(u), v), 2.0 * np.dot(u, restrict(v))
         if abs(lhs - rhs) > 1e-13 * max(1.0, abs(lhs)):
             failures.append(f"1D duality broken at m={m}")
     for m in (7, 15):
         mc = (m - 1) // 2
         u = rng.standard_normal((mc, mc))
         v = rng.standard_normal((m, m))
-        lhs = np.sum(prolong_2d(u) * v)
-        rhs = 4.0 * np.sum(u * restrict_2d(v))
+        lhs = np.sum(prolong(u) * v)
+        rhs = 4.0 * np.sum(u * restrict(v))
         if abs(lhs - rhs) > 1e-13 * max(1.0, abs(lhs)):
             failures.append(f"2D duality broken at m={m}")
 
     # complex solves split into real and imaginary parts
     l0 = weights(0.3, 4, 0)[0]
-    h = build_hierarchy(fk_stencil_1d(l0, mu_coefficient(1.0, 0.3, 1 / 32, 1 / 32)), 31)
+    h = build_hierarchy(fk_operator(1, l0, mu_coefficient(1.0, 0.3, 1 / 32, 1 / 32)), 31)
     fr, fi = rng.standard_normal(31), rng.standard_normal(31)
     xc, _ = solve(h, fr + 1j * fi, tol=1e-13)
     xr, _ = solve(h, fr, tol=1e-13)

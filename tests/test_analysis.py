@@ -14,13 +14,15 @@ from mgfk.analysis import (
     reports_to_json,
     split_ratio,
 )
-from mgfk.coarsen import closed_form_tridiag, fk_operator_2d, fk_stencil_1d, mu_coefficient
+from mgfk.coarsen import closed_form_tridiag, fk_operator, mu_coefficient
 from mgfk.errors import EligibilityError
 from mgfk.fsd import weights
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import IDENTITY, LAPLACIAN, lambda_max
+from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, lambda_max
 
 from helpers import random_eligible_tridiag
+
+LAPLACIAN_1D = KroneckerSum(1, c_mass=0.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
 
 
 def test_m0_case_values():
@@ -94,7 +96,7 @@ def test_contraction_bound_formula():
 
 
 def test_smoother_bounds_1d_laplacian_hierarchy():
-    reports = check_smoother_bounds(build_hierarchy(LAPLACIAN, 63))
+    reports = check_smoother_bounds(build_hierarchy(LAPLACIAN_1D, 63))
     assert reports and all(r.satisfied for r in reports)
     uppers = [r for r in reports if r.quantity.endswith("< 2")]
     assert {r.context["level"] for r in uppers} == set(range(6))
@@ -107,8 +109,17 @@ def test_identity_operator_unit_ratio():
     assert est / IDENTITY.diagonal == pytest.approx(1.0, abs=1e-12)
 
 
+def test_smoother_bounds_1d_model_hierarchy():
+    # the eta refinement holds in every dimension, with bound 2**ndim
+    op = KroneckerSum(1, c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
+    reports = check_smoother_bounds(build_hierarchy(op, 15))
+    assert all(r.satisfied for r in reports)
+    etas = [r for r in reports if r.quantity == "eta1/eta2 < 2"]
+    assert len(etas) == 4 and all(r.measured < 2.0 for r in etas)
+
+
 def test_smoother_bounds_2d_model_hierarchy():
-    op = fk_operator_2d(1.0, 1.0)
+    op = fk_operator(2, 1.0, 1.0)
     reports = check_smoother_bounds(build_hierarchy(op, 15))
     assert all(r.satisfied for r in reports)
     etas = [r for r in reports if "eta" in r.quantity]
@@ -118,10 +129,18 @@ def test_smoother_bounds_2d_model_hierarchy():
             assert r.measured < 4.0
 
 
+def test_smoother_bounds_use_the_exact_spectrum():
+    # lambda_max per level is the top of the sine symbol, not an estimate
+    h = build_hierarchy(fk_operator(2, 1.3, 50.0), 31)
+    uppers = [r for r in check_smoother_bounds(h) if r.quantity == "lambda_max(D^-1 A) < 4"]
+    for r, lv in zip(uppers, h.levels):
+        assert r.measured == lv.operator.eigenvalues(lv.m).max() / lv.diag
+
+
 def test_contraction_bound_fk_1d():
     l0 = weights(0.3, 4, 0)[0]
     mu = mu_coefficient(1.0, 0.3, 1 / 32, 1 / 32)
-    h = build_hierarchy(fk_stencil_1d(l0, mu), 31, omega_pre=0.5, omega_post=0.5)
+    h = build_hierarchy(fk_operator(1, l0, mu), 31, omega_pre=0.5, omega_post=0.5)
     report = check_contraction_bounds(h, 16.0)
     assert report.bound == pytest.approx(16.0 / 17.0)
     assert report.satisfied
@@ -131,27 +150,27 @@ def test_contraction_bound_fk_1d():
 def test_contraction_bound_fk_2d():
     l0 = weights(0.3, 2, 0)[0]
     mu = mu_coefficient(1.0, 0.3, 1 / 16, 1 / 16)
-    h = build_hierarchy(fk_operator_2d(l0, mu), 15, omega_pre=0.25, omega_post=0.25)
+    h = build_hierarchy(fk_operator(2, l0, mu), 15, omega_pre=0.25, omega_post=0.25)
     report = check_contraction_bounds(h, 1536.0)
     assert report.bound == pytest.approx(1536.0 / 1536.5)
     assert report.satisfied
 
 
 def test_contraction_bound_laplacian():
-    h = build_hierarchy(LAPLACIAN, 31, omega_pre=0.5, omega_post=0.5)
+    h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=0.5, omega_post=0.5)
     report = check_contraction_bounds(h, approx_constant_tridiag(2.0, -1.0))
     assert report.bound == pytest.approx(0.5)
     assert report.satisfied
 
 
 def test_out_of_range_weight_is_flagged_not_raised():
-    h = build_hierarchy(LAPLACIAN, 31, omega_pre=0.9, omega_post=0.9)
+    h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=0.9, omega_post=0.9)
     report = check_contraction_bounds(h, 1.0)
     assert report.context["in_theory_range"] is False
 
 
 def test_mismatched_weights_rejected():
-    h = build_hierarchy(LAPLACIAN, 31, omega_pre=1.0, omega_post=0.5)
+    h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=1.0, omega_post=0.5)
     with pytest.raises(ValueError):
         check_contraction_bounds(h, 1.0)
 

@@ -132,6 +132,15 @@ def test_run_theory_violation_detection():
     assert all(r.satisfied for r in reports if r.context.get("in_theory_range", True))
 
 
+def test_theory_2d_at_m256_holds_every_bound():
+    # the Lanczos estimate of the Galerkin level-1 spectrum used to stall here
+    cfg = ExperimentConfig(preset="example-6.2", alpha=0.8, m_values=[256])
+    reports, violated = run_theory(cfg)
+    assert not violated
+    assert all(r.satisfied for r in reports)
+    assert {r.context.get("level") for r in reports} >= set(range(8))
+
+
 def test_violated_bound_exits_three(monkeypatch, capsys):
     from mgfk import analysis, cli
 

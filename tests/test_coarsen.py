@@ -7,15 +7,12 @@ from mgfk.coarsen import (
     closed_form_tridiag,
     coefficient,
     coefficient_table,
-    fk_geometric_rule_1d,
-    fk_geometric_rule_2d,
-    fk_stencil_1d,
+    fk_operator,
     galerkin_step,
-    galerkin_step_2d,
     galerkin_step_unscaled,
     mu_coefficient,
 )
-from mgfk.stencil import AVERAGING, IDENTITY, LAPLACIAN, TensorOperator2D, ToeplitzStencil
+from mgfk.stencil import AVERAGING, COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
 
 from helpers import (
     dense_galerkin,
@@ -154,11 +151,11 @@ def test_spd_preserved_strictly_under_coarsening():
 
 
 def test_galerkin_2d_factor_images():
-    op = TensorOperator2D(c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
-    coarse = galerkin_step_2d(op)
+    op = KroneckerSum(2, c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
+    coarse = op.galerkin()
     assert coarse.mass.bands == pytest.approx((0.75, 0.125), rel=1e-15)
     assert coarse.stiff.bands == pytest.approx((0.5, -0.25), rel=1e-15)
-    assert coarse.c_mass == 1.0 and coarse.c_stiff == 1.0
+    assert coarse.c_mass == 1.0 and coarse.c_stiff == 1.0 and coarse.ndim == 2
 
 
 def test_galerkin_2d_matches_dense_kronecker_rap():
@@ -167,30 +164,27 @@ def test_galerkin_2d_matches_dense_kronecker_rap():
 
     for _ in range(5):
         c1, c2 = rng.uniform(0.0, 3.0), rng.uniform(0.1, 3.0)
-        op = TensorOperator2D(c_mass=c1, c_stiff=c2, mass=IDENTITY, stiff=LAPLACIAN)
+        op = KroneckerSum(2, c_mass=c1, c_stiff=c2, mass=IDENTITY, stiff=LAPLACIAN)
         m = 7
         r1 = restriction_matrix(m)
         p1 = prolongation_matrix(m)
         r2 = np.kron(r1, r1)
         p2 = np.kron(p1, p1)
         dense_coarse = r2 @ op.to_dense(m) @ p2
-        ours = galerkin_step_2d(op).to_dense(3)
+        ours = op.galerkin().to_dense(3)
         scale = np.abs(dense_coarse).max()
         assert np.allclose(ours, dense_coarse, atol=1e-12 * scale)
 
 
 def test_geometric_rule_1d_scales_only_the_laplacian_part():
     l0, mu = 1.2, 80.0
-    rule = fk_geometric_rule_1d(l0, mu)
-    fine = rule.operator_at(0)
-    coarse = rule.operator_at(1)
-    assert fine.bands == pytest.approx(fk_stencil_1d(l0, mu).bands, rel=1e-15)
-    assert coarse.bands == pytest.approx(fk_stencil_1d(l0, mu / 4.0).bands, rel=1e-15)
+    coarse = fk_operator(1, l0, mu).rediscretised()
+    assert coarse.mass == COMPACT_MASS and coarse.stiff == LAPLACIAN
+    assert (coarse.c_mass, coarse.c_stiff) == (l0, mu / 4.0)
 
 
 def test_geometric_rule_2d():
-    rule = fk_geometric_rule_2d(1.5, 16.0)
-    op2 = rule.operator_at(2)
+    op2 = fk_operator(2, 1.5, 16.0).rediscretised().rediscretised()
     assert op2.c_mass == 1.5
     assert op2.c_stiff == pytest.approx(1.0)
     assert op2.mass.bands == IDENTITY.bands
@@ -198,8 +192,11 @@ def test_geometric_rule_2d():
 
 
 def test_zero_diffusion_is_level_independent():
-    rule = fk_geometric_rule_1d(1.2, mu_coefficient(0.0, 0.5, 0.1, 0.1))
-    assert rule.operator_at(0).bands == rule.operator_at(5).bands
+    op = fk_operator(1, 1.2, mu_coefficient(0.0, 0.5, 0.1, 0.1))
+    coarse = op
+    for _ in range(5):
+        coarse = coarse.rediscretised()
+    assert coarse == op
 
 
 def test_mu_coefficient():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mgfk.coarsen import fk_stencil_1d, mu_coefficient
+from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import ConvergenceFailure, MgfkError
 from mgfk.feynman_kac import (
     Evolution,
@@ -86,6 +86,11 @@ def test_direct_and_multigrid_steppers_agree():
     assert np.max(np.abs(a.state - b.state)) < 1e-10
 
 
+def test_misspelled_coarsening_is_rejected():
+    with pytest.raises(ValueError, match="unknown coarsening strategy"):
+        Evolution(preset("example-6.1", 0.3, 16), order=4, coarsening="geometrik")
+
+
 def test_coarsening_strategies_agree_to_three_digits():
     p = example_6_1(0.3, 32)
     gal = Evolution(p, order=4, coarsening="galerkin").run().max_error()
@@ -131,9 +136,9 @@ def test_system_stencil_always_spd_eligible():
         for nu in (1, 2, 3, 4):
             for scale in (1e-4, 1.0, 1e4):
                 l0 = weights(alpha, nu, 0)[0]
-                s = fk_stencil_1d(l0, mu_coefficient(1.0, alpha, 0.01, 0.01) * scale)
+                s = fk_operator(1, l0, mu_coefficient(1.0, alpha, 0.01, 0.01) * scale)
                 assert s.is_spd_eligible()
-                a0, a1 = s.bands
+                (a0, a1), _ = s.to_dense(2)
                 assert a0 - 2 * abs(a1) > 0.0
 
 
@@ -177,11 +182,11 @@ def test_snapshot_csv_2d(tmp_path):
 
 
 def test_transfers_preserve_complex_dtype():
-    from mgfk.transfer import prolong_1d, restrict_1d
+    from mgfk.transfer import prolong, restrict
 
     v = np.arange(7.0) * (1 + 2j)
-    assert restrict_1d(v).dtype == np.complex128
-    assert prolong_1d(v[:3]).dtype == np.complex128
+    assert restrict(v).dtype == np.complex128
+    assert prolong(v[:3]).dtype == np.complex128
 
 
 def test_step_past_end_raises():

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from mgfk.coarsen import (
-    fk_geometric_rule_1d,
-    fk_geometric_rule_2d,
-    fk_operator_2d,
-    fk_stencil_1d,
-    mu_coefficient,
-)
+from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk import multigrid
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
@@ -19,7 +13,7 @@ from mgfk.multigrid import (
     solve,
     vcycle,
 )
-from mgfk.stencil import LAPLACIAN, ToeplitzStencil, dst_solve
+from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil, dst_solve
 
 from helpers import (
     dense_approximate_inverse,
@@ -34,58 +28,67 @@ from helpers import (
 def fk_hierarchy_1d(alpha=0.3, nu=4, intervals=32, **kwargs):
     l0 = weights(alpha, nu, 0)[0]
     mu = mu_coefficient(1.0, alpha, 1.0 / intervals, 1.0 / intervals)
-    return build_hierarchy(fk_stencil_1d(l0, mu), intervals - 1, **kwargs)
+    return build_hierarchy(fk_operator(1, l0, mu), intervals - 1, **kwargs)
 
 
 def fk_hierarchy_2d(alpha=0.3, nu=2, intervals=16, **kwargs):
     l0 = weights(alpha, nu, 0)[0]
     mu = mu_coefficient(1.0, alpha, 1.0 / intervals, 1.0 / intervals)
-    return build_hierarchy(fk_operator_2d(l0, mu), intervals - 1, **kwargs)
+    return build_hierarchy(fk_operator(2, l0, mu), intervals - 1, **kwargs)
+
+
+def system(stencil):
+    """A bare stencil S as a 1D system operator."""
+    return KroneckerSum(1, c_mass=0.0, c_stiff=1.0, mass=IDENTITY, stiff=stencil)
+
+
+LAPLACIAN_1D = system(LAPLACIAN)
 
 
 def test_hierarchy_levels_for_laplacian():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     assert [lv.m for lv in h.levels] == [7, 3, 1]
-    assert h.levels[0].operator.bands == pytest.approx((2.0, -1.0))
-    assert h.levels[1].operator.bands == pytest.approx((0.5, -0.25))
-    assert h.levels[2].operator.bands == pytest.approx((0.125, -0.0625))
+    assert h.levels[0].operator.stiff.bands == pytest.approx((2.0, -1.0))
+    assert h.levels[1].operator.stiff.bands == pytest.approx((0.5, -0.25))
+    assert h.levels[2].operator.stiff.bands == pytest.approx((0.125, -0.0625))
+    assert [lv.diag for lv in h.levels] == pytest.approx([2.0, 0.5, 0.125])
 
 
 def test_hierarchy_rejects_bad_grid():
     with pytest.raises(GridSizeError):
-        build_hierarchy(LAPLACIAN, 6)
+        build_hierarchy(LAPLACIAN_1D, 6)
 
 
 def test_hierarchy_rejects_degenerate_stencil():
     with pytest.raises(EligibilityError):
-        build_hierarchy(ToeplitzStencil((2.0, 1.0)), 7)
+        build_hierarchy(system(ToeplitzStencil((2.0, 1.0))), 7)
 
 
 def test_geometric_hierarchy_levels_follow_rule():
     l0, mu = 1.3, 100.0
-    rule = fk_geometric_rule_1d(l0, mu)
-    h = build_hierarchy(fk_stencil_1d(l0, mu), 31, strategy=rule)
-    assert h.strategy == "geometric"
-    for d, lv in enumerate(h.levels):
-        assert lv.operator.bands == pytest.approx(fk_stencil_1d(l0, mu / 4.0**d).bands)
+    for ndim in (1, 2):
+        h = build_hierarchy(fk_operator(ndim, l0, mu), 31, strategy="geometric")
+        assert h.strategy == "geometric"
+        for d, lv in enumerate(h.levels):
+            assert lv.operator == fk_operator(ndim, l0, mu / 4.0**d)
 
 
 def test_smooth_zero_steps_is_identity():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     v = np.arange(7.0)
     out = smooth(h.levels[0], v, np.zeros(7), 0.5, 0)
     assert np.array_equal(out, v)
 
 
 def test_smooth_single_weighted_jacobi_step():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     f = LAPLACIAN.apply(np.ones(7))
     out = smooth(h.levels[0], np.zeros(7), f, 0.5, 1)
     assert np.allclose(out, f / 4.0, rtol=1e-15)
 
 
 def test_smooth_fixed_point():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     x = np.sin(np.arange(1.0, 8.0))
     f = LAPLACIAN.apply(x)
     out = smooth(h.levels[0], x.copy(), f, 0.5, 3)
@@ -93,13 +96,13 @@ def test_smooth_fixed_point():
 
 
 def test_vcycle_zero_fixed_point():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     out = vcycle(h, np.zeros(7), np.zeros(7))
     assert np.array_equal(out, np.zeros(7))
 
 
 def test_solve_laplacian_consistency():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     f = LAPLACIAN.apply(np.ones(7))
     x, report = solve(h, f, tol=1e-11)
     assert report.converged
@@ -109,7 +112,7 @@ def test_solve_laplacian_consistency():
 
 
 def test_solve_already_converged_initial_guess():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     x0 = np.arange(1.0, 8.0)
     f = LAPLACIAN.apply(x0)
     x, report = solve(h, f, v0=x0)
@@ -197,7 +200,7 @@ def test_energy_norm_monotone_under_cycling():
 
 
 def test_measured_contraction_in_unit_interval():
-    for h in (fk_hierarchy_1d(), build_hierarchy(LAPLACIAN, 31)):
+    for h in (fk_hierarchy_1d(), build_hierarchy(LAPLACIAN_1D, 31)):
         c = measure_contraction(h, trials=3, iters=10)
         assert 0.0 < c < 1.0
 
@@ -239,20 +242,12 @@ def test_solve_2d_fk_iteration_count():
 
 
 def test_hierarchy_post_smooth_indexing():
-    lit = fk_hierarchy_1d(literal_post_indexing=True)
-    alt = fk_hierarchy_1d(literal_post_indexing=False)
-    assert lit.post_smooths == 1
-    assert alt.post_smooths == 2
-    rng = np.random.default_rng(8)
-    f = rng.standard_normal(31)
-    # the extra post-smooth changes the sweep result
-    a = vcycle(lit, np.zeros(31), f)
-    b = vcycle(alt, np.zeros(31), f)
-    assert not np.allclose(a, b)
+    for post_count in (1, 2, 3):
+        assert fk_hierarchy_1d(post_count=post_count).post_smooths == post_count - 1
 
 
 def test_vcycle_can_start_at_a_sublevel():
-    h = build_hierarchy(LAPLACIAN, 15)
+    h = build_hierarchy(LAPLACIAN_1D, 15)
     rng = np.random.default_rng(15)
     f = rng.standard_normal(7)
     out = vcycle(h, np.zeros(7), f, level=1)
@@ -261,7 +256,7 @@ def test_vcycle_can_start_at_a_sublevel():
 
 
 def test_smooth_supports_complex_data_over_real_operator():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     rng = np.random.default_rng(16)
     v = rng.standard_normal(7) + 1j * rng.standard_normal(7)
     f = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -283,9 +278,9 @@ def test_hierarchy_level_invariants():
 def test_2d_galerkin_factors_follow_closed_forms():
     # the Kronecker sum structure survives coarsening with factor bands given
     # by the closed-form level constants
-    from mgfk.coarsen import closed_form_constants, fk_operator_2d
+    from mgfk.coarsen import closed_form_constants
 
-    h = build_hierarchy(fk_operator_2d(2.0, 3.0), 31)
+    h = build_hierarchy(fk_operator(2, 2.0, 3.0), 31)
     for d, lv in enumerate(h.levels):
         t = closed_form_constants(d + 1)
         op = lv.operator
@@ -301,7 +296,7 @@ def test_random_eligible_systems_converge_with_monotone_residuals():
 
     for _ in range(10):
         a0, a1 = random_eligible_tridiag(rng)
-        h = build_hierarchy(ToeplitzStencil((a0, a1)), 127, omega_pre=0.5, omega_post=0.5)
+        h = build_hierarchy(system(ToeplitzStencil((a0, a1))), 127, omega_pre=0.5, omega_post=0.5)
         f = rng.standard_normal(127)
         _, report = solve(h, f, tol=1e-11, max_iter=400)
         assert report.converged, (a0, a1)
@@ -309,7 +304,7 @@ def test_random_eligible_systems_converge_with_monotone_residuals():
 
 
 def test_energy_norm_value():
-    h = build_hierarchy(LAPLACIAN, 7)
+    h = build_hierarchy(LAPLACIAN_1D, 7)
     e = np.ones(7)
     expected = np.sqrt(np.ones(7) @ LAPLACIAN.to_dense(7) @ np.ones(7))
     assert energy_norm(h.levels[0], e) == pytest.approx(expected, rel=1e-14)
@@ -343,17 +338,8 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
 def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
     # coarse levels skip the operator apply on their zero start, and a residual
     # passed in spares the fine level one; the iterates must not move by a bit
-    alpha, intervals = 0.3, 32 if ndim == 1 else 16
-    l0 = weights(alpha, 2, 0)[0]
-    mu = mu_coefficient(1.0, alpha, 1.0 / intervals, 1.0 / intervals)
-    if ndim == 1:
-        fine, rule = fk_stencil_1d(l0, mu), fk_geometric_rule_1d(l0, mu)
-    else:
-        fine, rule = fk_operator_2d(l0, mu), fk_geometric_rule_2d(l0, mu)
-    h = build_hierarchy(
-        fine, intervals - 1, strategy=rule if coarsening == "geometric" else "galerkin",
-        pre_count=pre_count,
-    )
+    build = fk_hierarchy_1d if ndim == 1 else fk_hierarchy_2d
+    h = build(nu=2, strategy=coarsening, pre_count=pre_count)
     n = h.fine.unknowns
     rng = np.random.default_rng(17)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import mgfk
-from mgfk.coarsen import galerkin_step
+from mgfk.coarsen import fk_operator, galerkin_step, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, EstimationError, GridSizeError, MgfkError
+from mgfk.fsd import weights
 from mgfk.stencil import (
     COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,
-    TensorOperator2D,
+    KroneckerSum,
     ToeplitzStencil,
     dst_solve,
     grid_depth,
@@ -21,7 +22,7 @@ from mgfk.stencil import (
     require_coarsenable,
 )
 
-from helpers import toeplitz_dense
+from helpers import prolongation_matrix, restriction_matrix, toeplitz_dense
 
 
 def test_apply_laplacian_of_constant():
@@ -58,13 +59,6 @@ def test_apply_complex_vectors():
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
     dense = COMPACT_MASS.to_dense(9)
     assert np.allclose(COMPACT_MASS.apply(v), dense @ v, rtol=1e-14)
-
-
-def test_apply_along_second_axis():
-    rng = np.random.default_rng(3)
-    x = rng.standard_normal((5, 5))
-    expected = (LAPLACIAN.to_dense(5) @ x.T).T
-    assert np.allclose(LAPLACIAN.apply(x, axis=1), expected, rtol=1e-14)
 
 
 def test_to_dense_examples():
@@ -154,41 +148,124 @@ WIDE_STIFF = ToeplitzStencil((2.5, -1.0, -0.25))
     ids=["identity", "compact", "galerkin", "wide"],
 )
 def test_tensor_operator_matches_dense_kron(mass, stiff):
+    # every (mass, stiff) pair in 1D and 2D: the kernel has no per-dimension path
     rng = np.random.default_rng(11)
-    op = TensorOperator2D(c_mass=1.3, c_stiff=0.7, mass=mass, stiff=stiff)
-    for m in (1, 3, 7, 15):
-        dense = op.to_dense(m)
-        real = rng.standard_normal(m * m)
-        for v in (real, real + 1j * rng.standard_normal(m * m)):
-            want = dense @ v
-            atol = 1e-13 * max(1.0, np.abs(want).max())
-            flat = op.apply(v)
-            assert flat.shape == v.shape
-            assert np.allclose(flat, want, rtol=0.0, atol=atol)
-            grid = op.apply(v.reshape(m, m))
-            assert grid.shape == (m, m)
-            assert np.allclose(grid.ravel(), want, rtol=0.0, atol=atol)
+    for ndim in (1, 2):
+        op = KroneckerSum(ndim, c_mass=1.3, c_stiff=0.7, mass=mass, stiff=stiff)
+        for m in (1, 3, 7, 15):
+            e, s = mass.to_dense(m), stiff.to_dense(m)
+            if ndim == 1:
+                dense = 1.3 * e + 0.7 * s
+            else:
+                dense = 1.3 * np.kron(e, e) + 0.7 * (np.kron(e, s) + np.kron(s, e))
+            real = rng.standard_normal(m**ndim)
+            for v in (real, real + 1j * rng.standard_normal(m**ndim)):
+                want = dense @ v
+                atol = 1e-13 * max(1.0, np.abs(want).max())
+                flat = op.apply(v)
+                assert flat.shape == v.shape
+                assert np.allclose(flat, want, rtol=0.0, atol=atol)
+                grid = op.apply(v.reshape((m,) * ndim))
+                assert grid.shape == (m,) * ndim
+                assert np.allclose(grid.ravel(), want, rtol=0.0, atol=atol)
+
+
+def test_fine_1d_apply_equals_summed_band_stencil():
+    # in 1D the operator's points are the summed bands, bit for bit
+    rng = np.random.default_rng(13)
+    op = fk_operator(1, 1.7, 250.0)
+    summed = 1.7 * COMPACT_MASS + 250.0 * LAPLACIAN
+    for m in (1, 2, 31, 1023):
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        assert np.array_equal(op.apply(v), summed.apply(v))
+    assert op.diagonal == summed.diagonal
 
 
 def test_tensor_operator_diagonal():
-    op = TensorOperator2D(c_mass=2.0, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN)
-    assert op.diagonal() == 2.0 * 1.0 + 2.0 * 3.0 * 1.0 * 2.0
-    assert op.to_dense(5)[0, 0] == pytest.approx(op.diagonal())
+    op = KroneckerSum(2, c_mass=2.0, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN)
+    assert op.diagonal == 2.0 * 1.0 + 2.0 * 3.0 * 1.0 * 2.0
+    assert op.to_dense(5)[0, 0] == pytest.approx(op.diagonal)
+    op1 = KroneckerSum(1, c_mass=2.0, c_stiff=3.0, mass=COMPACT_MASS, stiff=LAPLACIAN)
+    assert op1.to_dense(5)[0, 0] == pytest.approx(op1.diagonal, rel=1e-15)
 
 
 def test_tensor_operator_rejects_non_square_flat_vector():
-    op = TensorOperator2D(c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
+    op = KroneckerSum(2, c_mass=1.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
     with pytest.raises(DimensionError):
         op.apply(np.ones(10))
+    for bad in (np.ones((3, 5)), np.ones((9, 1)), np.ones((3, 3, 3)), np.float64(1.0)):
+        with pytest.raises(DimensionError):
+            op.apply(bad)
+    with pytest.raises(DimensionError):  # a flat vector must not be padded as a 225 x 225 grid
+        op.apply_grid(np.ones(225))
+
+
+GALERKIN_MASS = galerkin_step(galerkin_step(COMPACT_MASS))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize(
+    "mass", [IDENTITY, COMPACT_MASS, GALERKIN_MASS], ids=["identity", "compact", "galerkin"]
+)
+def test_eigenvalues_match_dense_spectrum(ndim, mass):
+    op = KroneckerSum(ndim, c_mass=1.3, c_stiff=0.7, mass=mass, stiff=galerkin_step(LAPLACIAN))
+    for m in (1, 3, 7, 15, 31):
+        want = np.linalg.eigvalsh(op.to_dense(m))
+        got = op.eigenvalues(m)
+        assert got.shape == (m,) * ndim
+        assert np.allclose(np.sort(got.ravel()), want, rtol=0.0, atol=1e-13 * want.max())
+        assert lambda_max(op, m)[0] == pytest.approx(want.max(), rel=1e-14)
+
+
+def test_eigenvalues_match_lanczos_on_galerkin_level_one():
+    # level 1 (m = 63) of the 2D M = 128 theory run (example-6.2, alpha = 0.8,
+    # nu = 2), whose clustered spectrum makes Lanczos slowest
+    l0, mu = weights(0.8, 2, 0)[0], mu_coefficient(1.0, 0.8, 1 / 128, 1 / 128)
+    op = fk_operator(2, l0, mu).galerkin()
+    want = largest_eigenvalue(op.apply, 63 * 63, seed=0)
+    assert lambda_max(op, 63)[0] == pytest.approx(want, rel=1e-10)
+
+
+def test_eigenvalues_need_tridiagonal_factors():
+    with pytest.raises(MgfkError):
+        WIDE_STIFF.eigenvalues(7)
+    op = KroneckerSum(2, 1.0, 1.0, WIDE_MASS, LAPLACIAN)
+    with pytest.raises(MgfkError):
+        op.eigenvalues(7)
+    # wider factors fall back to seeded Lanczos
+    est, gersh = lambda_max(op, 7)
+    assert est == pytest.approx(np.linalg.eigvalsh(op.to_dense(7)).max(), rel=1e-9)
+    assert est <= gersh
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_galerkin_matches_dense_triple_product(ndim):
+    r, p = restriction_matrix(15), prolongation_matrix(15)
+    if ndim == 2:
+        r, p = np.kron(r, r), np.kron(p, p)
+    op = fk_operator(ndim, 1.3, 40.0)
+    for _ in range(3):  # three levels down, each against the triple product of the one above
+        want = r @ op.to_dense(15) @ p
+        op = op.galerkin()
+        assert np.allclose(op.to_dense(7), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_rediscretised_divides_the_stiffness_by_four(ndim):
+    l0, mu = 1.3, 977.0
+    op = fk_operator(ndim, l0, mu)
+    for d in range(1, 6):
+        op = op.rediscretised()
+        assert op == fk_operator(ndim, l0, mu / 4**d)
 
 
 @pytest.mark.parametrize(
     "op",
     [
-        0.9 * IDENTITY + 3.0 * LAPLACIAN,
-        0.9 * COMPACT_MASS + 3.0 * LAPLACIAN,
-        TensorOperator2D(c_mass=0.9, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN),
-        TensorOperator2D(c_mass=1.3, c_stiff=0.7, mass=COMPACT_MASS, stiff=LAPLACIAN),
+        KroneckerSum(1, c_mass=0.9, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN),
+        KroneckerSum(1, c_mass=0.9, c_stiff=3.0, mass=COMPACT_MASS, stiff=LAPLACIAN),
+        KroneckerSum(2, c_mass=0.9, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN),
+        KroneckerSum(2, c_mass=1.3, c_stiff=0.7, mass=COMPACT_MASS, stiff=LAPLACIAN),
     ],
     ids=["1d-identity", "1d-compact", "2d-identity", "2d-compact"],
 )
@@ -202,16 +279,18 @@ def test_dst_solve_matches_dense_solve(op):
             got = dst_solve(op, b)
             assert got.shape == b.shape
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            if isinstance(op, TensorOperator2D):
-                assert np.array_equal(dst_solve(op, b.reshape(m, m)).ravel(), got)
+            assert np.array_equal(dst_solve(op, b.reshape((m,) * op.ndim)).ravel(), got)
 
 
 def test_dst_solve_rejects_wide_stencils_and_misshapen_data():
-    for op in (WIDE_STIFF, TensorOperator2D(c_mass=1.0, c_stiff=1.0, mass=WIDE_MASS, stiff=LAPLACIAN)):
+    for op in (
+        KroneckerSum(1, c_mass=0.0, c_stiff=1.0, mass=IDENTITY, stiff=WIDE_STIFF),
+        KroneckerSum(2, c_mass=1.0, c_stiff=1.0, mass=WIDE_MASS, stiff=LAPLACIAN),
+    ):
         with pytest.raises(MgfkError):
             dst_solve(op, np.ones(9))
     with pytest.raises(DimensionError):
-        dst_solve(LAPLACIAN, np.ones((3, 3)))
+        dst_solve(KroneckerSum(1, 0.0, 1.0, IDENTITY, LAPLACIAN), np.ones((3, 3)))
 
 
 def test_import_loads_no_scipy_fft_or_linalg():

@@ -2,45 +2,45 @@ import numpy as np
 import pytest
 
 from mgfk.errors import GridSizeError
-from mgfk.transfer import cut, prolong_1d, prolong_2d, restrict_1d, restrict_2d
+from mgfk.transfer import cut, prolong, restrict
 
 from helpers import cutting_matrix, prolongation_matrix, restriction_matrix
 
 
 def test_restrict_preserves_constants():
-    assert np.array_equal(restrict_1d(np.ones(3)), [1.0])
-    assert np.array_equal(restrict_1d(np.ones(15)), np.ones(7))
+    assert np.array_equal(restrict(np.ones(3)), [1.0])
+    assert np.array_equal(restrict(np.ones(15)), np.ones(7))
 
 
 def test_restrict_linear_ramp():
-    assert np.array_equal(restrict_1d(np.arange(1.0, 8.0)), [2.0, 4.0, 6.0])
+    assert np.array_equal(restrict(np.arange(1.0, 8.0)), [2.0, 4.0, 6.0])
 
 
 def test_restrict_single_hat():
-    assert np.array_equal(restrict_1d(np.array([0.0, 1.0, 0.0])), [0.5])
+    assert np.array_equal(restrict(np.array([0.0, 1.0, 0.0])), [0.5])
 
 
 def test_prolong_single_point():
-    assert np.array_equal(prolong_1d(np.array([1.0])), [0.5, 1.0, 0.5])
+    assert np.array_equal(prolong(np.array([1.0])), [0.5, 1.0, 0.5])
 
 
 def test_prolong_constants():
     assert np.array_equal(
-        prolong_1d(np.ones(3)), [0.5, 1, 1, 1, 1, 1, 0.5]
+        prolong(np.ones(3)), [0.5, 1, 1, 1, 1, 1, 0.5]
     )
 
 
 def test_prolong_zero():
-    assert np.array_equal(prolong_1d(np.zeros(7)), np.zeros(15))
+    assert np.array_equal(prolong(np.zeros(7)), np.zeros(15))
 
 
 @pytest.mark.parametrize("m_fine", [3, 7, 15, 31, 127])
 def test_transfers_match_dense_matrices(m_fine):
     rng = np.random.default_rng(m_fine)
     v = rng.standard_normal(m_fine)
-    assert np.allclose(restrict_1d(v), restriction_matrix(m_fine) @ v, rtol=1e-14)
+    assert np.allclose(restrict(v), restriction_matrix(m_fine) @ v, rtol=1e-14)
     c = rng.standard_normal((m_fine - 1) // 2)
-    assert np.allclose(prolong_1d(c), prolongation_matrix(m_fine) @ c, rtol=1e-14)
+    assert np.allclose(prolong(c), prolongation_matrix(m_fine) @ c, rtol=1e-14)
 
 
 @pytest.mark.parametrize("m_fine", [3, 7, 31, 127])
@@ -48,7 +48,7 @@ def test_duality_factor_two(m_fine):
     rng = np.random.default_rng(2 * m_fine)
     u = rng.standard_normal((m_fine - 1) // 2)
     v = rng.standard_normal(m_fine)
-    assert np.dot(prolong_1d(u), v) == pytest.approx(2.0 * np.dot(u, restrict_1d(v)), rel=1e-13)
+    assert np.dot(prolong(u), v) == pytest.approx(2.0 * np.dot(u, restrict(v)), rel=1e-13)
 
 
 @pytest.mark.parametrize("m_fine", [3, 7, 15])
@@ -57,8 +57,8 @@ def test_duality_factor_four_2d(m_fine):
     mc = (m_fine - 1) // 2
     u = rng.standard_normal((mc, mc))
     v = rng.standard_normal((m_fine, m_fine))
-    lhs = np.sum(prolong_2d(u) * v)
-    rhs = 4.0 * np.sum(u * restrict_2d(v))
+    lhs = np.sum(prolong(u) * v)
+    rhs = 4.0 * np.sum(u * restrict(v))
     assert lhs == pytest.approx(rhs, rel=1e-13)
 
 
@@ -76,7 +76,7 @@ def test_cut_matches_dense_matrix():
 def test_prolong_of_cut_leaves_coarse_points_exact():
     rng = np.random.default_rng(10)
     v = rng.standard_normal(15)
-    residual = v - prolong_1d(cut(v))
+    residual = v - prolong(cut(v))
     assert np.allclose(residual[1::2], 0.0, atol=1e-15)
     # odd fine points hold the second-difference pattern of the remainder
     interior = v[2:-2:2]
@@ -86,13 +86,30 @@ def test_prolong_of_cut_leaves_coarse_points_exact():
 
 
 def test_restrict_2d_constant():
-    assert np.allclose(restrict_2d(np.ones((7, 7))), np.ones((3, 3)), rtol=1e-15)
+    assert np.allclose(restrict(np.ones((7, 7))), np.ones((3, 3)), rtol=1e-15)
 
 
 def test_prolong_2d_single_point_outer_product():
-    out = prolong_2d(np.array([[1.0]]))
+    out = prolong(np.array([[1.0]]))
     hat = np.array([0.5, 1.0, 0.5])
     assert np.allclose(out, np.outer(hat, hat), rtol=1e-15)
+
+
+@pytest.mark.parametrize("m_fine", [3, 7, 15])
+def test_2d_transfers_match_kronecker_products(m_fine):
+    # kron(R, R) / kron(P, P) on the flat vector, and bit for bit the 1D
+    # transfer along the first axis, then along the second
+    rng = np.random.default_rng(4 * m_fine)
+    mc = (m_fine - 1) // 2
+    r, p = restriction_matrix(m_fine), prolongation_matrix(m_fine)
+    v = rng.standard_normal((m_fine, m_fine)) + 1j * rng.standard_normal((m_fine, m_fine))
+    c = rng.standard_normal((mc, mc)) + 1j * rng.standard_normal((mc, mc))
+    assert np.allclose(restrict(v).ravel(), np.kron(r, r) @ v.ravel(), rtol=0.0, atol=1e-14)
+    assert np.allclose(prolong(c).ravel(), np.kron(p, p) @ c.ravel(), rtol=0.0, atol=1e-14)
+    rows = np.array([restrict(row) for row in v.T]).T
+    assert np.array_equal(restrict(v), np.array([restrict(col) for col in rows]))
+    rows = np.array([prolong(row) for row in c.T]).T
+    assert np.array_equal(prolong(c), np.array([prolong(col) for col in rows]))
 
 
 def test_2d_round_trip_matches_kronecker_oracle():
@@ -103,20 +120,22 @@ def test_2d_round_trip_matches_kronecker_oracle():
     rp = r @ p
     coarse = rng.standard_normal((3, 3))
     expected = (np.kron(rp, rp) @ coarse.ravel()).reshape(3, 3)
-    assert np.allclose(restrict_2d(prolong_2d(coarse)), expected, rtol=1e-13)
+    assert np.allclose(restrict(prolong(coarse)), expected, rtol=1e-13)
 
 
 def test_bad_sizes_raise_grid_error():
     for v in (np.ones(4), np.ones(6), np.ones(2)):
         with pytest.raises(GridSizeError):
-            restrict_1d(v)
+            restrict(v)
     with pytest.raises(GridSizeError):
-        prolong_1d(np.ones(4))
+        prolong(np.ones(4))
     with pytest.raises(GridSizeError):
         cut(np.ones(9))
     with pytest.raises(GridSizeError):
-        restrict_2d(np.ones((4, 4)))
+        restrict(np.ones((4, 4)))
     with pytest.raises(GridSizeError):
-        restrict_2d(np.ones((3, 5)))
+        restrict(np.ones((3, 5)))
     with pytest.raises(GridSizeError):
-        restrict_1d(np.ones(1))
+        restrict(np.ones(1))
+    with pytest.raises(GridSizeError):
+        prolong(np.ones((3, 2)))
