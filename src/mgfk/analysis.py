@@ -119,17 +119,6 @@ def contraction_bound(approx_const: float, smoothing_steps: int, omega: float) -
     return approx_const / (2.0 * smoothing_steps * omega + approx_const)
 
 
-def mu_decomposition(a0: float, a1: float, k: int) -> tuple[float, float]:
-    """Split the level-k coarse stencil into mu1 * tridiag(-1, 2, -1) +
-    mu2 * tridiag(1, 2, 1); mu1 > 0 and mu2 >= 0 for eligible input."""
-    c = float(c_constant(k))
-    half = 2.0 ** (k - 1)
-    scale = 4.0 * 8.0 ** (k - 1)
-    mu1 = (2.0 * c * (a0 + 2.0 * a1) + half * (a0 - 2.0 * a1)) / scale
-    mu2 = (6.0 * c + half) * (a0 + 2.0 * a1) / scale
-    return mu1, mu2
-
-
 def check_smoother_bounds(h: vc.MgHierarchy, tol: float = 1e-10, seed: int = 0) -> list[BoundReport]:
     """Per level: Jacobi spectral radius checks lambda_max(D^-1 A) in [1, 2**ndim)
     (``lambda_max`` is exact for tridiagonal factors), plus the eta1/eta2

@@ -28,6 +28,21 @@ _PRESET_DEFAULTS = {
 }
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val) -> bool:
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
+_FIELD_KINDS = [
+    *((n, "a number", _is_number) for n in ("alpha", "tol", "omega_pre", "omega_post", "omega")),
+    *((n, "an integer", _is_int) for n in ("nu", "m1", "m2", "trials", "seed")),
+    *((n, "a string", lambda val: isinstance(val, str)) for n in ("preset", "coarsen", "out")),
+]
+
+
 @dataclass
 class ExperimentConfig:
     """Run configuration; JSON file fields use the same names."""
@@ -48,6 +63,7 @@ class ExperimentConfig:
     out: str | None = None
 
     def resolved(self) -> "ExperimentConfig":
+        self._check_types()
         if self.preset not in _PRESET_DEFAULTS and self.preset != "laplacian":
             raise MgfkError(f"unknown preset {self.preset!r}")
         base = _PRESET_DEFAULTS.get(self.preset, _PRESET_DEFAULTS["example-6.1"])
@@ -69,10 +85,25 @@ class ExperimentConfig:
             raise MgfkError(f"alpha must lie in (0, 1), got {cfg.alpha}")
         return cfg
 
+    def _check_types(self) -> None:
+        """Raise ``MgfkError`` for a field of the wrong type, which a config
+        file can hold: a number for a float, an ``int`` (not a ``bool``) for
+        a count and every M, a string for a name; ``None`` only where it is
+        the default."""
+        for name, kind, ok in _FIELD_KINDS:
+            val = getattr(self, name)
+            optional = self.__dataclass_fields__[name].default is None
+            if not (ok(val) or (val is None and optional)):
+                raise MgfkError(f"{name} must be {kind}, got {val!r}")
+        if not isinstance(self.m_values, list) or not all(map(_is_int, self.m_values)):
+            raise MgfkError(f"m_values must be a list of integers, got {self.m_values!r}")
+
     @classmethod
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise MgfkError(f"config must be a JSON object, got {type(data).__name__}")
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise MgfkError(f"unknown config keys: {sorted(unknown)}")

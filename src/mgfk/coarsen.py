@@ -8,8 +8,8 @@ Two strategies are supported:
 * Geometric: the operator is re-discretised with the mesh spacing doubled
   (``KroneckerSum.rediscretised``).
 
-Closed-form level-k stencils and exact integer coefficient tables are
-provided as cross-checks of the recurrence.
+Closed-form level-k stencils and exact integer coefficients are provided
+as cross-checks of the recurrence.
 """
 
 from __future__ import annotations
@@ -191,18 +191,6 @@ def coefficient(j: int, m: int, k: int) -> int:
     if m < (j - 2) * half or m >= (j + 2) * half:
         return 0
     return _coeff_jge2(j, m, k)
-
-
-def coefficient_table(j: int, k: int) -> tuple[int, list[int]]:
-    """Return ``(m_offset, coefficients)`` covering the support of band j."""
-    half = 2 ** (k - 1)
-    if j == 0:
-        lo, hi = 0, 2 * half
-    elif j == 1:
-        lo, hi = 0, 3 * half
-    else:
-        lo, hi = max((j - 2) * half, 0), (j + 2) * half
-    return lo, [coefficient(j, m, k) for m in range(lo, hi)]
 
 
 def mu_coefficient(kappa_alpha: float, alpha: float, tau: float, h: float) -> float:

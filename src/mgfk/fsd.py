@@ -103,15 +103,3 @@ def write_csv(coeffs: FsdCoefficients, path) -> None:
         writer.writerow(["k", "l_k", "Re d_k", "Im d_k"])
         for k, (lk, dk) in enumerate(zip(coeffs.l, coeffs.d)):
             writer.writerow([k, repr(float(lk)), repr(float(dk.real)), repr(float(dk.imag))])
-
-
-def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    """Parse a dump produced by ``write_csv``; returns (l, d)."""
-    ls, ds = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for row in reader:
-            ls.append(float(row[1]))
-            ds.append(complex(float(row[2]), float(row[3])))
-    return np.array(ls), np.array(ds)

@@ -1,9 +1,20 @@
 """V-cycle multigrid engine.
 
 A hierarchy is built once from a fine operator (Galerkin or geometric
-coarsening), is immutable afterwards, and is shared by every solve.  Grids
-have 2**k - 1 points per dimension and bottom out at a single point, where
-the coarse solve is an exact scalar division.  Cycles run on (m,)*ndim grids.
+coarsening), its numerical content is immutable afterwards, and it is
+shared by every solve.  Grids have 2**k - 1 points per dimension and bottom
+out at a single point, where the coarse solve is an exact scalar division.
+Cycles run on (m,)*ndim grids.
+
+A cycle allocates nothing but the array it returns: it runs in place on
+per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
+first cycle for a given dtype (complex for the time steppers, float for
+``measure_contraction``) and reuses from then on.  Every kernel is a ufunc
+call into a preallocated output on views built with the buffers, in the
+operation order of the plain array expressions, so the iterates do not
+depend on the buffering.  ``vcycle`` and ``solve`` return new arrays, never
+a buffer.  Because the buffers are shared, two threads must not cycle on
+one hierarchy at the same time.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -16,12 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import transfer
 from .errors import DimensionError, EligibilityError
-from .stencil import KroneckerSum, grid_depth, require_coarsenable, require_spd_eligible
+from .stencil import (
+    KroneckerSum,
+    PaddedApply,
+    grid_depth,
+    require_coarsenable,
+    require_spd_eligible,
+)
 
 
 @dataclass(frozen=True)
@@ -41,9 +59,55 @@ class GridLevel:
         return self.m**self.operator.ndim
 
 
+class LevelWork:
+    """Scratch of one level for one dtype.
+
+    ``v`` is the iterate, the interior of the apply's zero-padded grid,
+    ``r`` the residual and temporary, and ``rhs`` the right-hand side a
+    cycle on this level reads: the one the level above restricts into, or
+    the one ``solve`` or a caller's ``f`` is copied into.  Each grid is also
+    held in the apply's contiguous run layout (``v_run``, ``r_run``,
+    ``rhs_run``), where the smoother's arithmetic runs; the pad cells of
+    ``r_run`` and ``rhs_run`` are kept at zero, so the updates keep those of
+    ``v_run`` at zero.  ``restrict`` (``r`` into the next level's ``rhs``)
+    and ``prolong`` (the next level's ``v`` into ``r``) are bound by
+    ``MgHierarchy.workspace``.
+    """
+
+    def __init__(self, level: GridLevel, dtype):
+        self.apply = PaddedApply(level.operator, level.m, dtype)
+        self.v, self.v_run = self.apply.x, self.apply.run
+        self.r_run, self.rhs_run = np.zeros_like(self.v_run), np.zeros_like(self.v_run)
+        self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
+        self.r_pads = self.apply.pads(self.r_run)
+        self.restrict = self.prolong = None
+
+    def residual(self) -> np.ndarray:
+        """``r = rhs - A v``, returned as ``r_run``."""
+        r = np.subtract(self.rhs_run, self.apply(self.r_run), self.r_run)
+        for pad in self.r_pads:
+            pad.fill(0.0)
+        return r
+
+
+def _work_dtype(*arrays) -> np.dtype:
+    """The dtype a cycle on these arrays (``None`` skipped) runs in: float
+    or complex, as ``np.result_type(*arrays, float)`` but cheaper."""
+    dtype = np.dtype(float)
+    for a in arrays:
+        if a is not None:
+            dtype = np.promote_types(dtype, np.asarray(a).dtype)
+    return dtype
+
+
 @dataclass(frozen=True)
 class MgHierarchy:
-    """Immutable multigrid hierarchy, finest level first."""
+    """Multigrid hierarchy, finest level first.
+
+    Its levels and parameters are immutable; its cycles' scratch buffers
+    (``workspace``) are made on first use per dtype and reused, so one
+    hierarchy serves one solve at a time.
+    """
 
     levels: tuple
     omega_pre: float = 1.0
@@ -64,6 +128,23 @@ class MgHierarchy:
     def post_smooths(self) -> int:
         """Damped-Jacobi applications after the coarse correction."""
         return self.post_count - 1
+
+    @cached_property
+    def _work(self) -> dict:
+        return {}
+
+    def workspace(self, dtype) -> tuple:
+        """The ``LevelWork`` of every level for ``dtype``, made on first use,
+        with the transfers bound between neighbouring levels."""
+        dtype = np.dtype(dtype)
+        work = self._work.get(dtype)
+        if work is None:
+            work = tuple(LevelWork(lv, dtype) for lv in self.levels)
+            for fine, coarse in zip(work, work[1:]):
+                fine.restrict = transfer.Restriction(fine.r, coarse.rhs)
+                fine.prolong = transfer.Prolongation(coarse.v, fine.r)
+            self._work[dtype] = work
+        return work
 
 
 @dataclass
@@ -134,14 +215,31 @@ def build_hierarchy(
     )
 
 
-def smooth(level: GridLevel, v: np.ndarray, f: np.ndarray, weight: float, steps: int) -> np.ndarray:
-    """Damped Jacobi: v <- v + weight * (f - A v) / diag, ``steps`` times."""
+def smooth(
+    level: GridLevel,
+    v: np.ndarray,
+    f: np.ndarray,
+    weight: float,
+    steps: int,
+    work: LevelWork | None = None,
+) -> np.ndarray:
+    """Damped Jacobi: v <- v + weight * (f - A v) / diag, ``steps`` times.
+
+    Loads ``v`` and ``f`` into ``work`` (nothing to load when they are its
+    ``v`` and ``rhs``), runs in place there and returns ``work.v``.  Without
+    ``work`` it runs on scratch made for the call, so ``v`` is left as it was.
+    """
     if weight <= 0.0:
         raise ValueError("smoothing weight must be positive")
-    scale = weight / level.diag
+    if work is None:
+        work = LevelWork(level, _work_dtype(v, f))
+    work.v[...] = v
+    work.rhs[...] = f
+    x, scale = work.v_run, weight / level.diag
     for _ in range(steps):
-        v = v + scale * (f - level.operator.apply_grid(v))
-    return v
+        r = work.residual()
+        np.add(x, np.multiply(r, scale, r), x)
+    return work.v
 
 
 def vcycle(
@@ -158,6 +256,11 @@ def vcycle(
     ``r``, the residual ``f - A v`` a caller has already formed, likewise
     spares the first pre-smoothing sweep its apply.
 
+    The sweep loads its arguments into the level's ``LevelWork``, runs in
+    place there, and returns a copy of the iterate, except when ``f`` is
+    that work's own ``rhs``: then the result is left in its ``v``, which is
+    returned.  The recursion runs in place that way, and so does ``solve``.
+
     On the one-point coarsest grid the equation is solved exactly, so the
     recursion implements an approximate inverse whose error propagator
     contracts in the energy norm.
@@ -169,18 +272,35 @@ def vcycle(
             raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
         v, f, r = (a if a is None else np.reshape(a, lv.shape) for a in (v, f, r))
         return vcycle(h, v, f, level, r).ravel()
+    work = h.workspace(_work_dtype(f, v, r))
+    ws = work[level]
+    ws.rhs[...] = f
+    x = ws.v_run
     if level == h.depth - 1:
-        return f / lv.diag
-
-    pre = h.pre_count
-    if v is None:
-        v, pre = ((h.omega_pre / lv.diag) * f, pre - 1) if pre else (np.zeros_like(f), 0)
-    elif r is not None and pre:
-        v, pre = v + (h.omega_pre / lv.diag) * r, pre - 1
-    v = smooth(lv, np.asarray(v), f, h.omega_pre, pre)
-    coarse_err = vcycle(h, None, transfer.restrict(f - lv.operator.apply_grid(v)), level + 1)
-    v = v + transfer.prolong(coarse_err)
-    return smooth(lv, v, f, h.omega_post, h.post_smooths)
+        np.divide(ws.rhs_run, lv.diag, x)
+    else:
+        pre = h.pre_count
+        scale = h.omega_pre / lv.diag
+        if v is None:
+            if pre:
+                np.multiply(ws.rhs_run, scale, x)
+                pre -= 1
+            else:
+                x.fill(0.0)
+        else:
+            ws.v[...] = v
+            if r is not None and pre:
+                ws.r[...] = r
+                np.add(x, np.multiply(ws.r_run, scale, ws.r_run), x)
+                pre -= 1
+        smooth(lv, ws.v, ws.rhs, h.omega_pre, pre, ws)
+        ws.residual()
+        ws.restrict()
+        vcycle(h, None, work[level + 1].rhs, level + 1)
+        ws.prolong()
+        np.add(x, ws.r_run, x)
+        smooth(lv, ws.v, ws.rhs, h.omega_post, h.post_smooths, ws)
+    return ws.v if f is ws.rhs else ws.v.copy()
 
 
 def solve(
@@ -192,9 +312,11 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
-    Non-convergence within ``max_iter`` is reported, not raised: the report
-    comes back with ``converged=False`` and the full residual history.  A
-    non-finite residual, ``r0`` included, stops the iteration at once.
+    The cycles run in place in the fine level's ``LevelWork``; the solution
+    comes back as a new flat array.  Non-convergence within ``max_iter`` is
+    reported, not raised: the report comes back with ``converged=False`` and
+    the full residual history.  A non-finite residual, ``r0`` included,
+    stops the iteration at once.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -202,20 +324,29 @@ def solve(
     for name, arg in (("f", f), ("v0", v0)):
         if arg is not None and np.shape(arg) != (lv.unknowns,):
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
-    f = np.reshape(f, lv.shape)
-    x = np.zeros_like(f, np.result_type(f, float)) if v0 is None else np.array(v0).reshape(f.shape)
-    r = f - lv.operator.apply_grid(x)
-    r0 = float(np.linalg.norm(r))
+    ws = h.workspace(_work_dtype(f, v0))[0]
+    ws.rhs[...] = np.reshape(f, lv.shape)
+    if v0 is None:
+        ws.v_run.fill(0.0)
+    else:
+        ws.v[...] = np.reshape(v0, lv.shape)
+    r = np.empty(lv.shape, ws.r.dtype)  # the residual, contiguous, for its norm
+
+    def residual_norm() -> float:
+        ws.residual()
+        r[...] = ws.r
+        return float(np.linalg.norm(r))
+
+    r0 = residual_norm()
     if r0 == 0.0:
-        return x.ravel(), SolveReport(0, [], converged=True, contraction_factor=0.0)
+        return ws.v.flatten(), SolveReport(0, [], converged=True, contraction_factor=0.0)
     if not math.isfinite(r0):
-        return x.ravel(), SolveReport(iterations=0, residuals=[math.nan])
+        return ws.v.flatten(), SolveReport(iterations=0, residuals=[math.nan])
 
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        x = vcycle(h, x, f, r=r)
-        r = f - lv.operator.apply_grid(x)
-        rel = float(np.linalg.norm(r)) / r0
+        ws.v[...] = vcycle(h, ws.v, ws.rhs, r=ws.r)  # nothing to copy: the cycle ran in v
+        rel = residual_norm() / r0
         report.residuals.append(rel)
         report.iterations = it
         if rel < tol:
@@ -232,7 +363,7 @@ def solve(
     if ratios:
         late = ratios[3:] if len(ratios) > 3 else ratios
         report.contraction_factor = max(late)
-    return x.ravel(), report
+    return ws.v.flatten(), report
 
 
 def energy_norm(level: GridLevel, e: np.ndarray) -> float:

@@ -4,10 +4,11 @@ Every operator in the package is stored matrix-free: a stencil is a tuple
 of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
 ``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
 Both are applied by shifted-slice multiply-adds, a system operator in one
-pass over its (2b+1)**d point coefficients.  With tridiagonal factors the
-type-I sine transform diagonalises them, which gives their spectra in
-closed form and an exact direct solve.  Dense materialisation exists only
-so tests can compare against explicit matrices.
+pass over its (2b+1)**d point coefficients on a zero-padded grid
+(``PaddedApply``, whose scratch a caller may keep and reuse).  With
+tridiagonal factors the type-I sine transform diagonalises them, which
+gives their spectra in closed form and an exact direct solve.  Dense
+materialisation exists only so tests can compare against explicit matrices.
 """
 
 from __future__ import annotations
@@ -206,16 +207,12 @@ class KroneckerSum:
         return self.apply_grid(self.grid(v)).reshape(np.shape(v))
 
     def apply_grid(self, x: np.ndarray) -> np.ndarray:
-        """``apply`` on an (m,)*ndim grid, the V-cycle's kernel."""
+        """``apply`` on an (m,)*ndim grid, through a ``PaddedApply`` made for the call."""
         if x.ndim != self.ndim:
             raise DimensionError(f"expected a {self.ndim}D grid, got shape {x.shape}")
-        b, centre, taps, inner = self._points
-        out = centre * x
-        xp = np.zeros((x.shape[0] + 2 * b,) * self.ndim, out.dtype)
-        xp[inner] = x
-        for window, c in taps:
-            out += c * xp[window]
-        return out
+        kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[1]))
+        kernel.x[...] = x
+        return kernel.interior(kernel(np.empty_like(kernel.run))).copy()
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
@@ -245,6 +242,63 @@ class KroneckerSum:
 
     def gershgorin_bound(self) -> float:
         return float(self._kron_sum(self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()))
+
+
+class PaddedApply:
+    """``A x`` on the (m,)*ndim grid, with its scratch made once for one dtype.
+
+    The operand lives in ``x``, the interior of a grid zero-padded by the
+    half-bandwidth b.  The kernel works on ``run``, one contiguous stretch
+    of that grid's flat storage: the m rows of n = m + 2b values from the
+    interior's first point on, with the pad cells between interior rows (in
+    1D the run is ``x`` itself).  Each off-centre point coefficient reads
+    the run shifted by its flat offset, a view built here, so every ufunc
+    call is on contiguous memory, which numpy runs unbuffered.  An array
+    laid out like the run holds a grid in ``interior(a)`` and pad cells in
+    ``pads(a)``.  The order is ``centre * x``, then ``+= c * window`` per
+    point in ``_points`` order, so each interior value is exactly that of
+    the plain slice expressions; pad cells of the result mean nothing.
+    Coefficients are 0-d arrays of the grid's dtype, the cheapest scalar
+    operand numpy takes.
+    """
+
+    def __init__(self, op: KroneckerSum, m: int, dtype):
+        b, centre, taps, inner = op._points
+        d, n = op.ndim, m + 2 * b
+        stride = [n ** (d - 1 - k) for k in range(d)]  # flat stride of each axis
+        first, size = b * sum(stride), m * stride[0]  # the run: interior origin, length
+        offsets = [sum((s.start - b) * st for s, st in zip(w, stride)) for w, _ in taps]
+        flat = np.zeros(max(n**d, first + max(offsets, default=0) + size), dtype)
+        self.x = flat[: n**d].reshape((n,) * d)[inner]
+        self.run = flat[first : first + size]
+        self.centre = np.array(centre, dtype)
+        self.taps = tuple(
+            (flat[first + off : first + off + size], np.array(c, dtype))
+            for off, (_, c) in zip(offsets, taps)
+        )
+        self.tmp = np.empty(size, dtype)
+        self._rows = (m,) + (n,) * (d - 1)
+
+    def interior(self, a: np.ndarray) -> np.ndarray:
+        """The (m,)*ndim grid an array laid out like the run holds."""
+        m = self._rows[0]
+        return a.reshape(self._rows)[(slice(None),) + (slice(m),) * (len(self._rows) - 1)]
+
+    def pads(self, a: np.ndarray) -> tuple:
+        """Views of the pad cells of an array laid out like the run."""
+        m, rows = self._rows[0], a.reshape(self._rows)
+        return tuple(
+            rows[(slice(None),) + (slice(m),) * (k - 1) + (slice(m, None),)]
+            for k in range(1, len(self._rows))
+        )
+
+    def __call__(self, out: np.ndarray) -> np.ndarray:
+        """Write ``A x`` into ``out``, laid out like the run, and return it."""
+        np.multiply(self.run, self.centre, out)
+        tmp = self.tmp
+        for window, c in self.taps:
+            np.add(out, np.multiply(window, c, tmp), out)
+        return out
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

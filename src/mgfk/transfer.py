@@ -1,16 +1,20 @@
-"""Matrix-free grid transfers: full weighting, linear interpolation, cutting.
+"""Matrix-free grid transfers: full weighting and linear interpolation.
 
-Fine and coarse grids have 2**k - 1 points per dimension.  ``restrict`` and
-``prolong`` apply the 1-2-1 pair along every axis of a grid, one axis-0
-kernel per axis with the axes rotated in between, so the prolongation is
-2**ndim times the transpose of the restriction.
+Fine and coarse grids have 2**k - 1 points per dimension.  ``Restriction``
+and ``Prolongation`` apply the 1-2-1 pair along every axis of a grid, axis
+0 first, between buffers they are bound to: the input, one intermediate per
+axis but the last, and the output.  The strided views each axis reads and
+writes, and the weights as 0-d arrays of the output's dtype, are built
+with them, so a call makes only ufunc calls into preallocated outputs.  The
+prolongation is 2**ndim times the transpose of the restriction.
+``restrict`` and ``prolong`` bind the pair to fresh buffers for one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GridSizeError
+from .errors import DimensionError, GridSizeError
 from .stencil import grid_depth
 
 
@@ -21,37 +25,96 @@ def _fine_sizes(m_fine: int) -> int:
     return (m_fine - 1) // 2
 
 
-def restrict(x: np.ndarray) -> np.ndarray:
-    """Full weighting along every axis: coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4."""
-    x = np.asarray(x)
-    axes = (*range(1, x.ndim), 0)  # moves the first axis last; ndim times is the identity
-    for _ in axes:
-        mc = _fine_sizes(x.shape[0])
-        x = (0.25 * (x[0 : 2 * mc - 1 : 2] + 2.0 * x[1::2] + x[2::2])).transpose(axes)
-    return x
+def _stages(x: np.ndarray, out: np.ndarray) -> list:
+    """(axis, input, output) per axis: ``x``, the intermediates, ``out``."""
+    stages, src = [], x
+    for axis in range(x.ndim):
+        last = axis == x.ndim - 1
+        dst = out if last else np.empty(out.shape[: axis + 1] + x.shape[axis + 1 :], out.dtype)
+        stages.append((axis, src, dst))
+        src = dst
+    return stages
 
 
-def prolong(x: np.ndarray) -> np.ndarray:
+def _along(a: np.ndarray, axis: int, s: slice) -> np.ndarray:
+    return a[(slice(None),) * axis + (s,)]
+
+
+class Restriction:
+    """Full weighting along every axis: coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4,
+    evaluated as ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``."""
+
+    def __init__(self, x: np.ndarray, out: np.ndarray):
+        self.out = out
+        self.two, self.quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
+        self.stages = tuple(
+            (
+                _along(src, axis, slice(0, -2, 2)),
+                _along(src, axis, slice(1, None, 2)),
+                _along(src, axis, slice(2, None, 2)),
+                dst,
+            )
+            for axis, src, dst in _stages(x, out)
+        )
+
+    def __call__(self) -> np.ndarray:
+        for lo, odd, hi, dst in self.stages:
+            np.multiply(odd, self.two, dst)
+            np.add(lo, dst, dst)
+            np.add(dst, hi, dst)
+            np.multiply(dst, self.quarter, dst)
+        return self.out
+
+
+class Prolongation:
     """Linear interpolation along every axis; in 1D the columns are (1/2) * [1, 2, 1]^T.
 
     Fine points sitting on coarse points copy the coarse value; in-between
-    points take the average of their flanking coarse values (zero outside).
+    points take the average of their flanking coarse values (zero outside),
+    so the two edge points take half of the edge coarse values.
     """
+
+    def __init__(self, x: np.ndarray, out: np.ndarray):
+        self.out = out
+        self.half = np.array(0.5, out.dtype)
+        stages = []
+        for axis, src, dst in _stages(x, out):
+            n = src.shape[axis]
+            stages.append((
+                src, _along(dst, axis, slice(1, None, 2)),
+                _along(src, axis, slice(None, -1)), _along(src, axis, slice(1, None)),
+                _along(dst, axis, slice(2, -1, 2)),
+                _along(src, axis, slice(None, None, max(n - 1, 1))),  # first and last
+                _along(dst, axis, slice(None, None, 2 * n)),
+            ))
+        self.stages = tuple(stages)
+
+    def __call__(self) -> np.ndarray:
+        half = self.half
+        for src, odd, lo, hi, mid, src_edges, edges in self.stages:
+            odd[...] = src
+            np.multiply(np.add(lo, hi, mid), half, mid)
+            np.multiply(src_edges, half, edges)
+        return self.out
+
+
+def _grid(x) -> np.ndarray:
     x = np.asarray(x)
-    axes = (*range(1, x.ndim), 0)  # moves the first axis last; ndim times is the identity
-    for _ in axes:
-        grid_depth(x.shape[0])
-        out = np.zeros((2 * x.shape[0] + 1,) + x.shape[1:], dtype=x.dtype)
-        out[1::2] = x
-        out[2:-1:2] = 0.5 * (x[:-1] + x[1:])
-        out[0] = 0.5 * x[0]
-        out[-1] = 0.5 * x[-1]
-        x = out.transpose(axes)
+    if x.ndim == 0:
+        raise DimensionError("expected a grid, got a scalar")
     return x
 
 
-def cut(v: np.ndarray) -> np.ndarray:
-    """Select the fine entries that coincide with coarse grid points."""
-    v = np.asarray(v)
-    _fine_sizes(v.shape[0])
-    return v[1::2].copy()
+def restrict(x: np.ndarray) -> np.ndarray:
+    """``Restriction`` of ``x`` into a new array."""
+    x = _grid(x)
+    out = np.empty(tuple(_fine_sizes(n) for n in x.shape), np.result_type(x, 0.25))
+    return Restriction(x, out)()
+
+
+def prolong(x: np.ndarray) -> np.ndarray:
+    """``Prolongation`` of ``x`` into a new array."""
+    x = _grid(x)
+    for n in x.shape:
+        grid_depth(n)
+    return Prolongation(x, np.empty(tuple(2 * n + 1 for n in x.shape), np.result_type(x, 0.5)))()

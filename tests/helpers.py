@@ -1,18 +1,24 @@
-"""Independent oracles shared by the test modules.
+"""Independent oracles shared by the test modules, and the helpers only
+tests use.
 
 Everything here deliberately avoids the package's own fast paths: transfers
 are dense matrices, coarse operators come from explicit triple products,
 series powers from binomial expansion with naive convolution, the
-reference V-cycle applies the operator to every iterate, zero or not, the
-time-level right-hand side is summed term by term in Python loops, and the
-V-cycle's approximate inverse and contraction norm are dense matrices.
+reference V-cycle allocates every intermediate, with its own apply,
+smoother and transfers, and applies the operator to every iterate, zero or
+not, the time-level right-hand side is summed term by term in Python loops,
+and the V-cycle's approximate inverse and contraction norm are dense
+matrices.
 """
+
+import csv
 
 import numpy as np
 
-from mgfk import transfer
-from mgfk.errors import EligibilityError
-from mgfk.multigrid import MgHierarchy, smooth, vcycle
+from mgfk.coarsen import c_constant, coefficient
+from mgfk.errors import EligibilityError, GridSizeError
+from mgfk.multigrid import MgHierarchy, vcycle
+from mgfk.stencil import grid_depth
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:
@@ -26,6 +32,14 @@ def restriction_matrix(m_fine: int) -> np.ndarray:
 
 def prolongation_matrix(m_fine: int) -> np.ndarray:
     return 2.0 * restriction_matrix(m_fine).T
+
+
+def cut(v: np.ndarray) -> np.ndarray:
+    """Select the fine entries that coincide with coarse grid points."""
+    v = np.asarray(v)
+    if grid_depth(v.shape[0]) < 2:
+        raise GridSizeError(f"fine grid size {v.shape[0]} has no coarser level")
+    return v[1::2].copy()
 
 
 def cutting_matrix(m_fine: int) -> np.ndarray:
@@ -51,6 +65,41 @@ def toeplitz_dense(bands, m: int) -> np.ndarray:
         if j:
             a += val * np.eye(m, k=-j)
     return a
+
+
+def coefficient_table(j: int, k: int) -> tuple[int, list[int]]:
+    """Return ``(m_offset, coefficients)`` covering the support of band j."""
+    half = 2 ** (k - 1)
+    if j == 0:
+        lo, hi = 0, 2 * half
+    elif j == 1:
+        lo, hi = 0, 3 * half
+    else:
+        lo, hi = max((j - 2) * half, 0), (j + 2) * half
+    return lo, [coefficient(j, m, k) for m in range(lo, hi)]
+
+
+def mu_decomposition(a0: float, a1: float, k: int) -> tuple[float, float]:
+    """Split the level-k coarse stencil into mu1 * tridiag(-1, 2, -1) +
+    mu2 * tridiag(1, 2, 1); mu1 > 0 and mu2 >= 0 for eligible input."""
+    c = float(c_constant(k))
+    half = 2.0 ** (k - 1)
+    scale = 4.0 * 8.0 ** (k - 1)
+    mu1 = (2.0 * c * (a0 + 2.0 * a1) + half * (a0 - 2.0 * a1)) / scale
+    mu2 = (6.0 * c + half) * (a0 + 2.0 * a1) / scale
+    return mu1, mu2
+
+
+def read_csv(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse a dump produced by ``fsd.write_csv``; returns (l, d)."""
+    ls, ds = [], []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for row in reader:
+            ls.append(float(row[1]))
+            ds.append(complex(float(row[2]), float(row[3])))
+    return np.array(ls), np.array(ds)
 
 
 def unscaled_recursion(bands, steps: int):
@@ -138,19 +187,64 @@ def random_eligible_tridiag(rng, strict: bool = False):
     return a0, a1
 
 
+def reference_apply(op, x):
+    """The operator on a grid: a zero-padded copy and a fresh multiply-add
+    per point coefficient, in the package's ``_points`` order."""
+    b, centre, taps, inner = op._points
+    out = centre * x
+    xp = np.zeros((x.shape[0] + 2 * b,) * op.ndim, out.dtype)
+    xp[inner] = x
+    for window, c in taps:
+        out += c * xp[window]
+    return out
+
+
+def reference_smooth(level, v, f, weight, steps):
+    """Damped Jacobi, a new iterate per sweep."""
+    scale = weight / level.diag
+    for _ in range(steps):
+        v = v + scale * (f - reference_apply(level.operator, v))
+    return v
+
+
+def reference_restrict(x):
+    """Full weighting along axis 0, then the axes rotated, ndim times."""
+    x = np.asarray(x)
+    axes = (*range(1, x.ndim), 0)  # moves the first axis last; ndim times is the identity
+    for _ in axes:
+        mc = (x.shape[0] - 1) // 2
+        x = (0.25 * (x[0 : 2 * mc - 1 : 2] + 2.0 * x[1::2] + x[2::2])).transpose(axes)
+    return x
+
+
+def reference_prolong(x):
+    """Linear interpolation along axis 0 into zeros, then the axes rotated."""
+    x = np.asarray(x)
+    axes = (*range(1, x.ndim), 0)
+    for _ in axes:
+        out = np.zeros((2 * x.shape[0] + 1,) + x.shape[1:], dtype=x.dtype)
+        out[1::2] = x
+        out[2:-1:2] = 0.5 * (x[:-1] + x[1:])
+        out[0] = 0.5 * x[0]
+        out[-1] = 0.5 * x[-1]
+        x = out.transpose(axes)
+    return x
+
+
 def reference_vcycle(h, v, f, level: int = 0):
     """V-cycle that starts each coarse level from an explicit zero vector and
-    smooths it through the operator, with the package's own smoother and
-    transfers, so its result must equal ``multigrid.vcycle`` bit for bit."""
+    smooths it through the operator, allocating every intermediate, with
+    its own apply, smoother and transfers in the package's operation order,
+    so its result must equal ``multigrid.vcycle`` bit for bit."""
     lv = h.levels[level]
     if level == h.depth - 1:
         return f / lv.diag
     shape, v, f = np.shape(f), np.reshape(v, lv.shape), np.reshape(f, lv.shape)
-    v = smooth(lv, v, f, h.omega_pre, h.pre_count)
-    coarse_rhs = transfer.restrict(f - lv.operator.apply(v))
+    v = reference_smooth(lv, v, f, h.omega_pre, h.pre_count)
+    coarse_rhs = reference_restrict(f - reference_apply(lv.operator, v))
     e = reference_vcycle(h, np.zeros_like(coarse_rhs), coarse_rhs, level + 1)
-    v = v + transfer.prolong(e)
-    return smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
+    v = v + reference_prolong(e)
+    return reference_smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
 
 
 def naive_level_rhs(ev, n: int) -> np.ndarray:

@@ -11,7 +11,6 @@ import numpy as np
 from mgfk.analysis import check_smoother_bounds, contraction_bound
 from mgfk.coarsen import (
     closed_form_tridiag,
-    coefficient_table,
     fk_operator,
     galerkin_step,
     mu_coefficient,
@@ -24,6 +23,7 @@ from mgfk.transfer import prolong, restrict
 
 from helpers import (
     binomial_weights,
+    coefficient_table,
     dense_contraction_norm,
     dense_galerkin,
     naive_series_power,

@@ -10,7 +10,6 @@ from mgfk.analysis import (
     coarsening_consistency,
     contraction_bound,
     format_reports,
-    mu_decomposition,
     reports_to_json,
     split_ratio,
 )
@@ -20,7 +19,7 @@ from mgfk.fsd import weights
 from mgfk.multigrid import build_hierarchy
 from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, lambda_max
 
-from helpers import random_eligible_tridiag
+from helpers import mu_decomposition, random_eligible_tridiag
 
 LAPLACIAN_1D = KroneckerSum(1, c_mass=0.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
 

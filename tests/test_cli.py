@@ -31,7 +31,9 @@ def test_coeffs_round_trip_bit_exact(tmp_path):
     out = tmp_path / "c.csv"
     main(["coeffs", "--alpha", "0.37", "--nu", "3", "--count", "20",
           "--rho-re", "1.0", "--rho-im", "2.0", "--tau", "0.05", "--out", str(out)])
-    from mgfk.fsd import FsdCoefficients, read_csv
+    from mgfk.fsd import FsdCoefficients
+
+    from helpers import read_csv
 
     ref = FsdCoefficients.build(0.37, 3, 1.0 + 2.0j, 0.05, 20)
     l, d = read_csv(out)
@@ -160,3 +162,26 @@ def test_resolved_config_rejects_bad_values():
         ExperimentConfig(m_values=[12]).resolved()
     with pytest.raises(MgfkError):
         ExperimentConfig(coarsen="best").resolved()
+
+
+@pytest.mark.parametrize("command", ["table", "theory"])
+@pytest.mark.parametrize(
+    "fields",
+    [{"alpha": "0.5"}, {"m_values": [8.0]}, {"m_values": 8}, {"nu": True}, {"preset": 3},
+     {"seed": 1.5}, {"trials": "4"}, {"m1": None}, ["alpha", 0.5]],
+)
+def test_wrongly_typed_config_values_exit_one(tmp_path, capsys, command, fields):
+    # a config file can hold any JSON value; a wrong type is a validation
+    # error, not a traceback
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps(fields))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_resolved_config_rejects_wrong_types():
+    for fields in ({"alpha": "0.5"}, {"m_values": [8.0]}, {"nu": 2.0}, {"coarsen": 1}):
+        with pytest.raises(MgfkError):
+            ExperimentConfig(**fields).resolved()
+    cfg = ExperimentConfig(omega_pre=1, tol=1, omega=None).resolved()  # ints are numbers
+    assert cfg.omega_pre == 1 and cfg.tol == 1 and cfg.nu == 4

@@ -6,7 +6,6 @@ from mgfk.coarsen import (
     closed_form_constants,
     closed_form_tridiag,
     coefficient,
-    coefficient_table,
     fk_operator,
     galerkin_step,
     galerkin_step_unscaled,
@@ -15,6 +14,7 @@ from mgfk.coarsen import (
 from mgfk.stencil import AVERAGING, COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
 
 from helpers import (
+    coefficient_table,
     dense_galerkin,
     random_eligible_tridiag,
     toeplitz_dense,

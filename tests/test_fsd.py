@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mgfk.fsd import FsdCoefficients, generating_poly, read_csv, tempered, weights, write_csv
+from mgfk.fsd import FsdCoefficients, generating_poly, tempered, weights, write_csv
 
-from helpers import binomial_weights, naive_series_power
+from helpers import binomial_weights, naive_series_power, read_csv
 
 
 def test_generating_polynomials():

@@ -336,18 +336,86 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
-    # coarse levels skip the operator apply on their zero start, and a residual
-    # passed in spares the fine level one; the iterates must not move by a bit
+    # coarse levels skip the operator apply on their zero start, a residual
+    # passed in spares the fine level one, and every level runs in place in
+    # its workspace; the iterates must not move by a bit, real or complex,
+    # up to 1D m = 1023 and 2D m = 127
     build = fk_hierarchy_1d if ndim == 1 else fk_hierarchy_2d
-    h = build(nu=2, strategy=coarsening, pre_count=pre_count)
-    n = h.fine.unknowns
     rng = np.random.default_rng(17)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    for start in (v, np.zeros(n, dtype=complex)):
-        x, ref = start, start
-        for _ in range(3):
-            given = vcycle(h, x, f, r=f - h.fine.operator.apply(x))
-            x, ref = vcycle(h, x, f), reference_vcycle(h, ref, f)
-            assert np.array_equal(x, ref)
-            assert np.array_equal(given, ref)
+    for intervals in (32, 1024) if ndim == 1 else (16, 128):
+        h = build(nu=2, intervals=intervals, strategy=coarsening, pre_count=pre_count)
+        n = h.fine.unknowns
+        for imag in (0.0, 1.0):
+            v = rng.standard_normal(n) + imag * 1j * rng.standard_normal(n)
+            f = rng.standard_normal(n) + imag * 1j * rng.standard_normal(n)
+            for start in (v, np.zeros_like(v)):
+                x, ref = start, start
+                for _ in range(3):
+                    given = vcycle(h, x, f, r=f - h.fine.operator.apply(x))
+                    x, ref = vcycle(h, x, f), reference_vcycle(h, ref, f)
+                    assert x.dtype == ref.dtype
+                    assert np.array_equal(x, ref)
+                    assert np.array_equal(given, ref)
+
+
+def _buffers(h, dtypes):
+    """Every scratch array the hierarchy holds for these dtypes."""
+    for dtype in dtypes:
+        for ws in h.workspace(dtype):
+            yield from (ws.apply.x, ws.apply.tmp, ws.r_run, ws.rhs_run)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_workspaces_keep_no_state_between_calls_and_dtypes(ndim):
+    # real -> complex -> real on one hierarchy: each call equals the same
+    # call on a fresh hierarchy and the oracle, later calls leave its result
+    # alone, and no result aliases a workspace buffer
+    def build():
+        build_ndim = fk_hierarchy_1d if ndim == 1 else fk_hierarchy_2d
+        return build_ndim(intervals=64, strategy="geometric")
+
+    h = build()
+    shape = h.fine.shape
+    rng = np.random.default_rng(18)
+    real = rng.standard_normal(shape)
+    cplx = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    kept = []
+    for f in (real, cplx, real):
+        v = reference_vcycle(h, np.zeros_like(f), f)
+        calls = (
+            lambda g: vcycle(g, None, f),
+            lambda g: vcycle(g, v, f),
+            lambda g: vcycle(g, v, f, r=f - g.fine.operator.apply(v)),
+            lambda g: solve(g, f.ravel(), tol=1e-8)[0],
+            lambda g: solve(g, f.ravel(), v0=v.ravel(), tol=1e-8)[0],
+        )
+        for call in calls:
+            out = call(h)
+            assert np.array_equal(out, call(build()))
+            kept.append((out, out.copy()))
+        assert np.array_equal(kept[-5][0], v)
+        assert np.array_equal(kept[-4][0], reference_vcycle(h, v, f))
+        residual = f.ravel() - h.fine.operator.apply(kept[-2][0])
+        assert np.linalg.norm(residual) < 1e-8 * np.linalg.norm(f)
+    for out, snapshot in kept:
+        assert np.array_equal(out, snapshot)
+        assert not any(np.shares_memory(out, buf) for buf in _buffers(h, (float, complex)))
+
+
+def test_fine_vcycle_allocates_less_than_two_grids():
+    # after the first cycle has made the workspace, one cycle on the 2D
+    # m = 127 example-6.2 hierarchy allocates its result and little else
+    import tracemalloc
+
+    h = fk_hierarchy_2d(intervals=128, strategy="geometric")
+    rng = np.random.default_rng(19)
+    v, f = (rng.standard_normal(h.fine.shape) + 1j * rng.standard_normal(h.fine.shape)
+            for _ in range(2))
+    vcycle(h, v, f)
+    tracemalloc.start()
+    try:
+        vcycle(h, v, f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * f.nbytes

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from mgfk.errors import GridSizeError
-from mgfk.transfer import cut, prolong, restrict
+from mgfk.transfer import prolong, restrict
 
-from helpers import cutting_matrix, prolongation_matrix, restriction_matrix
+from helpers import (
+    cut,
+    cutting_matrix,
+    prolongation_matrix,
+    reference_prolong,
+    reference_restrict,
+    restriction_matrix,
+)
 
 
 def test_restrict_preserves_constants():
@@ -110,6 +117,9 @@ def test_2d_transfers_match_kronecker_products(m_fine):
     assert np.array_equal(restrict(v), np.array([restrict(col) for col in rows]))
     rows = np.array([prolong(row) for row in c.T]).T
     assert np.array_equal(prolong(c), np.array([prolong(col) for col in rows]))
+    # and bit for bit the allocating oracle's operation order
+    assert np.array_equal(restrict(v), reference_restrict(v))
+    assert np.array_equal(prolong(c), reference_prolong(c))
 
 
 def test_2d_round_trip_matches_kronecker_oracle():
