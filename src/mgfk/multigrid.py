@@ -9,12 +9,18 @@ Cycles run on (m,)*ndim grids.
 A cycle allocates nothing but the array it returns: it runs in place on
 per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
 first cycle for a given dtype (complex for the time steppers, float for
-``measure_contraction``) and reuses from then on.  Every kernel is a ufunc
-call into a preallocated output on views built with the buffers, in the
-operation order of the plain array expressions, so the iterates do not
-depend on the buffering.  ``vcycle`` and ``solve`` return new arrays, never
-a buffer.  Because the buffers are shared, two threads must not cycle on
-one hierarchy at the same time.
+``measure_contraction``) and reuses from then on.  Every kernel (apply,
+smoother, transfers) is built with the buffers as a tuple of
+``(ufunc, args)`` calls into preallocated outputs, in the operation order
+of the plain array expressions, so the iterates do not depend on the
+buffering.  On the first cycle from a given level and start, the hierarchy
+splices those of every level into one flat tape, the whole V-cycle down to
+the coarsest grid (``MgHierarchy.tape``); a cycle loads its arguments and
+runs it (``stencil.run_calls``), with no recursion and no lookup per
+level.  ``build_hierarchy`` makes neither buffers nor tapes.
+``vcycle`` and ``solve`` return new arrays, never a buffer.  Because the
+buffers are shared, two threads must not cycle on one hierarchy at the
+same time.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -39,6 +45,7 @@ from .stencil import (
     grid_depth,
     require_coarsenable,
     require_spd_eligible,
+    run_calls,
 )
 
 
@@ -60,34 +67,46 @@ class GridLevel:
 
 
 class LevelWork:
-    """Scratch of one level for one dtype.
+    """Scratch of one level for one dtype, and the ufunc calls that work on it.
 
     ``v`` is the iterate, the interior of the apply's zero-padded grid,
-    ``r`` the residual and temporary, and ``rhs`` the right-hand side a
-    cycle on this level reads: the one the level above restricts into, or
-    the one ``solve`` or a caller's ``f`` is copied into.  Each grid is also
-    held in the apply's contiguous run layout (``v_run``, ``r_run``,
-    ``rhs_run``), where the smoother's arithmetic runs; the pad cells of
-    ``r_run`` and ``rhs_run`` are kept at zero, so the updates keep those of
-    ``v_run`` at zero.  ``restrict`` (``r`` into the next level's ``rhs``)
+    ``r`` the residual and temporary (the apply's output), and ``rhs`` the
+    right-hand side a cycle on this level reads: the one the level above
+    restricts into, or the one ``solve`` or a caller's ``f`` is copied into.
+    Each grid is also held in the apply's contiguous run layout (``v_run``,
+    ``r_run``, ``rhs_run``), where the smoother's arithmetic runs; the pad
+    cells of ``r_run`` and ``rhs_run`` are kept at zero, so the updates keep
+    those of ``v_run`` at zero.  ``residual`` is the calls that form
+    ``r = rhs - A v``.  ``restrict`` (``r`` into the next level's ``rhs``)
     and ``prolong`` (the next level's ``v`` into ``r``) are bound by
     ``MgHierarchy.workspace``.
     """
 
     def __init__(self, level: GridLevel, dtype):
         self.apply = PaddedApply(level.operator, level.m, dtype)
-        self.v, self.v_run = self.apply.x, self.apply.run
-        self.r_run, self.rhs_run = np.zeros_like(self.v_run), np.zeros_like(self.v_run)
+        self.v, self.v_run, self.r_run = self.apply.x, self.apply.run, self.apply.out
+        self.rhs_run = np.zeros_like(self.v_run)
         self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
-        self.r_pads = self.apply.pads(self.r_run)
+        self.diag = level.diag
+        self.residual = (
+            *self.apply.calls,
+            (np.subtract, (self.rhs_run, self.r_run, self.r_run)),
+            *((pad.fill, (0.0,)) for pad in self.apply.pads(self.r_run)),
+        )
         self.restrict = self.prolong = None
 
-    def residual(self) -> np.ndarray:
-        """``r = rhs - A v``, returned as ``r_run``."""
-        r = np.subtract(self.rhs_run, self.apply(self.r_run), self.r_run)
-        for pad in self.r_pads:
-            pad.fill(0.0)
-        return r
+    def scalar(self, value: float) -> np.ndarray:
+        """``value`` as a 0-d array of the level's dtype."""
+        return np.array(value, self.v.dtype)
+
+    def update(self, weight: float) -> tuple:
+        """The calls of ``v += (weight / diag) r``."""
+        scale, r, x = self.scalar(weight / self.diag), self.r_run, self.v_run
+        return (np.multiply, (r, scale, r)), (np.add, (x, r, x))
+
+    def sweep(self, weight: float) -> tuple:
+        """The calls of one damped-Jacobi sweep with ``weight``."""
+        return self.residual + self.update(weight)
 
 
 def _work_dtype(*arrays) -> np.dtype:
@@ -105,8 +124,9 @@ class MgHierarchy:
     """Multigrid hierarchy, finest level first.
 
     Its levels and parameters are immutable; its cycles' scratch buffers
-    (``workspace``) are made on first use per dtype and reused, so one
-    hierarchy serves one solve at a time.
+    (``workspace``) and the tapes of calls on them (``tape``) are made on
+    first use per dtype and reused, so one hierarchy serves one solve at a
+    time.
     """
 
     levels: tuple
@@ -133,6 +153,10 @@ class MgHierarchy:
     def _work(self) -> dict:
         return {}
 
+    @cached_property
+    def _tapes(self) -> dict:
+        return {}
+
     def workspace(self, dtype) -> tuple:
         """The ``LevelWork`` of every level for ``dtype``, made on first use,
         with the transfers bound between neighbouring levels."""
@@ -145,6 +169,43 @@ class MgHierarchy:
                 fine.prolong = transfer.Prolongation(coarse.v, fine.r)
             self._work[dtype] = work
         return work
+
+    def tape(self, dtype, level: int, start: str) -> tuple:
+        """The ufunc calls of one cycle from ``level`` down on the ``dtype``
+        workspace, made on first use.  The cycle's iterate ``start``s from
+        ``"zero"``, from the loaded ``v`` and its loaded residual ``r``
+        (``"residual"``), or from the loaded ``v`` alone (``"iterate"``)."""
+        key = (dtype, level, start)
+        tape = self._tapes.get(key)
+        if tape is None:
+            tape = self._tapes[key] = _cycle_calls(self, self.workspace(dtype), level, start)
+        return tape
+
+
+def _cycle_calls(h: MgHierarchy, work: tuple, level: int, start: str) -> tuple:
+    """The body of one V-cycle on ``work[level]`` and, spliced in, the zero-start
+    cycle of every level below, as ``(ufunc, args)`` pairs run in order."""
+    ws = work[level]
+    x = ws.v_run
+    if level == h.depth - 1:
+        return ((np.divide, (ws.rhs_run, ws.scalar(ws.diag), x)),)
+    pre, calls = h.pre_count, ()
+    if start == "zero" and not pre:
+        calls = ((x.fill, (0.0,)),)
+    elif start == "zero":  # the first sweep from zero needs no apply: v = omega_pre * rhs / diag
+        calls, pre = ((np.multiply, (ws.rhs_run, ws.scalar(h.omega_pre / ws.diag), x)),), pre - 1
+    elif start == "residual" and pre:  # nor one from a given residual
+        calls, pre = ws.update(h.omega_pre), pre - 1
+    return (
+        calls
+        + ws.sweep(h.omega_pre) * pre
+        + ws.residual
+        + ws.restrict.calls
+        + _cycle_calls(h, work, level + 1, "zero")
+        + ws.prolong.calls
+        + ((np.add, (x, ws.r_run, x)),)
+        + ws.sweep(h.omega_post) * h.post_smooths
+    )
 
 
 @dataclass
@@ -221,24 +282,18 @@ def smooth(
     f: np.ndarray,
     weight: float,
     steps: int,
-    work: LevelWork | None = None,
 ) -> np.ndarray:
     """Damped Jacobi: v <- v + weight * (f - A v) / diag, ``steps`` times.
 
-    Loads ``v`` and ``f`` into ``work`` (nothing to load when they are its
-    ``v`` and ``rhs``), runs in place there and returns ``work.v``.  Without
-    ``work`` it runs on scratch made for the call, so ``v`` is left as it was.
+    Runs the sweeps of a ``LevelWork`` made for the call and returns its
+    ``v``; ``v`` is left as it was.
     """
     if weight <= 0.0:
         raise ValueError("smoothing weight must be positive")
-    if work is None:
-        work = LevelWork(level, _work_dtype(v, f))
+    work = LevelWork(level, _work_dtype(v, f))
     work.v[...] = v
     work.rhs[...] = f
-    x, scale = work.v_run, weight / level.diag
-    for _ in range(steps):
-        r = work.residual()
-        np.add(x, np.multiply(r, scale, r), x)
+    run_calls(work.sweep(weight) * steps)
     return work.v
 
 
@@ -256,51 +311,41 @@ def vcycle(
     ``r``, the residual ``f - A v`` a caller has already formed, likewise
     spares the first pre-smoothing sweep its apply.
 
-    The sweep loads its arguments into the level's ``LevelWork``, runs in
-    place there, and returns a copy of the iterate, except when ``f`` is
-    that work's own ``rhs``: then the result is left in its ``v``, which is
-    returned.  The recursion runs in place that way, and so does ``solve``.
+    The sweep loads its arguments into the level's ``LevelWork`` (nothing
+    to load for an argument that is that work's own ``v``, ``rhs`` or
+    ``r``), runs the level's tape for that start (``MgHierarchy.tape``,
+    the whole cycle down to the coarsest level as one flat run of ufunc
+    calls), and returns a copy of the iterate, except when ``f`` is the
+    work's own ``rhs``: then the result is left in its ``v``, which is
+    returned.  ``solve`` runs in place that way.
 
     On the one-point coarsest grid the equation is solved exactly, so the
-    recursion implements an approximate inverse whose error propagator
+    cycle implements an approximate inverse whose error propagator
     contracts in the energy norm.
     """
     lv = h.levels[level]
     f = np.asarray(f)
-    if f.shape != lv.shape:
+    flat = f.shape != lv.shape
+    if flat:
         if f.shape != (lv.unknowns,):
             raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
         v, f, r = (a if a is None else np.reshape(a, lv.shape) for a in (v, f, r))
-        return vcycle(h, v, f, level, r).ravel()
-    work = h.workspace(_work_dtype(f, v, r))
-    ws = work[level]
-    ws.rhs[...] = f
-    x = ws.v_run
-    if level == h.depth - 1:
-        np.divide(ws.rhs_run, lv.diag, x)
+    dtype = _work_dtype(f, v, r)
+    ws = h.workspace(dtype)[level]
+    if v is None:
+        start = "zero"
     else:
-        pre = h.pre_count
-        scale = h.omega_pre / lv.diag
-        if v is None:
-            if pre:
-                np.multiply(ws.rhs_run, scale, x)
-                pre -= 1
-            else:
-                x.fill(0.0)
-        else:
+        start = "residual" if r is not None and h.pre_count else "iterate"
+        if v is not ws.v:
             ws.v[...] = v
-            if r is not None and pre:
-                ws.r[...] = r
-                np.add(x, np.multiply(ws.r_run, scale, ws.r_run), x)
-                pre -= 1
-        smooth(lv, ws.v, ws.rhs, h.omega_pre, pre, ws)
-        ws.residual()
-        ws.restrict()
-        vcycle(h, None, work[level + 1].rhs, level + 1)
-        ws.prolong()
-        np.add(x, ws.r_run, x)
-        smooth(lv, ws.v, ws.rhs, h.omega_post, h.post_smooths, ws)
-    return ws.v if f is ws.rhs else ws.v.copy()
+        if start == "residual" and r is not ws.r:
+            ws.r[...] = r
+    if f is not ws.rhs:
+        ws.rhs[...] = f
+    run_calls(h.tape(dtype, level, start))
+    if f is ws.rhs:
+        return ws.v
+    return ws.v.flatten() if flat else ws.v.copy()
 
 
 def solve(
@@ -333,7 +378,7 @@ def solve(
     r = np.empty(lv.shape, ws.r.dtype)  # the residual, contiguous, for its norm
 
     def residual_norm() -> float:
-        ws.residual()
+        run_calls(ws.residual)
         r[...] = ws.r
         return float(np.linalg.norm(r))
 
@@ -345,7 +390,9 @@ def solve(
 
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        ws.v[...] = vcycle(h, ws.v, ws.rhs, r=ws.r)  # nothing to copy: the cycle ran in v
+        v = vcycle(h, ws.v, ws.rhs, r=ws.r)  # ran in place, so v is ws.v: nothing to copy
+        if v is not ws.v:
+            ws.v[...] = v
         rel = residual_norm() / r0
         report.residuals.append(rel)
         report.iterations = it
@@ -384,11 +431,14 @@ def measure_contraction(
 
     Runs the homogeneous problem (f = 0) from random initial errors and
     returns the largest per-iteration ratio ||e_new||_A / ||e_old||_A after
-    the first ``discard`` transient iterations.  If ``monotone_slack`` is
-    given, a ratio above 1 + monotone_slack raises ``AssertionError``.
+    the first ``discard`` transient iterations, so ``iters`` must exceed
+    ``discard >= 0``.  If ``monotone_slack`` is given, a ratio above
+    1 + monotone_slack raises ``AssertionError``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if discard < 0 or iters <= discard:
+        raise ValueError(f"need iters > discard >= 0, got iters={iters}, discard={discard}")
     rng = np.random.default_rng(seed)
     lv = h.fine
     zero = np.zeros(lv.shape)

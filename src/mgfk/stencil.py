@@ -3,9 +3,10 @@
 Every operator in the package is stored matrix-free: a stencil is a tuple
 of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
 ``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
-Both are applied by shifted-slice multiply-adds, a system operator in one
-pass over its (2b+1)**d point coefficients on a zero-padded grid
-(``PaddedApply``, whose scratch a caller may keep and reuse).  With
+Both are applied by shifted-slice multiply-adds, a system operator on a
+zero-padded grid by ``PaddedApply``: one scaled copy of the grid per
+distinct point coefficient, then one add per nonzero point of its
+(2b+1)**d, built once as ufunc calls on scratch a caller may keep.  With
 tridiagonal factors the type-I sine transform diagonalises them, which
 gives their spectra in closed form and an exact direct solve.  Dense
 materialisation exists only so tests can compare against explicit matrices.
@@ -212,7 +213,7 @@ class KroneckerSum:
             raise DimensionError(f"expected a {self.ndim}D grid, got shape {x.shape}")
         kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[1]))
         kernel.x[...] = x
-        return kernel.interior(kernel(np.empty_like(kernel.run))).copy()
+        return kernel.interior(kernel()).copy()
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
@@ -245,21 +246,27 @@ class KroneckerSum:
 
 
 class PaddedApply:
-    """``A x`` on the (m,)*ndim grid, with its scratch made once for one dtype.
+    """``A x`` on the (m,)*ndim grid, built once for one dtype as a tuple of
+    ufunc calls on buffers of its own.
 
     The operand lives in ``x``, the interior of a grid zero-padded by the
-    half-bandwidth b.  The kernel works on ``run``, one contiguous stretch
-    of that grid's flat storage: the m rows of n = m + 2b values from the
-    interior's first point on, with the pad cells between interior rows (in
-    1D the run is ``x`` itself).  Each off-centre point coefficient reads
-    the run shifted by its flat offset, a view built here, so every ufunc
-    call is on contiguous memory, which numpy runs unbuffered.  An array
-    laid out like the run holds a grid in ``interior(a)`` and pad cells in
-    ``pads(a)``.  The order is ``centre * x``, then ``+= c * window`` per
-    point in ``_points`` order, so each interior value is exactly that of
-    the plain slice expressions; pad cells of the result mean nothing.
-    Coefficients are 0-d arrays of the grid's dtype, the cheapest scalar
-    operand numpy takes.
+    half-bandwidth b; the product goes to ``out``.  The kernel works on
+    ``run``, one contiguous stretch of that grid's flat storage: the m rows
+    of n = m + 2b values from the interior's first point on, with the pad
+    cells between interior rows (in 1D the run is ``x`` itself), and
+    ``out`` is laid out the same way.  An array laid out like the run
+    holds a grid in ``interior(a)`` and pad cells in ``pads(a)``; pad cells
+    of ``out`` mean nothing after a call.
+
+    ``calls`` computes ``centre * run``, then one scaled copy ``c * grid``
+    in ``scaled`` per distinct off-centre coefficient value c (exact
+    ``==``), over the stretch that the points with that coefficient read,
+    then adds each point's shifted window of its copy in ``_points`` order.
+    The windows are views built here, so every ufunc call is on contiguous
+    memory, which numpy runs unbuffered, and each interior value is exactly
+    that of the plain slice expressions ``out = centre * x``,
+    ``out += c * window``.  Coefficients are 0-d arrays of the grid's
+    dtype, the cheapest scalar operand numpy takes.
     """
 
     def __init__(self, op: KroneckerSum, m: int, dtype):
@@ -271,13 +278,24 @@ class PaddedApply:
         flat = np.zeros(max(n**d, first + max(offsets, default=0) + size), dtype)
         self.x = flat[: n**d].reshape((n,) * d)[inner]
         self.run = flat[first : first + size]
-        self.centre = np.array(centre, dtype)
-        self.taps = tuple(
-            (flat[first + off : first + off + size], np.array(c, dtype))
-            for off, (_, c) in zip(offsets, taps)
-        )
-        self.tmp = np.empty(size, dtype)
+        self.out = np.zeros(size, dtype)
         self._rows = (m,) + (n,) * (d - 1)
+        groups = {}  # coefficient value -> offsets of its points
+        for off, (_, c) in zip(offsets, taps):
+            groups.setdefault(float(c), []).append(off)
+        scaled, window = [], {}
+        for c, offs in groups.items():
+            lo, hi = min(offs), max(offs)
+            copy = np.empty(hi - lo + size, dtype)
+            src = flat[first + lo : first + hi + size]
+            scaled.append((np.multiply, (src, np.array(c, dtype), copy)))
+            window.update((off, copy[off - lo : off - lo + size]) for off in offs)
+        self.scaled = tuple(args[2] for _, args in scaled)
+        self.calls = (
+            (np.multiply, (self.run, np.array(centre, dtype), self.out)),
+            *scaled,
+            *((np.add, (self.out, window[off], self.out)) for off in offsets),
+        )
 
     def interior(self, a: np.ndarray) -> np.ndarray:
         """The (m,)*ndim grid an array laid out like the run holds."""
@@ -292,13 +310,16 @@ class PaddedApply:
             for k in range(1, len(self._rows))
         )
 
-    def __call__(self, out: np.ndarray) -> np.ndarray:
-        """Write ``A x`` into ``out``, laid out like the run, and return it."""
-        np.multiply(self.run, self.centre, out)
-        tmp = self.tmp
-        for window, c in self.taps:
-            np.add(out, np.multiply(window, c, tmp), out)
-        return out
+    def __call__(self) -> np.ndarray:
+        """Write ``A x`` into ``out`` and return it."""
+        run_calls(self.calls)
+        return self.out
+
+
+def run_calls(calls) -> None:
+    """Run ``(ufunc, args)`` pairs in order: every prebuilt kernel's one loop."""
+    for fn, args in calls:
+        fn(*args)
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

@@ -3,11 +3,12 @@
 Fine and coarse grids have 2**k - 1 points per dimension.  ``Restriction``
 and ``Prolongation`` apply the 1-2-1 pair along every axis of a grid, axis
 0 first, between buffers they are bound to: the input, one intermediate per
-axis but the last, and the output.  The strided views each axis reads and
-writes, and the weights as 0-d arrays of the output's dtype, are built
-with them, so a call makes only ufunc calls into preallocated outputs.  The
-prolongation is 2**ndim times the transpose of the restriction.
-``restrict`` and ``prolong`` bind the pair to fresh buffers for one call.
+axis but the last, and the output.  Each builds its work once, as a tuple
+``calls`` of ``(ufunc, args)`` on the strided views each axis reads and
+writes, with the weights as 0-d arrays of the output's dtype; a call runs
+that tuple, and the V-cycle splices it into its own.  The prolongation is
+2**ndim times the transpose of the restriction.  ``restrict`` and
+``prolong`` bind the pair to fresh buffers for one call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .stencil import grid_depth
+from .stencil import grid_depth, run_calls
 
 
 def _fine_sizes(m_fine: int) -> int:
@@ -46,23 +47,22 @@ class Restriction:
 
     def __init__(self, x: np.ndarray, out: np.ndarray):
         self.out = out
-        self.two, self.quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
-        self.stages = tuple(
-            (
-                _along(src, axis, slice(0, -2, 2)),
-                _along(src, axis, slice(1, None, 2)),
-                _along(src, axis, slice(2, None, 2)),
-                dst,
-            )
-            for axis, src, dst in _stages(x, out)
-        )
+        two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
+        calls = []
+        for axis, src, dst in _stages(x, out):
+            lo = _along(src, axis, slice(0, -2, 2))
+            odd = _along(src, axis, slice(1, None, 2))
+            hi = _along(src, axis, slice(2, None, 2))
+            calls += [
+                (np.multiply, (odd, two, dst)),
+                (np.add, (lo, dst, dst)),
+                (np.add, (dst, hi, dst)),
+                (np.multiply, (dst, quarter, dst)),
+            ]
+        self.calls = tuple(calls)
 
     def __call__(self) -> np.ndarray:
-        for lo, odd, hi, dst in self.stages:
-            np.multiply(odd, self.two, dst)
-            np.add(lo, dst, dst)
-            np.add(dst, hi, dst)
-            np.multiply(dst, self.quarter, dst)
+        run_calls(self.calls)
         return self.out
 
 
@@ -76,25 +76,24 @@ class Prolongation:
 
     def __init__(self, x: np.ndarray, out: np.ndarray):
         self.out = out
-        self.half = np.array(0.5, out.dtype)
-        stages = []
+        half = np.array(0.5, out.dtype)
+        calls = []
         for axis, src, dst in _stages(x, out):
             n = src.shape[axis]
-            stages.append((
-                src, _along(dst, axis, slice(1, None, 2)),
-                _along(src, axis, slice(None, -1)), _along(src, axis, slice(1, None)),
-                _along(dst, axis, slice(2, -1, 2)),
-                _along(src, axis, slice(None, None, max(n - 1, 1))),  # first and last
-                _along(dst, axis, slice(None, None, 2 * n)),
-            ))
-        self.stages = tuple(stages)
+            odd, mid = _along(dst, axis, slice(1, None, 2)), _along(dst, axis, slice(2, -1, 2))
+            lo, hi = _along(src, axis, slice(None, -1)), _along(src, axis, slice(1, None))
+            src_edges = _along(src, axis, slice(None, None, max(n - 1, 1)))  # first and last
+            edges = _along(dst, axis, slice(None, None, 2 * n))
+            calls += [
+                (np.copyto, (odd, src)),
+                (np.add, (lo, hi, mid)),
+                (np.multiply, (mid, half, mid)),
+                (np.multiply, (src_edges, half, edges)),
+            ]
+        self.calls = tuple(calls)
 
     def __call__(self) -> np.ndarray:
-        half = self.half
-        for src, odd, lo, hi, mid, src_edges, edges in self.stages:
-            odd[...] = src
-            np.multiply(np.add(lo, hi, mid), half, mid)
-            np.multiply(src_edges, half, edges)
+        run_calls(self.calls)
         return self.out
 
 

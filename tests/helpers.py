@@ -247,6 +247,25 @@ def reference_vcycle(h, v, f, level: int = 0):
     return reference_smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
 
 
+def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
+    """``multigrid.solve`` from ``v0`` as a loop of ``reference_vcycle``: the
+    flat solution and the relative residual norms, each taken from a fresh
+    grid ``f - A v`` by ``np.linalg.norm``, as ``solve`` takes them."""
+    op, shape = h.fine.operator, h.fine.shape
+    f, v = np.reshape(f, shape), np.reshape(v0, shape)
+
+    def residual_norm(v):
+        return float(np.linalg.norm(f - reference_apply(op, v)))
+
+    r0, residuals = residual_norm(v), []
+    for _ in range(max_iter):
+        v = reference_vcycle(h, v, f)
+        residuals.append(residual_norm(v) / r0)
+        if residuals[-1] < tol:
+            break
+    return v.ravel(), residuals
+
+
 def naive_level_rhs(ev, n: int) -> np.ndarray:
     """Level-n right-hand side of a 1D or 2D ``Evolution``, rebuilt
     with plain Python loops (no matmul, no stencil apply) from the stepper's

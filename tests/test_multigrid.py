@@ -13,13 +13,21 @@ from mgfk.multigrid import (
     solve,
     vcycle,
 )
-from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil, dst_solve
+from mgfk.stencil import (
+    COMPACT_MASS,
+    IDENTITY,
+    LAPLACIAN,
+    KroneckerSum,
+    ToeplitzStencil,
+    dst_solve,
+)
 
 from helpers import (
     dense_approximate_inverse,
     dense_contraction_norm,
     dense_operator,
     prolongation_matrix,
+    reference_solve,
     reference_vcycle,
     restriction_matrix,
 )
@@ -205,6 +213,14 @@ def test_measured_contraction_in_unit_interval():
         assert 0.0 < c < 1.0
 
 
+@pytest.mark.parametrize("iters, discard", [(3, 3), (2, 3), (0, 0), (5, -1)])
+def test_measure_contraction_rejects_an_empty_window(iters, discard):
+    # no ratio after the discarded iterations would read as a perfect 0.0
+    h = build_hierarchy(LAPLACIAN_1D, 7)
+    with pytest.raises(ValueError):
+        measure_contraction(h, iters=iters, discard=discard)
+
+
 def test_contraction_estimator_matches_dense_norm():
     h = fk_hierarchy_1d(omega_pre=0.5, omega_post=0.5)
     est = measure_contraction(h, trials=6, iters=25)
@@ -332,18 +348,45 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
     assert np.isnan(report.residuals[-1])
 
 
-@pytest.mark.parametrize("pre_count", [0, 1, 2])
-@pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
-@pytest.mark.parametrize("ndim", [1, 2])
-def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
+WIDE = ToeplitzStencil((6.0, -2.0, 0.5))  # half-bandwidth 2
+
+
+def oracle_operator(system, ndim, intervals):
+    """The nu = 2, alpha = 0.3 Feynman-Kac operator ("fk"), or its coefficients
+    over the compact mass and a Laplacian ("compact") or ``WIDE`` ("wide")."""
+    l0 = weights(0.3, 2, 0)[0]
+    mu = mu_coefficient(1.0, 0.3, 1.0 / intervals, 1.0 / intervals)
+    if system == "fk":
+        return fk_operator(ndim, l0, mu)
+    return KroneckerSum(ndim, l0, mu, COMPACT_MASS, WIDE if system == "wide" else LAPLACIAN)
+
+
+ORACLE_SIZES = {1: (32, 1024), 2: (16, 128), 3: (16,)}
+GRIDS = [(ndim, coarsening) for ndim in (1, 2) for coarsening in ("galerkin", "geometric")]
+ORACLE_CASES = [
+    *(pytest.param(ndim, coarsening, pre, 2, "fk", id=f"{ndim}-{coarsening}-{pre}")
+      for ndim, coarsening in GRIDS for pre in (0, 1, 2)),
+    *(pytest.param(ndim, coarsening, 1, post, "fk", id=f"{ndim}-{coarsening}-1-post{post}")
+      for ndim, coarsening in GRIDS for post in (1, 3)),
+    *(pytest.param(ndim, coarsening, 1, 2, "wide", id=f"{ndim}-{coarsening}-1-wide")
+      for ndim, coarsening in GRIDS),
+    *(pytest.param(3, coarsening, 1, 2, "compact", id=f"3-{coarsening}-1-compact")
+      for coarsening in ("galerkin", "geometric")),
+]
+
+
+@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, system", ORACLE_CASES)
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count, system):
     # coarse levels skip the operator apply on their zero start, a residual
-    # passed in spares the fine level one, and every level runs in place in
-    # its workspace; the iterates must not move by a bit, real or complex,
-    # up to 1D m = 1023 and 2D m = 127
-    build = fk_hierarchy_1d if ndim == 1 else fk_hierarchy_2d
+    # passed in spares the fine level one, and every level runs its part of
+    # one prebuilt tape in place in its workspace, the apply through one
+    # scaled copy per coefficient; the iterates must not move by a bit, real
+    # or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
+    # count, a half-bandwidth-2 stencil and a 27-point 3D operator
     rng = np.random.default_rng(17)
-    for intervals in (32, 1024) if ndim == 1 else (16, 128):
-        h = build(nu=2, intervals=intervals, strategy=coarsening, pre_count=pre_count)
+    for intervals in ORACLE_SIZES[ndim]:
+        h = build_hierarchy(oracle_operator(system, ndim, intervals), intervals - 1, coarsening,
+                            pre_count=pre_count, post_count=post_count)
         n = h.fine.unknowns
         for imag in (0.0, 1.0):
             v = rng.standard_normal(n) + imag * 1j * rng.standard_normal(n)
@@ -358,11 +401,31 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count):
                     assert np.array_equal(given, ref)
 
 
+@pytest.mark.parametrize("ndim, coarsening", [(1, "galerkin"), (2, "geometric")])
+def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening):
+    # the benchmark's sizes, 1D m = 1023 Galerkin and 2D m = 127 geometric,
+    # complex data and a warm start near the solution, where the iterates sit
+    # at the rounding floor: the solution and every relative residual equal
+    # the oracle's
+    intervals = 1024 if ndim == 1 else 128
+    h = build_hierarchy(oracle_operator("fk", ndim, intervals), intervals - 1, coarsening)
+    n = h.fine.unknowns
+    rng = np.random.default_rng(20)
+    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    noise = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v0 = dst_solve(h.fine.operator, f) * (1.0 + 1e-4 * noise)
+    x, report = solve(h, f, v0=v0, tol=1e-11)
+    want, residuals = reference_solve(h, f, v0, tol=1e-11)
+    assert report.converged
+    assert report.residuals == residuals
+    assert np.array_equal(x, want)
+
+
 def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes."""
     for dtype in dtypes:
         for ws in h.workspace(dtype):
-            yield from (ws.apply.x, ws.apply.tmp, ws.r_run, ws.rhs_run)
+            yield from (ws.apply.x, *ws.apply.scaled, ws.r_run, ws.rhs_run)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
