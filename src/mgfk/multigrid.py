@@ -45,6 +45,7 @@ from .stencil import (
     grid_depth,
     require_coarsenable,
     require_spd_eligible,
+    row_factor,
     run_calls,
 )
 
@@ -65,25 +66,40 @@ class GridLevel:
     def unknowns(self) -> int:
         return self.m**self.operator.ndim
 
+    @cached_property
+    def _kernels(self) -> dict:
+        return {}
+
+    def kernel(self, dtype) -> PaddedApply:
+        """A ``PaddedApply`` of the level's operator for ``dtype``, made on
+        first use and kept, apart from any cycle's workspace."""
+        dtype = np.dtype(dtype)
+        kernel = self._kernels.get(dtype)
+        if kernel is None:
+            kernel = self._kernels[dtype] = PaddedApply(self.operator, self.m, dtype)
+        return kernel
+
 
 class LevelWork:
     """Scratch of one level for one dtype, and the ufunc calls that work on it.
 
-    ``v`` is the iterate, the interior of the apply's zero-padded grid,
-    ``r`` the residual and temporary (the apply's output), and ``rhs`` the
+    ``v`` is the iterate, the grid held in the apply's run (``v_run``), ``r``
+    the residual and temporary (the apply's output), and ``rhs`` the
     right-hand side a cycle on this level reads: the one the level above
     restricts into, or the one ``solve`` or a caller's ``f`` is copied into.
-    Each grid is also held in the apply's contiguous run layout (``v_run``,
-    ``r_run``, ``rhs_run``), where the smoother's arithmetic runs; the pad
-    cells of ``r_run`` and ``rhs_run`` are kept at zero, so the updates keep
-    those of ``v_run`` at zero.  ``residual`` is the calls that form
-    ``r = rhs - A v``.  ``restrict`` (``r`` into the next level's ``rhs``)
-    and ``prolong`` (the next level's ``v`` into ``r``) are bound by
+    Each grid is held in the apply's run layout, rows of c * (m + 1) cells
+    with the hierarchy's one c (``v_run``, ``r_run``, ``rhs_run``), where
+    the smoother's arithmetic runs; the pad cells of ``r_run`` and
+    ``rhs_run`` are kept at zero, so the updates keep those of ``v_run`` at
+    zero, and the prolongation reads its edges from them.  ``residual`` is
+    the calls that form ``r = rhs - A v``.  ``restrict`` (``r`` into the
+    next level's ``rhs``, its pad cells refilled with zeros) and ``prolong``
+    (the next level's ``v`` into ``r``, pad cells zero) are bound by
     ``MgHierarchy.workspace``.
     """
 
-    def __init__(self, level: GridLevel, dtype):
-        self.apply = PaddedApply(level.operator, level.m, dtype)
+    def __init__(self, level: GridLevel, dtype, c: int | None = None):
+        self.apply = PaddedApply(level.operator, level.m, dtype, c)
         self.v, self.v_run, self.r_run = self.apply.x, self.apply.run, self.apply.out
         self.rhs_run = np.zeros_like(self.v_run)
         self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
@@ -157,16 +173,23 @@ class MgHierarchy:
     def _tapes(self) -> dict:
         return {}
 
+    @cached_property
+    def row_factor(self) -> int:
+        """The c of every level's run layout: the least that fits each level's
+        half-bandwidth, so a fine row is two coarse rows long."""
+        return max(row_factor(lv.operator.half_bandwidth, lv.m) for lv in self.levels)
+
     def workspace(self, dtype) -> tuple:
         """The ``LevelWork`` of every level for ``dtype``, made on first use,
         with the transfers bound between neighbouring levels."""
         dtype = np.dtype(dtype)
         work = self._work.get(dtype)
         if work is None:
-            work = tuple(LevelWork(lv, dtype) for lv in self.levels)
-            for fine, coarse in zip(work, work[1:]):
-                fine.restrict = transfer.Restriction(fine.r, coarse.rhs)
-                fine.prolong = transfer.Prolongation(coarse.v, fine.r)
+            c = self.row_factor
+            work = tuple(LevelWork(lv, dtype, c) for lv in self.levels)
+            for lv, fine, coarse in zip(self.levels, work, work[1:]):
+                fine.restrict = transfer.Restriction(fine.r_run, coarse.rhs_run, lv.shape, c)
+                fine.prolong = transfer.Prolongation(coarse.apply.framed, fine.r_run, lv.shape, c)
             self._work[dtype] = work
         return work
 
@@ -290,6 +313,8 @@ def smooth(
     """
     if weight <= 0.0:
         raise ValueError("smoothing weight must be positive")
+    if steps < 0:
+        raise ValueError(f"need steps >= 0, got {steps}")
     work = LevelWork(level, _work_dtype(v, f))
     work.v[...] = v
     work.rhs[...] = f
@@ -414,8 +439,11 @@ def solve(
 
 
 def energy_norm(level: GridLevel, e: np.ndarray) -> float:
-    """Norm induced by the SPD level operator: sqrt((A e, e))."""
-    val = np.vdot(e, level.operator.apply(e)).real
+    """Norm induced by the SPD level operator: sqrt((A e, e)), the product
+    through the level's ``kernel``."""
+    kernel = level.kernel(_work_dtype(e))
+    kernel.x[...] = level.operator.grid(e)
+    val = np.vdot(e, kernel.interior(kernel())).real
     return math.sqrt(max(val, 0.0))
 
 

@@ -3,10 +3,12 @@
 Every operator in the package is stored matrix-free: a stencil is a tuple
 of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
 ``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
-Both are applied by shifted-slice multiply-adds, a system operator on a
-zero-padded grid by ``PaddedApply``: one scaled copy of the grid per
-distinct point coefficient, then one add per nonzero point of its
-(2b+1)**d, built once as ufunc calls on scratch a caller may keep.  With
+Both are applied by shifted-slice multiply-adds, a system operator by
+``PaddedApply`` on the grid held in its run layout (``run_shape``: rows of
+c * (m + 1) cells, zero pad cells after each row's points): one scaled
+copy of the grid per distinct point coefficient, then one add per nonzero
+point of its (2b+1)**d, built once as ufunc calls on scratch a caller may
+keep.  With
 tridiagonal factors the type-I sine transform diagonalises them, which
 gives their spectra in closed form and an exact direct solve.  Dense
 materialisation exists only so tests can compare against explicit matrices.
@@ -14,6 +16,7 @@ materialisation exists only so tests can compare against explicit matrices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, ClassVar
@@ -168,9 +171,9 @@ class KroneckerSum:
 
     @cached_property
     def _points(self) -> tuple:
-        """Half-width ``b``, centre coefficient, ``(window, c)`` per nonzero
-        off-centre point, and the interior of a grid zero-padded by ``b`` on
-        every side; ``window`` slices the point's shifted copy out of it."""
+        """Half-width ``b``, centre coefficient, and ``(window, c)`` per nonzero
+        off-centre point; ``window`` slices the point's shifted copy out of a
+        grid zero-padded by ``b`` on every side."""
         b = self.half_bandwidth
         k = np.abs(np.arange(-b, b + 1))
         e, s = (np.pad(op.bands, (0, b - op.half_bandwidth))[k] for op in (self.mass, self.stiff))
@@ -181,7 +184,7 @@ class KroneckerSum:
             for idx in zip(*np.nonzero(c))
             if idx != centre
         )
-        return b, c[centre], taps, (slice(b, -b or None),) * self.ndim
+        return b, c[centre], taps
 
     @property
     def half_bandwidth(self) -> int:
@@ -245,50 +248,88 @@ class KroneckerSum:
         return float(self._kron_sum(self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()))
 
 
+def row_factor(b: int, m: int) -> int:
+    """The least c for which rows of c * (m + 1) cells hold m points and
+    ``b`` pad cells: 1 for every half-bandwidth up to 1."""
+    return -(-(m + b) // (m + 1))
+
+
+def run_shape(shape: tuple, c: int = 1) -> tuple:
+    """Shape of the run layout of a grid of ``shape``: axis 0 as it is, every
+    other axis of m points in rows of c * (m + 1) cells, the points first
+    and zero pad cells after them."""
+    return (shape[0], *(c * (m + 1) for m in shape[1:]))
+
+
+def interior(a: np.ndarray, shape: tuple, c: int = 1) -> np.ndarray:
+    """The grid of ``shape`` a flat array in its run layout holds."""
+    return a.reshape(run_shape(shape, c))[(slice(None), *(slice(m) for m in shape[1:]))]
+
+
+def pads(a: np.ndarray, shape: tuple, c: int = 1) -> tuple:
+    """Views covering every pad cell of a flat array in the run layout of
+    ``shape``, one per axis after the first; a last axis with one pad cell
+    per row gives the 1D view ``a[m::m + 1]``."""
+    rows, d = run_shape(shape, c), len(shape)
+    return tuple(
+        a[shape[k] :: rows[k]] if k == d - 1 and rows[k] == shape[k] + 1
+        else a.reshape(rows)[(slice(None),) * k + (slice(shape[k], None),)]
+        for k in range(1, d)
+    )
+
+
 class PaddedApply:
     """``A x`` on the (m,)*ndim grid, built once for one dtype as a tuple of
     ufunc calls on buffers of its own.
 
-    The operand lives in ``x``, the interior of a grid zero-padded by the
-    half-bandwidth b; the product goes to ``out``.  The kernel works on
-    ``run``, one contiguous stretch of that grid's flat storage: the m rows
-    of n = m + 2b values from the interior's first point on, with the pad
-    cells between interior rows (in 1D the run is ``x`` itself), and
-    ``out`` is laid out the same way.  An array laid out like the run
-    holds a grid in ``interior(a)`` and pad cells in ``pads(a)``; pad cells
-    of ``out`` mean nothing after a call.
+    The operand lives in ``x``, held in ``run``: the grid in the run layout
+    (``run_shape``) with rows of n = c * (m + 1) cells, n >= m + b for the
+    half-bandwidth b, inside a flat zero-padded storage.  A point's
+    neighbours past the end of its row are the row's pad cells, those
+    before its start the previous row's (one shared pad cell serves both
+    sides when b = 1), and those off the first or last row are the zero
+    storage on either side of the run, at least one row block wide;
+    ``framed`` is the run with one such zero row block on either side.  In
+    1D the run is ``x`` itself.  The product goes to ``out``, laid out like
+    the run; ``interior(a)`` and ``pads(a)`` are the grid and the pad cells
+    of an array so laid out.  Pad cells of ``out`` mean nothing after a
+    call.
 
-    ``calls`` computes ``centre * run``, then one scaled copy ``c * grid``
-    in ``scaled`` per distinct off-centre coefficient value c (exact
+    ``calls`` computes ``centre * run``, then one scaled copy ``a * grid``
+    in ``scaled`` per distinct off-centre coefficient value a (exact
     ``==``), over the stretch that the points with that coefficient read,
     then adds each point's shifted window of its copy in ``_points`` order.
     The windows are views built here, so every ufunc call is on contiguous
     memory, which numpy runs unbuffered, and each interior value is exactly
     that of the plain slice expressions ``out = centre * x``,
-    ``out += c * window``.  Coefficients are 0-d arrays of the grid's
+    ``out += a * window``.  Coefficients are 0-d arrays of the grid's
     dtype, the cheapest scalar operand numpy takes.
     """
 
-    def __init__(self, op: KroneckerSum, m: int, dtype):
-        b, centre, taps, inner = op._points
-        d, n = op.ndim, m + 2 * b
-        stride = [n ** (d - 1 - k) for k in range(d)]  # flat stride of each axis
-        first, size = b * sum(stride), m * stride[0]  # the run: interior origin, length
+    def __init__(self, op: KroneckerSum, m: int, dtype, c: int | None = None):
+        b, centre, taps = op._points
+        c = row_factor(b, m) if c is None else c
+        if c * (m + 1) < m + b:
+            raise ValueError(f"rows of {c} * ({m} + 1) cells cannot pad a half-bandwidth of {b}")
+        d, self.shape, self.c = op.ndim, (m,) * op.ndim, c
+        rows = run_shape(self.shape, c)
+        stride = [math.prod(rows[k + 1 :]) for k in range(d)]  # flat stride of each axis
+        first, size = max(b, 1) * sum(stride), m * stride[0]  # the run: interior origin, length
         offsets = [sum((s.start - b) * st for s, st in zip(w, stride)) for w, _ in taps]
-        flat = np.zeros(max(n**d, first + max(offsets, default=0) + size), dtype)
-        self.x = flat[: n**d].reshape((n,) * d)[inner]
+        flat = np.zeros(size + 2 * first, dtype)
         self.run = flat[first : first + size]
+        self.framed = flat[first - stride[0] : first + size + stride[0]]
+        self.x = self.interior(self.run)
         self.out = np.zeros(size, dtype)
-        self._rows = (m,) + (n,) * (d - 1)
         groups = {}  # coefficient value -> offsets of its points
-        for off, (_, c) in zip(offsets, taps):
-            groups.setdefault(float(c), []).append(off)
+        for off, (_, coef) in zip(offsets, taps):
+            groups.setdefault(float(coef), []).append(off)
         scaled, window = [], {}
-        for c, offs in groups.items():
+        for coef, offs in groups.items():
             lo, hi = min(offs), max(offs)
             copy = np.empty(hi - lo + size, dtype)
             src = flat[first + lo : first + hi + size]
-            scaled.append((np.multiply, (src, np.array(c, dtype), copy)))
+            scaled.append((np.multiply, (src, np.array(coef, dtype), copy)))
             window.update((off, copy[off - lo : off - lo + size]) for off in offs)
         self.scaled = tuple(args[2] for _, args in scaled)
         self.calls = (
@@ -299,16 +340,11 @@ class PaddedApply:
 
     def interior(self, a: np.ndarray) -> np.ndarray:
         """The (m,)*ndim grid an array laid out like the run holds."""
-        m = self._rows[0]
-        return a.reshape(self._rows)[(slice(None),) + (slice(m),) * (len(self._rows) - 1)]
+        return interior(a, self.shape, self.c)
 
     def pads(self, a: np.ndarray) -> tuple:
         """Views of the pad cells of an array laid out like the run."""
-        m, rows = self._rows[0], a.reshape(self._rows)
-        return tuple(
-            rows[(slice(None),) + (slice(m),) * (k - 1) + (slice(m, None),)]
-            for k in range(1, len(self._rows))
-        )
+        return pads(a, self.shape, self.c)
 
     def __call__(self) -> np.ndarray:
         """Write ``A x`` into ``out`` and return it."""

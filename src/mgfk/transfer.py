@@ -1,64 +1,78 @@
 """Matrix-free grid transfers: full weighting and linear interpolation.
 
-Fine and coarse grids have 2**k - 1 points per dimension.  ``Restriction``
-and ``Prolongation`` apply the 1-2-1 pair along every axis of a grid, axis
-0 first, between buffers they are bound to: the input, one intermediate per
-axis but the last, and the output.  Each builds its work once, as a tuple
-``calls`` of ``(ufunc, args)`` on the strided views each axis reads and
-writes, with the weights as 0-d arrays of the output's dtype; a call runs
-that tuple, and the V-cycle splices it into its own.  The prolongation is
-2**ndim times the transpose of the restriction.  ``restrict`` and
-``prolong`` bind the pair to fresh buffers for one call.
+Fine and coarse grids have 2**k - 1 points per axis.  ``Restriction`` and
+``Prolongation`` apply the 1-2-1 pair along every axis, axis 0 first,
+between flat arrays holding the grids in the run layout of
+``stencil.run_shape`` (rows of c * (m + 1) cells, zero pad cells after the
+points), with one c for both grids, so a fine row is exactly two coarse
+rows long.  The axes before the last run on row-block views with
+contiguous rows, into one intermediate per axis; on the last axis, coarse
+cell q of a whole run sits at 2q + 1 of the other, so each operation is
+one 1D stride-2 call.  The restriction then fills the coarse pad cells
+with zeros; the prolongation takes its edge values from zero cells, as
+(0 + x) * 0.5 (the zero rows around the coarse run, the pad cells, one
+leading zero cell per intermediate), and leaves zero pad cells.  Each
+builds its work once, as a tuple ``calls`` of ``(ufunc, args)`` with the
+weights as 0-d arrays of the output's dtype; a call runs that tuple, and
+the V-cycle splices it into its own.  The prolongation is 2**ndim times
+the transpose of the restriction.  ``restrict`` and ``prolong`` bind the
+pair to fresh buffers for one call.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .stencil import grid_depth, run_calls
+from .stencil import grid_depth, interior, pads, run_calls, run_shape
 
 
-def _fine_sizes(m_fine: int) -> int:
-    k = grid_depth(m_fine)
-    if k < 2:
+def _coarse_size(m_fine: int) -> int:
+    if grid_depth(m_fine) < 2:
         raise GridSizeError(f"fine grid size {m_fine} has no coarser level")
     return (m_fine - 1) // 2
 
 
-def _stages(x: np.ndarray, out: np.ndarray) -> list:
-    """(axis, input, output) per axis: ``x``, the intermediates, ``out``."""
-    stages, src = [], x
-    for axis in range(x.ndim):
-        last = axis == x.ndim - 1
-        dst = out if last else np.empty(out.shape[: axis + 1] + x.shape[axis + 1 :], out.dtype)
-        stages.append((axis, src, dst))
-        src = dst
-    return stages
-
-
-def _along(a: np.ndarray, axis: int, s: slice) -> np.ndarray:
-    return a[(slice(None),) * axis + (s,)]
+def _blocks(a: np.ndarray, rows: tuple, axis: int) -> np.ndarray:
+    """The first cells of flat ``a`` as (outer, rows[axis], inner) blocks of ``rows``."""
+    outer, inner = math.prod(rows[:axis]), math.prod(rows[axis + 1 :])
+    return a[: outer * rows[axis] * inner].reshape(outer, rows[axis], inner)
 
 
 class Restriction:
     """Full weighting along every axis: coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4,
-    evaluated as ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``."""
+    evaluated as ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``.
 
-    def __init__(self, x: np.ndarray, out: np.ndarray):
+    ``x`` is the run of the fine grid of ``shape``, ``out`` that of the coarse
+    grid, both with rows of c * (m + 1) cells.
+    """
+
+    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple, c: int = 1):
         self.out = out
+        coarse = tuple(_coarse_size(m) for m in shape)
         two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
-        calls = []
-        for axis, src, dst in _stages(x, out):
-            lo = _along(src, axis, slice(0, -2, 2))
-            odd = _along(src, axis, slice(1, None, 2))
-            hi = _along(src, axis, slice(2, None, 2))
-            calls += [
+
+        def weigh(lo, odd, hi, dst):
+            return [
                 (np.multiply, (odd, two, dst)),
                 (np.add, (lo, dst, dst)),
                 (np.add, (dst, hi, dst)),
                 (np.multiply, (dst, quarter, dst)),
             ]
+
+        calls, src = [], x
+        for axis, mc in enumerate(coarse[:-1]):
+            rows = run_shape(coarse[: axis + 1] + shape[axis + 1 :], c)
+            src_rows = run_shape(coarse[:axis] + shape[axis:], c)
+            dst = np.zeros(math.prod(rows) + 1, out.dtype)  # one cell more for the last axis's reads
+            s, o = _blocks(src, src_rows, axis), _blocks(dst, rows, axis)
+            lo, odd, hi = (s[:, i : i + 2 * mc - 1 : 2] for i in (0, 1, 2))
+            calls += weigh(lo, odd, hi, o[:, :mc])
+            src = dst
+        calls += weigh(src[0:-1:2], src[1::2], src[2::2], out)  # coarse q from fine 2q + 1
+        calls += [(pad.fill, (0.0,)) for pad in pads(out, coarse, c)]
         self.calls = tuple(calls)
 
     def __call__(self) -> np.ndarray:
@@ -70,26 +84,46 @@ class Prolongation:
     """Linear interpolation along every axis; in 1D the columns are (1/2) * [1, 2, 1]^T.
 
     Fine points sitting on coarse points copy the coarse value; in-between
-    points take the average of their flanking coarse values (zero outside),
+    points take the average of their flanking coarse values, zero outside,
     so the two edge points take half of the edge coarse values.
+
+    ``x`` is the run of the coarse grid with one zero row block (in 1D one
+    zero cell) on either side, ``stencil.PaddedApply.framed``; ``out`` is
+    the run of the fine grid of ``shape``, both with rows of c * (m + 1)
+    cells.
     """
 
-    def __init__(self, x: np.ndarray, out: np.ndarray):
+    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple, c: int = 1):
         self.out = out
+        coarse = tuple(_coarse_size(m) for m in shape)
         half = np.array(0.5, out.dtype)
-        calls = []
-        for axis, src, dst in _stages(x, out):
-            n = src.shape[axis]
-            odd, mid = _along(dst, axis, slice(1, None, 2)), _along(dst, axis, slice(2, -1, 2))
-            lo, hi = _along(src, axis, slice(None, -1)), _along(src, axis, slice(1, None))
-            src_edges = _along(src, axis, slice(None, None, max(n - 1, 1)))  # first and last
-            edges = _along(dst, axis, slice(None, None, 2 * n))
+
+        calls, src = [], x
+        for axis in range(len(shape) - 1):
+            src_rows = run_shape(shape[:axis] + coarse[axis:], c)
+            rows = run_shape(shape[: axis + 1] + coarse[axis + 1 :], c)
+            # src starts one block early: axis 0's zero row, later axes' leading zeros
+            n = src_rows[axis] + (axis == 0)  # on axis 0 the zero row after the run too
+            lo_rows = src_rows[:axis] + (n,) + src_rows[axis + 1 :]
+            inner = math.prod(rows[axis + 1 :])
+            lo = _blocks(src, lo_rows, axis)
+            hi = _blocks(src[inner:], lo_rows, axis)
+            lead = math.prod(rows[axis + 2 :])  # the next axis's block: 1 before the last
+            dst = np.zeros(lead + math.prod(rows), out.dtype)
+            o = _blocks(dst[lead:], rows, axis)
+            even, odd = o[:, 0::2], o[:, 1::2]
             calls += [
-                (np.copyto, (odd, src)),
-                (np.add, (lo, hi, mid)),
-                (np.multiply, (mid, half, mid)),
-                (np.multiply, (src_edges, half, edges)),
+                (np.copyto, (odd, hi[:, : odd.shape[1]])),
+                (np.add, (lo, hi, even)),
+                (np.multiply, (even, half, even)),
             ]
+            src = dst
+        even, odd = out[0::2], out[1::2]  # fine 2q + 1 from coarse q
+        calls += [
+            (np.copyto, (odd, src[1 : odd.size + 1])),
+            (np.add, (src[: even.size], src[1 : even.size + 1], even)),
+            (np.multiply, (even, half, even)),
+        ]
         self.calls = tuple(calls)
 
     def __call__(self) -> np.ndarray:
@@ -107,13 +141,24 @@ def _grid(x) -> np.ndarray:
 def restrict(x: np.ndarray) -> np.ndarray:
     """``Restriction`` of ``x`` into a new array."""
     x = _grid(x)
-    out = np.empty(tuple(_fine_sizes(n) for n in x.shape), np.result_type(x, 0.25))
-    return Restriction(x, out)()
+    coarse = tuple(_coarse_size(m) for m in x.shape)
+    dtype = np.result_type(x, 0.25)
+    fine = np.zeros(math.prod(run_shape(x.shape)), dtype)
+    interior(fine, x.shape)[...] = x
+    out = np.empty(math.prod(run_shape(coarse)), dtype)
+    return interior(Restriction(fine, out, x.shape)(), coarse).copy()
 
 
 def prolong(x: np.ndarray) -> np.ndarray:
     """``Prolongation`` of ``x`` into a new array."""
     x = _grid(x)
-    for n in x.shape:
-        grid_depth(n)
-    return Prolongation(x, np.empty(tuple(2 * n + 1 for n in x.shape), np.result_type(x, 0.5)))()
+    for m in x.shape:
+        grid_depth(m)
+    shape = tuple(2 * m + 1 for m in x.shape)
+    dtype = np.result_type(x, 0.5)
+    rows = run_shape(x.shape)
+    block = math.prod(rows[1:])
+    framed = np.zeros(math.prod(rows) + 2 * block, dtype)
+    interior(framed[block:-block], x.shape)[...] = x
+    out = np.empty(math.prod(run_shape(shape)), dtype)
+    return interior(Prolongation(framed, out, shape)(), shape).copy()

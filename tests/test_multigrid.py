@@ -88,6 +88,14 @@ def test_smooth_zero_steps_is_identity():
     assert np.array_equal(out, v)
 
 
+@pytest.mark.parametrize("steps", [-1, -3])
+def test_smooth_rejects_negative_steps(steps):
+    # a negative count must not read as zero sweeps
+    h = build_hierarchy(LAPLACIAN_1D, 7)
+    with pytest.raises(ValueError):
+        smooth(h.levels[0], np.arange(7.0), np.zeros(7), 0.5, steps)
+
+
 def test_smooth_single_weighted_jacobi_step():
     h = build_hierarchy(LAPLACIAN_1D, 7)
     f = LAPLACIAN.apply(np.ones(7))
@@ -324,6 +332,23 @@ def test_energy_norm_value():
     e = np.ones(7)
     expected = np.sqrt(np.ones(7) @ LAPLACIAN.to_dense(7) @ np.ones(7))
     assert energy_norm(h.levels[0], e) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_energy_norm_applies_one_kept_kernel_per_dtype(ndim):
+    # the same value as a one-shot apply, through a kernel made once per
+    # level and dtype, whose pad cells stay zero between calls
+    h = fk_hierarchy_1d() if ndim == 1 else fk_hierarchy_2d()
+    lv = h.levels[1]
+    rng = np.random.default_rng(21)
+    for dtype, imag in ((float, 0.0), (complex, 1.0), (float, 0.0)):
+        e = rng.standard_normal(lv.unknowns) + imag * 1j * rng.standard_normal(lv.unknowns)
+        want = np.sqrt(max(np.vdot(e, lv.operator.apply(e)).real, 0.0))
+        kernel = lv.kernel(dtype)
+        assert energy_norm(lv, e) == want
+        assert energy_norm(lv, e.reshape(lv.shape)) == want
+        assert lv.kernel(dtype) is kernel
+        assert not any(np.any(p) for p in kernel.pads(kernel.run))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

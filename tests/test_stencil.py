@@ -14,6 +14,7 @@ from mgfk.stencil import (
     IDENTITY,
     LAPLACIAN,
     KroneckerSum,
+    PaddedApply,
     ToeplitzStencil,
     dst_solve,
     grid_depth,
@@ -304,3 +305,16 @@ def test_import_loads_no_scipy_fft_or_linalg():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == ""
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_padded_apply_rows_must_hold_the_half_bandwidth(ndim):
+    # rows of c * (m + 1) cells need b pad cells: c = 1 is too short for b = 2
+    wide = KroneckerSum(ndim, 1.0, 1.0, COMPACT_MASS, ToeplitzStencil((6.0, -2.0, 0.5)))
+    with pytest.raises(ValueError):
+        PaddedApply(wide, 7, np.dtype(float), 1)
+    x = np.random.default_rng(ndim).standard_normal((7,) * ndim)
+    for c in (None, 2, 3):
+        kernel = PaddedApply(wide, 7, np.dtype(float), c)
+        kernel.x[...] = x
+        assert np.array_equal(kernel.interior(kernel()), wide.apply(x))

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from mgfk.errors import GridSizeError
+from mgfk.multigrid import build_hierarchy
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, ToeplitzStencil
 from mgfk.transfer import prolong, restrict
 
 from helpers import (
@@ -149,3 +151,82 @@ def test_bad_sizes_raise_grid_error():
         restrict(np.ones(1))
     with pytest.raises(GridSizeError):
         prolong(np.ones((3, 2)))
+    with pytest.raises(GridSizeError):
+        restrict(np.ones((7, 1)))
+
+
+@pytest.mark.parametrize("shape", [(7, 15), (15, 7), (3, 7, 15), (15, 3, 7), (1, 3)])
+def test_rectangular_grids_match_the_oracle(shape):
+    # every axis of 2**k - 1 points on its own: restrict the grid, prolong its coarse shape
+    rng = np.random.default_rng(sum(shape))
+    coarse = tuple((m - 1) // 2 for m in shape)
+    for imag in (0.0, 1.0):
+        x = rng.standard_normal(shape) + imag * 1j * rng.standard_normal(shape)
+        if min(shape) > 1:
+            assert np.array_equal(restrict(x), reference_restrict(x))
+        y = rng.standard_normal(shape) + imag * 1j * rng.standard_normal(shape)
+        assert np.array_equal(prolong(y), reference_prolong(y))
+        assert prolong(y).shape == tuple(2 * m + 1 for m in shape)
+        if min(coarse) > 0:
+            assert restrict(x).shape == coarse
+
+
+WIDE = ToeplitzStencil((6.0, -2.0, 0.5))  # half-bandwidth 2: rows of 2 * (m + 1) cells
+HIERARCHIES = [
+    pytest.param(ndim, stiff, m, id=f"{ndim}d-b{stiff.half_bandwidth}")
+    for ndim, m in ((1, 63), (2, 31), (3, 15))
+    for stiff in (LAPLACIAN, WIDE)
+]
+
+
+def _pad_cells(ws, run):
+    return np.concatenate([p.ravel() for p in ws.apply.pads(run)] + [np.zeros(0)])
+
+
+@pytest.mark.parametrize("ndim, stiff, m", HIERARCHIES)
+def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, stiff, m):
+    # at every level: the bound pair equals the allocating oracle bit for bit,
+    # whatever the fine pad cells held, and leaves every pad cell of the coarse
+    # rhs and of the fine residual exactly zero, which the zero-start cycle
+    # below relies on
+    h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, stiff), m)
+    rng = np.random.default_rng(ndim + stiff.half_bandwidth)
+    for dtype in (float, complex):
+        work = h.workspace(dtype)
+        for fine, coarse in zip(work, work[1:]):
+            fine.r_run[...] = rng.standard_normal(fine.r_run.shape)  # pads included
+            coarse.rhs_run[...] = rng.standard_normal(coarse.rhs_run.shape)
+            if dtype is complex:
+                fine.r_run.imag = rng.standard_normal(fine.r_run.shape)
+            grid = fine.r.copy()
+            fine.restrict()
+            assert np.array_equal(coarse.rhs, reference_restrict(grid))
+            assert not np.any(_pad_cells(coarse, coarse.rhs_run))
+            coarse.v[...] = rng.standard_normal(coarse.v.shape)
+            if dtype is complex:
+                coarse.v.imag = rng.standard_normal(coarse.v.shape)
+            fine.r_run[...] = rng.standard_normal(fine.r_run.shape)
+            fine.prolong()
+            assert np.array_equal(fine.r, reference_prolong(coarse.v))
+            assert not np.any(_pad_cells(fine, fine.r_run))
+            assert fine.r.dtype == coarse.rhs.dtype == np.dtype(dtype)
+
+
+@pytest.mark.parametrize("ndim, calls", [(1, (4, 3)), (2, (9, 6))])
+def test_last_axis_passes_are_1d_calls(ndim, calls):
+    # the last axis runs as one stride-2 call per operation on whole runs,
+    # the pad fill as one strided view; the axes before it read and write
+    # row blocks with contiguous rows
+    h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
+    for dtype in (float, complex):
+        for ws in h.workspace(dtype)[:-1]:
+            restriction, prolongation = ws.restrict.calls, ws.prolong.calls
+            assert (len(restriction), len(prolongation)) == calls
+            last = restriction[-5 if ndim > 1 else -4 :] + prolongation[-3:]
+            for fn, args in last:
+                arrays = [a for a in (*args, getattr(fn, "__self__", None))
+                          if isinstance(a, np.ndarray) and a.ndim > 0]
+                assert arrays and all(a.ndim == 1 for a in arrays)
+            for _, args in restriction[: -5 if ndim > 1 else -4] + prolongation[:-3]:
+                for a in args:
+                    assert a.ndim == 0 or a.strides[-1] == a.itemsize
