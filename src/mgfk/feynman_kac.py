@@ -14,11 +14,14 @@ l_0 I(x)I + mu (I(x)L + L(x)I).  The dimension decides only the mass factor
 of the system operator, the grid coordinates, and the compact-mass
 weighting with Dirichlet completion of the 1D right-hand side.
 
-The system matrix is real SPD; solves carry complex right-hand sides
-end-to-end, by V-cycle multigrid or by an exact sine-transform solve.  The
-memory convolution is evaluated naively at O(n) per step as one
-matrix-vector product over the stored levels; in 1D the mass H is linear and
-the weights are scalars, so H is applied once to the summed level.
+The system matrix is real SPD and is solved by V-cycle multigrid or by an
+exact sine-transform solve.  Real problems (real rho, initial values and
+boundary traces) step in float64 and complex ones in complex128; the first
+forcing value with a nonzero imaginary part promotes a real run to
+complex128, which is exact because every stored level is real.  The memory
+convolution is evaluated naively at O(n) per step as one matrix-vector
+product over the stored levels; in 1D the mass H is linear and the weights
+are scalars, so H is applied once to the summed level.
 """
 
 from __future__ import annotations
@@ -117,8 +120,20 @@ class Evolution:
         self.max_iter = max_iter
 
         p = problem
+        self.coords = p.coords
+        self.t = p.tau * np.arange(p.n_steps + 1)
+        initial = np.asarray(p.initial(*self.coords)).ravel()
+        traces = [
+            np.zeros(self.t.size) if bc is None else np.array([complex(bc(tn)) for tn in self.t])
+            for bc in (p.bc_left, p.bc_right)
+        ]
+        # The working dtype: float64 unless rho or the data is complex.
+        real = complex(p.rho).imag == 0 and all(map(_is_real, (initial, *traces)))
+        self.dtype = np.dtype(float if real else complex)
+        rho = np.real(p.rho) if real else p.rho
+
         self.l = weights(p.alpha, order, p.n_steps)
-        self.decay = np.exp(-p.rho * p.tau * np.arange(p.n_steps + 1))
+        self.decay = np.exp(-rho * p.tau * np.arange(p.n_steps + 1)).astype(self.dtype, copy=False)
         # w_N..w_1 of w_k = e^{-rho k tau} l_k, reversed once into a contiguous
         # array: a positive-stride slice goes to BLAS, while numpy runs its own
         # unblocked loop on the negative-stride view w[1:n][::-1].
@@ -143,16 +158,9 @@ class Evolution:
         else:
             raise ValueError(f"unknown solver {solver!r}")
 
-        self.coords = p.coords
-        self.t = p.tau * np.arange(p.n_steps + 1)
-        self.g_left, self.g_right = (
-            np.zeros(self.t.size, dtype=complex)
-            if bc is None
-            else np.array([complex(bc(tn)) for tn in self.t])
-            for bc in (p.bc_left, p.bc_right)
-        )
-        self.history = np.zeros((p.n_steps + 1, p.m**p.ndim), dtype=complex)
-        self.history[0] = np.asarray(p.initial(*self.coords), dtype=complex).ravel()
+        self.g_left, self.g_right = (np.asarray(g.real if real else g, self.dtype) for g in traces)
+        self.history = np.zeros((p.n_steps + 1, p.m**p.ndim), self.dtype)
+        self.history[0] = initial.real if real else initial
         self.step_index = 0
         self.iterations: list[int] = []
         self.reports: list[vc.SolveReport] = []
@@ -163,19 +171,20 @@ class Evolution:
         boundary completion of the truncated operators."""
         p = self.problem
         tau_alpha = p.tau**p.alpha
+        # The forcing is read before any sum: a complex value promotes the stepper.
+        fn = self._read(p.forcing(*self.coords, self.t[n])).ravel()
+        f_ghosts = [
+            self._read(p.forcing(np.array([x]), self.t[n]))[0].item()
+            for x in ((0.0, p.length) if p.ndim == 1 else ())
+        ]
         w = self._w_rev[p.n_steps + 1 - n :]
-        fn = np.asarray(p.forcing(*self.coords, self.t[n]), dtype=complex).ravel()
         levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
         if p.ndim == 2:
             return levels + tau_alpha * fn
         rhs = COMPACT_MASS.apply(levels + tau_alpha * fn)
 
         # Dirichlet completion of the truncated operators at both walls.
-        for pos, trace, x_ghost in (
-            (0, self.g_left, 0.0),
-            (p.m - 1, self.g_right, p.length),
-        ):
-            f_ghost = complex(p.forcing(np.array([x_ghost]), self.t[n])[0])
+        for pos, trace, f_ghost in zip((0, p.m - 1), (self.g_left, self.g_right), f_ghosts):
             rhs[pos] += self.mu * trace[n] + (
                 -self.l[0] * trace[n]
                 - w @ trace[1:n]
@@ -183,6 +192,24 @@ class Evolution:
                 + tau_alpha * f_ghost
             ) / 12.0
         return rhs
+
+    def _read(self, values) -> np.ndarray:
+        """``values`` as an array of the working dtype.  A nonzero imaginary
+        part in a float64 run promotes the stepper to complex128 first."""
+        a = np.asarray(values)
+        if self.dtype.kind == "f" and np.iscomplexobj(a):
+            if _is_real(a):
+                a = a.real
+            else:
+                self._promote()
+        return a.astype(self.dtype, copy=False)
+
+    def _promote(self) -> None:
+        """Carry on in complex128: the history, weights and traces are real so
+        far, so the cast is exact."""
+        self.dtype = np.dtype(complex)
+        for name in ("decay", "_w_rev", "g_left", "g_right", "history"):
+            setattr(self, name, getattr(self, name).astype(complex))
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
         guess = self.history[n - 1].copy() if self.warm_start else None
@@ -234,6 +261,12 @@ class Evolution:
             writer.writerow(["index", "re", "im"])
             for i, val in enumerate(self.history[n], start=1):
                 writer.writerow([i, repr(float(val.real)), repr(float(val.imag))])
+
+
+def _is_real(a: np.ndarray) -> bool:
+    """Whether every imaginary part of ``a`` is exactly zero."""
+    # count_nonzero: a quarter of the cold cost of any() on a 16k-point grid
+    return not np.iscomplexobj(a) or np.count_nonzero(a.imag) == 0
 
 
 # The benchmark harness (benchmarks/workloads.py) builds its steppers through

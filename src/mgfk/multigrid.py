@@ -8,8 +8,9 @@ Cycles run on (m,)*ndim grids.
 
 A cycle allocates nothing but the array it returns: it runs in place on
 per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
-first cycle for a given dtype (complex for the time steppers, float for
-``measure_contraction``) and reuses from then on.  Every kernel (apply,
+first cycle for a given dtype (float64 for real time steppers and
+``measure_contraction``, complex128 for complex steppers, from their first
+complex value on) and reuses from then on.  Every kernel (apply,
 smoother, transfers) is built with the buffers as a tuple of
 ``(ufunc, args)`` calls into preallocated outputs, in the operation order
 of the plain array expressions, so the iterates do not depend on the

@@ -443,12 +443,20 @@ def lambda_max(
     """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid.
 
     Exact from the sine symbol when every factor is tridiagonal, seeded
-    Lanczos otherwise.  Returns ``(estimate, gershgorin_bound)``.
+    Lanczos otherwise, a Kronecker sum's matvecs through one kept
+    ``PaddedApply``.  Returns ``(estimate, gershgorin_bound)``.
     """
     if op.half_bandwidth <= 1:
-        est = float(np.max(op.eigenvalues(m)))
-    else:
-        est = largest_eigenvalue(op.apply, m**op.ndim, tol=tol, max_iter=max_iter, seed=seed)
+        return float(np.max(op.eigenvalues(m))), op.gershgorin_bound()
+    matvec = op.apply
+    if isinstance(op, KroneckerSum):
+        kernel = PaddedApply(op, m, float)
+
+        def matvec(v):
+            kernel.x[...] = v.reshape(kernel.shape)
+            return kernel.interior(kernel()).flatten()
+
+    est = largest_eigenvalue(matvec, m**op.ndim, tol=tol, max_iter=max_iter, seed=seed)
     return est, op.gershgorin_bound()
 
 

@@ -172,11 +172,13 @@ def test_snapshot_csv_2d(tmp_path):
 
     p = example_6_2(0.3, 8)
     ev = Evolution(p, order=2, solver="direct").run()
+    assert ev.history.dtype == np.float64
     path = tmp_path / "snap2d.csv"
     ev.write_snapshot_csv(path)
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1 + 49
+    assert all(r[2] == "0.0" for r in rows[1:])  # a float history writes im as 0.0
     values = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
     assert np.array_equal(values, ev.state)
 
@@ -266,3 +268,103 @@ def test_snapshot_of_uncomputed_step_raises(ndim, tmp_path):
             ev.write_snapshot_csv(tmp_path / "snap.csv", step=bad)
     ev.write_snapshot_csv(tmp_path / "snap.csv", step=0)
     ev.write_snapshot_csv(tmp_path / "snap.csv", step=1)
+
+
+STEPPERS = [
+    {"solver": "mgm", "coarsening": "galerkin"},
+    {"solver": "mgm", "coarsening": "geometric"},
+    {"solver": "direct"},
+]
+STEPPER_IDS = ["galerkin", "geometric", "direct"]
+
+
+def scaled(p, c):
+    """``p`` with its initial values and forcing multiplied by ``c``."""
+    return dataclasses.replace(
+        p,
+        initial=lambda *x, f=p.initial: c * f(*x),
+        forcing=lambda *x, f=p.forcing: c * f(*x),
+    )
+
+
+@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
+@pytest.mark.parametrize("intervals", [16, 32])
+def test_real_problem_steps_in_float64(intervals, kw):
+    # example 6.2 has rho = 1 + 0j, zero initial values and a forcing whose
+    # imaginary parts are exactly zero: nothing complex to carry
+    real = Evolution(example_6_2(0.3, intervals), order=2, **kw).run()
+    assert real.history.dtype == np.float64
+    assert real.decay.dtype == real._w_rev.dtype == np.float64
+
+    cplx = Evolution(scaled(example_6_2(0.3, intervals), 1 + 1j), order=2, **kw).run()
+    assert cplx.history.dtype == np.complex128
+    want = (1 + 1j) * real.history
+    assert np.max(np.abs(cplx.history - want)) <= 1e-12 * np.max(np.abs(want))
+    assert cplx.iterations == real.iterations
+
+
+@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
+def test_forcing_turning_complex_promotes_the_stepper(kw):
+    p = example_6_2(0.3, 16)  # tau = 1/16: steps 1..7 are real, step 8 on complex
+    p.forcing = lambda x, y, t, f=p.forcing: (1.0 if t < 0.5 else 1 + 1j) * f(x, y, t)
+    ev = Evolution(p, order=2, **kw)
+    for _ in range(7):
+        ev.step()
+    assert ev.history.dtype == np.float64
+    ev.step()
+    assert ev.history.dtype == ev.decay.dtype == ev._w_rev.dtype == np.complex128
+    assert np.any(ev.state.imag)
+    ev.run()
+
+    # the all-complex run: the same stepper promoted before its first step
+    ref = Evolution(p, order=2, **kw)
+    ref._promote()
+    ref.run()
+    assert np.max(np.abs(ev.history - ref.history)) <= 1e-12 * np.max(np.abs(ref.history))
+    assert ev.iterations == ref.iterations
+
+
+def test_complex_rate_steps_in_complex128_from_the_start():
+    ev = Evolution(example_6_1(0.3, 16), order=4)
+    for a in (ev.history, ev.decay, ev._w_rev, ev.g_left, ev.g_right):
+        assert a.dtype == np.complex128
+    ev.run()
+    assert ev.history.dtype == np.complex128
+
+
+def real_problem_1d(**kw):
+    """A 1D problem with a real rate, real data and real Dirichlet traces."""
+    return dataclasses.replace(
+        Problem(
+            length=1.0, kappa=0.8, alpha=0.6, rho=0.7, t_final=1.0, m=15, n_steps=12,
+            forcing=lambda x, t: np.exp(-0.7 * t) * (1.0 + x * x) * (1.0 + t),
+            initial=lambda x: np.sin(np.pi * x) + x,
+            bc_left=lambda t: 1.0 - 0.5 * t,
+            bc_right=lambda t: np.cos(t),
+        ),
+        **kw,
+    )
+
+
+@pytest.mark.parametrize("solver", ["mgm", "direct"])
+def test_real_1d_problem_matches_naive_rhs_in_float64(solver):
+    ev = Evolution(real_problem_1d(), order=3, solver=solver)
+    for a in (ev.history, ev.decay, ev._w_rev, ev.g_left, ev.g_right):
+        assert a.dtype == np.float64
+    for n in range(1, ev.problem.n_steps + 1):
+        got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
+        assert got.dtype == np.float64
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        ev.step()
+    assert ev.history.dtype == np.float64
+
+
+def test_complex_trace_keeps_a_1d_run_complex():
+    p = real_problem_1d(bc_right=lambda t: np.cos(t) + 0.25j * t)
+    ev = Evolution(p, order=3, solver="direct")
+    assert ev.history.dtype == ev.g_right.dtype == np.complex128
+    for n in (1, 2):
+        got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        ev.step()
+

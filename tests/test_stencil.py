@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mgfk
+from mgfk import stencil
 from mgfk.coarsen import fk_operator, galerkin_step, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, EstimationError, GridSizeError, MgfkError
 from mgfk.fsd import weights
@@ -237,6 +238,24 @@ def test_eigenvalues_need_tridiagonal_factors():
     est, gersh = lambda_max(op, 7)
     assert est == pytest.approx(np.linalg.eigvalsh(op.to_dense(7)).max(), rel=1e-9)
     assert est <= gersh
+
+
+def test_lambda_max_keeps_one_kernel_for_every_lanczos_matvec(monkeypatch):
+    # half-bandwidth 2 falls back to Lanczos; its estimate must equal that of
+    # a fresh apply per matvec, bit for bit, with one PaddedApply built in all
+    op = KroneckerSum(2, 1.0, 1.0, IDENTITY, WIDE_STIFF)
+    want = largest_eigenvalue(op.apply, 31 * 31, seed=0)
+    built = []
+
+    class Counted(PaddedApply):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(stencil, "PaddedApply", Counted)
+    est, _ = lambda_max(op, 31, seed=0)
+    assert est == want
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
