@@ -6,7 +6,6 @@ from .errors import (
     ConvergenceFailure,
     DimensionError,
     EligibilityError,
-    EstimationError,
     GridSizeError,
     MgfkError,
 )

@@ -191,7 +191,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
         fine, m, strategy="galerkin", omega_pre=omega, omega_post=omega,
         pre_count=cfg.m1, post_count=cfg.m2,
     )
-    reports = analysis.check_smoother_bounds(hier, seed=cfg.seed)
+    reports = analysis.check_smoother_bounds(hier)
     reports.append(
         analysis.check_contraction_bounds(hier, m0, trials=cfg.trials, seed=cfg.seed)
     )

@@ -17,14 +17,6 @@ class EligibilityError(MgfkError):
     """Operator fails the symmetric-positive-definite eligibility test."""
 
 
-class EstimationError(MgfkError):
-    """Iterative estimate failed to converge; carries the partial result."""
-
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
-
 class ConvergenceFailure(MgfkError):
     """A linear solve hit its iteration cap; carries the solve report."""
 

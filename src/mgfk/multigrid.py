@@ -46,7 +46,6 @@ from .stencil import (
     grid_depth,
     require_coarsenable,
     require_spd_eligible,
-    row_factor,
     run_calls,
 )
 
@@ -88,19 +87,19 @@ class LevelWork:
     the residual and temporary (the apply's output), and ``rhs`` the
     right-hand side a cycle on this level reads: the one the level above
     restricts into, or the one ``solve`` or a caller's ``f`` is copied into.
-    Each grid is held in the apply's run layout, rows of c * (m + 1) cells
-    with the hierarchy's one c (``v_run``, ``r_run``, ``rhs_run``), where
-    the smoother's arithmetic runs; the pad cells of ``r_run`` and
-    ``rhs_run`` are kept at zero, so the updates keep those of ``v_run`` at
-    zero, and the prolongation reads its edges from them.  ``residual`` is
+    Each grid is held in the apply's run layout, rows of m + 1 cells
+    (``v_run``, ``r_run``, ``rhs_run``), where the smoother's arithmetic
+    runs; the pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so
+    the updates keep those of ``v_run`` at zero, and the prolongation reads
+    its edges from them.  ``residual`` is
     the calls that form ``r = rhs - A v``.  ``restrict`` (``r`` into the
     next level's ``rhs``, its pad cells refilled with zeros) and ``prolong``
     (the next level's ``v`` into ``r``, pad cells zero) are bound by
     ``MgHierarchy.workspace``.
     """
 
-    def __init__(self, level: GridLevel, dtype, c: int | None = None):
-        self.apply = PaddedApply(level.operator, level.m, dtype, c)
+    def __init__(self, level: GridLevel, dtype):
+        self.apply = PaddedApply(level.operator, level.m, dtype)
         self.v, self.v_run, self.r_run = self.apply.x, self.apply.run, self.apply.out
         self.rhs_run = np.zeros_like(self.v_run)
         self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
@@ -174,23 +173,16 @@ class MgHierarchy:
     def _tapes(self) -> dict:
         return {}
 
-    @cached_property
-    def row_factor(self) -> int:
-        """The c of every level's run layout: the least that fits each level's
-        half-bandwidth, so a fine row is two coarse rows long."""
-        return max(row_factor(lv.operator.half_bandwidth, lv.m) for lv in self.levels)
-
     def workspace(self, dtype) -> tuple:
         """The ``LevelWork`` of every level for ``dtype``, made on first use,
         with the transfers bound between neighbouring levels."""
         dtype = np.dtype(dtype)
         work = self._work.get(dtype)
         if work is None:
-            c = self.row_factor
-            work = tuple(LevelWork(lv, dtype, c) for lv in self.levels)
+            work = tuple(LevelWork(lv, dtype) for lv in self.levels)
             for lv, fine, coarse in zip(self.levels, work, work[1:]):
-                fine.restrict = transfer.Restriction(fine.r_run, coarse.rhs_run, lv.shape, c)
-                fine.prolong = transfer.Prolongation(coarse.apply.framed, fine.r_run, lv.shape, c)
+                fine.restrict = transfer.Restriction(fine.r_run, coarse.rhs_run, lv.shape)
+                fine.prolong = transfer.Prolongation(coarse.apply.framed, fine.r_run, lv.shape)
             self._work[dtype] = work
         return work
 
@@ -269,8 +261,9 @@ def build_hierarchy(
         post_count translates into actual smoother applications.
     """
     depth = grid_depth(m)
-    if omega_pre <= 0.0 or omega_post <= 0.0:
-        raise ValueError("smoothing weights must be positive")
+    for name, omega in (("omega_pre", omega_pre), ("omega_post", omega_post)):
+        if not 0.0 < omega < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {omega}")
     if pre_count < 0 or post_count < 1:
         raise ValueError("smoothing counts must satisfy m1 >= 0, m2 >= 1")
     coarsen = {"galerkin": KroneckerSum.galerkin, "geometric": KroneckerSum.rediscretised}
@@ -312,8 +305,8 @@ def smooth(
     Runs the sweeps of a ``LevelWork`` made for the call and returns its
     ``v``; ``v`` is left as it was.
     """
-    if weight <= 0.0:
-        raise ValueError("smoothing weight must be positive")
+    if not 0.0 < weight < math.inf:
+        raise ValueError(f"smoothing weight must be positive and finite, got {weight}")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
     work = LevelWork(level, _work_dtype(v, f))
@@ -389,8 +382,10 @@ def solve(
     the full residual history.  A non-finite residual, ``r0`` included,
     stops the iteration at once.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lv = h.fine
     for name, arg in (("f", f), ("v0", v0)):
         if arg is not None and np.shape(arg) != (lv.unknowns,):
@@ -461,8 +456,9 @@ def measure_contraction(
     Runs the homogeneous problem (f = 0) from random initial errors and
     returns the largest per-iteration ratio ||e_new||_A / ||e_old||_A after
     the first ``discard`` transient iterations, so ``iters`` must exceed
-    ``discard >= 0``.  If ``monotone_slack`` is given, a ratio above
-    1 + monotone_slack raises ``AssertionError``.
+    ``discard >= 0``.  A cycle that drives the energy norm to inf or nan
+    diverges: the estimate is then ``math.inf``.  If ``monotone_slack`` is
+    given, a ratio above 1 + monotone_slack raises ``AssertionError``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -479,6 +475,8 @@ def measure_contraction(
         for i in range(1, iters + 1):
             e = vcycle(h, e, zero)
             cur = energy_norm(lv, e)
+            if not math.isfinite(cur):
+                return math.inf
             if prev <= 1e-300:
                 break
             ratio = cur / prev

@@ -2,16 +2,16 @@
 
 Every operator in the package is stored matrix-free: a stencil is a tuple
 of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
-``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
-Both are applied by shifted-slice multiply-adds, a system operator by
-``PaddedApply`` on the grid held in its run layout (``run_shape``: rows of
-c * (m + 1) cells, zero pad cells after each row's points): one scaled
-copy of the grid per distinct point coefficient, then one add per nonzero
-point of its (2b+1)**d, built once as ufunc calls on scratch a caller may
-keep.  With
-tridiagonal factors the type-I sine transform diagonalises them, which
-gives their spectra in closed form and an exact direct solve.  Dense
-materialisation exists only so tests can compare against explicit matrices.
+``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two tridiagonal
+stencils.  Both are applied by shifted-slice multiply-adds, a system
+operator by ``PaddedApply`` on the grid held in its run layout
+(``run_shape``: rows of m + 1 cells, one zero pad cell after each row's
+points): one scaled copy of the grid per distinct point coefficient, then
+one add per nonzero point of its 3**d, built once as ufunc calls on scratch
+a caller may keep.  The type-I sine transform diagonalises the system
+operators, which gives their spectra in closed form and an exact direct
+solve.  Dense materialisation exists only so tests can compare against
+explicit matrices.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, ClassVar
+from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError, EligibilityError, EstimationError, GridSizeError, MgfkError
+from .errors import DimensionError, EligibilityError, GridSizeError, MgfkError
 
 #: Relative slack used in eligibility comparisons.
 _ELIG_RTOL = 1e-12
@@ -146,13 +146,13 @@ class KroneckerSum:
     """Operator ``c_mass E^{(x)d} + c_stiff sum_k E (x)..(x) S (x)..(x) E`` on
     (m,)*d grids, with S in the k-th of the d factors.
 
-    ``E`` and ``S`` are 1D stencils (identity-like and Laplacian-like
-    factors) of half-bandwidth at most ``b``.  A bare stencil S used as a
-    system is ``KroneckerSum(1, 0.0, 1.0, IDENTITY, S)``.  ``apply`` is one
-    pass over the nonzero ones among the (2b+1)**d point coefficients,
-    computed once: in 1D the summed bands, in 2D 5 points for identity mass
-    and 9 for a tridiagonal one.  Fields are stored row-major; ``apply``
-    takes the grid or its flat vector and returns the same shape.
+    ``E`` and ``S`` are tridiagonal 1D stencils (identity-like and
+    Laplacian-like factors); a wider factor raises ``EligibilityError``.  A
+    bare stencil S used as a system is ``KroneckerSum(1, 0.0, 1.0, IDENTITY,
+    S)``.  ``apply`` is one pass over the nonzero ones among the 3**d point
+    coefficients, computed once: in 1D the summed bands, in 2D 5 points for
+    identity mass and 9 for a tridiagonal one.  Fields are stored row-major;
+    ``apply`` takes the grid or its flat vector and returns the same shape.
     """
 
     ndim: int
@@ -160,6 +160,12 @@ class KroneckerSum:
     c_stiff: float
     mass: ToeplitzStencil
     stiff: ToeplitzStencil
+
+    def __post_init__(self):
+        if len(self.mass.bands) > 2 or len(self.stiff.bands) > 2:  # half-bandwidth > 1
+            raise EligibilityError(
+                f"factors must be tridiagonal, got {self.mass.bands} and {self.stiff.bands}"
+            )
 
     def _kron_sum(self, e, s, prod=np.multiply.outer):
         """The operator's form over factor values ``e`` and ``s`` (band
@@ -171,24 +177,18 @@ class KroneckerSum:
 
     @cached_property
     def _points(self) -> tuple:
-        """Half-width ``b``, centre coefficient, and ``(window, c)`` per nonzero
-        off-centre point; ``window`` slices the point's shifted copy out of a
-        grid zero-padded by ``b`` on every side."""
-        b = self.half_bandwidth
-        k = np.abs(np.arange(-b, b + 1))
-        e, s = (np.pad(op.bands, (0, b - op.half_bandwidth))[k] for op in (self.mass, self.stiff))
+        """Centre coefficient, and ``(window, c)`` per nonzero off-centre
+        point; ``window`` slices the point's shifted copy out of a grid
+        zero-padded by one on every side."""
+        e, s = (np.pad(f.bands, (0, 2 - len(f.bands)))[[1, 0, 1]] for f in (self.mass, self.stiff))
         c = self._kron_sum(e, s)
-        centre = (b,) * self.ndim
+        centre = (1,) * self.ndim
         taps = tuple(
-            (tuple(slice(int(i), int(i) - 2 * b or None) for i in idx), c[idx])
+            (tuple(slice(int(i), int(i) - 2 or None) for i in idx), c[idx])
             for idx in zip(*np.nonzero(c))
             if idx != centre
         )
-        return b, c[centre], taps
-
-    @property
-    def half_bandwidth(self) -> int:
-        return max(self.mass.half_bandwidth, self.stiff.half_bandwidth)
+        return c[centre], taps
 
     @property
     def diagonal(self) -> float:
@@ -214,7 +214,7 @@ class KroneckerSum:
         """``apply`` on an (m,)*ndim grid, through a ``PaddedApply`` made for the call."""
         if x.ndim != self.ndim:
             raise DimensionError(f"expected a {self.ndim}D grid, got shape {x.shape}")
-        kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[1]))
+        kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[0]))
         kernel.x[...] = x
         return kernel.interior(kernel()).copy()
 
@@ -248,31 +248,25 @@ class KroneckerSum:
         return float(self._kron_sum(self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()))
 
 
-def row_factor(b: int, m: int) -> int:
-    """The least c for which rows of c * (m + 1) cells hold m points and
-    ``b`` pad cells: 1 for every half-bandwidth up to 1."""
-    return -(-(m + b) // (m + 1))
-
-
-def run_shape(shape: tuple, c: int = 1) -> tuple:
+def run_shape(shape: tuple) -> tuple:
     """Shape of the run layout of a grid of ``shape``: axis 0 as it is, every
-    other axis of m points in rows of c * (m + 1) cells, the points first
-    and zero pad cells after them."""
-    return (shape[0], *(c * (m + 1) for m in shape[1:]))
+    other axis of m points in rows of m + 1 cells, the points first and a
+    zero pad cell after them."""
+    return (shape[0], *(m + 1 for m in shape[1:]))
 
 
-def interior(a: np.ndarray, shape: tuple, c: int = 1) -> np.ndarray:
+def interior(a: np.ndarray, shape: tuple) -> np.ndarray:
     """The grid of ``shape`` a flat array in its run layout holds."""
-    return a.reshape(run_shape(shape, c))[(slice(None), *(slice(m) for m in shape[1:]))]
+    return a.reshape(run_shape(shape))[(slice(None), *(slice(m) for m in shape[1:]))]
 
 
-def pads(a: np.ndarray, shape: tuple, c: int = 1) -> tuple:
+def pads(a: np.ndarray, shape: tuple) -> tuple:
     """Views covering every pad cell of a flat array in the run layout of
-    ``shape``, one per axis after the first; a last axis with one pad cell
-    per row gives the 1D view ``a[m::m + 1]``."""
-    rows, d = run_shape(shape, c), len(shape)
+    ``shape``, one per axis after the first; the last axis's is the 1D view
+    ``a[m::m + 1]``."""
+    rows, d = run_shape(shape), len(shape)
     return tuple(
-        a[shape[k] :: rows[k]] if k == d - 1 and rows[k] == shape[k] + 1
+        a[shape[k] :: rows[k]] if k == d - 1
         else a.reshape(rows)[(slice(None),) * k + (slice(shape[k], None),)]
         for k in range(1, d)
     )
@@ -283,17 +277,15 @@ class PaddedApply:
     ufunc calls on buffers of its own.
 
     The operand lives in ``x``, held in ``run``: the grid in the run layout
-    (``run_shape``) with rows of n = c * (m + 1) cells, n >= m + b for the
-    half-bandwidth b, inside a flat zero-padded storage.  A point's
-    neighbours past the end of its row are the row's pad cells, those
-    before its start the previous row's (one shared pad cell serves both
-    sides when b = 1), and those off the first or last row are the zero
-    storage on either side of the run, at least one row block wide;
-    ``framed`` is the run with one such zero row block on either side.  In
-    1D the run is ``x`` itself.  The product goes to ``out``, laid out like
-    the run; ``interior(a)`` and ``pads(a)`` are the grid and the pad cells
-    of an array so laid out.  Pad cells of ``out`` mean nothing after a
-    call.
+    (``run_shape``) with rows of m + 1 cells, inside a flat zero-padded
+    storage.  The neighbour past the end of a row and the one before the
+    start of the next are the one pad cell between them, and those off the
+    first or last row are the zero storage on either side of the run, one
+    row block wide; ``framed`` is the run with that zero row block on
+    either side.  In 1D the run is ``x`` itself.  The product goes to
+    ``out``, laid out like the run; ``interior(a)`` and ``pads(a)`` are the
+    grid and the pad cells of an array so laid out.  Pad cells of ``out``
+    mean nothing after a call.
 
     ``calls`` computes ``centre * run``, then one scaled copy ``a * grid``
     in ``scaled`` per distinct off-centre coefficient value a (exact
@@ -306,16 +298,13 @@ class PaddedApply:
     dtype, the cheapest scalar operand numpy takes.
     """
 
-    def __init__(self, op: KroneckerSum, m: int, dtype, c: int | None = None):
-        b, centre, taps = op._points
-        c = row_factor(b, m) if c is None else c
-        if c * (m + 1) < m + b:
-            raise ValueError(f"rows of {c} * ({m} + 1) cells cannot pad a half-bandwidth of {b}")
-        d, self.shape, self.c = op.ndim, (m,) * op.ndim, c
-        rows = run_shape(self.shape, c)
+    def __init__(self, op: KroneckerSum, m: int, dtype):
+        centre, taps = op._points
+        d, self.shape = op.ndim, (m,) * op.ndim
+        rows = run_shape(self.shape)
         stride = [math.prod(rows[k + 1 :]) for k in range(d)]  # flat stride of each axis
-        first, size = max(b, 1) * sum(stride), m * stride[0]  # the run: interior origin, length
-        offsets = [sum((s.start - b) * st for s, st in zip(w, stride)) for w, _ in taps]
+        first, size = sum(stride), m * stride[0]  # the run: interior origin, length
+        offsets = [sum((s.start - 1) * st for s, st in zip(w, stride)) for w, _ in taps]
         flat = np.zeros(size + 2 * first, dtype)
         self.run = flat[first : first + size]
         self.framed = flat[first - stride[0] : first + size + stride[0]]
@@ -340,11 +329,11 @@ class PaddedApply:
 
     def interior(self, a: np.ndarray) -> np.ndarray:
         """The (m,)*ndim grid an array laid out like the run holds."""
-        return interior(a, self.shape, self.c)
+        return interior(a, self.shape)
 
     def pads(self, a: np.ndarray) -> tuple:
         """Views of the pad cells of an array laid out like the run."""
-        return pads(a, self.shape, self.c)
+        return pads(a, self.shape)
 
     def __call__(self) -> np.ndarray:
         """Write ``A x`` into ``out`` and return it."""
@@ -384,80 +373,10 @@ def grid_depth(m: int) -> int:
     return (m + 1).bit_length() - 1
 
 
-def largest_eigenvalue(
-    matvec: Callable[[np.ndarray], np.ndarray],
-    size: int,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> float:
-    """Largest eigenvalue of a symmetric operator, matrix-free.
-
-    Lanczos iteration (ARPACK) with a seeded start vector, so results are
-    deterministic.  Plain power iteration stalls arbitrarily badly when the
-    top of the spectrum clusters (nearly scaled-identity stencils), which
-    Lanczos handles within the same iteration cap.  Raises
-    ``EstimationError`` carrying the partial estimate on non-convergence.
-    """
-    if size < 1:
-        raise DimensionError(f"operator size must be >= 1, got {size}")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if size == 1:
-        return float(matvec(np.ones(1))[0])
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
-
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    v0 = np.random.default_rng(seed).standard_normal(size)
-    try:
-        vals = eigsh(
-            op, k=1, which="LA", tol=tol, maxiter=max_iter, v0=v0,
-            return_eigenvectors=False,
-        )
-    except ArpackNoConvergence as exc:
-        if len(exc.eigenvalues):
-            partial = float(exc.eigenvalues[0])
-        else:
-            x = v0 / np.linalg.norm(v0)
-            for _ in range(50):
-                y = matvec(x)
-                ny = np.linalg.norm(y)
-                if ny == 0.0:
-                    break
-                x = y / ny
-            partial = float(x @ matvec(x))
-        raise EstimationError(
-            f"eigenvalue iteration did not reach tol={tol} in {max_iter} steps",
-            estimate=partial,
-        ) from exc
-    return float(vals[0])
-
-
-def lambda_max(
-    op,
-    m: int,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid.
-
-    Exact from the sine symbol when every factor is tridiagonal, seeded
-    Lanczos otherwise, a Kronecker sum's matvecs through one kept
-    ``PaddedApply``.  Returns ``(estimate, gershgorin_bound)``.
-    """
-    if op.half_bandwidth <= 1:
-        return float(np.max(op.eigenvalues(m))), op.gershgorin_bound()
-    matvec = op.apply
-    if isinstance(op, KroneckerSum):
-        kernel = PaddedApply(op, m, float)
-
-        def matvec(v):
-            kernel.x[...] = v.reshape(kernel.shape)
-            return kernel.interior(kernel()).flatten()
-
-    est = largest_eigenvalue(matvec, m**op.ndim, tol=tol, max_iter=max_iter, seed=seed)
-    return est, op.gershgorin_bound()
+def lambda_max(op, m: int) -> tuple[float, float]:
+    """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid,
+    the top of its sine symbol, and its Gershgorin bound."""
+    return float(np.max(op.eigenvalues(m))), op.gershgorin_bound()
 
 
 def require_spd_eligible(op) -> None:

@@ -3,20 +3,20 @@
 Fine and coarse grids have 2**k - 1 points per axis.  ``Restriction`` and
 ``Prolongation`` apply the 1-2-1 pair along every axis, axis 0 first,
 between flat arrays holding the grids in the run layout of
-``stencil.run_shape`` (rows of c * (m + 1) cells, zero pad cells after the
-points), with one c for both grids, so a fine row is exactly two coarse
-rows long.  The axes before the last run on row-block views with
-contiguous rows, into one intermediate per axis; on the last axis, coarse
-cell q of a whole run sits at 2q + 1 of the other, so each operation is
-one 1D stride-2 call.  The restriction then fills the coarse pad cells
-with zeros; the prolongation takes its edge values from zero cells, as
-(0 + x) * 0.5 (the zero rows around the coarse run, the pad cells, one
-leading zero cell per intermediate), and leaves zero pad cells.  Each
-builds its work once, as a tuple ``calls`` of ``(ufunc, args)`` with the
-weights as 0-d arrays of the output's dtype; a call runs that tuple, and
-the V-cycle splices it into its own.  The prolongation is 2**ndim times
-the transpose of the restriction.  ``restrict`` and ``prolong`` bind the
-pair to fresh buffers for one call.
+``stencil.run_shape`` (rows of m + 1 cells, a zero pad cell after the
+points), so a fine row is exactly two coarse rows long.  The axes before
+the last run on row-block views with contiguous rows, into one
+intermediate per axis; on the last axis, coarse cell q of a whole run sits
+at 2q + 1 of the other, so each operation is one 1D stride-2 call.  The
+restriction then fills the coarse pad cells with zeros; the prolongation
+takes its edge values from zero cells, as (0 + x) * 0.5 (the zero rows
+around the coarse run, the pad cells, one leading zero cell per
+intermediate), and leaves zero pad cells.  Each builds its work once, as a
+tuple ``calls`` of ``(ufunc, args)`` with the weights as 0-d arrays of the
+output's dtype; a call runs that tuple, and the V-cycle splices it into
+its own.  The prolongation is 2**ndim times the transpose of the
+restriction.  ``restrict`` and ``prolong`` bind the pair to fresh buffers
+for one call.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ class Restriction:
     evaluated as ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``.
 
     ``x`` is the run of the fine grid of ``shape``, ``out`` that of the coarse
-    grid, both with rows of c * (m + 1) cells.
+    grid.
     """
 
-    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple, c: int = 1):
+    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple):
         self.out = out
         coarse = tuple(_coarse_size(m) for m in shape)
         two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
@@ -64,15 +64,15 @@ class Restriction:
 
         calls, src = [], x
         for axis, mc in enumerate(coarse[:-1]):
-            rows = run_shape(coarse[: axis + 1] + shape[axis + 1 :], c)
-            src_rows = run_shape(coarse[:axis] + shape[axis:], c)
+            rows = run_shape(coarse[: axis + 1] + shape[axis + 1 :])
+            src_rows = run_shape(coarse[:axis] + shape[axis:])
             dst = np.zeros(math.prod(rows) + 1, out.dtype)  # one cell more for the last axis's reads
             s, o = _blocks(src, src_rows, axis), _blocks(dst, rows, axis)
             lo, odd, hi = (s[:, i : i + 2 * mc - 1 : 2] for i in (0, 1, 2))
             calls += weigh(lo, odd, hi, o[:, :mc])
             src = dst
         calls += weigh(src[0:-1:2], src[1::2], src[2::2], out)  # coarse q from fine 2q + 1
-        calls += [(pad.fill, (0.0,)) for pad in pads(out, coarse, c)]
+        calls += [(pad.fill, (0.0,)) for pad in pads(out, coarse)]
         self.calls = tuple(calls)
 
     def __call__(self) -> np.ndarray:
@@ -89,19 +89,18 @@ class Prolongation:
 
     ``x`` is the run of the coarse grid with one zero row block (in 1D one
     zero cell) on either side, ``stencil.PaddedApply.framed``; ``out`` is
-    the run of the fine grid of ``shape``, both with rows of c * (m + 1)
-    cells.
+    the run of the fine grid of ``shape``.
     """
 
-    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple, c: int = 1):
+    def __init__(self, x: np.ndarray, out: np.ndarray, shape: tuple):
         self.out = out
         coarse = tuple(_coarse_size(m) for m in shape)
         half = np.array(0.5, out.dtype)
 
         calls, src = [], x
         for axis in range(len(shape) - 1):
-            src_rows = run_shape(shape[:axis] + coarse[axis:], c)
-            rows = run_shape(shape[: axis + 1] + coarse[axis + 1 :], c)
+            src_rows = run_shape(shape[:axis] + coarse[axis:])
+            rows = run_shape(shape[: axis + 1] + coarse[axis + 1 :])
             # src starts one block early: axis 0's zero row, later axes' leading zeros
             n = src_rows[axis] + (axis == 0)  # on axis 0 the zero row after the run too
             lo_rows = src_rows[:axis] + (n,) + src_rows[axis + 1 :]

@@ -78,6 +78,13 @@ def test_table_validation_failures_exit_one(tmp_path, capsys):
     assert main(["table", "--config", str(cfg)]) == 1
 
 
+def test_nan_arguments_exit_one(capsys):
+    assert main(["theory", "--preset", "laplacian", "--omega", "nan"]) == 1
+    assert "omega_pre" in capsys.readouterr().err
+    assert main(["table", "--preset", "example-6.1", "--M", "8", "--tol", "nan"]) == 1
+    assert "tol" in capsys.readouterr().err
+
+
 def test_argparse_errors_exit_one():
     with pytest.raises(SystemExit) as info:
         main(["table", "--coarsen", "fancy"])
@@ -117,6 +124,25 @@ def test_theory_out_of_range_weight_warns_but_exits_zero(capsys):
     assert "outside the theory range" in captured.err
 
 
+def test_theory_reports_a_diverging_cycle_as_violated(capsys):
+    # out of the theory range, so exit 0 with the warning, but the contraction
+    # reads inf and VIOLATED, not 0.0 and ok
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["theory", "--preset", "laplacian", "--omega", "1e200"])
+    assert code == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("||I - B A||_A"))
+    assert line.split()[8:11] == ["inf", "5.000000e-201", "VIOLATED"]
+
+
+@pytest.mark.parametrize("preset", ["example-6.1", "example-6.2"])
+def test_theory_json_of_a_feynman_kac_preset(tmp_path, preset):
+    # their bound reports compare numpy floats; the JSON must still be written
+    out = tmp_path / "reports.json"
+    assert main(["theory", "--preset", preset, "--M", "16", "--json", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert rows and all(r["satisfied"] is True for r in rows)
+
+
 def test_theory_laplacian_preset_reports_unit_constant(tmp_path):
     out = tmp_path / "reports.json"
     code = main(["theory", "--preset", "laplacian", "--json", str(out)])
@@ -146,7 +172,7 @@ def test_theory_2d_at_m256_holds_every_bound():
 def test_violated_bound_exits_three(monkeypatch, capsys):
     from mgfk import analysis, cli
 
-    def fake_bounds(h, tol=1e-10, seed=0):
+    def fake_bounds(h, seed=0):
         return [analysis.BoundReport("lambda_max(D^-1 A) < 2", 2.0, 2.5, context={"level": 0})]
 
     monkeypatch.setattr(cli.analysis, "check_smoother_bounds", fake_bounds)

@@ -198,6 +198,12 @@ def test_step_past_end_raises():
         ev.step()
 
 
+def test_zero_cycle_cap_is_rejected_before_stepping():
+    ev = Evolution(preset("example-6.1", 0.3, 8), 4, max_iter=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        ev.run()
+
+
 def test_average_iterations_tracked():
     ev = Evolution(example_6_1(0.3, 16), order=4, solver="mgm", tol=1e-11).run()
     assert len(ev.iterations) == 16

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,25 @@ def test_smooth_rejects_negative_steps(steps):
     h = build_hierarchy(LAPLACIAN_1D, 7)
     with pytest.raises(ValueError):
         smooth(h.levels[0], np.arange(7.0), np.zeros(7), 0.5, steps)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_smoothing_weights_must_be_positive_and_finite(bad):
+    # NaN compares False with everything, so it must not pass as a positive weight
+    for kw in ("omega_pre", "omega_post"):
+        with pytest.raises(ValueError, match=kw):
+            build_hierarchy(LAPLACIAN_1D, 7, **{kw: bad})
+    h = build_hierarchy(LAPLACIAN_1D, 7)
+    with pytest.raises(ValueError, match="weight"):
+        smooth(h.levels[0], np.arange(7.0), np.zeros(7), bad, 1)
+
+
+@pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8),
+                                         ("max_iter", 0), ("max_iter", -2)])
+def test_solve_rejects_bad_tolerance_and_cycle_cap(name, value):
+    h = build_hierarchy(LAPLACIAN_1D, 7)
+    with pytest.raises(ValueError, match=name):
+        solve(h, np.ones(7), **{name: value})
 
 
 def test_smooth_single_weighted_jacobi_step():
@@ -227,6 +248,14 @@ def test_measure_contraction_rejects_an_empty_window(iters, discard):
     h = build_hierarchy(LAPLACIAN_1D, 7)
     with pytest.raises(ValueError):
         measure_contraction(h, iters=iters, discard=discard)
+
+
+def test_diverging_cycle_measures_infinite_contraction():
+    # a weight of 1e200 overflows the first iterate: the energy norm is no
+    # longer finite, and the estimate must not read as a perfect 0.0
+    h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=1e200, omega_post=1e200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert measure_contraction(h) == math.inf
 
 
 def test_contraction_estimator_matches_dense_norm():
@@ -373,17 +402,14 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
     assert np.isnan(report.residuals[-1])
 
 
-WIDE = ToeplitzStencil((6.0, -2.0, 0.5))  # half-bandwidth 2
-
-
 def oracle_operator(system, ndim, intervals):
     """The nu = 2, alpha = 0.3 Feynman-Kac operator ("fk"), or its coefficients
-    over the compact mass and a Laplacian ("compact") or ``WIDE`` ("wide")."""
+    over the compact mass and a Laplacian ("compact")."""
     l0 = weights(0.3, 2, 0)[0]
     mu = mu_coefficient(1.0, 0.3, 1.0 / intervals, 1.0 / intervals)
     if system == "fk":
         return fk_operator(ndim, l0, mu)
-    return KroneckerSum(ndim, l0, mu, COMPACT_MASS, WIDE if system == "wide" else LAPLACIAN)
+    return KroneckerSum(ndim, l0, mu, COMPACT_MASS, LAPLACIAN)
 
 
 ORACLE_SIZES = {1: (32, 1024), 2: (16, 128), 3: (16,)}
@@ -393,8 +419,6 @@ ORACLE_CASES = [
       for ndim, coarsening in GRIDS for pre in (0, 1, 2)),
     *(pytest.param(ndim, coarsening, 1, post, "fk", id=f"{ndim}-{coarsening}-1-post{post}")
       for ndim, coarsening in GRIDS for post in (1, 3)),
-    *(pytest.param(ndim, coarsening, 1, 2, "wide", id=f"{ndim}-{coarsening}-1-wide")
-      for ndim, coarsening in GRIDS),
     *(pytest.param(3, coarsening, 1, 2, "compact", id=f"3-{coarsening}-1-compact")
       for coarsening in ("galerkin", "geometric")),
 ]
@@ -407,7 +431,7 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
     # one prebuilt tape in place in its workspace, the apply through one
     # scaled copy per coefficient; the iterates must not move by a bit, real
     # or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
-    # count, a half-bandwidth-2 stencil and a 27-point 3D operator
+    # count, and a 27-point 3D operator
     rng = np.random.default_rng(17)
     for intervals in ORACLE_SIZES[ndim]:
         h = build_hierarchy(oracle_operator(system, ndim, intervals), intervals - 1, coarsening,

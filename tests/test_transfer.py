@@ -3,7 +3,7 @@ import pytest
 
 from mgfk.errors import GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, ToeplitzStencil
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum
 from mgfk.transfer import prolong, restrict
 
 from helpers import (
@@ -171,26 +171,21 @@ def test_rectangular_grids_match_the_oracle(shape):
             assert restrict(x).shape == coarse
 
 
-WIDE = ToeplitzStencil((6.0, -2.0, 0.5))  # half-bandwidth 2: rows of 2 * (m + 1) cells
-HIERARCHIES = [
-    pytest.param(ndim, stiff, m, id=f"{ndim}d-b{stiff.half_bandwidth}")
-    for ndim, m in ((1, 63), (2, 31), (3, 15))
-    for stiff in (LAPLACIAN, WIDE)
-]
+HIERARCHIES = [pytest.param(ndim, m, id=f"{ndim}d-b1") for ndim, m in ((1, 63), (2, 31), (3, 15))]
 
 
 def _pad_cells(ws, run):
     return np.concatenate([p.ravel() for p in ws.apply.pads(run)] + [np.zeros(0)])
 
 
-@pytest.mark.parametrize("ndim, stiff, m", HIERARCHIES)
-def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, stiff, m):
+@pytest.mark.parametrize("ndim, m", HIERARCHIES)
+def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
     # at every level: the bound pair equals the allocating oracle bit for bit,
     # whatever the fine pad cells held, and leaves every pad cell of the coarse
     # rhs and of the fine residual exactly zero, which the zero-start cycle
     # below relies on
-    h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, stiff), m)
-    rng = np.random.default_rng(ndim + stiff.half_bandwidth)
+    h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), m)
+    rng = np.random.default_rng(ndim + 1)
     for dtype in (float, complex):
         work = h.workspace(dtype)
         for fine, coarse in zip(work, work[1:]):
