@@ -14,8 +14,7 @@ import numpy as np
 
 from . import multigrid as vc
 from .coarsen import c_constant, closed_form_constants, closed_form_tridiag, galerkin_step
-from .errors import EligibilityError
-from .stencil import IDENTITY, LAPLACIAN, ToeplitzStencil, lambda_max
+from .stencil import IDENTITY, LAPLACIAN, ToeplitzStencil, lambda_max, require_coarsenable
 
 _SLACK = 1e-10
 
@@ -56,15 +55,6 @@ def reports_to_json(reports: list[BoundReport]) -> str:
     return json.dumps([r.to_dict() for r in reports], indent=2)
 
 
-def _check_tridiag_args(a0: float, a1: float) -> None:
-    if a0 <= 0.0 or a0 < 2.0 * abs(a1) * (1.0 - 1e-15):
-        raise EligibilityError(f"(a0, a1) = ({a0}, {a1}) is not SPD-eligible")
-    if a1 > 0.0 and abs(a0 - 2.0 * a1) <= 1e-12 * a0:
-        raise EligibilityError(
-            "a0 == 2*a1 with a1 > 0: the averaging-transfer theory degenerates here"
-        )
-
-
 def split_ratio(a0: float, a1: float, k: int) -> float:
     """Ratio of averaging-part to Laplacian-part weight of the level-k stencil."""
     c = float(c_constant(k))
@@ -80,7 +70,7 @@ def approx_constant_sweep(a0: float, a1: float, k_max: int = 64) -> float:
     The ratio converges monotonically (it is a quotient of cubics in 2**k),
     so 64 levels over-cover any buildable hierarchy.
     """
-    _check_tridiag_args(a0, a1)
+    require_coarsenable(ToeplitzStencil((a0, a1)))
     best = max(split_ratio(a0, a1, k) for k in range(1, k_max + 1))
     return (1.0 + best) ** 2
 
@@ -99,7 +89,7 @@ def approx_constant_tridiag(a0: float, a1: float) -> float:
     deliberately conservative otherwise.  A sweep value exceeding the case
     value would indicate a broken formula and raises ``ArithmeticError``.
     """
-    _check_tridiag_args(a0, a1)
+    require_coarsenable(ToeplitzStencil((a0, a1)))
     if abs(a0 + 2.0 * a1) <= 1e-14 * a0:
         case = 1.0
     elif a1 <= 0.0:

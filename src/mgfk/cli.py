@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -171,7 +172,8 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
     """Bound suite for the configured system; returns (reports, any_violation).
 
     Out-of-range smoothing weights flag their report instead of counting as
-    a violation.
+    a violation, unless the measured value is not finite: a diverging cycle
+    is a violation whatever the weight.
     """
     cfg = cfg.resolved()
     m = cfg.m_values[0] - 1 if cfg.preset != "laplacian" else 31
@@ -197,7 +199,9 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
     )
     reports.append(analysis.coarsening_consistency(seed=cfg.seed))
     violated = any(
-        not r.satisfied and r.context.get("in_theory_range", True) for r in reports
+        not r.satisfied
+        and (r.context.get("in_theory_range", True) or not math.isfinite(r.measured))
+        for r in reports
     )
     return reports, violated
 

@@ -3,8 +3,8 @@
 Two strategies are supported:
 
 * Galerkin (algebraic): the coarse operator is restriction * fine *
-  prolongation.  For banded Toeplitz stencils this collapses to an O(band)
-  recurrence on the band values, so no matrix product is ever formed.
+  prolongation.  For a tridiagonal Toeplitz stencil this collapses to two
+  sums of its band values, so no matrix product is ever formed.
 * Geometric: the operator is re-discretised with the mesh spacing doubled
   (``KroneckerSum.rediscretised``).
 
@@ -21,38 +21,20 @@ from .stencil import COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzSt
 
 
 def galerkin_step_unscaled(stencil: ToeplitzStencil) -> ToeplitzStencil:
-    """One coarsening step with the unnormalised integer-weight transfers.
+    """One coarsening step with the unnormalised integer-weight transfers:
 
-    Band recurrence (bands beyond the half-bandwidth count as zero):
-
-        a_0' = 6 a_0 + 8 a_1 + 2 a_2
-        a_j' = a_{2j-2} + 4 a_{2j-1} + 6 a_{2j} + 4 a_{2j+1} + a_{2j+2}
+        a_0' = 6 a_0 + 8 a_1,    a_1' = a_0 + 4 a_1
 
     The true Galerkin coarse operator is this divided by 8.
     """
-    bands = stencil.bands
-
-    def band(m: int) -> float:
-        return bands[m] if m < len(bands) else 0.0
-
-    b = stencil.half_bandwidth
-    coarse = [6.0 * band(0) + 8.0 * band(1) + 2.0 * band(2)]
-    for j in range(1, (b + 2) // 2 + 1):
-        coarse.append(
-            band(2 * j - 2)
-            + 4.0 * band(2 * j - 1)
-            + 6.0 * band(2 * j)
-            + 4.0 * band(2 * j + 1)
-            + band(2 * j + 2)
-        )
-    return ToeplitzStencil(tuple(coarse))
+    a0, a1 = stencil.bands
+    return ToeplitzStencil((6.0 * a0 + 8.0 * a1, a0 + 4.0 * a1))
 
 
 def galerkin_step(stencil: ToeplitzStencil) -> ToeplitzStencil:
     """Galerkin coarse stencil: restriction * fine * prolongation.
 
-    Equals the unscaled recurrence divided by 8.  Tridiagonal input yields
-    tridiagonal output, so the bandwidth never grows along a hierarchy.
+    Equals the unscaled step divided by 8.
     """
     return 0.125 * galerkin_step_unscaled(stencil)
 

@@ -21,13 +21,16 @@ forcing value with a nonzero imaginary part promotes a real run to
 complex128, which is exact because every stored level is real.  The memory
 convolution is evaluated naively at O(n) per step as one matrix-vector
 product over the stored levels; in 1D the mass H is linear and the weights
-are scalars, so H is applied once to the summed level.
+are scalars, so H is applied once to the summed level.  Every level is
+stored, so a run whose history would not fit in the machine's physical
+memory raises ``MgfkError`` before any of it is allocated.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -110,12 +113,10 @@ class Evolution:
         max_iter: int = 200,
         omega=(1.0, 0.5),
         counts=(1, 2),
-        warm_start: bool = True,
     ):
         self.problem = problem
         self.order = order
         self.solver = solver
-        self.warm_start = warm_start
         self.tol = tol
         self.max_iter = max_iter
 
@@ -130,6 +131,14 @@ class Evolution:
         # The working dtype: float64 unless rho or the data is complex.
         real = complex(p.rho).imag == 0 and all(map(_is_real, (initial, *traces)))
         self.dtype = np.dtype(float if real else complex)
+        # Every level is stored: refuse a history that cannot fit before allocating any of it.
+        history_bytes = (p.n_steps + 1) * p.m**p.ndim * self.dtype.itemsize
+        memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if history_bytes > memory_bytes:
+            raise MgfkError(
+                f"the history of {p.n_steps + 1} levels needs {history_bytes} bytes, "
+                f"more than the {memory_bytes} bytes of physical memory"
+            )
         rho = np.real(p.rho) if real else p.rho
 
         self.l = weights(p.alpha, order, p.n_steps)
@@ -212,7 +221,8 @@ class Evolution:
             setattr(self, name, getattr(self, name).astype(complex))
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
-        guess = self.history[n - 1].copy() if self.warm_start else None
+        # warm start; solve copies v0 itself, but dropping this copy doubled a 2D run's minor faults
+        guess = self.history[n - 1].copy()
         g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
         if not report.converged:
             raise ConvergenceFailure(

@@ -1,17 +1,16 @@
-"""Symmetric banded Toeplitz stencils and the Kronecker sums built from them.
+"""Symmetric tridiagonal Toeplitz stencils and the Kronecker sums built from them.
 
-Every operator in the package is stored matrix-free: a stencil is a tuple
-of band values (a_0, a_1, ..., a_b), a system operator in d dimensions is
-``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two tridiagonal
-stencils.  Both are applied by shifted-slice multiply-adds, a system
-operator by ``PaddedApply`` on the grid held in its run layout
-(``run_shape``: rows of m + 1 cells, one zero pad cell after each row's
-points): one scaled copy of the grid per distinct point coefficient, then
-one add per nonzero point of its 3**d, built once as ufunc calls on scratch
-a caller may keep.  The type-I sine transform diagonalises the system
-operators, which gives their spectra in closed form and an exact direct
-solve.  Dense materialisation exists only so tests can compare against
-explicit matrices.
+Every operator in the package is stored matrix-free: a stencil is the band
+pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator in d dimensions
+is ``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
+Both are applied by shifted-slice multiply-adds, a system operator by
+``PaddedApply`` on the grid held in its run layout (``run_shape``: rows of
+m + 1 cells, one zero pad cell after each row's points): one scaled copy of
+the grid per distinct point coefficient, then one add per nonzero point of
+its 3**d, built once as ufunc calls on scratch a caller may keep.  The
+type-I sine transform diagonalises the system operators, which gives their
+spectra in closed form and an exact direct solve.  Dense matrices live in
+the test oracles only.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionError, EligibilityError, GridSizeError, MgfkError
+from .errors import DimensionError, EligibilityError, GridSizeError
 
 #: Relative slack used in eligibility comparisons.
 _ELIG_RTOL = 1e-12
@@ -31,16 +30,17 @@ _ELIG_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ToeplitzStencil:
-    """Symmetric banded Toeplitz operator described by its band values.
+    """Symmetric tridiagonal Toeplitz operator tridiag(a_1, a_0, a_1).
 
-    ``bands[j]`` is the value on the j-th sub/super-diagonal; the matrix it
-    stands for is ``A[i, k] = bands[abs(i - k)]`` truncated to a finite size
-    with zero Dirichlet ghost values outside the index range.
+    The matrix it stands for is truncated to a finite size with zero
+    Dirichlet ghost values outside the index range.  The paper's theory
+    covers tridiagonal stencils only, so that is all a stencil can hold.
 
     Parameters
     ----------
     bands : tuple of float
-        Band values ``(a_0, a_1, ..., a_b)``; ``b`` is the half-bandwidth.
+        ``(a_0, a_1)``; a lone diagonal ``(a_0,)`` stands for ``(a_0, 0.0)``,
+        and a third band raises ``EligibilityError``.
     """
 
     bands: tuple
@@ -50,26 +50,15 @@ class ToeplitzStencil:
         bands = tuple(float(a) for a in self.bands)
         if len(bands) == 0:
             raise ValueError("stencil needs at least the diagonal band")
+        if len(bands) > 2:
+            raise EligibilityError(f"stencils must be tridiagonal, got bands {bands}")
         if not all(np.isfinite(bands)):
             raise ValueError(f"non-finite band values: {bands}")
-        object.__setattr__(self, "bands", bands)
-
-    @property
-    def half_bandwidth(self) -> int:
-        return len(self.bands) - 1
+        object.__setattr__(self, "bands", (bands + (0.0,))[:2])
 
     @property
     def diagonal(self) -> float:
         return self.bands[0]
-
-    def __add__(self, other: "ToeplitzStencil") -> "ToeplitzStencil":
-        a, b = self.bands, other.bands
-        if len(a) < len(b):
-            a, b = b, a
-        summed = list(a)
-        for j, v in enumerate(b):
-            summed[j] += v
-        return ToeplitzStencil(tuple(summed))
 
     def __rmul__(self, c: float) -> "ToeplitzStencil":
         return ToeplitzStencil(tuple(c * a for a in self.bands))
@@ -84,48 +73,28 @@ class ToeplitzStencil:
         v = np.asarray(v)
         if v.ndim == 0:
             raise DimensionError("expected an array, got a scalar")
-        out = self.bands[0] * v
-        for j, a in enumerate(self.bands[1:], start=1):
-            if a == 0.0 or j >= v.shape[0]:
-                continue
-            out[j:] += a * v[:-j]
-            out[:-j] += a * v[j:]
+        a0, a1 = self.bands
+        out = a0 * v
+        out[1:] += a1 * v[:-1]
+        out[:-1] += a1 * v[1:]
         return out
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """Eigenvalues ``a_0 + 2 a_1 cos(k pi/(m+1))``, k = 1..m, of the m-by-m
-        matrix of a tridiagonal stencil (its DST-I symbol)."""
-        if self.half_bandwidth > 1:
-            raise MgfkError(f"closed-form spectrum needs a tridiagonal stencil, got {self.bands}")
-        a0, a1 = (self.bands + (0.0,))[:2]
+        matrix (its DST-I symbol)."""
+        a0, a1 = self.bands
         # cos(k pi/(m+1)) as sin((m+1-2k) pi/(2m+2)): exactly 0 mid-spectrum, exactly odd about it
         return a0 + 2.0 * a1 * np.sin(np.pi * (m + 1 - 2 * np.arange(1, m + 1)) / (2 * m + 2))
 
-    def to_dense(self, m: int) -> np.ndarray:
-        """Materialise the m-by-m symmetric banded Toeplitz matrix."""
-        if m < 1:
-            raise DimensionError(f"matrix size must be >= 1, got {m}")
-        dense = np.zeros((m, m))
-        for j, a in enumerate(self.bands):
-            if j >= m:
-                break
-            dense += a * np.eye(m, k=j)
-            if j > 0:
-                dense += a * np.eye(m, k=-j)
-        return dense
-
     def is_spd_eligible(self) -> bool:
-        """Weak diagonal dominance test: a_0 > 0 and a_0 >= 2 * sum|a_j|.
-
-        For tridiagonal stencils this is exactly ``a_0 >= 2|a_1|``.
-        """
-        a0 = self.bands[0]
-        offsum = 2.0 * sum(abs(a) for a in self.bands[1:])
-        return a0 > 0.0 and offsum <= a0 * (1.0 + _ELIG_RTOL)
+        """Weak diagonal dominance test: a_0 > 0 and a_0 >= 2|a_1|."""
+        a0, a1 = self.bands
+        return a0 > 0.0 and 2.0 * abs(a1) <= a0 * (1.0 + _ELIG_RTOL)
 
     def gershgorin_bound(self) -> float:
-        """Upper bound ``a_0 + 2 * sum|a_j|`` on the largest eigenvalue."""
-        return self.bands[0] + 2.0 * sum(abs(a) for a in self.bands[1:])
+        """Upper bound ``a_0 + 2|a_1|`` on the largest eigenvalue."""
+        a0, a1 = self.bands
+        return a0 + 2.0 * abs(a1)
 
 
 #: The identity stencil.
@@ -147,12 +116,12 @@ class KroneckerSum:
     (m,)*d grids, with S in the k-th of the d factors.
 
     ``E`` and ``S`` are tridiagonal 1D stencils (identity-like and
-    Laplacian-like factors); a wider factor raises ``EligibilityError``.  A
-    bare stencil S used as a system is ``KroneckerSum(1, 0.0, 1.0, IDENTITY,
-    S)``.  ``apply`` is one pass over the nonzero ones among the 3**d point
-    coefficients, computed once: in 1D the summed bands, in 2D 5 points for
-    identity mass and 9 for a tridiagonal one.  Fields are stored row-major;
-    ``apply`` takes the grid or its flat vector and returns the same shape.
+    Laplacian-like factors).  A bare stencil S used as a system is
+    ``KroneckerSum(1, 0.0, 1.0, IDENTITY, S)``.  ``apply`` is one pass over
+    the nonzero ones among the 3**d point coefficients, computed once: in 1D
+    the summed bands, in 2D 5 points for identity mass and 9 for one with a
+    nonzero a_1.  Fields are stored row-major; ``apply`` takes the grid or
+    its flat vector and returns the same shape.
     """
 
     ndim: int
@@ -161,18 +130,13 @@ class KroneckerSum:
     mass: ToeplitzStencil
     stiff: ToeplitzStencil
 
-    def __post_init__(self):
-        if len(self.mass.bands) > 2 or len(self.stiff.bands) > 2:  # half-bandwidth > 1
-            raise EligibilityError(
-                f"factors must be tridiagonal, got {self.mass.bands} and {self.stiff.bands}"
-            )
-
-    def _kron_sum(self, e, s, prod=np.multiply.outer):
+    def _kron_sum(self, e, s):
         """The operator's form over factor values ``e`` and ``s`` (band
-        points, symbols or matrices), ``prod`` being their tensor product."""
+        points or symbols), tensored by outer products."""
+        outer = np.multiply.outer
         mass, ones, stiff = self.c_mass, 1.0, 0.0
         for _ in range(self.ndim):
-            mass, ones, stiff = prod(mass, e), prod(ones, e), prod(stiff, e) + prod(ones, s)
+            mass, ones, stiff = outer(mass, e), outer(ones, e), outer(stiff, e) + outer(ones, s)
         return mass + self.c_stiff * stiff
 
     @cached_property
@@ -180,7 +144,7 @@ class KroneckerSum:
         """Centre coefficient, and ``(window, c)`` per nonzero off-centre
         point; ``window`` slices the point's shifted copy out of a grid
         zero-padded by one on every side."""
-        e, s = (np.pad(f.bands, (0, 2 - len(f.bands)))[[1, 0, 1]] for f in (self.mass, self.stiff))
+        e, s = (np.array(f.bands)[[1, 0, 1]] for f in (self.mass, self.stiff))
         c = self._kron_sum(e, s)
         centre = (1,) * self.ndim
         taps = tuple(
@@ -232,9 +196,6 @@ class KroneckerSum:
     def rediscretised(self) -> "KroneckerSum":
         """The operator on the grid of twice the spacing: c_stiff ~ 1/h**2 falls fourfold."""
         return KroneckerSum(self.ndim, self.c_mass, self.c_stiff / 4.0, self.mass, self.stiff)
-
-    def to_dense(self, m: int) -> np.ndarray:
-        return self._kron_sum(self.mass.to_dense(m), self.stiff.to_dense(m), np.kron)
 
     def is_spd_eligible(self) -> bool:
         return (
@@ -352,8 +313,7 @@ TensorOperator2D = KroneckerSum
 
 
 def dst_solve(op: KroneckerSum, b: np.ndarray) -> np.ndarray:
-    """Solve ``op x = b`` exactly for tridiagonal factors, matrix-free in
-    O(m**d log m).
+    """Solve ``op x = b`` exactly, matrix-free in O(m**d log m).
 
     The type-I discrete sine transform diagonalises every symmetric
     tridiagonal Toeplitz matrix, and so every Kronecker sum of them
@@ -388,16 +348,15 @@ def require_spd_eligible(op) -> None:
 def require_coarsenable(stencil: ToeplitzStencil) -> None:
     """Reject stencils the 1-2-1 transfer pair provably cannot coarsen.
 
-    A tridiagonal stencil with ``a_0 == 2*a_1`` and ``a_1 > 0`` has a symbol
-    vanishing at the highest frequency; the averaging transfer leaves that
-    mode invisible to every coarse grid, so such inputs are refused rather
-    than silently producing a stalled hierarchy.
+    Beyond the SPD test: a stencil with ``a_0 == 2*a_1`` and ``a_1 > 0`` has
+    a symbol vanishing at the highest frequency; the averaging transfer
+    leaves that mode invisible to every coarse grid, so such inputs are
+    refused rather than silently producing a stalled hierarchy.
     """
     require_spd_eligible(stencil)
-    if stencil.half_bandwidth >= 1:
-        a0, a1 = stencil.bands[0], stencil.bands[1]
-        if a1 > 0.0 and abs(a0 - 2.0 * a1) <= _ELIG_RTOL * a0:
-            raise EligibilityError(
-                "stencil with a_0 == 2*a_1 (a_1 > 0) cannot be coarsened by the "
-                "1-2-1 transfer pair: its symbol vanishes at the highest frequency"
-            )
+    a0, a1 = stencil.bands
+    if a1 > 0.0 and abs(a0 - 2.0 * a1) <= _ELIG_RTOL * a0:
+        raise EligibilityError(
+            "stencil with a_0 == 2*a_1 (a_1 > 0) cannot be coarsened by the "
+            "1-2-1 transfer pair: its symbol vanishes at the highest frequency"
+        )

@@ -2,7 +2,8 @@
 tests use.
 
 Everything here deliberately avoids the package's own fast paths: transfers
-are dense matrices, coarse operators come from explicit triple products,
+are dense matrices, operators are ``np.kron`` sums of dense Toeplitz
+factors, coarse operators come from explicit triple products,
 series powers from binomial expansion with naive convolution, the
 reference V-cycle allocates every intermediate, with its own apply,
 smoother and transfers, and applies the operator to every iterate, zero or
@@ -12,6 +13,7 @@ matrices.
 """
 
 import csv
+import functools
 
 import numpy as np
 
@@ -65,6 +67,16 @@ def toeplitz_dense(bands, m: int) -> np.ndarray:
         if j:
             a += val * np.eye(m, k=-j)
     return a
+
+
+def kron_sum_dense(op, m: int) -> np.ndarray:
+    """Dense matrix of a ``KroneckerSum`` on the (m,)*ndim grid: its mass
+    and stiffness terms as explicit ``np.kron`` products of dense factors."""
+    e, s = toeplitz_dense(op.mass.bands, m), toeplitz_dense(op.stiff.bands, m)
+    d = op.ndim
+    mass = functools.reduce(np.kron, [e] * d)
+    stiff = sum(functools.reduce(np.kron, [s if j == k else e for j in range(d)]) for k in range(d))
+    return op.c_mass * mass + op.c_stiff * stiff
 
 
 def coefficient_table(j: int, k: int) -> tuple[int, list[int]]:
@@ -322,8 +334,7 @@ def dense_approximate_inverse(h: MgHierarchy) -> np.ndarray:
 
 
 def dense_operator(h: MgHierarchy) -> np.ndarray:
-    lv = h.fine
-    return lv.operator.to_dense(lv.m)
+    return kron_sum_dense(h.fine.operator, h.fine.m)
 
 
 def dense_contraction_norm(h: MgHierarchy) -> float:

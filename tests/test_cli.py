@@ -125,11 +125,11 @@ def test_theory_out_of_range_weight_warns_but_exits_zero(capsys):
 
 
 def test_theory_reports_a_diverging_cycle_as_violated(capsys):
-    # out of the theory range, so exit 0 with the warning, but the contraction
-    # reads inf and VIOLATED, not 0.0 and ok
+    # out of the theory range, but a non-finite contraction is a violation
+    # whatever the weight: it reads inf and VIOLATED, and the run exits 3
     with np.errstate(over="ignore", invalid="ignore"):
         code = main(["theory", "--preset", "laplacian", "--omega", "1e200"])
-    assert code == 0
+    assert code == 3
     line = next(ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("||I - B A||_A"))
     assert line.split()[8:11] == ["inf", "5.000000e-201", "VIOLATED"]
 

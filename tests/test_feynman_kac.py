@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mgfk.feynman_kac import (
 )
 from mgfk.fsd import weights
 
-from helpers import naive_level_rhs
+from helpers import kron_sum_dense, naive_level_rhs
 
 
 def zero_problem_1d(m=7, n_steps=4):
@@ -138,7 +139,7 @@ def test_system_stencil_always_spd_eligible():
                 l0 = weights(alpha, nu, 0)[0]
                 s = fk_operator(1, l0, mu_coefficient(1.0, alpha, 0.01, 0.01) * scale)
                 assert s.is_spd_eligible()
-                (a0, a1), _ = s.to_dense(2)
+                (a0, a1), _ = kron_sum_dense(s, 2)
                 assert a0 - 2 * abs(a1) > 0.0
 
 
@@ -210,12 +211,18 @@ def test_average_iterations_tracked():
     assert 5 <= ev.avg_iterations <= 15
 
 
-def test_warm_start_reduces_cycles():
-    p = example_6_1(0.3, 16)
-    warm = Evolution(p, order=4, warm_start=True).run()
-    cold = Evolution(p, order=4, warm_start=False).run()
-    assert np.max(np.abs(warm.state - cold.state)) < 1e-9
-    assert warm.avg_iterations <= cold.avg_iterations + 1
+def test_history_past_physical_memory_is_refused_before_allocation():
+    # 2**20 + 1 levels of 2**20 - 1 float64 values: about 8 TiB of history
+    p = dataclasses.replace(zero_problem_1d(m=2**20 - 1, n_steps=2**20), rho=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(MgfkError, match=rf"needs {(2**20 + 1) * (2**20 - 1) * 8} bytes, "
+                                            r"more than the \d+ bytes of physical memory"):
+            Evolution(p, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**27  # grid coordinates, times and traces: none of the history
 
 
 def test_max_error_requires_exact():

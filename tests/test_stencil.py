@@ -8,7 +8,7 @@ from scipy.sparse.linalg import LinearOperator, eigsh
 
 import mgfk
 from mgfk.coarsen import fk_operator, galerkin_step, mu_coefficient
-from mgfk.errors import DimensionError, EligibilityError, GridSizeError, MgfkError
+from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
 from mgfk.stencil import (
     COMPACT_MASS,
@@ -22,7 +22,7 @@ from mgfk.stencil import (
     require_coarsenable,
 )
 
-from helpers import prolongation_matrix, restriction_matrix, toeplitz_dense
+from helpers import kron_sum_dense, prolongation_matrix, restriction_matrix, toeplitz_dense
 
 
 def test_apply_laplacian_of_constant():
@@ -38,14 +38,15 @@ def test_apply_identity():
 def test_apply_matches_dense_tridiagonal():
     rng = np.random.default_rng(1)
     v = rng.standard_normal(7)
-    dense = LAPLACIAN.to_dense(7)
+    dense = toeplitz_dense(LAPLACIAN.bands, 7)
     assert np.allclose(LAPLACIAN.apply(v), dense @ v, rtol=1e-15, atol=1e-15)
 
 
-@pytest.mark.parametrize("bandwidth", [0, 1, 2, 3, 4, 5, 6])
-def test_apply_matches_dense_every_size(bandwidth):
-    rng = np.random.default_rng(bandwidth)
-    bands = tuple(rng.standard_normal(bandwidth + 1))
+@pytest.mark.parametrize("seed", range(7))
+def test_apply_matches_dense_every_size(seed):
+    # seed 0 draws a lone diagonal, every other seed a random tridiagonal stencil
+    rng = np.random.default_rng(seed)
+    bands = tuple(rng.standard_normal(2 if seed else 1))
     s = ToeplitzStencil(bands)
     for m in range(1, 128):
         v = rng.standard_normal(m)
@@ -57,22 +58,37 @@ def test_apply_matches_dense_every_size(bandwidth):
 def test_apply_complex_vectors():
     rng = np.random.default_rng(2)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    dense = COMPACT_MASS.to_dense(9)
+    dense = toeplitz_dense(COMPACT_MASS.bands, 9)
     assert np.allclose(COMPACT_MASS.apply(v), dense @ v, rtol=1e-14)
 
 
 def test_to_dense_examples():
+    # the dense oracle every matrix comparison of the suite rests on
     assert np.array_equal(
-        LAPLACIAN.to_dense(3), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        toeplitz_dense(LAPLACIAN.bands, 3), [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
     )
-    assert np.array_equal(IDENTITY.to_dense(2), np.eye(2))
-    h3 = COMPACT_MASS.to_dense(3)
+    assert np.array_equal(toeplitz_dense(IDENTITY.bands, 2), np.eye(2))
+    h3 = toeplitz_dense(COMPACT_MASS.bands, 3)
     assert np.allclose(h3 * 12.0, [[10, 1, 0], [1, 10, 1], [0, 1, 10]], rtol=1e-15)
+    op = KroneckerSum(2, 2.0, 3.0, IDENTITY, LAPLACIAN)
+    assert np.array_equal(kron_sum_dense(op, 2), [[14, -3, -3, 0], [-3, 14, 0, -3],
+                                                  [-3, 0, 14, -3], [0, -3, -3, 14]])
 
 
 def test_stencil_arithmetic():
-    s = 2.0 * COMPACT_MASS + 3.0 * LAPLACIAN
-    assert s.bands == pytest.approx((2 * 10 / 12 + 6, 2 / 12 - 3))
+    assert (2.0 * COMPACT_MASS).bands == pytest.approx((2 * 10 / 12, 2 / 12))
+    assert (3.0 * IDENTITY).bands == (3.0, 0.0)
+
+
+def test_stencil_holds_exactly_two_bands():
+    # the theory covers tridiagonal stencils only: a lone diagonal is
+    # tridiag(0, a_0, 0), and a third band is refused at construction
+    assert ToeplitzStencil((4.0,)) == ToeplitzStencil((4.0, 0.0))
+    assert IDENTITY.bands == (1.0, 0.0)
+    with pytest.raises(EligibilityError, match="tridiagonal"):
+        ToeplitzStencil((1.0, 2.0, 3.0))
+    with pytest.raises(ValueError):
+        ToeplitzStencil(())
 
 
 def test_lambda_max_closed_form_tridiagonal():
@@ -129,8 +145,8 @@ def test_grid_depth():
             grid_depth(bad)
 
 
-WIDE_MASS = ToeplitzStencil((0.9, 0.15, -0.05))
-WIDE_STIFF = ToeplitzStencil((2.5, -1.0, -0.25))
+WIDE_MASS = (0.9, 0.15, -0.05)
+WIDE_STIFF = (2.5, -1.0, -0.25)
 
 
 @pytest.mark.parametrize("stiff", [LAPLACIAN], ids=["laplacian"])
@@ -145,7 +161,7 @@ def test_tensor_operator_matches_dense_kron(mass, stiff):
     for ndim in (1, 2):
         op = KroneckerSum(ndim, c_mass=1.3, c_stiff=0.7, mass=mass, stiff=stiff)
         for m in (1, 3, 7, 15):
-            e, s = mass.to_dense(m), stiff.to_dense(m)
+            e, s = toeplitz_dense(mass.bands, m), toeplitz_dense(stiff.bands, m)
             if ndim == 1:
                 dense = 1.3 * e + 0.7 * s
             else:
@@ -166,7 +182,9 @@ def test_fine_1d_apply_equals_summed_band_stencil():
     # in 1D the operator's points are the summed bands, bit for bit
     rng = np.random.default_rng(13)
     op = fk_operator(1, 1.7, 250.0)
-    summed = 1.7 * COMPACT_MASS + 250.0 * LAPLACIAN
+    summed = ToeplitzStencil(
+        tuple(e + s for e, s in zip((1.7 * COMPACT_MASS).bands, (250.0 * LAPLACIAN).bands))
+    )
     for m in (1, 2, 31, 1023):
         v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         assert np.array_equal(op.apply(v), summed.apply(v))
@@ -176,9 +194,9 @@ def test_fine_1d_apply_equals_summed_band_stencil():
 def test_tensor_operator_diagonal():
     op = KroneckerSum(2, c_mass=2.0, c_stiff=3.0, mass=IDENTITY, stiff=LAPLACIAN)
     assert op.diagonal == 2.0 * 1.0 + 2.0 * 3.0 * 1.0 * 2.0
-    assert op.to_dense(5)[0, 0] == pytest.approx(op.diagonal)
+    assert kron_sum_dense(op, 5)[0, 0] == pytest.approx(op.diagonal)
     op1 = KroneckerSum(1, c_mass=2.0, c_stiff=3.0, mass=COMPACT_MASS, stiff=LAPLACIAN)
-    assert op1.to_dense(5)[0, 0] == pytest.approx(op1.diagonal, rel=1e-15)
+    assert kron_sum_dense(op1, 5)[0, 0] == pytest.approx(op1.diagonal, rel=1e-15)
 
 
 def test_tensor_operator_rejects_non_square_flat_vector():
@@ -202,7 +220,7 @@ GALERKIN_MASS = galerkin_step(galerkin_step(COMPACT_MASS))
 def test_eigenvalues_match_dense_spectrum(ndim, mass):
     op = KroneckerSum(ndim, c_mass=1.3, c_stiff=0.7, mass=mass, stiff=galerkin_step(LAPLACIAN))
     for m in (1, 3, 7, 15, 31):
-        want = np.linalg.eigvalsh(op.to_dense(m))
+        want = np.linalg.eigvalsh(kron_sum_dense(op, m))
         got = op.eigenvalues(m)
         assert got.shape == (m,) * ndim
         assert np.allclose(np.sort(got.ravel()), want, rtol=0.0, atol=1e-13 * want.max())
@@ -222,20 +240,21 @@ def test_eigenvalues_match_lanczos_on_galerkin_level_one():
 
 
 def test_eigenvalues_need_tridiagonal_factors():
-    # a bare wide stencil has no closed-form spectrum, so no lambda_max either
+    # every stencil has its closed-form spectrum: a lone diagonal is
+    # tridiag(0, a_0, 0), and a wider stencil is refused before it has one
+    assert np.array_equal(ToeplitzStencil((3.0,)).eigenvalues(7), np.full(7, 3.0))
+    assert lambda_max(ToeplitzStencil((3.0,)), 7) == (3.0, 3.0)
     for wide in (WIDE_MASS, WIDE_STIFF):
-        with pytest.raises(MgfkError):
-            wide.eigenvalues(7)
-        with pytest.raises(MgfkError):
-            lambda_max(wide, 7)
+        with pytest.raises(EligibilityError):
+            ToeplitzStencil(wide).eigenvalues(7)
 
 
 @pytest.mark.parametrize("ndim", [1, 2, 3])
 def test_kronecker_sum_refuses_wide_factors(ndim):
-    # a half-bandwidth-2 mass or stiffness is refused at construction
-    for mass, stiff in ((WIDE_MASS, LAPLACIAN), (IDENTITY, WIDE_STIFF)):
+    # a mass or stiffness of half-bandwidth 2 never reaches the operator
+    for mass, stiff in ((WIDE_MASS, LAPLACIAN.bands), (IDENTITY.bands, WIDE_STIFF)):
         with pytest.raises(EligibilityError, match="tridiagonal"):
-            KroneckerSum(ndim, 1.0, 1.0, mass, stiff)
+            KroneckerSum(ndim, 1.0, 1.0, ToeplitzStencil(mass), ToeplitzStencil(stiff))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -245,9 +264,9 @@ def test_galerkin_matches_dense_triple_product(ndim):
         r, p = np.kron(r, r), np.kron(p, p)
     op = fk_operator(ndim, 1.3, 40.0)
     for _ in range(3):  # three levels down, each against the triple product of the one above
-        want = r @ op.to_dense(15) @ p
+        want = r @ kron_sum_dense(op, 15) @ p
         op = op.galerkin()
-        assert np.allclose(op.to_dense(7), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
+        assert np.allclose(kron_sum_dense(op, 7), want, rtol=0.0, atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -272,7 +291,7 @@ def test_rediscretised_divides_the_stiffness_by_four(ndim):
 def test_dst_solve_matches_dense_solve(op):
     rng = np.random.default_rng(12)
     for m in (1, 3, 7, 15):
-        dense = op.to_dense(m)
+        dense = kron_sum_dense(op, m)
         real = rng.standard_normal(dense.shape[0])
         for b in (real, real + 1j * rng.standard_normal(real.size)):
             want = np.linalg.solve(dense, b)
