@@ -280,8 +280,11 @@ def main(argv=None) -> int:
             if getattr(args, "json_out", None):
                 with open(args.json_out, "w") as fh:
                     fh.write(analysis.reports_to_json(reports))
-            out_of_range = [r for r in reports if not r.context.get("in_theory_range", True)]
-            if out_of_range:
+            contraction = [r for r in reports if "in_theory_range" in r.context]
+            if not all(math.isfinite(r.measured) for r in contraction):
+                print("V-cycle diverged: its measured contraction is not finite", file=sys.stderr)
+                return 3
+            if not all(r.context["in_theory_range"] for r in contraction):
                 print("warning: smoothing weight outside the theory range; "
                       "contraction bound not asserted", file=sys.stderr)
             if violated:

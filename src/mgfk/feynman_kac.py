@@ -90,6 +90,18 @@ class Problem:
         return (x,) if self.ndim == 1 else tuple(np.meshgrid(x, x, indexing="ij"))
 
 
+def _require_history_fits(p: Problem, dtype: np.dtype) -> None:
+    """Raise ``MgfkError`` if the ``dtype`` history of every level of ``p``
+    exceeds the machine's physical memory."""
+    history_bytes = (p.n_steps + 1) * p.m**p.ndim * dtype.itemsize
+    memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if history_bytes > memory_bytes:
+        raise MgfkError(
+            f"the history of {p.n_steps + 1} levels needs {history_bytes} bytes, "
+            f"more than the {memory_bytes} bytes of physical memory"
+        )
+
+
 class Evolution:
     """Stepper for the 1D compact and the 2D centred scheme.
 
@@ -121,6 +133,9 @@ class Evolution:
         self.max_iter = max_iter
 
         p = problem
+        # Every level is stored: refuse a history that cannot fit before allocating any of it,
+        # even in float64 before the data is evaluated, then in the working dtype.
+        _require_history_fits(p, np.dtype(float))
         self.coords = p.coords
         self.t = p.tau * np.arange(p.n_steps + 1)
         initial = np.asarray(p.initial(*self.coords)).ravel()
@@ -131,14 +146,7 @@ class Evolution:
         # The working dtype: float64 unless rho or the data is complex.
         real = complex(p.rho).imag == 0 and all(map(_is_real, (initial, *traces)))
         self.dtype = np.dtype(float if real else complex)
-        # Every level is stored: refuse a history that cannot fit before allocating any of it.
-        history_bytes = (p.n_steps + 1) * p.m**p.ndim * self.dtype.itemsize
-        memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if history_bytes > memory_bytes:
-            raise MgfkError(
-                f"the history of {p.n_steps + 1} levels needs {history_bytes} bytes, "
-                f"more than the {memory_bytes} bytes of physical memory"
-            )
+        _require_history_fits(p, self.dtype)
         rho = np.real(p.rho) if real else p.rho
 
         self.l = weights(p.alpha, order, p.n_steps)

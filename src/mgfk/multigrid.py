@@ -2,9 +2,9 @@
 
 A hierarchy is built once from a fine operator (Galerkin or geometric
 coarsening), its numerical content is immutable afterwards, and it is
-shared by every solve.  Grids have 2**k - 1 points per dimension and bottom
-out at a single point, where the coarse solve is an exact scalar division.
-Cycles run on (m,)*ndim grids.
+shared by every solve.  Grids are 1D (m,) or 2D (m, m), the two cases the
+paper's uniform bounds cover, with m = 2**k - 1, and bottom out at a single
+point, where the coarse solve is an exact scalar division.
 
 A cycle allocates nothing but the array it returns: it runs in place on
 per-level scratch buffers (``LevelWork``), which a hierarchy makes on its

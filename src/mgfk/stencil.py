@@ -1,16 +1,18 @@
 """Symmetric tridiagonal Toeplitz stencils and the Kronecker sums built from them.
 
 Every operator in the package is stored matrix-free: a stencil is the band
-pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator in d dimensions
-is ``c_mass E^{(x)d} + c_stiff sum_k E (x)..S..(x) E`` over two stencils.
-Both are applied by shifted-slice multiply-adds, a system operator by
-``PaddedApply`` on the grid held in its run layout (``run_shape``: rows of
-m + 1 cells, one zero pad cell after each row's points): one scaled copy of
-the grid per distinct point coefficient, then one add per nonzero point of
-its 3**d, built once as ufunc calls on scratch a caller may keep.  The
-type-I sine transform diagonalises the system operators, which gives their
-spectra in closed form and an exact direct solve.  Dense matrices live in
-the test oracles only.
+pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
+``c_mass E + c_stiff S`` on a 1D grid or
+``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on a 2D one, over two
+stencils.  Both are applied by shifted-slice multiply-adds, a system
+operator by ``PaddedApply`` on the grid held in its run layout
+(``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
+row's points): one scaled copy of the grid per distinct point coefficient,
+then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as
+ufunc calls on scratch a caller may keep.  The type-I sine transform
+diagonalises the system operators, which gives their spectra in closed
+form and an exact direct solve.  Dense matrices live in the test oracles
+only.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar
 
 import numpy as np
 
@@ -44,7 +45,6 @@ class ToeplitzStencil:
     """
 
     bands: tuple
-    ndim: ClassVar[int] = 1  # a stencil acts on 1D grids
 
     def __post_init__(self):
         bands = tuple(float(a) for a in self.bands)
@@ -112,16 +112,18 @@ AVERAGING = ToeplitzStencil((2.0, 1.0))
 
 @dataclass(frozen=True)
 class KroneckerSum:
-    """Operator ``c_mass E^{(x)d} + c_stiff sum_k E (x)..(x) S (x)..(x) E`` on
-    (m,)*d grids, with S in the k-th of the d factors.
+    """Operator ``c_mass E + c_stiff S`` on (m,) grids (``ndim`` 1) or
+    ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on (m, m) grids
+    (``ndim`` 2); any other ``ndim`` raises ``DimensionError``, as the
+    paper's theory covers those two only.
 
     ``E`` and ``S`` are tridiagonal 1D stencils (identity-like and
     Laplacian-like factors).  A bare stencil S used as a system is
     ``KroneckerSum(1, 0.0, 1.0, IDENTITY, S)``.  ``apply`` is one pass over
-    the nonzero ones among the 3**d point coefficients, computed once: in 1D
-    the summed bands, in 2D 5 points for identity mass and 9 for one with a
-    nonzero a_1.  Fields are stored row-major; ``apply`` takes the grid or
-    its flat vector and returns the same shape.
+    the nonzero point coefficients, computed once: in 1D the 3 summed
+    bands, in 2D 5 points for identity mass and 9 for one with a nonzero
+    a_1.  Fields are stored row-major; ``apply`` takes the grid or its flat
+    vector and returns the same shape.
     """
 
     ndim: int
@@ -129,6 +131,10 @@ class KroneckerSum:
     c_stiff: float
     mass: ToeplitzStencil
     stiff: ToeplitzStencil
+
+    def __post_init__(self):
+        if self.ndim not in (1, 2):
+            raise DimensionError(f"Kronecker sums are 1D or 2D, got ndim {self.ndim}")
 
     def _kron_sum(self, e, s):
         """The operator's form over factor values ``e`` and ``s`` (band
@@ -210,9 +216,9 @@ class KroneckerSum:
 
 
 def run_shape(shape: tuple) -> tuple:
-    """Shape of the run layout of a grid of ``shape``: axis 0 as it is, every
-    other axis of m points in rows of m + 1 cells, the points first and a
-    zero pad cell after them."""
+    """Shape of the run layout of a grid of ``shape``: a 1D grid as it is, the
+    rows of n points of a 2D one in rows of n + 1 cells, the points first
+    and a zero pad cell after them."""
     return (shape[0], *(m + 1 for m in shape[1:]))
 
 
@@ -223,14 +229,9 @@ def interior(a: np.ndarray, shape: tuple) -> np.ndarray:
 
 def pads(a: np.ndarray, shape: tuple) -> tuple:
     """Views covering every pad cell of a flat array in the run layout of
-    ``shape``, one per axis after the first; the last axis's is the 1D view
-    ``a[m::m + 1]``."""
-    rows, d = run_shape(shape), len(shape)
-    return tuple(
-        a[shape[k] :: rows[k]] if k == d - 1
-        else a.reshape(rows)[(slice(None),) * k + (slice(shape[k], None),)]
-        for k in range(1, d)
-    )
+    ``shape``: in 2D, rows of n points, the one 1D view ``a[n::n + 1]``; in
+    1D, where the run has no pad cells, none."""
+    return tuple(a[n :: n + 1] for n in shape[1:])
 
 
 class PaddedApply:
@@ -242,7 +243,7 @@ class PaddedApply:
     storage.  The neighbour past the end of a row and the one before the
     start of the next are the one pad cell between them, and those off the
     first or last row are the zero storage on either side of the run, one
-    row block wide; ``framed`` is the run with that zero row block on
+    row (in 1D one cell) wide; ``framed`` is the run with that zero row on
     either side.  In 1D the run is ``x`` itself.  The product goes to
     ``out``, laid out like the run; ``interior(a)`` and ``pads(a)`` are the
     grid and the pad cells of an array so laid out.  Pad cells of ``out``

@@ -1,4 +1,5 @@
 import dataclasses
+import os
 import tracemalloc
 
 import numpy as np
@@ -225,6 +226,30 @@ def test_history_past_physical_memory_is_refused_before_allocation():
     assert peak < 2**27  # grid coordinates, times and traces: none of the history
 
 
+def test_complex_history_past_physical_memory_is_refused_in_its_own_dtype():
+    # the history fits in float64 but not in complex128, which the complex
+    # rho decides once the data is evaluated: still refused before allocation
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    m = 2**15 - 1
+    n_steps = memory // (12 * m)  # two thirds of the memory in float64
+    with pytest.raises(MgfkError, match=rf"needs {(n_steps + 1) * m * 16} bytes"):
+        Evolution(zero_problem_1d(m=m, n_steps=n_steps), order=2)
+
+
+def test_history_past_physical_memory_is_refused_before_any_trace_is_evaluated():
+    # even in float64 the history does not fit, so no boundary value is computed
+    p = example_6_1(0.3, 2**20)
+    calls = []
+
+    def bc_left(t):
+        calls.append(t)
+        return p.bc_left(t)
+
+    with pytest.raises(MgfkError, match="physical memory"):
+        Evolution(dataclasses.replace(p, bc_left=bc_left), order=4)
+    assert calls == []
+
+
 def test_max_error_requires_exact():
     ev = Evolution(zero_problem_1d(), order=1, solver="direct").run()
     with pytest.raises(MgfkError):
@@ -249,7 +274,7 @@ def test_non_finite_data_raises_convergence_failure(ndim, bad):
         p = example_6_2(0.3, 16)
         p.forcing = lambda x, y, t, f=p.forcing: spoil(f(x, y, t))
         ev = Evolution(p, order=2, solver="mgm")
-    with pytest.raises(ConvergenceFailure) as info:
+    with pytest.raises(ConvergenceFailure) as info, np.errstate(invalid="ignore", over="ignore"):
         ev.step()
     assert info.value.report.iterations <= 1
     assert not info.value.report.converged

@@ -16,7 +16,6 @@ from mgfk.multigrid import (
     vcycle,
 )
 from mgfk.stencil import (
-    COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,
     KroneckerSum,
@@ -403,39 +402,33 @@ def test_solve_stops_when_an_iterate_turns_non_finite(monkeypatch):
     assert np.isnan(report.residuals[-1])
 
 
-def oracle_operator(system, ndim, intervals):
-    """The nu = 2, alpha = 0.3 Feynman-Kac operator ("fk"), or its coefficients
-    over the compact mass and a Laplacian ("compact")."""
+def oracle_operator(ndim, intervals):
+    """The nu = 2, alpha = 0.3 Feynman-Kac operator."""
     l0 = weights(0.3, 2, 0)[0]
     mu = mu_coefficient(1.0, 0.3, 1.0 / intervals, 1.0 / intervals)
-    if system == "fk":
-        return fk_operator(ndim, l0, mu)
-    return KroneckerSum(ndim, l0, mu, COMPACT_MASS, LAPLACIAN)
+    return fk_operator(ndim, l0, mu)
 
 
-ORACLE_SIZES = {1: (32, 1024), 2: (16, 128), 3: (16,)}
+ORACLE_SIZES = {1: (32, 1024), 2: (16, 128)}
 GRIDS = [(ndim, coarsening) for ndim in (1, 2) for coarsening in ("galerkin", "geometric")]
 ORACLE_CASES = [
-    *(pytest.param(ndim, coarsening, pre, 2, "fk", id=f"{ndim}-{coarsening}-{pre}")
+    *(pytest.param(ndim, coarsening, pre, 2, id=f"{ndim}-{coarsening}-{pre}")
       for ndim, coarsening in GRIDS for pre in (0, 1, 2)),
-    *(pytest.param(ndim, coarsening, 1, post, "fk", id=f"{ndim}-{coarsening}-1-post{post}")
+    *(pytest.param(ndim, coarsening, 1, post, id=f"{ndim}-{coarsening}-1-post{post}")
       for ndim, coarsening in GRIDS for post in (1, 3)),
-    *(pytest.param(3, coarsening, 1, 2, "compact", id=f"3-{coarsening}-1-compact")
-      for coarsening in ("galerkin", "geometric")),
 ]
 
 
-@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, system", ORACLE_CASES)
-def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count, system):
+@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count", ORACLE_CASES)
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count):
     # coarse levels skip the operator apply on their zero start, a residual
     # passed in spares the fine level one, and every level runs its part of
     # one prebuilt tape in place in its workspace, the apply through one
     # scaled copy per coefficient; the iterates must not move by a bit, real
-    # or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
-    # count, and a 27-point 3D operator
+    # or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing count
     rng = np.random.default_rng(17)
     for intervals in ORACLE_SIZES[ndim]:
-        h = build_hierarchy(oracle_operator(system, ndim, intervals), intervals - 1, coarsening,
+        h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
                             pre_count=pre_count, post_count=post_count)
         n = h.fine.unknowns
         for imag in (0.0, 1.0):
@@ -458,7 +451,7 @@ def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening):
     # at the rounding floor: the solution and every relative residual equal
     # the oracle's
     intervals = 1024 if ndim == 1 else 128
-    h = build_hierarchy(oracle_operator("fk", ndim, intervals), intervals - 1, coarsening)
+    h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening)
     n = h.fine.unknowns
     rng = np.random.default_rng(20)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -18,7 +18,9 @@ from mgfk.stencil import (
     ToeplitzStencil,
     dst_solve,
     grid_depth,
+    interior,
     lambda_max,
+    pads,
     require_coarsenable,
 )
 
@@ -249,12 +251,27 @@ def test_eigenvalues_need_tridiagonal_factors():
             ToeplitzStencil(wide).eigenvalues(7)
 
 
-@pytest.mark.parametrize("ndim", [1, 2, 3])
+@pytest.mark.parametrize("ndim", [1, 2])
 def test_kronecker_sum_refuses_wide_factors(ndim):
     # a mass or stiffness of half-bandwidth 2 never reaches the operator
     for mass, stiff in ((WIDE_MASS, LAPLACIAN.bands), (IDENTITY.bands, WIDE_STIFF)):
         with pytest.raises(EligibilityError, match="tridiagonal"):
             KroneckerSum(ndim, 1.0, 1.0, ToeplitzStencil(mass), ToeplitzStencil(stiff))
+
+
+def test_pads_are_the_cell_after_each_row():
+    # a 2D run holds rows of n points and one pad cell; a 1D run has no pads
+    a = np.arange(3 * 8.0)
+    (pad,) = pads(a, (3, 7))
+    assert np.array_equal(pad, [7.0, 15.0, 23.0]) and np.shares_memory(pad, a)
+    assert np.array_equal(interior(a, (3, 7)).ravel(), np.delete(a, [7, 15, 23]))
+    assert pads(np.arange(7.0), (7,)) == ()
+
+
+@pytest.mark.parametrize("ndim", [0, 3])
+def test_kronecker_sum_refuses_grids_other_than_1d_and_2d(ndim):
+    with pytest.raises(DimensionError, match="1D or 2D"):
+        KroneckerSum(ndim, 1.0, 1.0, IDENTITY, LAPLACIAN)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
