@@ -165,7 +165,7 @@ def test_transfers_refuse_grids_of_more_than_two_axes():
         restrict(np.float64(1.0))
 
 
-@pytest.mark.parametrize("shape", [(7, 15), (15, 7), (1, 3)])
+@pytest.mark.parametrize("shape", [(7, 15), (15, 7), (3, 15), (15, 3), (1, 3)])
 def test_rectangular_grids_match_the_oracle(shape):
     # every axis of 2**k - 1 points on its own: restrict the grid, prolong its coarse shape
     rng = np.random.default_rng(sum(shape))
