@@ -352,7 +352,7 @@ def example_6_2(alpha: float, intervals: int) -> Problem:
     Gamma(5+alpha)/Gamma(5) * t**4 and the Laplacian -2 pi**2 times the
     solution.
     """
-    rho = 1.0 + 0.0j
+    rho = 1.0
     kappa = 1.0
     c4 = math.gamma(5.0 + alpha) / math.gamma(5.0)
 
@@ -361,7 +361,7 @@ def example_6_2(alpha: float, intervals: int) -> Problem:
         return np.exp(-rho * t) * (c4 * t**4 + 2.0 * kappa * np.pi**2 * t ** (4.0 + alpha)) * shape
 
     def initial(x, y):
-        return np.zeros_like(x, dtype=complex)
+        return np.zeros_like(x)
 
     def exact(x, y, t):
         return np.exp(-rho * t) * t ** (4.0 + alpha) * np.sin(np.pi * x) * np.sin(np.pi * y)

@@ -11,17 +11,17 @@ per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
 first cycle for a given dtype (float64 for real time steppers and
 ``measure_contraction``, complex128 for complex steppers, from their first
 complex value on) and reuses from then on.  Every kernel (apply,
-smoother, transfers) is built with the buffers as a tuple of
-``(ufunc, args)`` calls into preallocated outputs, in the operation order
-of the plain array expressions, so the iterates do not depend on the
-buffering.  On the first cycle from a given level and start, the hierarchy
-splices those of every level into one flat tape, the whole V-cycle down to
-the coarsest grid (``MgHierarchy.tape``); a cycle loads its arguments and
-runs it (``stencil.run_calls``), with no recursion and no lookup per
-level.  ``build_hierarchy`` makes neither buffers nor tapes.
+smoother, transfers) is a call tuple: ``(ufunc, args)`` pairs on the
+buffers, in the operation order of the plain array expressions, so the
+iterates do not depend on the buffering.  The hierarchy splices those of
+every level into one flat tape per dtype and start (``MgHierarchy.tape``),
+the whole V-cycle down to the coarsest grid, which ``stencil.run_calls``
+runs with no recursion.  A tape starts from zero or from the loaded fine
+iterate and its residual: ``solve`` and ``measure_contraction`` form that
+residual for their norms and cycle from it in place, ``vcycle`` forms it
+to cycle once.  ``build_hierarchy`` makes neither buffers nor tapes.
 ``vcycle`` and ``solve`` return new arrays, never a buffer.  Because the
-buffers are shared, two threads must not cycle on one hierarchy at the
-same time.
+buffers are shared, two threads must not cycle on one hierarchy at once.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -66,19 +66,6 @@ class GridLevel:
     def unknowns(self) -> int:
         return self.m**self.operator.ndim
 
-    @cached_property
-    def _kernels(self) -> dict:
-        return {}
-
-    def kernel(self, dtype) -> PaddedApply:
-        """A ``PaddedApply`` of the level's operator for ``dtype``, made on
-        first use and kept, apart from any cycle's workspace."""
-        dtype = np.dtype(dtype)
-        kernel = self._kernels.get(dtype)
-        if kernel is None:
-            kernel = self._kernels[dtype] = PaddedApply(self.operator, self.m, dtype)
-        return kernel
-
 
 class LevelWork:
     """Scratch of one level for one dtype, and the ufunc calls that work on it.
@@ -86,7 +73,7 @@ class LevelWork:
     ``v`` is the iterate, the grid held in the apply's run (``v_run``), ``r``
     the residual and temporary (the apply's output), and ``rhs`` the
     right-hand side a cycle on this level reads: the one the level above
-    restricts into, or the one ``solve`` or a caller's ``f`` is copied into.
+    restricts into, or the one a driver loads on the fine level.
     Each grid is held in the apply's run layout, rows of m + 1 cells
     (``v_run``, ``r_run``, ``rhs_run``), where the smoother's arithmetic
     runs; the pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so
@@ -94,8 +81,8 @@ class LevelWork:
     its edges from them.  ``residual`` is
     the calls that form ``r = rhs - A v``.  ``restrict`` (``r`` into the
     next level's ``rhs``, its pad cells refilled with zeros) and ``prolong``
-    (the next level's ``v`` into ``r``, pad cells zero) are bound by
-    ``MgHierarchy.workspace``.
+    (the next level's ``v`` into ``r``, pad cells zero) are the transfers'
+    call tuples, bound by ``MgHierarchy.workspace``.
     """
 
     def __init__(self, level: GridLevel, dtype):
@@ -109,7 +96,7 @@ class LevelWork:
             (np.subtract, (self.rhs_run, self.r_run, self.r_run)),
             *((pad.fill, (0.0,)) for pad in self.apply.pads(self.r_run)),
         )
-        self.restrict = self.prolong = None
+        self.restrict = self.prolong = ()
 
     def scalar(self, value: float) -> np.ndarray:
         """``value`` as a 0-d array of the level's dtype."""
@@ -181,44 +168,44 @@ class MgHierarchy:
         if work is None:
             work = tuple(LevelWork(lv, dtype) for lv in self.levels)
             for lv, fine, coarse in zip(self.levels, work, work[1:]):
-                fine.restrict = transfer.Restriction(fine.r_run, coarse.rhs_run, lv.shape)
-                fine.prolong = transfer.Prolongation(coarse.apply.framed, fine.r_run, lv.shape)
+                fine.restrict = transfer.restriction(fine.r_run, coarse.rhs_run, lv.shape)
+                fine.prolong = transfer.prolongation(coarse.apply.framed, fine.r_run, lv.shape)
             self._work[dtype] = work
         return work
 
-    def tape(self, dtype, level: int, start: str) -> tuple:
-        """The ufunc calls of one cycle from ``level`` down on the ``dtype``
-        workspace, made on first use.  The cycle's iterate ``start``s from
-        ``"zero"``, from the loaded ``v`` and its loaded residual ``r``
-        (``"residual"``), or from the loaded ``v`` alone (``"iterate"``)."""
-        key = (dtype, level, start)
+    def tape(self, dtype, zero: bool) -> tuple:
+        """The ufunc calls of one fine-level cycle on the ``dtype``
+        workspace, made on first use.  The cycle starts from a zero iterate
+        (``zero``) or from the loaded ``v`` and its residual, formed into
+        ``r`` by the fine level's ``residual`` calls."""
+        key = (np.dtype(dtype), zero)
         tape = self._tapes.get(key)
         if tape is None:
-            tape = self._tapes[key] = _cycle_calls(self, self.workspace(dtype), level, start)
+            tape = self._tapes[key] = _cycle_calls(self, self.workspace(dtype), 0, zero)
         return tape
 
 
-def _cycle_calls(h: MgHierarchy, work: tuple, level: int, start: str) -> tuple:
+def _cycle_calls(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple:
     """The body of one V-cycle on ``work[level]`` and, spliced in, the zero-start
-    cycle of every level below, as ``(ufunc, args)`` pairs run in order."""
+    cycle of every level below, as ``(ufunc, args)`` pairs run in order.  A
+    pre-smoothing sweep is an update from the formed residual, then the new
+    residual; from zero that residual is ``rhs``, so the first update needs
+    no apply: v = omega_pre * rhs / diag."""
     ws = work[level]
     x = ws.v_run
     if level == h.depth - 1:
         return ((np.divide, (ws.rhs_run, ws.scalar(ws.diag), x)),)
     pre, calls = h.pre_count, ()
-    if start == "zero" and not pre:
-        calls = ((x.fill, (0.0,)),)
-    elif start == "zero":  # the first sweep from zero needs no apply: v = omega_pre * rhs / diag
-        calls, pre = ((np.multiply, (ws.rhs_run, ws.scalar(h.omega_pre / ws.diag), x)),), pre - 1
-    elif start == "residual" and pre:  # nor one from a given residual
-        calls, pre = ws.update(h.omega_pre), pre - 1
+    if zero:
+        scale = ws.scalar(h.omega_pre / ws.diag)
+        first = (np.multiply, (ws.rhs_run, scale, x)) if pre else (x.fill, (0.0,))
+        calls, pre = (first, *ws.residual), max(pre - 1, 0)
     return (
         calls
-        + ws.sweep(h.omega_pre) * pre
-        + ws.residual
-        + ws.restrict.calls
-        + _cycle_calls(h, work, level + 1, "zero")
-        + ws.prolong.calls
+        + (ws.update(h.omega_pre) + ws.residual) * pre
+        + ws.restrict
+        + _cycle_calls(h, work, level + 1, True)
+        + ws.prolong
         + ((np.add, (x, ws.r_run, x)),)
         + ws.sweep(h.omega_post) * h.post_smooths
     )
@@ -316,54 +303,35 @@ def smooth(
     return work.v
 
 
-def vcycle(
-    h: MgHierarchy,
-    v: np.ndarray | None,
-    f: np.ndarray,
-    level: int = 0,
-    r: np.ndarray | None = None,
-) -> np.ndarray:
-    """One V-cycle sweep from iterate ``v`` on a level's grid or flat vector.
+def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
+    """One V-cycle sweep from iterate ``v`` on the fine grid or its flat vector.
 
-    ``v=None`` is the zero start of every coarse-grid correction; its first
-    pre-smoothing sweep is exactly ``omega_pre * f / diag``, with no apply.
-    ``r``, the residual ``f - A v`` a caller has already formed, likewise
-    spares the first pre-smoothing sweep its apply.
-
-    The sweep loads its arguments into the level's ``LevelWork`` (nothing
-    to load for an argument that is that work's own ``v``, ``rhs`` or
-    ``r``), runs the level's tape for that start (``MgHierarchy.tape``,
-    the whole cycle down to the coarsest level as one flat run of ufunc
-    calls), and returns a copy of the iterate, except when ``f`` is the
-    work's own ``rhs``: then the result is left in its ``v``, which is
-    returned.  ``solve`` runs in place that way.
+    ``v=None`` is the zero start, whose first pre-smoothing sweep is exactly
+    ``omega_pre * f / diag``, with no apply.  Otherwise the sweep loads
+    ``v`` and ``f`` into the fine ``LevelWork``, forms the residual and runs
+    the tape from it (``MgHierarchy.tape``, the whole cycle down to the
+    coarsest level as one flat run of ufunc calls); it returns a copy of
+    the iterate.
 
     On the one-point coarsest grid the equation is solved exactly, so the
     cycle implements an approximate inverse whose error propagator
     contracts in the energy norm.
     """
-    lv = h.levels[level]
+    lv = h.fine
     f = np.asarray(f)
     flat = f.shape != lv.shape
     if flat:
         if f.shape != (lv.unknowns,):
             raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
-        v, f, r = (a if a is None else np.reshape(a, lv.shape) for a in (v, f, r))
-    dtype = _work_dtype(f, v, r)
-    ws = h.workspace(dtype)[level]
-    if v is None:
-        start = "zero"
-    else:
-        start = "residual" if r is not None and h.pre_count else "iterate"
-        if v is not ws.v:
-            ws.v[...] = v
-        if start == "residual" and r is not ws.r:
-            ws.r[...] = r
-    if f is not ws.rhs:
-        ws.rhs[...] = f
-    run_calls(h.tape(dtype, level, start))
-    if f is ws.rhs:
-        return ws.v
+        f = f.reshape(lv.shape)
+        v = v if v is None else np.reshape(v, lv.shape)
+    dtype = _work_dtype(f, v)
+    ws = h.workspace(dtype)[0]
+    ws.rhs[...] = f
+    if v is not None:
+        ws.v[...] = v
+        run_calls(ws.residual)
+    run_calls(h.tape(dtype, zero=v is None))
     return ws.v.flatten() if flat else ws.v.copy()
 
 
@@ -376,8 +344,9 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
-    The cycles run in place in the fine level's ``LevelWork``; the solution
-    comes back as a new flat array.  Non-convergence within ``max_iter`` is
+    The cycles run in place in the fine level's ``LevelWork``, each from the
+    residual just formed for its norm; the solution comes back as a new
+    flat array.  Non-convergence within ``max_iter`` is
     reported, not raised: the report comes back with ``converged=False`` and
     the full residual history.  A non-finite residual, ``r0`` included,
     stops the iteration at once.
@@ -390,7 +359,8 @@ def solve(
     for name, arg in (("f", f), ("v0", v0)):
         if arg is not None and np.shape(arg) != (lv.unknowns,):
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
-    ws = h.workspace(_work_dtype(f, v0))[0]
+    dtype = _work_dtype(f, v0)
+    ws = h.workspace(dtype)[0]
     ws.rhs[...] = np.reshape(f, lv.shape)
     if v0 is None:
         ws.v_run.fill(0.0)
@@ -409,11 +379,10 @@ def solve(
     if not math.isfinite(r0):
         return ws.v.flatten(), SolveReport(iterations=0, residuals=[math.nan])
 
+    tape = h.tape(dtype, zero=False)
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        v = vcycle(h, ws.v, ws.rhs, r=ws.r)  # ran in place, so v is ws.v: nothing to copy
-        if v is not ws.v:
-            ws.v[...] = v
+        run_calls(tape)
         rel = residual_norm() / r0
         report.residuals.append(rel)
         report.iterations = it
@@ -434,15 +403,6 @@ def solve(
     return ws.v.flatten(), report
 
 
-def energy_norm(level: GridLevel, e: np.ndarray) -> float:
-    """Norm induced by the SPD level operator: sqrt((A e, e)), the product
-    through the level's ``kernel``."""
-    kernel = level.kernel(_work_dtype(e))
-    kernel.x[...] = level.operator.grid(e)
-    val = np.vdot(e, kernel.interior(kernel())).real
-    return math.sqrt(max(val, 0.0))
-
-
 def measure_contraction(
     h: MgHierarchy,
     trials: int = 4,
@@ -453,12 +413,15 @@ def measure_contraction(
 ) -> float:
     """Estimate the energy-norm contraction factor of the error propagator.
 
-    Runs the homogeneous problem (f = 0) from random initial errors and
-    returns the largest per-iteration ratio ||e_new||_A / ||e_old||_A after
-    the first ``discard`` transient iterations, so ``iters`` must exceed
-    ``discard >= 0``.  A cycle that drives the energy norm to inf or nan
-    diverges: the estimate is then ``math.inf``.  If ``monotone_slack`` is
-    given, a ratio above 1 + monotone_slack raises ``AssertionError``.
+    Runs the homogeneous problem (f = 0) from random initial errors, in
+    place in the float64 fine workspace, and returns the largest
+    per-iteration ratio ||e_new||_A / ||e_old||_A after the first
+    ``discard`` transient iterations, so ``iters`` must exceed
+    ``discard >= 0``.  The residual r = -A e that starts each cycle gives
+    ||e||_A = sqrt(-(e, r)).  A cycle that drives the energy norm to inf or
+    nan diverges, without numpy warnings: the estimate is then
+    ``math.inf``.  If ``monotone_slack`` is given, a ratio above
+    1 + monotone_slack raises ``AssertionError``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -466,23 +429,32 @@ def measure_contraction(
         raise ValueError(f"need iters > discard >= 0, got iters={iters}, discard={discard}")
     rng = np.random.default_rng(seed)
     lv = h.fine
-    zero = np.zeros(lv.shape)
+    ws = h.workspace(float)[0]
+    tape = h.tape(float, zero=False)
+    ws.rhs_run.fill(0.0)
+
+    def energy() -> float:
+        run_calls(ws.residual)
+        return math.sqrt(max(-np.vdot(ws.v, ws.r).real, 0.0))
+
     worst = 0.0
-    for _ in range(trials):
-        e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
-        e /= np.linalg.norm(e)
-        prev = energy_norm(lv, e)
-        for i in range(1, iters + 1):
-            e = vcycle(h, e, zero)
-            cur = energy_norm(lv, e)
-            if not math.isfinite(cur):
-                return math.inf
-            if prev <= 1e-300:
-                break
-            ratio = cur / prev
-            if monotone_slack is not None:
-                assert ratio <= 1.0 + monotone_slack, f"energy norm grew: ratio={ratio}"
-            if i > discard:
-                worst = max(worst, ratio)
-            prev = cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(trials):
+            e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
+            e /= np.linalg.norm(e)
+            ws.v[...] = e
+            prev = energy()
+            for i in range(1, iters + 1):
+                run_calls(tape)
+                cur = energy()
+                if not math.isfinite(cur):
+                    return math.inf
+                if prev <= 1e-300:
+                    break
+                ratio = cur / prev
+                if monotone_slack is not None:
+                    assert ratio <= 1.0 + monotone_slack, f"energy norm grew: ratio={ratio}"
+                if i > discard:
+                    worst = max(worst, ratio)
+                prev = cur
     return worst

@@ -8,8 +8,9 @@ stencils.  Both are applied by shifted-slice multiply-adds, a system
 operator by ``PaddedApply`` on the grid held in its run layout
 (``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
 row's points): one scaled copy of the grid per distinct point coefficient,
-then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as
-ufunc calls on scratch a caller may keep.  The type-I sine transform
+then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as a
+call tuple, ``(ufunc, args)`` pairs on scratch a caller may keep, which
+``run_calls`` runs.  The type-I sine transform
 diagonalises the system operators, which gives their spectra in closed
 form and an exact direct solve.  Dense matrices live in the test oracles
 only.
@@ -178,15 +179,12 @@ class KroneckerSum:
         return v.reshape((m,) * self.ndim)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.apply_grid(self.grid(v)).reshape(np.shape(v))
-
-    def apply_grid(self, x: np.ndarray) -> np.ndarray:
-        """``apply`` on an (m,)*ndim grid, through a ``PaddedApply`` made for the call."""
-        if x.ndim != self.ndim:
-            raise DimensionError(f"expected a {self.ndim}D grid, got shape {x.shape}")
+        """``A v``, through a ``PaddedApply`` made for the call."""
+        x = self.grid(v)
         kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[0]))
         kernel.x[...] = x
-        return kernel.interior(kernel()).copy()
+        run_calls(kernel.calls)
+        return kernel.interior(kernel.out).copy().reshape(np.shape(v))
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
@@ -249,10 +247,12 @@ class PaddedApply:
     grid and the pad cells of an array so laid out.  Pad cells of ``out``
     mean nothing after a call.
 
-    ``calls`` computes ``centre * run``, then one scaled copy ``a * grid``
-    in ``scaled`` per distinct off-centre coefficient value a (exact
-    ``==``), over the stretch that the points with that coefficient read,
-    then adds each point's shifted window of its copy in ``_points`` order.
+    ``calls``, the apply's call tuple (run by ``run_calls``, spliced into
+    the V-cycle's tape), computes ``centre * run``, then one scaled copy
+    ``a * grid`` in ``scaled`` per distinct off-centre coefficient value a
+    (exact ``==``), over the stretch that the points with that coefficient
+    read, then adds each point's shifted window of its copy in ``_points``
+    order.
     The windows are views built here, so every ufunc call is on contiguous
     memory, which numpy runs unbuffered, and each interior value is exactly
     that of the plain slice expressions ``out = centre * x``,
@@ -296,11 +296,6 @@ class PaddedApply:
     def pads(self, a: np.ndarray) -> tuple:
         """Views of the pad cells of an array laid out like the run."""
         return pads(a, self.shape)
-
-    def __call__(self) -> np.ndarray:
-        """Write ``A x`` into ``out`` and return it."""
-        run_calls(self.calls)
-        return self.out
 
 
 def run_calls(calls) -> None:

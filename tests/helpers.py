@@ -8,12 +8,14 @@ series powers from binomial expansion with naive convolution, the
 reference V-cycle allocates every intermediate, with its own apply,
 smoother and transfers, and applies the operator to every iterate, zero or
 not, the time-level right-hand side is summed term by term in Python loops,
-and the V-cycle's approximate inverse and contraction norm are dense
-matrices.
+the contraction estimate cycles the reference V-cycle and takes each
+energy norm from a fresh apply, and the V-cycle's approximate inverse and
+contraction norm are dense matrices.
 """
 
 import csv
 import functools
+import math
 
 import numpy as np
 
@@ -276,6 +278,35 @@ def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
         if residuals[-1] < tol:
             break
     return v.ravel(), residuals
+
+
+def reference_contraction(h, trials: int = 4, iters: int = 12, discard: int = 3, seed: int = 0):
+    """``multigrid.measure_contraction`` as a loop of ``reference_vcycle`` on
+    f = 0 from the same random errors, each energy norm sqrt((A e, e)) taken
+    with ``reference_apply``."""
+    rng = np.random.default_rng(seed)
+    lv = h.fine
+    zero = np.zeros(lv.shape)
+
+    def energy(e):
+        return math.sqrt(max(np.vdot(e, reference_apply(lv.operator, e)).real, 0.0))
+
+    worst = 0.0
+    for _ in range(trials):
+        e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
+        e /= np.linalg.norm(e)
+        prev = energy(e)
+        for i in range(1, iters + 1):
+            e = reference_vcycle(h, e, zero)
+            cur = energy(e)
+            if not math.isfinite(cur):
+                return math.inf
+            if prev <= 1e-300:
+                break
+            if i > discard:
+                worst = max(worst, cur / prev)
+            prev = cur
+    return worst
 
 
 def naive_level_rhs(ev, n: int) -> np.ndarray:
