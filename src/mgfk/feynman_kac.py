@@ -356,15 +356,19 @@ def example_6_2(alpha: float, intervals: int) -> Problem:
     kappa = 1.0
     c4 = math.gamma(5.0 + alpha) / math.gamma(5.0)
 
+    def shape(x, y):
+        # on the ij-meshgrid sin(pi x) varies down columns and sin(pi y)
+        # along rows: one sine per axis point, broadcast to the grid
+        return np.sin(np.pi * x[:, :1]) * np.sin(np.pi * y[:1, :])
+
     def forcing(x, y, t):
-        shape = np.sin(np.pi * x) * np.sin(np.pi * y)
-        return np.exp(-rho * t) * (c4 * t**4 + 2.0 * kappa * np.pi**2 * t ** (4.0 + alpha)) * shape
+        return np.exp(-rho * t) * (c4 * t**4 + 2.0 * kappa * np.pi**2 * t ** (4.0 + alpha)) * shape(x, y)
 
     def initial(x, y):
         return np.zeros_like(x)
 
     def exact(x, y, t):
-        return np.exp(-rho * t) * t ** (4.0 + alpha) * np.sin(np.pi * x) * np.sin(np.pi * y)
+        return np.exp(-rho * t) * t ** (4.0 + alpha) * np.sin(np.pi * x[:, :1]) * np.sin(np.pi * y[:1, :])
 
     return Problem(
         length=1.0,

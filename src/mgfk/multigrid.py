@@ -15,11 +15,17 @@ smoother, transfers) is a call tuple: ``(ufunc, args)`` pairs on the
 buffers, in the operation order of the plain array expressions, so the
 iterates do not depend on the buffering.  The hierarchy splices those of
 every level into one flat tape per dtype and start (``MgHierarchy.tape``),
-the whole V-cycle down to the coarsest grid, which ``stencil.run_calls``
-runs with no recursion.  A tape starts from zero or from the loaded fine
-iterate and its residual: ``solve`` and ``measure_contraction`` form that
-residual for their norms and cycle from it in place, ``vcycle`` forms it
-to cycle once.  ``build_hierarchy`` makes neither buffers nor tapes.
+the whole V-cycle down to the coarsest grid with no recursion, and
+``stencil.tape_runner`` runs it as one call into the compiled executor:
+the same IEEE operations on the same memory in the same order, so one
+cycle costs one call instead of about 200 numpy calls (through
+``stencil.run_calls`` where no compiler is at hand; the executor is built
+on the first tape into the user's cache, see ``stencil.compiled_tapes``).
+A tape starts from zero or from the loaded fine iterate and its residual
+(``MgHierarchy.residual``, compiled the same way): ``solve`` and
+``measure_contraction`` form that residual for their norms and cycle from
+it in place, ``vcycle`` forms it to cycle once.  ``smooth`` runs its calls
+through ``run_calls``.  ``build_hierarchy`` makes neither buffers nor tapes.
 ``vcycle`` and ``solve`` return new arrays, never a buffer.  Because the
 buffers are shared, two threads must not cycle on one hierarchy at once.
 
@@ -47,6 +53,7 @@ from .stencil import (
     require_coarsenable,
     require_spd_eligible,
     run_calls,
+    tape_runner,
 )
 
 
@@ -173,16 +180,23 @@ class MgHierarchy:
             self._work[dtype] = work
         return work
 
-    def tape(self, dtype, zero: bool) -> tuple:
-        """The ufunc calls of one fine-level cycle on the ``dtype``
-        workspace, made on first use.  The cycle starts from a zero iterate
-        (``zero``) or from the loaded ``v`` and its residual, formed into
-        ``r`` by the fine level's ``residual`` calls."""
+    def tape(self, dtype, zero: bool):
+        """One fine-level cycle on the ``dtype`` workspace, as a
+        ``stencil.tape_runner`` made on first use.  The cycle starts from a
+        zero iterate (``zero``) or from the loaded ``v`` and its residual,
+        formed into ``r`` by ``residual``."""
         key = (np.dtype(dtype), zero)
-        tape = self._tapes.get(key)
-        if tape is None:
-            tape = self._tapes[key] = _cycle_calls(self, self.workspace(dtype), 0, zero)
-        return tape
+        if key not in self._tapes:
+            self._tapes[key] = tape_runner(_cycle_calls(self, self.workspace(dtype), 0, zero))
+        return self._tapes[key]
+
+    def residual(self, dtype):
+        """The fine level's ``residual`` calls, ``r = rhs - A v`` on the
+        ``dtype`` workspace, as a ``stencil.tape_runner`` made on first use."""
+        key = (np.dtype(dtype), "residual")
+        if key not in self._tapes:
+            self._tapes[key] = tape_runner(self.workspace(dtype)[0].residual)
+        return self._tapes[key]
 
 
 def _cycle_calls(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple:
@@ -330,8 +344,8 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     ws.rhs[...] = f
     if v is not None:
         ws.v[...] = v
-        run_calls(ws.residual)
-    run_calls(h.tape(dtype, zero=v is None))
+        h.residual(dtype)()
+    h.tape(dtype, zero=v is None)()
     return ws.v.flatten() if flat else ws.v.copy()
 
 
@@ -367,9 +381,10 @@ def solve(
     else:
         ws.v[...] = np.reshape(v0, lv.shape)
     r = np.empty(lv.shape, ws.r.dtype)  # the residual, contiguous, for its norm
+    form_residual = h.residual(dtype)
 
     def residual_norm() -> float:
-        run_calls(ws.residual)
+        form_residual()
         r[...] = ws.r
         return float(np.linalg.norm(r))
 
@@ -382,7 +397,7 @@ def solve(
     tape = h.tape(dtype, zero=False)
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        run_calls(tape)
+        tape()
         rel = residual_norm() / r0
         report.residuals.append(rel)
         report.iterations = it
@@ -430,11 +445,11 @@ def measure_contraction(
     rng = np.random.default_rng(seed)
     lv = h.fine
     ws = h.workspace(float)[0]
-    tape = h.tape(float, zero=False)
+    tape, form_residual = h.tape(float, zero=False), h.residual(float)
     ws.rhs_run.fill(0.0)
 
     def energy() -> float:
-        run_calls(ws.residual)
+        form_residual()
         return math.sqrt(max(-np.vdot(ws.v, ws.r).real, 0.0))
 
     worst = 0.0
@@ -445,7 +460,7 @@ def measure_contraction(
             ws.v[...] = e
             prev = energy()
             for i in range(1, iters + 1):
-                run_calls(tape)
+                tape()
                 cur = energy()
                 if not math.isfinite(cur):
                     return math.inf

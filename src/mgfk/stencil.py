@@ -10,7 +10,12 @@ operator by ``PaddedApply`` on the grid held in its run layout
 row's points): one scaled copy of the grid per distinct point coefficient,
 then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as a
 call tuple, ``(ufunc, args)`` pairs on scratch a caller may keep, which
-``run_calls`` runs.  The type-I sine transform
+``run_calls`` runs.  ``tape_runner`` runs a call tuple on fixed buffers
+as one call into a compiled executor (``_tape.c``, built on first use by
+``_library`` into the user's cache, with ``-ffp-contract=off`` so that
+every element gets exactly numpy's IEEE operations), or through
+``run_calls`` where it cannot be built (``compiled_tapes``); the V-cycle
+runs its tapes so.  The type-I sine transform
 diagonalises the system operators, which gives their spectra in closed
 form and an exact direct solve.  Dense matrices live in the test oracles
 only.
@@ -19,8 +24,10 @@ only.
 from __future__ import annotations
 
 import math
+import os
+import stat
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache, partial
 
 import numpy as np
 
@@ -299,9 +306,207 @@ class PaddedApply:
 
 
 def run_calls(calls) -> None:
-    """Run ``(ufunc, args)`` pairs in order: every prebuilt kernel's one loop."""
+    """Run ``(ufunc, args)`` pairs in order: every prebuilt kernel's one
+    loop, and the meaning of a compiled tape (``tape_runner``)."""
     for fn, args in calls:
         fn(*args)
+
+
+#: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
+#: roundings, as numpy's separate calls are, and -ffast-math, which would
+#: reassociate, is left out; so is -march=native, as a build is cached per
+#: platform, not per CPU.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+
+#: Op codes of ``_tape.c``.
+_ADD, _SUBTRACT, _MULTIPLY, _DIVIDE, _COPY, _ZERO, _CMULTIPLY, _CDIVIDE = range(8)
+_UFUNCS = {np.add: _ADD, np.subtract: _SUBTRACT, np.multiply: _MULTIPLY, np.divide: _DIVIDE}
+
+
+def _build(source: str, path: str) -> bool:
+    """Compile ``source`` into the shared library ``path`` with ``$CC`` or
+    ``cc``, under a temporary name, then renamed, so that processes that
+    build at once each load a whole file; whether that worked."""
+    import shlex
+    import subprocess
+    import tempfile
+
+    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
+    os.close(fd)
+    try:
+        cc = shlex.split(os.environ.get("CC") or "cc")
+        subprocess.run([*cc, *_CFLAGS, "-o", tmp, source], check=True, capture_output=True, timeout=120)
+        os.replace(tmp, path)
+        return True
+    except (OSError, ValueError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@lru_cache(maxsize=None)
+def _library():
+    """``mgfk_run_tape`` of ``_tape.c``, built on first use (``_build``)
+    into ``$XDG_CACHE_HOME/mgfk`` (default ``~/.cache/mgfk``) under a name
+    hashed from the source, the flags and the platform; ``None`` without a
+    compiler, after a failed build, or when that directory is not the
+    user's own or is writable by group or others."""
+    import ctypes  # here, so that `import mgfk` loads nothing
+    import platform
+    import zlib
+
+    source = os.path.join(os.path.dirname(__file__), "_tape.c")
+    try:
+        with open(source, "rb") as f:
+            key = f.read() + repr((_CFLAGS, platform.system(), platform.machine())).encode()
+        cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "mgfk")
+        os.makedirs(cache, mode=0o700, exist_ok=True)
+        st = os.stat(cache)
+        mine = hasattr(os, "getuid") and st.st_uid == os.getuid()
+        if not (stat.S_ISDIR(st.st_mode) and mine and not st.st_mode & 0o022):
+            return None
+        path = os.path.join(cache, f"tape-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
+        if not (os.path.exists(path) or _build(source, path)):
+            return None
+        run = ctypes.CDLL(path).mgfk_run_tape
+    except OSError:
+        return None
+    run.argtypes, run.restype = (ctypes.c_void_p, ctypes.c_int64), None
+    return run
+
+
+def compiled_tapes() -> bool:
+    """Whether ``tape_runner`` runs tapes in the compiled executor (else
+    through ``run_calls``); the first call may build it."""
+    return _library() is not None
+
+
+def _refuse(fn, why: str):
+    raise ValueError(f"cannot compile a call to {getattr(fn, '__name__', fn)!r}: {why}")
+
+
+def _record(fn, args, held: list, layout):
+    """The op record of ``fn(*args)``, or ``None`` for a call that writes
+    nothing: the op code, three extents (outermost first) and, for out, a
+    and b, an address and three strides in float64 elements.
+
+    Only a call the executor runs exactly as numpy does is taken:
+    ``np.add``, ``subtract``, ``multiply`` or ``divide`` into an ``out``,
+    ``np.copyto`` or an array's bound ``fill`` with 0.0, on aligned arrays
+    that are all native float64 or all complex128, with no output overlapping an
+    input other than exactly (numpy would buffer that); anything else
+    raises ``ValueError``.  complex128 data run as (re, im) pairs; a
+    complex multiply or divide must be by a 0-d operand with zero imaginary
+    part, and runs numpy's complex formula, a divide from numpy's (ratio,
+    scale) of the divisor, which ``held`` keeps.  ``layout(a)`` is the
+    address of ``a`` and its strides in float64 elements, ``None`` if it is
+    not aligned to them."""
+    owner = getattr(fn, "__self__", None)
+    if isinstance(owner, np.ndarray) and fn.__name__ == "fill":
+        if len(args) != 1 or args[0] != 0.0 or math.copysign(1.0, args[0]) < 0.0:
+            _refuse(fn, f"fills with {args}, not 0.0")
+        op, out, ins = _ZERO, owner, ()
+    elif fn is np.copyto and len(args) == 2:
+        op, out, ins = _COPY, args[0], args[1:]
+    elif fn in _UFUNCS and len(args) == 3:
+        op, out, ins = _UFUNCS[fn], args[2], args[:2]
+    else:
+        _refuse(fn, f"not one of the executor's calls ({len(args)} arguments)")
+    operands = [out, *ins]
+    if not all(isinstance(x, np.ndarray) for x in operands):
+        _refuse(fn, "operands must be arrays")
+    complex_ = out.dtype.char == "D"
+    if not (out.dtype.char in "dD" and out.dtype.isnative) or any(x.dtype != out.dtype for x in ins):
+        _refuse(fn, f"operands must be all float64 or all complex128: {[x.dtype for x in operands]}")
+    if not out.flags.writeable:
+        _refuse(fn, "output is read-only")
+    shape, places = out.shape, []
+    for x in operands:
+        address, strides = layout(x)
+        if strides is None:
+            _refuse(fn, "an operand is not aligned")
+        if x.shape != shape:  # broadcast: leading axes and length-1 axes step 0
+            lead = len(shape) - x.ndim
+            if lead < 0 or any(m not in (1, n) for n, m in zip(shape[lead:], x.shape)):
+                _refuse(fn, "an operand does not broadcast to the output")
+            strides = (0,) * lead + tuple(s if m > 1 else 0 for m, s in zip(x.shape, strides))
+        places.append((address, strides))
+    for x, place in zip(ins, places[1:]):
+        if place != places[0] and np.shares_memory(out, x):
+            _refuse(fn, "output partially overlaps an input")
+    if out.size == 0:
+        return None
+    if complex_ and op in (_MULTIPLY, _DIVIDE):
+        scalar = next((x for x in ins[op == _DIVIDE :] if x.ndim == 0), None)
+        if scalar is None or scalar.imag != 0.0 or scalar.real == 0.0 and op == _DIVIDE:
+            _refuse(fn, "a complex multiply or divide must be by a nonzero real 0-d operand")
+        a = 2 if op == _MULTIPLY and ins[0] is scalar else 1  # the array operand's place
+        if op == _DIVIDE:
+            re, im = scalar.real.item(), scalar.imag.item()
+            held.append(np.array([im / re, 1.0 / (re + im * (im / re))]))
+            places[2] = (layout(held[-1])[0], (0,) * out.ndim)
+        places = [places[0], places[a], places[3 - a]]
+        op = _CMULTIPLY if op == _MULTIPLY else _CDIVIDE
+    elif complex_:
+        shape, places = (*shape, 2), [(address, (*st, 1)) for address, st in places]
+    places += places[-1:] * (3 - len(places))  # operands an op does not read repeat the last
+    dims = []  # (extent, per-operand strides): size-1 axes dropped, mergeable axes merged
+    for n, st in zip(shape, zip(*(st for _, st in places))):
+        if n == 1:
+            continue
+        if dims and all(p == s * n for p, s in zip(dims[-1][1], st)):
+            dims[-1] = (dims[-1][0] * n, st)
+        else:
+            dims.append((n, st))
+    if complex_ and op < _CMULTIPLY and dims and dims[-1][0] == 2:
+        dims.insert(0, dims.pop())  # strided pairs: the long axis innermost, re then im
+    if len(dims) > 3:
+        _refuse(fn, f"{len(dims)} dimensions after merging, the executor runs 3")
+    extents, strides = zip(*([(1, (0, 0, 0))] * (3 - len(dims)) + dims))
+    return [op, *extents, *(v for (address, _), st in zip(places, zip(*strides)) for v in (address, *st))]
+
+
+class _CompiledTape:
+    """``calls`` as op records, run by one call into the executor ``run``."""
+
+    def __init__(self, calls: tuple, run):
+        self.calls, self.held = calls, []  # every operand stays alive while the tape does
+        layouts, records = {}, {}  # by id: the tape holds every array and call
+
+        def layout(a: np.ndarray) -> tuple:
+            if id(a) not in layouts:
+                address, strides = a.__array_interface__["data"][0], a.strides
+                aligned = not (address % 8 or any(s % 8 for s in strides))
+                layouts[id(a)] = address, tuple(s // 8 for s in strides) if aligned else None
+            return layouts[id(a)]
+
+        for call in calls:  # a kernel spliced in twice is one record twice
+            if id(call) not in records:
+                records[id(call)] = _record(*call, self.held, layout)
+        self.records = np.array([r for c in calls if (r := records[id(c)])], np.int64).reshape(-1, 16)
+        self._args = (layout(self.records)[0], len(self.records))
+        self._run = run
+
+    def __call__(self) -> None:
+        self._run(*self._args)
+
+
+def tape_runner(calls: tuple):
+    """A callable with no arguments that runs ``calls``, ``(ufunc, args)``
+    pairs on fixed buffers, as ``run_calls`` does: in one call into the
+    compiled executor of ``_tape.c``, with the same IEEE operations on the
+    same memory in the same order, or through ``run_calls`` where
+    ``compiled_tapes()`` is false.  The calls are translated here, on
+    either backend, and one the executor would not run exactly as numpy
+    does raises ``ValueError``.  Results are bit for bit numpy's, but for
+    the sign of a NaN that a complex multiply makes from two NaNs (numpy's
+    choice follows its SIMD loops).  The executor raises no floating-point
+    warnings: an overflow or invalid value shows as a non-finite value,
+    which ``solve`` and ``measure_contraction`` check for."""
+    run = _library()
+    tape = _CompiledTape(calls, run)
+    return tape if run is not None else partial(run_calls, calls)
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tracemalloc
 
@@ -67,6 +68,22 @@ def test_2d_problem_rejects_boundary_traces():
     for side in ("bc_left", "bc_right"):
         with pytest.raises(MgfkError):
             dataclasses.replace(p, **{side: lambda t: 1.0})
+
+
+@pytest.mark.parametrize("intervals", [8, 16, 128, 256])
+def test_example_6_2_sines_per_axis_match_the_meshgrid(intervals):
+    # forcing and exact solution take one sine per axis point and broadcast
+    # them: bit for bit the expressions over the whole ij-meshgrid
+    alpha, rho, kappa = 0.8, 1.0, 1.0
+    p = example_6_2(alpha, intervals)
+    x, y = p.coords
+    c4 = math.gamma(5.0 + alpha) / math.gamma(5.0)
+    for t in (0.0, 0.37, 1.0):
+        shape = np.sin(np.pi * x) * np.sin(np.pi * y)
+        forcing = np.exp(-rho * t) * (c4 * t**4 + 2.0 * kappa * np.pi**2 * t ** (4.0 + alpha)) * shape
+        exact = np.exp(-rho * t) * t ** (4.0 + alpha) * np.sin(np.pi * x) * np.sin(np.pi * y)
+        assert p.forcing(x, y, t).tobytes() == forcing.tobytes()
+        assert p.exact(x, y, t).tobytes() == exact.tobytes()
 
 
 def test_direct_2d_solver_steps_where_dense_lu_cannot():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mgfk import stencil
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
@@ -385,14 +386,36 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count", ORACLE_CASES)
-def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count):
+def on_both_backends(cases):
+    """Each case with the tapes compiled (under its own id) and run by
+    numpy (id + "-numpy").  "compiled" is not skipped where no compiler
+    exists: its tapes then fall back to numpy, and CI asserts the compiler."""
+    cases = list(cases)
+    return [
+        pytest.param(*case.values, backend, id=case.id + suffix)
+        for backend, suffix in (("compiled", ""), ("numpy", "-numpy"))
+        for case in cases
+    ]
+
+
+def use_backend(monkeypatch, backend):
+    """Make hierarchies built from here on run their tapes on ``backend``."""
+    if backend == "numpy":
+        monkeypatch.setattr(stencil, "_library", lambda: None)
+        assert not stencil.compiled_tapes()
+
+
+@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, backend",
+                         on_both_backends(ORACLE_CASES))
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count, backend,
+                                            monkeypatch):
     # coarse levels skip the operator apply on their zero start, the fine
     # level cycles from the residual it has formed, and every level runs its
     # part of one prebuilt tape in place in its workspace, the apply through
     # one scaled copy per coefficient; the iterates must not move by a bit,
     # real or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
-    # count
+    # count, on either backend
+    use_backend(monkeypatch, backend)
     rng = np.random.default_rng(17)
     for intervals in ORACLE_SIZES[ndim]:
         h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
@@ -409,24 +432,29 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
                     assert np.array_equal(x, ref)
 
 
-@pytest.mark.parametrize("ndim, coarsening", GRIDS)
-@pytest.mark.parametrize("pre_count", [0, 1])
-def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count):
+@pytest.mark.parametrize("ndim, coarsening, pre_count, backend", on_both_backends(
+    pytest.param(ndim, coarsening, pre, id=f"{pre}-{ndim}-{coarsening}")
+    for pre in (0, 1) for ndim, coarsening in GRIDS))
+def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count, backend, monkeypatch):
     # the energy norm read from the residual r = -A e that starts each cycle
     # equals sqrt((A e, e)) of a fresh apply, and the in-place cycles equal
-    # the oracle's: the estimate must not move by a bit
+    # the oracle's: the estimate must not move by a bit, on either backend
+    use_backend(monkeypatch, backend)
     for intervals in {1: (32, 128), 2: (16, 32)}[ndim]:
         h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
                             pre_count=pre_count)
         assert measure_contraction(h) == reference_contraction(h)
 
 
-@pytest.mark.parametrize("ndim, coarsening", [(1, "galerkin"), (2, "geometric")])
-def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening):
+@pytest.mark.parametrize("ndim, coarsening, backend", on_both_backends(
+    pytest.param(ndim, coarsening, id=f"{ndim}-{coarsening}")
+    for ndim, coarsening in [(1, "galerkin"), (2, "geometric")]))
+def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, monkeypatch):
     # the benchmark's sizes, 1D m = 1023 Galerkin and 2D m = 127 geometric,
     # complex data and a warm start near the solution, where the iterates sit
     # at the rounding floor: the solution and every relative residual equal
-    # the oracle's
+    # the oracle's, on either backend
+    use_backend(monkeypatch, backend)
     intervals = 1024 if ndim == 1 else 128
     h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening)
     n = h.fine.unknowns
