@@ -1,92 +1,126 @@
 /* Executor of compiled V-cycle tapes (see mgfk.stencil.tape_runner).
  *
- * A tape is an array of records, each one numpy call on float64 memory:
- * out = a op b elementwise over up to three dimensions, with an element
- * stride per operand and dimension (0 for a broadcast scalar).  complex128
- * data arrive as (re, im) pairs; a complex multiply or divide by a 0-d
- * scalar keeps numpy's complex formulas.  Built with -ffp-contract=off and
- * without -ffast-math, so every element gets exactly numpy's IEEE
- * operations: no fused multiply-add, no reassociation.  Vector code only
- * runs the same operations on several elements at once.
+ * A tape is an array of records, each one level kernel of a V-cycle on
+ * float64 or complex128 buffers (mgfk.stencil.kernel).  Each loop does, per
+ * element, the IEEE operations of the kernel's numpy calls in their order,
+ * with numpy's formulas for a complex array times or over a complex scalar.
+ * Built with -ffp-contract=off and without -ffast-math: no fused
+ * multiply-add, no reassociation.  Vector code only runs the same
+ * operations on several elements at once.
+ *
+ * o is the output, a the input array (b the residual's right-hand side),
+ * s and t 0-d scalars, k an element:
+ *   RESIDUAL  o = b - (a s + sum over taps p of a[k + off_p] c_p)
+ *   UPDATE    a = a s, then o = o + a
+ *   SCALE     o = a s;  DIVIDE  o = a / s;  ZERO  o = 0;  ADD  o = o + a
+ *   RESTRICT  row i of o from rows 2i, 2i + 1, 2i + 2 of a: ((lo + odd s) + hi) t
+ *   PROLONG   row 2i of o from rows i, i + 1 of a: (lo + hi) s; row 2i + 1 is row i + 1
+ * then every pad-th element of o, from the pad - 1st on, is zeroed.
  */
 #include <stdint.h>
 
-enum { ADD, SUBTRACT, MULTIPLY, DIVIDE, COPY, ZERO, CMULTIPLY, CDIVIDE };
+enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG };
 
-typedef struct {
-    int64_t addr, stride[3];
-} operand;
+#define TAPS 8 /* off-centre points of a 9-point stencil, the most a residual has */
 
+/* All fields int64, addresses too, as mgfk.stencil.kernel packs them: o
+ * holds n rows of len elements (len is 1 but in a 2D row pass). */
 typedef struct {
-    int64_t op, extent[3];
-    operand out, a, b;
+    int64_t kind, is_complex, n, len, pad, out, a, b, s, t, taps, off[TAPS], c[TAPS];
 } record;
 
-#define AT(x, i, j) ((double *)(intptr_t)(x).addr + (i) * (x).stride[0] + (j) * (x).stride[1])
+#define P(T, x) ((T *)(intptr_t)(x))
 
-/* An output overlaps an input only exactly (the tape's translator refuses
- * anything else), so no iteration of a loop feeds a later one. */
-#define EACH _Pragma("GCC ivdep") for (k = 0; k < n; k++)
+typedef struct {
+    double re, im;
+} cdouble;
 
-/* out = a OP b over n elements; unit strides and a scalar b are spelled
- * out so that the compiler vectorises them. */
-#define ELEMENTWISE(OP)                                                        \
-    if (so == 1 && sa == 1 && sb == 1) {                                       \
-        EACH o[k] = a[k] OP b[k];                                              \
-    } else if (so == 1 && sa == 1 && sb == 0) {                                \
-        EACH o[k] = a[k] OP b[0];                                              \
-    } else {                                                                   \
-        EACH o[k * so] = a[k * sa] OP b[k * sb];                               \
+static inline double add_r(double x, double y) { return x + y; }
+static inline double sub_r(double x, double y) { return x - y; }
+static inline double mul_r(double x, double s) { return x * s; }
+static inline double div_r(double x, double s) { return x / s; }
+
+static inline cdouble add_c(cdouble x, cdouble y) { return (cdouble){x.re + y.re, x.im + y.im}; }
+static inline cdouble sub_c(cdouble x, cdouble y) { return (cdouble){x.re - y.re, x.im - y.im}; }
+
+/* im s_re + re s_im, added in this order, picks the NaN numpy's loop
+ * returns where both terms are NaN */
+static inline cdouble mul_c(cdouble x, cdouble s)
+{
+    return (cdouble){x.re * s.re - x.im * s.im, x.im * s.re + x.re * s.im};
+}
+
+/* numpy's branch for |s_re| >= |s_im| with s nonzero, the one a level's
+ * diagonal, real and positive, takes */
+static inline cdouble div_c(cdouble x, cdouble s)
+{
+    const double rat = s.im / s.re, scl = 1.0 / (s.re + s.im * rat);
+    return (cdouble){(x.re + x.im * rat) * scl, (x.im - x.re * rat) * scl};
+}
+
+#define EACH(m) for (int64_t k = 0; k < (m); k++)
+
+/* One record on elements of type T.  The residual runs in blocks of BLOCK
+ * elements: with many, each tap's pass over a block that stays in cache is
+ * a plain loop, which vectorises for float64; with one, each element's sum
+ * stays in registers, which is faster for complex128. */
+#define KERNEL(NAME, T, PLUS, MINUS, TIMES, OVER, BLOCK)                            \
+    static void NAME(const record *r)                                               \
+    {                                                                               \
+        T *restrict o = P(T, r->out), *restrict a = P(T, r->a);                     \
+        const T *restrict b = P(const T, r->b);                                     \
+        const T s = r->s ? *P(const T, r->s) : (T){0};                              \
+        const T t = r->t ? *P(const T, r->t) : (T){0};                              \
+        T c[TAPS];                                                                  \
+        const int64_t n = r->n, len = r->len;                                       \
+        switch (r->kind) {                                                          \
+        case RESIDUAL:                                                              \
+            for (int64_t p = 0; p < r->taps; p++)                                   \
+                c[p] = *P(const T, r->c[p]);                                        \
+            for (int64_t lo = 0; lo < n; lo += BLOCK) {                             \
+                const int64_t m = n - lo < BLOCK ? n - lo : BLOCK;                  \
+                T *acc = o + lo;                                                    \
+                EACH(m) acc[k] = TIMES(a[lo + k], s);                               \
+                for (int64_t p = 0; p < r->taps; p++) {                             \
+                    const T *y = a + lo + r->off[p];                                \
+                    EACH(m) acc[k] = PLUS(acc[k], TIMES(y[k], c[p]));               \
+                }                                                                   \
+                EACH(m) acc[k] = MINUS(b[lo + k], acc[k]);                          \
+            }                                                                       \
+            break;                                                                  \
+        case UPDATE: EACH(n) { a[k] = TIMES(a[k], s); o[k] = PLUS(o[k], a[k]); } break; \
+        case SCALE: EACH(n) o[k] = TIMES(a[k], s); break;                           \
+        case DIVIDE: EACH(n) o[k] = OVER(a[k], s); break;                           \
+        case ZERO: EACH(n) o[k] = (T){0}; break;                                    \
+        case ADD: EACH(n) o[k] = PLUS(o[k], a[k]); break;                           \
+        case RESTRICT:                                                              \
+            for (int64_t i = 0; i < n; i++) {                                       \
+                const T *lo = a + 2 * i * len, *odd = lo + len, *hi = odd + len;    \
+                T *row = o + i * len;                                               \
+                for (int64_t j = 0; j < len; j++)                                   \
+                    row[j] = TIMES(PLUS(PLUS(lo[j], TIMES(odd[j], s)), hi[j]), t);  \
+            }                                                                       \
+            break;                                                                  \
+        case PROLONG:                                                               \
+            for (int64_t i = 0; i < n; i += 2) {                                    \
+                const T *lo = a + i / 2 * len, *hi = lo + len;                      \
+                T *even = o + i * len, *odd = even + len;                           \
+                for (int64_t j = 0; j < len; j++)                                   \
+                    even[j] = TIMES(PLUS(lo[j], hi[j]), s);                         \
+                for (int64_t j = 0; i + 1 < n && j < len; j++)                      \
+                    odd[j] = hi[j];                                                 \
+            }                                                                       \
+            break;                                                                  \
+        }                                                                           \
+        for (int64_t k = r->pad - 1; r->pad && k < n * len; k += r->pad)            \
+            o[k] = (T){0};                                                          \
     }
 
-/* For CMULTIPLY, b is the scalar (re, im) and extents and strides count
- * complex elements; for CDIVIDE, b is numpy's (ratio, scale) of the
- * divisor, so out = ((re + im ratio) scale, (im - re ratio) scale). */
-#define COMPLEX(RE, IM)                                                        \
-    if (so == 2 && sa == 2) {                                                  \
-        EACH {                                                                 \
-            const double re = a[2 * k], im = a[2 * k + 1];                     \
-            o[2 * k] = RE;                                                     \
-            o[2 * k + 1] = IM;                                                 \
-        }                                                                      \
-    } else {                                                                   \
-        EACH {                                                                 \
-            const double re = a[k * sa], im = a[k * sa + 1];                   \
-            o[k * so] = RE;                                                    \
-            o[k * so + 1] = IM;                                                \
-        }                                                                      \
-    }
+KERNEL(kernel_real, double, add_r, sub_r, mul_r, div_r, 256)
+KERNEL(kernel_complex, cdouble, add_c, sub_c, mul_c, div_c, 1)
 
 void mgfk_run_tape(const record *r, int64_t count)
 {
-    for (const record *end = r + count; r < end; r++) {
-        const int64_t n = r->extent[2];
-        const int64_t so = r->out.stride[2], sa = r->a.stride[2], sb = r->b.stride[2];
-        for (int64_t i = 0; i < r->extent[0]; i++)
-            for (int64_t j = 0; j < r->extent[1]; j++) {
-                double *o = AT(r->out, i, j);
-                const double *a = AT(r->a, i, j), *b = AT(r->b, i, j);
-                int64_t k;
-                switch (r->op) {
-                case ADD: ELEMENTWISE(+) break;
-                case SUBTRACT: ELEMENTWISE(-) break;
-                case MULTIPLY: ELEMENTWISE(*) break;
-                case DIVIDE: ELEMENTWISE(/) break;
-                case COPY:
-                    if (so == 1 && sa == 1) {
-                        EACH o[k] = a[k];
-                    } else {
-                        EACH o[k * so] = a[k * sa];
-                    }
-                    break;
-                case ZERO:
-                    EACH o[k * so] = 0.0;
-                    break;
-                /* im b_re + re b_im, added in this order, picks the NaN
-                 * numpy's loop returns where both terms are NaN */
-                case CMULTIPLY: COMPLEX(re * b[0] - im * b[1], im * b[0] + re * b[1]) break;
-                case CDIVIDE: COMPLEX((re + im * b[0]) * b[1], (im - re * b[0]) * b[1]) break;
-                }
-            }
-    }
+    for (const record *end = r + count; r < end; r++)
+        (r->is_complex ? kernel_complex : kernel_real)(r);
 }

@@ -176,7 +176,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
     is a violation whatever the weight.
     """
     cfg = cfg.resolved()
-    m = cfg.m_values[0] - 1 if cfg.preset != "laplacian" else 31
+    m = cfg.m_values[0] - 1
 
     if cfg.preset == "laplacian":
         fine = KroneckerSum(1, 0.0, 1.0, IDENTITY, LAPLACIAN)

@@ -10,22 +10,21 @@ A cycle allocates nothing but the array it returns: it runs in place on
 per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
 first cycle for a given dtype (float64 for real time steppers and
 ``measure_contraction``, complex128 for complex steppers, from their first
-complex value on) and reuses from then on.  Every kernel (apply,
-smoother, transfers) is a call tuple: ``(ufunc, args)`` pairs on the
-buffers, in the operation order of the plain array expressions, so the
-iterates do not depend on the buffering.  The hierarchy splices those of
+complex value on) and reuses from then on.  Every level operation (residual,
+damped update, transfer pass, zero start, correction, coarsest division)
+is a ``stencil.Kernel`` on the buffers: ``(ufunc, args)`` pairs in the
+operation order of the plain array expressions, so the iterates do not
+depend on the buffering, and one record of the compiled executor with the
+same IEEE operations per element.  The hierarchy splices the kernels of
 every level into one flat tape per dtype and start (``MgHierarchy.tape``),
-the whole V-cycle down to the coarsest grid with no recursion, and
-``stencil.tape_runner`` runs it as one call into the compiled executor:
-the same IEEE operations on the same memory in the same order, so one
-cycle costs one call instead of about 200 numpy calls (through
-``stencil.run_calls`` where no compiler is at hand; the executor is built
-on the first tape into the user's cache, see ``stencil.compiled_tapes``).
-A tape starts from zero or from the loaded fine iterate and its residual
-(``MgHierarchy.residual``, compiled the same way): ``solve`` and
-``measure_contraction`` form that residual for their norms and cycle from
-it in place, ``vcycle`` forms it to cycle once.  ``smooth`` runs its calls
-through ``run_calls``.  ``build_hierarchy`` makes neither buffers nor tapes.
+the whole V-cycle with no recursion, which ``stencil.tape_runner`` runs as
+one call into the executor (or through the calls, see
+``stencil.compiled_tapes``).  A tape starts from zero or from the loaded
+fine iterate and its residual (``MgHierarchy.residual``, run the same
+way): ``solve`` and ``measure_contraction`` form that residual for their
+norms and cycle from it in place, ``vcycle`` forms it to cycle once.
+``smooth`` runs its kernels' calls.  ``build_hierarchy`` makes neither
+buffers nor tapes.
 ``vcycle`` and ``solve`` return new arrays, never a buffer.  Because the
 buffers are shared, two threads must not cycle on one hierarchy at once.
 
@@ -47,9 +46,18 @@ import numpy as np
 from . import transfer
 from .errors import DimensionError, EligibilityError
 from .stencil import (
+    ADD,
+    DIVIDE,
+    RESIDUAL,
+    SCALE,
+    UPDATE,
+    ZERO,
+    Kernel,
     KroneckerSum,
     PaddedApply,
+    calls_of,
     grid_depth,
+    kernel,
     require_coarsenable,
     require_spd_eligible,
     run_calls,
@@ -75,7 +83,7 @@ class GridLevel:
 
 
 class LevelWork:
-    """Scratch of one level for one dtype, and the ufunc calls that work on it.
+    """Scratch of one level for one dtype, and the kernels that work on it.
 
     ``v`` is the iterate, the grid held in the apply's run (``v_run``), ``r``
     the residual and temporary (the apply's output), and ``rhs`` the
@@ -85,11 +93,11 @@ class LevelWork:
     (``v_run``, ``r_run``, ``rhs_run``), where the smoother's arithmetic
     runs; the pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so
     the updates keep those of ``v_run`` at zero, and the prolongation reads
-    its edges from them.  ``residual`` is
-    the calls that form ``r = rhs - A v``.  ``restrict`` (``r`` into the
-    next level's ``rhs``, its pad cells refilled with zeros) and ``prolong``
-    (the next level's ``v`` into ``r``, pad cells zero) are the transfers'
-    call tuples, bound by ``MgHierarchy.workspace``.
+    its edges from them.  ``residual`` is the kernel of ``r = rhs - A v``.
+    ``restrict`` (``r`` into the next level's ``rhs``, its pad cells
+    refilled with zeros) and ``prolong`` (the next level's ``v`` into ``r``,
+    pad cells zero) are the transfers' kernels, bound by
+    ``MgHierarchy.workspace``.
     """
 
     def __init__(self, level: GridLevel, dtype):
@@ -98,10 +106,15 @@ class LevelWork:
         self.rhs_run = np.zeros_like(self.v_run)
         self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
         self.diag = level.diag
-        self.residual = (
-            *self.apply.calls,
-            (np.subtract, (self.rhs_run, self.r_run, self.r_run)),
-            *((pad.fill, (0.0,)) for pad in self.apply.pads(self.r_run)),
+        pads = self.apply.pads(self.r_run)
+        self.residual = kernel(
+            (
+                *self.apply.calls,
+                (np.subtract, (self.rhs_run, self.r_run, self.r_run)),
+                *((pad.fill, (0.0,)) for pad in pads),
+            ),
+            RESIDUAL, self.r_run, self.apply.run, self.rhs_run, self.apply.centre,
+            pads=pads, taps=self.apply.taps,
         )
         self.restrict = self.prolong = ()
 
@@ -109,14 +122,14 @@ class LevelWork:
         """``value`` as a 0-d array of the level's dtype."""
         return np.array(value, self.v.dtype)
 
-    def update(self, weight: float) -> tuple:
-        """The calls of ``v += (weight / diag) r``."""
+    def update(self, weight: float) -> Kernel:
+        """The kernel of ``v += (weight / diag) r``."""
         scale, r, x = self.scalar(weight / self.diag), self.r_run, self.v_run
-        return (np.multiply, (r, scale, r)), (np.add, (x, r, x))
+        return kernel(((np.multiply, (r, scale, r)), (np.add, (x, r, x))), UPDATE, x, r, s=scale)
 
     def sweep(self, weight: float) -> tuple:
-        """The calls of one damped-Jacobi sweep with ``weight``."""
-        return self.residual + self.update(weight)
+        """The kernels of one damped-Jacobi sweep with ``weight``."""
+        return self.residual, self.update(weight)
 
 
 def _work_dtype(*arrays) -> np.dtype:
@@ -187,40 +200,44 @@ class MgHierarchy:
         formed into ``r`` by ``residual``."""
         key = (np.dtype(dtype), zero)
         if key not in self._tapes:
-            self._tapes[key] = tape_runner(_cycle_calls(self, self.workspace(dtype), 0, zero))
+            self._tapes[key] = tape_runner(_cycle_kernels(self, self.workspace(dtype), 0, zero))
         return self._tapes[key]
 
     def residual(self, dtype):
-        """The fine level's ``residual`` calls, ``r = rhs - A v`` on the
+        """The fine level's ``residual`` kernel, ``r = rhs - A v`` on the
         ``dtype`` workspace, as a ``stencil.tape_runner`` made on first use."""
         key = (np.dtype(dtype), "residual")
         if key not in self._tapes:
-            self._tapes[key] = tape_runner(self.workspace(dtype)[0].residual)
+            self._tapes[key] = tape_runner((self.workspace(dtype)[0].residual,))
         return self._tapes[key]
 
 
-def _cycle_calls(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple:
+def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple:
     """The body of one V-cycle on ``work[level]`` and, spliced in, the zero-start
-    cycle of every level below, as ``(ufunc, args)`` pairs run in order.  A
-    pre-smoothing sweep is an update from the formed residual, then the new
-    residual; from zero that residual is ``rhs``, so the first update needs
-    no apply: v = omega_pre * rhs / diag."""
+    cycle of every level below, as kernels run in order.  A pre-smoothing
+    sweep is an update from the formed residual, then the new residual;
+    from zero that residual is ``rhs``, so the first update needs no apply:
+    v = omega_pre * rhs / diag."""
     ws = work[level]
-    x = ws.v_run
+    x, r, rhs = ws.v_run, ws.r_run, ws.rhs_run
     if level == h.depth - 1:
-        return ((np.divide, (ws.rhs_run, ws.scalar(ws.diag), x)),)
-    pre, calls = h.pre_count, ()
+        diag = ws.scalar(ws.diag)
+        return (kernel(((np.divide, (rhs, diag, x)),), DIVIDE, x, rhs, s=diag),)
+    pre, kernels = h.pre_count, ()
     if zero:
         scale = ws.scalar(h.omega_pre / ws.diag)
-        first = (np.multiply, (ws.rhs_run, scale, x)) if pre else (x.fill, (0.0,))
-        calls, pre = (first, *ws.residual), max(pre - 1, 0)
+        if pre:
+            first = kernel(((np.multiply, (rhs, scale, x)),), SCALE, x, rhs, s=scale)
+        else:
+            first = kernel(((x.fill, (0.0,)),), ZERO, x)
+        kernels, pre = (first, ws.residual), max(pre - 1, 0)
     return (
-        calls
-        + (ws.update(h.omega_pre) + ws.residual) * pre
+        kernels
+        + (ws.update(h.omega_pre), ws.residual) * pre
         + ws.restrict
-        + _cycle_calls(h, work, level + 1, True)
+        + _cycle_kernels(h, work, level + 1, True)
         + ws.prolong
-        + ((np.add, (x, ws.r_run, x)),)
+        + (kernel(((np.add, (x, r, x)),), ADD, x, r),)
         + ws.sweep(h.omega_post) * h.post_smooths
     )
 
@@ -313,18 +330,19 @@ def smooth(
     work = LevelWork(level, _work_dtype(v, f))
     work.v[...] = v
     work.rhs[...] = f
-    run_calls(work.sweep(weight) * steps)
+    run_calls(calls_of(work.sweep(weight)) * steps)
     return work.v
 
 
 def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
-    """One V-cycle sweep from iterate ``v`` on the fine grid or its flat vector.
+    """One V-cycle sweep from iterate ``v`` on the fine grid or its flat
+    vector, the shape of ``f``; another shape raises ``DimensionError``.
 
     ``v=None`` is the zero start, whose first pre-smoothing sweep is exactly
     ``omega_pre * f / diag``, with no apply.  Otherwise the sweep loads
     ``v`` and ``f`` into the fine ``LevelWork``, forms the residual and runs
     the tape from it (``MgHierarchy.tape``, the whole cycle down to the
-    coarsest level as one flat run of ufunc calls); it returns a copy of
+    coarsest level as one flat run of kernels); it returns a copy of
     the iterate.
 
     On the one-point coarsest grid the equation is solved exactly, so the
@@ -334,9 +352,11 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     lv = h.fine
     f = np.asarray(f)
     flat = f.shape != lv.shape
+    if flat and f.shape != (lv.unknowns,):
+        raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
+    if v is not None and np.shape(v) != f.shape:
+        raise DimensionError(f"v has shape {np.shape(v)}, the rhs {f.shape}")
     if flat:
-        if f.shape != (lv.unknowns,):
-            raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
         f = f.reshape(lv.shape)
         v = v if v is None else np.reshape(v, lv.shape)
     dtype = _work_dtype(f, v)

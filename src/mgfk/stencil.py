@@ -10,12 +10,14 @@ operator by ``PaddedApply`` on the grid held in its run layout
 row's points): one scaled copy of the grid per distinct point coefficient,
 then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as a
 call tuple, ``(ufunc, args)`` pairs on scratch a caller may keep, which
-``run_calls`` runs.  ``tape_runner`` runs a call tuple on fixed buffers
-as one call into a compiled executor (``_tape.c``, built on first use by
-``_library`` into the user's cache, with ``-ffp-contract=off`` so that
-every element gets exactly numpy's IEEE operations), or through
-``run_calls`` where it cannot be built (``compiled_tapes``); the V-cycle
-runs its tapes so.  The type-I sine transform
+``run_calls`` runs.  Each level operation of the V-cycle (residual, damped
+update, transfer pass, coarse solve) is a ``Kernel``: its call tuple, which
+is its meaning, and one record of the compiled executor ``_tape.c`` on the
+same buffers and scalars (``kernel``).  ``tape_runner`` runs a tuple of
+kernels as one call into that executor (built on first use by ``_library``
+into the user's cache, with ``-ffp-contract=off`` so that every element
+gets exactly the IEEE operations of the calls), or runs their calls where
+it cannot be built (``compiled_tapes``).  The type-I sine transform
 diagonalises the system operators, which gives their spectra in closed
 form and an exact direct solve.  Dense matrices live in the test oracles
 only.
@@ -28,6 +30,7 @@ import os
 import stat
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,10 +191,10 @@ class KroneckerSum:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``A v``, through a ``PaddedApply`` made for the call."""
         x = self.grid(v)
-        kernel = PaddedApply(self, x.shape[0], np.result_type(x, self._points[0]))
-        kernel.x[...] = x
-        run_calls(kernel.calls)
-        return kernel.interior(kernel.out).copy().reshape(np.shape(v))
+        padded = PaddedApply(self, x.shape[0], np.result_type(x, self._points[0]))
+        padded.x[...] = x
+        run_calls(padded.calls)
+        return padded.interior(padded.out).copy().reshape(np.shape(v))
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
@@ -254,8 +257,8 @@ class PaddedApply:
     grid and the pad cells of an array so laid out.  Pad cells of ``out``
     mean nothing after a call.
 
-    ``calls``, the apply's call tuple (run by ``run_calls``, spliced into
-    the V-cycle's tape), computes ``centre * run``, then one scaled copy
+    ``calls``, the apply's call tuple (run by ``run_calls``, the head of
+    the V-cycle's residual kernel), computes ``centre * run``, then one scaled copy
     ``a * grid`` in ``scaled`` per distinct off-centre coefficient value a
     (exact ``==``), over the stretch that the points with that coefficient
     read, then adds each point's shifted window of its copy in ``_points``
@@ -264,7 +267,9 @@ class PaddedApply:
     memory, which numpy runs unbuffered, and each interior value is exactly
     that of the plain slice expressions ``out = centre * x``,
     ``out += a * window``.  Coefficients are 0-d arrays of the grid's
-    dtype, the cheapest scalar operand numpy takes.
+    dtype, the cheapest scalar operand numpy takes: ``centre``, and per
+    point in that order its flat offset in the run and coefficient
+    (``taps``), which a residual record reads.
     """
 
     def __init__(self, op: KroneckerSum, m: int, dtype):
@@ -282,18 +287,19 @@ class PaddedApply:
         groups = {}  # coefficient value -> offsets of its points
         for off, (_, coef) in zip(offsets, taps):
             groups.setdefault(float(coef), []).append(off)
-        scaled, window = [], {}
+        scaled, window = [], {}  # offset -> its window of its copy, its coefficient
         for coef, offs in groups.items():
             lo, hi = min(offs), max(offs)
-            copy = np.empty(hi - lo + size, dtype)
-            src = flat[first + lo : first + hi + size]
-            scaled.append((np.multiply, (src, np.array(coef, dtype), copy)))
-            window.update((off, copy[off - lo : off - lo + size]) for off in offs)
+            copy, c = np.empty(hi - lo + size, dtype), np.array(coef, dtype)
+            scaled.append((np.multiply, (flat[first + lo : first + hi + size], c, copy)))
+            window.update((off, (copy[off - lo : off - lo + size], c)) for off in offs)
         self.scaled = tuple(args[2] for _, args in scaled)
+        self.centre = np.array(centre, dtype)
+        self.taps = tuple((off, window[off][1]) for off in offsets)
         self.calls = (
-            (np.multiply, (self.run, np.array(centre, dtype), self.out)),
+            (np.multiply, (self.run, self.centre, self.out)),
             *scaled,
-            *((np.add, (self.out, window[off], self.out)) for off in offsets),
+            *((np.add, (self.out, window[off][0], self.out)) for off in offsets),
         )
 
     def interior(self, a: np.ndarray) -> np.ndarray:
@@ -306,8 +312,8 @@ class PaddedApply:
 
 
 def run_calls(calls) -> None:
-    """Run ``(ufunc, args)`` pairs in order: every prebuilt kernel's one
-    loop, and the meaning of a compiled tape (``tape_runner``)."""
+    """Run ``(ufunc, args)`` pairs in order: a prebuilt apply, or the calls
+    of kernels (``calls_of``), which are the meaning of their records."""
     for fn, args in calls:
         fn(*args)
 
@@ -318,9 +324,47 @@ def run_calls(calls) -> None:
 #: platform, not per CPU.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
-#: Op codes of ``_tape.c``.
-_ADD, _SUBTRACT, _MULTIPLY, _DIVIDE, _COPY, _ZERO, _CMULTIPLY, _CDIVIDE = range(8)
-_UFUNCS = {np.add: _ADD, np.subtract: _SUBTRACT, np.multiply: _MULTIPLY, np.divide: _DIVIDE}
+#: Kernel kinds of ``_tape.c``, which says what each does.
+RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG = range(8)
+
+#: The most off-centre points a residual record holds: a 9-point stencil's.
+_TAPS = 8
+
+
+class Kernel(NamedTuple):
+    """One level operation, twice: ``calls``, its ``(ufunc, args)`` pairs,
+    which are its meaning and what ``run_calls`` runs, and ``record``, the
+    same operation on the same buffers and scalars as one record of the
+    compiled executor (``kernel``), or ``None``."""
+
+    calls: tuple
+    record: tuple
+
+
+def kernel(calls, kind, out, a=None, b=None, s=None, t=None, pads=(), taps=()) -> Kernel:
+    """``calls`` and the ``_tape.c`` record of ``kind`` that does what they
+    do: into ``out``, whose first axis is its rows, from the arrays ``a``
+    and ``b`` (all C-contiguous) and the 0-d scalars ``s`` and ``t``, then
+    zeroing ``pads`` (``pads`` of ``out``); a residual also sums ``taps``, an
+    ``(offset, coefficient)`` per off-centre point.  The record is ``None``
+    unless ``out`` is float64 or complex128, the executor's two dtypes."""
+    if out.dtype not in (np.float64, np.complex128):
+        return Kernel(tuple(calls), None)
+
+    def at(x) -> int:
+        return 0 if x is None else x.__array_interface__["data"][0]
+
+    period = pads[0].strides[0] // pads[0].itemsize if pads else 0
+    spare = (0,) * (_TAPS - len(taps))
+    offsets = tuple(off for off, _ in taps) + spare
+    coefs = tuple(at(c) for _, c in taps) + spare
+    head = (kind, out.dtype == np.complex128, out.shape[0], math.prod(out.shape[1:]), period)
+    return Kernel(tuple(calls), (*head, *map(at, (out, a, b, s, t)), len(taps), *offsets, *coefs))
+
+
+def calls_of(kernels) -> tuple:
+    """The ``(ufunc, args)`` pairs of ``kernels``, in order."""
+    return tuple(call for k in kernels for call in k.calls)
 
 
 def _build(source: str, path: str) -> bool:
@@ -382,131 +426,32 @@ def compiled_tapes() -> bool:
     return _library() is not None
 
 
-def _refuse(fn, why: str):
-    raise ValueError(f"cannot compile a call to {getattr(fn, '__name__', fn)!r}: {why}")
-
-
-def _record(fn, args, held: list, layout):
-    """The op record of ``fn(*args)``, or ``None`` for a call that writes
-    nothing: the op code, three extents (outermost first) and, for out, a
-    and b, an address and three strides in float64 elements.
-
-    Only a call the executor runs exactly as numpy does is taken:
-    ``np.add``, ``subtract``, ``multiply`` or ``divide`` into an ``out``,
-    ``np.copyto`` or an array's bound ``fill`` with 0.0, on aligned arrays
-    that are all native float64 or all complex128, with no output overlapping an
-    input other than exactly (numpy would buffer that); anything else
-    raises ``ValueError``.  complex128 data run as (re, im) pairs; a
-    complex multiply or divide must be by a 0-d operand with zero imaginary
-    part, and runs numpy's complex formula, a divide from numpy's (ratio,
-    scale) of the divisor, which ``held`` keeps.  ``layout(a)`` is the
-    address of ``a`` and its strides in float64 elements, ``None`` if it is
-    not aligned to them."""
-    owner = getattr(fn, "__self__", None)
-    if isinstance(owner, np.ndarray) and fn.__name__ == "fill":
-        if len(args) != 1 or args[0] != 0.0 or math.copysign(1.0, args[0]) < 0.0:
-            _refuse(fn, f"fills with {args}, not 0.0")
-        op, out, ins = _ZERO, owner, ()
-    elif fn is np.copyto and len(args) == 2:
-        op, out, ins = _COPY, args[0], args[1:]
-    elif fn in _UFUNCS and len(args) == 3:
-        op, out, ins = _UFUNCS[fn], args[2], args[:2]
-    else:
-        _refuse(fn, f"not one of the executor's calls ({len(args)} arguments)")
-    operands = [out, *ins]
-    if not all(isinstance(x, np.ndarray) for x in operands):
-        _refuse(fn, "operands must be arrays")
-    complex_ = out.dtype.char == "D"
-    if not (out.dtype.char in "dD" and out.dtype.isnative) or any(x.dtype != out.dtype for x in ins):
-        _refuse(fn, f"operands must be all float64 or all complex128: {[x.dtype for x in operands]}")
-    if not out.flags.writeable:
-        _refuse(fn, "output is read-only")
-    shape, places = out.shape, []
-    for x in operands:
-        address, strides = layout(x)
-        if strides is None:
-            _refuse(fn, "an operand is not aligned")
-        if x.shape != shape:  # broadcast: leading axes and length-1 axes step 0
-            lead = len(shape) - x.ndim
-            if lead < 0 or any(m not in (1, n) for n, m in zip(shape[lead:], x.shape)):
-                _refuse(fn, "an operand does not broadcast to the output")
-            strides = (0,) * lead + tuple(s if m > 1 else 0 for m, s in zip(x.shape, strides))
-        places.append((address, strides))
-    for x, place in zip(ins, places[1:]):
-        if place != places[0] and np.shares_memory(out, x):
-            _refuse(fn, "output partially overlaps an input")
-    if out.size == 0:
-        return None
-    if complex_ and op in (_MULTIPLY, _DIVIDE):
-        scalar = next((x for x in ins[op == _DIVIDE :] if x.ndim == 0), None)
-        if scalar is None or scalar.imag != 0.0 or scalar.real == 0.0 and op == _DIVIDE:
-            _refuse(fn, "a complex multiply or divide must be by a nonzero real 0-d operand")
-        a = 2 if op == _MULTIPLY and ins[0] is scalar else 1  # the array operand's place
-        if op == _DIVIDE:
-            re, im = scalar.real.item(), scalar.imag.item()
-            held.append(np.array([im / re, 1.0 / (re + im * (im / re))]))
-            places[2] = (layout(held[-1])[0], (0,) * out.ndim)
-        places = [places[0], places[a], places[3 - a]]
-        op = _CMULTIPLY if op == _MULTIPLY else _CDIVIDE
-    elif complex_:
-        shape, places = (*shape, 2), [(address, (*st, 1)) for address, st in places]
-    places += places[-1:] * (3 - len(places))  # operands an op does not read repeat the last
-    dims = []  # (extent, per-operand strides): size-1 axes dropped, mergeable axes merged
-    for n, st in zip(shape, zip(*(st for _, st in places))):
-        if n == 1:
-            continue
-        if dims and all(p == s * n for p, s in zip(dims[-1][1], st)):
-            dims[-1] = (dims[-1][0] * n, st)
-        else:
-            dims.append((n, st))
-    if complex_ and op < _CMULTIPLY and dims and dims[-1][0] == 2:
-        dims.insert(0, dims.pop())  # strided pairs: the long axis innermost, re then im
-    if len(dims) > 3:
-        _refuse(fn, f"{len(dims)} dimensions after merging, the executor runs 3")
-    extents, strides = zip(*([(1, (0, 0, 0))] * (3 - len(dims)) + dims))
-    return [op, *extents, *(v for (address, _), st in zip(places, zip(*strides)) for v in (address, *st))]
-
-
 class _CompiledTape:
-    """``calls`` as op records, run by one call into the executor ``run``."""
+    """The records of ``kernels``, run by one call into the executor ``run``."""
 
-    def __init__(self, calls: tuple, run):
-        self.calls, self.held = calls, []  # every operand stays alive while the tape does
-        layouts, records = {}, {}  # by id: the tape holds every array and call
-
-        def layout(a: np.ndarray) -> tuple:
-            if id(a) not in layouts:
-                address, strides = a.__array_interface__["data"][0], a.strides
-                aligned = not (address % 8 or any(s % 8 for s in strides))
-                layouts[id(a)] = address, tuple(s // 8 for s in strides) if aligned else None
-            return layouts[id(a)]
-
-        for call in calls:  # a kernel spliced in twice is one record twice
-            if id(call) not in records:
-                records[id(call)] = _record(*call, self.held, layout)
-        self.records = np.array([r for c in calls if (r := records[id(c)])], np.int64).reshape(-1, 16)
-        self._args = (layout(self.records)[0], len(self.records))
+    def __init__(self, kernels: tuple, run):
+        self.kernels = kernels  # keeps every buffer and scalar a record points at alive
+        self.records = np.array([k.record for k in kernels], np.int64)
+        self._args = (self.records.__array_interface__["data"][0], len(self.records))
         self._run = run
 
     def __call__(self) -> None:
         self._run(*self._args)
 
 
-def tape_runner(calls: tuple):
-    """A callable with no arguments that runs ``calls``, ``(ufunc, args)``
-    pairs on fixed buffers, as ``run_calls`` does: in one call into the
-    compiled executor of ``_tape.c``, with the same IEEE operations on the
-    same memory in the same order, or through ``run_calls`` where
-    ``compiled_tapes()`` is false.  The calls are translated here, on
-    either backend, and one the executor would not run exactly as numpy
-    does raises ``ValueError``.  Results are bit for bit numpy's, but for
-    the sign of a NaN that a complex multiply makes from two NaNs (numpy's
-    choice follows its SIMD loops).  The executor raises no floating-point
-    warnings: an overflow or invalid value shows as a non-finite value,
-    which ``solve`` and ``measure_contraction`` check for."""
+def tape_runner(kernels: tuple):
+    """A callable with no arguments that runs ``kernels`` in order: their
+    records in one call into the compiled executor of ``_tape.c``, or their
+    calls where ``compiled_tapes()`` is false; other than float64 or
+    complex128 data raise ``ValueError``.  Results are bit for bit
+    numpy's, but for the sign of a NaN that a complex multiply makes from
+    two NaNs (numpy's choice follows its SIMD loops).  The executor raises
+    no floating-point warnings: an overflow or invalid value shows as a
+    non-finite value, which ``solve`` and ``measure_contraction`` check for."""
+    if any(k.record is None for k in kernels):
+        raise ValueError("tapes run float64 and complex128 data only")
     run = _library()
-    tape = _CompiledTape(calls, run)
-    return tape if run is not None else partial(run_calls, calls)
+    return _CompiledTape(kernels, run) if run is not None else partial(run_calls, calls_of(kernels))
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

@@ -11,12 +11,12 @@ each operation on the last axis is one 1D stride-2 call.  The restriction
 then fills the coarse pad cells with zeros; the prolongation takes its
 edge values from zero cells, as (0 + x) * 0.5 (the zero rows around the
 coarse run, the pad cells, the intermediate's leading zero cell), and
-leaves zero pad cells.  Each returns its work as a call tuple of
-``(ufunc, args)`` pairs, with the weights as 0-d arrays of the output's
-dtype, which the V-cycle splices into its own and ``stencil.run_calls``
-runs.  The prolongation is 2**ndim times the transpose of the
-restriction.  ``restrict`` and ``prolong`` bind the pair to fresh buffers
-for one call.
+leaves zero pad cells.  Each returns its work as one ``stencil.Kernel``
+per pass, ``(ufunc, args)`` pairs with the weights as 0-d arrays of the
+output's dtype and the record that runs them in the compiled executor,
+which the V-cycle splices into its tape.  The prolongation is 2**ndim
+times the transpose of the restriction.  ``restrict`` and ``prolong`` bind
+the pair to fresh buffers for one call and run its calls.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .stencil import grid_depth, interior, pads, run_calls, run_shape
+from .stencil import PROLONG, RESTRICT, calls_of, grid_depth, interior, kernel, pads, run_calls, run_shape
 
 
 def _coarse_size(m_fine: int) -> int:
@@ -36,7 +36,7 @@ def _coarse_size(m_fine: int) -> int:
 
 
 def restriction(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
-    """The calls of full weighting on each axis,
+    """The kernels of full weighting on each axis,
     coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, evaluated as
     ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``.
 
@@ -47,27 +47,28 @@ def restriction(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     coarse = tuple(_coarse_size(m) for m in shape)
     two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
 
-    def weigh(lo, odd, hi, dst):
-        return (
+    def weigh(src, dst, zeroed=()):  # dst row q from src rows 2q, 2q + 1, 2q + 2
+        lo, odd, hi = src[0:-1:2], src[1::2], src[2::2]
+        calls = (
             (np.multiply, (odd, two, dst)),
             (np.add, (lo, dst, dst)),
             (np.add, (dst, hi, dst)),
             (np.multiply, (dst, quarter, dst)),
+            *((pad.fill, (0.0,)) for pad in zeroed),
         )
+        return kernel(calls, RESTRICT, dst, src, s=two, t=quarter, pads=zeroed)
 
-    calls, src = (), x
+    kernels, src = (), x
     if len(shape) == 2:
         (m, n), mc = shape, coarse[0]
-        rows = x.reshape(m, n + 1)
         src = np.zeros(mc * (n + 1) + 1, out.dtype)
-        calls = weigh(rows[0:-1:2], rows[1::2], rows[2::2], src[:-1].reshape(mc, n + 1))
-    calls += weigh(src[0:-1:2], src[1::2], src[2::2], out)  # coarse q from fine 2q + 1
-    return calls + tuple((pad.fill, (0.0,)) for pad in pads(out, coarse))
+        kernels = (weigh(x.reshape(m, n + 1), src[:-1].reshape(mc, n + 1)),)
+    return kernels + (weigh(src, out, pads(out, coarse)),)  # coarse q from fine 2q + 1
 
 
 def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
-    """The calls of linear interpolation on each axis; in 1D the columns are
-    (1/2) * [1, 2, 1]^T.
+    """The kernels of linear interpolation on each axis; in 1D the columns
+    are (1/2) * [1, 2, 1]^T.
 
     Fine points sitting on coarse points copy the coarse value; in-between
     points take the average of their flanking coarse values, zero outside,
@@ -80,24 +81,22 @@ def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     cell, which the last-axis pass reads as the first point's neighbour.
     """
     half = np.array(0.5, out.dtype)
-    calls, src = (), x
-    if len(shape) == 2:
-        m, (mc, nc) = shape[0], (_coarse_size(k) for k in shape)
-        rows = x.reshape(mc + 2, nc + 1)
-        src = np.zeros(1 + m * (nc + 1), out.dtype)
-        fine = src[1:].reshape(m, nc + 1)
-        even, odd = fine[0::2], fine[1::2]
+
+    def interpolate(src, dst):  # dst row 2q + 1 is src row q + 1, row 2q the mean of q, q + 1
+        even, odd = dst[0::2], dst[1::2]
         calls = (
-            (np.copyto, (odd, rows[1:-1])),
-            (np.add, (rows[:-1], rows[1:], even)),
+            (np.copyto, (odd, src[1 : len(odd) + 1])),
+            (np.add, (src[: len(even)], src[1 : len(even) + 1], even)),
             (np.multiply, (even, half, even)),
         )
-    even, odd = out[0::2], out[1::2]  # fine 2q + 1 from coarse q
-    return calls + (
-        (np.copyto, (odd, src[1 : odd.size + 1])),
-        (np.add, (src[: even.size], src[1 : even.size + 1], even)),
-        (np.multiply, (even, half, even)),
-    )
+        return kernel(calls, PROLONG, dst, src, s=half)
+
+    kernels, src = (), x
+    if len(shape) == 2:
+        m, (mc, nc) = shape[0], (_coarse_size(k) for k in shape)
+        src = np.zeros(1 + m * (nc + 1), out.dtype)
+        kernels = (interpolate(x.reshape(mc + 2, nc + 1), src[1:].reshape(m, nc + 1)),)
+    return kernels + (interpolate(src, out),)  # fine 2q + 1 from coarse q
 
 
 def _grid(x) -> np.ndarray:
@@ -115,7 +114,7 @@ def restrict(x: np.ndarray) -> np.ndarray:
     fine = np.zeros(math.prod(run_shape(x.shape)), dtype)
     interior(fine, x.shape)[...] = x
     out = np.empty(math.prod(run_shape(coarse)), dtype)
-    run_calls(restriction(fine, out, x.shape))
+    run_calls(calls_of(restriction(fine, out, x.shape)))
     return interior(out, coarse).copy()
 
 
@@ -131,5 +130,5 @@ def prolong(x: np.ndarray) -> np.ndarray:
     framed = np.zeros(math.prod(rows) + 2 * block, dtype)
     interior(framed[block:-block], x.shape)[...] = x
     out = np.empty(math.prod(run_shape(shape)), dtype)
-    run_calls(prolongation(framed, out, shape))
+    run_calls(calls_of(prolongation(framed, out, shape)))
     return interior(out, shape).copy()

@@ -155,6 +155,14 @@ def test_theory_laplacian_preset_reports_unit_constant(tmp_path):
     assert contraction[0]["bound"] == pytest.approx(0.5)
 
 
+def test_theory_laplacian_preset_runs_at_the_given_size(tmp_path):
+    out = tmp_path / "reports.json"
+    assert main(["theory", "--preset", "laplacian", "--M", "64", "--json", str(out)]) == 0
+    levels = {r["context"]["level"]: r["context"]["m"]
+              for r in json.loads(out.read_text()) if "m" in r["context"]}
+    assert levels[0] == 63
+
+
 def test_run_theory_violation_detection():
     cfg = ExperimentConfig(preset="example-6.1", alpha=0.3, m_values=[16])
     reports, violated = run_theory(cfg)

@@ -170,6 +170,16 @@ def test_solve_rejects_misshapen_initial_guess(ndim, shape, arg):
         solve(h, **args)
 
 
+@pytest.mark.parametrize("f_shape, v_shape", [
+    ((7, 7), (49,)), ((7, 7), (7, 8)), ((7, 7), (48,)), ((49,), (7, 7)), ((49,), (48,)),
+])
+def test_vcycle_rejects_misshapen_iterate(f_shape, v_shape):
+    # v must have the shape of f, grid or flat, and fail at entry, not in numpy
+    h = build_hierarchy(KroneckerSum(2, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
+    with pytest.raises(DimensionError):
+        vcycle(h, np.zeros(v_shape), np.ones(f_shape))
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_solve_matches_dst_solve_at_scale(ndim):
     # sizes no dense oracle reaches: 1D m = 1023, 2D m = 255 (65025 unknowns)

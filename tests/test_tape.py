@@ -1,5 +1,5 @@
-"""The compiled V-cycle tape: its translator from ufunc calls, its executor
-against numpy, and the build cache its loader keeps."""
+"""The compiled V-cycle tape: its kernel records against their numpy
+calls, and the build cache its loader keeps."""
 
 import gc
 import os
@@ -11,8 +11,17 @@ import pytest
 
 import mgfk
 from mgfk import stencil
-from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, run_calls, tape_runner
+from mgfk.multigrid import GridLevel, MgHierarchy, _cycle_kernels, build_hierarchy, smooth, vcycle
+from mgfk.stencil import (
+    COMPACT_MASS,
+    IDENTITY,
+    LAPLACIAN,
+    ZERO,
+    KroneckerSum,
+    calls_of,
+    run_calls,
+    tape_runner,
+)
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 
@@ -40,70 +49,92 @@ def assert_same_bits(x, y):
     assert a[~nan].tobytes() == b[~nan].tobytes()
 
 
-def both(calls_on, shape, dtype):
-    """Outputs of ``calls_on(out)`` run by ``run_calls`` and by a tape."""
-    outs = np.zeros(shape, dtype), np.zeros(shape, dtype)
-    run_calls(calls_on(outs[0]))
-    tape_runner(calls_on(outs[1]))()
-    return outs
+#: Each level kernel's operator: a 3-point 1D, 5-point 2D and 9-point 2D stencil.
+STENCILS = [(1, COMPACT_MASS), (2, IDENTITY), (2, COMPACT_MASS)]
+
+
+def cycle(ndim, mass, dtype, scalar, pre):
+    """The kernels of a zero-start cycle over three levels of one operator
+    with stiffness ``scalar`` and weights ``scalar`` (so every scalar a
+    record reads depends on it), and every buffer they touch, pad cells
+    and zero frames included, but the apply's scaled copies, which only
+    the calls write.  The fine grid, 1D m = 511 and 2D m = 31, is more than
+    one block of the executor's residual loop, and not a whole number of
+    them."""
+    op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
+    sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
+    h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
+                    omega_pre=scalar, omega_post=scalar, pre_count=pre)
+    work = h.workspace(dtype)
+    kernels = _cycle_kernels(h, work, 0, True)
+    copies = {id(a) for ws in work for a in ws.apply.scaled}
+    buffers = {}
+    for fn, args in calls_of(kernels):
+        for a in (*args, getattr(fn, "__self__", None)):
+            if isinstance(a, np.ndarray) and a.ndim > 0:
+                base = a if a.base is None else a.base
+                if id(base) not in copies:
+                    buffers[id(base)] = base
+    return kernels, list(buffers.values())
+
+
+def assert_records_match_calls(runs, dtype, scalar, seed):
+    """Each distinct kernel of every cycle whose calls ``runs`` picks out,
+    run by its record and by its calls from the same random and special
+    values in every buffer, leaves the same bits in every buffer."""
+    rng = np.random.default_rng(seed)
+    checked = 0
+    for ndim, mass in STENCILS:
+        for pre in (0, 1):
+            (kernels, mine), (theirs_kernels, theirs) = (
+                cycle(ndim, mass, dtype, scalar, pre) for _ in range(2))
+            done = set()
+            for k, ref in zip(kernels, theirs_kernels):
+                if id(k) in done or not runs(k):
+                    continue
+                done.add(id(k))
+                for a, b in zip(mine, theirs):
+                    a[...] = b[...] = data(rng, a.size, dtype).reshape(a.shape)
+                tape_runner((k,))()
+                with np.errstate(all="ignore"):
+                    run_calls(ref.calls)
+                for a, b in zip(mine, theirs):
+                    assert_same_bits(a, b)
+                checked += 1
+    assert checked
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("fn", [np.add, np.subtract, np.multiply, np.divide])
 @pytest.mark.parametrize("scalar", [3.0, 0.1234567, 7.77e5, 1.0 / 3.0, -2.5])
 def test_tape_matches_numpy_on_every_layout(fn, dtype, scalar):
-    # contiguous, stride 2, by a 0-d scalar (first or last), in place and on
-    # the row blocks of a 2D transfer, on 200k values: a complex array meets
-    # complex operands only as a multiply or divide by a real 0-d scalar
-    rng = np.random.default_rng(11)
-    a, b = data(rng, 200_001, dtype), data(rng, 200_001, dtype)
-    s = np.array(scalar, dtype)
-    with np.errstate(all="ignore"):
-        assert_same_bits(*both(lambda out: ((fn, (a[::2], s, out)),), 100_001, dtype))
-        if fn is np.multiply:
-            assert_same_bits(*both(lambda out: ((fn, (s, a[1::2], out)),), 100_000, dtype))
-        if dtype == complex and fn in (np.multiply, np.divide):
-            return
-        assert_same_bits(*both(lambda out: ((fn, (a[1::2], b[:100_000], out)),), 100_000, dtype))
-        assert_same_bits(*both(lambda out: ((fn, (a, b, out)),), a.size, dtype))
-        rows = a[:64 * 33].reshape(64, 33)
-
-        def in_place(out):
-            out[...] = b[:64 * 33].reshape(64, 33)
-            return ((fn, (out[::2, :32], rows[1::2, 1:], out[::2, :32])),)
-
-        assert_same_bits(*both(in_place, (64, 33), dtype))
+    # every kernel whose calls run fn (residual, update, scale, divide, add,
+    # both passes of both transfers), on the 1D and 2D run layouts, with
+    # scalars made from `scalar`
+    assert_records_match_calls(lambda k: any(f is fn for f, _ in k.calls), dtype, scalar, 11)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tape_copies_and_fills_like_numpy(dtype):
-    rng = np.random.default_rng(12)
-    a = data(rng, 64 * 33, dtype).reshape(64, 33)
+    # the kernels that copy or fill: the zero start, the prolongation's
+    # copies, and the pad cells the residual and the restriction zero
+    def copies_or_fills(k):
+        return any(f is np.copyto or getattr(f, "__name__", "") == "fill" for f, _ in k.calls)
 
-    def calls(out):
-        return ((np.copyto, (out, a)), (np.copyto, (out[1::2, 1:], a[::2, :32])),
-                (out[:, 32].fill, (0.0,)), (out.reshape(-1)[5::67].fill, (0.0,)))
+    assert_records_match_calls(copies_or_fills, dtype, 3.0, 12)
+    kinds = {k.record[0] for ndim, mass in STENCILS
+             for k in cycle(ndim, mass, dtype, 3.0, 0)[0] if copies_or_fills(k)}
+    assert ZERO in kinds and len(kinds) == 4
 
-    assert_same_bits(*both(calls, (64, 33), dtype))
 
-
-def test_translator_refuses_what_numpy_would_run_differently():
-    x, c = np.zeros(8), np.zeros(8, complex)
-    with pytest.raises(ValueError, match="partially overlaps"):
-        tape_runner(((np.add, (x[1:], x[1:], x[:-1])),))
-    with pytest.raises(ValueError, match="real 0-d"):
-        tape_runner(((np.multiply, (c, np.array(1 + 1j), c)),))
-    with pytest.raises(ValueError, match="real 0-d"):
-        tape_runner(((np.divide, (c, np.array(0j), c)),))
-    with pytest.raises(ValueError, match="not one of the executor's calls"):
-        tape_runner(((np.maximum, (x, x, x)),))
-    with pytest.raises(ValueError, match="float64 or all complex128"):
-        tape_runner(((np.add, (x, c, c)),))
-    big = x.astype(">f8")
-    with pytest.raises(ValueError, match="float64 or all complex128"):
-        tape_runner(((np.add, (big, big, big)),))
-    with pytest.raises(ValueError, match="fills with"):
-        tape_runner(((x.fill, (1.0,)),))
+def test_tapes_refuse_dtypes_the_executor_lacks():
+    # a record of other data would be read as float64 or complex128; the
+    # calls of such kernels still run through numpy
+    h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
+    f = np.ones(7, np.longdouble)
+    with pytest.raises(ValueError, match="float64 and complex128"):
+        vcycle(h, None, f)
+    assert smooth(h.fine, f, f, 0.5, 2).dtype == np.longdouble
 
 
 def test_a_runner_keeps_every_buffer_alive(monkeypatch):

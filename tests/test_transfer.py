@@ -3,7 +3,7 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, run_calls
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, calls_of, run_calls
 from mgfk.transfer import prolong, restrict
 
 from helpers import (
@@ -204,14 +204,14 @@ def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
             if dtype is complex:
                 fine.r_run.imag = rng.standard_normal(fine.r_run.shape)
             grid = fine.r.copy()
-            run_calls(fine.restrict)
+            run_calls(calls_of(fine.restrict))
             assert np.array_equal(coarse.rhs, reference_restrict(grid))
             assert not np.any(_pad_cells(coarse, coarse.rhs_run))
             coarse.v[...] = rng.standard_normal(coarse.v.shape)
             if dtype is complex:
                 coarse.v.imag = rng.standard_normal(coarse.v.shape)
             fine.r_run[...] = rng.standard_normal(fine.r_run.shape)
-            run_calls(fine.prolong)
+            run_calls(calls_of(fine.prolong))
             assert np.array_equal(fine.r, reference_prolong(coarse.v))
             assert not np.any(_pad_cells(fine, fine.r_run))
             assert fine.r.dtype == coarse.rhs.dtype == np.dtype(dtype)
@@ -225,7 +225,7 @@ def test_last_axis_passes_are_1d_calls(ndim, calls):
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
     for dtype in (float, complex):
         for ws in h.workspace(dtype)[:-1]:
-            restriction, prolongation = ws.restrict, ws.prolong
+            restriction, prolongation = calls_of(ws.restrict), calls_of(ws.prolong)
             assert (len(restriction), len(prolongation)) == calls
             last = restriction[-5 if ndim > 1 else -4 :] + prolongation[-3:]
             for fn, args in last:
