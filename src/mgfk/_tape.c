@@ -6,7 +6,10 @@
  * with numpy's formulas for a complex array times or over a complex scalar.
  * Built with -ffp-contract=off and without -ffast-math: no fused
  * multiply-add, no reassociation.  Vector code only runs the same
- * operations on several elements at once.
+ * operations on several elements at once.  The residual has a loop for
+ * each tap count, 0 to 8, that keeps each element's sum in a register.  On
+ * x86-64 glibc every kernel is also cloned for AVX2, and the loader picks
+ * the clone the CPU runs, so one build serves every CPU of the platform.
  *
  * o is the output, a the input array (b the residual's right-hand side),
  * s and t 0-d scalars, k an element:
@@ -60,32 +63,51 @@ static inline cdouble div_c(cdouble x, cdouble s)
 
 #define EACH(m) for (int64_t k = 0; k < (m); k++)
 
-/* One record on elements of type T.  The residual runs in blocks of BLOCK
- * elements: with many, each tap's pass over a block that stays in cache is
- * a plain loop, which vectorises for float64; with one, each element's sum
- * stays in registers, which is faster for complex128. */
-#define KERNEL(NAME, T, PLUS, MINUS, TIMES, OVER, BLOCK)                            \
-    static void NAME(const record *r)                                               \
+/* The residual of a record with NT taps: with NT a constant the tap loop
+ * unrolls, and the element loop vectorises with acc in registers. */
+#define RESIDUAL_CASE(NT, T, PLUS, MINUS, TIMES)                                   \
+    case NT:                                                                        \
+        EACH(n) {                                                                   \
+            T acc = TIMES(a[k], s);                                                 \
+            for (int p = 0; p < NT; p++)                                            \
+                acc = PLUS(acc, TIMES(y[p][k], c[p]));                              \
+            o[k] = MINUS(b[k], acc);                                                \
+        }                                                                           \
+        break;
+
+#if defined(__x86_64__) && defined(__GLIBC__)
+#define CLONES __attribute__((target_clones("avx2", "default")))
+#else
+#define CLONES
+#endif
+
+/* One record on elements of type T. */
+#define KERNEL(NAME, T, PLUS, MINUS, TIMES, OVER)                                   \
+    CLONES static void NAME(const record *r)                                        \
     {                                                                               \
         T *restrict o = P(T, r->out), *restrict a = P(T, r->a);                     \
         const T *restrict b = P(const T, r->b);                                     \
         const T s = r->s ? *P(const T, r->s) : (T){0};                              \
         const T t = r->t ? *P(const T, r->t) : (T){0};                              \
         T c[TAPS];                                                                  \
+        const T *y[TAPS];                                                           \
         const int64_t n = r->n, len = r->len;                                       \
         switch (r->kind) {                                                          \
         case RESIDUAL:                                                              \
-            for (int64_t p = 0; p < r->taps; p++)                                   \
+            for (int64_t p = 0; p < r->taps; p++) {                                 \
                 c[p] = *P(const T, r->c[p]);                                        \
-            for (int64_t lo = 0; lo < n; lo += BLOCK) {                             \
-                const int64_t m = n - lo < BLOCK ? n - lo : BLOCK;                  \
-                T *acc = o + lo;                                                    \
-                EACH(m) acc[k] = TIMES(a[lo + k], s);                               \
-                for (int64_t p = 0; p < r->taps; p++) {                             \
-                    const T *y = a + lo + r->off[p];                                \
-                    EACH(m) acc[k] = PLUS(acc[k], TIMES(y[k], c[p]));               \
-                }                                                                   \
-                EACH(m) acc[k] = MINUS(b[lo + k], acc[k]);                          \
+                y[p] = a + r->off[p];                                               \
+            }                                                                       \
+            switch (r->taps) {                                                      \
+                RESIDUAL_CASE(0, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(1, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(2, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(3, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(4, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(5, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(6, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(7, T, PLUS, MINUS, TIMES)                             \
+                RESIDUAL_CASE(8, T, PLUS, MINUS, TIMES)                             \
             }                                                                       \
             break;                                                                  \
         case UPDATE: EACH(n) { a[k] = TIMES(a[k], s); o[k] = PLUS(o[k], a[k]); } break; \
@@ -116,8 +138,8 @@ static inline cdouble div_c(cdouble x, cdouble s)
             o[k] = (T){0};                                                          \
     }
 
-KERNEL(kernel_real, double, add_r, sub_r, mul_r, div_r, 256)
-KERNEL(kernel_complex, cdouble, add_c, sub_c, mul_c, div_c, 1)
+KERNEL(kernel_real, double, add_r, sub_r, mul_r, div_r)
+KERNEL(kernel_complex, cdouble, add_c, sub_c, mul_c, div_c)
 
 void mgfk_run_tape(const record *r, int64_t count)
 {

@@ -10,12 +10,12 @@ A cycle allocates nothing but the array it returns: it runs in place on
 per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
 first cycle for a given dtype (float64 for real time steppers and
 ``measure_contraction``, complex128 for complex steppers, from their first
-complex value on) and reuses from then on.  Every level operation (residual,
-damped update, transfer pass, zero start, correction, coarsest division)
-is a ``stencil.Kernel`` on the buffers: ``(ufunc, args)`` pairs in the
-operation order of the plain array expressions, so the iterates do not
-depend on the buffering, and one record of the compiled executor with the
-same IEEE operations per element.  The hierarchy splices the kernels of
+complex value on; long double data raise ``MgfkError``) and reuses from
+then on.  Every level operation (residual, damped update, transfer pass,
+zero start, correction, coarsest division) is a ``stencil.Kernel`` on the
+buffers: ``(ufunc, args)`` pairs in the operation order of the plain array
+expressions, so the iterates do not depend on the buffering, and one
+record of the compiled executor with the same IEEE operations per element.  The hierarchy splices the kernels of
 every level into one flat tape per dtype and start (``MgHierarchy.tape``),
 the whole V-cycle with no recursion, which ``stencil.tape_runner`` runs as
 one call into the executor (or through the calls, see
@@ -44,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from . import transfer
-from .errors import DimensionError, EligibilityError
+from .errors import DimensionError, EligibilityError, MgfkError
 from .stencil import (
     ADD,
     DIVIDE,
@@ -182,10 +182,15 @@ class MgHierarchy:
 
     def workspace(self, dtype) -> tuple:
         """The ``LevelWork`` of every level for ``dtype``, made on first use,
-        with the transfers bound between neighbouring levels."""
+        with the transfers bound between neighbouring levels.  Cycles run
+        float64 and complex128 data only, the executor's dtypes: another
+        ``dtype`` (long double, which ``_work_dtype`` keeps) raises
+        ``MgfkError`` before anything is made."""
         dtype = np.dtype(dtype)
         work = self._work.get(dtype)
         if work is None:
+            if dtype not in (np.float64, np.complex128):
+                raise MgfkError(f"V-cycles run float64 and complex128 data, not {dtype}")
             work = tuple(LevelWork(lv, dtype) for lv in self.levels)
             for lv, fine, coarse in zip(self.levels, work, work[1:]):
                 fine.restrict = transfer.restriction(fine.r_run, coarse.rhs_run, lv.shape)

@@ -16,8 +16,10 @@ is its meaning, and one record of the compiled executor ``_tape.c`` on the
 same buffers and scalars (``kernel``).  ``tape_runner`` runs a tuple of
 kernels as one call into that executor (built on first use by ``_library``
 into the user's cache, with ``-ffp-contract=off`` so that every element
-gets exactly the IEEE operations of the calls), or runs their calls where
-it cannot be built (``compiled_tapes``).  The type-I sine transform
+gets exactly the IEEE operations of the calls; a residual record sums each
+element in a register, in a loop made for its tap count, and on x86-64 an
+AVX2 clone of each loop runs where the CPU has it), or runs their calls
+where it cannot be built (``compiled_tapes``).  The type-I sine transform
 diagonalises the system operators, which gives their spectra in closed
 form and an exact direct solve.  Dense matrices live in the test oracles
 only.
@@ -321,7 +323,8 @@ def run_calls(calls) -> None:
 #: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
 #: roundings, as numpy's separate calls are, and -ffast-math, which would
 #: reassociate, is left out; so is -march=native, as a build is cached per
-#: platform, not per CPU.
+#: platform, not per CPU: on x86-64 glibc ``_tape.c`` clones its kernels
+#: for AVX2 itself, and the loader picks the clone per CPU at load time.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
 
 #: Kernel kinds of ``_tape.c``, which says what each does.
@@ -354,7 +357,8 @@ def kernel(calls, kind, out, a=None, b=None, s=None, t=None, pads=(), taps=()) -
     def at(x) -> int:
         return 0 if x is None else x.__array_interface__["data"][0]
 
-    period = pads[0].strides[0] // pads[0].itemsize if pads else 0
+    # numpy gives an empty view the stride of one element: it has no pad cells
+    period = pads[0].strides[0] // pads[0].itemsize if pads and pads[0].size else 0
     spare = (0,) * (_TAPS - len(taps))
     offsets = tuple(off for off, _ in taps) + spare
     coefs = tuple(at(c) for _, c in taps) + spare

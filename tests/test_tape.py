@@ -11,13 +11,24 @@ import pytest
 
 import mgfk
 from mgfk import stencil
-from mgfk.multigrid import GridLevel, MgHierarchy, _cycle_kernels, build_hierarchy, smooth, vcycle
+from mgfk.errors import MgfkError
+from mgfk.multigrid import (
+    GridLevel,
+    LevelWork,
+    MgHierarchy,
+    _cycle_kernels,
+    build_hierarchy,
+    smooth,
+    solve,
+    vcycle,
+)
 from mgfk.stencil import (
     COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,
     ZERO,
     KroneckerSum,
+    ToeplitzStencil,
     calls_of,
     run_calls,
     tape_runner,
@@ -58,9 +69,8 @@ def cycle(ndim, mass, dtype, scalar, pre):
     with stiffness ``scalar`` and weights ``scalar`` (so every scalar a
     record reads depends on it), and every buffer they touch, pad cells
     and zero frames included, but the apply's scaled copies, which only
-    the calls write.  The fine grid, 1D m = 511 and 2D m = 31, is more than
-    one block of the executor's residual loop, and not a whole number of
-    them."""
+    the calls write.  The fine grid is 1D m = 511, a run of odd length,
+    or 2D m = 31."""
     op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
     h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
@@ -128,13 +138,80 @@ def test_tape_copies_and_fills_like_numpy(dtype):
 
 
 def test_tapes_refuse_dtypes_the_executor_lacks():
-    # a record of other data would be read as float64 or complex128; the
-    # calls of such kernels still run through numpy
+    # a record of other data would be read as float64 or complex128: cycles
+    # refuse such data before they make a workspace, and a tape of such
+    # kernels is refused; their calls still run through numpy
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     f = np.ones(7, np.longdouble)
+    for cycled in (lambda: vcycle(h, None, f), lambda: vcycle(h, f, f), lambda: solve(h, f)):
+        with pytest.raises(MgfkError, match=str(f.dtype)):
+            cycled()
+    assert not h._work
     with pytest.raises(ValueError, match="float64 and complex128"):
-        vcycle(h, None, f)
+        tape_runner((LevelWork(h.fine, np.longdouble).residual,))
     assert smooth(h.fine, f, f, 0.5, 2).dtype == np.longdouble
+
+
+#: The off-centre points of a 9-point stencil on rows of W cells.
+W = 7
+NINE = (-W - 1, -W, -W + 1, -1, 1, W - 1, W, W + 1)
+
+
+def residual_kernel(taps, n, dtype, seed):
+    """A residual kernel over a run of ``n`` cells with rows of ``W`` cells
+    and the points ``taps`` of ``NINE``, in that order, each with its own
+    coefficient, built through ``stencil.kernel`` on buffers filled with
+    random and special values from ``seed``, and its output.  Coefficients
+    are real, as every operator's are: numpy's vector loops round a
+    complex product by a scalar with an imaginary part otherwise."""
+    rng = np.random.default_rng(seed)
+    frame = data(rng, n + 2 * W + 2, dtype)
+    run, out, rhs = frame[W + 1 : W + 1 + n], data(rng, n, dtype), data(rng, n, dtype)
+    centre, *coefs = (np.array(c, dtype) for c in rng.standard_normal(1 + len(taps)))
+    product = np.empty(n, dtype)
+    calls = [(np.multiply, (run, centre, out))]
+    for off, c in zip(taps, coefs):
+        calls += [(np.multiply, (frame[W + 1 + off : W + 1 + off + n], c, product)),
+                  (np.add, (out, product, out))]
+    pads = (out[W - 1 :: W],)
+    calls += [(np.subtract, (rhs, out, out)), (pads[0].fill, (0.0,))]
+    k = stencil.kernel(calls, stencil.RESIDUAL, out, run, rhs, centre, pads=pads,
+                       taps=tuple(zip(taps, coefs)))
+    return k, out
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("count", range(9))
+def test_residual_matches_numpy_for_every_tap_count(count, dtype):
+    # each tap count has a loop of its own; runs of lengths that are not a
+    # whole number of vector widths, and points picked and ordered at random
+    rng = np.random.default_rng(count)
+    for seed, n in enumerate((1, 2, 3, 5, 6, 7, 9, 13, 31, 67, 130)):
+        taps = tuple(rng.permutation(NINE)[:count].tolist())
+        (k, out), (ref, ref_out) = (residual_kernel(taps, n, dtype, seed) for _ in range(2))
+        assert k.record[10] == count  # the record's tap count
+        tape_runner((k,))()
+        with np.errstate(all="ignore"):
+            run_calls(ref.calls)
+        assert_same_bits(out, ref_out)
+
+
+def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
+    # diagonal stiffness and identity mass leave every level's residual
+    # the centre point alone
+    op = KroneckerSum(1, 1.0, 1.0, IDENTITY, ToeplitzStencil((2.0,)))
+    f = np.random.default_rng(14).standard_normal(31)
+
+    def cycled():
+        h = build_hierarchy(op, 31, "geometric")
+        v = vcycle(h, 0.5 * f, f)
+        assert all(ws.apply.taps == () for ws in h.workspace(float))
+        return v
+
+    compiled = cycled()
+    assert stencil.compiled_tapes()
+    monkeypatch.setattr(stencil, "_library", lambda: None)
+    assert compiled.tobytes() == cycled().tobytes()
 
 
 def test_a_runner_keeps_every_buffer_alive(monkeypatch):
