@@ -6,27 +6,27 @@ shared by every solve.  Grids are 1D (m,) or 2D (m, m), the two cases the
 paper's uniform bounds cover, with m = 2**k - 1, and bottom out at a single
 point, where the coarse solve is an exact scalar division.
 
-A cycle allocates nothing but the array it returns: it runs in place on
-per-level scratch buffers (``LevelWork``), which a hierarchy makes on its
-first cycle for a given dtype (float64 for real time steppers and
-``measure_contraction``, complex128 for complex steppers, from their first
-complex value on; long double data raise ``MgfkError``) and reuses from
-then on.  Every level operation (residual, damped update, transfer pass,
-zero start, correction, coarsest division) is a ``stencil.Kernel`` on the
-buffers: ``(ufunc, args)`` pairs in the operation order of the plain array
-expressions, so the iterates do not depend on the buffering, and one
-record of the compiled executor with the same IEEE operations per element.  The hierarchy splices the kernels of
-every level into one flat tape per dtype and start (``MgHierarchy.tape``),
-the whole V-cycle with no recursion, which ``stencil.tape_runner`` runs as
-one call into the executor (or through the calls, see
-``stencil.compiled_tapes``).  A tape starts from zero or from the loaded
-fine iterate and its residual (``MgHierarchy.residual``, run the same
-way): ``solve`` and ``measure_contraction`` form that residual for their
-norms and cycle from it in place, ``vcycle`` forms it to cycle once.
-``smooth`` runs its kernels' calls.  ``build_hierarchy`` makes neither
-buffers nor tapes.
-``vcycle`` and ``solve`` return new arrays, never a buffer.  Because the
-buffers are shared, two threads must not cycle on one hierarchy at once.
+A cycle runs in place on per-level scratch buffers (``LevelWork``), which
+a hierarchy makes on its first cycle for a given dtype (float64 for real
+time steppers and ``measure_contraction``, complex128 for complex
+steppers, from their first complex value on; long double data raise
+``MgfkError``) and reuses from then on.  Every level operation (residual,
+damped update, transfer pass, zero start, correction, coarsest division)
+is a ``stencil.Kernel`` on the buffers.  The hierarchy splices the kernels
+of every level into one flat tape per dtype and start
+(``MgHierarchy.tape``), the whole V-cycle with no recursion, which
+``stencil.tape_runner`` runs as one call into the compiled executor, where
+a cycle allocates nothing but the array it returns, or through
+``stencil.run_numpy``, which forms each residual point's product as a
+temporary (see ``stencil.compiled_tapes``); the iterates are the same bits
+either way (``stencil.tape_runner`` says when).  A tape starts from zero or
+from the loaded fine iterate and its residual (``MgHierarchy.residual``,
+run the same way): ``solve`` and ``measure_contraction`` form that
+residual for their norms and cycle from it in place, ``vcycle`` forms it
+to cycle once.  ``smooth`` runs its kernels through ``run_numpy``.
+``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
+``solve`` return new arrays, never a buffer.  Because the buffers are
+shared, two threads must not cycle on one hierarchy at once.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -54,13 +54,13 @@ from .stencil import (
     ZERO,
     Kernel,
     KroneckerSum,
-    PaddedApply,
-    calls_of,
     grid_depth,
-    kernel,
+    interior,
+    pads,
     require_coarsenable,
     require_spd_eligible,
-    run_calls,
+    run_numpy,
+    run_shape,
     tape_runner,
 )
 
@@ -85,37 +85,40 @@ class GridLevel:
 class LevelWork:
     """Scratch of one level for one dtype, and the kernels that work on it.
 
-    ``v`` is the iterate, the grid held in the apply's run (``v_run``), ``r``
-    the residual and temporary (the apply's output), and ``rhs`` the
+    ``v`` is the iterate, ``r`` the residual and temporary, and ``rhs`` the
     right-hand side a cycle on this level reads: the one the level above
-    restricts into, or the one a driver loads on the fine level.
-    Each grid is held in the apply's run layout, rows of m + 1 cells
-    (``v_run``, ``r_run``, ``rhs_run``), where the smoother's arithmetic
-    runs; the pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so
-    the updates keep those of ``v_run`` at zero, and the prolongation reads
-    its edges from them.  ``residual`` is the kernel of ``r = rhs - A v``.
-    ``restrict`` (``r`` into the next level's ``rhs``, its pad cells
-    refilled with zeros) and ``prolong`` (the next level's ``v`` into ``r``,
-    pad cells zero) are the transfers' kernels, bound by
-    ``MgHierarchy.workspace``.
+    restricts into, or the one a driver loads on the fine level.  Each grid
+    is held in the run layout (``stencil.run_shape``), rows of m + 1 cells
+    (``v_run``, ``r_run``, ``rhs_run``), where the arithmetic runs.  The
+    iterate's run sits inside zero storage one row (in 1D one cell) wide on
+    either side, ``framed`` with it, so that a point's neighbour past the
+    end of a row, before the start of the next or off the first or last row
+    is a zero cell.  The pad cells of ``r_run`` and ``rhs_run`` are kept at
+    zero, so the updates keep those of ``v_run`` at zero, and the
+    prolongation reads its edges from ``framed``.  ``residual`` is the
+    kernel of ``r = rhs - A v``: ``centre`` times the iterate, plus per
+    off-centre point of the operator (``_points``) its window of that
+    storage times its coefficient, subtracted from ``rhs``.  ``restrict``
+    (``r`` into the next level's ``rhs``, its pad cells refilled with zeros)
+    and ``prolong`` (the next level's ``v`` into ``r``, pad cells zero) are
+    the transfers' kernels, bound by ``MgHierarchy.workspace``.
     """
 
     def __init__(self, level: GridLevel, dtype):
-        self.apply = PaddedApply(level.operator, level.m, dtype)
-        self.v, self.v_run, self.r_run = self.apply.x, self.apply.run, self.apply.out
-        self.rhs_run = np.zeros_like(self.v_run)
-        self.r, self.rhs = self.apply.interior(self.r_run), self.apply.interior(self.rhs_run)
-        self.diag = level.diag
-        pads = self.apply.pads(self.r_run)
-        self.residual = kernel(
-            (
-                *self.apply.calls,
-                (np.subtract, (self.rhs_run, self.r_run, self.r_run)),
-                *((pad.fill, (0.0,)) for pad in pads),
-            ),
-            RESIDUAL, self.r_run, self.apply.run, self.rhs_run, self.apply.centre,
-            pads=pads, taps=self.apply.taps,
-        )
+        self.shape, self.diag = level.shape, level.diag
+        centre, points = level.operator._points
+        rows = run_shape(self.shape)
+        stride = [math.prod(rows[k + 1 :]) for k in range(len(rows))]  # flat stride of each axis
+        first, size = sum(stride), level.m * stride[0]  # the run: interior origin, length
+        flat = np.zeros(size + 2 * first, dtype)
+        self.v_run = flat[first : first + size]
+        self.framed = flat[first - stride[0] : first + size + stride[0]]
+        self.r_run, self.rhs_run = np.zeros(size, dtype), np.zeros(size, dtype)
+        self.v, self.r, self.rhs = (interior(a, self.shape) for a in (self.v_run, self.r_run, self.rhs_run))
+        starts = (first + sum((w.start - 1) * st for w, st in zip(window, stride)) for window, _ in points)
+        taps = tuple((flat[i : i + size], self.scalar(c)) for i, (_, c) in zip(starts, points))
+        self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, self.scalar(centre),
+                               pads=pads(self.r_run, self.shape), taps=taps)
         self.restrict = self.prolong = ()
 
     def scalar(self, value: float) -> np.ndarray:
@@ -124,8 +127,7 @@ class LevelWork:
 
     def update(self, weight: float) -> Kernel:
         """The kernel of ``v += (weight / diag) r``."""
-        scale, r, x = self.scalar(weight / self.diag), self.r_run, self.v_run
-        return kernel(((np.multiply, (r, scale, r)), (np.add, (x, r, x))), UPDATE, x, r, s=scale)
+        return Kernel(UPDATE, self.v_run, self.r_run, s=self.scalar(weight / self.diag))
 
     def sweep(self, weight: float) -> tuple:
         """The kernels of one damped-Jacobi sweep with ``weight``."""
@@ -147,7 +149,7 @@ class MgHierarchy:
     """Multigrid hierarchy, finest level first.
 
     Its levels and parameters are immutable; its cycles' scratch buffers
-    (``workspace``) and the tapes of calls on them (``tape``) are made on
+    (``workspace``) and the tapes of kernels on them (``tape``) are made on
     first use per dtype and reused, so one hierarchy serves one solve at a
     time.
     """
@@ -194,7 +196,7 @@ class MgHierarchy:
             work = tuple(LevelWork(lv, dtype) for lv in self.levels)
             for lv, fine, coarse in zip(self.levels, work, work[1:]):
                 fine.restrict = transfer.restriction(fine.r_run, coarse.rhs_run, lv.shape)
-                fine.prolong = transfer.prolongation(coarse.apply.framed, fine.r_run, lv.shape)
+                fine.prolong = transfer.prolongation(coarse.framed, fine.r_run, lv.shape)
             self._work[dtype] = work
         return work
 
@@ -226,15 +228,10 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple
     ws = work[level]
     x, r, rhs = ws.v_run, ws.r_run, ws.rhs_run
     if level == h.depth - 1:
-        diag = ws.scalar(ws.diag)
-        return (kernel(((np.divide, (rhs, diag, x)),), DIVIDE, x, rhs, s=diag),)
+        return (Kernel(DIVIDE, x, rhs, s=ws.scalar(ws.diag)),)
     pre, kernels = h.pre_count, ()
     if zero:
-        scale = ws.scalar(h.omega_pre / ws.diag)
-        if pre:
-            first = kernel(((np.multiply, (rhs, scale, x)),), SCALE, x, rhs, s=scale)
-        else:
-            first = kernel(((x.fill, (0.0,)),), ZERO, x)
+        first = Kernel(SCALE, x, rhs, s=ws.scalar(h.omega_pre / ws.diag)) if pre else Kernel(ZERO, x)
         kernels, pre = (first, ws.residual), max(pre - 1, 0)
     return (
         kernels
@@ -242,7 +239,7 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple
         + ws.restrict
         + _cycle_kernels(h, work, level + 1, True)
         + ws.prolong
-        + (kernel(((np.add, (x, r, x)),), ADD, x, r),)
+        + (Kernel(ADD, x, r),)
         + ws.sweep(h.omega_post) * h.post_smooths
     )
 
@@ -335,7 +332,7 @@ def smooth(
     work = LevelWork(level, _work_dtype(v, f))
     work.v[...] = v
     work.rhs[...] = f
-    run_calls(calls_of(work.sweep(weight)) * steps)
+    run_numpy(work.sweep(weight) * steps)
     return work.v
 
 

@@ -4,25 +4,24 @@ Every operator in the package is stored matrix-free: a stencil is the band
 pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 ``c_mass E + c_stiff S`` on a 1D grid or
 ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on a 2D one, over two
-stencils.  Both are applied by shifted-slice multiply-adds, a system
-operator by ``PaddedApply`` on the grid held in its run layout
-(``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
-row's points): one scaled copy of the grid per distinct point coefficient,
-then one add per nonzero point of its 3 in 1D or 9 in 2D, built once as a
-call tuple, ``(ufunc, args)`` pairs on scratch a caller may keep, which
-``run_calls`` runs.  Each level operation of the V-cycle (residual, damped
-update, transfer pass, coarse solve) is a ``Kernel``: its call tuple, which
-is its meaning, and one record of the compiled executor ``_tape.c`` on the
-same buffers and scalars (``kernel``).  ``tape_runner`` runs a tuple of
-kernels as one call into that executor (built on first use by ``_library``
-into the user's cache, with ``-ffp-contract=off`` so that every element
-gets exactly the IEEE operations of the calls; a residual record sums each
-element in a register, in a loop made for its tap count, and on x86-64 an
-AVX2 clone of each loop runs where the CPU has it), or runs their calls
-where it cannot be built (``compiled_tapes``).  The type-I sine transform
-diagonalises the system operators, which gives their spectra in closed
-form and an exact direct solve.  Dense matrices live in the test oracles
-only.
+stencils.  Both are applied by shifted-slice multiply-adds over their
+nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``).
+Each level operation of the V-cycle (residual, damped update, transfer
+pass, zero start, correction, coarse division) is described once, as a
+``Kernel``: the operands of one record of the compiled executor
+``_tape.c``, on buffers a caller keeps.  ``run_numpy`` runs kernels with
+numpy, one kind's per-element operations in the executor's order, and
+``tape_runner`` runs a tuple of them as one call into the executor (built
+on first use by ``_library`` into the user's cache, with
+``-ffp-contract=off`` so that every element gets exactly the IEEE
+operations of ``run_numpy``; a residual record sums each element in a
+register, in a loop made for its tap count, and on x86-64 an AVX2 clone of
+each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
+be built (``compiled_tapes``).  Grids are held in the run layout of
+``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
+row's points.  The type-I sine transform diagonalises the system
+operators, which gives their spectra in closed form and an exact direct
+solve.  Dense matrices live in the test oracles only.
 """
 
 from __future__ import annotations
@@ -191,12 +190,14 @@ class KroneckerSum:
         return v.reshape((m,) * self.ndim)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """``A v``, through a ``PaddedApply`` made for the call."""
+        """``A v``: ``x * centre``, then ``+ window * c`` per off-centre
+        point in ``_points`` order, the operations of a residual kernel."""
         x = self.grid(v)
-        padded = PaddedApply(self, x.shape[0], np.result_type(x, self._points[0]))
-        padded.x[...] = x
-        run_calls(padded.calls)
-        return padded.interior(padded.out).copy().reshape(np.shape(v))
+        centre, taps = self._points
+        out, padded = x * centre, np.pad(x, 1)
+        for window, c in taps:
+            out += padded[window] * c
+        return out.reshape(np.shape(v))
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
@@ -244,82 +245,6 @@ def pads(a: np.ndarray, shape: tuple) -> tuple:
     return tuple(a[n :: n + 1] for n in shape[1:])
 
 
-class PaddedApply:
-    """``A x`` on the (m,)*ndim grid, built once for one dtype as a tuple of
-    ufunc calls on buffers of its own.
-
-    The operand lives in ``x``, held in ``run``: the grid in the run layout
-    (``run_shape``) with rows of m + 1 cells, inside a flat zero-padded
-    storage.  The neighbour past the end of a row and the one before the
-    start of the next are the one pad cell between them, and those off the
-    first or last row are the zero storage on either side of the run, one
-    row (in 1D one cell) wide; ``framed`` is the run with that zero row on
-    either side.  In 1D the run is ``x`` itself.  The product goes to
-    ``out``, laid out like the run; ``interior(a)`` and ``pads(a)`` are the
-    grid and the pad cells of an array so laid out.  Pad cells of ``out``
-    mean nothing after a call.
-
-    ``calls``, the apply's call tuple (run by ``run_calls``, the head of
-    the V-cycle's residual kernel), computes ``centre * run``, then one scaled copy
-    ``a * grid`` in ``scaled`` per distinct off-centre coefficient value a
-    (exact ``==``), over the stretch that the points with that coefficient
-    read, then adds each point's shifted window of its copy in ``_points``
-    order.
-    The windows are views built here, so every ufunc call is on contiguous
-    memory, which numpy runs unbuffered, and each interior value is exactly
-    that of the plain slice expressions ``out = centre * x``,
-    ``out += a * window``.  Coefficients are 0-d arrays of the grid's
-    dtype, the cheapest scalar operand numpy takes: ``centre``, and per
-    point in that order its flat offset in the run and coefficient
-    (``taps``), which a residual record reads.
-    """
-
-    def __init__(self, op: KroneckerSum, m: int, dtype):
-        centre, taps = op._points
-        d, self.shape = op.ndim, (m,) * op.ndim
-        rows = run_shape(self.shape)
-        stride = [math.prod(rows[k + 1 :]) for k in range(d)]  # flat stride of each axis
-        first, size = sum(stride), m * stride[0]  # the run: interior origin, length
-        offsets = [sum((s.start - 1) * st for s, st in zip(w, stride)) for w, _ in taps]
-        flat = np.zeros(size + 2 * first, dtype)
-        self.run = flat[first : first + size]
-        self.framed = flat[first - stride[0] : first + size + stride[0]]
-        self.x = self.interior(self.run)
-        self.out = np.zeros(size, dtype)
-        groups = {}  # coefficient value -> offsets of its points
-        for off, (_, coef) in zip(offsets, taps):
-            groups.setdefault(float(coef), []).append(off)
-        scaled, window = [], {}  # offset -> its window of its copy, its coefficient
-        for coef, offs in groups.items():
-            lo, hi = min(offs), max(offs)
-            copy, c = np.empty(hi - lo + size, dtype), np.array(coef, dtype)
-            scaled.append((np.multiply, (flat[first + lo : first + hi + size], c, copy)))
-            window.update((off, (copy[off - lo : off - lo + size], c)) for off in offs)
-        self.scaled = tuple(args[2] for _, args in scaled)
-        self.centre = np.array(centre, dtype)
-        self.taps = tuple((off, window[off][1]) for off in offsets)
-        self.calls = (
-            (np.multiply, (self.run, self.centre, self.out)),
-            *scaled,
-            *((np.add, (self.out, window[off][0], self.out)) for off in offsets),
-        )
-
-    def interior(self, a: np.ndarray) -> np.ndarray:
-        """The (m,)*ndim grid an array laid out like the run holds."""
-        return interior(a, self.shape)
-
-    def pads(self, a: np.ndarray) -> tuple:
-        """Views of the pad cells of an array laid out like the run."""
-        return pads(a, self.shape)
-
-
-def run_calls(calls) -> None:
-    """Run ``(ufunc, args)`` pairs in order: a prebuilt apply, or the calls
-    of kernels (``calls_of``), which are the meaning of their records."""
-    for fn, args in calls:
-        fn(*args)
-
-
 #: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
 #: roundings, as numpy's separate calls are, and -ffast-math, which would
 #: reassociate, is left out; so is -march=native, as a build is cached per
@@ -335,40 +260,75 @@ _TAPS = 8
 
 
 class Kernel(NamedTuple):
-    """One level operation, twice: ``calls``, its ``(ufunc, args)`` pairs,
-    which are its meaning and what ``run_calls`` runs, and ``record``, the
-    same operation on the same buffers and scalars as one record of the
-    compiled executor (``kernel``), or ``None``."""
+    """One level operation of ``kind`` (``_tape.c`` says what each does):
+    into ``out``, whose first axis is its rows, from the arrays ``a`` and
+    ``b`` (all C-contiguous) and the 0-d scalars ``s`` and ``t``, then
+    zeroing ``pads``, views of ``out``; a residual also sums ``taps``, per
+    off-centre point its window (``a`` shifted by the point's offset in
+    the storage ``a`` is a run of) and its 0-d coefficient.  ``run_numpy``
+    runs it with numpy, ``tape_runner`` as one record of the executor."""
 
-    calls: tuple
-    record: tuple
+    kind: int
+    out: np.ndarray
+    a: np.ndarray = None
+    b: np.ndarray = None
+    s: np.ndarray = None
+    t: np.ndarray = None
+    pads: tuple = ()
+    taps: tuple = ()
 
 
-def kernel(calls, kind, out, a=None, b=None, s=None, t=None, pads=(), taps=()) -> Kernel:
-    """``calls`` and the ``_tape.c`` record of ``kind`` that does what they
-    do: into ``out``, whose first axis is its rows, from the arrays ``a``
-    and ``b`` (all C-contiguous) and the 0-d scalars ``s`` and ``t``, then
-    zeroing ``pads`` (``pads`` of ``out``); a residual also sums ``taps``, an
-    ``(offset, coefficient)`` per off-centre point.  The record is ``None``
-    unless ``out`` is float64 or complex128, the executor's two dtypes."""
-    if out.dtype not in (np.float64, np.complex128):
-        return Kernel(tuple(calls), None)
+def run_numpy(kernels) -> None:
+    """Run ``kernels`` in order with numpy: per element the IEEE operations
+    of each record in the executor's order, each tap's product formed as a
+    temporary.  For complex data the results are the executor's bit for bit
+    while every scalar and tap coefficient is real, as all the package makes
+    are (``tape_runner``).  numpy warns of overflows and invalid values."""
+    for kind, o, a, b, s, t, pads, taps in kernels:
+        if kind == RESIDUAL:
+            np.multiply(a, s, o)
+            for window, c in taps:
+                o += window * c
+            np.subtract(b, o, o)
+        elif kind == UPDATE:
+            np.multiply(a, s, a)
+            o += a
+        elif kind == SCALE:
+            np.multiply(a, s, o)
+        elif kind == DIVIDE:
+            np.divide(a, s, o)
+        elif kind == ZERO:
+            o.fill(0)
+        elif kind == ADD:
+            o += a
+        elif kind == RESTRICT:  # row i from rows 2i, 2i + 1, 2i + 2
+            np.multiply(a[1::2], s, o)
+            np.add(a[0:-1:2], o, o)
+            o += a[2::2]
+            o *= t
+        else:  # PROLONG: row 2i from rows i, i + 1; row 2i + 1 is row i + 1
+            even, odd = o[0::2], o[1::2]
+            np.copyto(odd, a[1 : len(odd) + 1])
+            np.add(a[: len(even)], a[1 : len(even) + 1], even)
+            even *= s
+        for pad in pads:
+            pad.fill(0)
+
+
+def _record(k: Kernel) -> tuple:
+    """``k`` as the int64 fields of one ``_tape.c`` record, addresses
+    included; a tap is its window's offset from ``a``, in elements."""
 
     def at(x) -> int:
         return 0 if x is None else x.__array_interface__["data"][0]
 
     # numpy gives an empty view the stride of one element: it has no pad cells
-    period = pads[0].strides[0] // pads[0].itemsize if pads and pads[0].size else 0
-    spare = (0,) * (_TAPS - len(taps))
-    offsets = tuple(off for off, _ in taps) + spare
-    coefs = tuple(at(c) for _, c in taps) + spare
-    head = (kind, out.dtype == np.complex128, out.shape[0], math.prod(out.shape[1:]), period)
-    return Kernel(tuple(calls), (*head, *map(at, (out, a, b, s, t)), len(taps), *offsets, *coefs))
-
-
-def calls_of(kernels) -> tuple:
-    """The ``(ufunc, args)`` pairs of ``kernels``, in order."""
-    return tuple(call for k in kernels for call in k.calls)
+    period = k.pads[0].strides[0] // k.pads[0].itemsize if k.pads and k.pads[0].size else 0
+    spare = (0,) * (_TAPS - len(k.taps))
+    offsets = tuple((at(w) - at(k.a)) // k.out.itemsize for w, _ in k.taps) + spare
+    coefs = tuple(at(c) for _, c in k.taps) + spare
+    head = (k.kind, k.out.dtype == np.complex128, k.out.shape[0], math.prod(k.out.shape[1:]), period)
+    return (*head, *map(at, (k.out, k.a, k.b, k.s, k.t)), len(k.taps), *offsets, *coefs)
 
 
 def _build(source: str, path: str) -> bool:
@@ -426,7 +386,7 @@ def _library():
 
 def compiled_tapes() -> bool:
     """Whether ``tape_runner`` runs tapes in the compiled executor (else
-    through ``run_calls``); the first call may build it."""
+    through ``run_numpy``); the first call may build it."""
     return _library() is not None
 
 
@@ -435,7 +395,7 @@ class _CompiledTape:
 
     def __init__(self, kernels: tuple, run):
         self.kernels = kernels  # keeps every buffer and scalar a record points at alive
-        self.records = np.array([k.record for k in kernels], np.int64)
+        self.records = np.array([_record(k) for k in kernels], np.int64)
         self._args = (self.records.__array_interface__["data"][0], len(self.records))
         self._run = run
 
@@ -444,18 +404,21 @@ class _CompiledTape:
 
 
 def tape_runner(kernels: tuple):
-    """A callable with no arguments that runs ``kernels`` in order: their
-    records in one call into the compiled executor of ``_tape.c``, or their
-    calls where ``compiled_tapes()`` is false; other than float64 or
+    """A callable with no arguments that runs ``kernels`` in order: as
+    records in one call into the compiled executor of ``_tape.c``, or by
+    ``run_numpy`` where ``compiled_tapes()`` is false; other than float64 or
     complex128 data raise ``ValueError``.  Results are bit for bit
-    numpy's, but for the sign of a NaN that a complex multiply makes from
-    two NaNs (numpy's choice follows its SIMD loops).  The executor raises
-    no floating-point warnings: an overflow or invalid value shows as a
+    ``run_numpy``'s, but for the sign of a NaN that a complex multiply makes
+    from two NaNs (numpy's choice follows its SIMD loops), and for complex
+    data only while every scalar and tap coefficient is real, as all the
+    package makes are: numpy's vector loops round a product by a complex
+    scalar with a nonzero imaginary part otherwise.  The executor raises no
+    floating-point warnings: an overflow or invalid value shows as a
     non-finite value, which ``solve`` and ``measure_contraction`` check for."""
-    if any(k.record is None for k in kernels):
+    if any(k.out.dtype not in (np.float64, np.complex128) for k in kernels):
         raise ValueError("tapes run float64 and complex128 data only")
     run = _library()
-    return _CompiledTape(kernels, run) if run is not None else partial(run_calls, calls_of(kernels))
+    return _CompiledTape(kernels, run) if run is not None else partial(run_numpy, kernels)
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

@@ -4,19 +4,18 @@ Grids are 1D or 2D, with 2**k - 1 points per axis.  ``restriction`` and
 ``prolongation`` apply the 1-2-1 pair on each axis between flat arrays
 holding the grids in the run layout of ``stencil.run_shape`` (in 2D rows
 of n + 1 cells, a zero pad cell after the points), so a fine row is
-exactly two coarse rows long.  In 2D a row pass first combines whole rows,
-on (rows, n + 1) views with contiguous rows, into an intermediate; then,
-as in 1D, coarse cell q of a whole run sits at 2q + 1 of the other, so
-each operation on the last axis is one 1D stride-2 call.  The restriction
-then fills the coarse pad cells with zeros; the prolongation takes its
-edge values from zero cells, as (0 + x) * 0.5 (the zero rows around the
-coarse run, the pad cells, the intermediate's leading zero cell), and
-leaves zero pad cells.  Each returns its work as one ``stencil.Kernel``
-per pass, ``(ufunc, args)`` pairs with the weights as 0-d arrays of the
-output's dtype and the record that runs them in the compiled executor,
-which the V-cycle splices into its tape.  The prolongation is 2**ndim
-times the transpose of the restriction.  ``restrict`` and ``prolong`` bind
-the pair to fresh buffers for one call and run its calls.
+exactly two coarse rows long.  Each returns one ``stencil.Kernel`` per
+axis, its weights 0-d arrays of the output's dtype, which the V-cycle
+splices into its tape.  In 2D a row pass first combines whole rows, on
+(rows, n + 1) views with contiguous rows, into an intermediate; then, as
+in 1D, coarse cell q of a whole run sits at 2q + 1 of the other, so the
+last-axis pass is one 1-D stride-2 pass.  The restriction then fills the
+coarse pad cells with zeros; the prolongation takes its edge values from
+zero cells, as (0 + x) * 0.5 (the zero rows around the coarse run, the pad
+cells, the intermediate's leading zero cell), and leaves zero pad cells.
+The prolongation is 2**ndim times the transpose of the restriction.
+``restrict`` and ``prolong`` bind the pair to fresh buffers for one call
+and run it through ``stencil.run_numpy``.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .stencil import PROLONG, RESTRICT, calls_of, grid_depth, interior, kernel, pads, run_calls, run_shape
+from .stencil import PROLONG, RESTRICT, Kernel, grid_depth, interior, pads, run_numpy, run_shape
 
 
 def _coarse_size(m_fine: int) -> int:
@@ -46,24 +45,14 @@ def restriction(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     """
     coarse = tuple(_coarse_size(m) for m in shape)
     two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
-
-    def weigh(src, dst, zeroed=()):  # dst row q from src rows 2q, 2q + 1, 2q + 2
-        lo, odd, hi = src[0:-1:2], src[1::2], src[2::2]
-        calls = (
-            (np.multiply, (odd, two, dst)),
-            (np.add, (lo, dst, dst)),
-            (np.add, (dst, hi, dst)),
-            (np.multiply, (dst, quarter, dst)),
-            *((pad.fill, (0.0,)) for pad in zeroed),
-        )
-        return kernel(calls, RESTRICT, dst, src, s=two, t=quarter, pads=zeroed)
-
     kernels, src = (), x
-    if len(shape) == 2:
+    if len(shape) == 2:  # row q from fine rows 2q, 2q + 1, 2q + 2
         (m, n), mc = shape, coarse[0]
         src = np.zeros(mc * (n + 1) + 1, out.dtype)
-        kernels = (weigh(x.reshape(m, n + 1), src[:-1].reshape(mc, n + 1)),)
-    return kernels + (weigh(src, out, pads(out, coarse)),)  # coarse q from fine 2q + 1
+        rows = src[:-1].reshape(mc, n + 1)
+        kernels = (Kernel(RESTRICT, rows, x.reshape(m, n + 1), s=two, t=quarter),)
+    # coarse q from fine 2q + 1
+    return kernels + (Kernel(RESTRICT, out, src, s=two, t=quarter, pads=pads(out, coarse)),)
 
 
 def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
@@ -75,28 +64,18 @@ def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     so the two edge points take half of the edge coarse values.
 
     ``x`` is the run of the coarse grid with one zero row (in 1D one zero
-    cell) on either side, ``stencil.PaddedApply.framed``; ``out`` is the run
+    cell) on either side, ``multigrid.LevelWork.framed``; ``out`` is the run
     of the fine grid of ``shape``.  In 2D the row pass interpolates the
     coarse rows into an intermediate of fine rows after one leading zero
     cell, which the last-axis pass reads as the first point's neighbour.
     """
     half = np.array(0.5, out.dtype)
-
-    def interpolate(src, dst):  # dst row 2q + 1 is src row q + 1, row 2q the mean of q, q + 1
-        even, odd = dst[0::2], dst[1::2]
-        calls = (
-            (np.copyto, (odd, src[1 : len(odd) + 1])),
-            (np.add, (src[: len(even)], src[1 : len(even) + 1], even)),
-            (np.multiply, (even, half, even)),
-        )
-        return kernel(calls, PROLONG, dst, src, s=half)
-
     kernels, src = (), x
-    if len(shape) == 2:
+    if len(shape) == 2:  # row 2q + 1 is coarse row q + 1 of x, row 2q the mean of rows q, q + 1
         m, (mc, nc) = shape[0], (_coarse_size(k) for k in shape)
         src = np.zeros(1 + m * (nc + 1), out.dtype)
-        kernels = (interpolate(x.reshape(mc + 2, nc + 1), src[1:].reshape(m, nc + 1)),)
-    return kernels + (interpolate(src, out),)  # fine 2q + 1 from coarse q
+        kernels = (Kernel(PROLONG, src[1:].reshape(m, nc + 1), x.reshape(mc + 2, nc + 1), s=half),)
+    return kernels + (Kernel(PROLONG, out, src, s=half),)  # fine 2q + 1 from coarse q
 
 
 def _grid(x) -> np.ndarray:
@@ -114,7 +93,7 @@ def restrict(x: np.ndarray) -> np.ndarray:
     fine = np.zeros(math.prod(run_shape(x.shape)), dtype)
     interior(fine, x.shape)[...] = x
     out = np.empty(math.prod(run_shape(coarse)), dtype)
-    run_calls(calls_of(restriction(fine, out, x.shape)))
+    run_numpy(restriction(fine, out, x.shape))
     return interior(out, coarse).copy()
 
 
@@ -130,5 +109,5 @@ def prolong(x: np.ndarray) -> np.ndarray:
     framed = np.zeros(math.prod(rows) + 2 * block, dtype)
     interior(framed[block:-block], x.shape)[...] = x
     out = np.empty(math.prod(run_shape(shape)), dtype)
-    run_calls(calls_of(prolongation(framed, out, shape)))
+    run_numpy(prolongation(framed, out, shape))
     return interior(out, shape).copy()

@@ -421,8 +421,8 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
                                             monkeypatch):
     # coarse levels skip the operator apply on their zero start, the fine
     # level cycles from the residual it has formed, and every level runs its
-    # part of one prebuilt tape in place in its workspace, the apply through
-    # one scaled copy per coefficient; the iterates must not move by a bit,
+    # part of one prebuilt tape in place in its workspace, the residual as
+    # one kernel over the operator's points; the iterates must not move by a bit,
     # real or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
     # count, on either backend
     use_backend(monkeypatch, backend)
@@ -483,7 +483,7 @@ def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes."""
     for dtype in dtypes:
         for ws in h.workspace(dtype):
-            yield from (ws.apply.x, *ws.apply.scaled, ws.r_run, ws.rhs_run)
+            yield from (ws.framed, ws.r_run, ws.rhs_run)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

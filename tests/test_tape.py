@@ -1,5 +1,5 @@
-"""The compiled V-cycle tape: its kernel records against their numpy
-calls, and the build cache its loader keeps."""
+"""The compiled V-cycle tape: its kernel records against ``run_numpy`` of
+the same kernels, and the build cache its loader keeps."""
 
 import gc
 import os
@@ -11,6 +11,7 @@ import pytest
 
 import mgfk
 from mgfk import stencil
+from mgfk.coarsen import fk_operator
 from mgfk.errors import MgfkError
 from mgfk.multigrid import (
     GridLevel,
@@ -23,14 +24,21 @@ from mgfk.multigrid import (
     vcycle,
 )
 from mgfk.stencil import (
+    ADD,
     COMPACT_MASS,
+    DIVIDE,
     IDENTITY,
     LAPLACIAN,
+    PROLONG,
+    RESIDUAL,
+    RESTRICT,
+    SCALE,
+    UPDATE,
     ZERO,
+    Kernel,
     KroneckerSum,
     ToeplitzStencil,
-    calls_of,
-    run_calls,
+    run_numpy,
     tape_runner,
 )
 
@@ -68,79 +76,93 @@ def cycle(ndim, mass, dtype, scalar, pre):
     """The kernels of a zero-start cycle over three levels of one operator
     with stiffness ``scalar`` and weights ``scalar`` (so every scalar a
     record reads depends on it), and every buffer they touch, pad cells
-    and zero frames included, but the apply's scaled copies, which only
-    the calls write.  The fine grid is 1D m = 511, a run of odd length,
-    or 2D m = 31."""
+    and zero frames included.  The fine grid is 1D m = 511, a run of odd
+    length, or 2D m = 31."""
     op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
     h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
                     omega_pre=scalar, omega_post=scalar, pre_count=pre)
-    work = h.workspace(dtype)
-    kernels = _cycle_kernels(h, work, 0, True)
-    copies = {id(a) for ws in work for a in ws.apply.scaled}
+    kernels = _cycle_kernels(h, h.workspace(dtype), 0, True)
     buffers = {}
-    for fn, args in calls_of(kernels):
-        for a in (*args, getattr(fn, "__self__", None)):
-            if isinstance(a, np.ndarray) and a.ndim > 0:
+    for k in kernels:
+        for a in (k.out, k.a, k.b, *k.pads, *(window for window, _ in k.taps)):
+            if a is not None:
                 base = a if a.base is None else a.base
-                if id(base) not in copies:
-                    buffers[id(base)] = base
+                buffers[id(base)] = base
     return kernels, list(buffers.values())
 
 
-def assert_records_match_calls(runs, dtype, scalar, seed):
-    """Each distinct kernel of every cycle whose calls ``runs`` picks out,
-    run by its record and by its calls from the same random and special
-    values in every buffer, leaves the same bits in every buffer."""
+def assert_records_match_numpy(kinds, dtype, scalar, seed):
+    """Each distinct kernel of one of ``kinds`` in every cycle, run by its
+    record and by ``run_numpy`` from the same random and special values in
+    every buffer, leaves the same bits in every buffer."""
     rng = np.random.default_rng(seed)
-    checked = 0
+    checked = set()
     for ndim, mass in STENCILS:
         for pre in (0, 1):
             (kernels, mine), (theirs_kernels, theirs) = (
                 cycle(ndim, mass, dtype, scalar, pre) for _ in range(2))
             done = set()
             for k, ref in zip(kernels, theirs_kernels):
-                if id(k) in done or not runs(k):
+                if id(k) in done or k.kind not in kinds:
                     continue
                 done.add(id(k))
                 for a, b in zip(mine, theirs):
                     a[...] = b[...] = data(rng, a.size, dtype).reshape(a.shape)
                 tape_runner((k,))()
                 with np.errstate(all="ignore"):
-                    run_calls(ref.calls)
+                    run_numpy((ref,))
                 for a, b in zip(mine, theirs):
                     assert_same_bits(a, b)
-                checked += 1
-    assert checked
+                checked.add(k.kind)
+    assert checked == set(kinds)
+
+
+#: The kinds whose records do each IEEE operation.
+OPERATIONS = {
+    "add": (RESIDUAL, UPDATE, ADD, RESTRICT, PROLONG),
+    "subtract": (RESIDUAL,),
+    "multiply": (RESIDUAL, UPDATE, SCALE, RESTRICT, PROLONG),
+    "divide": (DIVIDE,),
+}
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("fn", [np.add, np.subtract, np.multiply, np.divide])
+@pytest.mark.parametrize("operation", list(OPERATIONS))
 @pytest.mark.parametrize("scalar", [3.0, 0.1234567, 7.77e5, 1.0 / 3.0, -2.5])
-def test_tape_matches_numpy_on_every_layout(fn, dtype, scalar):
-    # every kernel whose calls run fn (residual, update, scale, divide, add,
-    # both passes of both transfers), on the 1D and 2D run layouts, with
-    # scalars made from `scalar`
-    assert_records_match_calls(lambda k: any(f is fn for f, _ in k.calls), dtype, scalar, 11)
+def test_tape_matches_numpy_on_every_layout(operation, dtype, scalar):
+    # every kind that does the operation (residual, update, scale, divide,
+    # add, both passes of both transfers), on the 1D and 2D run layouts,
+    # with scalars made from `scalar`
+    assert_records_match_numpy(OPERATIONS[operation], dtype, scalar, 11)
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tape_copies_and_fills_like_numpy(dtype):
-    # the kernels that copy or fill: the zero start, the prolongation's
+    # the kinds that copy or fill: the zero start, the prolongation's
     # copies, and the pad cells the residual and the restriction zero
-    def copies_or_fills(k):
-        return any(f is np.copyto or getattr(f, "__name__", "") == "fill" for f, _ in k.calls)
+    assert_records_match_numpy((ZERO, PROLONG, RESIDUAL, RESTRICT), dtype, 3.0, 12)
 
-    assert_records_match_calls(copies_or_fills, dtype, 3.0, 12)
-    kinds = {k.record[0] for ndim, mass in STENCILS
-             for k in cycle(ndim, mass, dtype, 3.0, 0)[0] if copies_or_fills(k)}
-    assert ZERO in kinds and len(kinds) == 4
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
+def test_complex_workspaces_hold_only_real_scalars(coarsening, ndim):
+    # numpy's vector loops round a complex product by a scalar with a nonzero
+    # imaginary part otherwise than the executor, so its records are numpy's
+    # bit for bit only while every scalar and coefficient is real
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 31, coarsening)
+    work = h.workspace(complex)
+    for zero in (True, False):
+        kernels = (work[0].residual, *_cycle_kernels(h, work, 0, zero))
+        scalars = [x for k in kernels for x in (k.s, k.t, *(c for _, c in k.taps)) if x is not None]
+        assert len(scalars) > len(kernels)
+        assert all(x.dtype == np.complex128 and x.ndim == 0 and x.imag == 0 for x in scalars)
 
 
 def test_tapes_refuse_dtypes_the_executor_lacks():
     # a record of other data would be read as float64 or complex128: cycles
     # refuse such data before they make a workspace, and a tape of such
-    # kernels is refused; their calls still run through numpy
+    # kernels is refused; they still run through numpy
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     f = np.ones(7, np.longdouble)
     for cycled in (lambda: vcycle(h, None, f), lambda: vcycle(h, f, f), lambda: solve(h, f)):
@@ -159,24 +181,17 @@ NINE = (-W - 1, -W, -W + 1, -1, 1, W - 1, W, W + 1)
 
 def residual_kernel(taps, n, dtype, seed):
     """A residual kernel over a run of ``n`` cells with rows of ``W`` cells
-    and the points ``taps`` of ``NINE``, in that order, each with its own
-    coefficient, built through ``stencil.kernel`` on buffers filled with
-    random and special values from ``seed``, and its output.  Coefficients
-    are real, as every operator's are: numpy's vector loops round a
-    complex product by a scalar with an imaginary part otherwise."""
+    and the points ``taps`` of ``NINE``, in that order, each a window of the
+    run's storage with its own coefficient, on buffers filled with random
+    and special values from ``seed``, and its output.  Coefficients are
+    real, as every operator's are: numpy's vector loops round a complex
+    product by a scalar with an imaginary part otherwise."""
     rng = np.random.default_rng(seed)
     frame = data(rng, n + 2 * W + 2, dtype)
     run, out, rhs = frame[W + 1 : W + 1 + n], data(rng, n, dtype), data(rng, n, dtype)
     centre, *coefs = (np.array(c, dtype) for c in rng.standard_normal(1 + len(taps)))
-    product = np.empty(n, dtype)
-    calls = [(np.multiply, (run, centre, out))]
-    for off, c in zip(taps, coefs):
-        calls += [(np.multiply, (frame[W + 1 + off : W + 1 + off + n], c, product)),
-                  (np.add, (out, product, out))]
-    pads = (out[W - 1 :: W],)
-    calls += [(np.subtract, (rhs, out, out)), (pads[0].fill, (0.0,))]
-    k = stencil.kernel(calls, stencil.RESIDUAL, out, run, rhs, centre, pads=pads,
-                       taps=tuple(zip(taps, coefs)))
+    windows = (frame[W + 1 + off : W + 1 + off + n] for off in taps)
+    k = Kernel(RESIDUAL, out, run, rhs, centre, pads=(out[W - 1 :: W],), taps=tuple(zip(windows, coefs)))
     return k, out
 
 
@@ -189,10 +204,11 @@ def test_residual_matches_numpy_for_every_tap_count(count, dtype):
     for seed, n in enumerate((1, 2, 3, 5, 6, 7, 9, 13, 31, 67, 130)):
         taps = tuple(rng.permutation(NINE)[:count].tolist())
         (k, out), (ref, ref_out) = (residual_kernel(taps, n, dtype, seed) for _ in range(2))
-        assert k.record[10] == count  # the record's tap count
+        assert stencil._record(k)[10] == count  # the record's tap count
+        assert stencil._record(k)[11 : 11 + count] == taps  # and its offsets
         tape_runner((k,))()
         with np.errstate(all="ignore"):
-            run_calls(ref.calls)
+            run_numpy((ref,))
         assert_same_bits(out, ref_out)
 
 
@@ -205,7 +221,7 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
     def cycled():
         h = build_hierarchy(op, 31, "geometric")
         v = vcycle(h, 0.5 * f, f)
-        assert all(ws.apply.taps == () for ws in h.workspace(float))
+        assert all(ws.residual.taps == () for ws in h.workspace(float))
         return v
 
     compiled = cycled()
@@ -215,8 +231,8 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
 
 
 def test_a_runner_keeps_every_buffer_alive(monkeypatch):
-    # the runner holds the call tuple: with its hierarchy dropped and the
-    # freed memory reused, it still cycles as run_calls does
+    # the runner holds its kernels: with its hierarchy dropped and the
+    # freed memory reused, it still cycles as run_numpy does
     op = KroneckerSum(2, 1.0, 1.0, IDENTITY, LAPLACIAN)
     rng = np.random.default_rng(13)
     v0, f = (rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15)) for _ in range(2))

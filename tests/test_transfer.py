@@ -3,7 +3,7 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, calls_of, run_calls
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pads, run_numpy
 from mgfk.transfer import prolong, restrict
 
 from helpers import (
@@ -185,7 +185,7 @@ HIERARCHIES = [pytest.param(ndim, m, id=f"{ndim}d-b1") for ndim, m in ((1, 63), 
 
 
 def _pad_cells(ws, run):
-    return np.concatenate([p.ravel() for p in ws.apply.pads(run)] + [np.zeros(0)])
+    return np.concatenate([p.ravel() for p in pads(run, ws.shape)] + [np.zeros(0)])
 
 
 @pytest.mark.parametrize("ndim, m", HIERARCHIES)
@@ -204,34 +204,28 @@ def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
             if dtype is complex:
                 fine.r_run.imag = rng.standard_normal(fine.r_run.shape)
             grid = fine.r.copy()
-            run_calls(calls_of(fine.restrict))
+            run_numpy(fine.restrict)
             assert np.array_equal(coarse.rhs, reference_restrict(grid))
             assert not np.any(_pad_cells(coarse, coarse.rhs_run))
             coarse.v[...] = rng.standard_normal(coarse.v.shape)
             if dtype is complex:
                 coarse.v.imag = rng.standard_normal(coarse.v.shape)
             fine.r_run[...] = rng.standard_normal(fine.r_run.shape)
-            run_calls(calls_of(fine.prolong))
+            run_numpy(fine.prolong)
             assert np.array_equal(fine.r, reference_prolong(coarse.v))
             assert not np.any(_pad_cells(fine, fine.r_run))
             assert fine.r.dtype == coarse.rhs.dtype == np.dtype(dtype)
 
 
-@pytest.mark.parametrize("ndim, calls", [(1, (4, 3)), (2, (9, 6))])
-def test_last_axis_passes_are_1d_calls(ndim, calls):
-    # the last axis runs as one stride-2 call per operation on whole runs,
-    # the pad fill as one strided view; in 2D the row pass before it reads
-    # and writes contiguous rows
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_each_transfer_pass_is_one_kernel(ndim):
+    # one kernel per axis; the last-axis pass runs on whole runs, a 1-D
+    # stride-2 pass, and in 2D the row pass before it on contiguous rows
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
     for dtype in (float, complex):
         for ws in h.workspace(dtype)[:-1]:
-            restriction, prolongation = calls_of(ws.restrict), calls_of(ws.prolong)
-            assert (len(restriction), len(prolongation)) == calls
-            last = restriction[-5 if ndim > 1 else -4 :] + prolongation[-3:]
-            for fn, args in last:
-                arrays = [a for a in (*args, getattr(fn, "__self__", None))
-                          if isinstance(a, np.ndarray) and a.ndim > 0]
-                assert arrays and all(a.ndim == 1 for a in arrays)
-            for _, args in restriction[: -5 if ndim > 1 else -4] + prolongation[:-3]:
-                for a in args:
-                    assert a.ndim == 0 or a.strides[-1] == a.itemsize
+            assert len(ws.restrict) == len(ws.prolong) == ndim
+            for *rows, last in (ws.restrict, ws.prolong):
+                assert last.out.ndim == last.a.ndim == 1
+                for k in rows:
+                    assert k.out.strides[-1] == k.a.strides[-1] == k.out.itemsize
