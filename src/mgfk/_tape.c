@@ -1,15 +1,19 @@
 /* Executor of compiled V-cycle tapes (see mgfk.stencil.tape_runner).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
- * float64 or complex128 buffers (mgfk.stencil.kernel).  Each loop does, per
- * element, the IEEE operations of the kernel's numpy calls in their order,
- * with numpy's formulas for a complex array times or over a complex scalar.
- * Built with -ffp-contract=off and without -ffast-math: no fused
- * multiply-add, no reassociation.  Vector code only runs the same
- * operations on several elements at once.  The residual has a loop for
- * each tap count, 0 to 8, that keeps each element's sum in a register.  On
- * x86-64 glibc every kernel is also cloned for AVX2, and the loader picks
- * the clone the CPU runs, so one build serves every CPU of the platform.
+ * float64 or complex128 buffers (a mgfk.stencil.Kernel, packed by
+ * mgfk.stencil._record).  Each loop does, per element, the IEEE operations
+ * of mgfk.stencil.run_numpy in their order, with numpy's formulas for a
+ * complex array times or over a complex scalar.  Built with
+ * -ffp-contract=off and without -ffast-math: no fused multiply-add, no
+ * reassociation.  Vector code only runs the same operations on several
+ * elements at once.  The residual has a loop for each tap count, 0 to 8,
+ * that keeps each element's sum in a register.  The transfers have a flat
+ * loop over elements for records of single-element rows (len 1: every 1D
+ * pass and the last-axis, stride-2 pass of a 2D transfer), and a loop over
+ * rows only for the row passes of 2D transfers.  On x86-64 glibc every
+ * kernel is also cloned for AVX2, and the loader picks the clone the CPU
+ * runs, so one build serves every CPU of the platform.
  *
  * o is the output, a the input array (b the residual's right-hand side),
  * s and t 0-d scalars, k an element:
@@ -26,7 +30,7 @@ enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG };
 
 #define TAPS 8 /* off-centre points of a 9-point stencil, the most a residual has */
 
-/* All fields int64, addresses too, as mgfk.stencil.kernel packs them: o
+/* All fields int64, addresses too, as mgfk.stencil._record packs them: o
  * holds n rows of len elements (len is 1 but in a 2D row pass). */
 typedef struct {
     int64_t kind, is_complex, n, len, pad, out, a, b, s, t, taps, off[TAPS], c[TAPS];
@@ -116,6 +120,10 @@ static inline cdouble div_c(cdouble x, cdouble s)
         case ZERO: EACH(n) o[k] = (T){0}; break;                                    \
         case ADD: EACH(n) o[k] = PLUS(o[k], a[k]); break;                           \
         case RESTRICT:                                                              \
+            if (len == 1) {                                                         \
+                EACH(n) o[k] = TIMES(PLUS(PLUS(a[2 * k], TIMES(a[2 * k + 1], s)), a[2 * k + 2]), t); \
+                break;                                                              \
+            }                                                                       \
             for (int64_t i = 0; i < n; i++) {                                       \
                 const T *lo = a + 2 * i * len, *odd = lo + len, *hi = odd + len;    \
                 T *row = o + i * len;                                               \
@@ -124,6 +132,15 @@ static inline cdouble div_c(cdouble x, cdouble s)
             }                                                                       \
             break;                                                                  \
         case PROLONG:                                                               \
+            if (len == 1) {                                                         \
+                EACH(n / 2) {                                                       \
+                    o[2 * k] = TIMES(PLUS(a[k], a[k + 1]), s);                      \
+                    o[2 * k + 1] = a[k + 1];                                        \
+                }                                                                   \
+                if (n % 2)                                                          \
+                    o[n - 1] = TIMES(PLUS(a[n / 2], a[n / 2 + 1]), s);              \
+                break;                                                              \
+            }                                                                       \
             for (int64_t i = 0; i < n; i += 2) {                                    \
                 const T *lo = a + i / 2 * len, *hi = lo + len;                      \
                 T *even = o + i * len, *odd = even + len;                           \

@@ -409,8 +409,10 @@ def tape_runner(kernels: tuple):
     ``run_numpy`` where ``compiled_tapes()`` is false; other than float64 or
     complex128 data raise ``ValueError``.  Results are bit for bit
     ``run_numpy``'s, but for the sign of a NaN that a complex multiply makes
-    from two NaNs (numpy's choice follows its SIMD loops), and for complex
-    data only while every scalar and tap coefficient is real, as all the
+    from two NaNs (numpy's choice follows its SIMD loops) and of a zero it
+    makes from an underflowing product (numpy's SIMD loops can give it the
+    sign of the unrounded product; the executor rounds, then adds), and for
+    complex data only while every scalar and tap coefficient is real, as all the
     package makes are: numpy's vector loops round a product by a complex
     scalar with a nonzero imaginary part otherwise.  The executor raises no
     floating-point warnings: an overflow or invalid value shows as a

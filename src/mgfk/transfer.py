@@ -9,10 +9,12 @@ axis, its weights 0-d arrays of the output's dtype, which the V-cycle
 splices into its tape.  In 2D a row pass first combines whole rows, on
 (rows, n + 1) views with contiguous rows, into an intermediate; then, as
 in 1D, coarse cell q of a whole run sits at 2q + 1 of the other, so the
-last-axis pass is one 1-D stride-2 pass.  The restriction then fills the
-coarse pad cells with zeros; the prolongation takes its edge values from
-zero cells, as (0 + x) * 0.5 (the zero rows around the coarse run, the pad
-cells, the intermediate's leading zero cell), and leaves zero pad cells.
+last-axis pass is one 1-D stride-2 pass: a kernel of single-element rows,
+which the executor runs as one flat loop over the elements.  The
+restriction then fills the coarse pad cells with zeros; the prolongation
+takes its edge values from zero cells, as (0 + x) * 0.5 (the zero rows
+around the coarse run, the pad cells, the intermediate's leading zero
+cell), and leaves zero pad cells.
 The prolongation is 2**ndim times the transpose of the restriction.
 ``restrict`` and ``prolong`` bind the pair to fresh buffers for one call
 and run it through ``stencil.run_numpy``.

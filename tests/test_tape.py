@@ -212,6 +212,52 @@ def test_residual_matches_numpy_for_every_tap_count(count, dtype):
         assert_same_bits(out, ref_out)
 
 
+def transfer_kernel(kind, n, period, dtype, seed):
+    """A ``kind`` transfer kernel with ``n`` single-element rows and the
+    weights of ``transfer`` (2 and 1/4, or 1/2), its pad cells every
+    ``period``-th (none for 0), on buffers filled with random and special
+    values from ``seed``, and the storage of its output, two cells longer
+    than the output.  The input is as long as the record reads: 2n + 1
+    cells for a restriction, (n + 1) // 2 + 1 for a prolongation."""
+    rng = np.random.default_rng(seed)
+    store = data(rng, n + 2, dtype)
+    out, a = store[:n], data(rng, 2 * n + 1 if kind == RESTRICT else (n + 1) // 2 + 1, dtype)
+    s, t = (np.array(2.0, dtype), np.array(0.25, dtype)) if kind == RESTRICT else (np.array(0.5, dtype), None)
+    return Kernel(kind, out, a, s=s, t=t, pads=(out[period - 1 :: period],) if period else ()), store
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind", [RESTRICT, PROLONG])
+def test_single_element_row_transfers_match_numpy(kind, dtype):
+    # every 1D pass and the last-axis pass of a 2D transfer: runs of either
+    # parity (a prolongation's odd last element, a restriction's read of
+    # a[2n]), with and without pad cells, and nothing written past the end
+    for n in range(1, 71):
+        for period in (0, 3, 8):
+            (k, store), (ref, ref_store) = (transfer_kernel(kind, n, period, dtype, n) for _ in range(2))
+            # rows, their length, and the pad period, 0 where no pad cell falls in the run
+            assert stencil._record(k)[2:5] == (n, 1, period if period <= n else 0)
+            tape_runner((k,))()
+            with np.errstate(all="ignore"):
+                run_numpy((ref,))
+            assert_same_bits(store, ref_store)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
+def test_transfers_pack_as_single_element_rows(coarsening, ndim):
+    # every 1D transfer and the last-axis pass of every 2D one runs in the
+    # executor's flat loop, which only records of rows of length 1 take; in
+    # 2D the row pass before it has whole rows
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
+    work = h.workspace(float)
+    for ws in work[:-1]:
+        for kernels in (ws.restrict, ws.prolong):
+            assert len(kernels) == ndim
+            assert stencil._record(kernels[-1])[3] == 1
+            assert all(stencil._record(k)[3] > 1 for k in kernels[:-1])
+
+
 def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
     # diagonal stiffness and identity mass leave every level's residual
     # the centre point alone
