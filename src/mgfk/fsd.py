@@ -60,7 +60,12 @@ def weights(alpha: float, nu: int, count: int) -> np.ndarray:
         Accuracy order of the quadrature, 1..4.
     count : int
         Largest index generated; the result has length count + 1.
+
+    ``nu`` and ``count`` must be Python or numpy integers, not ``bool``.
     """
+    for name, val in (("nu", nu), ("count", count)):
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if count < 0:

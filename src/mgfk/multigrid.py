@@ -6,24 +6,28 @@ shared by every solve.  Grids are 1D (m,) or 2D (m, m), the two cases the
 paper's uniform bounds cover, with m = 2**k - 1, and bottom out at a single
 point, where the coarse solve is an exact scalar division.
 
-A cycle runs in place on per-level scratch buffers (``LevelWork``), which
-a hierarchy makes on its first cycle for a given dtype (float64 for real
-time steppers and ``measure_contraction``, complex128 for complex
-steppers, from their first complex value on; long double data raise
-``MgfkError``) and reuses from then on.  Every level operation (residual,
-damped update, transfer pass, zero start, correction, coarsest division)
-is a ``stencil.Kernel`` on the buffers.  The hierarchy splices the kernels
-of every level into one flat tape per dtype and start
-(``MgHierarchy.tape``), the whole V-cycle with no recursion, which
-``stencil.tape_runner`` runs as one call into the compiled executor, where
-a cycle allocates nothing but the array it returns, or through
-``stencil.run_numpy``, which forms each residual point's product as a
-temporary (see ``stencil.compiled_tapes``); the iterates are the same bits
-either way (``stencil.tape_runner`` says when).  A tape starts from zero or
-from the loaded fine iterate and its residual (``MgHierarchy.residual``,
-run the same way): ``solve`` and ``measure_contraction`` form that
-residual for their norms and cycle from it in place, ``vcycle`` forms it
-to cycle once.  ``smooth`` runs its kernels through ``run_numpy``.
+The operators are real, so a V-cycle is a real linear map, and a cycle on
+complex data is one cycle on its real part and one on its imaginary part.
+A cycle runs in place on float64 per-level scratch buffers (``LevelWork``),
+one set per plane: the real part, and for complex data the imaginary part
+(long double data raise ``MgfkError``).  A hierarchy makes them on first
+use and reuses them.  Every level operation (residual, damped update,
+transfer pass, zero start, correction, coarsest step) is a
+``stencil.Kernel`` on the buffers.  Per dtype the hierarchy splices the
+kernels of every level of every plane into one flat tape (``Tape``), the
+whole V-cycle with no recursion, which ``stencil.tape_runner`` runs as one
+call into the compiled executor, where a cycle allocates nothing but the
+array it returns, or through ``stencil.run_numpy`` (see
+``stencil.compiled_tapes``); the iterates are the same bits either way.
+The tape cycles from the loaded fine iterate and the residual formed from
+it: ``solve`` and ``measure_contraction`` form that residual for their
+norms and cycle from it in place, ``vcycle`` forms it to cycle once, from
+a zero iterate if it is given none.  On finite data the planes hold the
+values numpy's complex arithmetic gives on the same kernels, up to the
+sign of a zero, as every scalar is real and a complex plane's coarsest
+step multiplies by the reciprocal of the diagonal, as numpy's complex
+division by a real divisor does (real data divide).
+``smooth`` runs its kernels, of any dtype, through ``run_numpy``.
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
 ``solve`` return new arrays, never a buffer.  Because the buffers are
 shared, two threads must not cycle on one hierarchy at once.
@@ -134,6 +138,15 @@ class LevelWork:
         return self.residual, self.update(weight)
 
 
+#: The planes of the data of each dtype a cycle runs.
+_PLANES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
+
+
+def _parts(x, planes: int) -> tuple:
+    """The ``planes`` planes of ``x``: ``x`` itself, or its real and imaginary parts."""
+    return (x,) if planes == 1 else (x.real, x.imag)
+
+
 def _work_dtype(*arrays) -> np.dtype:
     """The dtype a cycle on these arrays (``None`` skipped) runs in: float
     or complex, as ``np.result_type(*arrays, float)`` but cheaper."""
@@ -150,8 +163,7 @@ class MgHierarchy:
 
     Its levels and parameters are immutable; its cycles' scratch buffers
     (``workspace``) and the tapes of kernels on them (``tape``) are made on
-    first use per dtype and reused, so one hierarchy serves one solve at a
-    time.
+    first use and reused, so one hierarchy serves one solve at a time.
     """
 
     levels: tuple
@@ -175,69 +187,105 @@ class MgHierarchy:
         return self.post_count - 1
 
     @cached_property
-    def _work(self) -> dict:
-        return {}
+    def _planes(self) -> list:
+        return []
 
     @cached_property
     def _tapes(self) -> dict:
         return {}
 
     def workspace(self, dtype) -> tuple:
-        """The ``LevelWork`` of every level for ``dtype``, made on first use,
-        with the transfers bound between neighbouring levels.  Cycles run
-        float64 and complex128 data only, the executor's dtypes: another
-        ``dtype`` (long double, which ``_work_dtype`` keeps) raises
-        ``MgfkError`` before anything is made."""
-        dtype = np.dtype(dtype)
-        work = self._work.get(dtype)
-        if work is None:
-            if dtype not in (np.float64, np.complex128):
-                raise MgfkError(f"V-cycles run float64 and complex128 data, not {dtype}")
-            work = tuple(LevelWork(lv, dtype) for lv in self.levels)
+        """Per plane of ``dtype`` data, the float64 ``LevelWork`` of every
+        level, with the transfers bound between neighbouring levels: one
+        plane for float64 data, the real and the imaginary part for
+        complex128, whose real plane is the float64 one.  Made on first
+        use; another ``dtype`` (long double, which ``_work_dtype`` keeps)
+        raises ``MgfkError`` before anything is made."""
+        planes = _PLANES.get(np.dtype(dtype))
+        if planes is None:
+            raise MgfkError(f"V-cycles run float64 and complex128 data, not {np.dtype(dtype)}")
+        while len(self._planes) < planes:
+            work = tuple(LevelWork(lv, np.float64) for lv in self.levels)
             for lv, fine, coarse in zip(self.levels, work, work[1:]):
                 fine.restrict = transfer.restriction(fine.r_run, coarse.rhs_run, lv.shape)
                 fine.prolong = transfer.prolongation(coarse.framed, fine.r_run, lv.shape)
-            self._work[dtype] = work
-        return work
+            self._planes.append(work)
+        return tuple(self._planes[:planes])
 
-    def tape(self, dtype, zero: bool):
-        """One fine-level cycle on the ``dtype`` workspace, as a
-        ``stencil.tape_runner`` made on first use.  The cycle starts from a
-        zero iterate (``zero``) or from the loaded ``v`` and its residual,
-        formed into ``r`` by ``residual``."""
-        key = (np.dtype(dtype), zero)
-        if key not in self._tapes:
-            self._tapes[key] = tape_runner(_cycle_kernels(self, self.workspace(dtype), 0, zero))
-        return self._tapes[key]
-
-    def residual(self, dtype):
-        """The fine level's ``residual`` kernel, ``r = rhs - A v`` on the
-        ``dtype`` workspace, as a ``stencil.tape_runner`` made on first use."""
-        key = (np.dtype(dtype), "residual")
-        if key not in self._tapes:
-            self._tapes[key] = tape_runner((self.workspace(dtype)[0].residual,))
-        return self._tapes[key]
+    def tape(self, dtype) -> "Tape":
+        """The ``Tape`` of ``dtype`` data, made on first use."""
+        dtype = np.dtype(dtype)
+        if dtype not in self._tapes:
+            self._tapes[dtype] = Tape(self, dtype)
+        return self._tapes[dtype]
 
 
-def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, zero: bool) -> tuple:
-    """The body of one V-cycle on ``work[level]`` and, spliced in, the zero-start
-    cycle of every level below, as kernels run in order.  A pre-smoothing
-    sweep is an update from the formed residual, then the new residual;
-    from zero that residual is ``rhs``, so the first update needs no apply:
-    v = omega_pre * rhs / diag."""
+class Tape:
+    """A hierarchy's V-cycle on ``dtype`` data, run on its float64 planes.
+
+    ``fine`` is the fine ``LevelWork`` of each plane of the workspace.
+    ``residual`` forms ``r = rhs - A v`` on every plane, and ``cycle`` runs
+    one V-cycle on every plane from the loaded ``v`` and that residual;
+    each is a ``stencil.tape_runner``, one executor call.  ``r`` is a
+    ``dtype`` grid that gathers the residual of every plane for its norm,
+    which is then the norm numpy takes of ``dtype`` data.
+    """
+
+    def __init__(self, h: MgHierarchy, dtype: np.dtype):
+        work = h.workspace(dtype)
+        self.fine = tuple(w[0] for w in work)
+        self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
+        self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, len(work) > 1) for w in work), ()))
+        self.r = np.empty(h.fine.shape, dtype)
+        self._r_parts = _parts(self.r, len(work))
+
+    def load(self, v, f) -> None:
+        """Put the iterate ``v`` (``None``: zero) and the right-hand side
+        ``f``, fine grids or their flat vectors, into every plane."""
+        shape, planes = self.r.shape, len(self.fine)
+        v = 0.0 if v is None else np.reshape(v, shape)
+        for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
+            ws.v[...], ws.rhs[...] = x, b
+
+    def residual_norm(self) -> float:
+        """The Euclidean norm of the residual, formed on every plane."""
+        self.residual()
+        for part, ws in zip(self._r_parts, self.fine):
+            part[...] = ws.r
+        return float(np.linalg.norm(self.r))
+
+    def result(self) -> np.ndarray:
+        """The iterate of every plane, as a new grid."""
+        out = np.empty_like(self.r)
+        for part, ws in zip(_parts(out, len(self.fine)), self.fine):
+            part[...] = ws.v
+        return out
+
+
+def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) -> tuple:
+    """One V-cycle on the ``LevelWork`` of one plane, ``work``, from
+    ``level`` down, as kernels run in order: on the fine level from the
+    loaded iterate and its formed residual, below it from zero.  A
+    pre-smoothing sweep is an update from the formed residual, then the new
+    residual; from zero that residual is ``rhs``, so a coarse level's first
+    update needs no apply: v = omega_pre * rhs / diag.  The coarsest step
+    divides by the diagonal, or on a plane of complex data (``reciprocal``)
+    multiplies by its reciprocal, as numpy's complex division does."""
     ws = work[level]
     x, r, rhs = ws.v_run, ws.r_run, ws.rhs_run
     if level == h.depth - 1:
+        if reciprocal:
+            return (Kernel(SCALE, x, rhs, s=ws.scalar(1.0 / ws.diag)),)
         return (Kernel(DIVIDE, x, rhs, s=ws.scalar(ws.diag)),)
     pre, kernels = h.pre_count, ()
-    if zero:
+    if level > 0:
         first = Kernel(SCALE, x, rhs, s=ws.scalar(h.omega_pre / ws.diag)) if pre else Kernel(ZERO, x)
         kernels, pre = (first, ws.residual), max(pre - 1, 0)
     return (
         kernels
         + (ws.update(h.omega_pre), ws.residual) * pre
         + ws.restrict
-        + _cycle_kernels(h, work, level + 1, True)
+        + _cycle_kernels(h, work, level + 1, reciprocal)
         + ws.prolong
         + (Kernel(ADD, x, r),)
         + ws.sweep(h.omega_post) * h.post_smooths
@@ -340,12 +388,10 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     """One V-cycle sweep from iterate ``v`` on the fine grid or its flat
     vector, the shape of ``f``; another shape raises ``DimensionError``.
 
-    ``v=None`` is the zero start, whose first pre-smoothing sweep is exactly
-    ``omega_pre * f / diag``, with no apply.  Otherwise the sweep loads
-    ``v`` and ``f`` into the fine ``LevelWork``, forms the residual and runs
-    the tape from it (``MgHierarchy.tape``, the whole cycle down to the
-    coarsest level as one flat run of kernels); it returns a copy of
-    the iterate.
+    The sweep loads ``v`` (``v=None``: zero) and ``f`` into the fine
+    ``LevelWork`` of every plane, forms the residual and runs the tape from
+    it (``MgHierarchy.tape``, the whole cycle down to the coarsest level as
+    one flat run of kernels); it returns a copy of the iterate.
 
     On the one-point coarsest grid the equation is solved exactly, so the
     cycle implements an approximate inverse whose error propagator
@@ -353,22 +399,15 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     """
     lv = h.fine
     f = np.asarray(f)
-    flat = f.shape != lv.shape
-    if flat and f.shape != (lv.unknowns,):
+    if f.shape not in (lv.shape, (lv.unknowns,)):
         raise DimensionError(f"rhs has shape {f.shape}, level needs {lv.shape} or flat")
     if v is not None and np.shape(v) != f.shape:
         raise DimensionError(f"v has shape {np.shape(v)}, the rhs {f.shape}")
-    if flat:
-        f = f.reshape(lv.shape)
-        v = v if v is None else np.reshape(v, lv.shape)
-    dtype = _work_dtype(f, v)
-    ws = h.workspace(dtype)[0]
-    ws.rhs[...] = f
-    if v is not None:
-        ws.v[...] = v
-        h.residual(dtype)()
-    h.tape(dtype, zero=v is None)()
-    return ws.v.flatten() if flat else ws.v.copy()
+    tape = h.tape(_work_dtype(f, v))
+    tape.load(v, f)
+    tape.residual()
+    tape.cycle()
+    return tape.result().reshape(f.shape)
 
 
 def solve(
@@ -380,9 +419,9 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
-    The cycles run in place in the fine level's ``LevelWork``, each from the
-    residual just formed for its norm; the solution comes back as a new
-    flat array.  Non-convergence within ``max_iter`` is
+    The cycles run in place in the fine ``LevelWork`` of every plane, each
+    from the residual just formed for its norm; the solution comes back as
+    a new flat array.  Non-convergence within ``max_iter`` is
     reported, not raised: the report comes back with ``converged=False`` and
     the full residual history.  A non-finite residual, ``r0`` included,
     stops the iteration at once.
@@ -395,32 +434,18 @@ def solve(
     for name, arg in (("f", f), ("v0", v0)):
         if arg is not None and np.shape(arg) != (lv.unknowns,):
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
-    dtype = _work_dtype(f, v0)
-    ws = h.workspace(dtype)[0]
-    ws.rhs[...] = np.reshape(f, lv.shape)
-    if v0 is None:
-        ws.v_run.fill(0.0)
-    else:
-        ws.v[...] = np.reshape(v0, lv.shape)
-    r = np.empty(lv.shape, ws.r.dtype)  # the residual, contiguous, for its norm
-    form_residual = h.residual(dtype)
-
-    def residual_norm() -> float:
-        form_residual()
-        r[...] = ws.r
-        return float(np.linalg.norm(r))
-
-    r0 = residual_norm()
+    tape = h.tape(_work_dtype(f, v0))
+    tape.load(v0, f)
+    r0 = tape.residual_norm()
     if r0 == 0.0:
-        return ws.v.flatten(), SolveReport(0, [], converged=True, contraction_factor=0.0)
+        return tape.result().ravel(), SolveReport(0, [], converged=True, contraction_factor=0.0)
     if not math.isfinite(r0):
-        return ws.v.flatten(), SolveReport(iterations=0, residuals=[math.nan])
+        return tape.result().ravel(), SolveReport(iterations=0, residuals=[math.nan])
 
-    tape = h.tape(dtype, zero=False)
     report = SolveReport(iterations=0)
     for it in range(1, max_iter + 1):
-        tape()
-        rel = residual_norm() / r0
+        tape.cycle()
+        rel = tape.residual_norm() / r0
         report.residuals.append(rel)
         report.iterations = it
         if rel < tol:
@@ -437,7 +462,7 @@ def solve(
     if ratios:
         late = ratios[3:] if len(ratios) > 3 else ratios
         report.contraction_factor = max(late)
-    return ws.v.flatten(), report
+    return tape.result().ravel(), report
 
 
 def measure_contraction(
@@ -466,12 +491,12 @@ def measure_contraction(
         raise ValueError(f"need iters > discard >= 0, got iters={iters}, discard={discard}")
     rng = np.random.default_rng(seed)
     lv = h.fine
-    ws = h.workspace(float)[0]
-    tape, form_residual = h.tape(float, zero=False), h.residual(float)
+    tape = h.tape(float)
+    ws = tape.fine[0]
     ws.rhs_run.fill(0.0)
 
     def energy() -> float:
-        form_residual()
+        tape.residual()
         return math.sqrt(max(-np.vdot(ws.v, ws.r).real, 0.0))
 
     worst = 0.0
@@ -482,7 +507,7 @@ def measure_contraction(
             ws.v[...] = e
             prev = energy()
             for i in range(1, iters + 1):
-                tape()
+                tape.cycle()
                 cur = energy()
                 if not math.isfinite(cur):
                     return math.inf

@@ -7,11 +7,12 @@ pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 stencils.  Both are applied by shifted-slice multiply-adds over their
 nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``).
 Each level operation of the V-cycle (residual, damped update, transfer
-pass, zero start, correction, coarse division) is described once, as a
+pass, zero start, correction, coarsest step) is described once, as a
 ``Kernel``: the operands of one record of the compiled executor
 ``_tape.c``, on buffers a caller keeps.  ``run_numpy`` runs kernels with
-numpy, one kind's per-element operations in the executor's order, and
-``tape_runner`` runs a tuple of them as one call into the executor (built
+numpy, one kind's per-element operations in the executor's order, on
+any dtype, and ``tape_runner`` runs a tuple of float64 ones as one call
+into the executor, which knows no other type (built
 on first use by ``_library`` into the user's cache, with
 ``-ffp-contract=off`` so that every element gets exactly the IEEE
 operations of ``run_numpy``; a residual record sums each element in a
@@ -281,9 +282,9 @@ class Kernel(NamedTuple):
 def run_numpy(kernels) -> None:
     """Run ``kernels`` in order with numpy: per element the IEEE operations
     of each record in the executor's order, each tap's product formed as a
-    temporary.  For complex data the results are the executor's bit for bit
-    while every scalar and tap coefficient is real, as all the package makes
-    are (``tape_runner``).  numpy warns of overflows and invalid values."""
+    temporary.  Kernels of any dtype run, the complex ones of ``smooth``,
+    ``transfer.restrict`` and ``transfer.prolong`` included.  numpy warns
+    of overflows and invalid values."""
     for kind, o, a, b, s, t, pads, taps in kernels:
         if kind == RESIDUAL:
             np.multiply(a, s, o)
@@ -327,7 +328,7 @@ def _record(k: Kernel) -> tuple:
     spare = (0,) * (_TAPS - len(k.taps))
     offsets = tuple((at(w) - at(k.a)) // k.out.itemsize for w, _ in k.taps) + spare
     coefs = tuple(at(c) for _, c in k.taps) + spare
-    head = (k.kind, k.out.dtype == np.complex128, k.out.shape[0], math.prod(k.out.shape[1:]), period)
+    head = (k.kind, k.out.shape[0], math.prod(k.out.shape[1:]), period)
     return (*head, *map(at, (k.out, k.a, k.b, k.s, k.t)), len(k.taps), *offsets, *coefs)
 
 
@@ -406,19 +407,16 @@ class _CompiledTape:
 def tape_runner(kernels: tuple):
     """A callable with no arguments that runs ``kernels`` in order: as
     records in one call into the compiled executor of ``_tape.c``, or by
-    ``run_numpy`` where ``compiled_tapes()`` is false; other than float64 or
-    complex128 data raise ``ValueError``.  Results are bit for bit
-    ``run_numpy``'s, but for the sign of a NaN that a complex multiply makes
-    from two NaNs (numpy's choice follows its SIMD loops) and of a zero it
-    makes from an underflowing product (numpy's SIMD loops can give it the
-    sign of the unrounded product; the executor rounds, then adds), and for
-    complex data only while every scalar and tap coefficient is real, as all the
-    package makes are: numpy's vector loops round a product by a complex
-    scalar with a nonzero imaginary part otherwise.  The executor raises no
-    floating-point warnings: an overflow or invalid value shows as a
-    non-finite value, which ``solve`` and ``measure_contraction`` check for."""
-    if any(k.out.dtype not in (np.float64, np.complex128) for k in kernels):
-        raise ValueError("tapes run float64 and complex128 data only")
+    ``run_numpy`` where ``compiled_tapes()`` is false.  Every array and
+    scalar of a kernel must be float64, else ``ValueError``: complex data
+    run as two float64 planes (``multigrid.Tape``).  Results are bit for bit
+    ``run_numpy``'s, up to the sign and payload of a NaN.  The executor
+    raises no floating-point warnings: an overflow or invalid value shows
+    as a non-finite value, which ``solve`` and ``measure_contraction`` check
+    for."""
+    operands = (x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *(y for tap in k.taps for y in tap)))
+    if any(x is not None and x.dtype != np.float64 for x in operands):
+        raise ValueError("tapes run float64 data only")
     run = _library()
     return _CompiledTape(kernels, run) if run is not None else partial(run_numpy, kernels)
 

@@ -107,6 +107,24 @@ def test_invalid_arguments():
         FsdCoefficients.build(0.5, 1, 0.0, -1.0, 4)
 
 
+@pytest.mark.parametrize("nu, count", [(2.5, 4), (3.9, 4), (3.0, 4), (True, 4), (2, 4.0), (2, 4.5), (2, False)])
+def test_non_integer_order_or_count_is_refused(nu, count):
+    # int() would truncate them, stepping with the weights of another order
+    with pytest.raises(ValueError, match="must be an integer"):
+        weights(0.3, nu, count)
+
+
+def test_numpy_integers_are_accepted():
+    assert np.array_equal(weights(0.3, np.int64(2), np.int32(8)), weights(0.3, 2, 8))
+
+
+def test_an_evolution_of_non_integer_order_is_refused():
+    from mgfk.feynman_kac import Evolution, preset
+
+    with pytest.raises(ValueError, match="nu must be an integer"):
+        Evolution(preset("example-6.1", 0.3, 16), order=3.9)
+
+
 def test_csv_round_trip_is_bit_exact(tmp_path):
     coeffs = FsdCoefficients.build(0.37, 3, 1.25 + 0.5j, 0.01, 40)
     path = tmp_path / "coeffs.csv"

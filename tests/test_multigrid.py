@@ -480,10 +480,13 @@ def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, m
 
 
 def _buffers(h, dtypes):
-    """Every scratch array the hierarchy holds for these dtypes."""
+    """Every scratch array the hierarchy holds for these dtypes: the level
+    buffers of each plane and the tape's residual grid."""
     for dtype in dtypes:
-        for ws in h.workspace(dtype):
-            yield from (ws.framed, ws.r_run, ws.rhs_run)
+        for work in h.workspace(dtype):
+            for ws in work:
+                yield from (ws.framed, ws.r_run, ws.rhs_run)
+        yield h.tape(dtype).r
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

@@ -41,17 +41,21 @@ from mgfk.stencil import (
     run_numpy,
     tape_runner,
 )
+from mgfk.transfer import prolongation, restriction
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
+#: The special values complex data get: in complex arithmetic an infinity or
+#: NaN in one part spreads to the other, where the planes keep them apart.
+FINITE = np.array([0.0, -0.0, 5e-324, 3.0])
 
 
 def data(rng, n, dtype):
-    """Random values with a quarter of them special (signed zeros,
-    infinities, NaN, a subnormal)."""
+    """Random values with a quarter of them special (signed zeros and a
+    subnormal; for float data also infinities, NaN and a huge value)."""
     parts = []
     for _ in range(2 if dtype == complex else 1):
         x = rng.standard_normal(n)
-        x[rng.integers(0, n, n // 4)] = rng.choice(SPECIAL, n // 4)
+        x[rng.integers(0, n, n // 4)] = rng.choice(SPECIAL if dtype == float else FINITE, n // 4)
         parts.append(x)
     if dtype == float:
         return parts[0]
@@ -68,21 +72,68 @@ def assert_same_bits(x, y):
     assert a[~nan].tobytes() == b[~nan].tobytes()
 
 
+def on_planes(k, planes):
+    """``k`` as the float64 kernel of each plane, as ``multigrid`` runs its
+    data: every array the same elements of its base's plane (``planes``
+    maps the id of a base to its planes), every scalar its real part, and
+    for complex data a division a product by the reciprocal."""
+
+    def view(x, p):
+        base = x if x.base is None else x.base
+        start = (x.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.itemsize
+        strides = tuple(st // base.itemsize * 8 for st in x.strides)
+        return np.lib.stride_tricks.as_strided(planes[id(base)][p][start:], x.shape, strides)
+
+    def real(c):
+        return None if c is None else np.array(c.real, np.float64)
+
+    planes_of_k = 2 if k.out.dtype == complex else 1
+    kind, s = k.kind, real(k.s)
+    if kind == DIVIDE and planes_of_k == 2:
+        kind, s = SCALE, np.array(1.0 / s)
+    return tuple(
+        Kernel(kind, view(k.out, p), k.a if k.a is None else view(k.a, p), k.b if k.b is None else view(k.b, p),
+               s, real(k.t), tuple(view(x, p) for x in k.pads), tuple((view(w, p), real(c)) for w, c in k.taps))
+        for p in range(planes_of_k))
+
+
+def assert_record_matches_numpy(k, buffers):
+    """Run ``k`` by its records on the planes of copies of ``buffers``, every
+    base array it touches, and by ``run_numpy`` on ``buffers``: the planes
+    hold what numpy leaves, float data bit for bit and complex data in value
+    (numpy's complex arithmetic picks other signs for some zeros)."""
+    planes = {id(b): (b.real.copy(), b.imag.copy()) if b.dtype == complex else (b.copy(),) for b in buffers}
+    kernels = on_planes(k, planes)
+    tape_runner(kernels)()
+    with np.errstate(all="ignore"):
+        run_numpy((k,))
+    for b in buffers:
+        if b.dtype == complex:
+            assert np.array_equal(b.real, planes[id(b)][0]) and np.array_equal(b.imag, planes[id(b)][1])
+        else:
+            assert_same_bits(b, planes[id(b)][0])
+    return kernels
+
+
 #: Each level kernel's operator: a 3-point 1D, 5-point 2D and 9-point 2D stencil.
 STENCILS = [(1, COMPACT_MASS), (2, IDENTITY), (2, COMPACT_MASS)]
 
 
 def cycle(ndim, mass, dtype, scalar, pre):
-    """The kernels of a zero-start cycle over three levels of one operator
-    with stiffness ``scalar`` and weights ``scalar`` (so every scalar a
-    record reads depends on it), and every buffer they touch, pad cells
-    and zero frames included.  The fine grid is 1D m = 511, a run of odd
-    length, or 2D m = 31."""
+    """The kernels of a cycle on ``dtype`` data over three levels of one
+    operator with stiffness ``scalar`` and weights ``scalar`` (so every
+    scalar a record reads depends on it), run as numpy runs them, and
+    every buffer they touch, pad cells and zero frames included.  The fine
+    grid is 1D m = 511, a run of odd length, or 2D m = 31."""
     op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
     h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
                     omega_pre=scalar, omega_post=scalar, pre_count=pre)
-    kernels = _cycle_kernels(h, h.workspace(dtype), 0, True)
+    work = tuple(LevelWork(lv, dtype) for lv in h.levels)
+    for lv, fine, coarse in zip(h.levels, work, work[1:]):
+        fine.restrict = restriction(fine.r_run, coarse.rhs_run, lv.shape)
+        fine.prolong = prolongation(coarse.framed, fine.r_run, lv.shape)
+    kernels = _cycle_kernels(h, work, 0, False)
     buffers = {}
     for k in kernels:
         for a in (k.out, k.a, k.b, *k.pads, *(window for window, _ in k.taps)):
@@ -94,26 +145,21 @@ def cycle(ndim, mass, dtype, scalar, pre):
 
 def assert_records_match_numpy(kinds, dtype, scalar, seed):
     """Each distinct kernel of one of ``kinds`` in every cycle, run by its
-    record and by ``run_numpy`` from the same random and special values in
-    every buffer, leaves the same bits in every buffer."""
+    records and by ``run_numpy`` from the same random and special values in
+    every buffer, leaves the same values in every buffer."""
     rng = np.random.default_rng(seed)
     checked = set()
     for ndim, mass in STENCILS:
         for pre in (0, 1):
-            (kernels, mine), (theirs_kernels, theirs) = (
-                cycle(ndim, mass, dtype, scalar, pre) for _ in range(2))
+            kernels, buffers = cycle(ndim, mass, dtype, scalar, pre)
             done = set()
-            for k, ref in zip(kernels, theirs_kernels):
+            for k in kernels:
                 if id(k) in done or k.kind not in kinds:
                     continue
                 done.add(id(k))
-                for a, b in zip(mine, theirs):
-                    a[...] = b[...] = data(rng, a.size, dtype).reshape(a.shape)
-                tape_runner((k,))()
-                with np.errstate(all="ignore"):
-                    run_numpy((ref,))
-                for a, b in zip(mine, theirs):
-                    assert_same_bits(a, b)
+                for a in buffers:
+                    a[...] = data(rng, a.size, dtype).reshape(a.shape)
+                assert_record_matches_numpy(k, buffers)
                 checked.add(k.kind)
     assert checked == set(kinds)
 
@@ -133,7 +179,8 @@ OPERATIONS = {
 def test_tape_matches_numpy_on_every_layout(operation, dtype, scalar):
     # every kind that does the operation (residual, update, scale, divide,
     # add, both passes of both transfers), on the 1D and 2D run layouts,
-    # with scalars made from `scalar`
+    # with scalars made from `scalar`; complex data on their two planes,
+    # against numpy's complex arithmetic, its division included
     assert_records_match_numpy(OPERATIONS[operation], dtype, scalar, 11)
 
 
@@ -146,31 +193,34 @@ def test_tape_copies_and_fills_like_numpy(dtype):
 
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
-def test_complex_workspaces_hold_only_real_scalars(coarsening, ndim):
-    # numpy's vector loops round a complex product by a scalar with a nonzero
-    # imaginary part otherwise than the executor, so its records are numpy's
-    # bit for bit only while every scalar and coefficient is real
+def test_tapes_hold_only_float64(coarsening, ndim):
+    # the executor knows one type: every buffer and scalar of every tape a
+    # hierarchy builds, for real and for complex data, is float64
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 31, coarsening)
-    work = h.workspace(complex)
-    for zero in (True, False):
-        kernels = (work[0].residual, *_cycle_kernels(h, work, 0, zero))
-        scalars = [x for k in kernels for x in (k.s, k.t, *(c for _, c in k.taps)) if x is not None]
-        assert len(scalars) > len(kernels)
-        assert all(x.dtype == np.complex128 and x.ndim == 0 and x.imag == 0 for x in scalars)
+    f = np.ones(h.fine.shape)
+    for z in (f, f * (1.0 + 2.0j)):
+        vcycle(h, None, z)
+        solve(h, z.ravel())
+    runners = [runner for tape in h._tapes.values() for runner in (tape.residual, tape.cycle)]
+    kernels = [k for runner in runners for k in (runner.kernels if hasattr(runner, "kernels") else runner.args[0])]
+    arrays = [x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *k.pads, *(y for tap in k.taps for y in tap))]
+    assert len(h._tapes) == 2 and len(kernels) > 4 * h.depth
+    assert all(x.dtype == np.float64 for x in arrays if x is not None)
 
 
 def test_tapes_refuse_dtypes_the_executor_lacks():
-    # a record of other data would be read as float64 or complex128: cycles
-    # refuse such data before they make a workspace, and a tape of such
-    # kernels is refused; they still run through numpy
+    # a record of other data would be read as float64: cycles refuse such
+    # data before they make a workspace, and a tape of such kernels is
+    # refused, complex ones included; they still run through numpy
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     f = np.ones(7, np.longdouble)
     for cycled in (lambda: vcycle(h, None, f), lambda: vcycle(h, f, f), lambda: solve(h, f)):
         with pytest.raises(MgfkError, match=str(f.dtype)):
             cycled()
-    assert not h._work
-    with pytest.raises(ValueError, match="float64 and complex128"):
-        tape_runner((LevelWork(h.fine, np.longdouble).residual,))
+    assert not h._planes and not h._tapes
+    for dtype in (np.longdouble, np.complex128, np.float32):
+        with pytest.raises(ValueError, match="float64 data only"):
+            tape_runner((LevelWork(h.fine, dtype).residual,))
     assert smooth(h.fine, f, f, 0.5, 2).dtype == np.longdouble
 
 
@@ -182,17 +232,15 @@ NINE = (-W - 1, -W, -W + 1, -1, 1, W - 1, W, W + 1)
 def residual_kernel(taps, n, dtype, seed):
     """A residual kernel over a run of ``n`` cells with rows of ``W`` cells
     and the points ``taps`` of ``NINE``, in that order, each a window of the
-    run's storage with its own coefficient, on buffers filled with random
-    and special values from ``seed``, and its output.  Coefficients are
-    real, as every operator's are: numpy's vector loops round a complex
-    product by a scalar with an imaginary part otherwise."""
+    run's storage with its own real coefficient, on buffers filled with
+    random and special values from ``seed``, and those buffers."""
     rng = np.random.default_rng(seed)
     frame = data(rng, n + 2 * W + 2, dtype)
     run, out, rhs = frame[W + 1 : W + 1 + n], data(rng, n, dtype), data(rng, n, dtype)
     centre, *coefs = (np.array(c, dtype) for c in rng.standard_normal(1 + len(taps)))
     windows = (frame[W + 1 + off : W + 1 + off + n] for off in taps)
     k = Kernel(RESIDUAL, out, run, rhs, centre, pads=(out[W - 1 :: W],), taps=tuple(zip(windows, coefs)))
-    return k, out
+    return k, [frame, out, rhs]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -203,13 +251,9 @@ def test_residual_matches_numpy_for_every_tap_count(count, dtype):
     rng = np.random.default_rng(count)
     for seed, n in enumerate((1, 2, 3, 5, 6, 7, 9, 13, 31, 67, 130)):
         taps = tuple(rng.permutation(NINE)[:count].tolist())
-        (k, out), (ref, ref_out) = (residual_kernel(taps, n, dtype, seed) for _ in range(2))
-        assert stencil._record(k)[10] == count  # the record's tap count
-        assert stencil._record(k)[11 : 11 + count] == taps  # and its offsets
-        tape_runner((k,))()
-        with np.errstate(all="ignore"):
-            run_numpy((ref,))
-        assert_same_bits(out, ref_out)
+        record = stencil._record(assert_record_matches_numpy(*residual_kernel(taps, n, dtype, seed))[0])
+        assert record[9] == count  # the record's tap count
+        assert record[10 : 10 + count] == taps  # and its offsets
 
 
 def transfer_kernel(kind, n, period, dtype, seed):
@@ -218,12 +262,13 @@ def transfer_kernel(kind, n, period, dtype, seed):
     ``period``-th (none for 0), on buffers filled with random and special
     values from ``seed``, and the storage of its output, two cells longer
     than the output.  The input is as long as the record reads: 2n + 1
-    cells for a restriction, (n + 1) // 2 + 1 for a prolongation."""
+    cells for a restriction, (n + 1) // 2 + 1 for a prolongation; and the
+    buffers, that storage and the input."""
     rng = np.random.default_rng(seed)
     store = data(rng, n + 2, dtype)
     out, a = store[:n], data(rng, 2 * n + 1 if kind == RESTRICT else (n + 1) // 2 + 1, dtype)
     s, t = (np.array(2.0, dtype), np.array(0.25, dtype)) if kind == RESTRICT else (np.array(0.5, dtype), None)
-    return Kernel(kind, out, a, s=s, t=t, pads=(out[period - 1 :: period],) if period else ()), store
+    return Kernel(kind, out, a, s=s, t=t, pads=(out[period - 1 :: period],) if period else ()), [store, a]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -234,13 +279,9 @@ def test_single_element_row_transfers_match_numpy(kind, dtype):
     # a[2n]), with and without pad cells, and nothing written past the end
     for n in range(1, 71):
         for period in (0, 3, 8):
-            (k, store), (ref, ref_store) = (transfer_kernel(kind, n, period, dtype, n) for _ in range(2))
+            k = assert_record_matches_numpy(*transfer_kernel(kind, n, period, dtype, n))[0]
             # rows, their length, and the pad period, 0 where no pad cell falls in the run
-            assert stencil._record(k)[2:5] == (n, 1, period if period <= n else 0)
-            tape_runner((k,))()
-            with np.errstate(all="ignore"):
-                run_numpy((ref,))
-            assert_same_bits(store, ref_store)
+            assert stencil._record(k)[1:4] == (n, 1, period if period <= n else 0)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -250,12 +291,11 @@ def test_transfers_pack_as_single_element_rows(coarsening, ndim):
     # executor's flat loop, which only records of rows of length 1 take; in
     # 2D the row pass before it has whole rows
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
-    work = h.workspace(float)
-    for ws in work[:-1]:
+    for ws in h.workspace(float)[0][:-1]:
         for kernels in (ws.restrict, ws.prolong):
             assert len(kernels) == ndim
-            assert stencil._record(kernels[-1])[3] == 1
-            assert all(stencil._record(k)[3] > 1 for k in kernels[:-1])
+            assert stencil._record(kernels[-1])[2] == 1
+            assert all(stencil._record(k)[2] > 1 for k in kernels[:-1])
 
 
 def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
@@ -267,7 +307,7 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
     def cycled():
         h = build_hierarchy(op, 31, "geometric")
         v = vcycle(h, 0.5 * f, f)
-        assert all(ws.residual.taps == () for ws in h.workspace(float))
+        assert all(ws.residual.taps == () for ws in h.workspace(float)[0])
         return v
 
     compiled = cycled()
@@ -284,18 +324,19 @@ def test_a_runner_keeps_every_buffer_alive(monkeypatch):
     v0, f = (rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15)) for _ in range(2))
 
     def cycled(h):
-        ws = h.workspace(complex)[0]
-        ws.v[...], ws.rhs[...] = v0, f
-        return h.residual(complex), h.tape(complex, zero=False), ws.v
+        tape = h.tape(complex)
+        tape.load(v0, f)
+        return tape.residual, tape.cycle, tape.fine
 
-    residual, tape, v = cycled(build_hierarchy(op, 15))
+    residual, cycle, fine = cycled(build_hierarchy(op, 15))
     gc.collect()
     clutter = [np.full(4096, np.nan) for _ in range(64)]  # noqa: F841 (takes the freed blocks)
-    residual(), tape()
+    residual(), cycle()
     monkeypatch.setattr(stencil, "_library", lambda: None)
-    ref_residual, ref_tape, ref_v = cycled(build_hierarchy(op, 15))
-    ref_residual(), ref_tape()
-    assert v.tobytes() == ref_v.tobytes()
+    ref_residual, ref_cycle, ref_fine = cycled(build_hierarchy(op, 15))
+    ref_residual(), ref_cycle()
+    for ws, ref in zip(fine, ref_fine, strict=True):
+        assert ws.v.tobytes() == ref.v.tobytes()
 
 
 def python(code: str, **env) -> str:
