@@ -171,11 +171,16 @@ def print_table(rows: list[dict], cfg: ExperimentConfig, out=None) -> None:
 def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]:
     """Bound suite for the configured system; returns (reports, any_violation).
 
-    Out-of-range smoothing weights flag their report instead of counting as
-    a violation, unless the measured value is not finite: a diverging cycle
-    is a violation whatever the weight.
+    The checks run at one grid: more than one given M raises ``MgfkError``,
+    and none runs them at the preset's first.  Out-of-range smoothing
+    weights flag their report instead of counting as a violation, unless
+    the measured value is not finite: a diverging cycle is a violation
+    whatever the weight.
     """
+    given = cfg.m_values  # before the preset's defaults fill it in
     cfg = cfg.resolved()
+    if len(given) > 1:
+        raise MgfkError(f"theory checks one M at a time, got {given}")
     m = cfg.m_values[0] - 1
 
     if cfg.preset == "laplacian":

@@ -52,7 +52,9 @@ class Problem:
     ``initial`` and ``exact`` take one coordinate array per dimension (the
     ij-meshgrid in 2D), and ``forcing`` and ``exact`` then a scalar time.
     ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
-    means zero.  The 2D scheme has zero boundary data only.
+    means zero.  The 2D scheme has zero boundary data only.  ``length`` and
+    ``t_final`` must be positive and finite, ``kappa`` finite and
+    non-negative, and ``n_steps`` at least 1, else ``MgfkError``.
     """
 
     length: float
@@ -74,6 +76,13 @@ class Problem:
             raise MgfkError(f"ndim must be 1 or 2, got {self.ndim}")
         if self.ndim == 2 and (self.bc_left is not None or self.bc_right is not None):
             raise MgfkError("the 2D centred scheme takes zero boundary data only")
+        for name in ("length", "t_final"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise MgfkError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.kappa < math.inf:
+            raise MgfkError(f"kappa must be finite and non-negative, got {self.kappa}")
+        if self.n_steps < 1:
+            raise MgfkError(f"n_steps must be at least 1, got {self.n_steps}")
 
     @property
     def h(self) -> float:
@@ -137,6 +146,10 @@ class Evolution:
         # even in float64 before the data is evaluated, then in the working dtype.
         _require_history_fits(p, np.dtype(float))
         self.coords = p.coords
+        # Where the forcing is read: in 1D the grid and both walls, for the boundary completion.
+        self._forced_at = self.coords
+        if p.ndim == 1:
+            self._forced_at = (np.concatenate(([0.0], self.coords[0], [p.length])),)
         self.t = p.tau * np.arange(p.n_steps + 1)
         initial = np.asarray(p.initial(*self.coords)).ravel()
         traces = [
@@ -189,19 +202,16 @@ class Evolution:
         p = self.problem
         tau_alpha = p.tau**p.alpha
         # The forcing is read before any sum: a complex value promotes the stepper.
-        fn = self._read(p.forcing(*self.coords, self.t[n])).ravel()
-        f_ghosts = [
-            self._read(p.forcing(np.array([x]), self.t[n]))[0].item()
-            for x in ((0.0, p.length) if p.ndim == 1 else ())
-        ]
+        fn = self._read(p.forcing(*self._forced_at, self.t[n])).ravel()
         w = self._w_rev[p.n_steps + 1 - n :]
         levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
         if p.ndim == 2:
             return levels + tau_alpha * fn
-        rhs = COMPACT_MASS.apply(levels + tau_alpha * fn)
+        rhs = COMPACT_MASS.apply(levels + tau_alpha * fn[1:-1])
 
         # Dirichlet completion of the truncated operators at both walls.
-        for pos, trace, f_ghost in zip((0, p.m - 1), (self.g_left, self.g_right), f_ghosts):
+        walls = (fn[0].item(), fn[-1].item())
+        for pos, trace, f_ghost in zip((0, p.m - 1), (self.g_left, self.g_right), walls):
             rhs[pos] += self.mu * trace[n] + (
                 -self.l[0] * trace[n]
                 - w @ trace[1:n]

@@ -8,29 +8,30 @@ point, where the coarse solve is an exact scalar division.
 
 The operators are real, so a V-cycle is a real linear map, and a cycle on
 complex data is one cycle on its real part and one on its imaginary part.
-A cycle runs in place on float64 per-level scratch buffers (``LevelWork``),
-one set per plane: the real part, and for complex data the imaginary part
-(long double data raise ``MgfkError``).  A hierarchy makes them on first
-use and reuses them.  Every level operation (residual, damped update,
-transfer pass, zero start, correction, coarsest step) is a
-``stencil.Kernel`` on the buffers.  Per dtype the hierarchy splices the
-kernels of every level of every plane into one flat tape (``Tape``), the
-whole V-cycle with no recursion, which ``stencil.tape_runner`` runs as one
-call into the compiled executor, where a cycle allocates nothing but the
-array it returns, or through ``stencil.run_numpy`` (see
-``stencil.compiled_tapes``); the iterates are the same bits either way.
-The tape cycles from the loaded fine iterate and the residual formed from
-it: ``solve`` and ``measure_contraction`` form that residual for their
-norms and cycle from it in place, ``vcycle`` forms it to cycle once, from
-a zero iterate if it is given none.  On finite data the planes hold the
-values numpy's complex arithmetic gives on the same kernels, up to the
-sign of a zero, as every scalar is real and a complex plane's coarsest
-step multiplies by the reciprocal of the diagonal, as numpy's complex
-division by a real divisor does (real data divide).
+Per dtype a hierarchy makes on first use, and reuses, a ``Tape``, which
+cycles in place on float64 per-level scratch buffers (``LevelWork``) of its
+own, one set per plane: the real part, and for complex data the imaginary
+part (long double data raise ``MgfkError``).  Every level operation
+(residual, damped update, transfer pass, zero start, correction, coarsest
+step) is a ``stencil.Kernel`` on the buffers, each level's transfers bound
+to the next level's when it is built.  The tape splices the kernels of
+every level of every plane into one flat run, the whole V-cycle with no
+recursion, which ``stencil.tape_runner`` runs as one call into the compiled
+executor, where a cycle allocates nothing but the array it returns, or
+through ``stencil.run_numpy`` (see ``stencil.compiled_tapes``); the
+iterates are the same bits either way.  The tape cycles from the loaded
+fine iterate and the residual formed from it: ``solve`` and
+``measure_contraction`` form that residual for their norms and cycle from
+it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
+is given none.  On finite data the planes hold the values numpy's complex
+arithmetic gives on the same kernels, up to the sign of a zero, as every
+scalar is real and a complex plane's coarsest step multiplies by the
+reciprocal of the diagonal, as numpy's complex division by a real divisor
+does (real data divide).
 ``smooth`` runs its kernels, of any dtype, through ``run_numpy``.
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
-``solve`` return new arrays, never a buffer.  Because the buffers are
-shared, two threads must not cycle on one hierarchy at once.
+``solve`` return new arrays, never a buffer.  Because its tapes are
+reused, two threads must not cycle on one hierarchy at once.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -103,12 +104,12 @@ class LevelWork:
     kernel of ``r = rhs - A v``: ``centre`` times the iterate, plus per
     off-centre point of the operator (``_points``) its window of that
     storage times its coefficient, subtracted from ``rhs``.  ``restrict``
-    (``r`` into the next level's ``rhs``, its pad cells refilled with zeros)
-    and ``prolong`` (the next level's ``v`` into ``r``, pad cells zero) are
-    the transfers' kernels, bound by ``MgHierarchy.workspace``.
+    (``r`` into the ``rhs`` of ``coarse``, the next level, its pad cells
+    refilled with zeros) and ``prolong`` (its ``v`` into ``r``, pad cells
+    zero) are the transfers' kernels; the coarsest level has none (``()``).
     """
 
-    def __init__(self, level: GridLevel, dtype):
+    def __init__(self, level: GridLevel, dtype, coarse: "LevelWork | None" = None):
         self.shape, self.diag = level.shape, level.diag
         centre, points = level.operator._points
         rows = run_shape(self.shape)
@@ -124,6 +125,9 @@ class LevelWork:
         self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, self.scalar(centre),
                                pads=pads(self.r_run, self.shape), taps=taps)
         self.restrict = self.prolong = ()
+        if coarse is not None:
+            self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape)
+            self.prolong = transfer.prolongation(coarse.framed, self.r_run, self.shape)
 
     def scalar(self, value: float) -> np.ndarray:
         """``value`` as a 0-d array of the level's dtype."""
@@ -136,6 +140,14 @@ class LevelWork:
     def sweep(self, weight: float) -> tuple:
         """The kernels of one damped-Jacobi sweep with ``weight``."""
         return self.residual, self.update(weight)
+
+
+def _plane(levels: tuple, dtype=np.float64) -> tuple:
+    """The ``LevelWork`` of every level, finest first, each bound to the next."""
+    work = ()
+    for lv in reversed(levels):
+        work = (LevelWork(lv, dtype, work[0] if work else None),) + work
+    return work
 
 
 #: The planes of the data of each dtype a cycle runs.
@@ -161,9 +173,9 @@ def _work_dtype(*arrays) -> np.dtype:
 class MgHierarchy:
     """Multigrid hierarchy, finest level first.
 
-    Its levels and parameters are immutable; its cycles' scratch buffers
-    (``workspace``) and the tapes of kernels on them (``tape``) are made on
-    first use and reused, so one hierarchy serves one solve at a time.
+    Its levels and parameters are immutable; the ``Tape`` of each dtype,
+    which owns its cycles' scratch buffers, is made on first use and
+    reused, so one hierarchy serves one solve at a time.
     """
 
     levels: tuple
@@ -187,57 +199,42 @@ class MgHierarchy:
         return self.post_count - 1
 
     @cached_property
-    def _planes(self) -> list:
-        return []
-
-    @cached_property
     def _tapes(self) -> dict:
         return {}
 
-    def workspace(self, dtype) -> tuple:
-        """Per plane of ``dtype`` data, the float64 ``LevelWork`` of every
-        level, with the transfers bound between neighbouring levels: one
-        plane for float64 data, the real and the imaginary part for
-        complex128, whose real plane is the float64 one.  Made on first
-        use; another ``dtype`` (long double, which ``_work_dtype`` keeps)
-        raises ``MgfkError`` before anything is made."""
-        planes = _PLANES.get(np.dtype(dtype))
-        if planes is None:
-            raise MgfkError(f"V-cycles run float64 and complex128 data, not {np.dtype(dtype)}")
-        while len(self._planes) < planes:
-            work = tuple(LevelWork(lv, np.float64) for lv in self.levels)
-            for lv, fine, coarse in zip(self.levels, work, work[1:]):
-                fine.restrict = transfer.restriction(fine.r_run, coarse.rhs_run, lv.shape)
-                fine.prolong = transfer.prolongation(coarse.framed, fine.r_run, lv.shape)
-            self._planes.append(work)
-        return tuple(self._planes[:planes])
-
     def tape(self, dtype) -> "Tape":
-        """The ``Tape`` of ``dtype`` data, made on first use."""
+        """The ``Tape`` of ``dtype`` data, made on first use; a dtype other
+        than float64 and complex128 (long double, which ``_work_dtype``
+        keeps) raises ``MgfkError`` before anything is made."""
         dtype = np.dtype(dtype)
+        if dtype not in _PLANES:
+            raise MgfkError(f"V-cycles run float64 and complex128 data, not {dtype}")
         if dtype not in self._tapes:
             self._tapes[dtype] = Tape(self, dtype)
         return self._tapes[dtype]
 
 
 class Tape:
-    """A hierarchy's V-cycle on ``dtype`` data, run on its float64 planes.
+    """A hierarchy's V-cycle on ``dtype`` data, run on float64 planes.
 
-    ``fine`` is the fine ``LevelWork`` of each plane of the workspace.
-    ``residual`` forms ``r = rhs - A v`` on every plane, and ``cycle`` runs
-    one V-cycle on every plane from the loaded ``v`` and that residual;
-    each is a ``stencil.tape_runner``, one executor call.  ``r`` is a
-    ``dtype`` grid that gathers the residual of every plane for its norm,
-    which is then the norm numpy takes of ``dtype`` data.
+    ``work`` is, per plane, the ``LevelWork`` of every level (``_plane``):
+    one plane for float64 data, the real and the imaginary part for
+    complex128, shared with no other tape; ``fine`` is each plane's fine
+    level.  ``residual`` forms ``r = rhs - A v`` on every plane, and
+    ``cycle`` runs one V-cycle on every plane from the loaded ``v`` and
+    that residual; each is a ``stencil.tape_runner``, one executor call.
+    ``r`` is a ``dtype`` grid that gathers the residual of every plane for
+    its norm, which is then the norm numpy takes of ``dtype`` data.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
-        work = h.workspace(dtype)
-        self.fine = tuple(w[0] for w in work)
+        planes = _PLANES[dtype]
+        self.work = tuple(_plane(h.levels) for _ in range(planes))
+        self.fine = tuple(w[0] for w in self.work)
         self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
-        self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, len(work) > 1) for w in work), ()))
+        self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
         self.r = np.empty(h.fine.shape, dtype)
-        self._r_parts = _parts(self.r, len(work))
+        self._r_parts = _parts(self.r, planes)
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -476,7 +473,7 @@ def measure_contraction(
     """Estimate the energy-norm contraction factor of the error propagator.
 
     Runs the homogeneous problem (f = 0) from random initial errors, in
-    place in the float64 fine workspace, and returns the largest
+    place on the float64 tape's fine level, and returns the largest
     per-iteration ratio ||e_new||_A / ||e_old||_A after the first
     ``discard`` transient iterations, so ``iters`` must exceed
     ``discard >= 0``.  The residual r = -A e that starts each cycle gives

@@ -163,6 +163,17 @@ def test_theory_laplacian_preset_runs_at_the_given_size(tmp_path):
     assert levels[0] == 63
 
 
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_theory_refuses_more_than_one_grid(tmp_path, capsys, source):
+    # the checks run at one grid: a second M, from the command line or a
+    # config file, is refused, not dropped after checking the first
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"m_values": [16, 32]}))
+    given = ["--M", "16", "--M", "32"] if source == "flags" else ["--config", str(cfg)]
+    assert main(["theory", "--preset", "laplacian", *given]) == 1
+    assert "one M at a time, got [16, 32]" in capsys.readouterr().err
+
+
 def test_run_theory_violation_detection():
     cfg = ExperimentConfig(preset="example-6.1", alpha=0.3, m_values=[16])
     reports, violated = run_theory(cfg)

@@ -210,6 +210,17 @@ def test_transfers_preserve_complex_dtype():
     assert prolong(v[:3]).dtype == np.complex128
 
 
+@pytest.mark.parametrize("name, value", [
+    ("n_steps", 0), ("length", 0.0), ("length", math.inf), ("t_final", -1.0), ("t_final", math.nan),
+    ("kappa", -1.0), ("kappa", math.inf),
+])
+def test_problem_refuses_scalars_that_crash_or_corrupt_a_run(name, value):
+    # a zero step count or length divides by zero, a negative final time
+    # steps to NaN, and a negative kappa was solved by one solver only
+    with pytest.raises(MgfkError, match=name):
+        dataclasses.replace(example_6_2(0.3, 8), **{name: value})
+
+
 def test_step_past_end_raises():
     ev = Evolution(zero_problem_1d(n_steps=1), order=1, solver="direct")
     ev.run()

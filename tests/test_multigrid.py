@@ -421,7 +421,7 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
                                             monkeypatch):
     # coarse levels skip the operator apply on their zero start, the fine
     # level cycles from the residual it has formed, and every level runs its
-    # part of one prebuilt tape in place in its workspace, the residual as
+    # part of one prebuilt tape in place in its buffers, the residual as
     # one kernel over the operator's points; the iterates must not move by a bit,
     # real or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
     # count, on either backend
@@ -483,7 +483,7 @@ def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes: the level
     buffers of each plane and the tape's residual grid."""
     for dtype in dtypes:
-        for work in h.workspace(dtype):
+        for work in h.tape(dtype).work:
             for ws in work:
                 yield from (ws.framed, ws.r_run, ws.rhs_run)
         yield h.tape(dtype).r
@@ -493,7 +493,7 @@ def _buffers(h, dtypes):
 def test_workspaces_keep_no_state_between_calls_and_dtypes(ndim):
     # real -> complex -> real on one hierarchy: each call equals the same
     # call on a fresh hierarchy and the oracle, later calls leave its result
-    # alone, and no result aliases a workspace buffer
+    # alone, and no result aliases a tape buffer
     def build():
         build_ndim = fk_hierarchy_1d if ndim == 1 else fk_hierarchy_2d
         return build_ndim(intervals=64, strategy="geometric")
@@ -526,7 +526,7 @@ def test_workspaces_keep_no_state_between_calls_and_dtypes(ndim):
 
 
 def test_fine_vcycle_allocates_less_than_two_grids():
-    # after the first cycle has made the workspace, one cycle on the 2D
+    # after the first cycle has made the tape, one cycle on the 2D
     # m = 127 example-6.2 hierarchy allocates its result and little else
     import tracemalloc
 

@@ -1,8 +1,13 @@
 """The compiled V-cycle tape: its kernel records against ``run_numpy`` of
 the same kernels, and the build cache its loader keeps."""
 
+import ctypes
 import gc
 import os
+import platform
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 
@@ -11,13 +16,16 @@ import pytest
 
 import mgfk
 from mgfk import stencil
-from mgfk.coarsen import fk_operator
+from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import MgfkError
+from mgfk.feynman_kac import preset
+from mgfk.fsd import weights
 from mgfk.multigrid import (
     GridLevel,
     LevelWork,
     MgHierarchy,
     _cycle_kernels,
+    _plane,
     build_hierarchy,
     smooth,
     solve,
@@ -41,7 +49,7 @@ from mgfk.stencil import (
     run_numpy,
     tape_runner,
 )
-from mgfk.transfer import prolongation, restriction
+from mgfk.transfer import prolong, restrict
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
@@ -129,11 +137,7 @@ def cycle(ndim, mass, dtype, scalar, pre):
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
     h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
                     omega_pre=scalar, omega_post=scalar, pre_count=pre)
-    work = tuple(LevelWork(lv, dtype) for lv in h.levels)
-    for lv, fine, coarse in zip(h.levels, work, work[1:]):
-        fine.restrict = restriction(fine.r_run, coarse.rhs_run, lv.shape)
-        fine.prolong = prolongation(coarse.framed, fine.r_run, lv.shape)
-    kernels = _cycle_kernels(h, work, 0, False)
+    kernels = _cycle_kernels(h, _plane(h.levels, dtype), 0, False)
     buffers = {}
     for k in kernels:
         for a in (k.out, k.a, k.b, *k.pads, *(window for window, _ in k.taps)):
@@ -208,16 +212,62 @@ def test_tapes_hold_only_float64(coarsening, ndim):
     assert all(x.dtype == np.float64 for x in arrays if x is not None)
 
 
+def level_arrays(plane):
+    """Every array of every ``LevelWork`` of ``plane``."""
+    return [a for ws in plane for a in vars(ws).values() if isinstance(a, np.ndarray)]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_the_float_and_complex_tapes_share_no_buffer(ndim):
+    # after real and complex cycles on one hierarchy: three planes, each
+    # owned by one tape, none sharing memory with another
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 15)
+    f = np.ones(h.fine.shape)
+    for z in (f, f * (1.0 + 2.0j)):
+        vcycle(h, None, z)
+    planes = h.tape(float).work + h.tape(complex).work
+    assert len(planes) == 3
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        assert not any(np.shares_memory(a, b) for a in level_arrays(planes[i]) for b in level_arrays(planes[j]))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_a_level_binds_its_transfers_when_it_is_built(ndim):
+    # a level built with its coarse neighbour carries both transfers between
+    # them; the coarsest level, built alone, carries none
+    h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 3)
+    coarse = LevelWork(h.levels[1], np.float64)
+    fine = LevelWork(h.fine, np.float64, coarse)
+    assert coarse.restrict == coarse.prolong == ()
+    assert len(fine.restrict) == len(fine.prolong) == ndim
+    rng = np.random.default_rng(15)
+    fine.r[...] = rng.standard_normal(fine.shape)
+    run_numpy(fine.restrict)
+    assert np.array_equal(coarse.rhs, restrict(fine.r))
+    coarse.v[...] = rng.standard_normal(coarse.shape)
+    run_numpy(fine.prolong)
+    assert np.array_equal(fine.r, prolong(coarse.v))
+
+
+def test_a_hierarchy_holds_no_buffers():
+    # the tapes own every buffer: the hierarchy keeps its levels, its
+    # parameters and its tapes, and nothing to hand planes out from
+    h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
+    vcycle(h, None, np.ones(7) * (1.0 + 2.0j))
+    assert not hasattr(h, "workspace") and not hasattr(h, "_planes")
+    assert list(h._tapes) == [np.dtype(complex)]
+
+
 def test_tapes_refuse_dtypes_the_executor_lacks():
     # a record of other data would be read as float64: cycles refuse such
-    # data before they make a workspace, and a tape of such kernels is
+    # data before they make a tape, and a tape of such kernels is
     # refused, complex ones included; they still run through numpy
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     f = np.ones(7, np.longdouble)
     for cycled in (lambda: vcycle(h, None, f), lambda: vcycle(h, f, f), lambda: solve(h, f)):
         with pytest.raises(MgfkError, match=str(f.dtype)):
             cycled()
-    assert not h._planes and not h._tapes
+    assert not h._tapes
     for dtype in (np.longdouble, np.complex128, np.float32):
         with pytest.raises(ValueError, match="float64 data only"):
             tape_runner((LevelWork(h.fine, dtype).residual,))
@@ -291,7 +341,7 @@ def test_transfers_pack_as_single_element_rows(coarsening, ndim):
     # executor's flat loop, which only records of rows of length 1 take; in
     # 2D the row pass before it has whole rows
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
-    for ws in h.workspace(float)[0][:-1]:
+    for ws in h.tape(float).work[0][:-1]:
         for kernels in (ws.restrict, ws.prolong):
             assert len(kernels) == ndim
             assert stencil._record(kernels[-1])[2] == 1
@@ -307,7 +357,7 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
     def cycled():
         h = build_hierarchy(op, 31, "geometric")
         v = vcycle(h, 0.5 * f, f)
-        assert all(ws.residual.taps == () for ws in h.workspace(float)[0])
+        assert all(ws.residual.taps == () for ws in h.tape(float).work[0])
         return v
 
     compiled = cycled()
@@ -337,6 +387,65 @@ def test_a_runner_keeps_every_buffer_alive(monkeypatch):
     ref_residual(), ref_cycle()
     for ws, ref in zip(fine, ref_fine, strict=True):
         assert ws.v.tobytes() == ref.v.tobytes()
+
+
+def default_clone(tmp_path):
+    """``mgfk_run_tape`` of a copy of ``_tape.c`` whose kernel has no AVX2
+    clone, the kernel a CPU without AVX2 runs, built into ``tmp_path``."""
+    with open(os.path.join(os.path.dirname(stencil.__file__), "_tape.c")) as f:
+        source, found = re.subn(r"^#define CLONES __attribute__\(\(target_clones\(.*\)\)\)$",
+                                "#define CLONES", f.read(), flags=re.M)
+    assert found == 1
+    (tmp_path / "_tape.c").write_text(source)
+    assert stencil._build(str(tmp_path / "_tape.c"), str(tmp_path / "tape.so"))
+    run = ctypes.CDLL(str(tmp_path / "tape.so")).mgfk_run_tape
+    run.argtypes, run.restype = (ctypes.c_void_p, ctypes.c_int64), None
+    return run
+
+
+def fk_system(name, alpha, nu, intervals):
+    """The system operator of a time step of preset ``name``."""
+    p = preset(name, alpha, intervals)
+    return fk_operator(p.ndim, weights(alpha, nu, 0)[0], mu_coefficient(p.kappa, p.alpha, p.tau, p.h))
+
+
+COMPILER = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
+
+
+@pytest.mark.skipif(not (platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc" and COMPILER),
+                    reason="the executor is cloned for AVX2 on x86-64 glibc only, and needs a compiler")
+def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
+    # a CPU with AVX2 only ever runs that clone: the default one, built
+    # alone, cycles the fk1d-history hierarchy (complex data), the
+    # fk2d-vcycle one (real data) and a 9-point Galerkin one as numpy does
+    run, calls = default_clone(tmp_path), []
+
+    def counted(*args):
+        calls.append(args)
+        run(*args)
+
+    hierarchies = (
+        (fk_system("example-6.1", 0.3, 4, 1024), 1023, "galerkin", complex),  # fk1d-history
+        (fk_system("example-6.2", 0.3, 2, 128), 127, "geometric", float),  # fk2d-vcycle
+        (KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 31, "galerkin", complex),  # 9-point
+    )
+
+    def cycles():
+        rng = np.random.default_rng(16)
+        for op, m, coarsening, dtype in hierarchies:
+            h = build_hierarchy(op, m, coarsening)
+            x, y = rng.standard_normal((2, h.fine.unknowns))
+            f = x + 1j * y if dtype is complex else x
+            yield vcycle(h, f, f).tobytes()
+            yield vcycle(h, None, f).tobytes()
+            x, report = solve(h, f)
+            yield x.tobytes(), report.residuals
+
+    monkeypatch.setattr(stencil, "_library", lambda: counted)
+    clone = list(cycles())
+    assert len(calls) > 9
+    monkeypatch.setattr(stencil, "_library", lambda: None)
+    assert clone == list(cycles())
 
 
 def python(code: str, **env) -> str:

@@ -196,7 +196,7 @@ def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
     # exactly zero, which the zero-start cycle below relies on
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), m)
     rng = np.random.default_rng(ndim + 1)
-    for work in h.workspace(complex):
+    for work in h.tape(complex).work:
         for fine, coarse in zip(work, work[1:]):
             fine.r_run[...] = rng.standard_normal(fine.r_run.shape)  # pads included
             coarse.rhs_run[...] = rng.standard_normal(coarse.rhs_run.shape)
@@ -217,7 +217,7 @@ def test_each_transfer_pass_is_one_kernel(ndim):
     # one kernel per axis; the last-axis pass runs on whole runs, a 1-D
     # stride-2 pass, and in 2D the row pass before it on contiguous rows
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
-    for work in h.workspace(complex):
+    for work in h.tape(complex).work:
         for ws in work[:-1]:
             assert len(ws.restrict) == len(ws.prolong) == ndim
             for *rows, last in (ws.restrict, ws.prolong):
