@@ -1,4 +1,5 @@
-/* Executor of compiled V-cycle tapes (see mgfk.stencil.tape_runner).
+/* Executor of compiled V-cycle tapes and multigrid solves (see
+ * mgfk.stencil.tape_runner and solve_runner).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
  * float64 buffers (a mgfk.stencil.Kernel, packed by mgfk.stencil._record);
@@ -23,7 +24,18 @@
  *   RESTRICT  row i of o from rows 2i, 2i + 1, 2i + 2 of a: ((lo + odd s) + hi) t
  *   PROLONG   row 2i of o from rows i, i + 1 of a: (lo + hi) s; row 2i + 1 is row i + 1
  * then every pad-th element of o, from the pad - 1st on, is zeroed.
+ *
+ * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
+ * (mgfk.multigrid.solve) as one call: up to max_iter times the fine
+ * residual records, a gather of each plane's residual into the interleaved
+ * grid r, its Euclidean norm, the stopping test and a cycle.  The norm is
+ * the one numpy's np.linalg.norm takes of r: sqrt(dot(x, x)) of float
+ * data, sqrt(dot(re, re) + dot(im, im)) on the stride-2 views of complex
+ * data, with dot the BLAS ddot numpy calls where one was found, else a sum
+ * in element order.  It is taken on r, not on the planes' runs, whose zero
+ * pad cells would change the order of the BLAS sum.
  */
+#include <math.h>
 #include <stdint.h>
 
 enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG };
@@ -128,4 +140,66 @@ void mgfk_run_tape(const record *r, int64_t count)
 {
     for (const record *end = r + count; r < end; r++)
         kernel(r);
+}
+
+/* A BLAS ddot of 64-bit integers (ILP64), as numpy's wheel ships it. */
+typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
+
+/* A solve, as mgfk.stencil._CompiledSolve packs it, all fields int64: the
+ * cycle's records and the fine residual's; per plane, its fine residual run
+ * (rows of len points, run cells apart), gathered into the grid r with the
+ * planes interleaved; a dot_fn or 0; and out, which takes r0, then the
+ * relative residual after each cycle. */
+typedef struct {
+    int64_t cycle, cycles, residual, residuals, planes, rows, len, run, plane[2], r, dot, out;
+} solve;
+
+/* Sum of x[k inc]**2 over k < n, in order. */
+static double sum_squares(int64_t n, const double *x, int64_t inc)
+{
+    double sum = 0.0;
+    EACH(n) sum = sum + x[k * inc] * x[k * inc];
+    return sum;
+}
+
+/* The norm of the residual, formed at the loaded iterate and gathered:
+ * the planes' sums of squares added in order, as numpy adds them. */
+static double residual_norm(const solve *s)
+{
+    const int64_t planes = s->planes, len = s->len, n = s->rows * len;
+    double *r = P(s->r), sq = 0.0;
+    mgfk_run_tape((const record *)(intptr_t)s->residual, s->residuals);
+    for (int64_t p = 0; p < planes; p++) {
+        for (int64_t i = 0; i < s->rows; i++) { /* a loop per stride, so that each vectorises */
+            const double *from = P(s->plane[p]) + i * s->run;
+            double *to = r + i * len * planes + p;
+            if (planes == 1)
+                EACH(len) to[k] = from[k];
+            else
+                EACH(len) to[2 * k] = from[k];
+        }
+        sq = sq + (s->dot ? ((dot_fn)(intptr_t)s->dot)(n, r + p, planes, r + p, planes)
+                          : sum_squares(n, r + p, planes));
+    }
+    return sqrt(sq);
+}
+
+/* Returns the cycles run: 0 where r0 is 0 or not finite, else up to the
+ * first whose relative residual is below tol or not finite.  out must hold
+ * max_iter + 1 values. */
+int64_t mgfk_solve(const solve *s, double tol, int64_t max_iter)
+{
+    double *out = P(s->out);
+    const double r0 = residual_norm(s);
+    out[0] = r0;
+    if (r0 == 0.0 || !isfinite(r0))
+        return 0;
+    for (int64_t it = 1; it <= max_iter; it++) {
+        mgfk_run_tape((const record *)(intptr_t)s->cycle, s->cycles);
+        const double rel = residual_norm(s) / r0;
+        out[it] = rel;
+        if (rel < tol || !isfinite(rel))
+            return it;
+    }
+    return max_iter;
 }

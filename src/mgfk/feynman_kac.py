@@ -54,7 +54,8 @@ class Problem:
     ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
     means zero.  The 2D scheme has zero boundary data only.  ``length`` and
     ``t_final`` must be positive and finite, ``kappa`` finite and
-    non-negative, and ``n_steps`` at least 1, else ``MgfkError``.
+    non-negative, ``m`` an integer (not a ``bool``, kept as an ``int``) at
+    least 1 and ``n_steps`` at least 1, else ``MgfkError``.
     """
 
     length: float
@@ -81,6 +82,9 @@ class Problem:
                 raise MgfkError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.kappa < math.inf:
             raise MgfkError(f"kappa must be finite and non-negative, got {self.kappa}")
+        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
+            raise MgfkError(f"m must be an integer >= 1, got {self.m!r}")
+        self.m = int(self.m)
         if self.n_steps < 1:
             raise MgfkError(f"n_steps must be at least 1, got {self.n_steps}")
 

@@ -23,11 +23,14 @@ iterates are the same bits either way.  The tape cycles from the loaded
 fine iterate and the residual formed from it: ``solve`` and
 ``measure_contraction`` form that residual for their norms and cycle from
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
-is given none.  On finite data the planes hold the values numpy's complex
-arithmetic gives on the same kernels, up to the sign of a zero, as every
-scalar is real and a complex plane's coarsest step multiplies by the
-reciprocal of the diagonal, as numpy's complex division by a real divisor
-does (real data divide).
+is given none.  A whole ``solve`` is one call into the executor
+(``Tape.solve``, ``stencil.solve_runner``), its residual norms numpy's,
+through the BLAS ddot numpy calls (``stencil.solve_norm``), and its
+residual history the same bits as without the executor.  On finite data
+the planes hold the values numpy's complex arithmetic gives on the same
+kernels, up to the sign of a zero, as every scalar is real and a complex
+plane's coarsest step multiplies by the reciprocal of the diagonal, as
+numpy's complex division by a real divisor does (real data divide).
 ``smooth`` runs its kernels, of any dtype, through ``run_numpy``.
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
 ``solve`` return new arrays, never a buffer.  Because its tapes are
@@ -66,6 +69,7 @@ from .stencil import (
     require_spd_eligible,
     run_numpy,
     run_shape,
+    solve_runner,
     tape_runner,
 )
 
@@ -153,6 +157,9 @@ def _plane(levels: tuple, dtype=np.float64) -> tuple:
 #: The planes of the data of each dtype a cycle runs.
 _PLANES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
+#: ``solve``'s default cap on cycles, for which every ``Tape`` has room.
+_MAX_ITER = 200
+
 
 def _parts(x, planes: int) -> tuple:
     """The ``planes`` planes of ``x``: ``x`` itself, or its real and imaginary parts."""
@@ -223,8 +230,11 @@ class Tape:
     level.  ``residual`` forms ``r = rhs - A v`` on every plane, and
     ``cycle`` runs one V-cycle on every plane from the loaded ``v`` and
     that residual; each is a ``stencil.tape_runner``, one executor call.
-    ``r`` is a ``dtype`` grid that gathers the residual of every plane for
-    its norm, which is then the norm numpy takes of ``dtype`` data.
+    ``solve`` runs a whole solve from the loaded ``v``, with the compiled
+    executor as one call into it (``stencil.solve_runner``): each residual
+    is gathered from the planes into ``r``, a ``dtype`` grid, and its norm
+    is the one numpy takes of ``r`` (``stencil.solve_norm`` names it), r0
+    and the relative residuals going into ``norms``.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
@@ -234,7 +244,7 @@ class Tape:
         self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
         self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
         self.r = np.empty(h.fine.shape, dtype)
-        self._r_parts = _parts(self.r, planes)
+        self._norms(_MAX_ITER)
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -244,12 +254,22 @@ class Tape:
         for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
             ws.v[...], ws.rhs[...] = x, b
 
-    def residual_norm(self) -> float:
-        """The Euclidean norm of the residual, formed on every plane."""
-        self.residual()
-        for part, ws in zip(self._r_parts, self.fine):
-            part[...] = ws.r
-        return float(np.linalg.norm(self.r))
+    def _norms(self, max_iter: int) -> None:
+        """Make ``norms``, room for r0 and ``max_iter`` relative
+        residuals, and the solve that writes them."""
+        self.norms = np.empty(max_iter + 1)
+        self._solve = solve_runner(self.cycle, self.residual, tuple(ws.r for ws in self.fine), self.r, self.norms)
+
+    def solve(self, tol: float, max_iter: int) -> int:
+        """Cycle from the loaded iterate until the relative residual is
+        below ``tol`` or not finite, at most ``max_iter`` times, and return
+        the cycles run; ``norms[0]`` is then r0 and ``norms[1:]`` the
+        relative residual after each cycle (see ``stencil.solve_runner``).
+        ``norms`` is made once, and again only for a ``max_iter`` above any
+        before."""
+        if max_iter >= len(self.norms):
+            self._norms(max_iter)
+        return self._solve(tol, max_iter)
 
     def result(self) -> np.ndarray:
         """The iterate of every plane, as a new grid."""
@@ -412,19 +432,25 @@ def solve(
     f: np.ndarray,
     v0: np.ndarray | None = None,
     tol: float = 1e-11,
-    max_iter: int = 200,
+    max_iter: int = _MAX_ITER,
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
-    The cycles run in place in the fine ``LevelWork`` of every plane, each
-    from the residual just formed for its norm; the solution comes back as
-    a new flat array.  Non-convergence within ``max_iter`` is
-    reported, not raised: the report comes back with ``converged=False`` and
-    the full residual history.  A non-finite residual, ``r0`` included,
-    stops the iteration at once.
+    The solve is ``Tape.solve``: with the compiled executor one call into
+    it, which runs every cycle, residual, norm and stopping test, the norm
+    numpy's through its BLAS ddot (else a sum in element order; see
+    ``stencil.solve_norm``).  The cycles run in place in the fine
+    ``LevelWork`` of every plane, each from the residual just formed for its
+    norm; the solution comes back as a new flat array.  Non-convergence
+    within ``max_iter`` (an integer, not a ``bool``) is reported, not
+    raised: the report comes back with ``converged=False`` and the full
+    residual history.  A non-finite residual, ``r0`` included, stops the
+    iteration at once.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lv = h.fine
@@ -433,24 +459,15 @@ def solve(
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
     tape = h.tape(_work_dtype(f, v0))
     tape.load(v0, f)
-    r0 = tape.residual_norm()
+    cycles = tape.solve(float(tol), int(max_iter))
+    x, r0 = tape.result().ravel(), tape.norms[0]
     if r0 == 0.0:
-        return tape.result().ravel(), SolveReport(0, [], converged=True, contraction_factor=0.0)
+        return x, SolveReport(0, [], converged=True, contraction_factor=0.0)
     if not math.isfinite(r0):
-        return tape.result().ravel(), SolveReport(iterations=0, residuals=[math.nan])
+        return x, SolveReport(iterations=0, residuals=[math.nan])
 
-    report = SolveReport(iterations=0)
-    for it in range(1, max_iter + 1):
-        tape.cycle()
-        rel = tape.residual_norm() / r0
-        report.residuals.append(rel)
-        report.iterations = it
-        if rel < tol:
-            report.converged = True
-            break
-        if not math.isfinite(rel):
-            break
-
+    residuals = tape.norms[1 : cycles + 1].tolist()
+    report = SolveReport(cycles, residuals, converged=residuals[-1] < tol)
     ratios = [
         report.residuals[i] / report.residuals[i - 1]
         for i in range(1, len(report.residuals))
@@ -459,7 +476,7 @@ def solve(
     if ratios:
         late = ratios[3:] if len(ratios) > 3 else ratios
         report.contraction_factor = max(late)
-    return tape.result().ravel(), report
+    return x, report
 
 
 def measure_contraction(

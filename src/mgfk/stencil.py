@@ -18,9 +18,12 @@ on first use by ``_library`` into the user's cache, with
 operations of ``run_numpy``; a residual record sums each element in a
 register, in a loop made for its tap count, and on x86-64 an AVX2 clone of
 each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
-be built (``compiled_tapes``).  Grids are held in the run layout of
-``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
-row's points.  The type-I sine transform diagonalises the system
+be built (``compiled_tapes``).  ``solve_runner`` runs a whole multigrid
+solve, its cycles, residuals, their norms and the stopping test, as one
+call into the executor, or as the same loop in Python where it cannot be
+built (``solve_norm`` names the norm it takes).  Grids are held in the
+run layout of ``run_shape``: in 2D rows of m + 1 cells, one zero pad cell
+after each row's points.  The type-I sine transform diagonalises the system
 operators, which gives their spectra in closed form and an exact direct
 solve.  Dense matrices live in the test oracles only.
 """
@@ -248,10 +251,12 @@ def pads(a: np.ndarray, shape: tuple) -> tuple:
 
 #: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
 #: roundings, as numpy's separate calls are, and -ffast-math, which would
-#: reassociate, is left out; so is -march=native, as a build is cached per
-#: platform, not per CPU: on x86-64 glibc ``_tape.c`` clones its kernels
-#: for AVX2 itself, and the loader picks the clone per CPU at load time.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-std=c99", "-fPIC", "-shared")
+#: reassociate, is left out; -fno-math-errno makes ``sqrt`` one instruction
+#: that sets no ``errno``, of the same value.  -march=native is left out, as
+#: a build is cached per platform, not per CPU: on x86-64 glibc ``_tape.c``
+#: clones its kernels for AVX2 itself, and the loader picks the clone per
+#: CPU at load time.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared")
 
 #: Kernel kinds of ``_tape.c``, which says what each does.
 RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG = range(8)
@@ -316,20 +321,21 @@ def run_numpy(kernels) -> None:
             pad.fill(0)
 
 
+def _at(x) -> int:
+    """The address of the data of array ``x``; 0 for ``None``."""
+    return 0 if x is None else x.__array_interface__["data"][0]
+
+
 def _record(k: Kernel) -> tuple:
     """``k`` as the int64 fields of one ``_tape.c`` record, addresses
     included; a tap is its window's offset from ``a``, in elements."""
-
-    def at(x) -> int:
-        return 0 if x is None else x.__array_interface__["data"][0]
-
     # numpy gives an empty view the stride of one element: it has no pad cells
     period = k.pads[0].strides[0] // k.pads[0].itemsize if k.pads and k.pads[0].size else 0
     spare = (0,) * (_TAPS - len(k.taps))
-    offsets = tuple((at(w) - at(k.a)) // k.out.itemsize for w, _ in k.taps) + spare
-    coefs = tuple(at(c) for _, c in k.taps) + spare
+    offsets = tuple((_at(w) - _at(k.a)) // k.out.itemsize for w, _ in k.taps) + spare
+    coefs = tuple(_at(c) for _, c in k.taps) + spare
     head = (k.kind, k.out.shape[0], math.prod(k.out.shape[1:]), period)
-    return (*head, *map(at, (k.out, k.a, k.b, k.s, k.t)), len(k.taps), *offsets, *coefs)
+    return (*head, *map(_at, (k.out, k.a, k.b, k.s, k.t)), len(k.taps), *offsets, *coefs)
 
 
 def _build(source: str, path: str) -> bool:
@@ -356,12 +362,12 @@ def _build(source: str, path: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _library():
-    """``mgfk_run_tape`` of ``_tape.c``, built on first use (``_build``)
+    """The executor, ``_tape.c`` with its entry points ``mgfk_run_tape``
+    and ``mgfk_solve``, built on first use (``_build``)
     into ``$XDG_CACHE_HOME/mgfk`` (default ``~/.cache/mgfk``) under a name
     hashed from the source, the flags and the platform; ``None`` without a
     compiler, after a failed build, or when that directory is not the
     user's own or is writable by group or others."""
-    import ctypes  # here, so that `import mgfk` loads nothing
     import platform
     import zlib
 
@@ -378,30 +384,134 @@ def _library():
         path = os.path.join(cache, f"tape-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
         if not (os.path.exists(path) or _build(source, path)):
             return None
-        run = ctypes.CDLL(path).mgfk_run_tape
+        return _load(path)
     except OSError:
         return None
-    run.argtypes, run.restype = (ctypes.c_void_p, ctypes.c_int64), None
-    return run
+
+
+def _load(path: str):
+    """The executor built at ``path``, its entry points typed."""
+    import ctypes  # here, so that `import mgfk` loads nothing
+
+    lib = ctypes.CDLL(path)
+    lib.mgfk_run_tape.argtypes, lib.mgfk_run_tape.restype = (ctypes.c_void_p, ctypes.c_int64), None
+    lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int64)
+    lib.mgfk_solve.restype = ctypes.c_int64
+    return lib
+
+
+@lru_cache(maxsize=None)
+def _ddot() -> int:
+    """The address of ``scipy_cblas_ddot64_``, the BLAS ddot of 64-bit
+    integers that ``np.linalg.norm`` calls, in the OpenBLAS numpy's wheel
+    ships (``numpy.libs/libscipy_openblas64_*.so``, which numpy loaded
+    with ``RTLD_LOCAL``, so only its own handle finds the symbol); 0 where
+    there is no such library or symbol, as with a numpy built on another
+    BLAS."""
+    import ctypes
+
+    libs = os.path.dirname(np.__file__) + ".libs"
+    try:
+        found = [name for name in os.listdir(libs) if name.startswith("libscipy_openblas64_") and name.endswith(".so")]
+        if len(found) != 1:
+            return 0
+        return ctypes.cast(ctypes.CDLL(os.path.join(libs, found[0])).scipy_cblas_ddot64_, ctypes.c_void_p).value
+    except (OSError, AttributeError):
+        return 0
 
 
 def compiled_tapes() -> bool:
     """Whether ``tape_runner`` runs tapes in the compiled executor (else
-    through ``run_numpy``); the first call may build it."""
+    through ``run_numpy``), and ``solve_runner`` a solve as one call into
+    it; the first call may build it.  Such a solve takes its norms through
+    numpy's BLAS ddot where it is found, else by a sum in element order:
+    ``solve_norm`` says which."""
     return _library() is not None
 
 
-class _CompiledTape:
-    """The records of ``kernels``, run by one call into the executor ``run``."""
+def solve_norm() -> str:
+    """The residual norm a solve takes (``solve_runner``): ``"blas"``,
+    numpy's own, through the BLAS ddot ``np.linalg.norm`` calls
+    (``_ddot``), the same bits; ``"sum"``, the executor's sum in element
+    order, where that ddot was not found; or ``"numpy"``,
+    ``np.linalg.norm`` itself, where ``compiled_tapes()`` is false."""
+    if not compiled_tapes():
+        return "numpy"
+    return "blas" if _ddot() else "sum"
 
-    def __init__(self, kernels: tuple, run):
+
+class _CompiledTape:
+    """The records of ``kernels``, run by one call into the executor ``lib``."""
+
+    def __init__(self, kernels: tuple, lib):
         self.kernels = kernels  # keeps every buffer and scalar a record points at alive
         self.records = np.array([_record(k) for k in kernels], np.int64)
-        self._args = (self.records.__array_interface__["data"][0], len(self.records))
-        self._run = run
+        self._args = (_at(self.records), len(self.records))
+        self.lib, self._run = lib, lib.mgfk_run_tape
 
     def __call__(self) -> None:
         self._run(*self._args)
+
+
+class _CompiledSolve:
+    """``solve_runner``'s solve as one call into the executor: its
+    ``mgfk_solve`` reads the fields of ``_tape.c``'s ``solve``, packed
+    here once, addresses included."""
+
+    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, planes: tuple, r, norms):
+        self.operands, self.norms = (cycle, residual, planes, r), norms  # keep every array a field points at alive
+        rows = planes[0] if planes[0].ndim == 2 else planes[0].reshape(1, -1)
+        starts = tuple(map(_at, planes)) + (0,) * (2 - len(planes))
+        self.fields = np.array([_at(cycle.records), len(cycle.records), _at(residual.records),
+                                len(residual.records), len(planes), *rows.shape, rows.strides[0] // 8,
+                                *starts, _at(r), _ddot(), _at(norms)], np.int64)
+        self._address, self._run = _at(self.fields), cycle.lib.mgfk_solve
+
+    def __call__(self, tol: float, max_iter: int) -> int:
+        if not 0 <= max_iter < len(self.norms):
+            raise ValueError(f"norms has room for {len(self.norms) - 1} cycles, not {max_iter}")
+        return self._run(self._address, tol, max_iter)
+
+
+def _solve_numpy(cycle, residual, planes, r, norms, tol: float, max_iter: int) -> int:
+    """``mgfk_solve`` of ``_tape.c`` with numpy, the norm ``np.linalg.norm``."""
+    parts = (r,) if len(planes) == 1 else (r.real, r.imag)
+
+    def norm() -> float:
+        residual()
+        for part, plane in zip(parts, planes):
+            part[...] = plane
+        return float(np.linalg.norm(r))
+
+    norms[0] = r0 = norm()
+    if r0 == 0.0 or not math.isfinite(r0):
+        return 0
+    for it in range(1, max_iter + 1):
+        cycle()
+        norms[it] = rel = norm() / r0
+        if rel < tol or not math.isfinite(rel):
+            return it
+    return max_iter
+
+
+def solve_runner(cycle, residual, planes: tuple, r: np.ndarray, norms: np.ndarray):
+    """A callable ``(tol, max_iter)`` that runs a whole multigrid solve and
+    returns the cycles it ran.  ``cycle`` and ``residual`` are the
+    ``tape_runner``s of a V-cycle and of the fine residual, ``planes`` the
+    one or two float64 grids that residual is formed in, and ``r`` the
+    float64 or complex128 grid they are gathered into, the planes its real
+    and imaginary parts.  Up to ``max_iter`` times it forms the residual,
+    gathers it, takes its Euclidean norm and runs a cycle: ``norms[0]`` gets
+    r0, the norm at the loaded iterate, and ``norms[i]`` the norm after
+    cycle ``i`` over r0.  It stops before cycling where r0 is 0 or not
+    finite (0 cycles), and after the first cycle whose relative residual
+    is below ``tol`` or not finite; ``norms`` must hold ``max_iter + 1``
+    values.  With the compiled executor the whole solve is one call into
+    it, which takes the norm ``solve_norm`` names; else the same loop runs
+    in Python, its norm ``np.linalg.norm``."""
+    if isinstance(cycle, _CompiledTape):
+        return _CompiledSolve(cycle, residual, planes, r, norms)
+    return partial(_solve_numpy, cycle, residual, planes, r, norms)
 
 
 def tape_runner(kernels: tuple):
@@ -412,13 +522,15 @@ def tape_runner(kernels: tuple):
     run as two float64 planes (``multigrid.Tape``).  Results are bit for bit
     ``run_numpy``'s, up to the sign and payload of a NaN.  The executor
     raises no floating-point warnings: an overflow or invalid value shows
-    as a non-finite value, which ``solve`` and ``measure_contraction`` check
-    for."""
+    as a non-finite value, which ``solve_runner``'s stopping test and
+    ``measure_contraction`` check for.  A whole solve is one call into the
+    executor (``solve_runner``), its norms numpy's, through the BLAS ddot
+    numpy calls, where that is found (``solve_norm``)."""
     operands = (x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *(y for tap in k.taps for y in tap)))
     if any(x is not None and x.dtype != np.float64 for x in operands):
         raise ValueError("tapes run float64 data only")
-    run = _library()
-    return _CompiledTape(kernels, run) if run is not None else partial(run_numpy, kernels)
+    lib = _library()
+    return _CompiledTape(kernels, lib) if lib is not None else partial(run_numpy, kernels)
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

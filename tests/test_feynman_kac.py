@@ -221,6 +221,18 @@ def test_problem_refuses_scalars_that_crash_or_corrupt_a_run(name, value):
         dataclasses.replace(example_6_2(0.3, 8), **{name: value})
 
 
+@pytest.mark.parametrize("solver", ["direct", "mgm"])
+@pytest.mark.parametrize("m", [0, -3, 2.5, True])
+def test_problem_refuses_a_grid_size_that_is_not_a_positive_integer(m, solver):
+    # m = 0 had crashed the direct solver with IndexError, m = -3 with
+    # numpy's "negative dimensions", m = 2.5 either solver with a bare
+    # TypeError, and m = True ran as one point
+    with pytest.raises(MgfkError, match="m must be an integer"):
+        Evolution(dataclasses.replace(example_6_1(0.3, 8), m=m), order=4, solver=solver).run()
+    ev = Evolution(dataclasses.replace(example_6_1(0.3, 8), m=np.int64(7)), order=4, solver=solver).run()
+    assert ev.history.shape == (9, 7)
+
+
 def test_step_past_end_raises():
     ev = Evolution(zero_problem_1d(n_steps=1), order=1, solver="direct")
     ev.run()

@@ -109,11 +109,22 @@ def test_smoothing_weights_must_be_positive_and_finite(bad):
 
 
 @pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8),
-                                         ("max_iter", 0), ("max_iter", -2)])
+                                         ("max_iter", 0), ("max_iter", -2),
+                                         ("max_iter", True), ("max_iter", 2.5)])
 def test_solve_rejects_bad_tolerance_and_cycle_cap(name, value):
+    # refused before anything is made or loaded: the cap crosses into the
+    # executor as an int64, where True had run one cycle
     h = build_hierarchy(LAPLACIAN_1D, 7)
     with pytest.raises(ValueError, match=name):
         solve(h, np.ones(7), **{name: value})
+    assert not h._tapes
+
+
+def test_solve_takes_a_numpy_integer_cycle_cap():
+    h = fk_hierarchy_1d()
+    f = np.random.default_rng(0).standard_normal(31)
+    _, report = solve(h, f, tol=1e-11, max_iter=np.int64(3))
+    assert (report.iterations, report.converged, len(report.residuals)) == (3, False, 3)
 
 
 def test_smooth_single_weighted_jacobi_step():

@@ -1,8 +1,10 @@
 """The compiled V-cycle tape: its kernel records against ``run_numpy`` of
-the same kernels, and the build cache its loader keeps."""
+the same kernels, its one-call solve against the numpy backend's loop, and
+the build cache its loader keeps."""
 
-import ctypes
 import gc
+import hashlib
+import math
 import os
 import platform
 import re
@@ -46,6 +48,7 @@ from mgfk.stencil import (
     Kernel,
     KroneckerSum,
     ToeplitzStencil,
+    dst_solve,
     run_numpy,
     tape_runner,
 )
@@ -389,18 +392,33 @@ def test_a_runner_keeps_every_buffer_alive(monkeypatch):
         assert ws.v.tobytes() == ref.v.tobytes()
 
 
+class Counted:
+    """The executor ``lib``, with the name of each call into it appended to
+    ``calls``."""
+
+    def __init__(self, lib):
+        self.lib, self.calls = lib, []
+
+    def __getattr__(self, name):
+        entry = getattr(self.lib, name)
+
+        def counted(*args):
+            self.calls.append(name)
+            return entry(*args)
+
+        return counted
+
+
 def default_clone(tmp_path):
-    """``mgfk_run_tape`` of a copy of ``_tape.c`` whose kernel has no AVX2
-    clone, the kernel a CPU without AVX2 runs, built into ``tmp_path``."""
+    """The executor built from a copy of ``_tape.c`` whose kernel has no
+    AVX2 clone, the kernel a CPU without AVX2 runs, built into ``tmp_path``."""
     with open(os.path.join(os.path.dirname(stencil.__file__), "_tape.c")) as f:
         source, found = re.subn(r"^#define CLONES __attribute__\(\(target_clones\(.*\)\)\)$",
                                 "#define CLONES", f.read(), flags=re.M)
     assert found == 1
     (tmp_path / "_tape.c").write_text(source)
     assert stencil._build(str(tmp_path / "_tape.c"), str(tmp_path / "tape.so"))
-    run = ctypes.CDLL(str(tmp_path / "tape.so")).mgfk_run_tape
-    run.argtypes, run.restype = (ctypes.c_void_p, ctypes.c_int64), None
-    return run
+    return stencil._load(str(tmp_path / "tape.so"))
 
 
 def fk_system(name, alpha, nu, intervals):
@@ -418,12 +436,7 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
     # a CPU with AVX2 only ever runs that clone: the default one, built
     # alone, cycles the fk1d-history hierarchy (complex data), the
     # fk2d-vcycle one (real data) and a 9-point Galerkin one as numpy does
-    run, calls = default_clone(tmp_path), []
-
-    def counted(*args):
-        calls.append(args)
-        run(*args)
-
+    lib = Counted(default_clone(tmp_path))
     hierarchies = (
         (fk_system("example-6.1", 0.3, 4, 1024), 1023, "galerkin", complex),  # fk1d-history
         (fk_system("example-6.2", 0.3, 2, 128), 127, "geometric", float),  # fk2d-vcycle
@@ -441,11 +454,142 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
             x, report = solve(h, f)
             yield x.tobytes(), report.residuals
 
-    monkeypatch.setattr(stencil, "_library", lambda: counted)
+    monkeypatch.setattr(stencil, "_library", lambda: lib)
     clone = list(cycles())
-    assert len(calls) > 9
+    assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
     monkeypatch.setattr(stencil, "_library", lambda: None)
     assert clone == list(cycles())
+
+
+#: Hierarchies of the Feynman-Kac system of a preset (name, alpha, nu,
+#: intervals), its size and coarsening: 1D and 2D with both coarsenings,
+#: and those of the fk1d-history and fk2d-vcycle workloads.
+SOLVED = {
+    "1d-galerkin": (("example-6.1", 0.8, 2, 256), 255, "galerkin"),
+    "1d-geometric": (("example-6.1", 0.8, 2, 256), 255, "geometric"),
+    "2d-galerkin": (("example-6.2", 0.8, 2, 32), 31, "galerkin"),
+    "2d-geometric": (("example-6.2", 0.8, 2, 32), 31, "geometric"),
+    "fk1d-history": (("example-6.1", 0.3, 4, 1024), 1023, "galerkin"),
+    "fk2d-vcycle": (("example-6.2", 0.3, 2, 128), 127, "geometric"),
+}
+
+
+def outcome(x, report) -> tuple:
+    """A solve's iterate (a digest of its bytes), its cycles, whether it
+    converged, its relative residuals and its contraction factor."""
+    digest = hashlib.sha256(x.tobytes()).hexdigest()
+    return digest, report.iterations, report.converged, report.residuals, report.contraction_factor
+
+
+def solves(case, dtype):
+    """Solves of ``dtype`` data on a fresh hierarchy of ``SOLVED[case]``:
+    from zero, and from a warm start near the solution, where the residuals
+    sit at the rounding floor; each as its ``outcome``."""
+    (name, alpha, nu, intervals), m, coarsening = SOLVED[case]
+    h = build_hierarchy(fk_system(name, alpha, nu, intervals), m, coarsening)
+    rng = np.random.default_rng(21)
+    f, noise = (x + 1j * y if dtype is complex else x for x, y in rng.standard_normal((2, 2, h.fine.unknowns)))
+    warm = dst_solve(h.fine.operator, f) * (1.0 + 1e-4 * noise)
+    out = []
+    for v0, tol in ((None, 1e-11), (None, 1e-7), (warm, 1e-11)):
+        out.append(outcome(*solve(h, f, v0, tol)))
+    return out
+
+
+BLAS = pytest.mark.skipif(not stencil._ddot(), reason="numpy's BLAS ddot was not found; CI asserts it")
+COMPILED = pytest.mark.skipif(not COMPILER, reason="the executor needs a compiler")
+
+
+@BLAS
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", list(SOLVED))
+def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
+    # one call into the executor, with numpy's own BLAS ddot for the norm,
+    # against the numpy backend's loop and np.linalg.norm: the same
+    # iterates, cycles, stopping decisions, residuals and contraction
+    # factor, compared by repr, which names every bit of a float
+    compiled = solves(case, dtype)
+    assert stencil.solve_norm() in ("blas", "numpy")
+    monkeypatch.setattr(stencil, "_library", lambda: None)
+    assert stencil.solve_norm() == "numpy"
+    assert repr(compiled) == repr(solves(case, dtype))
+    assert all(iterations > 2 for _, iterations, converged, *_ in compiled[:2] if converged)
+
+
+def ends(dtype):
+    """Solves of ``dtype`` data that end each way: r0 zero (from a zero
+    start and from an exact solution), r0 not finite (a NaN and an
+    infinite right-hand side value), the iterate overflowing in the first
+    cycle (weights of 1e200), and ``max_iter`` cycles run without
+    converging; each as its ``outcome``."""
+    op = fk_system("example-6.1", 0.3, 4, 64)
+    h, wild = build_hierarchy(op, 63), build_hierarchy(op, 63, omega_pre=1e200, omega_post=1e200)
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal(63) * (1.0 + 2.0j if dtype is complex else 1.0)
+    nan, inf = v.copy(), v.copy()
+    nan[7], inf[40] = np.nan, -np.inf
+    out = []
+    for g, f, v0, kw in ((h, 0.0 * v, None, {}), (h, op.apply(v), v, {}), (h, nan, None, {}), (h, inf, v, {}),
+                         (wild, v, None, {}), (h, v, None, {"tol": 1e-300, "max_iter": 3})):
+        out.append(outcome(*solve(g, f, v0, **kw)))
+    return out
+
+
+@BLAS
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
+    # the compiled solve raises no floating-point warning; numpy's warns
+    # of the overflow
+    compiled = ends(dtype)
+    stops = [(iterations, converged, len(residuals)) for _, iterations, converged, residuals, _ in compiled]
+    assert stops == [(0, True, 0), (0, True, 0), (0, False, 1), (0, False, 1), (1, False, 1), (3, False, 3)]
+    assert [repr(c[3:]) for c in compiled[:4]] == ["([], 0.0)"] * 2 + ["([nan], nan)"] * 2
+    assert math.isnan(compiled[4][3][0]) and compiled[5][3][-1] < 1.0
+    monkeypatch.setattr(stencil, "_library", lambda: None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert repr(compiled) == repr(ends(dtype))
+
+
+@COMPILED
+def test_a_compiled_solve_is_one_executor_call(monkeypatch):
+    # after the load, the whole solve is one call, and the tape's norms
+    # array is made once: again only for a larger cap on cycles
+    lib = Counted(stencil._library())
+    monkeypatch.setattr(stencil, "_library", lambda: lib)
+    h = build_hierarchy(fk_system("example-6.1", 0.3, 4, 1024), 1023)
+    f = np.random.default_rng(23).standard_normal(1023) * (1.0 + 2.0j)
+    tape = h.tape(complex)
+    norms = tape.norms
+    for max_iter in (200, 2, 50, 200):
+        lib.calls.clear()
+        x, report = solve(h, f, max_iter=max_iter)
+        assert lib.calls == ["mgfk_solve"]
+        assert report.iterations == min(max_iter, 13) and tape.norms is norms
+    with pytest.raises(ValueError, match="room for 200 cycles, not 201"):
+        tape._solve(1e-11, 201)  # the executor is never handed a cap past the norms' end
+    solve(h, f, max_iter=500)
+    assert tape.norms is not norms and len(tape.norms) == 501
+    norms = tape.norms
+    solve(h, f)
+    assert tape.norms is norms
+
+
+@COMPILED
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("case", ["fk1d-history", "fk2d-vcycle"])
+def test_the_fixed_order_sum_stops_where_the_blas_norm_does(case, dtype, monkeypatch):
+    # without numpy's ddot the executor sums the squares in element order.
+    # Stated before measuring: each relative residual within 1e-12 of the
+    # BLAS norm's (n eps bounds the error of either sum of n <= 16,129
+    # squares by 1.8e-12, which the square root halves), the same cycle
+    # counts and so the same iterates
+    blas = solves(case, dtype)
+    monkeypatch.setattr(stencil, "_ddot", lambda: 0)
+    assert stencil.solve_norm() == "sum"
+    summed = solves(case, dtype)
+    for (x, iterations, converged, residuals, _), (y, cycles, ended, sums, _) in zip(blas, summed, strict=True):
+        assert (x, iterations, converged) == (y, cycles, ended)
+        assert np.allclose(sums, residuals, rtol=1e-12, atol=0.0)
 
 
 def python(code: str, **env) -> str:
