@@ -26,14 +26,14 @@
  * then every pad-th element of o, from the pad - 1st on, is zeroed.
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
- * (mgfk.multigrid.solve) as one call: up to max_iter times the fine
+ * (mgfk.multigrid.solve) as one call: up to the cap it is given, the fine
  * residual records, a gather of each plane's residual into the interleaved
  * grid r, its Euclidean norm, the stopping test and a cycle.  The norm is
  * the one numpy's np.linalg.norm takes of r: sqrt(dot(x, x)) of float
  * data, sqrt(dot(re, re) + dot(im, im)) on the stride-2 views of complex
- * data, with dot the BLAS ddot numpy calls where one was found, else a sum
- * in element order.  It is taken on r, not on the planes' runs, whose zero
- * pad cells would change the order of the BLAS sum.
+ * data, with dot the BLAS ddot numpy calls.  It is taken on r, not on the
+ * planes' runs, whose zero pad cells would change the order of the BLAS
+ * sum.
  */
 #include <math.h>
 #include <stdint.h>
@@ -148,25 +148,20 @@ typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx, const double 
 /* A solve, as mgfk.stencil._CompiledSolve packs it, all fields int64: the
  * cycle's records and the fine residual's; per plane, its fine residual run
  * (rows of len points, run cells apart), gathered into the grid r with the
- * planes interleaved; a dot_fn or 0; and out, which takes r0, then the
- * relative residual after each cycle. */
+ * planes interleaved; and the dot_fn. */
 typedef struct {
-    int64_t cycle, cycles, residual, residuals, planes, rows, len, run, plane[2], r, dot, out;
+    int64_t cycle, cycles, residual, residuals, planes, rows, len, run, plane[2], r, dot;
 } solve;
 
-/* Sum of x[k inc]**2 over k < n, in order. */
-static double sum_squares(int64_t n, const double *x, int64_t inc)
-{
-    double sum = 0.0;
-    EACH(n) sum = sum + x[k * inc] * x[k * inc];
-    return sum;
-}
+/* How a solve ends, as mgfk.stencil names them. */
+enum { RAN_OUT, CONVERGED, NOT_FINITE };
 
 /* The norm of the residual, formed at the loaded iterate and gathered:
  * the planes' sums of squares added in order, as numpy adds them. */
 static double residual_norm(const solve *s)
 {
     const int64_t planes = s->planes, len = s->len, n = s->rows * len;
+    const dot_fn dot = (dot_fn)(intptr_t)s->dot;
     double *r = P(s->r), sq = 0.0;
     mgfk_run_tape((const record *)(intptr_t)s->residual, s->residuals);
     for (int64_t p = 0; p < planes; p++) {
@@ -178,28 +173,30 @@ static double residual_norm(const solve *s)
             else
                 EACH(len) to[2 * k] = from[k];
         }
-        sq = sq + (s->dot ? ((dot_fn)(intptr_t)s->dot)(n, r + p, planes, r + p, planes)
-                          : sum_squares(n, r + p, planes));
+        sq = sq + dot(n, r + p, planes, r + p, planes);
     }
     return sqrt(sq);
 }
 
-/* Returns the cycles run: 0 where r0 is 0 or not finite, else up to the
- * first whose relative residual is below tol or not finite.  out must hold
- * max_iter + 1 values. */
-int64_t mgfk_solve(const solve *s, double tol, int64_t max_iter)
+/* Runs the cycles after the *cycles already run, up to cycle stop: out[0]
+ * holds r0, formed first where no cycle has run, and out[i] the relative
+ * residual after cycle i, so out must hold stop + 1 values.  Sets *cycles
+ * to the cycles run and returns how the solve ended: CONVERGED where r0 is
+ * 0 or a relative residual is below tol, NOT_FINITE where r0 or one is not
+ * finite, else RAN_OUT, with stop cycles run. */
+int64_t mgfk_solve(const solve *s, double tol, double *out, int64_t stop, int64_t *cycles)
 {
-    double *out = P(s->out);
-    const double r0 = residual_norm(s);
-    out[0] = r0;
-    if (r0 == 0.0 || !isfinite(r0))
-        return 0;
-    for (int64_t it = 1; it <= max_iter; it++) {
-        mgfk_run_tape((const record *)(intptr_t)s->cycle, s->cycles);
-        const double rel = residual_norm(s) / r0;
-        out[it] = rel;
-        if (rel < tol || !isfinite(rel))
-            return it;
+    int64_t it = *cycles, end = RAN_OUT;
+    if (it == 0) {
+        out[0] = residual_norm(s);
+        end = out[0] == 0.0 ? CONVERGED : isfinite(out[0]) ? RAN_OUT : NOT_FINITE;
     }
-    return max_iter;
+    const double r0 = out[0];
+    while (end == RAN_OUT && it < stop) {
+        mgfk_run_tape((const record *)(intptr_t)s->cycle, s->cycles);
+        const double rel = out[++it] = residual_norm(s) / r0;
+        end = rel < tol ? CONVERGED : isfinite(rel) ? RAN_OUT : NOT_FINITE;
+    }
+    *cycles = it;
+    return end;
 }

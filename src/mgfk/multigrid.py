@@ -25,7 +25,7 @@ fine iterate and the residual formed from it: ``solve`` and
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
 is given none.  A whole ``solve`` is one call into the executor
 (``Tape.solve``, ``stencil.solve_runner``), its residual norms numpy's,
-through the BLAS ddot numpy calls (``stencil.solve_norm``), and its
+through the BLAS ddot numpy calls (``stencil.compiled_solves``), and its
 residual history the same bits as without the executor.  On finite data
 the planes hold the values numpy's complex arithmetic gives on the same
 kernels, up to the sign of a zero, as every scalar is real and a complex
@@ -55,7 +55,9 @@ from . import transfer
 from .errors import DimensionError, EligibilityError, MgfkError
 from .stencil import (
     ADD,
+    CONVERGED,
     DIVIDE,
+    RAN_OUT,
     RESIDUAL,
     SCALE,
     UPDATE,
@@ -157,9 +159,6 @@ def _plane(levels: tuple, dtype=np.float64) -> tuple:
 #: The planes of the data of each dtype a cycle runs.
 _PLANES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
-#: ``solve``'s default cap on cycles, for which every ``Tape`` has room.
-_MAX_ITER = 200
-
 
 def _parts(x, planes: int) -> tuple:
     """The ``planes`` planes of ``x``: ``x`` itself, or its real and imaginary parts."""
@@ -230,11 +229,11 @@ class Tape:
     level.  ``residual`` forms ``r = rhs - A v`` on every plane, and
     ``cycle`` runs one V-cycle on every plane from the loaded ``v`` and
     that residual; each is a ``stencil.tape_runner``, one executor call.
-    ``solve`` runs a whole solve from the loaded ``v``, with the compiled
-    executor as one call into it (``stencil.solve_runner``): each residual
-    is gathered from the planes into ``r``, a ``dtype`` grid, and its norm
-    is the one numpy takes of ``r`` (``stencil.solve_norm`` names it), r0
-    and the relative residuals going into ``norms``.
+    ``solve`` runs a whole solve from the loaded ``v``, as one call into
+    the executor where ``stencil.compiled_solves()`` is true
+    (``stencil.solve_runner``): each residual is gathered from the planes
+    into ``r``, a ``dtype`` grid, and its norm is the one numpy takes of
+    ``r``, r0 and the relative residuals going into ``norms``.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
@@ -244,7 +243,8 @@ class Tape:
         self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
         self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
         self.r = np.empty(h.fine.shape, dtype)
-        self._norms(_MAX_ITER)
+        self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
+        self._solve = solve_runner(self.cycle, self.residual, tuple(ws.r for ws in self.fine), self.r)
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -254,22 +254,20 @@ class Tape:
         for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
             ws.v[...], ws.rhs[...] = x, b
 
-    def _norms(self, max_iter: int) -> None:
-        """Make ``norms``, room for r0 and ``max_iter`` relative
-        residuals, and the solve that writes them."""
-        self.norms = np.empty(max_iter + 1)
-        self._solve = solve_runner(self.cycle, self.residual, tuple(ws.r for ws in self.fine), self.r, self.norms)
-
-    def solve(self, tol: float, max_iter: int) -> int:
+    def solve(self, tol: float, max_iter: int) -> tuple[int, int]:
         """Cycle from the loaded iterate until the relative residual is
         below ``tol`` or not finite, at most ``max_iter`` times, and return
-        the cycles run; ``norms[0]`` is then r0 and ``norms[1:]`` the
-        relative residual after each cycle (see ``stencil.solve_runner``).
-        ``norms`` is made once, and again only for a ``max_iter`` above any
-        before."""
-        if max_iter >= len(self.norms):
-            self._norms(max_iter)
-        return self._solve(tol, max_iter)
+        how the solve ended (``stencil.CONVERGED``, ``NOT_FINITE`` or
+        ``RAN_OUT``, the cap reached) and the cycles run; ``norms[0]`` is
+        then r0 and ``norms[1:]`` the relative residual after each cycle
+        (see ``stencil.solve_runner``).  ``norms`` is made with the tape,
+        and a solve that fills it doubles it and resumes where it stopped."""
+        end, cycles = RAN_OUT, 0
+        while end == RAN_OUT and cycles < max_iter:
+            if cycles == len(self.norms) - 1:
+                self.norms = np.concatenate((self.norms, np.empty_like(self.norms)))
+            end, cycles = self._solve(tol, self.norms, min(max_iter, len(self.norms) - 1), cycles)
+        return end, cycles
 
     def result(self) -> np.ndarray:
         """The iterate of every plane, as a new grid."""
@@ -432,14 +430,14 @@ def solve(
     f: np.ndarray,
     v0: np.ndarray | None = None,
     tol: float = 1e-11,
-    max_iter: int = _MAX_ITER,
+    max_iter: int = 200,
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
     The solve is ``Tape.solve``: with the compiled executor one call into
     it, which runs every cycle, residual, norm and stopping test, the norm
-    numpy's through its BLAS ddot (else a sum in element order; see
-    ``stencil.solve_norm``).  The cycles run in place in the fine
+    numpy's through its BLAS ddot (else the same loop in Python; see
+    ``stencil.compiled_solves``).  The cycles run in place in the fine
     ``LevelWork`` of every plane, each from the residual just formed for its
     norm; the solution comes back as a new flat array.  Non-convergence
     within ``max_iter`` (an integer, not a ``bool``) is reported, not
@@ -459,15 +457,14 @@ def solve(
             raise DimensionError(f"{name} has shape {np.shape(arg)}, level needs ({lv.unknowns},)")
     tape = h.tape(_work_dtype(f, v0))
     tape.load(v0, f)
-    cycles = tape.solve(float(tol), int(max_iter))
-    x, r0 = tape.result().ravel(), tape.norms[0]
-    if r0 == 0.0:
-        return x, SolveReport(0, [], converged=True, contraction_factor=0.0)
-    if not math.isfinite(r0):
+    end, cycles = tape.solve(float(tol), int(max_iter))
+    x = tape.result().ravel()
+    if cycles == 0:  # r0 zero, or not finite
+        if end == CONVERGED:
+            return x, SolveReport(0, [], converged=True, contraction_factor=0.0)
         return x, SolveReport(iterations=0, residuals=[math.nan])
 
-    residuals = tape.norms[1 : cycles + 1].tolist()
-    report = SolveReport(cycles, residuals, converged=residuals[-1] < tol)
+    report = SolveReport(cycles, tape.norms[1 : cycles + 1].tolist(), converged=end == CONVERGED)
     ratios = [
         report.residuals[i] / report.residuals[i - 1]
         for i in range(1, len(report.residuals))

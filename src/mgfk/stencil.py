@@ -20,10 +20,11 @@ register, in a loop made for its tap count, and on x86-64 an AVX2 clone of
 each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
 be built (``compiled_tapes``).  ``solve_runner`` runs a whole multigrid
 solve, its cycles, residuals, their norms and the stopping test, as one
-call into the executor, or as the same loop in Python where it cannot be
-built (``solve_norm`` names the norm it takes).  Grids are held in the
-run layout of ``run_shape``: in 2D rows of m + 1 cells, one zero pad cell
-after each row's points.  The type-I sine transform diagonalises the system
+call into the executor, its norms numpy's through numpy's BLAS ddot, or
+as the same loop in Python where either is missing
+(``compiled_solves``).  Grids are held in the run layout of
+``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
+row's points.  The type-I sine transform diagonalises the system
 operators, which gives their spectra in closed form and an exact direct
 solve.  Dense matrices live in the test oracles only.
 """
@@ -395,7 +396,8 @@ def _load(path: str):
 
     lib = ctypes.CDLL(path)
     lib.mgfk_run_tape.argtypes, lib.mgfk_run_tape.restype = (ctypes.c_void_p, ctypes.c_int64), None
-    lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_int64)
+    lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
+                               ctypes.POINTER(ctypes.c_int64))
     lib.mgfk_solve.restype = ctypes.c_int64
     return lib
 
@@ -422,22 +424,19 @@ def _ddot() -> int:
 
 def compiled_tapes() -> bool:
     """Whether ``tape_runner`` runs tapes in the compiled executor (else
-    through ``run_numpy``), and ``solve_runner`` a solve as one call into
-    it; the first call may build it.  Such a solve takes its norms through
-    numpy's BLAS ddot where it is found, else by a sum in element order:
-    ``solve_norm`` says which."""
+    through ``run_numpy``); the first call may build it.  With numpy's
+    BLAS ddot found too, ``solve_runner`` runs a solve as one call into
+    it: ``compiled_solves`` says so."""
     return _library() is not None
 
 
-def solve_norm() -> str:
-    """The residual norm a solve takes (``solve_runner``): ``"blas"``,
-    numpy's own, through the BLAS ddot ``np.linalg.norm`` calls
-    (``_ddot``), the same bits; ``"sum"``, the executor's sum in element
-    order, where that ddot was not found; or ``"numpy"``,
-    ``np.linalg.norm`` itself, where ``compiled_tapes()`` is false."""
-    if not compiled_tapes():
-        return "numpy"
-    return "blas" if _ddot() else "sum"
+def compiled_solves() -> bool:
+    """Whether ``solve_runner`` runs a whole solve as one call into the
+    compiled executor, its norms taken through the BLAS ddot
+    ``np.linalg.norm`` calls (``_ddot``), the same bits: where
+    ``compiled_tapes()`` is true and that ddot is found.  Else the solve's
+    loop runs in Python over the tapes, its norm ``np.linalg.norm``."""
+    return compiled_tapes() and _ddot() != 0
 
 
 class _CompiledTape:
@@ -453,28 +452,38 @@ class _CompiledTape:
         self._run(*self._args)
 
 
+#: How a solve ends (``solve_runner``), as ``_tape.c`` names them: with
+#: the cycles it was asked for run and no decision; converged, r0 zero or
+#: a relative residual below ``tol``; or at a norm that is not finite.
+RAN_OUT, CONVERGED, NOT_FINITE = range(3)
+
+
 class _CompiledSolve:
     """``solve_runner``'s solve as one call into the executor: its
     ``mgfk_solve`` reads the fields of ``_tape.c``'s ``solve``, packed
     here once, addresses included."""
 
-    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, planes: tuple, r, norms):
-        self.operands, self.norms = (cycle, residual, planes, r), norms  # keep every array a field points at alive
+    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, planes: tuple, r):
+        import ctypes
+
+        self.operands = (cycle, residual, planes, r)  # keep every array a field points at alive
         rows = planes[0] if planes[0].ndim == 2 else planes[0].reshape(1, -1)
         starts = tuple(map(_at, planes)) + (0,) * (2 - len(planes))
         self.fields = np.array([_at(cycle.records), len(cycle.records), _at(residual.records),
                                 len(residual.records), len(planes), *rows.shape, rows.strides[0] // 8,
-                                *starts, _at(r), _ddot(), _at(norms)], np.int64)
+                                *starts, _at(r), _ddot()], np.int64)
         self._address, self._run = _at(self.fields), cycle.lib.mgfk_solve
+        self._cycles = ctypes.c_int64()  # the cycles run, in and out
+        self._pointer = ctypes.pointer(self._cycles)
 
-    def __call__(self, tol: float, max_iter: int) -> int:
-        if not 0 <= max_iter < len(self.norms):
-            raise ValueError(f"norms has room for {len(self.norms) - 1} cycles, not {max_iter}")
-        return self._run(self._address, tol, max_iter)
+    def __call__(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
+        self._cycles.value = done
+        end = self._run(self._address, tol, _at(norms), stop, self._pointer)
+        return end, self._cycles.value
 
 
-def _solve_numpy(cycle, residual, planes, r, norms, tol: float, max_iter: int) -> int:
-    """``mgfk_solve`` of ``_tape.c`` with numpy, the norm ``np.linalg.norm``."""
+def _solve_numpy(cycle, residual, planes, r, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
+    """``mgfk_solve`` of ``_tape.c`` in Python, the norm ``np.linalg.norm``."""
     parts = (r,) if len(planes) == 1 else (r.real, r.imag)
 
     def norm() -> float:
@@ -483,35 +492,42 @@ def _solve_numpy(cycle, residual, planes, r, norms, tol: float, max_iter: int) -
             part[...] = plane
         return float(np.linalg.norm(r))
 
-    norms[0] = r0 = norm()
-    if r0 == 0.0 or not math.isfinite(r0):
-        return 0
-    for it in range(1, max_iter + 1):
+    it, end = done, RAN_OUT
+    if it == 0:
+        norms[0] = norm()
+        end = CONVERGED if norms[0] == 0.0 else RAN_OUT if math.isfinite(norms[0]) else NOT_FINITE
+    r0 = float(norms[0])
+    while end == RAN_OUT and it < stop:
         cycle()
+        it += 1
         norms[it] = rel = norm() / r0
-        if rel < tol or not math.isfinite(rel):
-            return it
-    return max_iter
+        end = CONVERGED if rel < tol else RAN_OUT if math.isfinite(rel) else NOT_FINITE
+    return end, it
 
 
-def solve_runner(cycle, residual, planes: tuple, r: np.ndarray, norms: np.ndarray):
-    """A callable ``(tol, max_iter)`` that runs a whole multigrid solve and
-    returns the cycles it ran.  ``cycle`` and ``residual`` are the
-    ``tape_runner``s of a V-cycle and of the fine residual, ``planes`` the
-    one or two float64 grids that residual is formed in, and ``r`` the
-    float64 or complex128 grid they are gathered into, the planes its real
-    and imaginary parts.  Up to ``max_iter`` times it forms the residual,
-    gathers it, takes its Euclidean norm and runs a cycle: ``norms[0]`` gets
-    r0, the norm at the loaded iterate, and ``norms[i]`` the norm after
-    cycle ``i`` over r0.  It stops before cycling where r0 is 0 or not
-    finite (0 cycles), and after the first cycle whose relative residual
-    is below ``tol`` or not finite; ``norms`` must hold ``max_iter + 1``
-    values.  With the compiled executor the whole solve is one call into
-    it, which takes the norm ``solve_norm`` names; else the same loop runs
-    in Python, its norm ``np.linalg.norm``."""
-    if isinstance(cycle, _CompiledTape):
-        return _CompiledSolve(cycle, residual, planes, r, norms)
-    return partial(_solve_numpy, cycle, residual, planes, r, norms)
+def solve_runner(cycle, residual, planes: tuple, r: np.ndarray):
+    """A callable ``(tol, norms, stop, done)`` that runs a multigrid solve
+    from cycle ``done`` up to cycle ``stop`` and returns how it ended
+    (``RAN_OUT``, ``CONVERGED`` or ``NOT_FINITE``) and the cycles run.
+    ``cycle`` and ``residual`` are the ``tape_runner``s of a V-cycle and of
+    the fine residual, ``planes`` the one or two float64 grids that
+    residual is formed in, and ``r`` the float64 or complex128 grid they
+    are gathered into, the planes its real and imaginary parts.  Each step
+    forms the residual, gathers it, takes its Euclidean norm and, unless
+    the solve has ended, runs a cycle.  ``norms``, which must hold
+    ``stop + 1`` values, gets r0, the norm at the loaded iterate, in
+    ``norms[0]`` when ``done`` is 0, and the norm after cycle ``i`` over
+    r0 in ``norms[i]``; a solve resumed at ``done`` cycles reads r0 there
+    and cycles from the residual its last norm formed.  It ends before
+    cycling where r0 is 0 (converged) or not finite, and after the first
+    cycle whose relative residual is below ``tol`` (converged) or not
+    finite.  Where ``compiled_solves()`` is true the run is one call into
+    the executor, which takes numpy's norm through numpy's BLAS ddot; else
+    the same loop runs in Python, its norm ``np.linalg.norm``: the same
+    bits either way."""
+    if isinstance(cycle, _CompiledTape) and _ddot():
+        return _CompiledSolve(cycle, residual, planes, r)
+    return partial(_solve_numpy, cycle, residual, planes, r)
 
 
 def tape_runner(kernels: tuple):
@@ -525,7 +541,7 @@ def tape_runner(kernels: tuple):
     as a non-finite value, which ``solve_runner``'s stopping test and
     ``measure_contraction`` check for.  A whole solve is one call into the
     executor (``solve_runner``), its norms numpy's, through the BLAS ddot
-    numpy calls, where that is found (``solve_norm``)."""
+    numpy calls, where that is found (``compiled_solves``)."""
     operands = (x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *(y for tap in k.taps for y in tap)))
     if any(x is not None and x.dtype != np.float64 for x in operands):
         raise ValueError("tapes run float64 data only")

@@ -456,7 +456,10 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(stencil, "_library", lambda: lib)
     clone = list(cycles())
-    assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
+    if stencil._ddot():
+        assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
+    else:
+        assert "mgfk_solve" not in lib.calls  # the solves loop in Python over the tapes
     monkeypatch.setattr(stencil, "_library", lambda: None)
     assert clone == list(cycles())
 
@@ -509,9 +512,9 @@ def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
     # iterates, cycles, stopping decisions, residuals and contraction
     # factor, compared by repr, which names every bit of a float
     compiled = solves(case, dtype)
-    assert stencil.solve_norm() in ("blas", "numpy")
+    assert stencil.compiled_solves() == stencil.compiled_tapes()
     monkeypatch.setattr(stencil, "_library", lambda: None)
-    assert stencil.solve_norm() == "numpy"
+    assert not stencil.compiled_solves()
     assert repr(compiled) == repr(solves(case, dtype))
     assert all(iterations > 2 for _, iterations, converged, *_ in compiled[:2] if converged)
 
@@ -551,45 +554,59 @@ def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
 
 
 @COMPILED
+@BLAS
 def test_a_compiled_solve_is_one_executor_call(monkeypatch):
     # after the load, the whole solve is one call, and the tape's norms
-    # array is made once: again only for a larger cap on cycles
+    # array, made with the tape, is reused by every solve that fits in it
     lib = Counted(stencil._library())
     monkeypatch.setattr(stencil, "_library", lambda: lib)
     h = build_hierarchy(fk_system("example-6.1", 0.3, 4, 1024), 1023)
     f = np.random.default_rng(23).standard_normal(1023) * (1.0 + 2.0j)
     tape = h.tape(complex)
     norms = tape.norms
-    for max_iter in (200, 2, 50, 200):
+    for max_iter in (200, 2, 50, 10**12):
         lib.calls.clear()
         x, report = solve(h, f, max_iter=max_iter)
         assert lib.calls == ["mgfk_solve"]
         assert report.iterations == min(max_iter, 13) and tape.norms is norms
-    with pytest.raises(ValueError, match="room for 200 cycles, not 201"):
-        tape._solve(1e-11, 201)  # the executor is never handed a cap past the norms' end
-    solve(h, f, max_iter=500)
-    assert tape.norms is not norms and len(tape.norms) == 501
-    norms = tape.norms
-    solve(h, f)
-    assert tape.norms is norms
 
 
 @COMPILED
-@pytest.mark.parametrize("dtype", [float, complex])
-@pytest.mark.parametrize("case", ["fk1d-history", "fk2d-vcycle"])
-def test_the_fixed_order_sum_stops_where_the_blas_norm_does(case, dtype, monkeypatch):
-    # without numpy's ddot the executor sums the squares in element order.
-    # Stated before measuring: each relative residual within 1e-12 of the
-    # BLAS norm's (n eps bounds the error of either sum of n <= 16,129
-    # squares by 1.8e-12, which the square root halves), the same cycle
-    # counts and so the same iterates
-    blas = solves(case, dtype)
+def test_a_solve_without_numpys_ddot_loops_over_the_compiled_tapes(monkeypatch):
+    # no call into mgfk_solve, whose norm would not be numpy's; the cycles
+    # and residuals still run in the executor, and the solve is the numpy
+    # backend's, bit for bit
+    lib = Counted(stencil._library())
+    monkeypatch.setattr(stencil, "_library", lambda: lib)
     monkeypatch.setattr(stencil, "_ddot", lambda: 0)
-    assert stencil.solve_norm() == "sum"
-    summed = solves(case, dtype)
-    for (x, iterations, converged, residuals, _), (y, cycles, ended, sums, _) in zip(blas, summed, strict=True):
-        assert (x, iterations, converged) == (y, cycles, ended)
-        assert np.allclose(sums, residuals, rtol=1e-12, atol=0.0)
+    assert stencil.compiled_tapes() and not stencil.compiled_solves()
+    looped = solves("fk1d-history", complex)
+    assert "mgfk_solve" not in lib.calls and lib.calls.count("mgfk_run_tape") > 30
+    monkeypatch.setattr(stencil, "_library", lambda: None)
+    assert repr(looped) == repr(solves("fk1d-history", complex))
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_a_solve_that_fills_its_norms_resumes_where_it_stopped(backend, monkeypatch):
+    # a solve with room for 2 cycles grows its norms four times, each a
+    # call that resumes from the cycles run; it ends as a solve that never
+    # grows them, which a cap of 10**12 does not make larger either
+    if backend == "numpy":
+        monkeypatch.setattr(stencil, "_library", lambda: None)
+    (name, alpha, nu, intervals), m, coarsening = SOLVED["fk2d-vcycle"]
+    f = np.random.default_rng(24).standard_normal(m * m) * (1.0 - 3.0j)
+
+    def run(room, **kw):
+        h = build_hierarchy(fk_system(name, alpha, nu, intervals), m, coarsening)
+        h.tape(complex).norms = np.empty(room)
+        return outcome(*solve(h, f, **kw)), len(h.tape(complex).norms)
+
+    grown, room = run(3)
+    assert (grown, room) == (run(1000)[0], 48) and grown[1] > 23
+    assert run(64, max_iter=10**12) == run(64, max_iter=200) == (grown, 64)
+    capped, room = run(3, tol=1e-300, max_iter=20)
+    assert room == 24 and capped[1:3] == (20, False) and len(capped[3]) == 20
+    assert capped == run(1000, tol=1e-300, max_iter=20)[0]
 
 
 def python(code: str, **env) -> str:
