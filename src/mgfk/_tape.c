@@ -1,5 +1,5 @@
 /* Executor of compiled V-cycle tapes and multigrid solves (see
- * mgfk.stencil.tape_runner and solve_runner).
+ * mgfk.stencil.tape_runner and mgfk.multigrid.Tape.solve).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
  * float64 buffers (a mgfk.stencil.Kernel, packed by mgfk.stencil._record);
@@ -17,12 +17,12 @@
  * runs, so one build serves every CPU of the platform.
  *
  * o is the output, a the input array (b the residual's right-hand side),
- * s and t scalars, k an element:
+ * s the scalar, k an element:
  *   RESIDUAL  o = b - (a s + sum over taps p of a[k + off_p] c_p)
  *   UPDATE    a = a s, then o = o + a
  *   SCALE     o = a s;  DIVIDE  o = a / s;  ZERO  o = 0;  ADD  o = o + a
- *   RESTRICT  row i of o from rows 2i, 2i + 1, 2i + 2 of a: ((lo + odd s) + hi) t
- *   PROLONG   row 2i of o from rows i, i + 1 of a: (lo + hi) s; row 2i + 1 is row i + 1
+ *   RESTRICT  row i of o from rows 2i, 2i + 1, 2i + 2 of a: ((lo + odd 2) + hi) 0.25
+ *   PROLONG   row 2i of o from rows i, i + 1 of a: (lo + hi) 0.5; row 2i + 1 is row i + 1
  * then every pad-th element of o, from the pad - 1st on, is zeroed.
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
@@ -42,10 +42,12 @@ enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG };
 
 #define TAPS 8 /* off-centre points of a 9-point stencil, the most a residual has */
 
-/* All fields int64, addresses too, as mgfk.stencil._record packs them: o
- * holds n rows of len elements (len is 1 but in a 2D row pass). */
+/* As mgfk.stencil._RECORD describes it, addresses as int64: o holds n rows
+ * of len elements (len is 1 but in a 2D row pass), s is the scalar and c
+ * the taps' coefficients. */
 typedef struct {
-    int64_t kind, n, len, pad, out, a, b, s, t, taps, off[TAPS], c[TAPS];
+    int64_t kind, n, len, pad, out, a, b, taps, off[TAPS];
+    double s, c[TAPS];
 } record;
 
 #define P(x) ((double *)(intptr_t)(x))
@@ -73,14 +75,14 @@ CLONES static void kernel(const record *r)
 {
     double *restrict o = P(r->out), *restrict a = P(r->a);
     const double *restrict b = P(r->b);
-    const double s = r->s ? *P(r->s) : 0.0, t = r->t ? *P(r->t) : 0.0;
+    const double s = r->s;
     double c[TAPS];
     const double *y[TAPS];
     const int64_t n = r->n, len = r->len;
     switch (r->kind) {
     case RESIDUAL:
         for (int64_t p = 0; p < r->taps; p++) {
-            c[p] = *P(r->c[p]);
+            c[p] = r->c[p];
             y[p] = a + r->off[p];
         }
         switch (r->taps) {
@@ -102,31 +104,31 @@ CLONES static void kernel(const record *r)
     case ADD: EACH(n) o[k] = o[k] + a[k]; break;
     case RESTRICT:
         if (len == 1) {
-            EACH(n) o[k] = ((a[2 * k] + a[2 * k + 1] * s) + a[2 * k + 2]) * t;
+            EACH(n) o[k] = ((a[2 * k] + a[2 * k + 1] * 2.0) + a[2 * k + 2]) * 0.25;
             break;
         }
         for (int64_t i = 0; i < n; i++) {
             const double *lo = a + 2 * i * len, *odd = lo + len, *hi = odd + len;
             double *row = o + i * len;
             for (int64_t j = 0; j < len; j++)
-                row[j] = ((lo[j] + odd[j] * s) + hi[j]) * t;
+                row[j] = ((lo[j] + odd[j] * 2.0) + hi[j]) * 0.25;
         }
         break;
     case PROLONG:
         if (len == 1) {
             EACH(n / 2) {
-                o[2 * k] = (a[k] + a[k + 1]) * s;
+                o[2 * k] = (a[k] + a[k + 1]) * 0.5;
                 o[2 * k + 1] = a[k + 1];
             }
             if (n % 2)
-                o[n - 1] = (a[n / 2] + a[n / 2 + 1]) * s;
+                o[n - 1] = (a[n / 2] + a[n / 2 + 1]) * 0.5;
             break;
         }
         for (int64_t i = 0; i < n; i += 2) {
             const double *lo = a + i / 2 * len, *hi = lo + len;
             double *even = o + i * len, *odd = even + len;
             for (int64_t j = 0; j < len; j++)
-                even[j] = (lo[j] + hi[j]) * s;
+                even[j] = (lo[j] + hi[j]) * 0.5;
             for (int64_t j = 0; i + 1 < n && j < len; j++)
                 odd[j] = hi[j];
         }

@@ -54,8 +54,9 @@ class Problem:
     ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
     means zero.  The 2D scheme has zero boundary data only.  ``length`` and
     ``t_final`` must be positive and finite, ``kappa`` finite and
-    non-negative, ``m`` an integer (not a ``bool``, kept as an ``int``) at
-    least 1 and ``n_steps`` at least 1, else ``MgfkError``.
+    non-negative, ``ndim`` the integer 1 or 2, and ``m`` and ``n_steps``
+    integers at least 1, else ``MgfkError``; an integer is not a ``bool``
+    and is kept as an ``int``.
     """
 
     length: float
@@ -73,7 +74,12 @@ class Problem:
     ndim: int = 1
 
     def __post_init__(self):
-        if self.ndim not in (1, 2):
+        for name in ("ndim", "m", "n_steps"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise MgfkError(f"{name} must be an integer >= 1, got {value!r}")
+            setattr(self, name, int(value))
+        if self.ndim > 2:
             raise MgfkError(f"ndim must be 1 or 2, got {self.ndim}")
         if self.ndim == 2 and (self.bc_left is not None or self.bc_right is not None):
             raise MgfkError("the 2D centred scheme takes zero boundary data only")
@@ -82,11 +88,6 @@ class Problem:
                 raise MgfkError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.kappa < math.inf:
             raise MgfkError(f"kappa must be finite and non-negative, got {self.kappa}")
-        if isinstance(self.m, bool) or not isinstance(self.m, (int, np.integer)) or self.m < 1:
-            raise MgfkError(f"m must be an integer >= 1, got {self.m!r}")
-        self.m = int(self.m)
-        if self.n_steps < 1:
-            raise MgfkError(f"n_steps must be at least 1, got {self.n_steps}")
 
     @property
     def h(self) -> float:
@@ -237,7 +238,9 @@ class Evolution:
 
     def _promote(self) -> None:
         """Carry on in complex128: the history, weights and traces are real so
-        far, so the cast is exact."""
+        far, so the cast is exact.  A complex128 history that would not fit
+        in physical memory raises ``MgfkError`` before anything is cast."""
+        _require_history_fits(self.problem, np.dtype(complex))
         self.dtype = np.dtype(complex)
         for name in ("decay", "_w_rev", "g_left", "g_right", "history"):
             setattr(self, name, getattr(self, name).astype(complex))

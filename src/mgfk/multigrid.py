@@ -24,10 +24,11 @@ fine iterate and the residual formed from it: ``solve`` and
 ``measure_contraction`` form that residual for their norms and cycle from
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
 is given none.  A whole ``solve`` is one call into the executor
-(``Tape.solve``, ``stencil.solve_runner``), its residual norms numpy's,
-through the BLAS ddot numpy calls (``stencil.compiled_solves``), and its
-residual history the same bits as without the executor.  On finite data
-the planes hold the values numpy's complex arithmetic gives on the same
+(``Tape.solve``), its residual norms numpy's, through the BLAS ddot numpy
+calls (``stencil.compiled_solves``), and its residual history the same
+bits as without the executor.  Every scalar of a kernel is a float, held
+in its record, and the transfers' weights are fixed.  On finite data the
+planes hold the values numpy's complex arithmetic gives on the same
 kernels, up to the sign of a zero, as every scalar is real and a complex
 plane's coarsest step multiplies by the reciprocal of the diagonal, as
 numpy's complex division by a real divisor does (real data divide).
@@ -57,6 +58,7 @@ from .stencil import (
     ADD,
     CONVERGED,
     DIVIDE,
+    NOT_FINITE,
     RAN_OUT,
     RESIDUAL,
     SCALE,
@@ -64,14 +66,15 @@ from .stencil import (
     ZERO,
     Kernel,
     KroneckerSum,
+    _CompiledSolve,
+    compiled_solves,
     grid_depth,
     interior,
-    pads,
+    pad_period,
     require_coarsenable,
     require_spd_eligible,
     run_numpy,
     run_shape,
-    solve_runner,
     tape_runner,
 )
 
@@ -127,21 +130,17 @@ class LevelWork:
         self.r_run, self.rhs_run = np.zeros(size, dtype), np.zeros(size, dtype)
         self.v, self.r, self.rhs = (interior(a, self.shape) for a in (self.v_run, self.r_run, self.rhs_run))
         starts = (first + sum((w.start - 1) * st for w, st in zip(window, stride)) for window, _ in points)
-        taps = tuple((flat[i : i + size], self.scalar(c)) for i, (_, c) in zip(starts, points))
-        self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, self.scalar(centre),
-                               pads=pads(self.r_run, self.shape), taps=taps)
+        taps = tuple((flat[i : i + size], float(c)) for i, (_, c) in zip(starts, points))
+        self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, float(centre),
+                               pad_period(self.shape), taps)
         self.restrict = self.prolong = ()
         if coarse is not None:
             self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape)
             self.prolong = transfer.prolongation(coarse.framed, self.r_run, self.shape)
 
-    def scalar(self, value: float) -> np.ndarray:
-        """``value`` as a 0-d array of the level's dtype."""
-        return np.array(value, self.v.dtype)
-
     def update(self, weight: float) -> Kernel:
         """The kernel of ``v += (weight / diag) r``."""
-        return Kernel(UPDATE, self.v_run, self.r_run, s=self.scalar(weight / self.diag))
+        return Kernel(UPDATE, self.v_run, self.r_run, s=float(weight / self.diag))
 
     def sweep(self, weight: float) -> tuple:
         """The kernels of one damped-Jacobi sweep with ``weight``."""
@@ -229,11 +228,11 @@ class Tape:
     level.  ``residual`` forms ``r = rhs - A v`` on every plane, and
     ``cycle`` runs one V-cycle on every plane from the loaded ``v`` and
     that residual; each is a ``stencil.tape_runner``, one executor call.
-    ``solve`` runs a whole solve from the loaded ``v``, as one call into
-    the executor where ``stencil.compiled_solves()`` is true
-    (``stencil.solve_runner``): each residual is gathered from the planes
-    into ``r``, a ``dtype`` grid, and its norm is the one numpy takes of
-    ``r``, r0 and the relative residuals going into ``norms``.
+    ``solve`` runs a whole solve from the loaded ``v``: each residual is
+    gathered from the planes into ``r``, a ``dtype`` grid, and its norm is
+    the one numpy takes of ``r``, r0 and the relative residuals going into
+    ``norms``.  It is one call into the executor (``stencil._CompiledSolve``)
+    where ``stencil.compiled_solves()`` is true, else ``_loop``.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
@@ -244,7 +243,8 @@ class Tape:
         self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
         self.r = np.empty(h.fine.shape, dtype)
         self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
-        self._solve = solve_runner(self.cycle, self.residual, tuple(ws.r for ws in self.fine), self.r)
+        grids = tuple(ws.r for ws in self.fine)
+        self._compiled = _CompiledSolve(self.cycle, self.residual, grids, self.r) if compiled_solves() else None
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -260,14 +260,40 @@ class Tape:
         how the solve ended (``stencil.CONVERGED``, ``NOT_FINITE`` or
         ``RAN_OUT``, the cap reached) and the cycles run; ``norms[0]`` is
         then r0 and ``norms[1:]`` the relative residual after each cycle
-        (see ``stencil.solve_runner``).  ``norms`` is made with the tape,
-        and a solve that fills it doubles it and resumes where it stopped."""
+        (see ``_loop``).  ``norms`` is made with the tape, and a solve that
+        fills it doubles it and resumes where it stopped."""
+        run = self._compiled or self._loop
         end, cycles = RAN_OUT, 0
         while end == RAN_OUT and cycles < max_iter:
             if cycles == len(self.norms) - 1:
                 self.norms = np.concatenate((self.norms, np.empty_like(self.norms)))
-            end, cycles = self._solve(tol, self.norms, min(max_iter, len(self.norms) - 1), cycles)
+            end, cycles = run(tol, self.norms, min(max_iter, len(self.norms) - 1), cycles)
         return end, cycles
+
+    def _loop(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
+        """``mgfk_solve`` of ``_tape.c`` in Python, the same bits, its norm
+        ``np.linalg.norm``: the cycles from ``done`` up to ``stop``, r0 and
+        the relative residuals going into ``norms``; how the solve ended
+        and the cycles run."""
+        parts = _parts(self.r, len(self.fine))
+
+        def norm() -> float:
+            self.residual()
+            for part, ws in zip(parts, self.fine):
+                part[...] = ws.r
+            return float(np.linalg.norm(self.r))
+
+        it, end = done, RAN_OUT
+        if it == 0:
+            norms[0] = norm()
+            end = CONVERGED if norms[0] == 0.0 else RAN_OUT if math.isfinite(norms[0]) else NOT_FINITE
+        r0 = float(norms[0])
+        while end == RAN_OUT and it < stop:
+            self.cycle()
+            it += 1
+            norms[it] = rel = norm() / r0
+            end = CONVERGED if rel < tol else RAN_OUT if math.isfinite(rel) else NOT_FINITE
+        return end, it
 
     def result(self) -> np.ndarray:
         """The iterate of every plane, as a new grid."""
@@ -290,11 +316,11 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) ->
     x, r, rhs = ws.v_run, ws.r_run, ws.rhs_run
     if level == h.depth - 1:
         if reciprocal:
-            return (Kernel(SCALE, x, rhs, s=ws.scalar(1.0 / ws.diag)),)
-        return (Kernel(DIVIDE, x, rhs, s=ws.scalar(ws.diag)),)
+            return (Kernel(SCALE, x, rhs, s=float(1.0 / ws.diag)),)
+        return (Kernel(DIVIDE, x, rhs, s=float(ws.diag)),)
     pre, kernels = h.pre_count, ()
     if level > 0:
-        first = Kernel(SCALE, x, rhs, s=ws.scalar(h.omega_pre / ws.diag)) if pre else Kernel(ZERO, x)
+        first = Kernel(SCALE, x, rhs, s=float(h.omega_pre / ws.diag)) if pre else Kernel(ZERO, x)
         kernels, pre = (first, ws.residual), max(pre - 1, 0)
     return (
         kernels

@@ -18,13 +18,13 @@ on first use by ``_library`` into the user's cache, with
 operations of ``run_numpy``; a residual record sums each element in a
 register, in a loop made for its tap count, and on x86-64 an AVX2 clone of
 each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
-be built (``compiled_tapes``).  ``solve_runner`` runs a whole multigrid
-solve, its cycles, residuals, their norms and the stopping test, as one
-call into the executor, its norms numpy's through numpy's BLAS ddot, or
-as the same loop in Python where either is missing
-(``compiled_solves``).  Grids are held in the run layout of
-``run_shape``: in 2D rows of m + 1 cells, one zero pad cell after each
-row's points.  The type-I sine transform diagonalises the system
+be built (``compiled_tapes``).  A kernel's scalars are floats, which its
+record holds as values.  ``_CompiledSolve`` runs a whole multigrid solve
+(``multigrid.Tape.solve``), its cycles, residuals, their norms and the
+stopping test, as one call into the executor, its norms numpy's through
+numpy's BLAS ddot (``compiled_solves``).  Grids are held in the run
+layout of ``run_shape``: in 2D rows of m + 1 cells, one zero pad cell
+after each row's points.  The type-I sine transform diagonalises the system
 operators, which gives their spectra in closed form and an exact direct
 solve.  Dense matrices live in the test oracles only.
 """
@@ -243,11 +243,10 @@ def interior(a: np.ndarray, shape: tuple) -> np.ndarray:
     return a.reshape(run_shape(shape))[(slice(None), *(slice(m) for m in shape[1:]))]
 
 
-def pads(a: np.ndarray, shape: tuple) -> tuple:
-    """Views covering every pad cell of a flat array in the run layout of
-    ``shape``: in 2D, rows of n points, the one 1D view ``a[n::n + 1]``; in
-    1D, where the run has no pad cells, none."""
-    return tuple(a[n :: n + 1] for n in shape[1:])
+def pad_period(shape: tuple) -> int:
+    """The period of the pad cells of the run layout of ``shape``: in 2D,
+    rows of n points, n + 1, cell n of each row being one; 0 in 1D, which has none."""
+    return sum(m + 1 for m in shape[1:])
 
 
 #: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
@@ -265,33 +264,40 @@ RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG = range(8)
 #: The most off-centre points a residual record holds: a 9-point stencil's.
 _TAPS = 8
 
+#: ``_tape.c``'s ``record``, field for field: addresses as int64, the
+#: scalar and the taps' coefficients as float64.
+_RECORD = np.dtype([*((name, np.int64) for name in ("kind", "n", "len", "pad", "out", "a", "b", "taps")),
+                    ("off", np.int64, _TAPS), ("s", np.float64), ("c", np.float64, _TAPS)])
+
 
 class Kernel(NamedTuple):
     """One level operation of ``kind`` (``_tape.c`` says what each does):
     into ``out``, whose first axis is its rows, from the arrays ``a`` and
-    ``b`` (all C-contiguous) and the 0-d scalars ``s`` and ``t``, then
-    zeroing ``pads``, views of ``out``; a residual also sums ``taps``, per
+    ``b`` (all C-contiguous) and the float ``s``, then zeroing every
+    ``pad``-th element of ``out`` from the ``pad - 1``-st on (``pad`` 0:
+    none, see ``pad_period``); a residual also sums ``taps``, per
     off-centre point its window (``a`` shifted by the point's offset in
-    the storage ``a`` is a run of) and its 0-d coefficient.  ``run_numpy``
-    runs it with numpy, ``tape_runner`` as one record of the executor."""
+    the storage ``a`` is a run of) and its float coefficient.  The
+    transfers' weights are fixed.  ``run_numpy`` runs it with numpy,
+    ``tape_runner`` as one record of the executor."""
 
     kind: int
     out: np.ndarray
     a: np.ndarray = None
     b: np.ndarray = None
-    s: np.ndarray = None
-    t: np.ndarray = None
-    pads: tuple = ()
+    s: float = 0.0
+    pad: int = 0
     taps: tuple = ()
 
 
 def run_numpy(kernels) -> None:
     """Run ``kernels`` in order with numpy: per element the IEEE operations
     of each record in the executor's order, each tap's product formed as a
-    temporary.  Kernels of any dtype run, the complex ones of ``smooth``,
-    ``transfer.restrict`` and ``transfer.prolong`` included.  numpy warns
-    of overflows and invalid values."""
-    for kind, o, a, b, s, t, pads, taps in kernels:
+    temporary, the transfers' weights 2, 1/4 and 1/2 as in the executor.
+    Kernels of any dtype run, the complex and long double ones of
+    ``smooth``, ``transfer.restrict`` and ``transfer.prolong`` included.
+    numpy warns of overflows and invalid values."""
+    for kind, o, a, b, s, pad, taps in kernels:
         if kind == RESIDUAL:
             np.multiply(a, s, o)
             for window, c in taps:
@@ -309,17 +315,17 @@ def run_numpy(kernels) -> None:
         elif kind == ADD:
             o += a
         elif kind == RESTRICT:  # row i from rows 2i, 2i + 1, 2i + 2
-            np.multiply(a[1::2], s, o)
+            np.multiply(a[1::2], 2.0, o)
             np.add(a[0:-1:2], o, o)
             o += a[2::2]
-            o *= t
+            o *= 0.25
         else:  # PROLONG: row 2i from rows i, i + 1; row 2i + 1 is row i + 1
             even, odd = o[0::2], o[1::2]
             np.copyto(odd, a[1 : len(odd) + 1])
             np.add(a[: len(even)], a[1 : len(even) + 1], even)
-            even *= s
-        for pad in pads:
-            pad.fill(0)
+            even *= 0.5
+        if pad:
+            o.reshape(-1)[pad - 1 :: pad] = 0
 
 
 def _at(x) -> int:
@@ -327,16 +333,15 @@ def _at(x) -> int:
     return 0 if x is None else x.__array_interface__["data"][0]
 
 
-def _record(k: Kernel) -> tuple:
-    """``k`` as the int64 fields of one ``_tape.c`` record, addresses
-    included; a tap is its window's offset from ``a``, in elements."""
-    # numpy gives an empty view the stride of one element: it has no pad cells
-    period = k.pads[0].strides[0] // k.pads[0].itemsize if k.pads and k.pads[0].size else 0
-    spare = (0,) * (_TAPS - len(k.taps))
-    offsets = tuple((_at(w) - _at(k.a)) // k.out.itemsize for w, _ in k.taps) + spare
-    coefs = tuple(_at(c) for _, c in k.taps) + spare
-    head = (k.kind, k.out.shape[0], math.prod(k.out.shape[1:]), period)
-    return (*head, *map(_at, (k.out, k.a, k.b, k.s, k.t)), len(k.taps), *offsets, *coefs)
+def _record(k: Kernel) -> np.ndarray:
+    """``k`` as one ``_tape.c`` record, a 0-d ``_RECORD`` array: a tap is
+    its window's offset from ``a``, in elements, and its coefficient."""
+    r = np.zeros((), _RECORD)
+    r["kind"], r["n"], r["len"], r["pad"] = k.kind, k.out.shape[0], math.prod(k.out.shape[1:]), k.pad
+    r["out"], r["a"], r["b"], r["taps"], r["s"] = _at(k.out), _at(k.a), _at(k.b), len(k.taps), k.s
+    for p, (window, c) in enumerate(k.taps):
+        r["off"][p], r["c"][p] = (_at(window) - _at(k.a)) // k.out.itemsize, c
+    return r
 
 
 def _build(source: str, path: str) -> bool:
@@ -425,15 +430,15 @@ def _ddot() -> int:
 def compiled_tapes() -> bool:
     """Whether ``tape_runner`` runs tapes in the compiled executor (else
     through ``run_numpy``); the first call may build it.  With numpy's
-    BLAS ddot found too, ``solve_runner`` runs a solve as one call into
+    BLAS ddot found too, ``multigrid.Tape`` runs a solve as one call into
     it: ``compiled_solves`` says so."""
     return _library() is not None
 
 
 def compiled_solves() -> bool:
-    """Whether ``solve_runner`` runs a whole solve as one call into the
-    compiled executor, its norms taken through the BLAS ddot
-    ``np.linalg.norm`` calls (``_ddot``), the same bits: where
+    """Whether ``multigrid.Tape`` runs a whole solve as one call into the
+    compiled executor (``_CompiledSolve``), its norms taken through the
+    BLAS ddot ``np.linalg.norm`` calls (``_ddot``), the same bits: where
     ``compiled_tapes()`` is true and that ddot is found.  Else the solve's
     loop runs in Python over the tapes, its norm ``np.linalg.norm``."""
     return compiled_tapes() and _ddot() != 0
@@ -443,8 +448,8 @@ class _CompiledTape:
     """The records of ``kernels``, run by one call into the executor ``lib``."""
 
     def __init__(self, kernels: tuple, lib):
-        self.kernels = kernels  # keeps every buffer and scalar a record points at alive
-        self.records = np.array([_record(k) for k in kernels], np.int64)
+        self.kernels = kernels  # keeps every buffer a record points at alive
+        self.records = np.array([_record(k) for k in kernels], _RECORD)
         self._args = (_at(self.records), len(self.records))
         self.lib, self._run = lib, lib.mgfk_run_tape
 
@@ -452,16 +457,19 @@ class _CompiledTape:
         self._run(*self._args)
 
 
-#: How a solve ends (``solve_runner``), as ``_tape.c`` names them: with
+#: How a solve ends (``multigrid.Tape.solve``), as ``_tape.c`` names them: with
 #: the cycles it was asked for run and no decision; converged, r0 zero or
 #: a relative residual below ``tol``; or at a norm that is not finite.
 RAN_OUT, CONVERGED, NOT_FINITE = range(3)
 
 
 class _CompiledSolve:
-    """``solve_runner``'s solve as one call into the executor: its
-    ``mgfk_solve`` reads the fields of ``_tape.c``'s ``solve``, packed
-    here once, addresses included."""
+    """``multigrid.Tape._loop`` as one call into the executor's
+    ``mgfk_solve``, its norm through numpy's BLAS ddot: ``cycle`` and
+    ``residual`` the ``_CompiledTape``s of a V-cycle and the fine residual,
+    ``planes`` the one or two float64 grids that residual is formed in, ``r``
+    the grid they are gathered into.  The fields of ``_tape.c``'s ``solve``
+    are packed here once, addresses included."""
 
     def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, planes: tuple, r):
         import ctypes
@@ -482,69 +490,22 @@ class _CompiledSolve:
         return end, self._cycles.value
 
 
-def _solve_numpy(cycle, residual, planes, r, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
-    """``mgfk_solve`` of ``_tape.c`` in Python, the norm ``np.linalg.norm``."""
-    parts = (r,) if len(planes) == 1 else (r.real, r.imag)
-
-    def norm() -> float:
-        residual()
-        for part, plane in zip(parts, planes):
-            part[...] = plane
-        return float(np.linalg.norm(r))
-
-    it, end = done, RAN_OUT
-    if it == 0:
-        norms[0] = norm()
-        end = CONVERGED if norms[0] == 0.0 else RAN_OUT if math.isfinite(norms[0]) else NOT_FINITE
-    r0 = float(norms[0])
-    while end == RAN_OUT and it < stop:
-        cycle()
-        it += 1
-        norms[it] = rel = norm() / r0
-        end = CONVERGED if rel < tol else RAN_OUT if math.isfinite(rel) else NOT_FINITE
-    return end, it
-
-
-def solve_runner(cycle, residual, planes: tuple, r: np.ndarray):
-    """A callable ``(tol, norms, stop, done)`` that runs a multigrid solve
-    from cycle ``done`` up to cycle ``stop`` and returns how it ended
-    (``RAN_OUT``, ``CONVERGED`` or ``NOT_FINITE``) and the cycles run.
-    ``cycle`` and ``residual`` are the ``tape_runner``s of a V-cycle and of
-    the fine residual, ``planes`` the one or two float64 grids that
-    residual is formed in, and ``r`` the float64 or complex128 grid they
-    are gathered into, the planes its real and imaginary parts.  Each step
-    forms the residual, gathers it, takes its Euclidean norm and, unless
-    the solve has ended, runs a cycle.  ``norms``, which must hold
-    ``stop + 1`` values, gets r0, the norm at the loaded iterate, in
-    ``norms[0]`` when ``done`` is 0, and the norm after cycle ``i`` over
-    r0 in ``norms[i]``; a solve resumed at ``done`` cycles reads r0 there
-    and cycles from the residual its last norm formed.  It ends before
-    cycling where r0 is 0 (converged) or not finite, and after the first
-    cycle whose relative residual is below ``tol`` (converged) or not
-    finite.  Where ``compiled_solves()`` is true the run is one call into
-    the executor, which takes numpy's norm through numpy's BLAS ddot; else
-    the same loop runs in Python, its norm ``np.linalg.norm``: the same
-    bits either way."""
-    if isinstance(cycle, _CompiledTape) and _ddot():
-        return _CompiledSolve(cycle, residual, planes, r)
-    return partial(_solve_numpy, cycle, residual, planes, r)
-
-
 def tape_runner(kernels: tuple):
     """A callable with no arguments that runs ``kernels`` in order: as
     records in one call into the compiled executor of ``_tape.c``, or by
-    ``run_numpy`` where ``compiled_tapes()`` is false.  Every array and
-    scalar of a kernel must be float64, else ``ValueError``: complex data
-    run as two float64 planes (``multigrid.Tape``).  Results are bit for bit
-    ``run_numpy``'s, up to the sign and payload of a NaN.  The executor
-    raises no floating-point warnings: an overflow or invalid value shows
-    as a non-finite value, which ``solve_runner``'s stopping test and
-    ``measure_contraction`` check for.  A whole solve is one call into the
-    executor (``solve_runner``), its norms numpy's, through the BLAS ddot
-    numpy calls, where that is found (``compiled_solves``)."""
-    operands = (x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *(y for tap in k.taps for y in tap)))
-    if any(x is not None and x.dtype != np.float64 for x in operands):
+    ``run_numpy`` where ``compiled_tapes()`` is false.  Every array of a
+    kernel must be float64 and every scalar a float, else ``ValueError``,
+    before anything is packed: complex data run as two float64 planes
+    (``multigrid.Tape``), and a record would cut a complex scalar to its
+    real part.  Results are bit for bit ``run_numpy``'s, up to the sign and
+    payload of a NaN.  The executor raises no floating-point warnings: an
+    overflow or invalid value shows as a non-finite value, which a solve's
+    stopping test and ``measure_contraction`` check for."""
+    arrays = (x for k in kernels for x in (k.out, k.a, k.b, *(w for w, _ in k.taps)) if x is not None)
+    if any(x.dtype != np.float64 for x in arrays):
         raise ValueError("tapes run float64 data only")
+    if not all(isinstance(x, float) for k in kernels for x in (k.s, *(c for _, c in k.taps))):
+        raise ValueError("tapes take real float scalars only")
     lib = _library()
     return _CompiledTape(kernels, lib) if lib is not None else partial(run_numpy, kernels)
 

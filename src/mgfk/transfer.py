@@ -5,8 +5,9 @@ Grids are 1D or 2D, with 2**k - 1 points per axis.  ``restriction`` and
 holding the grids in the run layout of ``stencil.run_shape`` (in 2D rows
 of n + 1 cells, a zero pad cell after the points), so a fine row is
 exactly two coarse rows long.  Each returns one ``stencil.Kernel`` per
-axis, its weights 0-d arrays of the output's dtype, which the V-cycle
-splices into its tape.  In 2D a row pass first combines whole rows, on
+axis, which the V-cycle splices into its tape; the weights, 2 and 1/4 or
+1/2, are fixed in the kernels' kinds, in ``stencil.run_numpy`` and in the
+executor alike.  In 2D a row pass first combines whole rows, on
 (rows, n + 1) views with contiguous rows, into an intermediate; then, as
 in 1D, coarse cell q of a whole run sits at 2q + 1 of the other, so the
 last-axis pass is one 1-D stride-2 pass: a kernel of single-element rows,
@@ -27,7 +28,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, GridSizeError
-from .stencil import PROLONG, RESTRICT, Kernel, grid_depth, interior, pads, run_numpy, run_shape
+from .stencil import PROLONG, RESTRICT, Kernel, grid_depth, interior, pad_period, run_numpy, run_shape
 
 
 def _coarse_size(m_fine: int) -> int:
@@ -46,15 +47,14 @@ def restriction(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     coarse rows, one cell longer for the last-axis pass's reads.
     """
     coarse = tuple(_coarse_size(m) for m in shape)
-    two, quarter = np.array(2.0, out.dtype), np.array(0.25, out.dtype)
     kernels, src = (), x
     if len(shape) == 2:  # row q from fine rows 2q, 2q + 1, 2q + 2
         (m, n), mc = shape, coarse[0]
         src = np.zeros(mc * (n + 1) + 1, out.dtype)
         rows = src[:-1].reshape(mc, n + 1)
-        kernels = (Kernel(RESTRICT, rows, x.reshape(m, n + 1), s=two, t=quarter),)
+        kernels = (Kernel(RESTRICT, rows, x.reshape(m, n + 1)),)
     # coarse q from fine 2q + 1
-    return kernels + (Kernel(RESTRICT, out, src, s=two, t=quarter, pads=pads(out, coarse)),)
+    return kernels + (Kernel(RESTRICT, out, src, pad=pad_period(coarse)),)
 
 
 def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
@@ -71,13 +71,12 @@ def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     coarse rows into an intermediate of fine rows after one leading zero
     cell, which the last-axis pass reads as the first point's neighbour.
     """
-    half = np.array(0.5, out.dtype)
     kernels, src = (), x
     if len(shape) == 2:  # row 2q + 1 is coarse row q + 1 of x, row 2q the mean of rows q, q + 1
         m, (mc, nc) = shape[0], (_coarse_size(k) for k in shape)
         src = np.zeros(1 + m * (nc + 1), out.dtype)
-        kernels = (Kernel(PROLONG, src[1:].reshape(m, nc + 1), x.reshape(mc + 2, nc + 1), s=half),)
-    return kernels + (Kernel(PROLONG, out, src, s=half),)  # fine 2q + 1 from coarse q
+        kernels = (Kernel(PROLONG, src[1:].reshape(m, nc + 1), x.reshape(mc + 2, nc + 1)),)
+    return kernels + (Kernel(PROLONG, out, src),)  # fine 2q + 1 from coarse q
 
 
 def _grid(x) -> np.ndarray:

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mgfk import feynman_kac
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import ConvergenceFailure, MgfkError
 from mgfk.feynman_kac import (
@@ -212,13 +213,17 @@ def test_transfers_preserve_complex_dtype():
 
 @pytest.mark.parametrize("name, value", [
     ("n_steps", 0), ("length", 0.0), ("length", math.inf), ("t_final", -1.0), ("t_final", math.nan),
-    ("kappa", -1.0), ("kappa", math.inf),
+    ("kappa", -1.0), ("kappa", math.inf), ("ndim", True), ("ndim", 2.0), ("ndim", 0), ("ndim", 3),
+    ("n_steps", 2.5), ("n_steps", True),
 ])
 def test_problem_refuses_scalars_that_crash_or_corrupt_a_run(name, value):
     # a zero step count or length divides by zero, a negative final time
-    # steps to NaN, and a negative kappa was solved by one solver only
-    with pytest.raises(MgfkError, match=name):
-        dataclasses.replace(example_6_2(0.3, 8), **{name: value})
+    # steps to NaN, a negative kappa was solved by one solver only, ndim =
+    # True ran as 1D, and ndim = 2.0 and a step count of 2.5 or True
+    # reached a bare TypeError or ValueError; on either solver
+    for solver in ("direct", "mgm"):
+        with pytest.raises(MgfkError, match=name):
+            Evolution(dataclasses.replace(example_6_2(0.3, 8), **{name: value}), order=2, solver=solver).run()
 
 
 @pytest.mark.parametrize("solver", ["direct", "mgm"])
@@ -229,7 +234,9 @@ def test_problem_refuses_a_grid_size_that_is_not_a_positive_integer(m, solver):
     # TypeError, and m = True ran as one point
     with pytest.raises(MgfkError, match="m must be an integer"):
         Evolution(dataclasses.replace(example_6_1(0.3, 8), m=m), order=4, solver=solver).run()
-    ev = Evolution(dataclasses.replace(example_6_1(0.3, 8), m=np.int64(7)), order=4, solver=solver).run()
+    p = dataclasses.replace(example_6_1(0.3, 8), m=np.int64(7), ndim=np.int64(1), n_steps=np.int64(8))
+    assert type(p.m) is type(p.ndim) is type(p.n_steps) is int
+    ev = Evolution(p, order=4, solver=solver).run()
     assert ev.history.shape == (9, 7)
 
 
@@ -400,6 +407,26 @@ def test_forcing_turning_complex_promotes_the_stepper(kw):
     ref.run()
     assert np.max(np.abs(ev.history - ref.history)) <= 1e-12 * np.max(np.abs(ref.history))
     assert ev.iterations == ref.iterations
+
+
+@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
+def test_promoting_past_physical_memory_is_refused_before_the_cast(kw, monkeypatch):
+    # the float64 history fits but the complex128 one it would be cast to
+    # does not: the step whose forcing turns complex is refused, and the
+    # history is left float64
+    p = example_6_2(0.3, 16)  # tau = 1/16: steps 1..7 are real, step 8 on complex
+    p.forcing = lambda x, y, t, f=p.forcing: (1.0 if t < 0.5 else 1 + 1j) * f(x, y, t)
+    real_bytes = (16 + 1) * 15**2 * 8
+    sysconf = os.sysconf
+    memory = {"SC_PHYS_PAGES": 3 * real_bytes // 2, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(feynman_kac.os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    ev = Evolution(p, order=2, **kw)
+    for _ in range(7):
+        ev.step()
+    with pytest.raises(MgfkError, match=rf"needs {2 * real_bytes} bytes, more than the {3 * real_bytes // 2} bytes"):
+        ev.step()
+    assert ev.history.dtype == ev.decay.dtype == ev._w_rev.dtype == ev.dtype == np.float64
+    assert ev.step_index == 7
 
 
 def test_complex_rate_steps_in_complex128_from_the_start():

@@ -86,7 +86,7 @@ def assert_same_bits(x, y):
 def on_planes(k, planes):
     """``k`` as the float64 kernel of each plane, as ``multigrid`` runs its
     data: every array the same elements of its base's plane (``planes``
-    maps the id of a base to its planes), every scalar its real part, and
+    maps the id of a base to its planes), every float scalar as it is, and
     for complex data a division a product by the reciprocal."""
 
     def view(x, p):
@@ -95,16 +95,13 @@ def on_planes(k, planes):
         strides = tuple(st // base.itemsize * 8 for st in x.strides)
         return np.lib.stride_tricks.as_strided(planes[id(base)][p][start:], x.shape, strides)
 
-    def real(c):
-        return None if c is None else np.array(c.real, np.float64)
-
     planes_of_k = 2 if k.out.dtype == complex else 1
-    kind, s = k.kind, real(k.s)
+    kind, s = k.kind, k.s
     if kind == DIVIDE and planes_of_k == 2:
-        kind, s = SCALE, np.array(1.0 / s)
+        kind, s = SCALE, 1.0 / s
     return tuple(
         Kernel(kind, view(k.out, p), k.a if k.a is None else view(k.a, p), k.b if k.b is None else view(k.b, p),
-               s, real(k.t), tuple(view(x, p) for x in k.pads), tuple((view(w, p), real(c)) for w, c in k.taps))
+               s, k.pad, tuple((view(w, p), c) for w, c in k.taps))
         for p in range(planes_of_k))
 
 
@@ -143,7 +140,7 @@ def cycle(ndim, mass, dtype, scalar, pre):
     kernels = _cycle_kernels(h, _plane(h.levels, dtype), 0, False)
     buffers = {}
     for k in kernels:
-        for a in (k.out, k.a, k.b, *k.pads, *(window for window, _ in k.taps)):
+        for a in (k.out, k.a, k.b, *(window for window, _ in k.taps)):
             if a is not None:
                 base = a if a.base is None else a.base
                 buffers[id(base)] = base
@@ -201,8 +198,9 @@ def test_tape_copies_and_fills_like_numpy(dtype):
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
 def test_tapes_hold_only_float64(coarsening, ndim):
-    # the executor knows one type: every buffer and scalar of every tape a
-    # hierarchy builds, for real and for complex data, is float64
+    # the executor knows one type: every buffer of every tape a hierarchy
+    # builds, for real and for complex data, is float64, and every scalar a
+    # float, which its record holds as it is
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 31, coarsening)
     f = np.ones(h.fine.shape)
     for z in (f, f * (1.0 + 2.0j)):
@@ -210,9 +208,11 @@ def test_tapes_hold_only_float64(coarsening, ndim):
         solve(h, z.ravel())
     runners = [runner for tape in h._tapes.values() for runner in (tape.residual, tape.cycle)]
     kernels = [k for runner in runners for k in (runner.kernels if hasattr(runner, "kernels") else runner.args[0])]
-    arrays = [x for k in kernels for x in (k.out, k.a, k.b, k.s, k.t, *k.pads, *(y for tap in k.taps for y in tap))]
+    arrays = [x for k in kernels for x in (k.out, k.a, k.b, *(window for window, _ in k.taps))]
+    scalars = [x for k in kernels for x in (k.s, *(c for _, c in k.taps))]
     assert len(h._tapes) == 2 and len(kernels) > 4 * h.depth
     assert all(x.dtype == np.float64 for x in arrays if x is not None)
+    assert all(type(x) is float for x in scalars)
 
 
 def level_arrays(plane):
@@ -277,6 +277,20 @@ def test_tapes_refuse_dtypes_the_executor_lacks():
     assert smooth(h.fine, f, f, 0.5, 2).dtype == np.longdouble
 
 
+@pytest.mark.parametrize("scalar", [1j, np.complex128(2.0), np.longdouble(0.5)])
+def test_tapes_refuse_scalars_that_are_not_real_floats(scalar, monkeypatch):
+    # a record holds each scalar as a float64, so a complex one would lose
+    # its imaginary part and a long double its extra bits: a kernel's
+    # scalar or a tap's coefficient that is not a float is refused before
+    # any record is packed, a complex one with a zero imaginary part too
+    monkeypatch.setattr(stencil, "_record", lambda k: pytest.fail("a record was packed"))
+    ws = LevelWork(build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine, np.float64)
+    (window, c), *taps = ws.residual.taps
+    for k in (ws.update(0.5)._replace(s=scalar), ws.residual._replace(taps=((window, scalar * c), *taps))):
+        with pytest.raises(ValueError, match="real float scalars only"):
+            tape_runner((ws.residual, k))
+
+
 #: The off-centre points of a 9-point stencil on rows of W cells.
 W = 7
 NINE = (-W - 1, -W, -W + 1, -1, 1, W - 1, W, W + 1)
@@ -290,9 +304,9 @@ def residual_kernel(taps, n, dtype, seed):
     rng = np.random.default_rng(seed)
     frame = data(rng, n + 2 * W + 2, dtype)
     run, out, rhs = frame[W + 1 : W + 1 + n], data(rng, n, dtype), data(rng, n, dtype)
-    centre, *coefs = (np.array(c, dtype) for c in rng.standard_normal(1 + len(taps)))
+    centre, *coefs = rng.standard_normal(1 + len(taps)).tolist()
     windows = (frame[W + 1 + off : W + 1 + off + n] for off in taps)
-    k = Kernel(RESIDUAL, out, run, rhs, centre, pads=(out[W - 1 :: W],), taps=tuple(zip(windows, coefs)))
+    k = Kernel(RESIDUAL, out, run, rhs, centre, pad=W, taps=tuple(zip(windows, coefs)))
     return k, [frame, out, rhs]
 
 
@@ -305,13 +319,12 @@ def test_residual_matches_numpy_for_every_tap_count(count, dtype):
     for seed, n in enumerate((1, 2, 3, 5, 6, 7, 9, 13, 31, 67, 130)):
         taps = tuple(rng.permutation(NINE)[:count].tolist())
         record = stencil._record(assert_record_matches_numpy(*residual_kernel(taps, n, dtype, seed))[0])
-        assert record[9] == count  # the record's tap count
-        assert record[10 : 10 + count] == taps  # and its offsets
+        assert record["taps"] == count
+        assert tuple(record["off"][:count]) == taps
 
 
 def transfer_kernel(kind, n, period, dtype, seed):
-    """A ``kind`` transfer kernel with ``n`` single-element rows and the
-    weights of ``transfer`` (2 and 1/4, or 1/2), its pad cells every
+    """A ``kind`` transfer kernel with ``n`` single-element rows, its pad cells every
     ``period``-th (none for 0), on buffers filled with random and special
     values from ``seed``, and the storage of its output, two cells longer
     than the output.  The input is as long as the record reads: 2n + 1
@@ -320,8 +333,7 @@ def transfer_kernel(kind, n, period, dtype, seed):
     rng = np.random.default_rng(seed)
     store = data(rng, n + 2, dtype)
     out, a = store[:n], data(rng, 2 * n + 1 if kind == RESTRICT else (n + 1) // 2 + 1, dtype)
-    s, t = (np.array(2.0, dtype), np.array(0.25, dtype)) if kind == RESTRICT else (np.array(0.5, dtype), None)
-    return Kernel(kind, out, a, s=s, t=t, pads=(out[period - 1 :: period],) if period else ()), [store, a]
+    return Kernel(kind, out, a, pad=period), [store, a]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
@@ -333,8 +345,8 @@ def test_single_element_row_transfers_match_numpy(kind, dtype):
     for n in range(1, 71):
         for period in (0, 3, 8):
             k = assert_record_matches_numpy(*transfer_kernel(kind, n, period, dtype, n))[0]
-            # rows, their length, and the pad period, 0 where no pad cell falls in the run
-            assert stencil._record(k)[1:4] == (n, 1, period if period <= n else 0)
+            record = stencil._record(k)
+            assert (record["n"], record["len"], record["pad"]) == (n, 1, period)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -347,8 +359,8 @@ def test_transfers_pack_as_single_element_rows(coarsening, ndim):
     for ws in h.tape(float).work[0][:-1]:
         for kernels in (ws.restrict, ws.prolong):
             assert len(kernels) == ndim
-            assert stencil._record(kernels[-1])[2] == 1
-            assert all(stencil._record(k)[2] > 1 for k in kernels[:-1])
+            assert stencil._record(kernels[-1])["len"] == 1
+            assert all(stencil._record(k)["len"] > 1 for k in kernels[:-1])
 
 
 def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
@@ -464,16 +476,18 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
     assert clone == list(cycles())
 
 
-#: Hierarchies of the Feynman-Kac system of a preset (name, alpha, nu,
-#: intervals), its size and coarsening: 1D and 2D with both coarsenings,
-#: and those of the fk1d-history and fk2d-vcycle workloads.
+#: Hierarchies, as their fine operator, size and coarsening: of the
+#: Feynman-Kac system of a preset (3-point in 1D, 5-point in 2D), 1D and 2D
+#: with both coarsenings, those of the fk1d-history and fk2d-vcycle
+#: workloads, and a 9-point Galerkin one.
 SOLVED = {
-    "1d-galerkin": (("example-6.1", 0.8, 2, 256), 255, "galerkin"),
-    "1d-geometric": (("example-6.1", 0.8, 2, 256), 255, "geometric"),
-    "2d-galerkin": (("example-6.2", 0.8, 2, 32), 31, "galerkin"),
-    "2d-geometric": (("example-6.2", 0.8, 2, 32), 31, "geometric"),
-    "fk1d-history": (("example-6.1", 0.3, 4, 1024), 1023, "galerkin"),
-    "fk2d-vcycle": (("example-6.2", 0.3, 2, 128), 127, "geometric"),
+    "1d-galerkin": (fk_system("example-6.1", 0.8, 2, 256), 255, "galerkin"),
+    "1d-geometric": (fk_system("example-6.1", 0.8, 2, 256), 255, "geometric"),
+    "2d-galerkin": (fk_system("example-6.2", 0.8, 2, 32), 31, "galerkin"),
+    "2d-geometric": (fk_system("example-6.2", 0.8, 2, 32), 31, "geometric"),
+    "fk1d-history": (fk_system("example-6.1", 0.3, 4, 1024), 1023, "galerkin"),
+    "fk2d-vcycle": (fk_system("example-6.2", 0.3, 2, 128), 127, "geometric"),
+    "2d-9-point": (KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 31, "galerkin"),
 }
 
 
@@ -488,8 +502,7 @@ def solves(case, dtype):
     """Solves of ``dtype`` data on a fresh hierarchy of ``SOLVED[case]``:
     from zero, and from a warm start near the solution, where the residuals
     sit at the rounding floor; each as its ``outcome``."""
-    (name, alpha, nu, intervals), m, coarsening = SOLVED[case]
-    h = build_hierarchy(fk_system(name, alpha, nu, intervals), m, coarsening)
+    h = build_hierarchy(*SOLVED[case])
     rng = np.random.default_rng(21)
     f, noise = (x + 1j * y if dtype is complex else x for x, y in rng.standard_normal((2, 2, h.fine.unknowns)))
     warm = dst_solve(h.fine.operator, f) * (1.0 + 1e-4 * noise)
@@ -593,11 +606,10 @@ def test_a_solve_that_fills_its_norms_resumes_where_it_stopped(backend, monkeypa
     # grows them, which a cap of 10**12 does not make larger either
     if backend == "numpy":
         monkeypatch.setattr(stencil, "_library", lambda: None)
-    (name, alpha, nu, intervals), m, coarsening = SOLVED["fk2d-vcycle"]
-    f = np.random.default_rng(24).standard_normal(m * m) * (1.0 - 3.0j)
+    f = np.random.default_rng(24).standard_normal(127 * 127) * (1.0 - 3.0j)
 
     def run(room, **kw):
-        h = build_hierarchy(fk_system(name, alpha, nu, intervals), m, coarsening)
+        h = build_hierarchy(*SOLVED["fk2d-vcycle"])
         h.tape(complex).norms = np.empty(room)
         return outcome(*solve(h, f, **kw)), len(h.tape(complex).norms)
 

@@ -3,7 +3,7 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pads, run_numpy
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period, run_numpy
 from mgfk.transfer import prolong, restrict
 
 from helpers import (
@@ -185,7 +185,8 @@ HIERARCHIES = [pytest.param(ndim, m, id=f"{ndim}d-b1") for ndim, m in ((1, 63), 
 
 
 def _pad_cells(ws, run):
-    return np.concatenate([p.ravel() for p in pads(run, ws.shape)] + [np.zeros(0)])
+    period = pad_period(ws.shape)
+    return run[period - 1 :: period] if period else run[:0]
 
 
 @pytest.mark.parametrize("ndim, m", HIERARCHIES)
