@@ -8,7 +8,7 @@ bounds are sufficient conditions, so no tightness is ever asserted.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -32,15 +32,6 @@ class BoundReport:
     def __post_init__(self):
         self.satisfied = bool(self.measured <= self.bound + _SLACK)  # a plain bool for JSON
 
-    def to_dict(self) -> dict:
-        return {
-            "quantity": self.quantity,
-            "bound": self.bound,
-            "measured": self.measured,
-            "satisfied": self.satisfied,
-            "context": self.context,
-        }
-
 
 def format_reports(reports: list[BoundReport]) -> str:
     lines = [f"{'quantity':<44} {'measured':>14} {'bound':>14}  status"]
@@ -52,7 +43,7 @@ def format_reports(reports: list[BoundReport]) -> str:
 
 
 def reports_to_json(reports: list[BoundReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2)
+    return json.dumps([asdict(r) for r in reports], indent=2)
 
 
 def split_ratio(a0: float, a1: float, k: int) -> float:
@@ -84,24 +75,16 @@ def approx_constant_tridiag(a0: float, a1: float) -> float:
     * 16 when a1 <= 0,
     * max(25, 4*a0**2 / (a0 - 2*a1)**2) when a1 > 0.
 
-    The closed value bounds the level sweep from above; it is attained in
-    the first two cases and whenever the level-1 ratio dominates, and is
-    deliberately conservative otherwise.  A sweep value exceeding the case
-    value would indicate a broken formula and raises ``ArithmeticError``.
+    The closed value bounds the level sweep (``approx_constant_sweep``)
+    from above; it is attained in the first two cases and whenever the
+    level-1 ratio dominates, and is deliberately conservative otherwise.
     """
     require_coarsenable(ToeplitzStencil((a0, a1)))
     if abs(a0 + 2.0 * a1) <= 1e-14 * a0:
-        case = 1.0
-    elif a1 <= 0.0:
-        case = 16.0
-    else:
-        case = max(25.0, 4.0 * a0 * a0 / (a0 - 2.0 * a1) ** 2)
-    swept = approx_constant_sweep(a0, a1)
-    if swept > case * (1.0 + 1e-9):
-        raise ArithmeticError(
-            f"level sweep {swept} exceeds closed-form constant {case} for ({a0}, {a1})"
-        )
-    return case
+        return 1.0
+    if a1 <= 0.0:
+        return 16.0
+    return max(25.0, 4.0 * a0 * a0 / (a0 - 2.0 * a1) ** 2)
 
 
 def contraction_bound(approx_const: float, smoothing_steps: int, omega: float) -> float:
@@ -139,14 +122,10 @@ def check_smoother_bounds(h: vc.MgHierarchy, seed: int = 0) -> list[BoundReport]
 
 
 def check_contraction_bounds(
-    h: vc.MgHierarchy,
-    approx_const: float,
-    smoothing_steps: int = 1,
-    trials: int = 4,
-    iters: int = 12,
-    seed: int = 0,
+    h: vc.MgHierarchy, approx_const: float, trials: int = 4, seed: int = 0
 ) -> BoundReport:
-    """Compare the measured energy-norm contraction with the theory bound.
+    """Compare the contraction ``measure_contraction`` finds over ``trials``
+    starts with the theory bound for one smoothing step (l = 1).
 
     The hierarchy must use equal pre- and post-weights.  A weight outside
     the theory range (0, 2**-ndim] flags the report's context as out of
@@ -156,24 +135,24 @@ def check_contraction_bounds(
         raise ValueError("bound checks require omega_pre == omega_post")
     omega = h.omega_pre
     in_range = 0.0 < omega <= 0.5**h.fine.operator.ndim
-    measured = vc.measure_contraction(h, trials=trials, iters=iters, seed=seed)
-    bound = contraction_bound(approx_const, smoothing_steps, omega)
+    measured = vc.measure_contraction(h, trials=trials, seed=seed)
+    bound = contraction_bound(approx_const, 1, omega)
     return BoundReport(
         "||I - B A||_A <= m0/(2*l*omega + m0)",
         bound,
         measured,
         context={
             "omega": omega,
-            "l": smoothing_steps,
+            "l": 1,
             "m0": approx_const,
             "in_theory_range": in_range,
         },
     )
 
 
-def coarsening_consistency(samples: int = 50, max_depth: int = 6, seed: int = 0) -> BoundReport:
-    """Max relative gap between repeated Galerkin steps and the closed form
-    over random SPD-eligible tridiagonal stencils."""
+def coarsening_consistency(samples: int = 50, seed: int = 0) -> BoundReport:
+    """Max relative gap between repeated Galerkin steps and the closed form,
+    on levels 2 to 6, over random SPD-eligible tridiagonal stencils."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
@@ -182,7 +161,7 @@ def coarsening_consistency(samples: int = 50, max_depth: int = 6, seed: int = 0)
         if a1 > 0 and a0 - 2 * a1 < 1e-3 * a0:
             a1 = -a1
         stepped = ToeplitzStencil((a0, a1))
-        for k in range(2, max_depth + 1):
+        for k in range(2, 7):
             stepped = galerkin_step(stepped)
             closed = closed_form_tridiag(a0, a1, k)
             scale = max(abs(closed.bands[0]), abs(closed.bands[1]), 1e-300)
@@ -195,5 +174,5 @@ def coarsening_consistency(samples: int = 50, max_depth: int = 6, seed: int = 0)
         "galerkin recursion vs closed form (rel err)",
         1e-12,
         worst,
-        context={"samples": samples, "max_depth": max_depth},
+        context={"samples": samples, "max_depth": 6},
     )

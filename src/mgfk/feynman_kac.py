@@ -54,9 +54,10 @@ class Problem:
     ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
     means zero.  The 2D scheme has zero boundary data only.  ``length`` and
     ``t_final`` must be positive and finite, ``kappa`` finite and
-    non-negative, ``ndim`` the integer 1 or 2, and ``m`` and ``n_steps``
-    integers at least 1, else ``MgfkError``; an integer is not a ``bool``
-    and is kept as an ``int``.
+    non-negative, ``alpha`` in (0, 1), both parts of ``rho`` finite,
+    ``ndim`` the integer 1 or 2, and ``m`` and ``n_steps`` integers at
+    least 1, else ``MgfkError``; an integer is not a ``bool`` and is kept
+    as an ``int``.
     """
 
     length: float
@@ -88,6 +89,10 @@ class Problem:
                 raise MgfkError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.kappa < math.inf:
             raise MgfkError(f"kappa must be finite and non-negative, got {self.kappa}")
+        if not 0.0 < self.alpha < 1.0:
+            raise MgfkError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if not np.isfinite(self.rho):
+            raise MgfkError(f"rho must be finite, got {self.rho}")
 
     @property
     def h(self) -> float:
@@ -246,8 +251,8 @@ class Evolution:
             setattr(self, name, getattr(self, name).astype(complex))
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
-        # warm start; solve copies v0 itself, but dropping this copy doubled a 2D run's minor faults
-        guess = self.history[n - 1].copy()
+        # warm start from the last level, which solve copies into its planes
+        guess = self.history[n - 1]
         g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
         if not report.converged:
             raise ConvergenceFailure(

@@ -24,9 +24,10 @@ fine iterate and the residual formed from it: ``solve`` and
 ``measure_contraction`` form that residual for their norms and cycle from
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
 is given none.  A whole ``solve`` is one call into the executor
-(``Tape.solve``), its residual norms numpy's, through the BLAS ddot numpy
-calls (``stencil.compiled_solves``), and its residual history the same
-bits as without the executor.  Every scalar of a kernel is a float, held
+(``Tape.solve``), which finds each plane's residual through the fine
+residual's records, its residual norms numpy's, through the BLAS ddot
+numpy calls (``stencil.compiled_solves``), and its residual history the
+same bits as without the executor.  Every scalar of a kernel is a float, held
 in its record, and the transfers' weights are fixed.  On finite data the
 planes hold the values numpy's complex arithmetic gives on the same
 kernels, up to the sign of a zero, as every scalar is real and a complex
@@ -225,14 +226,16 @@ class Tape:
     ``work`` is, per plane, the ``LevelWork`` of every level (``_plane``):
     one plane for float64 data, the real and the imaginary part for
     complex128, shared with no other tape; ``fine`` is each plane's fine
-    level.  ``residual`` forms ``r = rhs - A v`` on every plane, and
-    ``cycle`` runs one V-cycle on every plane from the loaded ``v`` and
-    that residual; each is a ``stencil.tape_runner``, one executor call.
-    ``solve`` runs a whole solve from the loaded ``v``: each residual is
-    gathered from the planes into ``r``, a ``dtype`` grid, and its norm is
-    the one numpy takes of ``r``, r0 and the relative residuals going into
-    ``norms``.  It is one call into the executor (``stencil._CompiledSolve``)
-    where ``stencil.compiled_solves()`` is true, else ``_loop``.
+    level.  ``residual`` forms ``r = rhs - A v`` on every plane, one
+    kernel each, and ``cycle`` runs one V-cycle on every plane from the
+    loaded ``v`` and that residual; each is a ``stencil.tape_runner``, one
+    executor call.  ``solve`` runs a whole solve from the loaded ``v``:
+    each residual is gathered from the planes into ``r``, a ``dtype`` grid,
+    and its norm is the one numpy takes of ``r``, r0 and the relative
+    residuals going into ``norms``.  It is one call into the executor
+    (``stencil._CompiledSolve``, which finds each plane's residual through
+    its residual record) where ``stencil.compiled_solves()`` is true, else
+    ``_loop``.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
@@ -243,8 +246,7 @@ class Tape:
         self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
         self.r = np.empty(h.fine.shape, dtype)
         self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
-        grids = tuple(ws.r for ws in self.fine)
-        self._compiled = _CompiledSolve(self.cycle, self.residual, grids, self.r) if compiled_solves() else None
+        self._compiled = _CompiledSolve(self.cycle, self.residual, self.r) if compiled_solves() else None
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -506,7 +508,6 @@ def measure_contraction(
     h: MgHierarchy,
     trials: int = 4,
     iters: int = 12,
-    discard: int = 3,
     seed: int = 0,
     monotone_slack: float | None = None,
 ) -> float:
@@ -514,18 +515,18 @@ def measure_contraction(
 
     Runs the homogeneous problem (f = 0) from random initial errors, in
     place on the float64 tape's fine level, and returns the largest
-    per-iteration ratio ||e_new||_A / ||e_old||_A after the first
-    ``discard`` transient iterations, so ``iters`` must exceed
-    ``discard >= 0``.  The residual r = -A e that starts each cycle gives
-    ||e||_A = sqrt(-(e, r)).  A cycle that drives the energy norm to inf or
-    nan diverges, without numpy warnings: the estimate is then
-    ``math.inf``.  If ``monotone_slack`` is given, a ratio above
-    1 + monotone_slack raises ``AssertionError``.
+    per-iteration ratio ||e_new||_A / ||e_old||_A after the first 3
+    transient iterations, so ``iters`` must exceed 3.  The residual
+    r = -A e that starts each cycle gives ||e||_A = sqrt(-(e, r)).  A
+    cycle that drives the energy norm to inf or nan diverges, without
+    numpy warnings: the estimate is then ``math.inf``.  If
+    ``monotone_slack`` is given, a ratio above 1 + monotone_slack raises
+    ``AssertionError``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if discard < 0 or iters <= discard:
-        raise ValueError(f"need iters > discard >= 0, got iters={iters}, discard={discard}")
+    if iters <= 3:
+        raise ValueError(f"need iters > 3, got {iters}")
     rng = np.random.default_rng(seed)
     lv = h.fine
     tape = h.tape(float)
@@ -553,7 +554,7 @@ def measure_contraction(
                 ratio = cur / prev
                 if monotone_slack is not None:
                     assert ratio <= 1.0 + monotone_slack, f"energy norm grew: ratio={ratio}"
-                if i > discard:
+                if i > 3:  # past the transient iterations
                     worst = max(worst, ratio)
                 prev = cur
     return worst

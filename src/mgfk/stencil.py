@@ -22,11 +22,14 @@ be built (``compiled_tapes``).  A kernel's scalars are floats, which its
 record holds as values.  ``_CompiledSolve`` runs a whole multigrid solve
 (``multigrid.Tape.solve``), its cycles, residuals, their norms and the
 stopping test, as one call into the executor, its norms numpy's through
-numpy's BLAS ddot (``compiled_solves``).  Grids are held in the run
-layout of ``run_shape``: in 2D rows of m + 1 cells, one zero pad cell
-after each row's points.  The type-I sine transform diagonalises the system
-operators, which gives their spectra in closed form and an exact direct
-solve.  Dense matrices live in the test oracles only.
+numpy's BLAS ddot (``compiled_solves``); its six fields are the cycle's
+records, the fine residual's, one per plane, which say where each plane's
+residual is, the grid the residuals are gathered into, and the ddot.
+Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
+cells, one zero pad cell after each row's points.  The type-I sine
+transform diagonalises the system operators, which gives their spectra
+in closed form and an exact direct solve.  Dense matrices live in the
+test oracles only.
 """
 
 from __future__ import annotations
@@ -467,19 +470,15 @@ class _CompiledSolve:
     """``multigrid.Tape._loop`` as one call into the executor's
     ``mgfk_solve``, its norm through numpy's BLAS ddot: ``cycle`` and
     ``residual`` the ``_CompiledTape``s of a V-cycle and the fine residual,
-    ``planes`` the one or two float64 grids that residual is formed in, ``r``
-    the grid they are gathered into.  The fields of ``_tape.c``'s ``solve``
-    are packed here once, addresses included."""
+    one record per plane, whose runs the executor gathers into ``r``.  The
+    six fields of ``_tape.c``'s ``solve`` are packed here once."""
 
-    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, planes: tuple, r):
+    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, r):
         import ctypes
 
-        self.operands = (cycle, residual, planes, r)  # keep every array a field points at alive
-        rows = planes[0] if planes[0].ndim == 2 else planes[0].reshape(1, -1)
-        starts = tuple(map(_at, planes)) + (0,) * (2 - len(planes))
+        self.operands = (cycle, residual, r)  # keep every array a field points at alive
         self.fields = np.array([_at(cycle.records), len(cycle.records), _at(residual.records),
-                                len(residual.records), len(planes), *rows.shape, rows.strides[0] // 8,
-                                *starts, _at(r), _ddot()], np.int64)
+                                len(residual.records), _at(r), _ddot()], np.int64)
         self._address, self._run = _at(self.fields), cycle.lib.mgfk_solve
         self._cycles = ctypes.c_int64()  # the cycles run, in and out
         self._pointer = ctypes.pointer(self._cycles)

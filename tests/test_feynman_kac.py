@@ -215,12 +215,17 @@ def test_transfers_preserve_complex_dtype():
     ("n_steps", 0), ("length", 0.0), ("length", math.inf), ("t_final", -1.0), ("t_final", math.nan),
     ("kappa", -1.0), ("kappa", math.inf), ("ndim", True), ("ndim", 2.0), ("ndim", 0), ("ndim", 3),
     ("n_steps", 2.5), ("n_steps", True),
+    ("rho", math.nan), ("rho", math.inf), ("rho", complex(1.0, -math.inf)),
+    ("alpha", 1.5), ("alpha", 0.0), ("alpha", 1.0),
 ])
 def test_problem_refuses_scalars_that_crash_or_corrupt_a_run(name, value):
     # a zero step count or length divides by zero, a negative final time
     # steps to NaN, a negative kappa was solved by one solver only, ndim =
     # True ran as 1D, and ndim = 2.0 and a step count of 2.5 or True
-    # reached a bare TypeError or ValueError; on either solver
+    # reached a bare TypeError or ValueError; rho = nan ran the direct
+    # solver to a NaN state and stalled multigrid, rho = inf warned of an
+    # invalid value, and alpha = 1.5 reached the weights' ValueError; on
+    # either solver
     for solver in ("direct", "mgm"):
         with pytest.raises(MgfkError, match=name):
             Evolution(dataclasses.replace(example_6_2(0.3, 8), **{name: value}), order=2, solver=solver).run()
