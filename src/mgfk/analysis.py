@@ -55,14 +55,14 @@ def split_ratio(a0: float, a1: float, k: int) -> float:
     return num / den
 
 
-def approx_constant_sweep(a0: float, a1: float, k_max: int = 64) -> float:
-    """sup over levels k = 1..k_max of (1 + split_ratio)**2.
+def approx_constant_sweep(a0: float, a1: float) -> float:
+    """sup over levels k = 1..64 of (1 + split_ratio)**2.
 
     The ratio converges monotonically (it is a quotient of cubics in 2**k),
     so 64 levels over-cover any buildable hierarchy.
     """
     require_coarsenable(ToeplitzStencil((a0, a1)))
-    best = max(split_ratio(a0, a1, k) for k in range(1, k_max + 1))
+    best = max(split_ratio(a0, a1, k) for k in range(1, 65))
     return (1.0 + best) ** 2
 
 
@@ -127,12 +127,15 @@ def check_contraction_bounds(
     """Compare the contraction ``measure_contraction`` finds over ``trials``
     starts with the theory bound for one smoothing step (l = 1).
 
-    The hierarchy must use equal pre- and post-weights.  A weight outside
-    the theory range (0, 2**-ndim] flags the report's context as out of
-    range instead of raising.
+    The hierarchy must use equal pre- and post-weights and the counts
+    (m1, m2) = (1, 2), the one pre- and one post-smoothing sweep l = 1 stands
+    for.  A weight outside the theory range (0, 2**-ndim] flags the report's
+    context as out of range instead of raising.
     """
     if h.omega_pre != h.omega_post:
         raise ValueError("bound checks require omega_pre == omega_post")
+    if (h.pre_count, h.post_count) != (1, 2):
+        raise ValueError(f"bound checks require (m1, m2) = (1, 2), got ({h.pre_count}, {h.post_count})")
     omega = h.omega_pre
     in_range = 0.0 < omega <= 0.5**h.fine.operator.ndim
     measured = vc.measure_contraction(h, trials=trials, seed=seed)

@@ -122,7 +122,8 @@ def _require_history_fits(p: Problem, dtype: np.dtype) -> None:
 
 
 class Evolution:
-    """Stepper for the 1D compact and the 2D centred scheme.
+    """Stepper for the 1D compact and the 2D centred scheme; ``reports`` holds
+    each multigrid step's ``SolveReport``, its cycles within ``multigrid.solve``'s cap.
 
     Parameters
     ----------
@@ -141,15 +142,11 @@ class Evolution:
         solver: str = "mgm",
         coarsening: str = "galerkin",
         tol: float = 1e-11,
-        max_iter: int = 200,
         omega=(1.0, 0.5),
         counts=(1, 2),
     ):
         self.problem = problem
-        self.order = order
-        self.solver = solver
         self.tol = tol
-        self.max_iter = max_iter
 
         p = problem
         # Every level is stored: refuse a history that cannot fit before allocating any of it,
@@ -202,7 +199,6 @@ class Evolution:
         self.history = np.zeros((p.n_steps + 1, p.m**p.ndim), self.dtype)
         self.history[0] = initial.real if real else initial
         self.step_index = 0
-        self.iterations: list[int] = []
         self.reports: list[vc.SolveReport] = []
 
     def assemble_rhs(self, n: int) -> np.ndarray:
@@ -252,8 +248,7 @@ class Evolution:
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
         # warm start from the last level, which solve copies into its planes
-        guess = self.history[n - 1]
-        g, report = vc.solve(self.hierarchy, rhs, v0=guess, tol=self.tol, max_iter=self.max_iter)
+        g, report = vc.solve(self.hierarchy, rhs, v0=self.history[n - 1], tol=self.tol)
         if not report.converged:
             raise ConvergenceFailure(
                 f"multigrid stalled at step {n}: relative residual "
@@ -261,7 +256,6 @@ class Evolution:
                 report=report,
             )
         self.reports.append(report)
-        self.iterations.append(report.iterations)
         return g
 
     def step(self) -> None:
@@ -281,8 +275,12 @@ class Evolution:
         return self.history[self.step_index]
 
     @property
+    def iterations(self) -> list[int]:
+        return [r.iterations for r in self.reports]
+
+    @property
     def avg_iterations(self) -> float:
-        return float(np.mean(self.iterations)) if self.iterations else 0.0
+        return float(np.mean(self.iterations)) if self.reports else 0.0
 
     def max_error(self) -> float:
         """l-infinity error against the exact solution at the current time."""

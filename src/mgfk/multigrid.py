@@ -177,7 +177,7 @@ def _work_dtype(*arrays) -> np.dtype:
 
 @dataclass(frozen=True)
 class MgHierarchy:
-    """Multigrid hierarchy, finest level first.
+    """Multigrid hierarchy, finest level first, as ``build_hierarchy`` checks and makes it.
 
     Its levels and parameters are immutable; the ``Tape`` of each dtype,
     which owns its cycles' scratch buffers, is made on first use and
@@ -185,11 +185,11 @@ class MgHierarchy:
     """
 
     levels: tuple
-    omega_pre: float = 1.0
-    omega_post: float = 0.5
-    pre_count: int = 1
-    post_count: int = 2
-    strategy: str = "galerkin"
+    omega_pre: float
+    omega_post: float
+    pre_count: int
+    post_count: int
+    strategy: str
 
     @property
     def depth(self) -> int:
@@ -368,13 +368,16 @@ def build_hierarchy(
     omega_pre, omega_post : float
         Damped-Jacobi weights for pre- and post-smoothing.
     pre_count, post_count : int
-        Smoothing counts (m1, m2); see the module docstring for how
+        Integer smoothing counts (m1, m2); see the module docstring for how
         post_count translates into actual smoother applications.
     """
     depth = grid_depth(m)
     for name, omega in (("omega_pre", omega_pre), ("omega_post", omega_post)):
         if not 0.0 < omega < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {omega}")
+    for name, count in (("pre_count", pre_count), ("post_count", post_count)):
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
     if pre_count < 0 or post_count < 1:
         raise ValueError("smoothing counts must satisfy m1 >= 0, m2 >= 1")
     coarsen = {"galerkin": KroneckerSum.galerkin, "geometric": KroneckerSum.rediscretised}

@@ -413,19 +413,14 @@ def _load(path: str):
 @lru_cache(maxsize=None)
 def _ddot() -> int:
     """The address of ``scipy_cblas_ddot64_``, the BLAS ddot of 64-bit
-    integers that ``np.linalg.norm`` calls, in the OpenBLAS numpy's wheel
-    ships (``numpy.libs/libscipy_openblas64_*.so``, which numpy loaded
-    with ``RTLD_LOCAL``, so only its own handle finds the symbol); 0 where
-    there is no such library or symbol, as with a numpy built on another
-    BLAS."""
+    integers ``np.linalg.norm`` calls, found through numpy's extension module,
+    which links the OpenBLAS numpy loads ``RTLD_LOCAL``; 0 where numpy has no
+    such module or symbol, as with a numpy built on another BLAS."""
     import ctypes
 
-    libs = os.path.dirname(np.__file__) + ".libs"
     try:
-        found = [name for name in os.listdir(libs) if name.startswith("libscipy_openblas64_") and name.endswith(".so")]
-        if len(found) != 1:
-            return 0
-        return ctypes.cast(ctypes.CDLL(os.path.join(libs, found[0])).scipy_cblas_ddot64_, ctypes.c_void_p).value
+        umath = np._core._multiarray_umath.__file__
+        return ctypes.cast(ctypes.CDLL(umath).scipy_cblas_ddot64_, ctypes.c_void_p).value
     except (OSError, AttributeError):
         return 0
 

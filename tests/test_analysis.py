@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,15 @@ def test_out_of_range_weight_is_flagged_not_raised():
 def test_mismatched_weights_rejected():
     h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=1.0, omega_post=0.5)
     with pytest.raises(ValueError):
+        check_contraction_bounds(h, 1.0)
+
+
+@pytest.mark.parametrize("counts", [(0, 1), (1, 1), (2, 2), (1, 3)])
+def test_smoothing_the_bound_does_not_cover_is_rejected(counts):
+    # l = 1 stands for one pre- and one post-smoothing sweep, (m1, m2) = (1, 2)
+    h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=0.5, omega_post=0.5,
+                        pre_count=counts[0], post_count=counts[1])
+    with pytest.raises(ValueError, match=re.escape(f"(m1, m2) = (1, 2), got {counts}")):
         check_contraction_bounds(h, 1.0)
 
 

@@ -174,6 +174,16 @@ def test_theory_refuses_more_than_one_grid(tmp_path, capsys, source):
     assert "one M at a time, got [16, 32]" in capsys.readouterr().err
 
 
+def test_theory_refuses_smoothing_the_bound_does_not_cover(tmp_path, capsys):
+    # a cycle without smoothing contracts by 1, above the l = 1 bound, but
+    # that bound does not cover it: a refusal (exit 1), not a violation (3)
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"preset": "example-6.2", "alpha": 0.8, "m1": 0, "m2": 1, "m_values": [32]}))
+    assert main(["theory", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "(m1, m2) = (1, 2), got (0, 1)" in err and "violated" not in err
+
+
 def test_run_theory_violation_detection():
     cfg = ExperimentConfig(preset="example-6.1", alpha=0.3, m_values=[16])
     reports, violated = run_theory(cfg)

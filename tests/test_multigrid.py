@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mgfk import stencil
+from mgfk import multigrid, stencil
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.fsd import weights
@@ -106,6 +106,25 @@ def test_smoothing_weights_must_be_positive_and_finite(bad):
     h = build_hierarchy(LAPLACIAN_1D, 7)
     with pytest.raises(ValueError, match="weight"):
         smooth(h.levels[0], np.arange(7.0), np.zeros(7), bad, 1)
+
+
+@pytest.mark.parametrize("counts, message", [({"pre_count": 1.5}, "pre_count must be an integer"),
+                                             ({"post_count": 2.5}, "post_count must be an integer"),
+                                             ({"pre_count": True}, "pre_count must be an integer"),
+                                             ({"post_count": True}, "post_count must be an integer"),
+                                             ({"pre_count": -1}, "m1 >= 0"), ({"post_count": 0}, "m2 >= 1")])
+def test_hierarchy_rejects_bad_smoothing_counts(counts, message, monkeypatch):
+    # refused before any level is built: a float count used to build and
+    # then fail the first cycle with a bare TypeError, and True ran as 1
+    monkeypatch.setattr(multigrid, "require_spd_eligible", None)
+    with pytest.raises(ValueError, match=message):
+        build_hierarchy(LAPLACIAN_1D, 7, **counts)
+
+
+def test_hierarchy_takes_numpy_integer_smoothing_counts():
+    f = np.ones(7)
+    h = build_hierarchy(LAPLACIAN_1D, 7, pre_count=np.int64(1), post_count=np.int64(2))
+    assert np.array_equal(vcycle(h, np.zeros(7), f), vcycle(build_hierarchy(LAPLACIAN_1D, 7), np.zeros(7), f))
 
 
 @pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8),

@@ -3,6 +3,7 @@ the same kernels, its one-call solve against the numpy backend's loop, and
 the build cache its loader keeps."""
 
 import gc
+import glob
 import hashlib
 import math
 import os
@@ -135,8 +136,8 @@ def cycle(ndim, mass, dtype, scalar, pre):
     grid is 1D m = 511, a run of odd length, or 2D m = 31."""
     op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
-    h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes),
-                    omega_pre=scalar, omega_post=scalar, pre_count=pre)
+    h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes), omega_pre=scalar,
+                    omega_post=scalar, pre_count=pre, post_count=2, strategy="galerkin")
     kernels = _cycle_kernels(h, _plane(h.levels, dtype), 0, False)
     buffers = {}
     for k in kernels:
@@ -514,6 +515,18 @@ def solves(case, dtype):
 
 BLAS = pytest.mark.skipif(not stencil._ddot(), reason="numpy's BLAS ddot was not found; CI asserts it")
 COMPILED = pytest.mark.skipif(not COMPILER, reason="the executor needs a compiler")
+OPENBLAS = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
+
+
+@pytest.mark.skipif(len(OPENBLAS) != 1, reason="numpy ships no single libscipy_openblas64_*.so")
+def test_the_ddot_is_the_one_in_numpys_openblas():
+    # found through numpy's extension module, the ddot is the function of
+    # the OpenBLAS numpy's wheel ships, the one np.linalg.norm calls
+    import ctypes
+
+    ddot = ctypes.CDLL(OPENBLAS[0]).scipy_cblas_ddot64_
+    assert stencil._ddot() != 0
+    assert stencil._ddot() == ctypes.cast(ddot, ctypes.c_void_p).value
 
 
 @BLAS
