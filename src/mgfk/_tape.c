@@ -35,6 +35,11 @@
  * with dot the BLAS ddot numpy calls.  It is taken on r, not on the
  * planes' runs, whose zero pad cells would change the order of the BLAS
  * sum.
+ *
+ * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
+ * from l_0 by the Miller recurrence of mgfk.fsd._weights_cached, each l_n
+ * the same IEEE operations: its terms formed into two arrays of at most nu
+ * values, summed by the same BLAS ddot numpy's np.dot calls on them.
  */
 #include <math.h>
 #include <stdint.h>
@@ -206,4 +211,21 @@ int64_t mgfk_solve(const solve *s, double tol, double *out, int64_t stop, int64_
     }
     *cycles = it;
     return end;
+}
+
+/* l[n] for n = 1..count, l[0] given: with w the nu + 1 coefficients of
+ * mgfk.fsd.generating_poly, x_j = ((alpha + 1) j - n) w_j and y_j = l_{n-j}
+ * for j = 1..min(n, nu), l_n = dot(x, y) / (n w_0).  nu is 1..4. */
+void mgfk_weights(double alpha, const double *w, int64_t nu, int64_t count, double *l, dot_fn dot)
+{
+    const double a1 = alpha + 1.0;
+    double x[4], y[4];
+    for (int64_t n = 1; n <= count; n++) {
+        const int64_t jmax = n < nu ? n : nu;
+        for (int64_t j = 1; j <= jmax; j++) {
+            x[j - 1] = (a1 * (double)j - (double)n) * w[j];
+            y[j - 1] = l[n - j];
+        }
+        l[n] = dot(jmax, x, 1, y, 1) / ((double)n * w[0]);
+    }
 }

@@ -159,10 +159,9 @@ class Evolution:
             self._forced_at = (np.concatenate(([0.0], self.coords[0], [p.length])),)
         self.t = p.tau * np.arange(p.n_steps + 1)
         initial = np.asarray(p.initial(*self.coords)).ravel()
-        traces = [
-            np.zeros(self.t.size) if bc is None else np.array([complex(bc(tn)) for tn in self.t])
-            for bc in (p.bc_left, p.bc_right)
-        ]
+        left = _trace(p.bc_left, self.t)
+        # a callable given for both walls, as example_6_1 gives one, is evaluated once
+        traces = (left, left if p.bc_right is p.bc_left else _trace(p.bc_right, self.t))
         # The working dtype: float64 unless rho or the data is complex.
         real = complex(p.rho).imag == 0 and all(map(_is_real, (initial, *traces)))
         self.dtype = np.dtype(float if real else complex)
@@ -301,6 +300,11 @@ class Evolution:
                 writer.writerow([i, repr(float(val.real)), repr(float(val.imag))])
 
 
+def _trace(bc: Optional[Callable[[float], complex]], t: np.ndarray) -> np.ndarray:
+    """The wall trace ``bc`` at each time of ``t``, complex; zeros for ``None``."""
+    return np.zeros(t.size) if bc is None else np.array([complex(bc(tn)) for tn in t])
+
+
 def _is_real(a: np.ndarray) -> bool:
     """Whether every imaginary part of ``a`` is exactly zero."""
     # count_nonzero: a quarter of the cold cost of any() on a 16k-point grid
@@ -332,11 +336,8 @@ def example_6_1(alpha: float, intervals: int) -> Problem:
     c4 = math.gamma(5.0 + alpha) / math.gamma(5.0)
 
     def forcing(x, t):
-        envelope = np.exp(-rho * t)
-        return envelope * (
-            c4 * t**4 * (np.sin(np.pi * x) + 1.0)
-            + kappa * np.pi**2 * (t ** (4.0 + alpha) + 1.0) * np.sin(np.pi * x)
-        )
+        envelope, sine = np.exp(-rho * t), np.sin(np.pi * x)
+        return envelope * (c4 * t**4 * (sine + 1.0) + kappa * np.pi**2 * (t ** (4.0 + alpha) + 1.0) * sine)
 
     def initial(x):
         return np.sin(np.pi * x) + 1.0 + 0.0j

@@ -25,6 +25,9 @@ stopping test, as one call into the executor, its norms numpy's through
 numpy's BLAS ddot (``compiled_solves``); its six fields are the cycle's
 records, the fine residual's, one per plane, which say where each plane's
 residual is, the grid the residuals are gathered into, and the ddot.
+The executor's third entry point, ``mgfk_weights``, runs the quadrature
+weights' recurrence of ``fsd._weights_cached`` through that ddot, the same
+bits as its numpy loop, which runs where ``compiled_solves`` is false.
 Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
 cells, one zero pad cell after each row's points.  The type-I sine
 transform diagonalises the system operators, which gives their spectra
@@ -371,8 +374,8 @@ def _build(source: str, path: str) -> bool:
 
 @lru_cache(maxsize=None)
 def _library():
-    """The executor, ``_tape.c`` with its entry points ``mgfk_run_tape``
-    and ``mgfk_solve``, built on first use (``_build``)
+    """The executor, ``_tape.c`` with its entry points ``mgfk_run_tape``,
+    ``mgfk_solve`` and ``mgfk_weights``, built on first use (``_build``)
     into ``$XDG_CACHE_HOME/mgfk`` (default ``~/.cache/mgfk``) under a name
     hashed from the source, the flags and the platform; ``None`` without a
     compiler, after a failed build, or when that directory is not the
@@ -407,6 +410,9 @@ def _load(path: str):
     lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.POINTER(ctypes.c_int64))
     lib.mgfk_solve.restype = ctypes.c_int64
+    lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_void_p)
+    lib.mgfk_weights.restype = None
     return lib
 
 

@@ -87,6 +87,43 @@ def test_example_6_2_sines_per_axis_match_the_meshgrid(intervals):
         assert p.exact(x, y, t).tobytes() == exact.tobytes()
 
 
+@pytest.mark.parametrize("intervals", [16, 1024])
+def test_example_6_1_forcing_takes_one_sine(intervals):
+    # the forcing binds sin(pi x) once for both of its terms: bit for bit
+    # the expression that evaluates it twice, on the grid and both walls
+    alpha, rho, kappa = 0.3, 1.0 + 1.0j, 1.0
+    p = example_6_1(alpha, intervals)
+    x = np.concatenate(([0.0], p.coords[0], [p.length]))
+    c4 = math.gamma(5.0 + alpha) / math.gamma(5.0)
+    for t in (0.0, 1.0 / intervals, 0.37, 0.5, 1.0):
+        forcing = np.exp(-rho * t) * (
+            c4 * t**4 * (np.sin(np.pi * x) + 1.0)
+            + kappa * np.pi**2 * (t ** (4.0 + alpha) + 1.0) * np.sin(np.pi * x)
+        )
+        assert p.forcing(x, t).tobytes() == forcing.tobytes()
+
+
+def test_a_trace_shared_by_both_walls_is_evaluated_once():
+    # example 6.1 gives both walls one callable; the run equals, bit for bit,
+    # the run given two distinct callables of the same values
+    p = example_6_1(0.3, 16)
+    calls = []
+
+    def trace(t):
+        calls.append(t)
+        return p.bc_left(t)
+
+    shared = Evolution(dataclasses.replace(p, bc_left=trace, bc_right=trace), order=4)
+    assert len(calls) == p.n_steps + 1
+    apart = Evolution(dataclasses.replace(p, bc_right=lambda t: p.bc_left(t)), order=4)
+    for a, b in ((shared.g_left, apart.g_left), (shared.g_right, apart.g_right)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    shared.run()
+    apart.run()
+    assert shared.history.tobytes() == apart.history.tobytes()
+    assert shared.iterations == apart.iterations
+
+
 def test_direct_2d_solver_steps_where_dense_lu_cannot():
     # m = 255: a dense LU of the m**2 x m**2 system would need about 34 GB
     p = dataclasses.replace(example_6_2(0.3, 256), n_steps=2)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mgfk import fsd, stencil
 from mgfk.fsd import FsdCoefficients, generating_poly, tempered, weights, write_csv
 
 from helpers import binomial_weights, naive_series_power, read_csv
@@ -66,6 +67,28 @@ def test_partial_sums_decay(nu):
     tail = partial[16:]
     assert tail[-1] < tail[0] * 0.5
     assert np.all(np.diff(tail) <= 1e-14)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_compiled_weights_are_the_numpy_loops_bits(nu, monkeypatch):
+    # where the executor and numpy's ddot are found (CI asserts they are),
+    # the recurrence runs in the executor: the bytes of the numpy loop
+    build = fsd._weights_cached.__wrapped__  # uncached
+    counts = sorted({0, 1, nu, nu + 1, 1024, 4096})
+    alphas = (0.01, 0.3, 0.5, 0.77, 0.99)
+    compiled = [build(alpha, nu, count) for alpha in alphas for count in counts]
+    monkeypatch.setattr(stencil, "compiled_solves", lambda: False)
+    numpy = [build(alpha, nu, count) for alpha in alphas for count in counts]
+    assert [c.tobytes() for c in compiled] == [n.tobytes() for n in numpy]
+
+
+def test_the_leading_weight_alone_loads_no_executor(monkeypatch):
+    # the theory checks take l_0 only: that loads and builds nothing
+    monkeypatch.setattr(stencil, "_library", lambda: pytest.fail("the executor was loaded"))
+    fsd._weights_cached.cache_clear()
+    for nu in (1, 2, 3, 4):
+        l = weights(0.3, nu, 0)
+        assert l.shape == (1,) and l[0] == generating_poly(nu)[0] ** 0.3
 
 
 def test_tempered_zero_rate_is_identity():
