@@ -10,7 +10,6 @@ from .errors import (
     MgfkError,
 )
 from .stencil import (
-    AVERAGING,
     COMPACT_MASS,
     IDENTITY,
     LAPLACIAN,

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import multigrid as vc
-from .coarsen import c_constant, closed_form_constants, closed_form_tridiag, galerkin_step
+from .coarsen import closed_form_constants, closed_form_tridiag, galerkin_step
 from .stencil import IDENTITY, LAPLACIAN, ToeplitzStencil, lambda_max, require_coarsenable
 
 _SLACK = 1e-10
@@ -46,26 +46,6 @@ def reports_to_json(reports: list[BoundReport]) -> str:
     return json.dumps([asdict(r) for r in reports], indent=2)
 
 
-def split_ratio(a0: float, a1: float, k: int) -> float:
-    """Ratio of averaging-part to Laplacian-part weight of the level-k stencil."""
-    c = float(c_constant(k))
-    half = 2.0 ** (k - 1)
-    num = (6.0 * c + half) * (a0 + 2.0 * a1)
-    den = (2.0 * c + half) * (a0 + 2.0 * a1) - 2.0 ** (k + 1) * a1
-    return num / den
-
-
-def approx_constant_sweep(a0: float, a1: float) -> float:
-    """sup over levels k = 1..64 of (1 + split_ratio)**2.
-
-    The ratio converges monotonically (it is a quotient of cubics in 2**k),
-    so 64 levels over-cover any buildable hierarchy.
-    """
-    require_coarsenable(ToeplitzStencil((a0, a1)))
-    best = max(split_ratio(a0, a1, k) for k in range(1, 65))
-    return (1.0 + best) ** 2
-
-
 def approx_constant_tridiag(a0: float, a1: float) -> float:
     """Approximation-property constant of tridiag(a1, a0, a1) in closed form.
 
@@ -75,9 +55,11 @@ def approx_constant_tridiag(a0: float, a1: float) -> float:
     * 16 when a1 <= 0,
     * max(25, 4*a0**2 / (a0 - 2*a1)**2) when a1 > 0.
 
-    The closed value bounds the level sweep (``approx_constant_sweep``)
-    from above; it is attained in the first two cases and whenever the
-    level-1 ratio dominates, and is deliberately conservative otherwise.
+    The closed value bounds from above the supremum over levels k of
+    (1 + r_k)**2, with r_k the ratio of the averaging part to the Laplacian
+    part of the level-k stencil; it is attained in the first two cases and
+    whenever the level-1 ratio dominates, and is deliberately conservative
+    otherwise.
     """
     require_coarsenable(ToeplitzStencil((a0, a1)))
     if abs(a0 + 2.0 * a1) <= 1e-14 * a0:
@@ -105,7 +87,7 @@ def check_smoother_bounds(h: vc.MgHierarchy, seed: int = 0) -> list[BoundReport]
     reports = []
     for k, lv in enumerate(h.levels):
         ctx = {"level": k, "m": lv.m}
-        ratio = lambda_max(lv.operator, lv.m)[0] / lv.diag
+        ratio = lambda_max(lv.operator, lv.m) / lv.diag
         reports.append(BoundReport(f"lambda_max(D^-1 A) < {2**d}", 2.0**d, ratio, context=ctx))
         reports.append(BoundReport("1 <= lambda_max(D^-1 A)", 0.0, 1.0 - ratio, context=ctx))
         if model and h.strategy == "galerkin":

@@ -8,8 +8,8 @@ Two strategies are supported:
 * Geometric: the operator is re-discretised with the mesh spacing doubled
   (``KroneckerSum.rediscretised``).
 
-Closed-form level-k stencils and exact integer coefficients are provided
-as cross-checks of the recurrence.
+Closed-form level-k stencils (``closed_form_tridiag``) are provided as a
+cross-check of the recurrence.
 """
 
 from __future__ import annotations
@@ -20,23 +20,13 @@ from functools import partial
 from .stencil import COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
 
 
-def galerkin_step_unscaled(stencil: ToeplitzStencil) -> ToeplitzStencil:
-    """One coarsening step with the unnormalised integer-weight transfers:
+def galerkin_step(stencil: ToeplitzStencil) -> ToeplitzStencil:
+    """Galerkin coarse stencil: restriction * fine * prolongation,
 
-        a_0' = 6 a_0 + 8 a_1,    a_1' = a_0 + 4 a_1
-
-    The true Galerkin coarse operator is this divided by 8.
+        a_0' = (6 a_0 + 8 a_1) / 8,    a_1' = (a_0 + 4 a_1) / 8.
     """
     a0, a1 = stencil.bands
-    return ToeplitzStencil((6.0 * a0 + 8.0 * a1, a0 + 4.0 * a1))
-
-
-def galerkin_step(stencil: ToeplitzStencil) -> ToeplitzStencil:
-    """Galerkin coarse stencil: restriction * fine * prolongation.
-
-    Equals the unscaled step divided by 8.
-    """
-    return 0.125 * galerkin_step_unscaled(stencil)
+    return 0.125 * ToeplitzStencil((6.0 * a0 + 8.0 * a1, a0 + 4.0 * a1))
 
 
 @dataclass(frozen=True)
@@ -93,86 +83,6 @@ def closed_form_tridiag(a0: float, a1: float, k: int) -> ToeplitzStencil:
     new_a0 = ((4.0 * c + half) * a0 + 8.0 * c * a1) / scale
     new_a1 = (c * a0 + (2.0 * c + half) * a1) / scale
     return ToeplitzStencil((new_a0, new_a1))
-
-
-def _div_exact(num: int, den: int) -> int:
-    q, r = divmod(num, den)
-    if r != 0:
-        raise ArithmeticError(f"{num} not divisible by {den}")
-    return q
-
-
-def _coeff_j0(m: int, k: int) -> int:
-    c, half = c_constant(k), 2 ** (k - 1)
-    if m == 0:
-        return 4 * c + half
-    if m < half:
-        return 8 * c - (m * m - 1) * (2**k - m)
-    n = 2**k - m
-    return _div_exact((n - 1) * n * (n + 1), 3)
-
-
-def _coeff_j1(m: int, k: int) -> int:
-    c, half = c_constant(k), 2 ** (k - 1)
-    if m == 0:
-        return c
-    if m < half:
-        return 2 * c + m * m * half - _div_exact(2 * (m - 1) * m * (m + 1), 3)
-    if m < 2 * half:
-        n = 2**k - m
-        p = m - half
-        return (
-            2 * c
-            + n * n * half
-            - _div_exact(2 * (n - 1) * n * (n + 1), 3)
-            - _div_exact((p - 1) * p * (p + 1), 6)
-        )
-    n = 3 * half - m
-    return _div_exact((n - 1) * n * (n + 1), 6)
-
-
-def _coeff_jge2(j: int, m: int, k: int) -> int:
-    c, half = c_constant(k), 2 ** (k - 1)
-    if m < (j - 1) * half:
-        p = m - (j - 2) * half
-        return _div_exact((p - 1) * p * (p + 1), 6)
-    if m < j * half:
-        p = m - (j - 1) * half
-        q = j * half - m
-        return (
-            2 * c
-            + p * p * half
-            - _div_exact((q - 1) * q * (q + 1), 6)
-            - _div_exact(2 * (p - 1) * p * (p + 1), 3)
-        )
-    if m < (j + 1) * half:
-        p = (j + 1) * half - m
-        q = m - j * half
-        return (
-            2 * c
-            + p * p * half
-            - _div_exact((q - 1) * q * (q + 1), 6)
-            - _div_exact(2 * (p - 1) * p * (p + 1), 3)
-        )
-    p = (j + 2) * half - m
-    return _div_exact((p - 1) * p * (p + 1), 6)
-
-
-def coefficient(j: int, m: int, k: int) -> int:
-    """Exact integer coefficient of fine band a_m in unscaled coarse band a_j
-    after (k-1) unnormalised coarsening steps (k >= 2)."""
-    if k < 2:
-        raise ValueError(f"coefficient tables require k >= 2, got {k}")
-    if j < 0 or m < 0:
-        raise ValueError("band indices must be non-negative")
-    half = 2 ** (k - 1)
-    if j == 0:
-        return _coeff_j0(m, k) if m < 2 * half else 0
-    if j == 1:
-        return _coeff_j1(m, k) if m < 3 * half else 0
-    if m < (j - 2) * half or m >= (j + 2) * half:
-        return 0
-    return _coeff_jge2(j, m, k)
 
 
 def mu_coefficient(kappa_alpha: float, alpha: float, tau: float, h: float) -> float:

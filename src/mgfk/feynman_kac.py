@@ -28,7 +28,6 @@ memory raises ``MgfkError`` before any of it is allocated.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from dataclasses import dataclass
@@ -288,16 +287,6 @@ class Evolution:
             raise MgfkError("problem has no exact solution attached")
         ref = np.asarray(p.exact(*self.coords, self.t[self.step_index]), dtype=complex)
         return float(np.max(np.abs(self.state - ref.ravel())))
-
-    def write_snapshot_csv(self, path, step: Optional[int] = None) -> None:
-        n = self.step_index if step is None else step
-        if not 0 <= n <= self.step_index:
-            raise MgfkError(f"step {n} not computed; levels 0..{self.step_index} are")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["index", "re", "im"])
-            for i, val in enumerate(self.history[n], start=1):
-                writer.writerow([i, repr(float(val.real)), repr(float(val.imag))])
 
 
 def _trace(bc: Optional[Callable[[float], complex]], t: np.ndarray) -> np.ndarray:

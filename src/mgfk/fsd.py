@@ -103,8 +103,10 @@ class FsdCoefficients:
 
     @classmethod
     def build(cls, alpha: float, nu: int, rho: complex, tau: float, count: int):
-        if tau <= 0.0:
-            raise ValueError(f"time step must be positive, got {tau}")
+        if not 0.0 < tau < np.inf:
+            raise ValueError(f"time step must be positive and finite, got {tau}")
+        if not np.isfinite(rho):
+            raise ValueError(f"rho must be finite, got {rho}")
         l = weights(alpha, nu, count)
         return cls(alpha=alpha, nu=nu, rho=complex(rho), tau=tau, l=l, d=tempered(l, rho, tau))
 

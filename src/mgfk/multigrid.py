@@ -476,8 +476,8 @@ def solve(
     residual history.  A non-finite residual, ``r0`` included, stops the
     iteration at once.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:

@@ -129,9 +129,6 @@ LAPLACIAN = ToeplitzStencil((2.0, -1.0))
 #: Fourth-order compact mass stencil (1/12) * tridiag(1, 10, 1).
 COMPACT_MASS = ToeplitzStencil((10.0 / 12.0, 1.0 / 12.0))
 
-#: Averaging stencil tridiag(1, 2, 1), the mirror image of the Laplacian.
-AVERAGING = ToeplitzStencil((2.0, 1.0))
-
 
 @dataclass(frozen=True)
 class KroneckerSum:
@@ -535,10 +532,10 @@ def grid_depth(m: int) -> int:
     return (m + 1).bit_length() - 1
 
 
-def lambda_max(op, m: int) -> tuple[float, float]:
+def lambda_max(op, m: int) -> float:
     """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid,
-    the top of its sine symbol, and its Gershgorin bound."""
-    return float(np.max(op.eigenvalues(m))), op.gershgorin_bound()
+    the top of its sine symbol."""
+    return float(np.max(op.eigenvalues(m)))
 
 
 def require_spd_eligible(op) -> None:

@@ -10,7 +10,9 @@ smoother and transfers, and applies the operator to every iterate, zero or
 not, the time-level right-hand side is summed term by term in Python loops,
 the contraction estimate cycles the reference V-cycle and takes each
 energy norm from a fresh apply, and the V-cycle's approximate inverse and
-contraction norm are dense matrices.
+contraction norm are dense matrices.  The exact integer coefficients of the
+unnormalised Galerkin recursion (``coefficient``) cover stencils of any
+width, which the package's tridiagonal stencils never reach.
 """
 
 import csv
@@ -19,10 +21,10 @@ import math
 
 import numpy as np
 
-from mgfk.coarsen import c_constant, coefficient
+from mgfk.coarsen import c_constant
 from mgfk.errors import EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
-from mgfk.stencil import grid_depth
+from mgfk.stencil import ToeplitzStencil, grid_depth, require_coarsenable
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:
@@ -81,6 +83,86 @@ def kron_sum_dense(op, m: int) -> np.ndarray:
     return op.c_mass * mass + op.c_stiff * stiff
 
 
+def _div_exact(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r != 0:
+        raise ArithmeticError(f"{num} not divisible by {den}")
+    return q
+
+
+def _coeff_j0(m: int, k: int) -> int:
+    c, half = c_constant(k), 2 ** (k - 1)
+    if m == 0:
+        return 4 * c + half
+    if m < half:
+        return 8 * c - (m * m - 1) * (2**k - m)
+    n = 2**k - m
+    return _div_exact((n - 1) * n * (n + 1), 3)
+
+
+def _coeff_j1(m: int, k: int) -> int:
+    c, half = c_constant(k), 2 ** (k - 1)
+    if m == 0:
+        return c
+    if m < half:
+        return 2 * c + m * m * half - _div_exact(2 * (m - 1) * m * (m + 1), 3)
+    if m < 2 * half:
+        n = 2**k - m
+        p = m - half
+        return (
+            2 * c
+            + n * n * half
+            - _div_exact(2 * (n - 1) * n * (n + 1), 3)
+            - _div_exact((p - 1) * p * (p + 1), 6)
+        )
+    n = 3 * half - m
+    return _div_exact((n - 1) * n * (n + 1), 6)
+
+
+def _coeff_jge2(j: int, m: int, k: int) -> int:
+    c, half = c_constant(k), 2 ** (k - 1)
+    if m < (j - 1) * half:
+        p = m - (j - 2) * half
+        return _div_exact((p - 1) * p * (p + 1), 6)
+    if m < j * half:
+        p = m - (j - 1) * half
+        q = j * half - m
+        return (
+            2 * c
+            + p * p * half
+            - _div_exact((q - 1) * q * (q + 1), 6)
+            - _div_exact(2 * (p - 1) * p * (p + 1), 3)
+        )
+    if m < (j + 1) * half:
+        p = (j + 1) * half - m
+        q = m - j * half
+        return (
+            2 * c
+            + p * p * half
+            - _div_exact((q - 1) * q * (q + 1), 6)
+            - _div_exact(2 * (p - 1) * p * (p + 1), 3)
+        )
+    p = (j + 2) * half - m
+    return _div_exact((p - 1) * p * (p + 1), 6)
+
+
+def coefficient(j: int, m: int, k: int) -> int:
+    """Exact integer coefficient of fine band a_m in unscaled coarse band a_j
+    after (k-1) unnormalised coarsening steps (k >= 2)."""
+    if k < 2:
+        raise ValueError(f"coefficient tables require k >= 2, got {k}")
+    if j < 0 or m < 0:
+        raise ValueError("band indices must be non-negative")
+    half = 2 ** (k - 1)
+    if j == 0:
+        return _coeff_j0(m, k) if m < 2 * half else 0
+    if j == 1:
+        return _coeff_j1(m, k) if m < 3 * half else 0
+    if m < (j - 2) * half or m >= (j + 2) * half:
+        return 0
+    return _coeff_jge2(j, m, k)
+
+
 def coefficient_table(j: int, k: int) -> tuple[int, list[int]]:
     """Return ``(m_offset, coefficients)`` covering the support of band j."""
     half = 2 ** (k - 1)
@@ -102,6 +184,26 @@ def mu_decomposition(a0: float, a1: float, k: int) -> tuple[float, float]:
     mu1 = (2.0 * c * (a0 + 2.0 * a1) + half * (a0 - 2.0 * a1)) / scale
     mu2 = (6.0 * c + half) * (a0 + 2.0 * a1) / scale
     return mu1, mu2
+
+
+def split_ratio(a0: float, a1: float, k: int) -> float:
+    """Ratio of averaging-part to Laplacian-part weight of the level-k stencil."""
+    c = float(c_constant(k))
+    half = 2.0 ** (k - 1)
+    num = (6.0 * c + half) * (a0 + 2.0 * a1)
+    den = (2.0 * c + half) * (a0 + 2.0 * a1) - 2.0 ** (k + 1) * a1
+    return num / den
+
+
+def approx_constant_sweep(a0: float, a1: float) -> float:
+    """sup over levels k = 1..64 of (1 + split_ratio)**2.
+
+    The ratio converges monotonically (it is a quotient of cubics in 2**k),
+    so 64 levels over-cover any buildable hierarchy.
+    """
+    require_coarsenable(ToeplitzStencil((a0, a1)))
+    best = max(split_ratio(a0, a1, k) for k in range(1, 65))
+    return (1.0 + best) ** 2
 
 
 def read_csv(path) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,6 @@ import pytest
 
 from mgfk.analysis import (
     BoundReport,
-    approx_constant_sweep,
     approx_constant_tridiag,
     check_contraction_bounds,
     check_smoother_bounds,
@@ -13,7 +12,6 @@ from mgfk.analysis import (
     contraction_bound,
     format_reports,
     reports_to_json,
-    split_ratio,
 )
 from mgfk.coarsen import closed_form_tridiag, fk_operator, mu_coefficient
 from mgfk.errors import EligibilityError
@@ -21,7 +19,7 @@ from mgfk.fsd import weights
 from mgfk.multigrid import build_hierarchy
 from mgfk.stencil import IDENTITY, LAPLACIAN, KroneckerSum, lambda_max
 
-from helpers import mu_decomposition, random_eligible_tridiag
+from helpers import approx_constant_sweep, mu_decomposition, random_eligible_tridiag, split_ratio
 
 LAPLACIAN_1D = KroneckerSum(1, c_mass=0.0, c_stiff=1.0, mass=IDENTITY, stiff=LAPLACIAN)
 
@@ -106,7 +104,7 @@ def test_smoother_bounds_1d_laplacian_hierarchy():
 
 
 def test_identity_operator_unit_ratio():
-    est, _ = lambda_max(IDENTITY, 17)
+    est = lambda_max(IDENTITY, 17)
     assert est / IDENTITY.diagonal == pytest.approx(1.0, abs=1e-12)
 
 

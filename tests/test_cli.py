@@ -78,11 +78,19 @@ def test_table_validation_failures_exit_one(tmp_path, capsys):
     assert main(["table", "--config", str(cfg)]) == 1
 
 
-def test_nan_arguments_exit_one(capsys):
+def test_nan_arguments_exit_one(capsys, tmp_path):
     assert main(["theory", "--preset", "laplacian", "--omega", "nan"]) == 1
     assert "omega_pre" in capsys.readouterr().err
     assert main(["table", "--preset", "example-6.1", "--M", "8", "--tol", "nan"]) == 1
     assert "tol" in capsys.readouterr().err
+    assert main(["table", "--preset", "example-6.1", "--M", "8", "--tol", "inf"]) == 1
+    assert "tol" in capsys.readouterr().err
+    for flag, value in (("--tau", "nan"), ("--tau", "inf"), ("--rho-im", "nan")):
+        out = tmp_path / f"{flag}-{value}.csv"
+        argv = ["coeffs", "--alpha", "0.5", "--nu", "2", "--count", "4", flag, value, "--out", str(out)]
+        assert main(argv) == 1
+        assert ("time step" if flag == "--tau" else "rho") in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_argparse_errors_exit_one():

@@ -5,15 +5,14 @@ from mgfk.coarsen import (
     c_constant,
     closed_form_constants,
     closed_form_tridiag,
-    coefficient,
     fk_operator,
     galerkin_step,
-    galerkin_step_unscaled,
     mu_coefficient,
 )
-from mgfk.stencil import AVERAGING, COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
+from mgfk.stencil import COMPACT_MASS, IDENTITY, LAPLACIAN, KroneckerSum, ToeplitzStencil
 
 from helpers import (
+    coefficient,
     coefficient_table,
     dense_galerkin,
     kron_sum_dense,
@@ -21,6 +20,10 @@ from helpers import (
     toeplitz_dense,
     unscaled_recursion,
 )
+
+
+#: Averaging stencil tridiag(1, 2, 1), the mirror image of the Laplacian.
+AVERAGING = ToeplitzStencil((2.0, 1.0))
 
 
 def test_galerkin_laplacian():
@@ -104,7 +107,17 @@ def test_coefficient_table_examples():
     assert coefficient(1, 0, 2) == c_constant(2)
     # one unscaled step of tridiag(1, 2, 1) assembled from the table
     assert 2 * coefficient(0, 0, 2) + coefficient(0, 1, 2) == 20
-    assert galerkin_step_unscaled(AVERAGING).bands[0] == 20
+    assert (8.0 * galerkin_step(AVERAGING)).bands[0] == 20  # 8 = 2**3: exact
+    # the integer tables, scaled, are the package's closed form, bit for bit
+    for k in range(2, 12):
+        scale = 8 ** (k - 1)
+        for a0 in range(1, 10):
+            for a1 in range(-4, 5):
+                want = (
+                    (coefficient(0, 0, k) * a0 + coefficient(0, 1, k) * a1) / scale,
+                    (coefficient(1, 0, k) * a0 + coefficient(1, 1, k) * a1) / scale,
+                )
+                assert closed_form_tridiag(a0, a1, k).bands == want, (a0, a1, k)
 
 
 def test_coefficient_branch_endpoints_agree():
@@ -137,7 +150,7 @@ def test_coefficient_tables_reproduce_recursion_exactly(k):
 
 def test_unscaled_step_matches_oracle_recursion():
     for bands in ((5, 1), (7, -3), (2,)):
-        ours = galerkin_step_unscaled(ToeplitzStencil(bands)).bands
+        ours = (8.0 * galerkin_step(ToeplitzStencil(bands))).bands
         assert ours == tuple(unscaled_recursion(bands, 1))
 
 

@@ -210,36 +210,6 @@ def test_observed_temporal_order(nu):
     assert rate == pytest.approx(nu, abs=0.3)
 
 
-def test_snapshot_csv_round_trip(tmp_path):
-    import csv
-
-    p = example_6_1(0.3, 8)
-    ev = Evolution(p, order=4, solver="direct").run()
-    path = tmp_path / "snap.csv"
-    ev.write_snapshot_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["index", "re", "im"]
-    values = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
-    assert np.array_equal(values, ev.state)
-
-
-def test_snapshot_csv_2d(tmp_path):
-    import csv
-
-    p = example_6_2(0.3, 8)
-    ev = Evolution(p, order=2, solver="direct").run()
-    assert ev.history.dtype == np.float64
-    path = tmp_path / "snap2d.csv"
-    ev.write_snapshot_csv(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert len(rows) == 1 + 49
-    assert all(r[2] == "0.0" for r in rows[1:])  # a float history writes im as 0.0
-    values = np.array([complex(float(r[1]), float(r[2])) for r in rows[1:]])
-    assert np.array_equal(values, ev.state)
-
-
 def test_transfers_preserve_complex_dtype():
     from mgfk.transfer import prolong, restrict
 
@@ -376,20 +346,6 @@ def test_assemble_rhs_matches_naive_memory_loop(ndim):
             got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         ev.step()
-
-
-@pytest.mark.parametrize("ndim", [1, 2])
-def test_snapshot_of_uncomputed_step_raises(ndim, tmp_path):
-    if ndim == 1:
-        ev = Evolution(example_6_1(0.3, 8), order=2, solver="direct")
-    else:
-        ev = Evolution(example_6_2(0.3, 8), order=2, solver="direct")
-    ev.step()
-    for bad in (2, 5, -1):
-        with pytest.raises(MgfkError):
-            ev.write_snapshot_csv(tmp_path / "snap.csv", step=bad)
-    ev.write_snapshot_csv(tmp_path / "snap.csv", step=0)
-    ev.write_snapshot_csv(tmp_path / "snap.csv", step=1)
 
 
 STEPPERS = [

@@ -127,7 +127,7 @@ def test_hierarchy_takes_numpy_integer_smoothing_counts():
     assert np.array_equal(vcycle(h, np.zeros(7), f), vcycle(build_hierarchy(LAPLACIAN_1D, 7), np.zeros(7), f))
 
 
-@pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8),
+@pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8), ("tol", np.inf),
                                          ("max_iter", 0), ("max_iter", -2),
                                          ("max_iter", True), ("max_iter", 2.5)])
 def test_solve_rejects_bad_tolerance_and_cycle_cap(name, value):
