@@ -168,7 +168,12 @@ class Evolution:
         rho = np.real(p.rho) if real else p.rho
 
         self.l = weights(p.alpha, order, p.n_steps)
-        self.decay = np.exp(-rho * p.tau * np.arange(p.n_steps + 1)).astype(self.dtype, copy=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.decay = np.exp(-rho * p.tau * np.arange(p.n_steps + 1)).astype(self.dtype, copy=False)
+        finite = np.isfinite(self.decay)
+        if np.count_nonzero(finite) < finite.size:
+            raise MgfkError(f"the tempering exp(-rho k tau) is not finite at k = {np.argmin(finite)}, "
+                            f"rho={p.rho}, tau={p.tau}")
         # w_N..w_1 of w_k = e^{-rho k tau} l_k, reversed once into a contiguous
         # array: a positive-stride slice goes to BLAS, while numpy runs its own
         # unblocked loop on the negative-stride view w[1:n][::-1].

@@ -108,7 +108,14 @@ class FsdCoefficients:
         if not np.isfinite(rho):
             raise ValueError(f"rho must be finite, got {rho}")
         l = weights(alpha, nu, count)
-        return cls(alpha=alpha, nu=nu, rho=complex(rho), tau=tau, l=l, d=tempered(l, rho, tau))
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = tempered(l, rho, tau)
+        finite = np.isfinite(d)
+        if np.count_nonzero(finite) < finite.size:
+            k = np.argmin(finite)
+            raise ValueError(f"tempered weight d_{k} = exp(-rho k tau) l_{k} is not finite "
+                             f"at rho={rho}, tau={tau}")
+        return cls(alpha=alpha, nu=nu, rho=complex(rho), tau=tau, l=l, d=d)
 
 
 def write_csv(coeffs: FsdCoefficients, path) -> None:

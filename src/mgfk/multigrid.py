@@ -11,7 +11,13 @@ complex data is one cycle on its real part and one on its imaginary part.
 Per dtype a hierarchy makes on first use, and reuses, a ``Tape``, which
 cycles in place on float64 per-level scratch buffers (``LevelWork``) of its
 own, one set per plane: the real part, and for complex data the imaginary
-part (long double data raise ``MgfkError``).  Every level operation
+part (long double data raise ``MgfkError``).  Each plane allocates one
+arena, and every run of every level, the transfers' intermediates included,
+is a view of it (``_plane``): finest level first, the storage of the
+iterate, the residual, the right-hand side and the intermediates, the
+iterate's first point and every other run's first cell at a fixed
+alignment and stagger past a page boundary (``_carve``), so that where a
+run sits does not follow earlier allocations.  Every level operation
 (residual, damped update, transfer pass, zero start, correction, coarsest
 step) is a ``stencil.Kernel`` on the buffers, each level's transfers bound
 to the next level's when it is built.  The tape splices the kernels of
@@ -50,6 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
@@ -67,6 +74,7 @@ from .stencil import (
     ZERO,
     Kernel,
     KroneckerSum,
+    _at,
     _CompiledSolve,
     compiled_solves,
     grid_depth,
@@ -105,30 +113,32 @@ class LevelWork:
     restricts into, or the one a driver loads on the fine level.  Each grid
     is held in the run layout (``stencil.run_shape``), rows of m + 1 cells
     (``v_run``, ``r_run``, ``rhs_run``), where the arithmetic runs.  The
-    iterate's run sits inside zero storage one row (in 1D one cell) wide on
-    either side, ``framed`` with it, so that a point's neighbour past the
-    end of a row, before the start of the next or off the first or last row
-    is a zero cell.  The pad cells of ``r_run`` and ``rhs_run`` are kept at
-    zero, so the updates keep those of ``v_run`` at zero, and the
-    prolongation reads its edges from ``framed``.  ``residual`` is the
-    kernel of ``r = rhs - A v``: ``centre`` times the iterate, plus per
-    off-centre point of the operator (``_points``) its window of that
-    storage times its coefficient, subtracted from ``rhs``.  ``restrict``
-    (``r`` into the ``rhs`` of ``coarse``, the next level, its pad cells
-    refilled with zeros) and ``prolong`` (its ``v`` into ``r``, pad cells
-    zero) are the transfers' kernels; the coarsest level has none (``()``).
+    level works in ``runs``, zeroed flat arrays of the lengths of
+    ``layout`` that ``_plane`` carves from its plane's arena: the storage
+    of the iterate, ``r_run``, ``rhs_run`` and, on a level with a coarse
+    neighbour in 2D, the intermediates of its transfers' row passes.  The
+    iterate's run sits inside that storage with zero cells one row (in 1D
+    one cell) wide on either side, ``framed`` with it, and one cell more at
+    either end, so that a point's neighbour past the end of a row, before
+    the start of the next or off the first or last row is a zero cell.
+    The pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so the
+    updates keep those of ``v_run`` at zero, and the prolongation reads its
+    edges from ``framed``.  ``residual`` is the kernel of
+    ``r = rhs - A v``: ``centre`` times the iterate, plus per off-centre
+    point of the operator (``_points``) its window of that storage times
+    its coefficient, subtracted from ``rhs``.  ``restrict`` (``r`` into the
+    ``rhs`` of ``coarse``, the next level, its pad cells refilled with
+    zeros) and ``prolong`` (its ``v`` into ``r``, pad cells zero) are the
+    transfers' kernels; the coarsest level has none (``()``).
     """
 
-    def __init__(self, level: GridLevel, dtype, coarse: "LevelWork | None" = None):
-        self.shape, self.diag = level.shape, level.diag
+    def __init__(self, level: GridLevel, runs: tuple, coarse: "LevelWork | None" = None):
+        self.shape, self.diag, self.runs = level.shape, level.diag, runs
         centre, points = level.operator._points
-        rows = run_shape(self.shape)
-        stride = [math.prod(rows[k + 1 :]) for k in range(len(rows))]  # flat stride of each axis
-        first, size = sum(stride), level.m * stride[0]  # the run: interior origin, length
-        flat = np.zeros(size + 2 * first, dtype)
+        stride, first, size = _frame(self.shape)
+        flat, self.r_run, self.rhs_run = runs[:3]
         self.v_run = flat[first : first + size]
         self.framed = flat[first - stride[0] : first + size + stride[0]]
-        self.r_run, self.rhs_run = np.zeros(size, dtype), np.zeros(size, dtype)
         self.v, self.r, self.rhs = (interior(a, self.shape) for a in (self.v_run, self.r_run, self.rhs_run))
         starts = (first + sum((w.start - 1) * st for w, st in zip(window, stride)) for window, _ in points)
         taps = tuple((flat[i : i + size], float(c)) for i, (_, c) in zip(starts, points))
@@ -136,8 +146,19 @@ class LevelWork:
                                pad_period(self.shape), taps)
         self.restrict = self.prolong = ()
         if coarse is not None:
-            self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape)
-            self.prolong = transfer.prolongation(coarse.framed, self.r_run, self.shape)
+            tmp = runs[3:] or (None, None)
+            self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape, tmp[0])
+            self.prolong = transfer.prolongation(coarse.framed, self.r_run, self.shape, tmp[1])
+
+    @staticmethod
+    def layout(shape: tuple, coarse: bool) -> tuple:
+        """The ``runs`` of a level of ``shape``, with a coarse neighbour or
+        without, as ``_carve`` takes them: per run its length and the cell
+        of it that sits aligned, the iterate's origin in its storage and
+        the first cell of every other run."""
+        _, first, size = _frame(shape)
+        tmp = transfer.intermediates(shape) if coarse else ()
+        return ((size + 2 * first, first), (size, 0), (size, 0), *((n, 0) for n in tmp))
 
     def update(self, weight: float) -> Kernel:
         """The kernel of ``v += (weight / diag) r``."""
@@ -148,11 +169,46 @@ class LevelWork:
         return self.residual, self.update(weight)
 
 
+def _frame(shape: tuple) -> tuple:
+    """The flat stride of each axis of the run layout of ``shape``, the
+    origin of the iterate's run in its storage and the run's length."""
+    rows = run_shape(shape)
+    stride = [math.prod(rows[k + 1 :]) for k in range(len(rows))]
+    return stride, sum(stride), shape[0] * stride[0]
+
+
+#: Where ``_carve`` puts the aligned cell of each run of an arena: in a run
+#: of at least ``_PAGE`` bytes, ``_STAGGER`` bytes times the run's place in
+#: the arena, modulo ``_PAGE``, past a page boundary, so that runs a kernel
+#: reads together do not alias modulo a page; in a shorter one, on a cache
+#: line of ``_LINE`` bytes.
+_PAGE, _LINE, _STAGGER = 4096, 64, 576
+
+
+def _carve(runs: list, dtype) -> list:
+    """Zeroed flat ``dtype`` arrays, one per ``(length, aligned cell)`` of
+    ``runs`` and in that order views of one arena that ``np.zeros``
+    allocates, placed as ``_PAGE``, ``_LINE`` and ``_STAGGER`` say."""
+    item, starts, end = np.dtype(dtype).itemsize, [], 0
+    for i, (n, cell) in enumerate(runs):
+        skew, align = (i * _STAGGER % _PAGE, _PAGE) if n * item >= _PAGE else (0, _LINE)
+        end += (skew - end - cell * item) % align
+        starts.append(end // item)
+        end += n * item
+    arena = np.zeros((end + _PAGE) // item, dtype)
+    base = -_at(arena) % _PAGE // item
+    return [arena[base + s : base + s + n] for s, (n, _) in zip(starts, runs)]
+
+
 def _plane(levels: tuple, dtype=np.float64) -> tuple:
-    """The ``LevelWork`` of every level, finest first, each bound to the next."""
+    """The ``LevelWork`` of every level, finest first, each bound to the
+    next, their runs carved in that order from one arena (``_carve``)."""
+    layouts = [LevelWork.layout(lv.shape, k + 1 < len(levels)) for k, lv in enumerate(levels)]
+    runs = iter(_carve([run for layout in layouts for run in layout], dtype))
+    groups = [tuple(islice(runs, len(layout))) for layout in layouts]
     work = ()
-    for lv in reversed(levels):
-        work = (LevelWork(lv, dtype, work[0] if work else None),) + work
+    for lv, group in zip(reversed(levels), reversed(groups)):
+        work = (LevelWork(lv, group, work[0] if work else None),) + work
     return work
 
 
@@ -423,7 +479,7 @@ def smooth(
         raise ValueError(f"smoothing weight must be positive and finite, got {weight}")
     if steps < 0:
         raise ValueError(f"need steps >= 0, got {steps}")
-    work = LevelWork(level, _work_dtype(v, f))
+    (work,) = _plane((level,), _work_dtype(v, f))
     work.v[...] = v
     work.rhs[...] = f
     run_numpy(work.sweep(weight) * steps)
@@ -474,10 +530,11 @@ def solve(
     within ``max_iter`` (an integer, not a ``bool``) is reported, not
     raised: the report comes back with ``converged=False`` and the full
     residual history.  A non-finite residual, ``r0`` included, stops the
-    iteration at once.
+    iteration at once.  ``tol`` must lie in (0, 1): the relative residual
+    starts at 1, so a larger one would end the solve after one cycle.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    if not 0.0 < tol < 1.0:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:

@@ -8,7 +8,9 @@ exactly two coarse rows long.  Each returns one ``stencil.Kernel`` per
 axis, which the V-cycle splices into its tape; the weights, 2 and 1/4 or
 1/2, are fixed in the kernels' kinds, in ``stencil.run_numpy`` and in the
 executor alike.  In 2D a row pass first combines whole rows, on
-(rows, n + 1) views with contiguous rows, into an intermediate; then, as
+(rows, n + 1) views with contiguous rows, into an intermediate: zeros of
+the length ``intermediates`` gives, which the caller passes in (a
+V-cycle's are carved from its plane's arena, ``multigrid._plane``); then, as
 in 1D, coarse cell q of a whole run sits at 2q + 1 of the other, so the
 last-axis pass is one 1-D stride-2 pass: a kernel of single-element rows,
 which the executor runs as one flat loop over the elements.  The
@@ -17,8 +19,8 @@ takes its edge values from zero cells, as (0 + x) * 0.5 (the zero rows
 around the coarse run, the pad cells, the intermediate's leading zero
 cell), and leaves zero pad cells.
 The prolongation is 2**ndim times the transpose of the restriction.
-``restrict`` and ``prolong`` bind the pair to fresh buffers for one call
-and run it through ``stencil.run_numpy``.
+``restrict`` and ``prolong`` bind the pair to fresh buffers for one call,
+its intermediate among them, and run it through ``stencil.run_numpy``.
 """
 
 from __future__ import annotations
@@ -37,27 +39,36 @@ def _coarse_size(m_fine: int) -> int:
     return (m_fine - 1) // 2
 
 
-def restriction(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
+def intermediates(shape: tuple) -> tuple:
+    """The lengths of the intermediates of the 2D row passes of
+    ``restriction`` and ``prolongation`` of a fine grid of ``shape``, in
+    that order; a 1D grid's passes take none (``()``)."""
+    if len(shape) == 1:
+        return ()
+    (m, n), (mc, nc) = shape, (_coarse_size(k) for k in shape)
+    return mc * (n + 1) + 1, 1 + m * (nc + 1)
+
+
+def restriction(x: np.ndarray, out: np.ndarray, shape: tuple, tmp: np.ndarray | None) -> tuple:
     """The kernels of full weighting on each axis,
     coarse_i = (x_{2i-1} + 2 x_{2i} + x_{2i+1}) / 4, evaluated as
     ``2 x_odd``, ``+ x_lo``, ``+ x_hi``, ``* 0.25``.
 
     ``x`` is the run of the fine grid of ``shape``, ``out`` that of the coarse
-    grid.  In 2D the row pass weighs the fine rows into an intermediate of
-    coarse rows, one cell longer for the last-axis pass's reads.
+    grid.  In 2D the row pass weighs the fine rows into ``tmp``, zeros of
+    the first length of ``intermediates``: coarse rows, and one cell more
+    for the last-axis pass's reads.  In 1D ``tmp`` is ``None``.
     """
     coarse = tuple(_coarse_size(m) for m in shape)
     kernels, src = (), x
     if len(shape) == 2:  # row q from fine rows 2q, 2q + 1, 2q + 2
-        (m, n), mc = shape, coarse[0]
-        src = np.zeros(mc * (n + 1) + 1, out.dtype)
-        rows = src[:-1].reshape(mc, n + 1)
-        kernels = (Kernel(RESTRICT, rows, x.reshape(m, n + 1)),)
+        (m, n), mc, src = shape, coarse[0], tmp
+        kernels = (Kernel(RESTRICT, tmp[:-1].reshape(mc, n + 1), x.reshape(m, n + 1)),)
     # coarse q from fine 2q + 1
     return kernels + (Kernel(RESTRICT, out, src, pad=pad_period(coarse)),)
 
 
-def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
+def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple, tmp: np.ndarray | None) -> tuple:
     """The kernels of linear interpolation on each axis; in 1D the columns
     are (1/2) * [1, 2, 1]^T.
 
@@ -68,15 +79,23 @@ def prolongation(x: np.ndarray, out: np.ndarray, shape: tuple) -> tuple:
     ``x`` is the run of the coarse grid with one zero row (in 1D one zero
     cell) on either side, ``multigrid.LevelWork.framed``; ``out`` is the run
     of the fine grid of ``shape``.  In 2D the row pass interpolates the
-    coarse rows into an intermediate of fine rows after one leading zero
-    cell, which the last-axis pass reads as the first point's neighbour.
+    coarse rows into ``tmp``, zeros of the second length of
+    ``intermediates``: fine rows after one leading zero cell, which the
+    last-axis pass reads as the first point's neighbour.  In 1D ``tmp`` is
+    ``None``.
     """
     kernels, src = (), x
     if len(shape) == 2:  # row 2q + 1 is coarse row q + 1 of x, row 2q the mean of rows q, q + 1
-        m, (mc, nc) = shape[0], (_coarse_size(k) for k in shape)
-        src = np.zeros(1 + m * (nc + 1), out.dtype)
-        kernels = (Kernel(PROLONG, src[1:].reshape(m, nc + 1), x.reshape(mc + 2, nc + 1)),)
+        m, (mc, nc), src = shape[0], (_coarse_size(k) for k in shape), tmp
+        kernels = (Kernel(PROLONG, tmp[1:].reshape(m, nc + 1), x.reshape(mc + 2, nc + 1)),)
     return kernels + (Kernel(PROLONG, out, src),)  # fine 2q + 1 from coarse q
+
+
+def _intermediate(shape: tuple, which: int, dtype) -> np.ndarray | None:
+    """A new zeroed intermediate of the restriction (``which`` 0) or the
+    prolongation (1) of a fine grid of ``shape``; ``None`` in 1D."""
+    lengths = intermediates(shape)
+    return np.zeros(lengths[which], dtype) if lengths else None
 
 
 def _grid(x) -> np.ndarray:
@@ -94,7 +113,7 @@ def restrict(x: np.ndarray) -> np.ndarray:
     fine = np.zeros(math.prod(run_shape(x.shape)), dtype)
     interior(fine, x.shape)[...] = x
     out = np.empty(math.prod(run_shape(coarse)), dtype)
-    run_numpy(restriction(fine, out, x.shape))
+    run_numpy(restriction(fine, out, x.shape, _intermediate(x.shape, 0, dtype)))
     return interior(out, coarse).copy()
 
 
@@ -110,5 +129,5 @@ def prolong(x: np.ndarray) -> np.ndarray:
     framed = np.zeros(math.prod(rows) + 2 * block, dtype)
     interior(framed[block:-block], x.shape)[...] = x
     out = np.empty(math.prod(run_shape(shape)), dtype)
-    run_numpy(prolongation(framed, out, shape))
+    run_numpy(prolongation(framed, out, shape, _intermediate(shape, 1, dtype)))
     return interior(out, shape).copy()

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -85,12 +86,27 @@ def test_nan_arguments_exit_one(capsys, tmp_path):
     assert "tol" in capsys.readouterr().err
     assert main(["table", "--preset", "example-6.1", "--M", "8", "--tol", "inf"]) == 1
     assert "tol" in capsys.readouterr().err
+    assert main(["table", "--preset", "example-6.1", "--M", "8", "--tol", "1"]) == 1
+    assert "tol" in capsys.readouterr().err
     for flag, value in (("--tau", "nan"), ("--tau", "inf"), ("--rho-im", "nan")):
         out = tmp_path / f"{flag}-{value}.csv"
         argv = ["coeffs", "--alpha", "0.5", "--nu", "2", "--count", "4", flag, value, "--out", str(out)]
         assert main(argv) == 1
         assert ("time step" if flag == "--tau" else "rho") in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_coeffs_whose_tempering_overflows_exit_one(tmp_path, capsys):
+    # exp(1000 k) overflows from k = 1 on: no table of -inf and nan, and no
+    # numpy warning, but a refusal
+    out = tmp_path / "coeffs.csv"
+    argv = ["coeffs", "--alpha", "0.5", "--nu", "2", "--count", "4", "--rho-re", "-1000", "--tau", "1",
+            "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 1
+    assert "d_1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_argparse_errors_exit_one():

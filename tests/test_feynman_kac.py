@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -302,6 +303,22 @@ def test_history_past_physical_memory_is_refused_before_any_trace_is_evaluated()
     with pytest.raises(MgfkError, match="physical memory"):
         Evolution(dataclasses.replace(p, bc_left=bc_left), order=4)
     assert calls == []
+
+
+def test_a_tempering_that_overflows_is_refused_before_the_history_is_allocated():
+    # exp(-rho k tau) overflows from k = 1 on: refused without a numpy
+    # warning, before the 537 MB complex history is made
+    p = dataclasses.replace(zero_problem_1d(m=2**13 - 1, n_steps=2**12), rho=-1e7 + 1.0j)
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MgfkError, match="not finite at k = 1,"):
+                Evolution(p, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**27
 
 
 def test_max_error_requires_exact():

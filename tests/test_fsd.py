@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,16 @@ def test_invalid_arguments():
         weights(0.5, 1, -1)
     with pytest.raises(ValueError):
         FsdCoefficients.build(0.5, 1, 0.0, -1.0, 4)
+
+
+@pytest.mark.parametrize("rho", [-1000.0, -1000.0 + 1e300j, -1e308])
+def test_tempered_weights_that_overflow_are_refused(rho):
+    # exp(-rho k tau) overflows from k = 1 on: refused, and numpy's overflow
+    # and invalid-value warnings do not escape
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="d_1 = .* is not finite"):
+            FsdCoefficients.build(0.5, 2, rho, 1.0, 4)
 
 
 @pytest.mark.parametrize("nu, count", [(2.5, 4), (3.9, 4), (3.0, 4), (True, 4), (2, 4.0), (2, 4.5), (2, False)])

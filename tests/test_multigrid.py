@@ -6,8 +6,10 @@ import pytest
 from mgfk import multigrid, stencil
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
+from mgfk.feynman_kac import preset
 from mgfk.fsd import weights
 from mgfk.multigrid import (
+    LevelWork,
     build_hierarchy,
     measure_contraction,
     smooth,
@@ -128,6 +130,7 @@ def test_hierarchy_takes_numpy_integer_smoothing_counts():
 
 
 @pytest.mark.parametrize("name, value", [("tol", np.nan), ("tol", 0.0), ("tol", -1e-8), ("tol", np.inf),
+                                         ("tol", 1.0), ("tol", 1e300),
                                          ("max_iter", 0), ("max_iter", -2),
                                          ("max_iter", True), ("max_iter", 2.5)])
 def test_solve_rejects_bad_tolerance_and_cycle_cap(name, value):
@@ -511,11 +514,11 @@ def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, m
 
 def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes: the level
-    buffers of each plane and the tape's residual grid."""
+    runs of each plane and the tape's residual grid."""
     for dtype in dtypes:
         for work in h.tape(dtype).work:
             for ws in work:
-                yield from (ws.framed, ws.r_run, ws.rhs_run)
+                yield from ws.runs
         yield h.tape(dtype).r
 
 
@@ -575,3 +578,88 @@ def test_fine_vcycle_allocates_less_than_two_grids():
     finally:
         tracemalloc.stop()
     assert peak < 2 * f.nbytes
+
+
+def fk_system(name, alpha, nu, intervals):
+    """The system operator of a time step of preset ``name``."""
+    p = preset(name, alpha, intervals)
+    return fk_operator(p.ndim, weights(alpha, nu, 0)[0], mu_coefficient(p.kappa, p.alpha, p.tau, p.h))
+
+
+#: The hierarchies of the benchmark's fk workloads at their --smoke sizes,
+#: as fine operator, size and coarsening: fk1d-history at M = 32 and
+#: fk2d-vcycle at M = 16.
+SMOKE = {
+    "fk1d-history": (fk_system("example-6.1", 0.3, 4, 32), 31, "galerkin"),
+    "fk2d-vcycle": (fk_system("example-6.2", 0.3, 2, 16), 15, "geometric"),
+}
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_every_run_of_a_plane_is_a_view_of_its_one_arena(ndim):
+    # one allocation per plane: every run of every level, the transfers'
+    # intermediates among them, and every array the plane's kernels touch
+    # is a view of the plane's arena; no two runs overlap, and the real and
+    # imaginary planes of a complex tape share nothing
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 31)
+    arenas = []
+    for plane in h.tape(complex).work:
+        runs = [run for ws in plane for run in ws.runs]
+        assert len(runs) == 3 * h.depth + (2 * (h.depth - 1) if ndim == 2 else 0)
+        arena = runs[0].base
+        assert arena.base is None and arena.dtype == np.float64
+        assert all(run.base is arena and run.ndim == 1 for run in runs)
+        assert all(not np.shares_memory(a, b) for i, a in enumerate(runs) for b in runs[i + 1 :])
+        kernels = sum((ws.sweep(1.0) + ws.restrict + ws.prolong for ws in plane), ())
+        arrays = (x for k in kernels for x in (k.out, k.a, k.b, *(w for w, _ in k.taps)))
+        assert all(x.base is arena for x in arrays if x is not None)
+        arenas.append(arena)
+    assert len(arenas) == 2 and not np.shares_memory(*arenas)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_runs_are_zero_when_built_and_sit_at_the_chosen_alignment(ndim):
+    # every cell of every run, pad and frame cells included, is zero before
+    # a first cycle; the aligned cell of a run of at least a page (the
+    # iterate's origin, else the first cell) sits _STAGGER bytes times the
+    # runs before it past a page boundary, that of a shorter run on a cache
+    # line
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 1023 if ndim == 1 else 127)
+    pages = 0
+    for plane in h.tape(complex).work:
+        runs = [(run, cell) for ws in plane
+                for run, (_, cell) in zip(ws.runs, LevelWork.layout(ws.shape, ws is not plane[-1]))]
+        for i, (run, cell) in enumerate(runs):
+            assert not np.any(run)
+            at = run[cell:].__array_interface__["data"][0]
+            if run.nbytes >= multigrid._PAGE:
+                pages += 1
+                assert at % multigrid._PAGE == i * multigrid._STAGGER % multigrid._PAGE
+            else:
+                assert at % multigrid._LINE == 0
+    assert pages >= 6
+
+
+@pytest.mark.parametrize("workload", list(SMOKE))
+def test_smoke_hierarchies_cycle_to_the_same_bits_after_any_heap_layout(workload, monkeypatch):
+    # the arena fixes where every run sits, whatever was allocated before
+    # it: built after dummy allocations of several sizes, on the executor
+    # and on the numpy fallback, the hierarchy cycles and solves to the
+    # same bits from warm and zero starts, on real and complex data
+    def outcome(dummy):
+        junk = np.ones(dummy // 8)
+        h = build_hierarchy(*SMOKE[workload])
+        rng = np.random.default_rng(21)
+        n = h.fine.unknowns
+        out = []
+        for f in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+            x, report = solve(h, f)
+            out += [vcycle(h, f, f).tobytes(), vcycle(h, None, f).tobytes(), x.tobytes(), report.residuals]
+        del junk
+        return out
+
+    dummies = (0, 8, 24, 1000, 3600, 70000)
+    compiled = [outcome(dummy) for dummy in dummies]
+    use_backend(monkeypatch, "numpy")
+    fallback = [outcome(dummy) for dummy in dummies]
+    assert all(got == compiled[0] for got in compiled + fallback)

@@ -25,7 +25,6 @@ from mgfk.feynman_kac import preset
 from mgfk.fsd import weights
 from mgfk.multigrid import (
     GridLevel,
-    LevelWork,
     MgHierarchy,
     _cycle_kernels,
     _plane,
@@ -238,10 +237,9 @@ def test_the_float_and_complex_tapes_share_no_buffer(ndim):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_a_level_binds_its_transfers_when_it_is_built(ndim):
     # a level built with its coarse neighbour carries both transfers between
-    # them; the coarsest level, built alone, carries none
+    # them; the coarsest level carries none
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 3)
-    coarse = LevelWork(h.levels[1], np.float64)
-    fine = LevelWork(h.fine, np.float64, coarse)
+    fine, coarse = _plane(h.levels)
     assert coarse.restrict == coarse.prolong == ()
     assert len(fine.restrict) == len(fine.prolong) == ndim
     rng = np.random.default_rng(15)
@@ -274,7 +272,7 @@ def test_tapes_refuse_dtypes_the_executor_lacks():
     assert not h._tapes
     for dtype in (np.longdouble, np.complex128, np.float32):
         with pytest.raises(ValueError, match="float64 data only"):
-            tape_runner((LevelWork(h.fine, dtype).residual,))
+            tape_runner((_plane((h.fine,), dtype)[0].residual,))
     assert smooth(h.fine, f, f, 0.5, 2).dtype == np.longdouble
 
 
@@ -285,7 +283,7 @@ def test_tapes_refuse_scalars_that_are_not_real_floats(scalar, monkeypatch):
     # scalar or a tap's coefficient that is not a float is refused before
     # any record is packed, a complex one with a zero imaginary part too
     monkeypatch.setattr(stencil, "_record", lambda k: pytest.fail("a record was packed"))
-    ws = LevelWork(build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine, np.float64)
+    (ws,) = _plane((build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine,))
     (window, c), *taps = ws.residual.taps
     for k in (ws.update(0.5)._replace(s=scalar), ws.residual._replace(taps=((window, scalar * c), *taps))):
         with pytest.raises(ValueError, match="real float scalars only"):
