@@ -30,7 +30,6 @@ from .multigrid import (
     SolveReport,
     build_hierarchy,
     measure_contraction,
-    smooth,
     solve,
     vcycle,
 )

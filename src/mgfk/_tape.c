@@ -37,7 +37,7 @@
  * sum.
  *
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
- * from l_0 by the Miller recurrence of mgfk.fsd._weights_cached, each l_n
+ * from l_0 by the Miller recurrence of mgfk.fsd.weights, each l_n
  * the same IEEE operations: its terms formed into two arrays of at most nu
  * values, summed by the same BLAS ddot numpy's np.dot calls on them.
  */

@@ -38,8 +38,8 @@ def _is_number(val) -> bool:
 
 
 _FIELD_KINDS = [
-    *((n, "a number", _is_number) for n in ("alpha", "tol", "omega_pre", "omega_post", "omega")),
-    *((n, "an integer", _is_int) for n in ("nu", "m1", "m2", "trials", "seed")),
+    *((n, "a number", _is_number) for n in ("alpha", "tol", "omega")),
+    *((n, "an integer", _is_int) for n in ("nu", "trials", "seed")),
     *((n, "a string", lambda val: isinstance(val, str)) for n in ("preset", "coarsen", "out")),
 ]
 
@@ -54,10 +54,6 @@ class ExperimentConfig:
     m_values: list = field(default_factory=list)
     coarsen: str | None = None
     tol: float | None = None
-    omega_pre: float = 1.0
-    omega_post: float = 0.5
-    m1: int = 1
-    m2: int = 2
     omega: float | None = None
     trials: int = 4
     seed: int = 0
@@ -119,15 +115,7 @@ def run_table(cfg: ExperimentConfig) -> list[dict]:
     for m in cfg.m_values:
         problem = preset(cfg.preset, cfg.alpha, m)
         t0 = time.perf_counter()
-        ev = Evolution(
-            problem,
-            order=cfg.nu,
-            solver="mgm",
-            coarsening=cfg.coarsen,
-            tol=cfg.tol,
-            omega=(cfg.omega_pre, cfg.omega_post),
-            counts=(cfg.m1, cfg.m2),
-        ).run()
+        ev = Evolution(problem, order=cfg.nu, solver="mgm", coarsening=cfg.coarsen, tol=cfg.tol).run()
         cpu = time.perf_counter() - t0
         err = ev.max_error()
         rate = convergence_rate(prev_err, err) if prev_err else None
@@ -194,10 +182,7 @@ def run_theory(cfg: ExperimentConfig) -> tuple[list[analysis.BoundReport], bool]
         m0 = 16.0 if problem.ndim == 1 else 1536.0
 
     omega = cfg.omega if cfg.omega is not None else 0.5**fine.ndim
-    hier = vc.build_hierarchy(
-        fine, m, strategy="galerkin", omega_pre=omega, omega_post=omega,
-        pre_count=cfg.m1, post_count=cfg.m2,
-    )
+    hier = vc.build_hierarchy(fine, m, strategy="galerkin", omega_pre=omega, omega_post=omega)
     reports = analysis.check_smoother_bounds(hier)
     reports.append(
         analysis.check_contraction_bounds(hier, m0, trials=cfg.trials, seed=cfg.seed)

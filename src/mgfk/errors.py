@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the physical-memory guard."""
+
+import os
 
 
 class MgfkError(Exception):
@@ -23,3 +25,11 @@ class ConvergenceFailure(MgfkError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def require_memory(nbytes: int, what: str) -> None:
+    """Raise ``MgfkError`` if ``what``, ``nbytes`` bytes, exceeds the
+    machine's physical memory."""
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if nbytes > memory:
+        raise MgfkError(f"{what} needs {nbytes} bytes, more than the {memory} bytes of physical memory")

@@ -29,7 +29,6 @@ memory raises ``MgfkError`` before any of it is allocated.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from . import multigrid as vc
 from .coarsen import fk_operator, mu_coefficient
-from .errors import ConvergenceFailure, MgfkError
+from .errors import ConvergenceFailure, MgfkError, require_memory
 from .fsd import weights
 from .stencil import COMPACT_MASS, dst_solve
 
@@ -111,13 +110,7 @@ class Problem:
 def _require_history_fits(p: Problem, dtype: np.dtype) -> None:
     """Raise ``MgfkError`` if the ``dtype`` history of every level of ``p``
     exceeds the machine's physical memory."""
-    history_bytes = (p.n_steps + 1) * p.m**p.ndim * dtype.itemsize
-    memory_bytes = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if history_bytes > memory_bytes:
-        raise MgfkError(
-            f"the history of {p.n_steps + 1} levels needs {history_bytes} bytes, "
-            f"more than the {memory_bytes} bytes of physical memory"
-        )
+    require_memory((p.n_steps + 1) * p.m**p.ndim * dtype.itemsize, f"the history of {p.n_steps + 1} levels")
 
 
 class Evolution:
@@ -141,6 +134,7 @@ class Evolution:
         solver: str = "mgm",
         coarsening: str = "galerkin",
         tol: float = 1e-11,
+        # the benchmark harness (benchmarks/workloads.py) passes these two, at their defaults
         omega=(1.0, 0.5),
         counts=(1, 2),
     ):

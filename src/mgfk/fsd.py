@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 import numpy as np
 
 from . import stencil
+from .errors import require_memory
 
 
 def generating_poly(nu: int) -> np.ndarray:
@@ -40,24 +40,6 @@ def generating_poly(nu: int) -> np.ndarray:
         for j in range(i + 1):
             w[j] += comb(i, j) * (-1.0) ** j / i
     return w
-
-
-@lru_cache(maxsize=64)
-def _weights_cached(alpha: float, nu: int, count: int) -> np.ndarray:
-    w = generating_poly(nu)
-    out = np.zeros(count + 1)
-    out[0] = w[0] ** alpha
-    if count and stencil.compiled_solves():
-        lib = stencil._library()
-        lib.mgfk_weights(alpha, stencil._at(w), nu, count, stencil._at(out), stencil._ddot())
-    else:  # the executor's numpy twin
-        for n in range(1, count + 1):
-            jmax = min(n, nu)
-            js = np.arange(1, jmax + 1)
-            acc = np.dot(((alpha + 1.0) * js - n) * w[1 : jmax + 1], out[n - js])
-            out[n] = acc / (n * w[0])
-    out.setflags(write=False)
-    return out
 
 
 def weights(alpha: float, nu: int, count: int) -> np.ndarray:
@@ -81,7 +63,20 @@ def weights(alpha: float, nu: int, count: int) -> np.ndarray:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    return _weights_cached(float(alpha), int(nu), int(count))
+    alpha, nu, count = float(alpha), int(nu), int(count)
+    w = generating_poly(nu)
+    out = np.zeros(count + 1)
+    out[0] = w[0] ** alpha
+    if count and stencil.compiled_solves():
+        lib = stencil._library()
+        lib.mgfk_weights(alpha, stencil._at(w), nu, count, stencil._at(out), stencil._ddot())
+    else:  # the executor's numpy twin
+        for n in range(1, count + 1):
+            jmax = min(n, nu)
+            js = np.arange(1, jmax + 1)
+            acc = np.dot(((alpha + 1.0) * js - n) * w[1 : jmax + 1], out[n - js])
+            out[n] = acc / (n * w[0])
+    return out
 
 
 def tempered(l: np.ndarray, rho: complex, tau: float) -> np.ndarray:
@@ -107,6 +102,7 @@ class FsdCoefficients:
             raise ValueError(f"time step must be positive and finite, got {tau}")
         if not np.isfinite(rho):
             raise ValueError(f"rho must be finite, got {rho}")
+        require_memory((8 + 16) * (count + 1), f"the {count + 1} real and complex weights")
         l = weights(alpha, nu, count)
         with np.errstate(over="ignore", invalid="ignore"):
             d = tempered(l, rho, tau)

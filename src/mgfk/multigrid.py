@@ -39,7 +39,6 @@ planes hold the values numpy's complex arithmetic gives on the same
 kernels, up to the sign of a zero, as every scalar is real and a complex
 plane's coarsest step multiplies by the reciprocal of the diagonal, as
 numpy's complex division by a real divisor does (real data divide).
-``smooth`` runs its kernels, of any dtype, through ``run_numpy``.
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
 ``solve`` return new arrays, never a buffer.  Because its tapes are
 reused, two threads must not cycle on one hierarchy at once.
@@ -82,7 +81,6 @@ from .stencil import (
     pad_period,
     require_coarsenable,
     require_spd_eligible,
-    run_numpy,
     run_shape,
     tape_runner,
 )
@@ -398,7 +396,6 @@ class SolveReport:
     iterations: int
     residuals: list = field(default_factory=list)
     converged: bool = False
-    contraction_factor: float = math.nan
 
 
 def build_hierarchy(
@@ -461,29 +458,6 @@ def build_hierarchy(
         post_count=post_count,
         strategy=strategy,
     )
-
-
-def smooth(
-    level: GridLevel,
-    v: np.ndarray,
-    f: np.ndarray,
-    weight: float,
-    steps: int,
-) -> np.ndarray:
-    """Damped Jacobi: v <- v + weight * (f - A v) / diag, ``steps`` times.
-
-    Runs the sweeps of a ``LevelWork`` made for the call and returns its
-    ``v``; ``v`` is left as it was.
-    """
-    if not 0.0 < weight < math.inf:
-        raise ValueError(f"smoothing weight must be positive and finite, got {weight}")
-    if steps < 0:
-        raise ValueError(f"need steps >= 0, got {steps}")
-    (work,) = _plane((level,), _work_dtype(v, f))
-    work.v[...] = v
-    work.rhs[...] = f
-    run_numpy(work.sweep(weight) * steps)
-    return work.v
 
 
 def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
@@ -549,19 +523,9 @@ def solve(
     x = tape.result().ravel()
     if cycles == 0:  # r0 zero, or not finite
         if end == CONVERGED:
-            return x, SolveReport(0, [], converged=True, contraction_factor=0.0)
+            return x, SolveReport(0, [], converged=True)
         return x, SolveReport(iterations=0, residuals=[math.nan])
-
-    report = SolveReport(cycles, tape.norms[1 : cycles + 1].tolist(), converged=end == CONVERGED)
-    ratios = [
-        report.residuals[i] / report.residuals[i - 1]
-        for i in range(1, len(report.residuals))
-        if report.residuals[i - 1] > 0.0
-    ]
-    if ratios:
-        late = ratios[3:] if len(ratios) > 3 else ratios
-        report.contraction_factor = max(late)
-    return x, report
+    return x, SolveReport(cycles, tape.norms[1 : cycles + 1].tolist(), converged=end == CONVERGED)
 
 
 def measure_contraction(

@@ -26,7 +26,7 @@ numpy's BLAS ddot (``compiled_solves``); its six fields are the cycle's
 records, the fine residual's, one per plane, which say where each plane's
 residual is, the grid the residuals are gathered into, and the ddot.
 The executor's third entry point, ``mgfk_weights``, runs the quadrature
-weights' recurrence of ``fsd._weights_cached`` through that ddot, the same
+weights' recurrence of ``fsd.weights`` through that ddot, the same
 bits as its numpy loop, which runs where ``compiled_solves`` is false.
 Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
 cells, one zero pad cell after each row's points.  The type-I sine
@@ -298,8 +298,8 @@ def run_numpy(kernels) -> None:
     of each record in the executor's order, each tap's product formed as a
     temporary, the transfers' weights 2, 1/4 and 1/2 as in the executor.
     Kernels of any dtype run, the complex and long double ones of
-    ``smooth``, ``transfer.restrict`` and ``transfer.prolong`` included.
-    numpy warns of overflows and invalid values."""
+    ``transfer.restrict`` and ``transfer.prolong`` included.  numpy warns
+    of overflows and invalid values."""
     for kind, o, a, b, s, pad, taps in kernels:
         if kind == RESIDUAL:
             np.multiply(a, s, o)

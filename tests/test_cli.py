@@ -1,6 +1,10 @@
 import csv
+import dataclasses
 import json
+import os
+import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,6 +81,11 @@ def test_table_validation_failures_exit_one(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps({"no_such_key": 1}))
     assert main(["table", "--config", str(cfg)]) == 1
+    # the smoothing schedule is not a config field: the paper's (1, 2) with weights (1, 1/2)
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"omega_pre": 1.0, "omega_post": 0.5, "m1": 1, "m2": 2}))
+    assert main(["table", "--config", str(cfg)]) == 1
+    assert "unknown config keys: ['m1', 'm2', 'omega_post', 'omega_pre']" in capsys.readouterr().err
 
 
 def test_nan_arguments_exit_one(capsys, tmp_path):
@@ -106,6 +115,21 @@ def test_coeffs_whose_tempering_overflows_exit_one(tmp_path, capsys):
         warnings.simplefilter("error")
         assert main(argv) == 1
     assert "d_1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_coeffs_past_physical_memory_exit_one(tmp_path, capsys, monkeypatch):
+    # the two tables of 1001 weights need 24024 bytes, more than a machine
+    # of four 4 KiB pages has: refused before any weight is computed
+    from mgfk import fsd
+
+    sysconf = os.sysconf
+    memory = {"SC_PHYS_PAGES": 4, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    monkeypatch.setattr(fsd, "weights", lambda *args: pytest.fail("the weights were computed"))
+    out = tmp_path / "coeffs.csv"
+    assert main(["coeffs", "--alpha", "0.5", "--nu", "2", "--count", "1000", "--out", str(out)]) == 1
+    assert "needs 24024 bytes, more than the 16384 bytes of physical memory" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -199,13 +223,14 @@ def test_theory_refuses_more_than_one_grid(tmp_path, capsys, source):
 
 
 def test_theory_refuses_smoothing_the_bound_does_not_cover(tmp_path, capsys):
-    # a cycle without smoothing contracts by 1, above the l = 1 bound, but
-    # that bound does not cover it: a refusal (exit 1), not a violation (3)
+    # the l = 1 bound covers the one schedule the checks run, (m1, m2) =
+    # (1, 2); a config asking for another is a refusal (exit 1), not a
+    # violation (3)
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"preset": "example-6.2", "alpha": 0.8, "m1": 0, "m2": 1, "m_values": [32]}))
     assert main(["theory", "--config", str(cfg)]) == 1
     err = capsys.readouterr().err
-    assert "(m1, m2) = (1, 2), got (0, 1)" in err and "violated" not in err
+    assert "unknown config keys: ['m1', 'm2']" in err and "violated" not in err
 
 
 def test_run_theory_violation_detection():
@@ -249,7 +274,7 @@ def test_resolved_config_rejects_bad_values():
 @pytest.mark.parametrize(
     "fields",
     [{"alpha": "0.5"}, {"m_values": [8.0]}, {"m_values": 8}, {"nu": True}, {"preset": 3},
-     {"seed": 1.5}, {"trials": "4"}, {"m1": None}, ["alpha", 0.5]],
+     {"seed": 1.5}, {"trials": "4"}, {"trials": None}, ["alpha", 0.5]],
 )
 def test_wrongly_typed_config_values_exit_one(tmp_path, capsys, command, fields):
     # a config file can hold any JSON value; a wrong type is a validation
@@ -264,5 +289,17 @@ def test_resolved_config_rejects_wrong_types():
     for fields in ({"alpha": "0.5"}, {"m_values": [8.0]}, {"nu": 2.0}, {"coarsen": 1}):
         with pytest.raises(MgfkError):
             ExperimentConfig(**fields).resolved()
-    cfg = ExperimentConfig(omega_pre=1, tol=1, omega=None).resolved()  # ints are numbers
-    assert cfg.omega_pre == 1 and cfg.tol == 1 and cfg.nu == 4
+    cfg = ExperimentConfig(omega=1, tol=1).resolved()  # ints are numbers
+    assert cfg.omega == 1 and cfg.tol == 1 and cfg.nu == 4
+
+
+def test_readme_config_block_lists_every_field_at_its_default():
+    # the JSON block under "Recognised keys and defaults", its // comments
+    # stripped: the dataclass's fields, each non-null value the resolved default
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"Recognised keys and defaults:\s*```json\n(.*?)```", readme, re.S).group(1)
+    documented = json.loads(re.sub(r"//.*", "", block))
+    assert list(documented) == [f.name for f in dataclasses.fields(ExperimentConfig)]
+    defaults = ExperimentConfig().resolved()
+    for key, value in documented.items():
+        assert value is None or getattr(defaults, key) == value, key

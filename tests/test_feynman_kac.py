@@ -7,7 +7,6 @@ import warnings
 import numpy as np
 import pytest
 
-from mgfk import feynman_kac
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import ConvergenceFailure, MgfkError
 from mgfk.feynman_kac import (
@@ -429,7 +428,7 @@ def test_promoting_past_physical_memory_is_refused_before_the_cast(kw, monkeypat
     real_bytes = (16 + 1) * 15**2 * 8
     sysconf = os.sysconf
     memory = {"SC_PHYS_PAGES": 3 * real_bytes // 2, "SC_PAGE_SIZE": 1}
-    monkeypatch.setattr(feynman_kac.os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
     ev = Evolution(p, order=2, **kw)
     for _ in range(7):
         ev.step()

@@ -75,19 +75,17 @@ def test_partial_sums_decay(nu):
 def test_compiled_weights_are_the_numpy_loops_bits(nu, monkeypatch):
     # where the executor and numpy's ddot are found (CI asserts they are),
     # the recurrence runs in the executor: the bytes of the numpy loop
-    build = fsd._weights_cached.__wrapped__  # uncached
     counts = sorted({0, 1, nu, nu + 1, 1024, 4096})
     alphas = (0.01, 0.3, 0.5, 0.77, 0.99)
-    compiled = [build(alpha, nu, count) for alpha in alphas for count in counts]
+    compiled = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
     monkeypatch.setattr(stencil, "compiled_solves", lambda: False)
-    numpy = [build(alpha, nu, count) for alpha in alphas for count in counts]
+    numpy = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
     assert [c.tobytes() for c in compiled] == [n.tobytes() for n in numpy]
 
 
 def test_the_leading_weight_alone_loads_no_executor(monkeypatch):
     # the theory checks take l_0 only: that loads and builds nothing
     monkeypatch.setattr(stencil, "_library", lambda: pytest.fail("the executor was loaded"))
-    fsd._weights_cached.cache_clear()
     for nu in (1, 2, 3, 4):
         l = weights(0.3, nu, 0)
         assert l.shape == (1,) and l[0] == generating_poly(nu)[0] ** 0.3
@@ -109,14 +107,6 @@ def test_tempered_modulus_never_grows():
     l = weights(0.7, 3, 50)
     d = tempered(l, 2.0 + 5.0j, 0.05)
     assert np.all(np.abs(d) <= np.abs(l) + 1e-18)
-
-
-def test_weights_are_cached_and_frozen():
-    a = weights(0.3, 2, 16)
-    b = weights(0.3, 2, 16)
-    assert a is b
-    with pytest.raises(ValueError):
-        a[0] = 99.0
 
 
 def test_invalid_arguments():
