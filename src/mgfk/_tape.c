@@ -27,14 +27,11 @@
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
  * (mgfk.multigrid.solve) as one call: up to the cap it is given, the fine
- * residual records, one per plane, a gather of each plane's residual, from
- * the run its record writes, into the interleaved grid r, its Euclidean
- * norm, the stopping test and a cycle.  The norm is the one numpy's
- * np.linalg.norm takes of r: sqrt(dot(x, x)) of float data,
- * sqrt(dot(re, re) + dot(im, im)) on the stride-2 views of complex data,
- * with dot the BLAS ddot numpy calls.  It is taken on r, not on the
- * planes' runs, whose zero pad cells would change the order of the BLAS
- * sum.
+ * residual records, one per plane, the residual's Euclidean norm, the
+ * stopping test and a cycle.  The norm is sqrt(dot(x_1, x_1) + ...), over
+ * the planes in order, with x_p the whole run plane p's residual record
+ * writes, pad cells (zero) included, and dot the BLAS ddot numpy's np.dot
+ * calls on it.
  *
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
  * from l_0 by the Miller recurrence of mgfk.fsd.weights, each l_n
@@ -154,39 +151,24 @@ void mgfk_run_tape(const record *r, int64_t count)
 typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 
 /* A solve, as mgfk.stencil._CompiledSolve packs it, all fields int64: the
- * cycle's records and the fine residual's, one per plane; the grid r the
- * planes' residuals are gathered into, interleaved; and the dot_fn. */
+ * cycle's records and the fine residual's, one per plane, and the dot_fn. */
 typedef struct {
-    int64_t cycle, cycles, residual, residuals, r, dot;
+    int64_t cycle, cycles, residual, residuals, dot;
 } solve;
 
 /* How a solve ends, as mgfk.stencil names them. */
 enum { RAN_OUT, CONVERGED, NOT_FINITE };
 
-/* The norm of the residual, formed at the loaded iterate and gathered:
- * the planes' sums of squares added in order, as numpy adds them.  Plane
- * p's residual is the run its record f writes: rows of points, each row
- * stride cells apart, a pad cell ending each row where there is one. */
+/* The norm of the residual, formed at the loaded iterate: each plane's
+ * sum of squares over the run its record f writes, added in plane order. */
 static double residual_norm(const solve *s)
 {
     const record *f = (const record *)(intptr_t)s->residual;
-    const int64_t planes = s->residuals;
     const dot_fn dot = (dot_fn)(intptr_t)s->dot;
-    double *r = P(s->r), sq = 0.0;
-    mgfk_run_tape(f, planes);
-    for (int64_t p = 0; p < planes; p++) {
-        const int64_t stride = f[p].pad ? f[p].pad : f[p].n, len = f[p].pad ? f[p].pad - 1 : f[p].n;
-        const int64_t rows = f[p].n / stride;
-        for (int64_t i = 0; i < rows; i++) { /* a loop per stride, so that each vectorises */
-            const double *from = P(f[p].out) + i * stride;
-            double *to = r + i * len * planes + p;
-            if (planes == 1)
-                EACH(len) to[k] = from[k];
-            else
-                EACH(len) to[2 * k] = from[k];
-        }
-        sq = sq + dot(rows * len, r + p, planes, r + p, planes);
-    }
+    double sq = 0.0;
+    mgfk_run_tape(f, s->residuals);
+    for (int64_t p = 0; p < s->residuals; p++)
+        sq = sq + dot(f[p].n, P(f[p].out), 1, P(f[p].out), 1);
     return sqrt(sq);
 }
 

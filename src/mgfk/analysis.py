@@ -14,6 +14,7 @@ import numpy as np
 
 from . import multigrid as vc
 from .coarsen import closed_form_constants, closed_form_tridiag, galerkin_step
+from .errors import require_memory
 from .stencil import IDENTITY, LAPLACIAN, ToeplitzStencil, lambda_max, require_coarsenable
 
 _SLACK = 1e-10
@@ -81,8 +82,11 @@ def check_smoother_bounds(h: vc.MgHierarchy, seed: int = 0) -> list[BoundReport]
     refinement for Galerkin hierarchies of the model operator
     c1 I^{(x)d} + c2 sum_k I (x)..L..(x) I with c1 > 0: eta1 and eta2 are the
     level's largest symbol value and its diagonal from the closed-form level
-    constants, independent of the Galerkin recursion."""
+    constants, independent of the Galerkin recursion.  Where the fine sine
+    symbol ``lambda_max`` forms, with ``KroneckerSum._kron_sum``'s five m^d
+    temporaries, would not fit in physical memory, ``MgfkError`` is raised."""
     fine, d = h.fine.operator, h.fine.operator.ndim
+    require_memory(8 * (5 * h.fine.unknowns + 2 * h.fine.m), f"the sine symbol of the {h.fine.shape} grid")
     model = fine.c_mass > 0 and (fine.mass, fine.stiff) == (IDENTITY, LAPLACIAN)
     reports = []
     for k, lv in enumerate(h.levels):

@@ -107,10 +107,11 @@ class Problem:
         return (x,) if self.ndim == 1 else tuple(np.meshgrid(x, x, indexing="ij"))
 
 
-def _require_history_fits(p: Problem, dtype: np.dtype) -> None:
-    """Raise ``MgfkError`` if the ``dtype`` history of every level of ``p``
-    exceeds the machine's physical memory."""
-    require_memory((p.n_steps + 1) * p.m**p.ndim * dtype.itemsize, f"the history of {p.n_steps + 1} levels")
+def _require_history_fits(p: Problem, *dtypes: np.dtype) -> None:
+    """Raise ``MgfkError`` if histories of every level of ``p``, one per
+    dtype of ``dtypes`` held at once, exceed the machine's physical memory."""
+    levels, names = p.n_steps + 1, " and ".join(d.name for d in dtypes)
+    require_memory(levels * p.m**p.ndim * sum(d.itemsize for d in dtypes), f"the {names} history of {levels} levels")
 
 
 class Evolution:
@@ -236,9 +237,10 @@ class Evolution:
 
     def _promote(self) -> None:
         """Carry on in complex128: the history, weights and traces are real so
-        far, so the cast is exact.  A complex128 history that would not fit
-        in physical memory raises ``MgfkError`` before anything is cast."""
-        _require_history_fits(self.problem, np.dtype(complex))
+        far, so the cast is exact.  The cast holds the float64 history and
+        its complex128 copy at once: where the two would not fit in physical
+        memory, ``MgfkError`` is raised before anything is cast."""
+        _require_history_fits(self.problem, np.dtype(float), np.dtype(complex))
         self.dtype = np.dtype(complex)
         for name in ("decay", "_w_rev", "g_left", "g_right", "history"):
             setattr(self, name, getattr(self, name).astype(complex))

@@ -30,15 +30,16 @@ fine iterate and the residual formed from it: ``solve`` and
 ``measure_contraction`` form that residual for their norms and cycle from
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
 is given none.  A whole ``solve`` is one call into the executor
-(``Tape.solve``), which finds each plane's residual through the fine
-residual's records, its residual norms numpy's, through the BLAS ddot
-numpy calls (``stencil.compiled_solves``), and its residual history the
-same bits as without the executor.  Every scalar of a kernel is a float, held
-in its record, and the transfers' weights are fixed.  On finite data the
-planes hold the values numpy's complex arithmetic gives on the same
-kernels, up to the sign of a zero, as every scalar is real and a complex
-plane's coarsest step multiplies by the reciprocal of the diagonal, as
-numpy's complex division by a real divisor does (real data divide).
+(``Tape.solve``), which finds each plane's residual run through the fine
+residual's records and sums its squares, pad cells included, by the BLAS
+ddot ``np.dot`` calls (``stencil.compiled_solves``), so its residual
+history is the same bits as without the executor.  Every scalar of a
+kernel is a float, held in its record, and the transfers' weights are
+fixed.  On finite data the planes hold the values numpy's complex
+arithmetic gives on the same kernels, up to the sign of a zero, as every
+scalar is real and a complex plane's coarsest step multiplies by the
+reciprocal of the diagonal, as numpy's complex division by a real divisor
+does (real data divide).
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
 ``solve`` return new arrays, never a buffer.  Because its tapes are
 reused, two threads must not cycle on one hierarchy at once.
@@ -60,7 +61,7 @@ from itertools import islice
 import numpy as np
 
 from . import transfer
-from .errors import DimensionError, EligibilityError, MgfkError
+from .errors import DimensionError, EligibilityError, MgfkError, require_memory
 from .stencil import (
     ADD,
     CONVERGED,
@@ -186,13 +187,15 @@ _PAGE, _LINE, _STAGGER = 4096, 64, 576
 def _carve(runs: list, dtype) -> list:
     """Zeroed flat ``dtype`` arrays, one per ``(length, aligned cell)`` of
     ``runs`` and in that order views of one arena that ``np.zeros``
-    allocates, placed as ``_PAGE``, ``_LINE`` and ``_STAGGER`` say."""
+    allocates, placed as ``_PAGE``, ``_LINE`` and ``_STAGGER`` say; an
+    arena past physical memory raises ``MgfkError`` first."""
     item, starts, end = np.dtype(dtype).itemsize, [], 0
     for i, (n, cell) in enumerate(runs):
         skew, align = (i * _STAGGER % _PAGE, _PAGE) if n * item >= _PAGE else (0, _LINE)
         end += (skew - end - cell * item) % align
         starts.append(end // item)
         end += n * item
+    require_memory(end + _PAGE, "a tape plane's arena")
     arena = np.zeros((end + _PAGE) // item, dtype)
     base = -_at(arena) % _PAGE // item
     return [arena[base + s : base + s + n] for s, (n, _) in zip(starts, runs)]
@@ -283,13 +286,12 @@ class Tape:
     level.  ``residual`` forms ``r = rhs - A v`` on every plane, one
     kernel each, and ``cycle`` runs one V-cycle on every plane from the
     loaded ``v`` and that residual; each is a ``stencil.tape_runner``, one
-    executor call.  ``solve`` runs a whole solve from the loaded ``v``:
-    each residual is gathered from the planes into ``r``, a ``dtype`` grid,
-    and its norm is the one numpy takes of ``r``, r0 and the relative
-    residuals going into ``norms``.  It is one call into the executor
-    (``stencil._CompiledSolve``, which finds each plane's residual through
-    its residual record) where ``stencil.compiled_solves()`` is true, else
-    ``_loop``.
+    executor call.  ``solve`` runs a whole solve from the loaded ``v``, r0
+    and the relative residuals going into ``norms``, each norm the square
+    root of the planes' ``np.dot(r_run, r_run)`` added in order (the pad
+    cells are zero): one call into the executor (``stencil._CompiledSolve``,
+    which finds each run through its residual record) where
+    ``stencil.compiled_solves()`` is true, else ``_loop``.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
@@ -298,14 +300,14 @@ class Tape:
         self.fine = tuple(w[0] for w in self.work)
         self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
         self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
-        self.r = np.empty(h.fine.shape, dtype)
+        self.shape, self.dtype = h.fine.shape, dtype
         self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
-        self._compiled = _CompiledSolve(self.cycle, self.residual, self.r) if compiled_solves() else None
+        self._compiled = _CompiledSolve(self.cycle, self.residual) if compiled_solves() else None
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
         ``f``, fine grids or their flat vectors, into every plane."""
-        shape, planes = self.r.shape, len(self.fine)
+        shape, planes = self.shape, len(self.fine)
         v = 0.0 if v is None else np.reshape(v, shape)
         for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
             ws.v[...], ws.rhs[...] = x, b
@@ -327,17 +329,16 @@ class Tape:
         return end, cycles
 
     def _loop(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
-        """``mgfk_solve`` of ``_tape.c`` in Python, the same bits, its norm
-        ``np.linalg.norm``: the cycles from ``done`` up to ``stop``, r0 and
-        the relative residuals going into ``norms``; how the solve ended
-        and the cycles run."""
-        parts = _parts(self.r, len(self.fine))
+        """``mgfk_solve`` of ``_tape.c`` in Python, the same bits: the
+        cycles from ``done`` up to ``stop``, r0 and the relative residuals
+        going into ``norms``; how the solve ended and the cycles run."""
 
         def norm() -> float:
             self.residual()
-            for part, ws in zip(parts, self.fine):
-                part[...] = ws.r
-            return float(np.linalg.norm(self.r))
+            sq = 0.0
+            for ws in self.fine:
+                sq = sq + float(np.dot(ws.r_run, ws.r_run))
+            return math.sqrt(sq)
 
         it, end = done, RAN_OUT
         if it == 0:
@@ -353,7 +354,7 @@ class Tape:
 
     def result(self) -> np.ndarray:
         """The iterate of every plane, as a new grid."""
-        out = np.empty_like(self.r)
+        out = np.empty(self.shape, self.dtype)
         for part, ws in zip(_parts(out, len(self.fine)), self.fine):
             part[...] = ws.v
         return out
@@ -387,6 +388,13 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) ->
         + (Kernel(ADD, x, r),)
         + ws.sweep(h.omega_post) * h.post_smooths
     )
+
+
+def _require_integers(**counts) -> None:
+    """Raise ``ValueError`` unless every value given is an integer, not a ``bool``."""
+    for name, count in counts.items():
+        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {count!r}")
 
 
 @dataclass
@@ -428,9 +436,7 @@ def build_hierarchy(
     for name, omega in (("omega_pre", omega_pre), ("omega_post", omega_post)):
         if not 0.0 < omega < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {omega}")
-    for name, count in (("pre_count", pre_count), ("post_count", post_count)):
-        if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
+    _require_integers(pre_count=pre_count, post_count=post_count)
     if pre_count < 0 or post_count < 1:
         raise ValueError("smoothing counts must satisfy m1 >= 0, m2 >= 1")
     coarsen = {"galerkin": KroneckerSum.galerkin, "geometric": KroneckerSum.rediscretised}
@@ -509,8 +515,7 @@ def solve(
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
-    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
-        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
+    _require_integers(max_iter=max_iter)
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     lv = h.fine
@@ -545,8 +550,12 @@ def measure_contraction(
     cycle that drives the energy norm to inf or nan diverges, without
     numpy warnings: the estimate is then ``math.inf``.  If
     ``monotone_slack`` is given, a ratio above 1 + monotone_slack raises
-    ``AssertionError``.
+    ``AssertionError``.  ``trials`` and ``iters`` are integers, not
+    ``bool``s.  Where the tape's arena and the three fine grids a trial
+    holds at once (a start and ``np.vdot``'s two copies) would not fit in
+    physical memory, ``MgfkError`` is raised before the first trial.
     """
+    _require_integers(trials=trials, iters=iters)
     if trials < 1:
         raise ValueError("need at least one trial")
     if iters <= 3:
@@ -555,6 +564,7 @@ def measure_contraction(
     lv = h.fine
     tape = h.tape(float)
     ws = tape.fine[0]
+    require_memory(ws.runs[0].base.nbytes + 3 * lv.unknowns * 8, "a contraction trial and its tape")
     ws.rhs_run.fill(0.0)
 
     def energy() -> float:

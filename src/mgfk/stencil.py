@@ -21,10 +21,10 @@ each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
 be built (``compiled_tapes``).  A kernel's scalars are floats, which its
 record holds as values.  ``_CompiledSolve`` runs a whole multigrid solve
 (``multigrid.Tape.solve``), its cycles, residuals, their norms and the
-stopping test, as one call into the executor, its norms numpy's through
-numpy's BLAS ddot (``compiled_solves``); its six fields are the cycle's
-records, the fine residual's, one per plane, which say where each plane's
-residual is, the grid the residuals are gathered into, and the ddot.
+stopping test, as one call into the executor, each norm summed over the
+planes' residual runs by numpy's BLAS ddot (``compiled_solves``); its five
+fields are the cycle's records, the fine residual's, one per plane, which
+say where each plane's residual run is, and the ddot.
 The executor's third entry point, ``mgfk_weights``, runs the quadrature
 weights' recurrence of ``fsd.weights`` through that ddot, the same
 bits as its numpy loop, which runs where ``compiled_solves`` is false.
@@ -416,9 +416,9 @@ def _load(path: str):
 @lru_cache(maxsize=None)
 def _ddot() -> int:
     """The address of ``scipy_cblas_ddot64_``, the BLAS ddot of 64-bit
-    integers ``np.linalg.norm`` calls, found through numpy's extension module,
-    which links the OpenBLAS numpy loads ``RTLD_LOCAL``; 0 where numpy has no
-    such module or symbol, as with a numpy built on another BLAS."""
+    integers ``np.dot`` calls, found through numpy's extension module, which
+    links the OpenBLAS numpy loads ``RTLD_LOCAL``; 0 where numpy has no such
+    module or symbol, as with a numpy built on another BLAS."""
     import ctypes
 
     try:
@@ -439,9 +439,9 @@ def compiled_tapes() -> bool:
 def compiled_solves() -> bool:
     """Whether ``multigrid.Tape`` runs a whole solve as one call into the
     compiled executor (``_CompiledSolve``), its norms taken through the
-    BLAS ddot ``np.linalg.norm`` calls (``_ddot``), the same bits: where
+    BLAS ddot ``np.dot`` calls (``_ddot``), the same bits: where
     ``compiled_tapes()`` is true and that ddot is found.  Else the solve's
-    loop runs in Python over the tapes, its norm ``np.linalg.norm``."""
+    loop runs in Python over the tapes, its norms ``np.dot``'s."""
     return compiled_tapes() and _ddot() != 0
 
 
@@ -468,15 +468,15 @@ class _CompiledSolve:
     """``multigrid.Tape._loop`` as one call into the executor's
     ``mgfk_solve``, its norm through numpy's BLAS ddot: ``cycle`` and
     ``residual`` the ``_CompiledTape``s of a V-cycle and the fine residual,
-    one record per plane, whose runs the executor gathers into ``r``.  The
-    six fields of ``_tape.c``'s ``solve`` are packed here once."""
+    one record per plane, over whose runs the executor takes the norm.  The
+    five fields of ``_tape.c``'s ``solve`` are packed here once."""
 
-    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape, r):
+    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape):
         import ctypes
 
-        self.operands = (cycle, residual, r)  # keep every array a field points at alive
+        self.operands = (cycle, residual)  # keep every array a field points at alive
         self.fields = np.array([_at(cycle.records), len(cycle.records), _at(residual.records),
-                                len(residual.records), _at(r), _ddot()], np.int64)
+                                len(residual.records), _ddot()], np.int64)
         self._address, self._run = _at(self.fields), cycle.lib.mgfk_solve
         self._cycles = ctypes.c_int64()  # the cycles run, in and out
         self._pointer = ctypes.pointer(self._cycles)

@@ -233,6 +233,25 @@ def test_theory_refuses_smoothing_the_bound_does_not_cover(tmp_path, capsys):
     assert "unknown config keys: ['m1', 'm2']" in err and "violated" not in err
 
 
+@pytest.mark.parametrize("pages, needs, what", [
+    (2, 9240, "the sine symbol of the (15, 15) grid"),
+    (3, 15120, "a tape plane's arena"),
+    (4, 20520, "a contraction trial and its tape"),
+])
+def test_theory_past_physical_memory_exit_one(capsys, monkeypatch, pages, needs, what):
+    # 2D M = 16 on a machine of two, three and four 4 KiB pages: the fine
+    # sine symbol (five 15 x 15 grids and two factors of 15 values), the
+    # tape's arena, and the arena with a contraction trial's three grids
+    # are each refused in turn, before they are allocated, with one error
+    # line and no traceback
+    sysconf = os.sysconf
+    memory = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    assert main(["theory", "--preset", "example-6.2", "--M", "16"]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {what} needs {needs} bytes, more than the {pages * 4096} bytes of physical memory"]
+
+
 def test_run_theory_violation_detection():
     cfg = ExperimentConfig(preset="example-6.1", alpha=0.3, m_values=[16])
     reports, violated = run_theory(cfg)

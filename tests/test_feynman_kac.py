@@ -418,24 +418,39 @@ def test_forcing_turning_complex_promotes_the_stepper(kw):
     assert ev.iterations == ref.iterations
 
 
-@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
-def test_promoting_past_physical_memory_is_refused_before_the_cast(kw, monkeypatch):
-    # the float64 history fits but the complex128 one it would be cast to
-    # does not: the step whose forcing turns complex is refused, and the
-    # history is left float64
+def refused_promotion(kw, halves, monkeypatch):
+    """Step ``example-6.2`` at M = 16, its forcing turning complex at step 8,
+    on a machine of ``halves`` halves of the float64 history's bytes: the
+    cast to complex128 holds the float64 history and its copy at once, 3x
+    those bytes, so where they do not fit the step is refused and the
+    history is left float64."""
     p = example_6_2(0.3, 16)  # tau = 1/16: steps 1..7 are real, step 8 on complex
     p.forcing = lambda x, y, t, f=p.forcing: (1.0 if t < 0.5 else 1 + 1j) * f(x, y, t)
     real_bytes = (16 + 1) * 15**2 * 8
+    memory = halves * real_bytes // 2
     sysconf = os.sysconf
-    memory = {"SC_PHYS_PAGES": 3 * real_bytes // 2, "SC_PAGE_SIZE": 1}
-    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    pages = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+    monkeypatch.setattr(os, "sysconf", lambda name: pages.get(name) or sysconf(name))
     ev = Evolution(p, order=2, **kw)
     for _ in range(7):
         ev.step()
-    with pytest.raises(MgfkError, match=rf"needs {2 * real_bytes} bytes, more than the {3 * real_bytes // 2} bytes"):
+    with pytest.raises(MgfkError, match=rf"history of 17 levels needs {3 * real_bytes} bytes, more than the {memory} bytes"):
         ev.step()
     assert ev.history.dtype == ev.decay.dtype == ev._w_rev.dtype == ev.dtype == np.float64
     assert ev.step_index == 7
+
+
+@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
+def test_promoting_past_physical_memory_is_refused_before_the_cast(kw, monkeypatch):
+    # 1.5x the float64 history: the complex128 history alone does not fit
+    refused_promotion(kw, 3, monkeypatch)
+
+
+@pytest.mark.parametrize("kw", STEPPERS, ids=STEPPER_IDS)
+def test_promotion_counts_both_histories_the_cast_holds(kw, monkeypatch):
+    # 2.5x the float64 history: the complex128 history alone would fit, but
+    # not with the float64 one it is cast from
+    refused_promotion(kw, 5, monkeypatch)
 
 
 def test_complex_rate_steps_in_complex128_from_the_start():

@@ -1,11 +1,12 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
 from mgfk import multigrid, stencil
 from mgfk.coarsen import fk_operator, mu_coefficient
-from mgfk.errors import DimensionError, EligibilityError, GridSizeError
+from mgfk.errors import DimensionError, EligibilityError, GridSizeError, MgfkError
 from mgfk.feynman_kac import preset
 from mgfk.fsd import weights
 from mgfk.multigrid import (
@@ -282,6 +283,29 @@ def test_measure_contraction_rejects_an_empty_window(iters):
         measure_contraction(h, iters=iters)
 
 
+@pytest.mark.parametrize("count", ["trials", "iters"])
+def test_measure_contraction_takes_integer_counts_only(count):
+    # a float, a bool or a string count is refused, as solve refuses a
+    # max_iter that is not an integer; numpy integers are taken
+    h = build_hierarchy(LAPLACIAN_1D, 7)
+    for value in (2.5, True, 8.0, "8"):
+        with pytest.raises(ValueError, match=f"{count} must be an integer"):
+            measure_contraction(h, **{count: value})
+    assert measure_contraction(h, **{count: np.int64(5)}) == measure_contraction(h, **{count: 5})
+
+
+def test_a_tape_past_physical_memory_is_refused_before_its_arena(monkeypatch):
+    # the arena of the 2D m = 15 float plane is 15,120 bytes: on a machine
+    # of three 4 KiB pages the tape is refused and none is kept
+    h = build_hierarchy(fk_operator(2, 1.3, 40.0), 15)
+    sysconf = os.sysconf
+    memory = {"SC_PHYS_PAGES": 3, "SC_PAGE_SIZE": 4096}
+    monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
+    with pytest.raises(MgfkError, match="a tape plane's arena needs 15120 bytes, more than the 12288 bytes"):
+        solve(h, np.ones(h.fine.unknowns))
+    assert h._tapes == {}
+
+
 def test_diverging_cycle_measures_infinite_contraction():
     # a weight of 1e200 overflows the first iterate: the energy norm is no
     # longer finite, and the estimate must not read as a perfect 0.0
@@ -504,12 +528,11 @@ def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, m
 
 def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes: the level
-    runs of each plane and the tape's residual grid."""
+    runs of each plane."""
     for dtype in dtypes:
         for work in h.tape(dtype).work:
             for ws in work:
                 yield from ws.runs
-        yield h.tape(dtype).r
 
 
 @pytest.mark.parametrize("ndim", [1, 2])

@@ -521,7 +521,7 @@ OPENBLAS = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*
 @pytest.mark.skipif(len(OPENBLAS) != 1, reason="numpy ships no single libscipy_openblas64_*.so")
 def test_the_ddot_is_the_one_in_numpys_openblas():
     # found through numpy's extension module, the ddot is the function of
-    # the OpenBLAS numpy's wheel ships, the one np.linalg.norm calls
+    # the OpenBLAS numpy's wheel ships, the one np.dot calls
     import ctypes
 
     ddot = ctypes.CDLL(OPENBLAS[0]).scipy_cblas_ddot64_
@@ -534,7 +534,7 @@ def test_the_ddot_is_the_one_in_numpys_openblas():
 @pytest.mark.parametrize("case", list(SOLVED))
 def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
     # one call into the executor, with numpy's own BLAS ddot for the norm,
-    # against the numpy backend's loop and np.linalg.norm: the same
+    # against the numpy backend's loop and its np.dot norm: the same
     # iterates, cycles, stopping decisions and residuals, compared by
     # repr, which names every bit of a float
     compiled = solves(case, dtype)
