@@ -9,20 +9,30 @@
  * -ffp-contract=off and without -ffast-math: no fused multiply-add, no
  * reassociation.  Vector code only runs the same operations on several
  * elements at once.  The residual has a loop for each tap count, 0 to 8,
- * that keeps each element's sum in a register.  The transfers have a flat
- * loop over elements for records of single-element rows (len 1: every 1D
- * pass and the last-axis, stride-2 pass of a 2D transfer), and a loop over
- * rows only for the row passes of 2D transfers.  On x86-64 glibc the
- * kernel is also cloned for AVX2, and the loader picks the clone the CPU
- * runs, so one build serves every CPU of the platform.
+ * that keeps each element's sum in a register.  A transfer of
+ * single-element rows (len 1, a 1D grid) is one flat stride-2 loop; a 2D
+ * transfer (len > 1) runs output row by output row: it forms the row's
+ * values of the pass across rows in b, a row buffer, then runs the flat
+ * loop along the row from b, so no grid between the two passes is ever
+ * stored.  On x86-64 glibc the kernel is also cloned for AVX2, and the
+ * loader picks the clone the CPU runs, so one build serves every CPU of
+ * the platform.
  *
- * o is the output, a the input array (b the residual's right-hand side),
- * s the scalar, k an element:
+ * o is the output, a the input array (b the residual's right-hand side or
+ * a transfer's row buffer), s the scalar, k an element:
  *   RESIDUAL  o = b - (a s + sum over taps p of a[k + off_p] c_p)
- *   UPDATE    a = a s, then o = o + a
- *   SCALE     o = a s;  DIVIDE  o = a / s;  ZERO  o = 0;  ADD  o = o + a
- *   RESTRICT  row i of o from rows 2i, 2i + 1, 2i + 2 of a: ((lo + odd 2) + hi) 0.25
- *   PROLONG   row 2i of o from rows i, i + 1 of a: (lo + hi) 0.5; row 2i + 1 is row i + 1
+ *   UPDATE    o = o + a s
+ *   SCALE     o = a s;  DIVIDE  o = a / s;  ZERO  o = 0
+ *   RESTRICT  o_q = ((a_2q + a_2q+1 2) + a_2q+2) 0.25.  In 2D (rows of len
+ *             cells in o, of 2 len in a) b first holds, for row i of o,
+ *             the same sum of rows 2i, 2i + 1 and 2i + 2 of a, and row i
+ *             of o but its last cell, a pad cell, is the sum taken over b
+ *   PROLONG   o_2q = o_2q + (a_q + a_q+1) 0.5, o_2q+1 = o_2q+1 + a_q+1.  In
+ *             2D (rows of len cells in o, of len / 2 in a) row i of o is
+ *             that taken over b: b_0 is the last cell of the b of row
+ *             i - 1 (0 for row 0), and b_1 on row i of the pass across
+ *             rows, (row q + row q + 1 of a) 0.5 for i = 2q and row q + 1
+ *             of a for i = 2q + 1
  * then every pad-th element of o, from the pad - 1st on, is zeroed.
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
@@ -41,12 +51,14 @@
 #include <math.h>
 #include <stdint.h>
 
-enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG };
+/* 5 was a kind of its own (o = o + a); the numbers after it stay as they
+ * were, so a kind's number keeps one meaning */
+enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, RESTRICT = 6, PROLONG };
 
 #define TAPS 8 /* off-centre points of a 9-point stencil, the most a residual has */
 
 /* As mgfk.stencil._RECORD describes it, addresses as int64: o holds n rows
- * of len elements (len is 1 but in a 2D row pass), s is the scalar and c
+ * of len elements (len is 1 but in a 2D transfer), s is the scalar and c
  * the taps' coefficients. */
 typedef struct {
     int64_t kind, n, len, pad, out, a, b, taps, off[TAPS];
@@ -74,14 +86,38 @@ typedef struct {
 #define CLONES
 #endif
 
+/* The transfers' flat stride-2 passes over the n elements of o.  The
+ * prolongation's adds onto o CHUNK elements at a time: their interleaved
+ * values go to t, on the stack, then onto o, two loops that vectorise
+ * where one that interleaves its adds does not. */
+#define RESTRICT_FLAT(o, a, n) \
+    for (int64_t q = 0; q < (n); q++) (o)[q] = (((a)[2 * q] + (a)[2 * q + 1] * 2.0) + (a)[2 * q + 2]) * 0.25
+#define CHUNK 64
+#define PROLONG_FLAT(o, a, n)                                                         \
+    do {                                                                              \
+        for (int64_t k0 = 0; k0 < (n); k0 += CHUNK) {                                 \
+            const int64_t m = (n) - k0 < CHUNK ? (n) - k0 : CHUNK;                     \
+            const double *x = (a) + k0 / 2;                                           \
+            double t[CHUNK];                                                          \
+            for (int64_t q = 0; q < m / 2; q++) {                                     \
+                t[2 * q] = (x[q] + x[q + 1]) * 0.5;                                   \
+                t[2 * q + 1] = x[q + 1];                                              \
+            }                                                                         \
+            if (m % 2)                                                                \
+                t[m - 1] = (x[m / 2] + x[m / 2 + 1]) * 0.5;                           \
+            for (int64_t q = 0; q < m; q++)                                           \
+                (o)[k0 + q] = (o)[k0 + q] + t[q];                                     \
+        }                                                                             \
+    } while (0)
+
 CLONES static void kernel(const record *r)
 {
-    double *restrict o = P(r->out), *restrict a = P(r->a);
-    const double *restrict b = P(r->b);
+    double *restrict o = P(r->out), *restrict b = P(r->b);
+    const double *restrict a = P(r->a);
     const double s = r->s;
     double c[TAPS];
     const double *y[TAPS];
-    const int64_t n = r->n, len = r->len;
+    const int64_t n = r->n, len = r->len, half = len / 2;
     switch (r->kind) {
     case RESIDUAL:
         for (int64_t p = 0; p < r->taps; p++) {
@@ -100,40 +136,38 @@ CLONES static void kernel(const record *r)
             RESIDUAL_CASE(8)
         }
         break;
-    case UPDATE: EACH(n) { a[k] = a[k] * s; o[k] = o[k] + a[k]; } break;
+    case UPDATE: EACH(n) o[k] = o[k] + a[k] * s; break;
     case SCALE: EACH(n) o[k] = a[k] * s; break;
     case DIVIDE: EACH(n) o[k] = a[k] / s; break;
     case ZERO: EACH(n) o[k] = 0.0; break;
-    case ADD: EACH(n) o[k] = o[k] + a[k]; break;
     case RESTRICT:
         if (len == 1) {
-            EACH(n) o[k] = ((a[2 * k] + a[2 * k + 1] * 2.0) + a[2 * k + 2]) * 0.25;
+            RESTRICT_FLAT(o, a, n);
             break;
         }
         for (int64_t i = 0; i < n; i++) {
-            const double *lo = a + 2 * i * len, *odd = lo + len, *hi = odd + len;
-            double *row = o + i * len;
-            for (int64_t j = 0; j < len; j++)
-                row[j] = ((lo[j] + odd[j] * 2.0) + hi[j]) * 0.25;
+            const double *lo = a + 4 * i * len, *odd = lo + 2 * len, *hi = odd + 2 * len;
+            for (int64_t j = 0; j < 2 * len - 1; j++)
+                b[j] = ((lo[j] + odd[j] * 2.0) + hi[j]) * 0.25;
+            RESTRICT_FLAT(o + i * len, b, len - 1);
         }
         break;
     case PROLONG:
         if (len == 1) {
-            EACH(n / 2) {
-                o[2 * k] = (a[k] + a[k + 1]) * 0.5;
-                o[2 * k + 1] = a[k + 1];
-            }
-            if (n % 2)
-                o[n - 1] = (a[n / 2] + a[n / 2 + 1]) * 0.5;
+            PROLONG_FLAT(o, a, n);
             break;
         }
-        for (int64_t i = 0; i < n; i += 2) {
-            const double *lo = a + i / 2 * len, *hi = lo + len;
-            double *even = o + i * len, *odd = even + len;
-            for (int64_t j = 0; j < len; j++)
-                even[j] = (lo[j] + hi[j]) * 0.5;
-            for (int64_t j = 0; i + 1 < n && j < len; j++)
-                odd[j] = hi[j];
+        b[0] = 0.0;
+        for (int64_t i = 0; i < n; i++) {
+            const double *lo = a + i / 2 * half, *hi = lo + half;
+            if (i % 2)
+                for (int64_t j = 0; j < half; j++)
+                    b[j + 1] = hi[j];
+            else
+                for (int64_t j = 0; j < half; j++)
+                    b[j + 1] = (lo[j] + hi[j]) * 0.5;
+            PROLONG_FLAT(o + i * len, b, len);
+            b[0] = b[half];
         }
         break;
     }

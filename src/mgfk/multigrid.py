@@ -12,20 +12,23 @@ Per dtype a hierarchy makes on first use, and reuses, a ``Tape``, which
 cycles in place on float64 per-level scratch buffers (``LevelWork``) of its
 own, one set per plane: the real part, and for complex data the imaginary
 part (long double data raise ``MgfkError``).  Each plane allocates one
-arena, and every run of every level, the transfers' intermediates included,
-is a view of it (``_plane``): finest level first, the storage of the
-iterate, the residual, the right-hand side and the intermediates, the
+arena, and every run of every level, the 2D transfers' row buffers
+included, is a view of it (``_plane``): finest level first, the storage of
+the iterate, the residual, the right-hand side and the row buffer, the
 iterate's first point and every other run's first cell at a fixed
 alignment and stagger past a page boundary (``_carve``), so that where a
 run sits does not follow earlier allocations.  Every level operation
-(residual, damped update, transfer pass, zero start, correction, coarsest
-step) is a ``stencil.Kernel`` on the buffers, each level's transfers bound
-to the next level's when it is built.  The tape splices the kernels of
+(residual, damped update, restriction, zero start, prolongation, which adds
+the coarse correction onto the iterate, coarsest step) is a
+``stencil.Kernel`` on the buffers, each level's transfers bound to the
+next level's when it is built.  The tape splices the kernels of
 every level of every plane into one flat run, the whole V-cycle with no
 recursion, which ``stencil.tape_runner`` runs as one call into the compiled
 executor, where a cycle allocates nothing but the array it returns, or
 through ``stencil.run_numpy`` (see ``stencil.compiled_tapes``); the
-iterates are the same bits either way.  The tape cycles from the loaded
+iterates are the same bits either way.  A kernel stores only what a later
+one reads: an update leaves the residual it read as it was, and the next
+residual overwrites it.  The tape cycles from the loaded
 fine iterate and the residual formed from it: ``solve`` and
 ``measure_contraction`` form that residual for their norms and cycle from
 it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
@@ -63,7 +66,6 @@ import numpy as np
 from . import transfer
 from .errors import DimensionError, EligibilityError, MgfkError, require_memory
 from .stencil import (
-    ADD,
     CONVERGED,
     DIVIDE,
     NOT_FINITE,
@@ -115,20 +117,21 @@ class LevelWork:
     level works in ``runs``, zeroed flat arrays of the lengths of
     ``layout`` that ``_plane`` carves from its plane's arena: the storage
     of the iterate, ``r_run``, ``rhs_run`` and, on a level with a coarse
-    neighbour in 2D, the intermediates of its transfers' row passes.  The
+    neighbour in 2D, the row buffer both its transfers pass through, one
+    fine row of points (``transfer.row_buffer``).  The
     iterate's run sits inside that storage with zero cells one row (in 1D
     one cell) wide on either side, ``framed`` with it, and one cell more at
     either end, so that a point's neighbour past the end of a row, before
     the start of the next or off the first or last row is a zero cell.
     The pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so the
     updates keep those of ``v_run`` at zero, and the prolongation reads its
-    edges from ``framed``.  ``residual`` is the kernel of
+    edges from ``framed``, adding zeros onto them.  ``residual`` is the kernel of
     ``r = rhs - A v``: ``centre`` times the iterate, plus per off-centre
     point of the operator (``_points``) its window of that storage times
     its coefficient, subtracted from ``rhs``.  ``restrict`` (``r`` into the
     ``rhs`` of ``coarse``, the next level, its pad cells refilled with
-    zeros) and ``prolong`` (its ``v`` into ``r``, pad cells zero) are the
-    transfers' kernels; the coarsest level has none (``()``).
+    zeros) and ``prolong`` (its ``v`` interpolated and added onto ``v``)
+    are the transfers' kernels; the coarsest level has none (``None``).
     """
 
     def __init__(self, level: GridLevel, runs: tuple, coarse: "LevelWork | None" = None):
@@ -143,11 +146,11 @@ class LevelWork:
         taps = tuple((flat[i : i + size], float(c)) for i, (_, c) in zip(starts, points))
         self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, float(centre),
                                pad_period(self.shape), taps)
-        self.restrict = self.prolong = ()
+        self.restrict = self.prolong = None
         if coarse is not None:
-            tmp = runs[3:] or (None, None)
-            self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape, tmp[0])
-            self.prolong = transfer.prolongation(coarse.framed, self.r_run, self.shape, tmp[1])
+            row = runs[3] if len(runs) > 3 else None
+            self.restrict = transfer.restriction(self.r_run, coarse.rhs_run, self.shape, row)
+            self.prolong = transfer.prolongation(coarse.framed, self.v_run, self.shape, row)
 
     @staticmethod
     def layout(shape: tuple, coarse: bool) -> tuple:
@@ -156,11 +159,11 @@ class LevelWork:
         of it that sits aligned, the iterate's origin in its storage and
         the first cell of every other run."""
         _, first, size = _frame(shape)
-        tmp = transfer.intermediates(shape) if coarse else ()
-        return ((size + 2 * first, first), (size, 0), (size, 0), *((n, 0) for n in tmp))
+        row = transfer.row_buffer(shape) if coarse else 0
+        return ((size + 2 * first, first), (size, 0), (size, 0)) + (((row, 0),) if row else ())
 
     def update(self, weight: float) -> Kernel:
-        """The kernel of ``v += (weight / diag) r``."""
+        """The kernel of ``v += r (weight / diag)``."""
         return Kernel(UPDATE, self.v_run, self.r_run, s=float(weight / self.diag))
 
     def sweep(self, weight: float) -> tuple:
@@ -370,7 +373,7 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) ->
     divides by the diagonal, or on a plane of complex data (``reciprocal``)
     multiplies by its reciprocal, as numpy's complex division does."""
     ws = work[level]
-    x, r, rhs = ws.v_run, ws.r_run, ws.rhs_run
+    x, rhs = ws.v_run, ws.rhs_run
     if level == h.depth - 1:
         if reciprocal:
             return (Kernel(SCALE, x, rhs, s=float(1.0 / ws.diag)),)
@@ -382,10 +385,9 @@ def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) ->
     return (
         kernels
         + (ws.update(h.omega_pre), ws.residual) * pre
-        + ws.restrict
+        + (ws.restrict,)
         + _cycle_kernels(h, work, level + 1, reciprocal)
-        + ws.prolong
-        + (Kernel(ADD, x, r),)
+        + (ws.prolong,)
         + ws.sweep(h.omega_post) * h.post_smooths
     )
 

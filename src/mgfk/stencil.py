@@ -6,8 +6,8 @@ pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on a 2D one, over two
 stencils.  Both are applied by shifted-slice multiply-adds over their
 nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``).
-Each level operation of the V-cycle (residual, damped update, transfer
-pass, zero start, correction, coarsest step) is described once, as a
+Each level operation of the V-cycle (residual, damped update, transfer,
+zero start, coarsest step) is described once, as a
 ``Kernel``: the operands of one record of the compiled executor
 ``_tape.c``, on buffers a caller keeps.  ``run_numpy`` runs kernels with
 numpy, one kind's per-element operations in the executor's order, on
@@ -113,11 +113,6 @@ class ToeplitzStencil:
         """Weak diagonal dominance test: a_0 > 0 and a_0 >= 2|a_1|."""
         a0, a1 = self.bands
         return a0 > 0.0 and 2.0 * abs(a1) <= a0 * (1.0 + _ELIG_RTOL)
-
-    def gershgorin_bound(self) -> float:
-        """Upper bound ``a_0 + 2|a_1|`` on the largest eigenvalue."""
-        a0, a1 = self.bands
-        return a0 + 2.0 * abs(a1)
 
 
 #: The identity stencil.
@@ -230,9 +225,6 @@ class KroneckerSum:
             and self.stiff.is_spd_eligible()
         )
 
-    def gershgorin_bound(self) -> float:
-        return float(self._kron_sum(self.mass.gershgorin_bound(), self.stiff.gershgorin_bound()))
-
 
 def run_shape(shape: tuple) -> tuple:
     """Shape of the run layout of a grid of ``shape``: a 1D grid as it is, the
@@ -261,8 +253,9 @@ def pad_period(shape: tuple) -> int:
 #: CPU at load time.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared")
 
-#: Kernel kinds of ``_tape.c``, which says what each does.
-RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, ADD, RESTRICT, PROLONG = range(8)
+#: Kernel kinds of ``_tape.c``, which says what each does.  5 was a kind of
+#: its own; the numbers after it stay as they were.
+RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, RESTRICT, PROLONG = 0, 1, 2, 3, 4, 6, 7
 
 #: The most off-centre points a residual record holds: a 9-point stencil's.
 _TAPS = 8
@@ -275,11 +268,13 @@ _RECORD = np.dtype([*((name, np.int64) for name in ("kind", "n", "len", "pad", "
 
 class Kernel(NamedTuple):
     """One level operation of ``kind`` (``_tape.c`` says what each does):
-    into ``out``, whose first axis is its rows, from the arrays ``a`` and
-    ``b`` (all C-contiguous) and the float ``s``, then zeroing every
-    ``pad``-th element of ``out`` from the ``pad - 1``-st on (``pad`` 0:
-    none, see ``pad_period``); a residual also sums ``taps``, per
-    off-centre point its window (``a`` shifted by the point's offset in
+    into ``out``, whose first axis is its rows (an update and a
+    prolongation add onto it), from the arrays ``a`` and ``b`` (all
+    C-contiguous; ``b`` is a residual's right-hand side, or the row buffer
+    of a 2D transfer, which the executor writes) and the float ``s``, then
+    zeroing every ``pad``-th element of ``out`` from the ``pad - 1``-st on
+    (``pad`` 0: none, see ``pad_period``); a residual also sums ``taps``,
+    per off-centre point its window (``a`` shifted by the point's offset in
     the storage ``a`` is a run of) and its float coefficient.  The
     transfers' weights are fixed.  ``run_numpy`` runs it with numpy,
     ``tape_runner`` as one record of the executor."""
@@ -293,13 +288,39 @@ class Kernel(NamedTuple):
     taps: tuple = ()
 
 
+def _restrict(o: np.ndarray, a: np.ndarray) -> None:
+    """Full weighting along the first axis: ``o[q]`` from ``a[2q]``,
+    ``a[2q + 1]`` and ``a[2q + 2]``."""
+    np.multiply(a[1::2], 2.0, o)
+    np.add(a[0:-1:2], o, o)
+    o += a[2::2]
+    o *= 0.25
+
+
+def _prolong(o: np.ndarray, a: np.ndarray, add: bool) -> None:
+    """Linear interpolation along the first axis, into ``o`` or (``add``)
+    onto it: ``o[2q]`` from ``a[q]`` and ``a[q + 1]``, ``o[2q + 1]`` from
+    ``a[q + 1]``."""
+    even, odd = o[0::2], o[1::2]
+    if add:
+        even += (a[: len(even)] + a[1 : len(even) + 1]) * 0.5
+        odd += a[1 : len(odd) + 1]
+    else:
+        np.copyto(odd, a[1 : len(odd) + 1])
+        np.add(a[: len(even)], a[1 : len(even) + 1], even)
+        even *= 0.5
+
+
 def run_numpy(kernels) -> None:
     """Run ``kernels`` in order with numpy: per element the IEEE operations
     of each record in the executor's order, each tap's product formed as a
     temporary, the transfers' weights 2, 1/4 and 1/2 as in the executor.
-    Kernels of any dtype run, the complex and long double ones of
-    ``transfer.restrict`` and ``transfer.prolong`` included.  numpy warns
-    of overflows and invalid values."""
+    A 2D transfer (an ``out`` of rows) forms its pass across rows for the
+    whole grid at once, into a temporary laid out as the executor's row
+    buffers follow each other (one zero cell past the restriction's, one
+    before the prolongation's), and leaves ``b`` alone.
+    Kernels of any dtype run, the complex and long double ones of the
+    test oracles included.  numpy warns of overflows and invalid values."""
     for kind, o, a, b, s, pad, taps in kernels:
         if kind == RESIDUAL:
             np.multiply(a, s, o)
@@ -307,26 +328,25 @@ def run_numpy(kernels) -> None:
                 o += window * c
             np.subtract(b, o, o)
         elif kind == UPDATE:
-            np.multiply(a, s, a)
-            o += a
+            o += a * s
         elif kind == SCALE:
             np.multiply(a, s, o)
         elif kind == DIVIDE:
             np.divide(a, s, o)
         elif kind == ZERO:
             o.fill(0)
-        elif kind == ADD:
-            o += a
-        elif kind == RESTRICT:  # row i from rows 2i, 2i + 1, 2i + 2
-            np.multiply(a[1::2], 2.0, o)
-            np.add(a[0:-1:2], o, o)
-            o += a[2::2]
-            o *= 0.25
-        else:  # PROLONG: row 2i from rows i, i + 1; row 2i + 1 is row i + 1
-            even, odd = o[0::2], o[1::2]
-            np.copyto(odd, a[1 : len(odd) + 1])
-            np.add(a[: len(even)], a[1 : len(even) + 1], even)
-            even *= 0.5
+        elif kind == RESTRICT:
+            if o.ndim == 2:
+                rows = np.zeros(2 * o.size + 1, o.dtype)
+                _restrict(rows[:-1].reshape(len(o), -1), a)
+                a = rows
+            _restrict(o.reshape(-1), a)
+        else:  # PROLONG
+            if o.ndim == 2:
+                rows = np.zeros(1 + o.size // 2, o.dtype)
+                _prolong(rows[1:].reshape(len(o), -1), a, add=False)
+                a = rows
+            _prolong(o.reshape(-1), a, add=True)
         if pad:
             o.reshape(-1)[pad - 1 :: pad] = 0
 

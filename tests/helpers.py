@@ -21,10 +21,11 @@ import math
 
 import numpy as np
 
+from mgfk import transfer
 from mgfk.coarsen import c_constant
-from mgfk.errors import EligibilityError, GridSizeError
+from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
-from mgfk.stencil import ToeplitzStencil, grid_depth, require_coarsenable
+from mgfk.stencil import ToeplitzStencil, grid_depth, interior, require_coarsenable, run_numpy, run_shape
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:
@@ -303,6 +304,15 @@ def random_eligible_tridiag(rng, strict: bool = False):
     return a0, a1
 
 
+def gershgorin_bound(op) -> float:
+    """Upper bound on the largest eigenvalue of a stencil, ``a_0 + 2|a_1|``,
+    or of a Kronecker sum, its form over its factors' bounds."""
+    if isinstance(op, ToeplitzStencil):
+        a0, a1 = op.bands
+        return a0 + 2.0 * abs(a1)
+    return float(op._kron_sum(gershgorin_bound(op.mass), gershgorin_bound(op.stiff)))
+
+
 def reference_apply(op, x):
     """The operator on a grid: a zero-padded copy and a fresh multiply-add
     per point coefficient, in the package's ``_points`` order."""
@@ -345,6 +355,49 @@ def reference_prolong(x):
         out[-1] = 0.5 * x[-1]
         x = out.transpose(axes)
     return x
+
+
+def _grid(x) -> np.ndarray:
+    x = np.asarray(x)
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"expected a 1D or 2D grid, got shape {x.shape}")
+    return x
+
+
+def _row_buffer(shape: tuple, dtype) -> np.ndarray | None:
+    """A new zeroed row buffer of the 2D transfers of a fine grid of
+    ``shape``; ``None`` in 1D."""
+    return np.zeros(transfer.row_buffer(shape), dtype) if len(shape) == 2 else None
+
+
+def restrict(x: np.ndarray) -> np.ndarray:
+    """The package's ``transfer.restriction`` of the grid ``x``, bound to
+    fresh buffers and run by ``run_numpy``, as a new array."""
+    x = _grid(x)
+    coarse = tuple(transfer._coarse_size(m) for m in x.shape)
+    dtype = np.result_type(x, 0.25)
+    fine = np.zeros(math.prod(run_shape(x.shape)), dtype)
+    interior(fine, x.shape)[...] = x
+    out = np.empty(math.prod(run_shape(coarse)), dtype)
+    run_numpy((transfer.restriction(fine, out, x.shape, _row_buffer(x.shape, dtype)),))
+    return interior(out, coarse).copy()
+
+
+def prolong(x: np.ndarray) -> np.ndarray:
+    """The package's ``transfer.prolongation`` of the grid ``x``, added onto
+    zeros in fresh buffers by ``run_numpy``, as a new array."""
+    x = _grid(x)
+    for m in x.shape:
+        grid_depth(m)
+    shape = tuple(2 * m + 1 for m in x.shape)
+    dtype = np.result_type(x, 0.5)
+    rows = run_shape(x.shape)
+    block = math.prod(rows[1:])
+    framed = np.zeros(math.prod(rows) + 2 * block, dtype)
+    interior(framed[block:-block], x.shape)[...] = x
+    out = np.zeros(math.prod(run_shape(shape)), dtype)
+    run_numpy((transfer.prolongation(framed, out, shape, _row_buffer(shape, dtype)),))
+    return interior(out, shape).copy()
 
 
 def reference_vcycle(h, v, f, level: int = 0):

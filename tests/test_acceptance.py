@@ -19,7 +19,6 @@ from mgfk.feynman_kac import Evolution, preset
 from mgfk.fsd import generating_poly, weights
 from mgfk.multigrid import build_hierarchy, measure_contraction, solve
 from mgfk.stencil import IDENTITY, KroneckerSum, ToeplitzStencil
-from mgfk.transfer import prolong, restrict
 
 from helpers import (
     binomial_weights,
@@ -27,7 +26,9 @@ from helpers import (
     dense_contraction_norm,
     dense_galerkin,
     naive_series_power,
+    prolong,
     random_eligible_tridiag,
+    restrict,
     toeplitz_dense,
     unscaled_recursion,
 )

@@ -235,8 +235,8 @@ def test_theory_refuses_smoothing_the_bound_does_not_cover(tmp_path, capsys):
 
 @pytest.mark.parametrize("pages, needs, what", [
     (2, 9240, "the sine symbol of the (15, 15) grid"),
-    (3, 15120, "a tape plane's arena"),
-    (4, 20520, "a contraction trial and its tape"),
+    (3, 12688, "a tape plane's arena"),
+    (4, 18088, "a contraction trial and its tape"),
 ])
 def test_theory_past_physical_memory_exit_one(capsys, monkeypatch, pages, needs, what):
     # 2D M = 16 on a machine of two, three and four 4 KiB pages: the fine

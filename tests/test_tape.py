@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mgfk
-from mgfk import stencil
+from mgfk import stencil, transfer
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import MgfkError
 from mgfk.feynman_kac import preset
@@ -33,7 +33,6 @@ from mgfk.multigrid import (
     vcycle,
 )
 from mgfk.stencil import (
-    ADD,
     COMPACT_MASS,
     DIVIDE,
     IDENTITY,
@@ -51,7 +50,8 @@ from mgfk.stencil import (
     run_numpy,
     tape_runner,
 )
-from mgfk.transfer import prolong, restrict
+
+from helpers import reference_prolong, restrict
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
@@ -114,6 +114,9 @@ def assert_record_matches_numpy(k, buffers):
     tape_runner(kernels)()
     with np.errstate(all="ignore"):
         run_numpy((k,))
+    if k.kind in (RESTRICT, PROLONG) and k.b is not None:  # a row buffer: scratch, what it holds after is not kept
+        for x in (k.b, *(kp.b for kp in kernels)):
+            x[...] = 0
     for b in buffers:
         if b.dtype == complex:
             assert np.array_equal(b.real, planes[id(b)][0]) and np.array_equal(b.imag, planes[id(b)][1])
@@ -169,7 +172,7 @@ def assert_records_match_numpy(kinds, dtype, scalar, seed):
 
 #: The kinds whose records do each IEEE operation.
 OPERATIONS = {
-    "add": (RESIDUAL, UPDATE, ADD, RESTRICT, PROLONG),
+    "add": (RESIDUAL, UPDATE, RESTRICT, PROLONG),
     "subtract": (RESIDUAL,),
     "multiply": (RESIDUAL, UPDATE, SCALE, RESTRICT, PROLONG),
     "divide": (DIVIDE,),
@@ -181,7 +184,7 @@ OPERATIONS = {
 @pytest.mark.parametrize("scalar", [3.0, 0.1234567, 7.77e5, 1.0 / 3.0, -2.5])
 def test_tape_matches_numpy_on_every_layout(operation, dtype, scalar):
     # every kind that does the operation (residual, update, scale, divide,
-    # add, both passes of both transfers), on the 1D and 2D run layouts,
+    # both transfers), on the 1D and 2D run layouts,
     # with scalars made from `scalar`; complex data on their two planes,
     # against numpy's complex arithmetic, its division included
     assert_records_match_numpy(OPERATIONS[operation], dtype, scalar, 11)
@@ -189,8 +192,9 @@ def test_tape_matches_numpy_on_every_layout(operation, dtype, scalar):
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_tape_copies_and_fills_like_numpy(dtype):
-    # the kinds that copy or fill: the zero start, the prolongation's
-    # copies, and the pad cells the residual and the restriction zero
+    # the kinds that copy or fill: the zero start, the copies of the 2D
+    # prolongation's pass across rows, and the pad cells the residual and
+    # the restriction zero
     assert_records_match_numpy((ZERO, PROLONG, RESIDUAL, RESTRICT), dtype, 3.0, 12)
 
 
@@ -236,18 +240,23 @@ def test_the_float_and_complex_tapes_share_no_buffer(ndim):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_a_level_binds_its_transfers_when_it_is_built(ndim):
     # a level built with its coarse neighbour carries both transfers between
-    # them; the coarsest level carries none
+    # them, one kernel each; the coarsest level carries none.  On either
+    # backend the restriction takes the fine residual into the coarse
+    # right-hand side, and the prolongation adds the coarse iterate's
+    # interpolant onto the fine iterate, bit for bit
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 3)
     fine, coarse = _plane(h.levels)
-    assert coarse.restrict == coarse.prolong == ()
-    assert len(fine.restrict) == len(fine.prolong) == ndim
+    assert coarse.restrict is coarse.prolong is None
+    assert (fine.restrict.kind, fine.prolong.kind) == (RESTRICT, PROLONG)
     rng = np.random.default_rng(15)
-    fine.r[...] = rng.standard_normal(fine.shape)
-    run_numpy(fine.restrict)
-    assert np.array_equal(coarse.rhs, restrict(fine.r))
-    coarse.v[...] = rng.standard_normal(coarse.shape)
-    run_numpy(fine.prolong)
-    assert np.array_equal(fine.r, prolong(coarse.v))
+    for run in (lambda k: run_numpy((k,)), lambda k: tape_runner((k,))()):
+        fine.r[...] = rng.standard_normal(fine.shape)
+        run(fine.restrict)
+        assert np.array_equal(coarse.rhs, restrict(fine.r))
+        coarse.v[...] = rng.standard_normal(coarse.shape)
+        fine.v[...] = before = rng.standard_normal(fine.shape)
+        run(fine.prolong)
+        assert fine.v.tobytes() == (before + reference_prolong(coarse.v)).tobytes()
 
 
 def test_a_hierarchy_holds_no_buffers():
@@ -350,18 +359,50 @@ def test_single_element_row_transfers_match_numpy(kind, dtype):
             assert (record["n"], record["len"], record["pad"]) == (n, 1, period)
 
 
+def row_transfer_kernel(kind, shape, dtype, seed):
+    """The ``kind`` transfer kernel of a 2D fine grid of ``shape``, bound to
+    buffers filled with random and special values from ``seed``, its row
+    buffer among them, and those buffers: the input and the output each
+    the run of its grid, the coarse one with a row more on either side, a
+    prolongation's frame."""
+    rng = np.random.default_rng(seed)
+    (m, n), (mc, nc) = shape, ((k - 1) // 2 for k in shape)
+    fine, coarse = (data(rng, rows * (cols + 1), dtype) for rows, cols in ((m, n), (mc + 2, nc)))
+    row = data(rng, transfer.row_buffer(shape), dtype)
+    if kind == RESTRICT:
+        k = transfer.restriction(fine, coarse[: mc * (nc + 1)], shape, row)
+    else:
+        k = transfer.prolongation(coarse, fine, shape, row)
+    return k, [fine, coarse, row]
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("kind", [RESTRICT, PROLONG])
+def test_row_transfers_match_numpy(kind, dtype):
+    # the 2D transfers, row by row through their row buffer: grids down to
+    # 3 points on an axis, whose coarse rows are 2 cells long, square and
+    # not, from any values left in the row buffer
+    for seed, shape in enumerate(((3, 3), (7, 3), (3, 7), (7, 7), (15, 31), (31, 15), (63, 63))):
+        k = assert_record_matches_numpy(*row_transfer_kernel(kind, shape, dtype, seed))[0]
+        record = stencil._record(k)
+        assert record["len"] == (shape[1] + 1 if kind == PROLONG else (shape[1] + 1) // 2)
+        assert record["n"] == (shape[0] if kind == PROLONG else (shape[0] - 1) // 2)
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
-def test_transfers_pack_as_single_element_rows(coarsening, ndim):
-    # every 1D transfer and the last-axis pass of every 2D one runs in the
-    # executor's flat loop, which only records of rows of length 1 take; in
-    # 2D the row pass before it has whole rows
+def test_transfers_pack_as_one_record_each(coarsening, ndim):
+    # in 1D a transfer is a record of single-element rows, the executor's
+    # flat loop, with no row buffer; in 2D a record of the output's rows,
+    # which passes through the level's row buffer, one fine row of points
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
     for ws in h.tape(float).work[0][:-1]:
-        for kernels in (ws.restrict, ws.prolong):
-            assert len(kernels) == ndim
-            assert stencil._record(kernels[-1])["len"] == 1
-            assert all(stencil._record(k)["len"] > 1 for k in kernels[:-1])
+        for k in (ws.restrict, ws.prolong):
+            record = stencil._record(k)
+            if ndim == 1:
+                assert record["len"] == 1 and record["b"] == 0
+            else:
+                assert record["len"] > 1 and k.b is ws.runs[3] and ws.runs[3].size == ws.shape[1]
 
 
 def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):

@@ -3,15 +3,16 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period, run_numpy
-from mgfk.transfer import prolong, restrict
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period, run_numpy, tape_runner
 
 from helpers import (
     cut,
     cutting_matrix,
+    prolong,
     prolongation_matrix,
     reference_prolong,
     reference_restrict,
+    restrict,
     restriction_matrix,
 )
 
@@ -191,37 +192,44 @@ def _pad_cells(ws, run):
 
 @pytest.mark.parametrize("ndim, m", HIERARCHIES)
 def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
-    # at every level of both planes of complex data: the bound pair equals
-    # the allocating oracle bit for bit, whatever the fine pad cells held,
-    # and leaves every pad cell of the coarse rhs and of the fine residual
-    # exactly zero, which the zero-start cycle below relies on
+    # at every level of both planes of complex data, run by the executor
+    # and by numpy: the bound restriction equals the allocating oracle bit
+    # for bit, whatever the fine pad cells and the row buffer held, and
+    # leaves every pad cell of the coarse rhs exactly zero, which the
+    # zero-start cycle below relies on; the bound prolongation adds the
+    # oracle's interpolant onto the fine iterate and leaves its pad cells zero
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), m)
     rng = np.random.default_rng(ndim + 1)
-    for work in h.tape(complex).work:
+    runners = (lambda k: tape_runner((k,))(), lambda k: run_numpy((k,)))
+    for run, work in ((run, work) for run in runners for work in h.tape(complex).work):
         for fine, coarse in zip(work, work[1:]):
-            fine.r_run[...] = rng.standard_normal(fine.r_run.shape)  # pads included
-            coarse.rhs_run[...] = rng.standard_normal(coarse.rhs_run.shape)
+            scratch = fine.runs[3:]
+            for x in (fine.r_run, coarse.rhs_run, *scratch):  # pads included
+                x[...] = rng.standard_normal(x.shape)
             grid = fine.r.copy()
-            run_numpy(fine.restrict)
+            run(fine.restrict)
             assert np.array_equal(coarse.rhs, reference_restrict(grid))
             assert not np.any(_pad_cells(coarse, coarse.rhs_run))
             coarse.v[...] = rng.standard_normal(coarse.v.shape)
-            fine.r_run[...] = rng.standard_normal(fine.r_run.shape)
-            run_numpy(fine.prolong)
-            assert np.array_equal(fine.r, reference_prolong(coarse.v))
-            assert not np.any(_pad_cells(fine, fine.r_run))
-            assert fine.r.dtype == coarse.rhs.dtype == np.float64
+            fine.v[...] = before = rng.standard_normal(fine.v.shape)
+            for x in scratch:
+                x[...] = rng.standard_normal(x.shape)
+            run(fine.prolong)
+            assert np.array_equal(fine.v, before + reference_prolong(coarse.v))
+            assert not np.any(_pad_cells(fine, fine.v_run))
+            assert fine.v.dtype == coarse.rhs.dtype == np.float64
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_each_transfer_pass_is_one_kernel(ndim):
-    # one kernel per axis; the last-axis pass runs on whole runs, a 1-D
-    # stride-2 pass, and in 2D the row pass before it on contiguous rows
+    # one kernel per transfer, a 2D one's two passes included: in 1D a 1-D
+    # stride-2 pass over whole runs; in 2D a kernel over the rows of its
+    # output, on (rows, n + 1) views with contiguous rows, and the level's
+    # row buffer
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
     for work in h.tape(complex).work:
         for ws in work[:-1]:
-            assert len(ws.restrict) == len(ws.prolong) == ndim
-            for *rows, last in (ws.restrict, ws.prolong):
-                assert last.out.ndim == last.a.ndim == 1
-                for k in rows:
-                    assert k.out.strides[-1] == k.a.strides[-1] == k.out.itemsize
+            for k in (ws.restrict, ws.prolong):
+                assert k.out.ndim == k.a.ndim == ndim
+                assert k.out.strides[-1] == k.a.strides[-1] == k.out.itemsize
+                assert k.b is None if ndim == 1 else k.b is ws.runs[3]
