@@ -1,11 +1,11 @@
-/* Executor of compiled V-cycle tapes and multigrid solves (see
- * mgfk.stencil.tape_runner and mgfk.multigrid.Tape.solve).
+/* Executor of compiled V-cycle tapes, multigrid solves and quadrature
+ * weights (see mgfk.executor: tape_runner, Solve and fill_weights).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
- * float64 buffers (a mgfk.stencil.Kernel, packed by mgfk.stencil._record);
+ * float64 buffers (a mgfk.executor.Kernel, packed by mgfk.executor._record);
  * complex data run as two float64 planes, the real and the imaginary part,
  * each with records of its own.  Each loop does, per element, the IEEE
- * operations of mgfk.stencil.run_numpy in their order.  Built with
+ * operations of mgfk.executor.run_numpy in their order.  Built with
  * -ffp-contract=off and without -ffast-math: no fused multiply-add, no
  * reassociation.  Vector code only runs the same operations on several
  * elements at once.  The residual has a loop for each tap count, 0 to 8,
@@ -36,7 +36,7 @@
  * then every pad-th element of o, from the pad - 1st on, is zeroed.
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
- * (mgfk.multigrid.solve) as one call: up to the cap it is given, the fine
+ * (mgfk.executor.Solve) as one call: up to the cap it is given, the fine
  * residual records, one per plane, the residual's Euclidean norm, the
  * stopping test and a cycle.  The norm is sqrt(dot(x_1, x_1) + ...), over
  * the planes in order, with x_p the whole run plane p's residual record
@@ -44,7 +44,7 @@
  * calls on it.
  *
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
- * from l_0 by the Miller recurrence of mgfk.fsd.weights, each l_n
+ * from l_0 by the Miller recurrence of mgfk.executor.fill_weights, each l_n
  * the same IEEE operations: its terms formed into two arrays of at most nu
  * values, summed by the same BLAS ddot numpy's np.dot calls on them.
  */
@@ -57,7 +57,7 @@ enum { RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, RESTRICT = 6, PROLONG };
 
 #define TAPS 8 /* off-centre points of a 9-point stencil, the most a residual has */
 
-/* As mgfk.stencil._RECORD describes it, addresses as int64: o holds n rows
+/* As mgfk.executor._RECORD describes it, addresses as int64: o holds n rows
  * of len elements (len is 1 but in a 2D transfer), s is the scalar and c
  * the taps' coefficients. */
 typedef struct {
@@ -184,13 +184,13 @@ void mgfk_run_tape(const record *r, int64_t count)
 /* A BLAS ddot of 64-bit integers (ILP64), as numpy's wheel ships it. */
 typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
 
-/* A solve, as mgfk.stencil._CompiledSolve packs it, all fields int64: the
+/* A solve, as mgfk.executor.Solve packs it, all fields int64: the
  * cycle's records and the fine residual's, one per plane, and the dot_fn. */
 typedef struct {
     int64_t cycle, cycles, residual, residuals, dot;
 } solve;
 
-/* How a solve ends, as mgfk.stencil names them. */
+/* How a solve ends, as mgfk.executor names them. */
 enum { RAN_OUT, CONVERGED, NOT_FINITE };
 
 /* The norm of the residual, formed at the loaded iterate: each plane's

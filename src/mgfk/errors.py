@@ -29,7 +29,12 @@ class ConvergenceFailure(MgfkError):
 
 def require_memory(nbytes: int, what: str) -> None:
     """Raise ``MgfkError`` if ``what``, ``nbytes`` bytes, exceeds the
-    machine's physical memory."""
-    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    machine's physical memory.  Where that cannot be read (no
+    ``os.sysconf``, which only Unix has, or one that raises ``ValueError``
+    or ``OSError`` for its names), nothing is refused."""
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return
     if nbytes > memory:
         raise MgfkError(f"{what} needs {nbytes} bytes, more than the {memory} bytes of physical memory")

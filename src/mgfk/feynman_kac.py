@@ -36,7 +36,7 @@ import numpy as np
 
 from . import multigrid as vc
 from .coarsen import fk_operator, mu_coefficient
-from .errors import ConvergenceFailure, MgfkError, require_memory
+from .errors import ConvergenceFailure, DimensionError, MgfkError, require_memory
 from .fsd import weights
 from .stencil import COMPACT_MASS, dst_solve
 
@@ -49,13 +49,15 @@ class Problem:
     ``n_steps`` time levels of size tau = t_final / n_steps.  ``forcing``,
     ``initial`` and ``exact`` take one coordinate array per dimension (the
     ij-meshgrid in 2D), and ``forcing`` and ``exact`` then a scalar time.
-    ``bc_left`` / ``bc_right`` are the 1D Dirichlet traces g(t); ``None``
-    means zero.  The 2D scheme has zero boundary data only.  ``length`` and
-    ``t_final`` must be positive and finite, ``kappa`` finite and
-    non-negative, ``alpha`` in (0, 1), both parts of ``rho`` finite,
-    ``ndim`` the integer 1 or 2, and ``m`` and ``n_steps`` integers at
-    least 1, else ``MgfkError``; an integer is not a ``bool`` and is kept
-    as an ``int``.
+    Each gives one value, or one per point as the grid or its flat vector
+    (in 1D ``forcing`` is read at the m + 2 points with both walls), else
+    ``Evolution`` raises ``DimensionError``.  ``bc_left`` / ``bc_right``
+    are the 1D Dirichlet traces g(t); ``None`` means zero.  The 2D scheme
+    has zero boundary data only.  ``length`` and ``t_final`` must be
+    positive and finite, ``kappa`` finite and non-negative, ``alpha`` in
+    (0, 1), both parts of ``rho`` finite, ``ndim`` the integer 1 or 2, and
+    ``m`` and ``n_steps`` integers at least 1, else ``MgfkError``; an
+    integer is not a ``bool`` and is kept as an ``int``.
     """
 
     length: float
@@ -152,7 +154,7 @@ class Evolution:
         if p.ndim == 1:
             self._forced_at = (np.concatenate(([0.0], self.coords[0], [p.length])),)
         self.t = p.tau * np.arange(p.n_steps + 1)
-        initial = np.asarray(p.initial(*self.coords)).ravel()
+        initial = _on_points("initial", p.initial(*self.coords), self.coords)
         left = _trace(p.bc_left, self.t)
         # a callable given for both walls, as example_6_1 gives one, is evaluated once
         traces = (left, left if p.bc_right is p.bc_left else _trace(p.bc_right, self.t))
@@ -206,7 +208,7 @@ class Evolution:
         p = self.problem
         tau_alpha = p.tau**p.alpha
         # The forcing is read before any sum: a complex value promotes the stepper.
-        fn = self._read(p.forcing(*self._forced_at, self.t[n])).ravel()
+        fn = self._read(_on_points("forcing", p.forcing(*self._forced_at, self.t[n]), self._forced_at))
         w = self._w_rev[p.n_steps + 1 - n :]
         levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
         if p.ndim == 2:
@@ -286,8 +288,20 @@ class Evolution:
         p = self.problem
         if p.exact is None:
             raise MgfkError("problem has no exact solution attached")
-        ref = np.asarray(p.exact(*self.coords, self.t[self.step_index]), dtype=complex)
-        return float(np.max(np.abs(self.state - ref.ravel())))
+        ref = _on_points("exact", p.exact(*self.coords, self.t[self.step_index]), self.coords)
+        return float(np.max(np.abs(self.state - ref.astype(complex))))
+
+
+def _on_points(name: str, values, points: tuple) -> np.ndarray:
+    """The ``values`` the callable ``name`` gave on the coordinate arrays
+    ``points``, as a flat vector: one value broadcast, the grid or its flat
+    vector as it is; any other shape raises ``DimensionError``."""
+    a, shape, size = np.asarray(values), points[0].shape, points[0].size
+    if a.size == 1:
+        return np.broadcast_to(a.reshape(1), (size,))
+    if a.shape not in (shape, (size,)):
+        raise DimensionError(f"{name} gave values of shape {a.shape} on points of shape {shape}")
+    return a.reshape(size)
 
 
 def _trace(bc: Optional[Callable[[float], complex]], t: np.ndarray) -> np.ndarray:

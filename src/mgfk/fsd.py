@@ -11,12 +11,8 @@ tempering by the complex rate rho enters only through d_k = exp(-rho*k*tau)
 * l_k; the l_k themselves depend on (alpha, nu) alone.
 
 Coefficients are produced by the J.C.P. Miller power recurrence, which needs
-O(nu) work per coefficient and is numerically stable for these polynomials.
-Where ``stencil.compiled_solves()`` holds, the recurrence runs as one call
-into the compiled executor (``_tape.c``'s ``mgfk_weights``), which forms each
-coefficient by the same IEEE operations and sums it through the BLAS ddot
-``np.dot`` calls; elsewhere, and for l_0 alone, which needs no executor, it
-runs as a numpy loop.  Both give the same bits.
+O(nu) work per coefficient and is numerically stable for these polynomials
+(``executor.fill_weights``); l_0 alone needs none, and loads no executor.
 """
 
 from __future__ import annotations
@@ -27,8 +23,8 @@ from math import comb
 
 import numpy as np
 
-from . import stencil
 from .errors import require_memory
+from .executor import fill_weights
 
 
 def generating_poly(nu: int) -> np.ndarray:
@@ -67,15 +63,7 @@ def weights(alpha: float, nu: int, count: int) -> np.ndarray:
     w = generating_poly(nu)
     out = np.zeros(count + 1)
     out[0] = w[0] ** alpha
-    if count and stencil.compiled_solves():
-        lib = stencil._library()
-        lib.mgfk_weights(alpha, stencil._at(w), nu, count, stencil._at(out), stencil._ddot())
-    else:  # the executor's numpy twin
-        for n in range(1, count + 1):
-            jmax = min(n, nu)
-            js = np.arange(1, jmax + 1)
-            acc = np.dot(((alpha + 1.0) * js - n) * w[1 : jmax + 1], out[n - js])
-            out[n] = acc / (n * w[0])
+    fill_weights(alpha, w, out)
     return out
 
 

@@ -11,38 +11,24 @@ complex data is one cycle on its real part and one on its imaginary part.
 Per dtype a hierarchy makes on first use, and reuses, a ``Tape``, which
 cycles in place on float64 per-level scratch buffers (``LevelWork``) of its
 own, one set per plane: the real part, and for complex data the imaginary
-part (long double data raise ``MgfkError``).  Each plane allocates one
-arena, and every run of every level, the 2D transfers' row buffers
-included, is a view of it (``_plane``): finest level first, the storage of
-the iterate, the residual, the right-hand side and the row buffer, the
-iterate's first point and every other run's first cell at a fixed
-alignment and stagger past a page boundary (``_carve``), so that where a
-run sits does not follow earlier allocations.  Every level operation
-(residual, damped update, restriction, zero start, prolongation, which adds
-the coarse correction onto the iterate, coarsest step) is a
-``stencil.Kernel`` on the buffers, each level's transfers bound to the
-next level's when it is built.  The tape splices the kernels of
-every level of every plane into one flat run, the whole V-cycle with no
-recursion, which ``stencil.tape_runner`` runs as one call into the compiled
-executor, where a cycle allocates nothing but the array it returns, or
-through ``stencil.run_numpy`` (see ``stencil.compiled_tapes``); the
-iterates are the same bits either way.  A kernel stores only what a later
-one reads: an update leaves the residual it read as it was, and the next
-residual overwrites it.  The tape cycles from the loaded
-fine iterate and the residual formed from it: ``solve`` and
-``measure_contraction`` form that residual for their norms and cycle from
-it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
-is given none.  A whole ``solve`` is one call into the executor
-(``Tape.solve``), which finds each plane's residual run through the fine
-residual's records and sums its squares, pad cells included, by the BLAS
-ddot ``np.dot`` calls (``stencil.compiled_solves``), so its residual
-history is the same bits as without the executor.  Every scalar of a
-kernel is a float, held in its record, and the transfers' weights are
-fixed.  On finite data the planes hold the values numpy's complex
-arithmetic gives on the same kernels, up to the sign of a zero, as every
-scalar is real and a complex plane's coarsest step multiplies by the
-reciprocal of the diagonal, as numpy's complex division by a real divisor
-does (real data divide).
+part (long double data raise ``MgfkError``).  Each plane's runs are views
+of one arena, placed so that where a run sits does not follow earlier
+allocations (``_plane``, ``_carve``).  Every level operation (residual,
+damped update, restriction, zero start, prolongation, which adds the
+coarse correction onto the iterate, coarsest step) is an
+``executor.Kernel`` on the buffers, each level's transfers bound to the
+next level's when it is built.  The tape splices the kernels of every
+level of every plane into one flat run, the whole V-cycle with no
+recursion, one executor call.  A kernel stores only what a later one
+reads.  The tape cycles from the loaded fine iterate and the residual
+formed from it: ``solve`` and ``measure_contraction`` form that residual
+for their norms and cycle from it in place, ``vcycle`` forms it to cycle
+once, from a zero iterate if it is given none.  A whole ``solve`` is one
+call too (``Tape.solve``, an ``executor.Solve``).  On finite data the
+planes hold the values numpy's complex arithmetic gives on the same
+kernels, up to the sign of a zero, as every scalar is real and a complex
+plane's coarsest step multiplies by the reciprocal of the diagonal, as
+numpy's complex division by a real divisor does (real data divide).
 ``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
 ``solve`` return new arrays, never a buffer.  Because its tapes are
 reused, two threads must not cycle on one hierarchy at once.
@@ -65,27 +51,15 @@ import numpy as np
 
 from . import transfer
 from .errors import DimensionError, EligibilityError, MgfkError, require_memory
+from .executor import CONVERGED, DIVIDE, RESIDUAL, SCALE, UPDATE, ZERO, Kernel, Solve
 from .stencil import (
-    CONVERGED,
-    DIVIDE,
-    NOT_FINITE,
-    RAN_OUT,
-    RESIDUAL,
-    SCALE,
-    UPDATE,
-    ZERO,
-    Kernel,
     KroneckerSum,
-    _at,
-    _CompiledSolve,
-    compiled_solves,
     grid_depth,
     interior,
     pad_period,
     require_coarsenable,
     require_spd_eligible,
     run_shape,
-    tape_runner,
 )
 
 
@@ -200,7 +174,7 @@ def _carve(runs: list, dtype) -> list:
         end += n * item
     require_memory(end + _PAGE, "a tape plane's arena")
     arena = np.zeros((end + _PAGE) // item, dtype)
-    base = -_at(arena) % _PAGE // item
+    base = -arena.__array_interface__["data"][0] % _PAGE // item
     return [arena[base + s : base + s + n] for s, (n, _) in zip(starts, runs)]
 
 
@@ -286,26 +260,20 @@ class Tape:
     ``work`` is, per plane, the ``LevelWork`` of every level (``_plane``):
     one plane for float64 data, the real and the imaginary part for
     complex128, shared with no other tape; ``fine`` is each plane's fine
-    level.  ``residual`` forms ``r = rhs - A v`` on every plane, one
-    kernel each, and ``cycle`` runs one V-cycle on every plane from the
-    loaded ``v`` and that residual; each is a ``stencil.tape_runner``, one
-    executor call.  ``solve`` runs a whole solve from the loaded ``v``, r0
-    and the relative residuals going into ``norms``, each norm the square
-    root of the planes' ``np.dot(r_run, r_run)`` added in order (the pad
-    cells are zero): one call into the executor (``stencil._CompiledSolve``,
-    which finds each run through its residual record) where
-    ``stencil.compiled_solves()`` is true, else ``_loop``.
+    level.  ``solve`` is the ``executor.Solve`` of the tape's kernels, and
+    its runners are the tape's: ``residual`` forms ``r = rhs - A v`` on
+    every plane, and ``cycle`` runs one V-cycle on every plane from the
+    loaded ``v`` and that residual.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
         planes = _PLANES[dtype]
         self.work = tuple(_plane(h.levels) for _ in range(planes))
         self.fine = tuple(w[0] for w in self.work)
-        self.residual = tape_runner(tuple(ws.residual for ws in self.fine))
-        self.cycle = tape_runner(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()))
+        self.solve = Solve(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()),
+                           tuple(ws.residual for ws in self.fine))
+        self.residual, self.cycle = self.solve.residual, self.solve.cycle
         self.shape, self.dtype = h.fine.shape, dtype
-        self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
-        self._compiled = _CompiledSolve(self.cycle, self.residual) if compiled_solves() else None
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
@@ -314,46 +282,6 @@ class Tape:
         v = 0.0 if v is None else np.reshape(v, shape)
         for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
             ws.v[...], ws.rhs[...] = x, b
-
-    def solve(self, tol: float, max_iter: int) -> tuple[int, int]:
-        """Cycle from the loaded iterate until the relative residual is
-        below ``tol`` or not finite, at most ``max_iter`` times, and return
-        how the solve ended (``stencil.CONVERGED``, ``NOT_FINITE`` or
-        ``RAN_OUT``, the cap reached) and the cycles run; ``norms[0]`` is
-        then r0 and ``norms[1:]`` the relative residual after each cycle
-        (see ``_loop``).  ``norms`` is made with the tape, and a solve that
-        fills it doubles it and resumes where it stopped."""
-        run = self._compiled or self._loop
-        end, cycles = RAN_OUT, 0
-        while end == RAN_OUT and cycles < max_iter:
-            if cycles == len(self.norms) - 1:
-                self.norms = np.concatenate((self.norms, np.empty_like(self.norms)))
-            end, cycles = run(tol, self.norms, min(max_iter, len(self.norms) - 1), cycles)
-        return end, cycles
-
-    def _loop(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
-        """``mgfk_solve`` of ``_tape.c`` in Python, the same bits: the
-        cycles from ``done`` up to ``stop``, r0 and the relative residuals
-        going into ``norms``; how the solve ended and the cycles run."""
-
-        def norm() -> float:
-            self.residual()
-            sq = 0.0
-            for ws in self.fine:
-                sq = sq + float(np.dot(ws.r_run, ws.r_run))
-            return math.sqrt(sq)
-
-        it, end = done, RAN_OUT
-        if it == 0:
-            norms[0] = norm()
-            end = CONVERGED if norms[0] == 0.0 else RAN_OUT if math.isfinite(norms[0]) else NOT_FINITE
-        r0 = float(norms[0])
-        while end == RAN_OUT and it < stop:
-            self.cycle()
-            it += 1
-            norms[it] = rel = norm() / r0
-            end = CONVERGED if rel < tol else RAN_OUT if math.isfinite(rel) else NOT_FINITE
-        return end, it
 
     def result(self) -> np.ndarray:
         """The iterate of every plane, as a new grid."""
@@ -503,12 +431,10 @@ def solve(
 ) -> tuple[np.ndarray, SolveReport]:
     """Iterate V-cycles until the relative Euclidean residual drops below tol.
 
-    The solve is ``Tape.solve``: with the compiled executor one call into
-    it, which runs every cycle, residual, norm and stopping test, the norm
-    numpy's through its BLAS ddot (else the same loop in Python; see
-    ``stencil.compiled_solves``).  The cycles run in place in the fine
-    ``LevelWork`` of every plane, each from the residual just formed for its
-    norm; the solution comes back as a new flat array.  Non-convergence
+    The solve is ``Tape.solve``, which runs every cycle, residual, norm
+    and stopping test (``executor.Solve``).  The cycles run in place in the
+    fine ``LevelWork`` of every plane, each from the residual just formed
+    for its norm; the solution comes back as a new flat array.  Non-convergence
     within ``max_iter`` (an integer, not a ``bool``) is reported, not
     raised: the report comes back with ``converged=False`` and the full
     residual history.  A non-finite residual, ``r0`` included, stops the
@@ -532,7 +458,7 @@ def solve(
         if end == CONVERGED:
             return x, SolveReport(0, [], converged=True)
         return x, SolveReport(iterations=0, residuals=[math.nan])
-    return x, SolveReport(cycles, tape.norms[1 : cycles + 1].tolist(), converged=end == CONVERGED)
+    return x, SolveReport(cycles, tape.solve.norms[1 : cycles + 1].tolist(), converged=end == CONVERGED)
 
 
 def measure_contraction(

@@ -5,29 +5,8 @@ pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 ``c_mass E + c_stiff S`` on a 1D grid or
 ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on a 2D one, over two
 stencils.  Both are applied by shifted-slice multiply-adds over their
-nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``).
-Each level operation of the V-cycle (residual, damped update, transfer,
-zero start, coarsest step) is described once, as a
-``Kernel``: the operands of one record of the compiled executor
-``_tape.c``, on buffers a caller keeps.  ``run_numpy`` runs kernels with
-numpy, one kind's per-element operations in the executor's order, on
-any dtype, and ``tape_runner`` runs a tuple of float64 ones as one call
-into the executor, which knows no other type (built
-on first use by ``_library`` into the user's cache, with
-``-ffp-contract=off`` so that every element gets exactly the IEEE
-operations of ``run_numpy``; a residual record sums each element in a
-register, in a loop made for its tap count, and on x86-64 an AVX2 clone of
-each loop runs where the CPU has it), or by ``run_numpy`` where it cannot
-be built (``compiled_tapes``).  A kernel's scalars are floats, which its
-record holds as values.  ``_CompiledSolve`` runs a whole multigrid solve
-(``multigrid.Tape.solve``), its cycles, residuals, their norms and the
-stopping test, as one call into the executor, each norm summed over the
-planes' residual runs by numpy's BLAS ddot (``compiled_solves``); its five
-fields are the cycle's records, the fine residual's, one per plane, which
-say where each plane's residual run is, and the ddot.
-The executor's third entry point, ``mgfk_weights``, runs the quadrature
-weights' recurrence of ``fsd.weights`` through that ddot, the same
-bits as its numpy loop, which runs where ``compiled_solves`` is false.
+nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``),
+in the order of the V-cycle's residual kernel (``executor.Kernel``).
 Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
 cells, one zero pad cell after each row's points.  The type-I sine
 transform diagonalises the system operators, which gives their spectra
@@ -37,12 +16,8 @@ test oracles only.
 
 from __future__ import annotations
 
-import math
-import os
-import stat
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
-from typing import NamedTuple
+from functools import cached_property
 
 import numpy as np
 
@@ -129,8 +104,9 @@ COMPACT_MASS = ToeplitzStencil((10.0 / 12.0, 1.0 / 12.0))
 class KroneckerSum:
     """Operator ``c_mass E + c_stiff S`` on (m,) grids (``ndim`` 1) or
     ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on (m, m) grids
-    (``ndim`` 2); any other ``ndim`` raises ``DimensionError``, as the
-    paper's theory covers those two only.
+    (``ndim`` 2); any other ``ndim``, one that is not an integer (a
+    ``bool`` is not) included, raises ``DimensionError``, as the paper's
+    theory covers those two only.  A numpy integer is kept as an ``int``.
 
     ``E`` and ``S`` are tridiagonal 1D stencils (identity-like and
     Laplacian-like factors).  A bare stencil S used as a system is
@@ -148,8 +124,10 @@ class KroneckerSum:
     stiff: ToeplitzStencil
 
     def __post_init__(self):
-        if self.ndim not in (1, 2):
-            raise DimensionError(f"Kronecker sums are 1D or 2D, got ndim {self.ndim}")
+        ndim = self.ndim
+        if isinstance(ndim, bool) or not isinstance(ndim, (int, np.integer)) or ndim not in (1, 2):
+            raise DimensionError(f"Kronecker sums are 1D or 2D, got ndim {ndim!r}")
+        object.__setattr__(self, "ndim", int(ndim))
 
     def _kron_sum(self, e, s):
         """The operator's form over factor values ``e`` and ``s`` (band
@@ -242,289 +220,6 @@ def pad_period(shape: tuple) -> int:
     """The period of the pad cells of the run layout of ``shape``: in 2D,
     rows of n points, n + 1, cell n of each row being one; 0 in 1D, which has none."""
     return sum(m + 1 for m in shape[1:])
-
-
-#: The executor's build flags.  -ffp-contract=off keeps ``a * b + c`` two
-#: roundings, as numpy's separate calls are, and -ffast-math, which would
-#: reassociate, is left out; -fno-math-errno makes ``sqrt`` one instruction
-#: that sets no ``errno``, of the same value.  -march=native is left out, as
-#: a build is cached per platform, not per CPU: on x86-64 glibc ``_tape.c``
-#: clones its kernels for AVX2 itself, and the loader picks the clone per
-#: CPU at load time.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared")
-
-#: Kernel kinds of ``_tape.c``, which says what each does.  5 was a kind of
-#: its own; the numbers after it stay as they were.
-RESIDUAL, UPDATE, SCALE, DIVIDE, ZERO, RESTRICT, PROLONG = 0, 1, 2, 3, 4, 6, 7
-
-#: The most off-centre points a residual record holds: a 9-point stencil's.
-_TAPS = 8
-
-#: ``_tape.c``'s ``record``, field for field: addresses as int64, the
-#: scalar and the taps' coefficients as float64.
-_RECORD = np.dtype([*((name, np.int64) for name in ("kind", "n", "len", "pad", "out", "a", "b", "taps")),
-                    ("off", np.int64, _TAPS), ("s", np.float64), ("c", np.float64, _TAPS)])
-
-
-class Kernel(NamedTuple):
-    """One level operation of ``kind`` (``_tape.c`` says what each does):
-    into ``out``, whose first axis is its rows (an update and a
-    prolongation add onto it), from the arrays ``a`` and ``b`` (all
-    C-contiguous; ``b`` is a residual's right-hand side, or the row buffer
-    of a 2D transfer, which the executor writes) and the float ``s``, then
-    zeroing every ``pad``-th element of ``out`` from the ``pad - 1``-st on
-    (``pad`` 0: none, see ``pad_period``); a residual also sums ``taps``,
-    per off-centre point its window (``a`` shifted by the point's offset in
-    the storage ``a`` is a run of) and its float coefficient.  The
-    transfers' weights are fixed.  ``run_numpy`` runs it with numpy,
-    ``tape_runner`` as one record of the executor."""
-
-    kind: int
-    out: np.ndarray
-    a: np.ndarray = None
-    b: np.ndarray = None
-    s: float = 0.0
-    pad: int = 0
-    taps: tuple = ()
-
-
-def _restrict(o: np.ndarray, a: np.ndarray) -> None:
-    """Full weighting along the first axis: ``o[q]`` from ``a[2q]``,
-    ``a[2q + 1]`` and ``a[2q + 2]``."""
-    np.multiply(a[1::2], 2.0, o)
-    np.add(a[0:-1:2], o, o)
-    o += a[2::2]
-    o *= 0.25
-
-
-def _prolong(o: np.ndarray, a: np.ndarray, add: bool) -> None:
-    """Linear interpolation along the first axis, into ``o`` or (``add``)
-    onto it: ``o[2q]`` from ``a[q]`` and ``a[q + 1]``, ``o[2q + 1]`` from
-    ``a[q + 1]``."""
-    even, odd = o[0::2], o[1::2]
-    if add:
-        even += (a[: len(even)] + a[1 : len(even) + 1]) * 0.5
-        odd += a[1 : len(odd) + 1]
-    else:
-        np.copyto(odd, a[1 : len(odd) + 1])
-        np.add(a[: len(even)], a[1 : len(even) + 1], even)
-        even *= 0.5
-
-
-def run_numpy(kernels) -> None:
-    """Run ``kernels`` in order with numpy: per element the IEEE operations
-    of each record in the executor's order, each tap's product formed as a
-    temporary, the transfers' weights 2, 1/4 and 1/2 as in the executor.
-    A 2D transfer (an ``out`` of rows) forms its pass across rows for the
-    whole grid at once, into a temporary laid out as the executor's row
-    buffers follow each other (one zero cell past the restriction's, one
-    before the prolongation's), and leaves ``b`` alone.
-    Kernels of any dtype run, the complex and long double ones of the
-    test oracles included.  numpy warns of overflows and invalid values."""
-    for kind, o, a, b, s, pad, taps in kernels:
-        if kind == RESIDUAL:
-            np.multiply(a, s, o)
-            for window, c in taps:
-                o += window * c
-            np.subtract(b, o, o)
-        elif kind == UPDATE:
-            o += a * s
-        elif kind == SCALE:
-            np.multiply(a, s, o)
-        elif kind == DIVIDE:
-            np.divide(a, s, o)
-        elif kind == ZERO:
-            o.fill(0)
-        elif kind == RESTRICT:
-            if o.ndim == 2:
-                rows = np.zeros(2 * o.size + 1, o.dtype)
-                _restrict(rows[:-1].reshape(len(o), -1), a)
-                a = rows
-            _restrict(o.reshape(-1), a)
-        else:  # PROLONG
-            if o.ndim == 2:
-                rows = np.zeros(1 + o.size // 2, o.dtype)
-                _prolong(rows[1:].reshape(len(o), -1), a, add=False)
-                a = rows
-            _prolong(o.reshape(-1), a, add=True)
-        if pad:
-            o.reshape(-1)[pad - 1 :: pad] = 0
-
-
-def _at(x) -> int:
-    """The address of the data of array ``x``; 0 for ``None``."""
-    return 0 if x is None else x.__array_interface__["data"][0]
-
-
-def _record(k: Kernel) -> np.ndarray:
-    """``k`` as one ``_tape.c`` record, a 0-d ``_RECORD`` array: a tap is
-    its window's offset from ``a``, in elements, and its coefficient."""
-    r = np.zeros((), _RECORD)
-    r["kind"], r["n"], r["len"], r["pad"] = k.kind, k.out.shape[0], math.prod(k.out.shape[1:]), k.pad
-    r["out"], r["a"], r["b"], r["taps"], r["s"] = _at(k.out), _at(k.a), _at(k.b), len(k.taps), k.s
-    for p, (window, c) in enumerate(k.taps):
-        r["off"][p], r["c"][p] = (_at(window) - _at(k.a)) // k.out.itemsize, c
-    return r
-
-
-def _build(source: str, path: str) -> bool:
-    """Compile ``source`` into the shared library ``path`` with ``$CC`` or
-    ``cc``, under a temporary name, then renamed, so that processes that
-    build at once each load a whole file; whether that worked."""
-    import shlex
-    import subprocess
-    import tempfile
-
-    fd, tmp = tempfile.mkstemp(suffix=".so", dir=os.path.dirname(path))
-    os.close(fd)
-    try:
-        cc = shlex.split(os.environ.get("CC") or "cc")
-        subprocess.run([*cc, *_CFLAGS, "-o", tmp, source], check=True, capture_output=True, timeout=120)
-        os.replace(tmp, path)
-        return True
-    except (OSError, ValueError, subprocess.SubprocessError):
-        return False
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-@lru_cache(maxsize=None)
-def _library():
-    """The executor, ``_tape.c`` with its entry points ``mgfk_run_tape``,
-    ``mgfk_solve`` and ``mgfk_weights``, built on first use (``_build``)
-    into ``$XDG_CACHE_HOME/mgfk`` (default ``~/.cache/mgfk``) under a name
-    hashed from the source, the flags and the platform; ``None`` without a
-    compiler, after a failed build, or when that directory is not the
-    user's own or is writable by group or others."""
-    import platform
-    import zlib
-
-    source = os.path.join(os.path.dirname(__file__), "_tape.c")
-    try:
-        with open(source, "rb") as f:
-            key = f.read() + repr((_CFLAGS, platform.system(), platform.machine())).encode()
-        cache = os.path.join(os.environ.get("XDG_CACHE_HOME") or os.path.expanduser("~/.cache"), "mgfk")
-        os.makedirs(cache, mode=0o700, exist_ok=True)
-        st = os.stat(cache)
-        mine = hasattr(os, "getuid") and st.st_uid == os.getuid()
-        if not (stat.S_ISDIR(st.st_mode) and mine and not st.st_mode & 0o022):
-            return None
-        path = os.path.join(cache, f"tape-{zlib.crc32(key):08x}{zlib.adler32(key):08x}.so")
-        if not (os.path.exists(path) or _build(source, path)):
-            return None
-        return _load(path)
-    except OSError:
-        return None
-
-
-def _load(path: str):
-    """The executor built at ``path``, its entry points typed."""
-    import ctypes  # here, so that `import mgfk` loads nothing
-
-    lib = ctypes.CDLL(path)
-    lib.mgfk_run_tape.argtypes, lib.mgfk_run_tape.restype = (ctypes.c_void_p, ctypes.c_int64), None
-    lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
-                               ctypes.POINTER(ctypes.c_int64))
-    lib.mgfk_solve.restype = ctypes.c_int64
-    lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                                 ctypes.c_void_p, ctypes.c_void_p)
-    lib.mgfk_weights.restype = None
-    return lib
-
-
-@lru_cache(maxsize=None)
-def _ddot() -> int:
-    """The address of ``scipy_cblas_ddot64_``, the BLAS ddot of 64-bit
-    integers ``np.dot`` calls, found through numpy's extension module, which
-    links the OpenBLAS numpy loads ``RTLD_LOCAL``; 0 where numpy has no such
-    module or symbol, as with a numpy built on another BLAS."""
-    import ctypes
-
-    try:
-        umath = np._core._multiarray_umath.__file__
-        return ctypes.cast(ctypes.CDLL(umath).scipy_cblas_ddot64_, ctypes.c_void_p).value
-    except (OSError, AttributeError):
-        return 0
-
-
-def compiled_tapes() -> bool:
-    """Whether ``tape_runner`` runs tapes in the compiled executor (else
-    through ``run_numpy``); the first call may build it.  With numpy's
-    BLAS ddot found too, ``multigrid.Tape`` runs a solve as one call into
-    it: ``compiled_solves`` says so."""
-    return _library() is not None
-
-
-def compiled_solves() -> bool:
-    """Whether ``multigrid.Tape`` runs a whole solve as one call into the
-    compiled executor (``_CompiledSolve``), its norms taken through the
-    BLAS ddot ``np.dot`` calls (``_ddot``), the same bits: where
-    ``compiled_tapes()`` is true and that ddot is found.  Else the solve's
-    loop runs in Python over the tapes, its norms ``np.dot``'s."""
-    return compiled_tapes() and _ddot() != 0
-
-
-class _CompiledTape:
-    """The records of ``kernels``, run by one call into the executor ``lib``."""
-
-    def __init__(self, kernels: tuple, lib):
-        self.kernels = kernels  # keeps every buffer a record points at alive
-        self.records = np.array([_record(k) for k in kernels], _RECORD)
-        self._args = (_at(self.records), len(self.records))
-        self.lib, self._run = lib, lib.mgfk_run_tape
-
-    def __call__(self) -> None:
-        self._run(*self._args)
-
-
-#: How a solve ends (``multigrid.Tape.solve``), as ``_tape.c`` names them: with
-#: the cycles it was asked for run and no decision; converged, r0 zero or
-#: a relative residual below ``tol``; or at a norm that is not finite.
-RAN_OUT, CONVERGED, NOT_FINITE = range(3)
-
-
-class _CompiledSolve:
-    """``multigrid.Tape._loop`` as one call into the executor's
-    ``mgfk_solve``, its norm through numpy's BLAS ddot: ``cycle`` and
-    ``residual`` the ``_CompiledTape``s of a V-cycle and the fine residual,
-    one record per plane, over whose runs the executor takes the norm.  The
-    five fields of ``_tape.c``'s ``solve`` are packed here once."""
-
-    def __init__(self, cycle: _CompiledTape, residual: _CompiledTape):
-        import ctypes
-
-        self.operands = (cycle, residual)  # keep every array a field points at alive
-        self.fields = np.array([_at(cycle.records), len(cycle.records), _at(residual.records),
-                                len(residual.records), _ddot()], np.int64)
-        self._address, self._run = _at(self.fields), cycle.lib.mgfk_solve
-        self._cycles = ctypes.c_int64()  # the cycles run, in and out
-        self._pointer = ctypes.pointer(self._cycles)
-
-    def __call__(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
-        self._cycles.value = done
-        end = self._run(self._address, tol, _at(norms), stop, self._pointer)
-        return end, self._cycles.value
-
-
-def tape_runner(kernels: tuple):
-    """A callable with no arguments that runs ``kernels`` in order: as
-    records in one call into the compiled executor of ``_tape.c``, or by
-    ``run_numpy`` where ``compiled_tapes()`` is false.  Every array of a
-    kernel must be float64 and every scalar a float, else ``ValueError``,
-    before anything is packed: complex data run as two float64 planes
-    (``multigrid.Tape``), and a record would cut a complex scalar to its
-    real part.  Results are bit for bit ``run_numpy``'s, up to the sign and
-    payload of a NaN.  The executor raises no floating-point warnings: an
-    overflow or invalid value shows as a non-finite value, which a solve's
-    stopping test and ``measure_contraction`` check for."""
-    arrays = (x for k in kernels for x in (k.out, k.a, k.b, *(w for w, _ in k.taps)) if x is not None)
-    if any(x.dtype != np.float64 for x in arrays):
-        raise ValueError("tapes run float64 data only")
-    if not all(isinstance(x, float) for k in kernels for x in (k.s, *(c for _, c in k.taps))):
-        raise ValueError("tapes take real float scalars only")
-    lib = _library()
-    return _CompiledTape(kernels, lib) if lib is not None else partial(run_numpy, kernels)
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name

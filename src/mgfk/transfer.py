@@ -4,12 +4,12 @@ Grids are 1D or 2D, with 2**k - 1 points per axis.  ``restriction`` and
 ``prolongation`` apply the 1-2-1 pair on each axis between flat arrays
 holding the grids in the run layout of ``stencil.run_shape`` (in 2D rows
 of n + 1 cells, a zero pad cell after the points), so a fine row is
-exactly two coarse rows long.  Each returns one ``stencil.Kernel``, which
+exactly two coarse rows long.  Each returns one ``executor.Kernel``, which
 the V-cycle splices into its tape; the weights, 2 and 1/4 or 1/2, are
-fixed in the kernels' kinds, in ``stencil.run_numpy`` and in the executor
-alike.  In 1D coarse cell q of a whole run sits at 2q + 1 of the other, so
-a transfer is one 1-D stride-2 pass, which the executor runs as one flat
-loop over the elements.  A 2D transfer is one kernel over the rows of its
+fixed in the kernels' kinds, on both of the executor's backends.  In 1D
+coarse cell q of a whole run sits at 2q + 1 of the other, so a transfer
+is one 1-D stride-2 pass, which the executor runs as one flat loop over
+the elements.  A 2D transfer is one kernel over the rows of its
 output: per output row it first combines whole rows of its input, on
 (rows, n + 1) views with contiguous rows, into a row buffer (``row_buffer``
 cells, which the caller passes in: a V-cycle's is carved from its plane's
@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import GridSizeError
-from .stencil import PROLONG, RESTRICT, Kernel, grid_depth, pad_period
+from .executor import PROLONG, RESTRICT, Kernel
+from .stencil import grid_depth, pad_period
 
 
 def _coarse_size(m_fine: int) -> int:

@@ -25,7 +25,8 @@ from mgfk import transfer
 from mgfk.coarsen import c_constant
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
-from mgfk.stencil import ToeplitzStencil, grid_depth, interior, require_coarsenable, run_numpy, run_shape
+from mgfk.executor import run_numpy
+from mgfk.stencil import ToeplitzStencil, grid_depth, interior, require_coarsenable, run_shape
 
 
 def restriction_matrix(m_fine: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from mgfk.coarsen import fk_operator, mu_coefficient
-from mgfk.errors import ConvergenceFailure, MgfkError
+from mgfk.errors import ConvergenceFailure, DimensionError, MgfkError
 from mgfk.feynman_kac import (
     Evolution,
     Problem,
@@ -497,3 +498,45 @@ def test_complex_trace_keeps_a_1d_run_complex():
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
         ev.step()
 
+
+
+def constant_problem(ndim, forcing, initial=lambda *x: 0.0):
+    """A 7-point problem of ``ndim`` with zero traces, ``forcing`` and ``initial``."""
+    return Problem(length=1.0, kappa=1.0, alpha=0.5, rho=0.5, t_final=1.0, m=7, n_steps=4,
+                   forcing=forcing, initial=initial, ndim=ndim)
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_one_forcing_value_is_broadcast_to_every_point(ndim):
+    # a scalar forcing runs in 1D too (it failed with a broadcast error),
+    # walls included, and steps as the same value given at every point
+    # (in 1D the grid with both walls, m + 2 points), as a grid or flat
+    runs = []
+    for forcing in (lambda *a: 2.5, lambda *a: np.array([2.5]),
+                    lambda *a: np.full(a[0].shape, 2.5), lambda *a: np.full(a[0].size, 2.5)):
+        runs.append(Evolution(constant_problem(ndim, forcing), order=2, solver="mgm").run().history.tobytes())
+    assert runs[1:] == runs[:-1]
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_a_forcing_of_the_wrong_size_is_refused(ndim):
+    # a 3-value 1D forcing on a 7-point grid used to run, its middle value
+    # broadcast over the interior and its end values taken as the walls
+    points = "(9,)" if ndim == 1 else "(7, 7)"
+    for values, shape in ((np.ones(3), "(3,)"), (np.ones(7 if ndim == 1 else 8), None), (np.ones((7, 1)), "(7, 1)")):
+        ev = Evolution(constant_problem(ndim, lambda *a, v=values: v), order=2, solver="direct")
+        shape = shape or str(values.shape)
+        with pytest.raises(DimensionError, match=rf"forcing .*{re.escape(shape)}.*{re.escape(points)}"):
+            ev.step()
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+def test_initial_and_exact_values_of_the_wrong_size_are_refused(ndim):
+    points = "(7,)" if ndim == 1 else "(7, 7)"
+    with pytest.raises(DimensionError, match=rf"initial .*\(9,\).*{re.escape(points)}"):
+        Evolution(constant_problem(ndim, lambda *a: 0.0, initial=lambda *x: np.ones(9)), order=2, solver="direct")
+    p = dataclasses.replace(constant_problem(ndim, lambda *a: 0.0), exact=lambda *a: np.ones(5))
+    with pytest.raises(DimensionError, match=rf"exact .*\(5,\).*{re.escape(points)}"):
+        Evolution(p, order=2, solver="direct").max_error()
+    p = dataclasses.replace(p, exact=lambda *a: 0.0)
+    assert Evolution(p, order=2, solver="direct").max_error() == 0.0

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mgfk import fsd, stencil
+from mgfk import executor, fsd
 from mgfk.fsd import FsdCoefficients, generating_poly, tempered, weights, write_csv
 
 from helpers import binomial_weights, naive_series_power, read_csv
@@ -78,14 +78,14 @@ def test_compiled_weights_are_the_numpy_loops_bits(nu, monkeypatch):
     counts = sorted({0, 1, nu, nu + 1, 1024, 4096})
     alphas = (0.01, 0.3, 0.5, 0.77, 0.99)
     compiled = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
-    monkeypatch.setattr(stencil, "compiled_solves", lambda: False)
+    monkeypatch.setattr(executor, "compiled_solves", lambda: False)
     numpy = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
     assert [c.tobytes() for c in compiled] == [n.tobytes() for n in numpy]
 
 
 def test_the_leading_weight_alone_loads_no_executor(monkeypatch):
     # the theory checks take l_0 only: that loads and builds nothing
-    monkeypatch.setattr(stencil, "_library", lambda: pytest.fail("the executor was loaded"))
+    monkeypatch.setattr(executor, "_library", lambda: pytest.fail("the executor was loaded"))
     for nu in (1, 2, 3, 4):
         l = weights(0.3, nu, 0)
         assert l.shape == (1,) and l[0] == generating_poly(nu)[0] ** 0.3

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from mgfk import multigrid, stencil
+from mgfk import executor, multigrid
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError, MgfkError
 from mgfk.feynman_kac import preset
@@ -53,7 +53,7 @@ def sweeps(level, v, f, weight, steps):
     ``v``: the kernels of a one-level plane of their dtype, run by numpy."""
     (work,) = multigrid._plane((level,), np.result_type(v, f))
     work.v[...], work.rhs[...] = v, f
-    stencil.run_numpy(work.sweep(weight) * steps)
+    executor.run_numpy(work.sweep(weight) * steps)
     return work.v
 
 
@@ -458,8 +458,8 @@ def on_both_backends(cases):
 def use_backend(monkeypatch, backend):
     """Make hierarchies built from here on run their tapes on ``backend``."""
     if backend == "numpy":
-        monkeypatch.setattr(stencil, "_library", lambda: None)
-        assert not stencil.compiled_tapes()
+        monkeypatch.setattr(executor, "_library", lambda: None)
+        assert not executor.compiled_tapes()
 
 
 @pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, backend",
@@ -655,7 +655,7 @@ def test_a_cycle_writes_only_inside_its_runs(ndim, m, backend, monkeypatch):
             arena = runs[0].base
             outside = np.ones(arena.size, bool)
             for run in runs:
-                start = (stencil._at(run) - stencil._at(arena)) // arena.itemsize
+                start = (executor._at(run) - executor._at(arena)) // arena.itemsize
                 outside[start : start + run.size] = False
             arena.view(np.int64)[outside] = SENTINEL
             slack.append((arena.view(np.int64), outside))

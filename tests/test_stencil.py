@@ -269,6 +269,21 @@ def test_kronecker_sum_refuses_grids_other_than_1d_and_2d(ndim):
         KroneckerSum(ndim, 1.0, 1.0, IDENTITY, LAPLACIAN)
 
 
+@pytest.mark.parametrize("ndim", [True, False, 1.0, 2.0, np.float64(2.0), "2", None])
+def test_kronecker_sum_refuses_an_ndim_that_is_not_an_integer(ndim):
+    # True, 1.0 and np.float64(2.0) compare equal to 1 or 2; the floats used
+    # to fail later in grid and apply, and True ran as a 1D operator
+    with pytest.raises(DimensionError, match="1D or 2D"):
+        KroneckerSum(ndim, 1.0, 1.0, IDENTITY, LAPLACIAN)
+
+
+def test_kronecker_sum_keeps_a_numpy_integer_ndim_as_an_int():
+    op = KroneckerSum(np.int64(2), 1.0, 1.0, IDENTITY, LAPLACIAN)
+    assert type(op.ndim) is int and op == KroneckerSum(2, 1.0, 1.0, IDENTITY, LAPLACIAN)
+    assert op.apply(np.ones((3, 3))).tobytes() == KroneckerSum(2, 1.0, 1.0, IDENTITY, LAPLACIAN).apply(
+        np.ones((3, 3))).tobytes()
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_galerkin_matches_dense_triple_product(ndim):
     r, p = restriction_matrix(15), prolongation_matrix(15)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import mgfk
-from mgfk import stencil, transfer
+from mgfk import executor, transfer
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import MgfkError
 from mgfk.feynman_kac import preset
@@ -32,11 +32,8 @@ from mgfk.multigrid import (
     solve,
     vcycle,
 )
-from mgfk.stencil import (
-    COMPACT_MASS,
+from mgfk.executor import (
     DIVIDE,
-    IDENTITY,
-    LAPLACIAN,
     PROLONG,
     RESIDUAL,
     RESTRICT,
@@ -44,11 +41,16 @@ from mgfk.stencil import (
     UPDATE,
     ZERO,
     Kernel,
+    run_numpy,
+    tape_runner,
+)
+from mgfk.stencil import (
+    COMPACT_MASS,
+    IDENTITY,
+    LAPLACIAN,
     KroneckerSum,
     ToeplitzStencil,
     dst_solve,
-    run_numpy,
-    tape_runner,
 )
 
 from helpers import reference_prolong, restrict
@@ -293,7 +295,7 @@ def test_tapes_refuse_scalars_that_are_not_real_floats(scalar, monkeypatch):
     # its imaginary part and a long double its extra bits: a kernel's
     # scalar or a tap's coefficient that is not a float is refused before
     # any record is packed, a complex one with a zero imaginary part too
-    monkeypatch.setattr(stencil, "_record", lambda k: pytest.fail("a record was packed"))
+    monkeypatch.setattr(executor, "_record", lambda k: pytest.fail("a record was packed"))
     (ws,) = _plane((build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine,))
     (window, c), *taps = ws.residual.taps
     for k in (ws.update(0.5)._replace(s=scalar), ws.residual._replace(taps=((window, scalar * c), *taps))):
@@ -328,7 +330,7 @@ def test_residual_matches_numpy_for_every_tap_count(count, dtype):
     rng = np.random.default_rng(count)
     for seed, n in enumerate((1, 2, 3, 5, 6, 7, 9, 13, 31, 67, 130)):
         taps = tuple(rng.permutation(NINE)[:count].tolist())
-        record = stencil._record(assert_record_matches_numpy(*residual_kernel(taps, n, dtype, seed))[0])
+        record = executor._record(assert_record_matches_numpy(*residual_kernel(taps, n, dtype, seed))[0])
         assert record["taps"] == count
         assert tuple(record["off"][:count]) == taps
 
@@ -355,7 +357,7 @@ def test_single_element_row_transfers_match_numpy(kind, dtype):
     for n in range(1, 71):
         for period in (0, 3, 8):
             k = assert_record_matches_numpy(*transfer_kernel(kind, n, period, dtype, n))[0]
-            record = stencil._record(k)
+            record = executor._record(k)
             assert (record["n"], record["len"], record["pad"]) == (n, 1, period)
 
 
@@ -384,7 +386,7 @@ def test_row_transfers_match_numpy(kind, dtype):
     # not, from any values left in the row buffer
     for seed, shape in enumerate(((3, 3), (7, 3), (3, 7), (7, 7), (15, 31), (31, 15), (63, 63))):
         k = assert_record_matches_numpy(*row_transfer_kernel(kind, shape, dtype, seed))[0]
-        record = stencil._record(k)
+        record = executor._record(k)
         assert record["len"] == (shape[1] + 1 if kind == PROLONG else (shape[1] + 1) // 2)
         assert record["n"] == (shape[0] if kind == PROLONG else (shape[0] - 1) // 2)
 
@@ -398,7 +400,7 @@ def test_transfers_pack_as_one_record_each(coarsening, ndim):
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
     for ws in h.tape(float).work[0][:-1]:
         for k in (ws.restrict, ws.prolong):
-            record = stencil._record(k)
+            record = executor._record(k)
             if ndim == 1:
                 assert record["len"] == 1 and record["b"] == 0
             else:
@@ -418,8 +420,8 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
         return v
 
     compiled = cycled()
-    assert stencil.compiled_tapes()
-    monkeypatch.setattr(stencil, "_library", lambda: None)
+    assert executor.compiled_tapes()
+    monkeypatch.setattr(executor, "_library", lambda: None)
     assert compiled.tobytes() == cycled().tobytes()
 
 
@@ -439,7 +441,7 @@ def test_a_runner_keeps_every_buffer_alive(monkeypatch):
     gc.collect()
     clutter = [np.full(4096, np.nan) for _ in range(64)]  # noqa: F841 (takes the freed blocks)
     residual(), cycle()
-    monkeypatch.setattr(stencil, "_library", lambda: None)
+    monkeypatch.setattr(executor, "_library", lambda: None)
     ref_residual, ref_cycle, ref_fine = cycled(build_hierarchy(op, 15))
     ref_residual(), ref_cycle()
     for ws, ref in zip(fine, ref_fine, strict=True):
@@ -466,13 +468,13 @@ class Counted:
 def default_clone(tmp_path):
     """The executor built from a copy of ``_tape.c`` whose kernel has no
     AVX2 clone, the kernel a CPU without AVX2 runs, built into ``tmp_path``."""
-    with open(os.path.join(os.path.dirname(stencil.__file__), "_tape.c")) as f:
+    with open(os.path.join(os.path.dirname(executor.__file__), "_tape.c")) as f:
         source, found = re.subn(r"^#define CLONES __attribute__\(\(target_clones\(.*\)\)\)$",
                                 "#define CLONES", f.read(), flags=re.M)
     assert found == 1
     (tmp_path / "_tape.c").write_text(source)
-    assert stencil._build(str(tmp_path / "_tape.c"), str(tmp_path / "tape.so"))
-    return stencil._load(str(tmp_path / "tape.so"))
+    assert executor._build(str(tmp_path / "_tape.c"), str(tmp_path / "tape.so"))
+    return executor._load(str(tmp_path / "tape.so"))
 
 
 def fk_system(name, alpha, nu, intervals):
@@ -508,13 +510,13 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
             x, report = solve(h, f)
             yield x.tobytes(), report.residuals
 
-    monkeypatch.setattr(stencil, "_library", lambda: lib)
+    monkeypatch.setattr(executor, "_library", lambda: lib)
     clone = list(cycles())
-    if stencil._ddot():
+    if executor._ddot():
         assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
     else:
         assert "mgfk_solve" not in lib.calls  # the solves loop in Python over the tapes
-    monkeypatch.setattr(stencil, "_library", lambda: None)
+    monkeypatch.setattr(executor, "_library", lambda: None)
     assert clone == list(cycles())
 
 
@@ -554,7 +556,7 @@ def solves(case, dtype):
     return out
 
 
-BLAS = pytest.mark.skipif(not stencil._ddot(), reason="numpy's BLAS ddot was not found; CI asserts it")
+BLAS = pytest.mark.skipif(not executor._ddot(), reason="numpy's BLAS ddot was not found; CI asserts it")
 COMPILED = pytest.mark.skipif(not COMPILER, reason="the executor needs a compiler")
 OPENBLAS = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
 
@@ -566,8 +568,8 @@ def test_the_ddot_is_the_one_in_numpys_openblas():
     import ctypes
 
     ddot = ctypes.CDLL(OPENBLAS[0]).scipy_cblas_ddot64_
-    assert stencil._ddot() != 0
-    assert stencil._ddot() == ctypes.cast(ddot, ctypes.c_void_p).value
+    assert executor._ddot() != 0
+    assert executor._ddot() == ctypes.cast(ddot, ctypes.c_void_p).value
 
 
 @BLAS
@@ -579,9 +581,9 @@ def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
     # iterates, cycles, stopping decisions and residuals, compared by
     # repr, which names every bit of a float
     compiled = solves(case, dtype)
-    assert stencil.compiled_solves() == stencil.compiled_tapes()
-    monkeypatch.setattr(stencil, "_library", lambda: None)
-    assert not stencil.compiled_solves()
+    assert executor.compiled_solves() == executor.compiled_tapes()
+    monkeypatch.setattr(executor, "_library", lambda: None)
+    assert not executor.compiled_solves()
     assert repr(compiled) == repr(solves(case, dtype))
     assert all(iterations > 2 for _, iterations, converged, *_ in compiled[:2] if converged)
 
@@ -615,7 +617,7 @@ def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
     assert stops == [(0, True, 0), (0, True, 0), (0, False, 1), (0, False, 1), (1, False, 1), (3, False, 3)]
     assert [repr(c[3]) for c in compiled[:4]] == ["[]"] * 2 + ["[nan]"] * 2
     assert math.isnan(compiled[4][3][0]) and compiled[5][3][-1] < 1.0
-    monkeypatch.setattr(stencil, "_library", lambda: None)
+    monkeypatch.setattr(executor, "_library", lambda: None)
     with np.errstate(over="ignore", invalid="ignore"):
         assert repr(compiled) == repr(ends(dtype))
 
@@ -625,17 +627,17 @@ def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
 def test_a_compiled_solve_is_one_executor_call(monkeypatch):
     # after the load, the whole solve is one call, and the tape's norms
     # array, made with the tape, is reused by every solve that fits in it
-    lib = Counted(stencil._library())
-    monkeypatch.setattr(stencil, "_library", lambda: lib)
+    lib = Counted(executor._library())
+    monkeypatch.setattr(executor, "_library", lambda: lib)
     h = build_hierarchy(fk_system("example-6.1", 0.3, 4, 1024), 1023)
     f = np.random.default_rng(23).standard_normal(1023) * (1.0 + 2.0j)
     tape = h.tape(complex)
-    norms = tape.norms
+    norms = tape.solve.norms
     for max_iter in (200, 2, 50, 10**12):
         lib.calls.clear()
         x, report = solve(h, f, max_iter=max_iter)
         assert lib.calls == ["mgfk_solve"]
-        assert report.iterations == min(max_iter, 13) and tape.norms is norms
+        assert report.iterations == min(max_iter, 13) and tape.solve.norms is norms
 
 
 @COMPILED
@@ -643,13 +645,13 @@ def test_a_solve_without_numpys_ddot_loops_over_the_compiled_tapes(monkeypatch):
     # no call into mgfk_solve, whose norm would not be numpy's; the cycles
     # and residuals still run in the executor, and the solve is the numpy
     # backend's, bit for bit
-    lib = Counted(stencil._library())
-    monkeypatch.setattr(stencil, "_library", lambda: lib)
-    monkeypatch.setattr(stencil, "_ddot", lambda: 0)
-    assert stencil.compiled_tapes() and not stencil.compiled_solves()
+    lib = Counted(executor._library())
+    monkeypatch.setattr(executor, "_library", lambda: lib)
+    monkeypatch.setattr(executor, "_ddot", lambda: 0)
+    assert executor.compiled_tapes() and not executor.compiled_solves()
     looped = solves("fk1d-history", complex)
     assert "mgfk_solve" not in lib.calls and lib.calls.count("mgfk_run_tape") > 30
-    monkeypatch.setattr(stencil, "_library", lambda: None)
+    monkeypatch.setattr(executor, "_library", lambda: None)
     assert repr(looped) == repr(solves("fk1d-history", complex))
 
 
@@ -659,13 +661,13 @@ def test_a_solve_that_fills_its_norms_resumes_where_it_stopped(backend, monkeypa
     # call that resumes from the cycles run; it ends as a solve that never
     # grows them, which a cap of 10**12 does not make larger either
     if backend == "numpy":
-        monkeypatch.setattr(stencil, "_library", lambda: None)
+        monkeypatch.setattr(executor, "_library", lambda: None)
     f = np.random.default_rng(24).standard_normal(127 * 127) * (1.0 - 3.0j)
 
     def run(room, **kw):
         h = build_hierarchy(*SOLVED["fk2d-vcycle"])
-        h.tape(complex).norms = np.empty(room)
-        return outcome(*solve(h, f, **kw)), len(h.tape(complex).norms)
+        h.tape(complex).solve.norms = np.empty(room)
+        return outcome(*solve(h, f, **kw)), len(h.tape(complex).solve.norms)
 
     grown, room = run(3)
     assert (grown, room) == (run(1000)[0], 48) and grown[1] > 23
@@ -683,10 +685,10 @@ def python(code: str, **env) -> str:
 
 
 SOLVE = (
-    "import numpy as np; from mgfk import multigrid, stencil; "
+    "import numpy as np; from mgfk import executor, multigrid, stencil; "
     "op = stencil.KroneckerSum(1, 0.0, 1.0, stencil.IDENTITY, stencil.LAPLACIAN); "
     "x, report = multigrid.solve(multigrid.build_hierarchy(op, 31), np.ones(31)); "
-    "print(stencil.compiled_tapes(), report.converged)"
+    "print(executor.compiled_tapes(), report.converged)"
 )
 
 

@@ -3,7 +3,8 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period, run_numpy, tape_runner
+from mgfk.executor import run_numpy, tape_runner
+from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period
 
 from helpers import (
     cut,
