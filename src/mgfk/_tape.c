@@ -6,17 +6,17 @@
  * complex data run as two float64 planes, the real and the imaginary part,
  * each with records of its own.  Each loop does, per element, the IEEE
  * operations of mgfk.executor.run_numpy in their order.  Built with
- * -ffp-contract=off and without -ffast-math: no fused multiply-add, no
- * reassociation.  Vector code only runs the same operations on several
- * elements at once.  The residual has a loop for each tap count, 0 to 8,
+ * -ffp-contract=off and without -ffast-math: no fused multiply-add but
+ * mgfk_weights' fma calls, no reassociation.  Vector code only runs the
+ * same operations on several elements at once.  The residual has a loop for each tap count, 0 to 8,
  * that keeps each element's sum in a register.  A transfer of
  * single-element rows (len 1, a 1D grid) is one flat stride-2 loop; a 2D
  * transfer (len > 1) runs output row by output row: it forms the row's
  * values of the pass across rows in b, a row buffer, then runs the flat
  * loop along the row from b, so no grid between the two passes is ever
- * stored.  On x86-64 glibc the kernel is also cloned for AVX2, and the
- * loader picks the clone the CPU runs, so one build serves every CPU of
- * the platform.
+ * stored.  On x86-64 glibc the kernel and the norm's sum of squares are
+ * also cloned for AVX2, and the loader picks the clone the CPU runs, so
+ * one build serves every CPU of the platform.
  *
  * o is the output, a the input array (b the residual's right-hand side or
  * a transfer's row buffer), s the scalar, k an element:
@@ -38,15 +38,15 @@
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
  * (mgfk.executor.Solve) as one call: up to the cap it is given, the fine
  * residual records, one per plane, the residual's Euclidean norm, the
- * stopping test and a cycle.  The norm is sqrt(dot(x_1, x_1) + ...), over
- * the planes in order, with x_p the whole run plane p's residual record
- * writes, pad cells (zero) included, and dot the BLAS ddot numpy's np.dot
- * calls on it.
+ * stopping test and a cycle.  The norm is sqrt(sq_1 + ...) over the
+ * planes in order, sq_p the sum of squares of the whole run plane p's
+ * residual record writes, pad cells (zero) included, in an order of the
+ * executor's own (squares, twinned by mgfk.executor._squares), whatever
+ * the CPU or the BLAS.
  *
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
- * from l_0 by the Miller recurrence of mgfk.executor.fill_weights, each l_n
- * the same IEEE operations: its terms formed into two arrays of at most nu
- * values, summed by the same BLAS ddot numpy's np.dot calls on them.
+ * from l_0 by the Miller recurrence of mgfk.executor.fill_weights, each
+ * l_n a chain of C99 fma calls; libm's (hence -lm) rounds once, exactly.
  */
 #include <math.h>
 #include <stdint.h>
@@ -181,28 +181,39 @@ void mgfk_run_tape(const record *r, int64_t count)
         kernel(r);
 }
 
-/* A BLAS ddot of 64-bit integers (ILP64), as numpy's wheel ships it. */
-typedef double (*dot_fn)(int64_t n, const double *x, int64_t incx, const double *y, int64_t incy);
-
 /* A solve, as mgfk.executor.Solve packs it, all fields int64: the
- * cycle's records and the fine residual's, one per plane, and the dot_fn. */
+ * cycle's records and the fine residual's, one per plane. */
 typedef struct {
-    int64_t cycle, cycles, residual, residuals, dot;
+    int64_t cycle, cycles, residual, residuals;
 } solve;
 
 /* How a solve ends, as mgfk.executor names them. */
 enum { RAN_OUT, CONVERGED, NOT_FINITE };
+
+/* The sum of the squares of the n values of x: lane j of 8 adds x_k x_k for
+ * k = j (mod 8) in index order, in a register of its own (vector code adds
+ * 2 or 4 lanes at once), then ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)). */
+CLONES static double squares(const double *x, int64_t n)
+{
+    double l[8] = {0.0};
+    int64_t k = 0;
+    for (; k + 8 <= n; k += 8)
+        for (int j = 0; j < 8; j++)
+            l[j] = l[j] + x[k + j] * x[k + j];
+    for (int j = 0; k + j < n; j++)
+        l[j] = l[j] + x[k + j] * x[k + j];
+    return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
+}
 
 /* The norm of the residual, formed at the loaded iterate: each plane's
  * sum of squares over the run its record f writes, added in plane order. */
 static double residual_norm(const solve *s)
 {
     const record *f = (const record *)(intptr_t)s->residual;
-    const dot_fn dot = (dot_fn)(intptr_t)s->dot;
     double sq = 0.0;
     mgfk_run_tape(f, s->residuals);
     for (int64_t p = 0; p < s->residuals; p++)
-        sq = sq + dot(f[p].n, P(f[p].out), 1, P(f[p].out), 1);
+        sq = sq + squares(P(f[p].out), f[p].n);
     return sqrt(sq);
 }
 
@@ -229,19 +240,16 @@ int64_t mgfk_solve(const solve *s, double tol, double *out, int64_t stop, int64_
     return end;
 }
 
-/* l[n] for n = 1..count, l[0] given: with w the nu + 1 coefficients of
- * mgfk.fsd.generating_poly, x_j = ((alpha + 1) j - n) w_j and y_j = l_{n-j}
- * for j = 1..min(n, nu), l_n = dot(x, y) / (n w_0).  nu is 1..4. */
-void mgfk_weights(double alpha, const double *w, int64_t nu, int64_t count, double *l, dot_fn dot)
+/* l[n] for n = 1..count, l[0] given, w the nu + 1 (1..4) coefficients of
+ * mgfk.fsd.generating_poly: l_n = acc / (n w_0), acc = fma(x_j, l_{n-j}, acc)
+ * from 0 for j = 1..min(n, nu), x_j = ((alpha + 1) j - n) w_j. */
+void mgfk_weights(double alpha, const double *w, int64_t nu, int64_t count, double *l)
 {
     const double a1 = alpha + 1.0;
-    double x[4], y[4];
     for (int64_t n = 1; n <= count; n++) {
-        const int64_t jmax = n < nu ? n : nu;
-        for (int64_t j = 1; j <= jmax; j++) {
-            x[j - 1] = (a1 * (double)j - (double)n) * w[j];
-            y[j - 1] = l[n - j];
-        }
-        l[n] = dot(jmax, x, 1, y, 1) / ((double)n * w[0]);
+        double acc = 0.0;
+        for (int64_t j = 1; j <= (n < nu ? n : nu); j++)
+            acc = fma((a1 * (double)j - (double)n) * w[j], l[n - j], acc);
+        l[n] = acc / ((double)n * w[0]);
     }
 }

@@ -6,13 +6,14 @@ operands of one ``_tape.c`` record, on buffers a caller keeps.  Each entry
 point of ``_tape.c`` has one callable here, which runs it, or its numpy
 twin where it cannot run, to the same bits: ``tape_runner``
 (``mgfk_run_tape``, whose twin is ``run_numpy``), ``Solve``
-(``mgfk_solve``) and ``fill_weights`` (``mgfk_weights``), the last two
-summing through the BLAS ddot ``np.dot`` calls (``_ddot``).  ``_library``
-builds the executor on first use into the user's cache, with
+(``mgfk_solve``, whose norm's sum ``_squares`` twins) and ``fill_weights``
+(``mgfk_weights``); the last two sum in orders of their own, so that no
+result depends on the CPU, the BLAS or its threads.  ``_library`` builds
+the executor on first use into the user's cache, with
 ``-ffp-contract=off``, so that every element gets exactly the IEEE
-operations of ``run_numpy``; ``compiled_tapes`` and ``compiled_solves``
-say which backend runs.  ``ctypes`` and ``subprocess`` are imported on
-first use, so that ``import mgfk`` loads neither.
+operations of ``run_numpy``; ``compiled_tapes`` says which backend runs.
+``ctypes`` and ``subprocess`` are imported on first use, so that ``import
+mgfk`` loads neither.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ import numpy as np
 #: that sets no ``errno``, of the same value.  -march=native is left out, as
 #: a build is cached per platform, not per CPU: on x86-64 glibc ``_tape.c``
 #: clones its kernels for AVX2 itself, and the loader picks the clone per
-#: CPU at load time.
-_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared")
+#: CPU at load time.  -lm, after the source, links ``mgfk_weights``' ``fma``.
+_CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared", "-lm")
 
 #: Kernel kinds of ``_tape.c``, which says what each does.  5 was a kind of
 #: its own; the numbers after it stay as they were.
@@ -160,7 +161,7 @@ def _build(source: str, path: str) -> bool:
     os.close(fd)
     try:
         cc = shlex.split(os.environ.get("CC") or "cc")
-        subprocess.run([*cc, *_CFLAGS, "-o", tmp, source], check=True, capture_output=True, timeout=120)
+        subprocess.run([*cc, source, *_CFLAGS, "-o", tmp], check=True, capture_output=True, timeout=120)
         os.replace(tmp, path)
         return True
     except (OSError, ValueError, subprocess.SubprocessError):
@@ -208,38 +209,15 @@ def _load(path: str):
     lib.mgfk_solve.argtypes = (ctypes.c_void_p, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64,
                                ctypes.POINTER(ctypes.c_int64))
     lib.mgfk_solve.restype = ctypes.c_int64
-    lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64,
-                                 ctypes.c_void_p, ctypes.c_void_p)
+    lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     lib.mgfk_weights.restype = None
     return lib
 
 
-@lru_cache(maxsize=None)
-def _ddot() -> int:
-    """The address of ``scipy_cblas_ddot64_``, the BLAS ddot of 64-bit
-    integers ``np.dot`` calls, found through numpy's extension module, which
-    links the OpenBLAS numpy loads ``RTLD_LOCAL``; 0 where numpy has no such
-    module or symbol, as with a numpy built on another BLAS."""
-    import ctypes
-
-    try:
-        umath = np._core._multiarray_umath.__file__
-        return ctypes.cast(ctypes.CDLL(umath).scipy_cblas_ddot64_, ctypes.c_void_p).value
-    except (OSError, AttributeError):
-        return 0
-
-
 def compiled_tapes() -> bool:
-    """Whether ``tape_runner`` runs tapes in the compiled executor (else
-    through ``run_numpy``); the first call may build it."""
+    """Whether ``tape_runner``, ``Solve`` and ``fill_weights`` run in the
+    compiled executor, else as numpy twins; the first call may build it."""
     return _library() is not None
-
-
-def compiled_solves() -> bool:
-    """Whether ``Solve`` and ``fill_weights`` run in the compiled executor,
-    their dot products by the BLAS ddot ``np.dot`` calls (``_ddot``): where
-    ``compiled_tapes()`` is true and that ddot is found."""
-    return compiled_tapes() and _ddot() != 0
 
 
 class _CompiledTape:
@@ -280,6 +258,17 @@ def tape_runner(kernels: tuple):
 RAN_OUT, CONVERGED, NOT_FINITE = range(3)
 
 
+def _squares(x: np.ndarray) -> float:
+    """``_tape.c``'s ``squares`` of the flat run ``x`` with numpy, the same
+    bits: its 8 lanes are the columns of the (rows, 8) view, reduced row by
+    row, the tail then added onto the first of them."""
+    sq, rows = x * x, len(x) // 8
+    lanes = np.add.reduce(sq[: 8 * rows].reshape(rows, 8), axis=0)
+    lanes[: len(sq) - 8 * rows] += sq[8 * rows :]
+    l0, l1, l2, l3, l4, l5, l6, l7 = lanes.tolist()
+    return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+
+
 class Solve:
     """A multigrid solve over the float64 kernels of a V-cycle, ``cycle``,
     and of the fine residual, one per plane, ``residual``, which
@@ -290,10 +279,11 @@ class Solve:
     the solve ended (``CONVERGED``, ``NOT_FINITE`` or ``RAN_OUT``, the cap
     reached) and the cycles run.  ``norms`` then holds r0 and the relative
     residual after each cycle, each norm the square root of the planes'
-    ``np.dot(r, r)`` added in order, ``r`` the run a residual kernel
-    writes.  A solve that fills ``norms`` doubles it and resumes where it
-    stopped.  Each stretch is one ``mgfk_solve`` call, which finds each run
-    through its record, where ``compiled_solves()`` is true, else ``_loop``.
+    sums of squares (``_squares``) added in order, over the run a residual
+    kernel writes.  A solve that fills ``norms`` doubles it and resumes
+    where it stopped.  Each stretch is one ``mgfk_solve`` call, which finds
+    each run through its record, where the tapes are compiled, else
+    ``_loop``.
     """
 
     def __init__(self, cycle: tuple, residual: tuple):
@@ -301,13 +291,12 @@ class Solve:
         self.runs = tuple(k.out for k in residual)
         self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
         self._step = self._loop
-        if compiled_solves():
+        if isinstance(self.cycle, _CompiledTape):
             import ctypes
 
-            # the five fields of _tape.c's solve, packed once
-            records = (self.cycle.records, self.residual.records)
-            self._fields = np.array([_at(records[0]), len(records[0]), _at(records[1]), len(records[1]),
-                                     _ddot()], np.int64)
+            # the four fields of _tape.c's solve, packed once
+            tapes = (self.cycle.records, self.residual.records)
+            self._fields = np.array([x for t in tapes for x in (_at(t), len(t))], np.int64)
             self._address, self._solve = _at(self._fields), self.cycle.lib.mgfk_solve
             self._cycles = ctypes.c_int64()  # the cycles run, in and out
             self._pointer = ctypes.pointer(self._cycles)
@@ -329,7 +318,7 @@ class Solve:
         return end, self._cycles.value
 
     def _loop(self, tol: float, norms: np.ndarray, stop: int, done: int) -> tuple:
-        """``mgfk_solve`` in Python, the same bits: the cycles from ``done``
+        """``mgfk_solve`` with numpy, the same bits: the cycles from ``done``
         up to ``stop``, r0 and the relative residuals going into ``norms``;
         how the solve ended and the cycles run."""
 
@@ -337,7 +326,7 @@ class Solve:
             self.residual()
             sq = 0.0
             for r in self.runs:
-                sq = sq + float(np.dot(r, r))
+                sq = sq + _squares(r)
             return math.sqrt(sq)
 
         it, end = done, RAN_OUT
@@ -356,16 +345,19 @@ class Solve:
 def fill_weights(alpha: float, w: np.ndarray, l: np.ndarray) -> None:
     """Fill ``l[1:]`` from ``l[0]`` by the Miller recurrence of the
     quadrature weights of order alpha over the nu + 1 coefficients ``w``
-    of the generating polynomial: l_n = dot(x, y) / (n w_0), with
-    x_j = ((alpha + 1) j - n) w_j and y_j = l_{n-j} for j = 1..min(n, nu).
-    One ``mgfk_weights`` call where ``compiled_solves()`` is true, else a
-    numpy loop, the same bits; a lone l_0 loads no executor."""
+    of the generating polynomial: l_n = acc / (n w_0), acc = fma(x_j,
+    l_{n-j}, acc) from 0 for j = 1..min(n, nu), x_j = ((alpha + 1) j - n)
+    w_j.  One ``mgfk_weights`` call where ``compiled_tapes()`` is true, else
+    a Python loop, the same bits: each fma exact in fractions, rounded once
+    as C99's is.  A lone l_0 loads no executor."""
     nu, count = len(w) - 1, len(l) - 1
-    if count and compiled_solves():
-        _library().mgfk_weights(alpha, _at(w), nu, count, _at(l), _ddot())
-        return
-    for n in range(1, count + 1):
-        jmax = min(n, nu)
-        js = np.arange(1, jmax + 1)
-        acc = np.dot(((alpha + 1.0) * js - n) * w[1 : jmax + 1], l[n - js])
-        l[n] = acc / (n * w[0])
+    if count and compiled_tapes():
+        _library().mgfk_weights(alpha, _at(w), nu, count, _at(l))
+    elif count:
+        from fractions import Fraction  # on this path only: it imports decimal
+
+        for n in range(1, count + 1):
+            acc = 0.0
+            for j in range(1, min(n, nu) + 1):
+                acc = float(Fraction(((alpha + 1.0) * j - n) * w[j]) * Fraction(l[n - j]) + Fraction(acc))
+            l[n] = acc / (n * w[0])

@@ -51,13 +51,13 @@ class Problem:
     ij-meshgrid in 2D), and ``forcing`` and ``exact`` then a scalar time.
     Each gives one value, or one per point as the grid or its flat vector
     (in 1D ``forcing`` is read at the m + 2 points with both walls), else
-    ``Evolution`` raises ``DimensionError``.  ``bc_left`` / ``bc_right``
-    are the 1D Dirichlet traces g(t); ``None`` means zero.  The 2D scheme
-    has zero boundary data only.  ``length`` and ``t_final`` must be
-    positive and finite, ``kappa`` finite and non-negative, ``alpha`` in
-    (0, 1), both parts of ``rho`` finite, ``ndim`` the integer 1 or 2, and
-    ``m`` and ``n_steps`` integers at least 1, else ``MgfkError``; an
-    integer is not a ``bool`` and is kept as an ``int``.
+    ``Evolution`` raises ``DimensionError``; so it does for 1D Dirichlet
+    traces g(t) (``bc_left``, ``bc_right``; ``None`` is 0) of more values
+    than one.  The 2D scheme has zero boundary data only.  ``length`` and
+    ``t_final`` must be positive and finite, ``kappa`` finite and
+    non-negative, ``alpha`` in (0, 1), both parts of ``rho`` finite, ``ndim``
+    the integer 1 or 2, and ``m`` and ``n_steps`` integers at least 1, else
+    ``MgfkError``; an integer is not a ``bool`` and is kept as an ``int``.
     """
 
     length: float
@@ -155,9 +155,9 @@ class Evolution:
             self._forced_at = (np.concatenate(([0.0], self.coords[0], [p.length])),)
         self.t = p.tau * np.arange(p.n_steps + 1)
         initial = _on_points("initial", p.initial(*self.coords), self.coords)
-        left = _trace(p.bc_left, self.t)
+        left = _trace("bc_left", p.bc_left, self.t)
         # a callable given for both walls, as example_6_1 gives one, is evaluated once
-        traces = (left, left if p.bc_right is p.bc_left else _trace(p.bc_right, self.t))
+        traces = (left, left if p.bc_right is p.bc_left else _trace("bc_right", p.bc_right, self.t))
         # The working dtype: float64 unless rho or the data is complex.
         real = complex(p.rho).imag == 0 and all(map(_is_real, (initial, *traces)))
         self.dtype = np.dtype(float if real else complex)
@@ -304,9 +304,19 @@ def _on_points(name: str, values, points: tuple) -> np.ndarray:
     return a.reshape(size)
 
 
-def _trace(bc: Optional[Callable[[float], complex]], t: np.ndarray) -> np.ndarray:
-    """The wall trace ``bc`` at each time of ``t``, complex; zeros for ``None``."""
-    return np.zeros(t.size) if bc is None else np.array([complex(bc(tn)) for tn in t])
+def _trace(name: str, bc: Optional[Callable[[float], complex]], t: np.ndarray) -> np.ndarray:
+    """The wall trace ``name``, ``bc``, at each time of ``t``, complex; zeros for ``None``."""
+    return np.zeros(t.size) if bc is None else np.array([_one_value(name, bc(tn)) for tn in t])
+
+
+def _one_value(name: str, value) -> complex:
+    """``value``, one number of any shape, as a complex; its shape is checked where ``complex()`` fails."""
+    try:
+        return complex(value)
+    except TypeError:
+        if np.size(value) != 1:
+            raise DimensionError(f"{name} gave a value of shape {np.shape(value)}, not one number") from None
+        return complex(np.reshape(value, ()))
 
 
 def _is_real(a: np.ndarray) -> bool:

@@ -101,7 +101,7 @@ class LevelWork:
     updates keep those of ``v_run`` at zero, and the prolongation reads its
     edges from ``framed``, adding zeros onto them.  ``residual`` is the kernel of
     ``r = rhs - A v``: ``centre`` times the iterate, plus per off-centre
-    point of the operator (``_points``) its window of that storage times
+    point of the operator (``points``) its window of that storage times
     its coefficient, subtracted from ``rhs``.  ``restrict`` (``r`` into the
     ``rhs`` of ``coarse``, the next level, its pad cells refilled with
     zeros) and ``prolong`` (its ``v`` interpolated and added onto ``v``)
@@ -110,7 +110,7 @@ class LevelWork:
 
     def __init__(self, level: GridLevel, runs: tuple, coarse: "LevelWork | None" = None):
         self.shape, self.diag, self.runs = level.shape, level.diag, runs
-        centre, points = level.operator._points
+        centre, points = level.operator.points
         stride, first, size = _frame(self.shape)
         flat, self.r_run, self.rhs_run = runs[:3]
         self.v_run = flat[first : first + size]

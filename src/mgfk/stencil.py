@@ -5,7 +5,7 @@ pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 ``c_mass E + c_stiff S`` on a 1D grid or
 ``c_mass E (x) E + c_stiff (E (x) S + S (x) E)`` on a 2D one, over two
 stencils.  Both are applied by shifted-slice multiply-adds over their
-nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``_points``),
+nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``points``),
 in the order of the V-cycle's residual kernel (``executor.Kernel``).
 Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
 cells, one zero pad cell after each row's points.  The type-I sine
@@ -139,7 +139,7 @@ class KroneckerSum:
         return mass + self.c_stiff * stiff
 
     @cached_property
-    def _points(self) -> tuple:
+    def points(self) -> tuple:
         """Centre coefficient, and ``(window, c)`` per nonzero off-centre
         point; ``window`` slices the point's shifted copy out of a grid
         zero-padded by one on every side."""
@@ -172,9 +172,9 @@ class KroneckerSum:
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """``A v``: ``x * centre``, then ``+ window * c`` per off-centre
-        point in ``_points`` order, the operations of a residual kernel."""
+        point in ``points`` order, the operations of a residual kernel."""
         x = self.grid(v)
-        centre, taps = self._points
+        centre, taps = self.points
         out, padded = x * centre, np.pad(x, 1)
         for window, c in taps:
             out += padded[window] * c

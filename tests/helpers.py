@@ -316,8 +316,8 @@ def gershgorin_bound(op) -> float:
 
 def reference_apply(op, x):
     """The operator on a grid: a zero-padded copy and a fresh multiply-add
-    per point coefficient, in the package's ``_points`` order."""
-    centre, taps = op._points
+    per point coefficient, in the package's ``points`` order."""
+    centre, taps = op.points
     out = centre * x
     xp = np.zeros((x.shape[0] + 2,) * op.ndim, out.dtype)
     xp[(slice(1, -1),) * op.ndim] = x
@@ -417,19 +417,34 @@ def reference_vcycle(h, v, f, level: int = 0):
     return reference_smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
 
 
+def lane_squares(x) -> float:
+    """The sum of the squares of the values ``x`` in the order of a solve's
+    norm, in plain Python: 8 lanes, lane j the running sum of x_k x_k over
+    k = j (mod 8) in index order, from 0, the lanes then added as
+    ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
+    lanes = [0.0] * 8
+    for k, v in enumerate(map(float, x)):
+        lanes[k % 8] = lanes[k % 8] + v * v
+    l0, l1, l2, l3, l4, l5, l6, l7 = lanes
+    return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+
+
 def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
     """``multigrid.solve`` from ``v0`` as a loop of ``reference_vcycle``: the
     flat solution and the relative residual norms, each taken from a fresh
     grid ``f - A v`` as ``solve`` takes them, over the run layout: in 2D one
-    zero cell after each row, ``np.dot`` of the real plane and then of the
-    imaginary one, added in that order."""
+    zero cell after each row, the ``lane_squares`` of the real plane and
+    then of the imaginary one, added in that order."""
     op, shape = h.fine.operator, h.fine.shape
     f, v = np.reshape(f, shape), np.reshape(v0, shape)
 
     def residual_norm(v):
         r = np.pad(f - reference_apply(op, v), [(0, 0)] + [(0, 1)] * (len(shape) - 1))
-        re, im = r.real.ravel(), r.imag.ravel()
-        return float(np.sqrt(np.dot(re, re) + np.dot(im, im) if np.iscomplexobj(r) else np.dot(re, re)))
+        planes = (r.real, r.imag) if np.iscomplexobj(r) else (r,)
+        sq = 0.0
+        for plane in planes:
+            sq = sq + lane_squares(plane.ravel())
+        return math.sqrt(sq)
 
     r0, residuals = residual_norm(v), []
     for _ in range(max_iter):

@@ -540,3 +540,29 @@ def test_initial_and_exact_values_of_the_wrong_size_are_refused(ndim):
         Evolution(p, order=2, solver="direct").max_error()
     p = dataclasses.replace(p, exact=lambda *a: 0.0)
     assert Evolution(p, order=2, solver="direct").max_error() == 0.0
+
+
+def test_one_trace_value_of_any_shape_is_taken():
+    # a wall trace that returns its one value as an array of one element,
+    # of any shape, steps as the scalar does (a 1-element array failed
+    # with numpy's TypeError); the preset's traces keep their bytes
+    runs = []
+    for value in (1.5, np.float64(1.5), np.array(1.5), np.array([1.5]), np.array([[1.5]])):
+        p = dataclasses.replace(constant_problem(1, lambda *a: 0.0), bc_left=lambda t, v=value: v,
+                                bc_right=lambda t, v=value: v)
+        runs.append(Evolution(p, order=2, solver="direct").run().history.tobytes())
+    assert runs[1:] == runs[:-1]
+    p = example_6_1(0.3, 16)
+    ev = Evolution(p, order=2, solver="direct")
+    want = np.array([complex(p.bc_left(t)) for t in ev.t])
+    assert ev.g_left.tobytes() == np.asarray(want if ev.dtype.kind == "c" else want.real, ev.dtype).tobytes()
+
+
+def test_a_trace_of_more_than_one_value_is_refused():
+    # it failed with numpy's TypeError, naming neither the trace nor the shape
+    p = constant_problem(1, lambda *a: 0.0)
+    for left, right, match in ((lambda t: np.array([1.0, 2.0]), None, r"bc_left .*\(2,\)"),
+                               (None, lambda t: np.zeros((2, 2)), r"bc_right .*\(2, 2\)"),
+                               (lambda t: 0.0, lambda t: np.ones(0), r"bc_right .*\(0,\)")):
+        with pytest.raises(DimensionError, match=match):
+            Evolution(dataclasses.replace(p, bc_left=left, bc_right=right), order=2, solver="direct")

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -73,14 +74,34 @@ def test_partial_sums_decay(nu):
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
 def test_compiled_weights_are_the_numpy_loops_bits(nu, monkeypatch):
-    # where the executor and numpy's ddot are found (CI asserts they are),
-    # the recurrence runs in the executor: the bytes of the numpy loop
+    # where the executor is built (CI asserts it is), the recurrence runs
+    # there, an fma chain: the bytes of the numpy fallback's exact one
     counts = sorted({0, 1, nu, nu + 1, 1024, 4096})
     alphas = (0.01, 0.3, 0.5, 0.77, 0.99)
     compiled = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
-    monkeypatch.setattr(executor, "compiled_solves", lambda: False)
+    monkeypatch.setattr(executor, "_library", lambda: None)
     numpy = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
     assert [c.tobytes() for c in compiled] == [n.tobytes() for n in numpy]
+
+
+#: sha-256 of the bytes of ``weights(0.3, nu, 16384)``, as numpy's OpenBLAS
+#: ddot summed them on an x86-64 Xeon before the executor took its own fma
+#: chain, which gives them on every CPU.
+WEIGHT_DIGESTS = {
+    1: "ce34d413a3946beea83461b3d374f3f00e10f55e7e4dd08c1a542362290867c5",
+    2: "e50907e333a489d4a2430a6fb221ef70ed87436be4cb212c79d6cb6b073d9ad3",
+    3: "4135670f2d99b7ba772ee1ac590db1aa03e2bdc7f3179d625feecb650f79b960",
+    4: "1ad0387a75d7b9fb212be6d82adab43315c0bfa9f469a30832b80483ca15ee8e",
+}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("nu", [1, 2, 3, 4])
+def test_weights_keep_their_bytes(nu, backend, monkeypatch):
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    digest = hashlib.sha256(weights(0.3, nu, 16384).tobytes()).hexdigest()
+    assert digest == WEIGHT_DIGESTS[nu]
 
 
 def test_the_leading_weight_alone_loads_no_executor(monkeypatch):

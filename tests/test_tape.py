@@ -3,7 +3,6 @@ the same kernels, its one-call solve against the numpy backend's loop, and
 the build cache its loader keeps."""
 
 import gc
-import glob
 import hashlib
 import math
 import os
@@ -53,7 +52,7 @@ from mgfk.stencil import (
     dst_solve,
 )
 
-from helpers import reference_prolong, restrict
+from helpers import lane_squares, reference_prolong, restrict
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
@@ -512,10 +511,7 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(executor, "_library", lambda: lib)
     clone = list(cycles())
-    if executor._ddot():
-        assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
-    else:
-        assert "mgfk_solve" not in lib.calls  # the solves loop in Python over the tapes
+    assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
     monkeypatch.setattr(executor, "_library", lambda: None)
     assert clone == list(cycles())
 
@@ -556,34 +552,19 @@ def solves(case, dtype):
     return out
 
 
-BLAS = pytest.mark.skipif(not executor._ddot(), reason="numpy's BLAS ddot was not found; CI asserts it")
 COMPILED = pytest.mark.skipif(not COMPILER, reason="the executor needs a compiler")
-OPENBLAS = glob.glob(os.path.dirname(np.__file__) + ".libs/libscipy_openblas64_*.so")
 
 
-@pytest.mark.skipif(len(OPENBLAS) != 1, reason="numpy ships no single libscipy_openblas64_*.so")
-def test_the_ddot_is_the_one_in_numpys_openblas():
-    # found through numpy's extension module, the ddot is the function of
-    # the OpenBLAS numpy's wheel ships, the one np.dot calls
-    import ctypes
-
-    ddot = ctypes.CDLL(OPENBLAS[0]).scipy_cblas_ddot64_
-    assert executor._ddot() != 0
-    assert executor._ddot() == ctypes.cast(ddot, ctypes.c_void_p).value
-
-
-@BLAS
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("case", list(SOLVED))
 def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
-    # one call into the executor, with numpy's own BLAS ddot for the norm,
-    # against the numpy backend's loop and its np.dot norm: the same
-    # iterates, cycles, stopping decisions and residuals, compared by
-    # repr, which names every bit of a float
+    # one call into the executor, its norm summed in 8 lanes, against the
+    # numpy backend's loop and its twin of that sum: the same iterates,
+    # cycles, stopping decisions and residuals, compared by repr, which
+    # names every bit of a float
     compiled = solves(case, dtype)
-    assert executor.compiled_solves() == executor.compiled_tapes()
     monkeypatch.setattr(executor, "_library", lambda: None)
-    assert not executor.compiled_solves()
+    assert not executor.compiled_tapes()
     assert repr(compiled) == repr(solves(case, dtype))
     assert all(iterations > 2 for _, iterations, converged, *_ in compiled[:2] if converged)
 
@@ -607,7 +588,6 @@ def ends(dtype):
     return out
 
 
-@BLAS
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
     # the compiled solve raises no floating-point warning; numpy's warns
@@ -623,7 +603,6 @@ def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
 
 
 @COMPILED
-@BLAS
 def test_a_compiled_solve_is_one_executor_call(monkeypatch):
     # after the load, the whole solve is one call, and the tape's norms
     # array, made with the tape, is reused by every solve that fits in it
@@ -638,21 +617,6 @@ def test_a_compiled_solve_is_one_executor_call(monkeypatch):
         x, report = solve(h, f, max_iter=max_iter)
         assert lib.calls == ["mgfk_solve"]
         assert report.iterations == min(max_iter, 13) and tape.solve.norms is norms
-
-
-@COMPILED
-def test_a_solve_without_numpys_ddot_loops_over_the_compiled_tapes(monkeypatch):
-    # no call into mgfk_solve, whose norm would not be numpy's; the cycles
-    # and residuals still run in the executor, and the solve is the numpy
-    # backend's, bit for bit
-    lib = Counted(executor._library())
-    monkeypatch.setattr(executor, "_library", lambda: lib)
-    monkeypatch.setattr(executor, "_ddot", lambda: 0)
-    assert executor.compiled_tapes() and not executor.compiled_solves()
-    looped = solves("fk1d-history", complex)
-    assert "mgfk_solve" not in lib.calls and lib.calls.count("mgfk_run_tape") > 30
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    assert repr(looped) == repr(solves("fk1d-history", complex))
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
@@ -675,6 +639,58 @@ def test_a_solve_that_fills_its_norms_resumes_where_it_stopped(backend, monkeypa
     capped, room = run(3, tol=1e-300, max_iter=20)
     assert room == 24 and capped[1:3] == (20, False) and len(capped[3]) == 20
     assert capped == run(1000, tol=1e-300, max_iter=20)[0]
+
+
+def wide(rng, n):
+    """``n`` values whose squares span 32 decades, so that the order of
+    their sum shows in its last bits."""
+    return rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_a_solve_norm_sums_in_eight_lanes(backend, monkeypatch):
+    # r0 of a solve whose residual records write their right-hand sides
+    # (a zero operator), over runs of 0 to 40 values, one plane and two, and
+    # a 2D run of the fk2d-vcycle fine grid, its pad cells zero: the square
+    # root of the planes' lane_squares, added in order; numpy's twin of the
+    # lane sum gives the oracle's bits before the square root too
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    rng = np.random.default_rng(25)
+
+    def r0(*planes):
+        kernels = tuple(Kernel(RESIDUAL, np.empty_like(b), np.zeros_like(b), b) for b in planes)
+        solve = executor.Solve((), kernels)
+        solve(0.5, 1)
+        return solve.norms[0]
+
+    grid = wide(rng, 127 * 128).reshape(127, 128)
+    grid[:, -1] = 0.0
+    runs = [wide(rng, n) for n in range(41)] + [grid.ravel()]
+    for x, y in zip(runs, runs[1:] + runs[:1]):
+        assert executor._squares(x) == lane_squares(x)
+        assert r0(x) == math.sqrt(lane_squares(x))
+        assert r0(x, y) == math.sqrt(lane_squares(x) + lane_squares(y))
+    # the data tell the lane order from others: its sum is not the correctly rounded one
+    assert sum(lane_squares(x) != math.fsum(v * v for v in x.tolist()) for x in runs) > len(runs) // 3
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_a_solve_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+    # the fk2d-vcycle fine run is long enough for OpenBLAS to thread a
+    # ddot, which then sums in another order; the solve's own sums do not
+    code = ("import hashlib, numpy as np; from mgfk import executor, multigrid, stencil; "
+            "from mgfk.coarsen import fk_operator, mu_coefficient; from mgfk.feynman_kac import preset; "
+            "from mgfk.fsd import weights; p = preset('example-6.2', 0.3, 128); "
+            "op = fk_operator(2, weights(0.3, 2, 0)[0], mu_coefficient(p.kappa, p.alpha, p.tau, p.h)); "
+            "h = multigrid.build_hierarchy(op, 127, 'geometric'); "
+            "x, report = multigrid.solve(h, np.random.default_rng(26).standard_normal(127 * 127), tol=1e-7); "
+            "print(executor.compiled_tapes(), hashlib.sha256(x.tobytes()).hexdigest(), repr(report.residuals))")
+    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
+    one, two = (python(code, OPENBLAS_NUM_THREADS=threads, **env) for threads in ("1", "2"))
+    assert one.startswith(str(backend == "compiled")) and one.count(",") > 10
+    assert one == two
 
 
 def python(code: str, **env) -> str:
