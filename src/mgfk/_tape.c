@@ -1,32 +1,35 @@
-/* Executor of compiled V-cycle tapes, multigrid solves and quadrature
- * weights (see mgfk.executor: tape_runner, Solve and fill_weights).
+/* Executor of compiled V-cycle tapes, multigrid solves, sums of products and
+ * quadrature weights (mgfk.executor: tape_runner, Solve, dot, fill_weights).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
- * float64 buffers (a mgfk.executor.Kernel, packed by mgfk.executor._record);
- * complex data run as two float64 planes, the real and the imaginary part,
- * each with records of its own.  Each loop does, per element, the IEEE
+ * float64 buffers (a mgfk.executor.Kernel, packed by
+ * mgfk.executor._record) in the run layout of mgfk.multigrid: along the
+ * last axis each row holds, per part, n points and one zero pad cell, a 1D
+ * grid one row, complex data the real and then the imaginary part, so one
+ * record runs both parts.  Each loop does, per element, the IEEE
  * operations of mgfk.executor.run_numpy in their order.  Built with
  * -ffp-contract=off and without -ffast-math: no fused multiply-add but
- * mgfk_weights' fma calls, no reassociation.  Vector code only runs the
- * same operations on several elements at once.  The residual has a loop for each tap count, 0 to 8,
- * that keeps each element's sum in a register.  A transfer of
- * single-element rows (len 1, a 1D grid) is one flat stride-2 loop; a 2D
- * transfer (len > 1) runs output row by output row: it forms the row's
- * values of the pass across rows in b, a row buffer, then runs the flat
- * loop along the row from b, so no grid between the two passes is ever
- * stored.  On x86-64 glibc the kernel and the norm's sum of squares are
- * also cloned for AVX2, and the loader picks the clone the CPU runs, so
- * one build serves every CPU of the platform.
+ * mgfk_weights' fma calls, no reassociation; vector code only runs the
+ * same operations on several elements at once.  The residual has a loop
+ * for each tap count, 0 to 8, that keeps each element's sum in a register.
+ * A transfer of single-element rows (len 1, a 1D grid) is one flat
+ * stride-2 loop; a 2D transfer (len > 1) runs output row by output row: it
+ * forms the row's values of the pass across rows in b, a row buffer, then
+ * runs the flat loop along the row from b, so no grid between the two
+ * passes is ever stored.  Every run and row is of even length.  On x86-64
+ * glibc the kernel and mgfk_dot are also cloned for AVX2, and the loader
+ * picks the clone the CPU runs, so one build serves every CPU of the
+ * platform.
  *
  * o is the output, a the input array (b the residual's right-hand side or
  * a transfer's row buffer), s the scalar, k an element:
  *   RESIDUAL  o = b - (a s + sum over taps p of a[k + off_p] c_p)
  *   UPDATE    o = o + a s
  *   SCALE     o = a s;  DIVIDE  o = a / s;  ZERO  o = 0
- *   RESTRICT  o_q = ((a_2q + a_2q+1 2) + a_2q+2) 0.25.  In 2D (rows of len
- *             cells in o, of 2 len in a) b first holds, for row i of o,
- *             the same sum of rows 2i, 2i + 1 and 2i + 2 of a, and row i
- *             of o but its last cell, a pad cell, is the sum taken over b
+ *   RESTRICT  o_q = ((a_2q + a_2q+1 2) + a_2q+2) 0.25 but for the last
+ *             cell, a pad cell.  In 2D (rows of len cells in o, of 2 len in
+ *             a) that is taken along row i of o from b, which first holds
+ *             the same sum of rows 2i, 2i + 1 and 2i + 2 of a
  *   PROLONG   o_2q = o_2q + (a_q + a_q+1) 0.5, o_2q+1 = o_2q+1 + a_q+1.  In
  *             2D (rows of len cells in o, of len / 2 in a) row i of o is
  *             that taken over b: b_0 is the last cell of the b of row
@@ -37,12 +40,9 @@
  *
  * mgfk_run_tape runs one tape.  mgfk_solve runs a whole multigrid solve
  * (mgfk.executor.Solve) as one call: up to the cap it is given, the fine
- * residual records, one per plane, the residual's Euclidean norm, the
- * stopping test and a cycle.  The norm is sqrt(sq_1 + ...) over the
- * planes in order, sq_p the sum of squares of the whole run plane p's
- * residual record writes, pad cells (zero) included, in an order of the
- * executor's own (squares, twinned by mgfk.executor._squares), whatever
- * the CPU or the BLAS.
+ * residual record, the residual's Euclidean norm (the mgfk_dot of the run
+ * it writes, pad cells included, with itself), the stopping test and a
+ * cycle.  mgfk_dot sums in an order of its own, whatever the CPU or BLAS.
  *
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
  * from l_0 by the Miller recurrence of mgfk.executor.fill_weights, each
@@ -86,10 +86,10 @@ typedef struct {
 #define CLONES
 #endif
 
-/* The transfers' flat stride-2 passes over the n elements of o.  The
- * prolongation's adds onto o CHUNK elements at a time: their interleaved
- * values go to t, on the stack, then onto o, two loops that vectorise
- * where one that interleaves its adds does not. */
+/* The transfers' flat stride-2 passes over the n elements of o, n even
+ * for the prolongation.  The prolongation's adds onto o CHUNK elements at a
+ * time: their interleaved values go to t, on the stack, then onto o, two
+ * loops that vectorise where one that interleaves its adds does not. */
 #define RESTRICT_FLAT(o, a, n) \
     for (int64_t q = 0; q < (n); q++) (o)[q] = (((a)[2 * q] + (a)[2 * q + 1] * 2.0) + (a)[2 * q + 2]) * 0.25
 #define CHUNK 64
@@ -103,8 +103,6 @@ typedef struct {
                 t[2 * q] = (x[q] + x[q + 1]) * 0.5;                                   \
                 t[2 * q + 1] = x[q + 1];                                              \
             }                                                                         \
-            if (m % 2)                                                                \
-                t[m - 1] = (x[m / 2] + x[m / 2 + 1]) * 0.5;                           \
             for (int64_t q = 0; q < m; q++)                                           \
                 (o)[k0 + q] = (o)[k0 + q] + t[q];                                     \
         }                                                                             \
@@ -142,7 +140,7 @@ CLONES static void kernel(const record *r)
     case ZERO: EACH(n) o[k] = 0.0; break;
     case RESTRICT:
         if (len == 1) {
-            RESTRICT_FLAT(o, a, n);
+            RESTRICT_FLAT(o, a, n - 1);
             break;
         }
         for (int64_t i = 0; i < n; i++) {
@@ -182,39 +180,36 @@ void mgfk_run_tape(const record *r, int64_t count)
 }
 
 /* A solve, as mgfk.executor.Solve packs it, all fields int64: the
- * cycle's records and the fine residual's, one per plane. */
+ * cycle's records and the fine residual's one record. */
 typedef struct {
-    int64_t cycle, cycles, residual, residuals;
+    int64_t cycle, cycles, residual;
 } solve;
 
 /* How a solve ends, as mgfk.executor names them. */
 enum { RAN_OUT, CONVERGED, NOT_FINITE };
 
-/* The sum of the squares of the n values of x: lane j of 8 adds x_k x_k for
- * k = j (mod 8) in index order, in a register of its own (vector code adds
- * 2 or 4 lanes at once), then ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)). */
-CLONES static double squares(const double *x, int64_t n)
+/* The sum of the products of the n values of x and y: lane j of 8 adds
+ * x_k y_k, k = j (mod 8), in index order in a register of its own (vector
+ * code adds 2 or 4 at once), then ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7)). */
+CLONES double mgfk_dot(const double *x, const double *y, int64_t n)
 {
     double l[8] = {0.0};
     int64_t k = 0;
     for (; k + 8 <= n; k += 8)
         for (int j = 0; j < 8; j++)
-            l[j] = l[j] + x[k + j] * x[k + j];
+            l[j] = l[j] + x[k + j] * y[k + j];
     for (int j = 0; k + j < n; j++)
-        l[j] = l[j] + x[k + j] * x[k + j];
+        l[j] = l[j] + x[k + j] * y[k + j];
     return ((l[0] + l[1]) + (l[2] + l[3])) + ((l[4] + l[5]) + (l[6] + l[7]));
 }
 
-/* The norm of the residual, formed at the loaded iterate: each plane's
- * sum of squares over the run its record f writes, added in plane order. */
+/* The norm of the residual, formed at the loaded iterate: the sum of
+ * squares over the run its record f writes. */
 static double residual_norm(const solve *s)
 {
     const record *f = (const record *)(intptr_t)s->residual;
-    double sq = 0.0;
-    mgfk_run_tape(f, s->residuals);
-    for (int64_t p = 0; p < s->residuals; p++)
-        sq = sq + squares(P(f[p].out), f[p].n);
-    return sqrt(sq);
+    kernel(f);
+    return sqrt(mgfk_dot(P(f->out), P(f->out), f->n));
 }
 
 /* Runs the cycles after the *cycles already run, up to cycle stop: out[0]

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import multigrid as vc
 from .coarsen import closed_form_constants, closed_form_tridiag, galerkin_step
-from .errors import require_memory
 from .stencil import IDENTITY, LAPLACIAN, ToeplitzStencil, lambda_max, require_coarsenable
 
 _SLACK = 1e-10
@@ -78,15 +77,12 @@ def contraction_bound(approx_const: float, smoothing_steps: int, omega: float) -
 # seed is unused (lambda_max is exact), kept because benchmarks/workloads.py passes it
 def check_smoother_bounds(h: vc.MgHierarchy, seed: int = 0) -> list[BoundReport]:
     """Per level: Jacobi spectral radius checks lambda_max(D^-1 A) in [1, 2**ndim)
-    (``lambda_max`` is the top of the sine symbol), plus the eta1/eta2
-    refinement for Galerkin hierarchies of the model operator
-    c1 I^{(x)d} + c2 sum_k I (x)..L..(x) I with c1 > 0: eta1 and eta2 are the
-    level's largest symbol value and its diagonal from the closed-form level
-    constants, independent of the Galerkin recursion.  Where the fine sine
-    symbol ``lambda_max`` forms, with ``KroneckerSum._kron_sum``'s five m^d
-    temporaries, would not fit in physical memory, ``MgfkError`` is raised."""
+    (``lambda_max`` is the top of the sine symbol, formed at its corners),
+    plus the eta1/eta2 refinement for Galerkin hierarchies of the model
+    operator c1 I^{(x)d} + c2 sum_k I (x)..L..(x) I with c1 > 0: eta1 and
+    eta2 are the level's largest symbol value and its diagonal from the
+    closed-form level constants, independent of the Galerkin recursion."""
     fine, d = h.fine.operator, h.fine.operator.ndim
-    require_memory(8 * (5 * h.fine.unknowns + 2 * h.fine.m), f"the sine symbol of the {h.fine.shape} grid")
     model = fine.c_mass > 0 and (fine.mass, fine.stiff) == (IDENTITY, LAPLACIAN)
     reports = []
     for k, lv in enumerate(h.levels):

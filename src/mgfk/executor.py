@@ -6,10 +6,10 @@ operands of one ``_tape.c`` record, on buffers a caller keeps.  Each entry
 point of ``_tape.c`` has one callable here, which runs it, or its numpy
 twin where it cannot run, to the same bits: ``tape_runner``
 (``mgfk_run_tape``, whose twin is ``run_numpy``), ``Solve``
-(``mgfk_solve``, whose norm's sum ``_squares`` twins) and ``fill_weights``
-(``mgfk_weights``); the last two sum in orders of their own, so that no
-result depends on the CPU, the BLAS or its threads.  ``_library`` builds
-the executor on first use into the user's cache, with
+(``mgfk_solve``), ``dot`` (``mgfk_dot``, the solve's norm's sum) and
+``fill_weights`` (``mgfk_weights``); the last three sum in orders of their
+own, so that no result depends on the CPU, the BLAS or its threads.
+``_library`` builds the executor on first use into the user's cache, with
 ``-ffp-contract=off``, so that every element gets exactly the IEEE
 operations of ``run_numpy``; ``compiled_tapes`` says which backend runs.
 ``ctypes`` and ``subprocess`` are imported on first use, so that ``import
@@ -99,8 +99,8 @@ def run_numpy(kernels) -> None:
     temporary, the transfers' weights 2, 1/4 and 1/2 as in the executor.
     A 2D transfer (an ``out`` of rows) forms its pass across rows for the
     whole grid at once, into a temporary laid out as the executor's row
-    buffers follow each other (one zero cell past the restriction's, one
-    before the prolongation's), and leaves ``b`` alone.
+    buffers follow each other (one zero cell before the prolongation's),
+    and leaves ``b`` alone; the restriction skips ``out``'s last cell, a pad.
     Kernels of any dtype run, the complex and long double ones of the
     test oracles included.  numpy warns of overflows and invalid values."""
     for kind, o, a, b, s, pad, taps in kernels:
@@ -119,10 +119,10 @@ def run_numpy(kernels) -> None:
             o.fill(0)
         elif kind == RESTRICT:
             if o.ndim == 2:
-                rows = np.zeros(2 * o.size + 1, o.dtype)
-                _restrict(rows[:-1].reshape(len(o), -1), a)
+                rows = np.empty(2 * o.size, o.dtype)
+                _restrict(rows.reshape(len(o), -1), a)
                 a = rows
-            _restrict(o.reshape(-1), a)
+            _restrict(o.reshape(-1)[:-1], a[: 2 * o.size - 1])
         else:  # PROLONG
             if o.ndim == 2:
                 rows = np.zeros(1 + o.size // 2, o.dtype)
@@ -211,6 +211,7 @@ def _load(path: str):
     lib.mgfk_solve.restype = ctypes.c_int64
     lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     lib.mgfk_weights.restype = None
+    lib.mgfk_dot.argtypes, lib.mgfk_dot.restype = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64), ctypes.c_double
     return lib
 
 
@@ -258,45 +259,52 @@ def tape_runner(kernels: tuple):
 RAN_OUT, CONVERGED, NOT_FINITE = range(3)
 
 
-def _squares(x: np.ndarray) -> float:
-    """``_tape.c``'s ``squares`` of the flat run ``x`` with numpy, the same
-    bits: its 8 lanes are the columns of the (rows, 8) view, reduced row by
-    row, the tail then added onto the first of them."""
-    sq, rows = x * x, len(x) // 8
-    lanes = np.add.reduce(sq[: 8 * rows].reshape(rows, 8), axis=0)
-    lanes[: len(sq) - 8 * rows] += sq[8 * rows :]
+def dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The sum of the products of the flat float64 runs ``x`` and ``y``, as
+    ``_tape.c``'s ``mgfk_dot`` sums them, whatever the BLAS and its threads:
+    one call where ``compiled_tapes()`` is true, else the same bits with
+    numpy, its 8 lanes the columns of the (rows, 8) view of the products,
+    reduced row by row, the tail then added onto the first of them."""
+    if not (x.dtype == y.dtype == np.float64 and x.shape == y.shape == (x.size,) and x.flags.c_contiguous
+            and y.flags.c_contiguous):
+        raise ValueError("dot takes two contiguous flat float64 arrays of one length")
+    lib = _library()
+    if lib is not None:
+        return lib.mgfk_dot(_at(x), _at(y), x.size)
+    p, rows = x * y, x.size // 8
+    lanes = np.add.reduce(p[: 8 * rows].reshape(rows, 8), axis=0)
+    lanes[: p.size - 8 * rows] += p[8 * rows :]
     l0, l1, l2, l3, l4, l5, l6, l7 = lanes.tolist()
     return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
 
 
 class Solve:
     """A multigrid solve over the float64 kernels of a V-cycle, ``cycle``,
-    and of the fine residual, one per plane, ``residual``, which
-    ``self.cycle`` and ``self.residual`` run (``tape_runner``).
+    and the kernel of the fine residual, ``residual``, which ``self.cycle``
+    and ``self.residual`` run (``tape_runner``).
 
     A call cycles from the loaded iterate until the relative residual is
     below ``tol`` or not finite, at most ``max_iter`` times, and returns how
     the solve ended (``CONVERGED``, ``NOT_FINITE`` or ``RAN_OUT``, the cap
     reached) and the cycles run.  ``norms`` then holds r0 and the relative
-    residual after each cycle, each norm the square root of the planes'
-    sums of squares (``_squares``) added in order, over the run a residual
-    kernel writes.  A solve that fills ``norms`` doubles it and resumes
-    where it stopped.  Each stretch is one ``mgfk_solve`` call, which finds
-    each run through its record, where the tapes are compiled, else
-    ``_loop``.
+    residual after each cycle, each norm the square root of the sum of
+    squares (``dot``) over ``run``, the run the residual kernel
+    writes.  A solve that fills ``norms`` doubles it and resumes where it
+    stopped.  Each stretch is one ``mgfk_solve`` call, which finds the run
+    through its record, where the tapes are compiled, else ``_loop``.
     """
 
-    def __init__(self, cycle: tuple, residual: tuple):
-        self.cycle, self.residual = tape_runner(cycle), tape_runner(residual)
-        self.runs = tuple(k.out for k in residual)
+    def __init__(self, cycle: tuple, residual: Kernel):
+        self.cycle, self.residual = tape_runner(cycle), tape_runner((residual,))
+        self.run = residual.out
         self.norms = np.empty(64)  # r0 and 63 cycles; a solve that runs past doubles it
         self._step = self._loop
         if isinstance(self.cycle, _CompiledTape):
             import ctypes
 
-            # the four fields of _tape.c's solve, packed once
-            tapes = (self.cycle.records, self.residual.records)
-            self._fields = np.array([x for t in tapes for x in (_at(t), len(t))], np.int64)
+            # the three fields of _tape.c's solve, packed once
+            records = self.cycle.records
+            self._fields = np.array([_at(records), len(records), _at(self.residual.records)], np.int64)
             self._address, self._solve = _at(self._fields), self.cycle.lib.mgfk_solve
             self._cycles = ctypes.c_int64()  # the cycles run, in and out
             self._pointer = ctypes.pointer(self._cycles)
@@ -324,10 +332,7 @@ class Solve:
 
         def norm() -> float:
             self.residual()
-            sq = 0.0
-            for r in self.runs:
-                sq = sq + _squares(r)
-            return math.sqrt(sq)
+            return math.sqrt(dot(self.run, self.run))
 
         it, end = done, RAN_OUT
         if it == 0:

@@ -248,7 +248,7 @@ class Evolution:
             setattr(self, name, getattr(self, name).astype(complex))
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
-        # warm start from the last level, which solve copies into its planes
+        # warm start from the last level, which solve copies into its tape
         g, report = vc.solve(self.hierarchy, rhs, v0=self.history[n - 1], tol=self.tol)
         if not report.converged:
             raise ConvergenceFailure(

@@ -10,28 +10,31 @@ The operators are real, so a V-cycle is a real linear map, and a cycle on
 complex data is one cycle on its real part and one on its imaginary part.
 Per dtype a hierarchy makes on first use, and reuses, a ``Tape``, which
 cycles in place on float64 per-level scratch buffers (``LevelWork``) of its
-own, one set per plane: the real part, and for complex data the imaginary
-part (long double data raise ``MgfkError``).  Each plane's runs are views
-of one arena, placed so that where a run sits does not follow earlier
-allocations (``_plane``, ``_carve``).  Every level operation (residual,
-damped update, restriction, zero start, prolongation, which adds the
-coarse correction onto the iterate, coarsest step) is an
+own (long double data raise ``MgfkError``), in one run layout: along the
+last axis each row holds, per part, its n points and one zero pad cell,
+real data one part, complex data the real and then the imaginary part, a 1D
+grid one row.  What reaches across a part boundary reads a zero pad cell,
+as it reads the frame around the grid, so one kernel runs both parts.  A
+tape's runs are views of one arena, placed so that where a run sits does
+not follow earlier allocations (``_levels``, ``_carve``).  Every level
+operation (residual, damped update, restriction, zero start, prolongation,
+which adds the coarse correction onto the iterate, coarsest step) is an
 ``executor.Kernel`` on the buffers, each level's transfers bound to the
-next level's when it is built.  The tape splices the kernels of every
-level of every plane into one flat run, the whole V-cycle with no
-recursion, one executor call.  A kernel stores only what a later one
-reads.  The tape cycles from the loaded fine iterate and the residual
-formed from it: ``solve`` and ``measure_contraction`` form that residual
-for their norms and cycle from it in place, ``vcycle`` forms it to cycle
-once, from a zero iterate if it is given none.  A whole ``solve`` is one
-call too (``Tape.solve``, an ``executor.Solve``).  On finite data the
-planes hold the values numpy's complex arithmetic gives on the same
-kernels, up to the sign of a zero, as every scalar is real and a complex
-plane's coarsest step multiplies by the reciprocal of the diagonal, as
-numpy's complex division by a real divisor does (real data divide).
-``build_hierarchy`` makes neither buffers nor tapes.  ``vcycle`` and
-``solve`` return new arrays, never a buffer.  Because its tapes are
-reused, two threads must not cycle on one hierarchy at once.
+next level's when it is built.  The tape splices the kernels of every level
+into one flat run, the whole V-cycle with no recursion, one executor call.
+A kernel stores only what a later one reads.  The tape cycles from the
+loaded fine iterate and the residual formed from it: ``solve`` and
+``measure_contraction`` form that residual for their norms and cycle from
+it in place, ``vcycle`` forms it to cycle once, from a zero iterate if it
+is given none.  A whole ``solve`` is one call too (``Tape.solve``, an
+``executor.Solve``).  On finite data the parts hold the values numpy's
+complex arithmetic gives on the same kernels, up to the sign of a zero, as
+every scalar is real and a complex tape's coarsest step multiplies by the
+reciprocal of the diagonal, as numpy's complex division by a real divisor
+does (real data divide).  ``build_hierarchy`` makes neither buffers nor
+tapes.  ``vcycle`` and ``solve`` return new arrays, never a buffer.
+Because its tapes are reused, two threads must not cycle on one hierarchy
+at once.
 
 The smoother is damped Jacobi.  One cycle performs ``pre_count`` pre-smooths
 with the pre-weight, one coarse-grid correction, and post-smooths with the
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import transfer
 from .errors import DimensionError, EligibilityError, MgfkError, require_memory
-from .executor import CONVERGED, DIVIDE, RESIDUAL, SCALE, UPDATE, ZERO, Kernel, Solve
+from .executor import CONVERGED, DIVIDE, RESIDUAL, SCALE, UPDATE, ZERO, Kernel, Solve, dot
 from .stencil import (
     KroneckerSum,
     grid_depth,
@@ -59,7 +62,6 @@ from .stencil import (
     pad_period,
     require_coarsenable,
     require_spd_eligible,
-    run_shape,
 )
 
 
@@ -81,22 +83,22 @@ class GridLevel:
 
 
 class LevelWork:
-    """Scratch of one level for one dtype, and the kernels that work on it.
+    """Scratch of one level for data of ``parts`` parts, and its kernels.
 
     ``v`` is the iterate, ``r`` the residual and temporary, and ``rhs`` the
     right-hand side a cycle on this level reads: the one the level above
-    restricts into, or the one a driver loads on the fine level.  Each grid
-    is held in the run layout (``stencil.run_shape``), rows of m + 1 cells
-    (``v_run``, ``r_run``, ``rhs_run``), where the arithmetic runs.  The
-    level works in ``runs``, zeroed flat arrays of the lengths of
-    ``layout`` that ``_plane`` carves from its plane's arena: the storage
-    of the iterate, ``r_run``, ``rhs_run`` and, on a level with a coarse
-    neighbour in 2D, the row buffer both its transfers pass through, one
-    fine row of points (``transfer.row_buffer``).  The
-    iterate's run sits inside that storage with zero cells one row (in 1D
-    one cell) wide on either side, ``framed`` with it, and one cell more at
-    either end, so that a point's neighbour past the end of a row, before
-    the start of the next or off the first or last row is a zero cell.
+    restricts into, or the one a driver loads on the fine level; each is
+    one grid per part, on a first axis.  Each is held in the run layout,
+    rows of ``parts`` (m + 1) cells (``v_run``, ``r_run``, ``rhs_run``),
+    where the arithmetic runs.  The level works in ``runs``, zeroed flat
+    arrays of the lengths of ``layout`` that ``_levels`` carves from its
+    tape's arena: the storage of the iterate, ``r_run``, ``rhs_run`` and,
+    on a level with a coarse neighbour in 2D, the row buffer both its
+    transfers pass through (``transfer.row_buffer``).  The iterate's run
+    sits inside that storage with zero cells one row (in 1D one cell) wide
+    on either side, ``framed`` with it, and one cell more at either end, so
+    that a point's neighbour past the end of a row, before the start of the
+    next or off the first or last row is a zero cell.
     The pad cells of ``r_run`` and ``rhs_run`` are kept at zero, so the
     updates keep those of ``v_run`` at zero, and the prolongation reads its
     edges from ``framed``, adding zeros onto them.  ``residual`` is the kernel of
@@ -108,14 +110,16 @@ class LevelWork:
     are the transfers' kernels; the coarsest level has none (``None``).
     """
 
-    def __init__(self, level: GridLevel, runs: tuple, coarse: "LevelWork | None" = None):
+    def __init__(self, level: GridLevel, parts: int, runs: tuple, coarse: "LevelWork | None" = None):
         self.shape, self.diag, self.runs = level.shape, level.diag, runs
         centre, points = level.operator.points
-        stride, first, size = _frame(self.shape)
+        stride, first, size = _frame(self.shape, parts)
         flat, self.r_run, self.rhs_run = runs[:3]
         self.v_run = flat[first : first + size]
         self.framed = flat[first - stride[0] : first + size + stride[0]]
-        self.v, self.r, self.rhs = (interior(a, self.shape) for a in (self.v_run, self.r_run, self.rhs_run))
+        parted = (*self.shape[:-1], parts, self.shape[-1])  # each row a row of every part
+        self.v, self.r, self.rhs = (np.moveaxis(interior(a, parted), -2, 0)
+                                    for a in (self.v_run, self.r_run, self.rhs_run))
         starts = (first + sum((w.start - 1) * st for w, st in zip(window, stride)) for window, _ in points)
         taps = tuple((flat[i : i + size], float(c)) for i, (_, c) in zip(starts, points))
         self.residual = Kernel(RESIDUAL, self.r_run, self.v_run, self.rhs_run, float(centre),
@@ -127,13 +131,13 @@ class LevelWork:
             self.prolong = transfer.prolongation(coarse.framed, self.v_run, self.shape, row)
 
     @staticmethod
-    def layout(shape: tuple, coarse: bool) -> tuple:
-        """The ``runs`` of a level of ``shape``, with a coarse neighbour or
-        without, as ``_carve`` takes them: per run its length and the cell
-        of it that sits aligned, the iterate's origin in its storage and
-        the first cell of every other run."""
-        _, first, size = _frame(shape)
-        row = transfer.row_buffer(shape) if coarse else 0
+    def layout(shape: tuple, parts: int, coarse: bool) -> tuple:
+        """The ``runs`` of a level of ``shape`` for data of ``parts`` parts,
+        with a coarse neighbour or without, as ``_carve`` takes them: per
+        run its length and the cell of it that sits aligned, the iterate's
+        origin in its storage and the first cell of every other run."""
+        _, first, size = _frame(shape, parts)
+        row = transfer.row_buffer(shape, parts) if coarse else 0
         return ((size + 2 * first, first), (size, 0), (size, 0)) + (((row, 0),) if row else ())
 
     def update(self, weight: float) -> Kernel:
@@ -145,12 +149,12 @@ class LevelWork:
         return self.residual, self.update(weight)
 
 
-def _frame(shape: tuple) -> tuple:
-    """The flat stride of each axis of the run layout of ``shape``, the
-    origin of the iterate's run in its storage and the run's length."""
-    rows = run_shape(shape)
+def _frame(shape: tuple, parts: int) -> tuple:
+    """Per axis of a grid of ``shape`` in rows of ``parts`` parts its flat
+    stride, the origin of the iterate's run in its storage, the run's length."""
+    rows = (*shape[:-1], parts * pad_period(shape))
     stride = [math.prod(rows[k + 1 :]) for k in range(len(rows))]
-    return stride, sum(stride), shape[0] * stride[0]
+    return stride, sum(stride), math.prod(rows)
 
 
 #: Where ``_carve`` puts the aligned cell of each run of an arena: in a run
@@ -172,31 +176,31 @@ def _carve(runs: list, dtype) -> list:
         end += (skew - end - cell * item) % align
         starts.append(end // item)
         end += n * item
-    require_memory(end + _PAGE, "a tape plane's arena")
+    require_memory(end + _PAGE, "a tape's arena")
     arena = np.zeros((end + _PAGE) // item, dtype)
     base = -arena.__array_interface__["data"][0] % _PAGE // item
     return [arena[base + s : base + s + n] for s, (n, _) in zip(starts, runs)]
 
 
-def _plane(levels: tuple, dtype=np.float64) -> tuple:
-    """The ``LevelWork`` of every level, finest first, each bound to the
-    next, their runs carved in that order from one arena (``_carve``)."""
-    layouts = [LevelWork.layout(lv.shape, k + 1 < len(levels)) for k, lv in enumerate(levels)]
+def _levels(levels: tuple, parts: int, dtype=np.float64) -> tuple:
+    """The ``LevelWork`` of every level for ``parts`` parts, finest first, each
+    bound to the next, their runs carved in that order from one arena (``_carve``)."""
+    layouts = [LevelWork.layout(lv.shape, parts, k + 1 < len(levels)) for k, lv in enumerate(levels)]
     runs = iter(_carve([run for layout in layouts for run in layout], dtype))
     groups = [tuple(islice(runs, len(layout))) for layout in layouts]
     work = ()
     for lv, group in zip(reversed(levels), reversed(groups)):
-        work = (LevelWork(lv, group, work[0] if work else None),) + work
+        work = (LevelWork(lv, parts, group, work[0] if work else None),) + work
     return work
 
 
-#: The planes of the data of each dtype a cycle runs.
-_PLANES = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
+#: The parts of the data of each dtype a cycle runs.
+_PARTS = {np.dtype(np.float64): 1, np.dtype(np.complex128): 2}
 
 
-def _parts(x, planes: int) -> tuple:
-    """The ``planes`` planes of ``x``: ``x`` itself, or its real and imaginary parts."""
-    return (x,) if planes == 1 else (x.real, x.imag)
+def _parts(x, parts: int) -> tuple:
+    """The ``parts`` parts of ``x``: ``x`` itself, or its real and imaginary parts."""
+    return (x,) if parts == 1 else (x.real, x.imag)
 
 
 def _work_dtype(*arrays) -> np.dtype:
@@ -247,7 +251,7 @@ class MgHierarchy:
         than float64 and complex128 (long double, which ``_work_dtype``
         keeps) raises ``MgfkError`` before anything is made."""
         dtype = np.dtype(dtype)
-        if dtype not in _PLANES:
+        if dtype not in _PARTS:
             raise MgfkError(f"V-cycles run float64 and complex128 data, not {dtype}")
         if dtype not in self._tapes:
             self._tapes[dtype] = Tape(self, dtype)
@@ -255,51 +259,47 @@ class MgHierarchy:
 
 
 class Tape:
-    """A hierarchy's V-cycle on ``dtype`` data, run on float64 planes.
+    """A hierarchy's V-cycle on ``dtype`` data, run on float64 runs.
 
-    ``work`` is, per plane, the ``LevelWork`` of every level (``_plane``):
-    one plane for float64 data, the real and the imaginary part for
-    complex128, shared with no other tape; ``fine`` is each plane's fine
-    level.  ``solve`` is the ``executor.Solve`` of the tape's kernels, and
-    its runners are the tape's: ``residual`` forms ``r = rhs - A v`` on
-    every plane, and ``cycle`` runs one V-cycle on every plane from the
-    loaded ``v`` and that residual.
+    ``work`` is the ``LevelWork`` of every level (``_levels``), one arena
+    shared with no other tape; ``fine`` is the fine level.  ``solve`` is
+    the ``executor.Solve`` of the tape's kernels, and its runners are the
+    tape's: ``residual`` forms ``r = rhs - A v``, and ``cycle`` runs one
+    V-cycle from the loaded ``v`` and that residual.
     """
 
     def __init__(self, h: MgHierarchy, dtype: np.dtype):
-        planes = _PLANES[dtype]
-        self.work = tuple(_plane(h.levels) for _ in range(planes))
-        self.fine = tuple(w[0] for w in self.work)
-        self.solve = Solve(sum((_cycle_kernels(h, w, 0, planes > 1) for w in self.work), ()),
-                           tuple(ws.residual for ws in self.fine))
+        self.parts = _PARTS[dtype]
+        self.work = _levels(h.levels, self.parts)
+        self.fine = self.work[0]
+        self.solve = Solve(_cycle_kernels(h, self.work, 0, self.parts > 1), self.fine.residual)
         self.residual, self.cycle = self.solve.residual, self.solve.cycle
         self.shape, self.dtype = h.fine.shape, dtype
 
     def load(self, v, f) -> None:
         """Put the iterate ``v`` (``None``: zero) and the right-hand side
-        ``f``, fine grids or their flat vectors, into every plane."""
-        shape, planes = self.shape, len(self.fine)
-        v = 0.0 if v is None else np.reshape(v, shape)
-        for ws, x, b in zip(self.fine, _parts(v, planes), _parts(np.reshape(f, shape), planes)):
-            ws.v[...], ws.rhs[...] = x, b
+        ``f``, fine grids or their flat vectors, into every part."""
+        v = 0.0 if v is None else np.reshape(v, self.shape)
+        for p, (x, b) in enumerate(zip(_parts(v, self.parts), _parts(np.reshape(f, self.shape), self.parts))):
+            self.fine.v[p], self.fine.rhs[p] = x, b
 
     def result(self) -> np.ndarray:
-        """The iterate of every plane, as a new grid."""
+        """The iterate of every part, as a new grid."""
         out = np.empty(self.shape, self.dtype)
-        for part, ws in zip(_parts(out, len(self.fine)), self.fine):
-            part[...] = ws.v
+        for part, v in zip(_parts(out, self.parts), self.fine.v):
+            part[...] = v
         return out
 
 
 def _cycle_kernels(h: MgHierarchy, work: tuple, level: int, reciprocal: bool) -> tuple:
-    """One V-cycle on the ``LevelWork`` of one plane, ``work``, from
+    """One V-cycle on the ``LevelWork`` of every level, ``work``, from
     ``level`` down, as kernels run in order: on the fine level from the
     loaded iterate and its formed residual, below it from zero.  A
     pre-smoothing sweep is an update from the formed residual, then the new
     residual; from zero that residual is ``rhs``, so a coarse level's first
     update needs no apply: v = omega_pre * rhs / diag.  The coarsest step
-    divides by the diagonal, or on a plane of complex data (``reciprocal``)
-    multiplies by its reciprocal, as numpy's complex division does."""
+    divides by the diagonal, or on complex data (``reciprocal``) multiplies
+    by its reciprocal, as numpy's complex division does."""
     ws = work[level]
     x, rhs = ws.v_run, ws.rhs_run
     if level == h.depth - 1:
@@ -401,9 +401,10 @@ def vcycle(h: MgHierarchy, v: np.ndarray | None, f: np.ndarray) -> np.ndarray:
     vector, the shape of ``f``; another shape raises ``DimensionError``.
 
     The sweep loads ``v`` (``v=None``: zero) and ``f`` into the fine
-    ``LevelWork`` of every plane, forms the residual and runs the tape from
-    it (``MgHierarchy.tape``, the whole cycle down to the coarsest level as
-    one flat run of kernels); it returns a copy of the iterate.
+    ``LevelWork`` of the tape of their dtype, forms the residual and runs
+    the tape from it (``MgHierarchy.tape``, the whole cycle down to the
+    coarsest level as one flat run of kernels); it returns a copy of the
+    iterate.
 
     On the one-point coarsest grid the equation is solved exactly, so the
     cycle implements an approximate inverse whose error propagator
@@ -433,7 +434,7 @@ def solve(
 
     The solve is ``Tape.solve``, which runs every cycle, residual, norm
     and stopping test (``executor.Solve``).  The cycles run in place in the
-    fine ``LevelWork`` of every plane, each from the residual just formed
+    fine ``LevelWork`` of the tape, each from the residual just formed
     for its norm; the solution comes back as a new flat array.  Non-convergence
     within ``max_iter`` (an integer, not a ``bool``) is reported, not
     raised: the report comes back with ``converged=False`` and the full
@@ -473,15 +474,16 @@ def measure_contraction(
     Runs the homogeneous problem (f = 0) from random initial errors, in
     place on the float64 tape's fine level, and returns the largest
     per-iteration ratio ||e_new||_A / ||e_old||_A after the first 3
-    transient iterations, so ``iters`` must exceed 3.  The residual
-    r = -A e that starts each cycle gives ||e||_A = sqrt(-(e, r)).  A
+    transient iterations, so ``iters`` must exceed 3.  Each start has unit
+    Euclidean norm, and the residual r = -A e that starts each cycle gives
+    ||e||_A = sqrt(-(e, r)): both are ``executor.dot``s over the fine runs,
+    whose pad cells are zero, the same at any BLAS thread count.  A
     cycle that drives the energy norm to inf or nan diverges, without
     numpy warnings: the estimate is then ``math.inf``.  If
     ``monotone_slack`` is given, a ratio above 1 + monotone_slack raises
     ``AssertionError``.  ``trials`` and ``iters`` are integers, not
-    ``bool``s.  Where the tape's arena and the three fine grids a trial
-    holds at once (a start and ``np.vdot``'s two copies) would not fit in
-    physical memory, ``MgfkError`` is raised before the first trial.
+    ``bool``s.  Where the tape's arena and a start grid would not fit in
+    physical memory, ``MgfkError`` is raised first.
     """
     _require_integers(trials=trials, iters=iters)
     if trials < 1:
@@ -491,20 +493,19 @@ def measure_contraction(
     rng = np.random.default_rng(seed)
     lv = h.fine
     tape = h.tape(float)
-    ws = tape.fine[0]
-    require_memory(ws.runs[0].base.nbytes + 3 * lv.unknowns * 8, "a contraction trial and its tape")
+    ws = tape.fine
+    require_memory(ws.runs[0].base.nbytes + 8 * lv.unknowns, "a contraction start and its tape")
     ws.rhs_run.fill(0.0)
 
     def energy() -> float:
         tape.residual()
-        return math.sqrt(max(-np.vdot(ws.v, ws.r).real, 0.0))
+        return math.sqrt(max(-dot(ws.v_run, ws.r_run), 0.0))
 
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(trials):
-            e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
-            e /= np.linalg.norm(e)
-            ws.v[...] = e
+            ws.v[0] = rng.standard_normal(lv.unknowns).reshape(lv.shape)
+            ws.v_run /= math.sqrt(dot(ws.v_run, ws.v_run))
             prev = energy()
             for i in range(1, iters + 1):
                 tape.cycle()

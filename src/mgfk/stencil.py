@@ -7,8 +7,8 @@ pair (a_0, a_1) of tridiag(a_1, a_0, a_1), a system operator is
 stencils.  Both are applied by shifted-slice multiply-adds over their
 nonzero points: a system operator's 3 in 1D or 5 or 9 in 2D (``points``),
 in the order of the V-cycle's residual kernel (``executor.Kernel``).
-Grids are held in the run layout of ``run_shape``: in 2D rows of m + 1
-cells, one zero pad cell after each row's points.  The type-I sine
+Grids are held in the run layout of ``run_shape``: rows of m + 1 cells, a
+zero pad cell after each row's points, a 1D grid one row.  The type-I sine
 transform diagonalises the system operators, which gives their spectra
 in closed form and an exact direct solve.  Dense matrices live in the
 test oracles only.
@@ -129,22 +129,13 @@ class KroneckerSum:
             raise DimensionError(f"Kronecker sums are 1D or 2D, got ndim {ndim!r}")
         object.__setattr__(self, "ndim", int(ndim))
 
-    def _kron_sum(self, e, s):
-        """The operator's form over factor values ``e`` and ``s`` (band
-        points or symbols), tensored by outer products."""
-        outer = np.multiply.outer
-        mass, ones, stiff = self.c_mass, 1.0, 0.0
-        for _ in range(self.ndim):
-            mass, ones, stiff = outer(mass, e), outer(ones, e), outer(stiff, e) + outer(ones, s)
-        return mass + self.c_stiff * stiff
-
     @cached_property
     def points(self) -> tuple:
         """Centre coefficient, and ``(window, c)`` per nonzero off-centre
         point; ``window`` slices the point's shifted copy out of a grid
         zero-padded by one on every side."""
         e, s = (np.array(f.bands)[[1, 0, 1]] for f in (self.mass, self.stiff))
-        c = self._kron_sum(e, s)
+        c = _kron_sum(self, e, s)
         centre = (1,) * self.ndim
         taps = tuple(
             (tuple(slice(int(i), int(i) - 2 or None) for i in idx), c[idx])
@@ -182,7 +173,7 @@ class KroneckerSum:
 
     def eigenvalues(self, m: int) -> np.ndarray:
         """The (m,)*ndim grid of eigenvalues, diagonalised by the DST-I."""
-        return self._kron_sum(self.mass.eigenvalues(m), self.stiff.eigenvalues(m))
+        return _kron_sum(self, self.mass.eigenvalues(m), self.stiff.eigenvalues(m))
 
     def galerkin(self) -> "KroneckerSum":
         """Galerkin coarse operator R A P: the 1-2-1 triple product of each factor."""
@@ -204,22 +195,31 @@ class KroneckerSum:
         )
 
 
+def _kron_sum(op: KroneckerSum, e, s):
+    """``op``'s form over factor values ``e`` and ``s`` (band points or symbols), by outer products."""
+    outer = np.multiply.outer
+    mass, ones, stiff = op.c_mass, 1.0, 0.0
+    for _ in range(op.ndim):
+        mass, ones, stiff = outer(mass, e), outer(ones, e), outer(stiff, e) + outer(ones, s)
+    return mass + op.c_stiff * stiff
+
+
 def run_shape(shape: tuple) -> tuple:
-    """Shape of the run layout of a grid of ``shape``: a 1D grid as it is, the
-    rows of n points of a 2D one in rows of n + 1 cells, the points first
-    and a zero pad cell after them."""
-    return (shape[0], *(m + 1 for m in shape[1:]))
+    """Shape of the run layout of a grid of ``shape``: its rows of n points
+    along the last axis in rows of n + 1 cells, the points first and a zero
+    pad cell after them; a 1D grid is one such row."""
+    return (*shape[:-1], shape[-1] + 1)
 
 
 def interior(a: np.ndarray, shape: tuple) -> np.ndarray:
     """The grid of ``shape`` a flat array in its run layout holds."""
-    return a.reshape(run_shape(shape))[(slice(None), *(slice(m) for m in shape[1:]))]
+    return a.reshape(run_shape(shape))[..., : shape[-1]]
 
 
 def pad_period(shape: tuple) -> int:
-    """The period of the pad cells of the run layout of ``shape``: in 2D,
-    rows of n points, n + 1, cell n of each row being one; 0 in 1D, which has none."""
-    return sum(m + 1 for m in shape[1:])
+    """The period of the pad cells of the run layout of ``shape``, rows of n
+    points: n + 1, cell n of each row being one."""
+    return shape[-1] + 1
 
 
 # benchmarks/workloads.py patches the apply span of the system operator through this name
@@ -248,9 +248,12 @@ def grid_depth(m: int) -> int:
 
 
 def lambda_max(op, m: int) -> float:
-    """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid,
-    the top of its sine symbol."""
-    return float(np.max(op.eigenvalues(m)))
+    """Largest eigenvalue of a stencil or Kronecker sum on the (m,)*ndim grid, the top
+    of its sine symbol, affine in each cos(k pi/(m+1)): formed at k = 1 and m only."""
+    if isinstance(op, ToeplitzStencil):
+        return float(np.max(op.eigenvalues(m)[[0, -1]]))
+    e, s = (f.eigenvalues(m)[[0, -1]] for f in (op.mass, op.stiff))
+    return float(np.max(_kron_sum(op, e, s)))
 
 
 def require_spd_eligible(op) -> None:

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from mgfk import transfer
+from mgfk import stencil, transfer
 from mgfk.coarsen import c_constant
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
@@ -311,7 +311,7 @@ def gershgorin_bound(op) -> float:
     if isinstance(op, ToeplitzStencil):
         a0, a1 = op.bands
         return a0 + 2.0 * abs(a1)
-    return float(op._kron_sum(gershgorin_bound(op.mass), gershgorin_bound(op.stiff)))
+    return float(stencil._kron_sum(op, gershgorin_bound(op.mass), gershgorin_bound(op.stiff)))
 
 
 def reference_apply(op, x):
@@ -368,7 +368,7 @@ def _grid(x) -> np.ndarray:
 def _row_buffer(shape: tuple, dtype) -> np.ndarray | None:
     """A new zeroed row buffer of the 2D transfers of a fine grid of
     ``shape``; ``None`` in 1D."""
-    return np.zeros(transfer.row_buffer(shape), dtype) if len(shape) == 2 else None
+    return np.zeros(transfer.row_buffer(shape, 1), dtype) if len(shape) == 2 else None
 
 
 def restrict(x: np.ndarray) -> np.ndarray:
@@ -417,34 +417,44 @@ def reference_vcycle(h, v, f, level: int = 0):
     return reference_smooth(lv, v, f, h.omega_post, h.post_smooths).reshape(shape)
 
 
-def lane_squares(x) -> float:
-    """The sum of the squares of the values ``x`` in the order of a solve's
-    norm, in plain Python: 8 lanes, lane j the running sum of x_k x_k over
-    k = j (mod 8) in index order, from 0, the lanes then added as
+def lane_sum(x) -> float:
+    """The sum of the values ``x`` in the order of ``executor.dot``, in
+    plain Python: 8 lanes, lane j the running sum of x_k over k = j (mod 8)
+    in index order, from 0, the lanes then added as
     ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))."""
     lanes = [0.0] * 8
     for k, v in enumerate(map(float, x)):
-        lanes[k % 8] = lanes[k % 8] + v * v
+        lanes[k % 8] = lanes[k % 8] + v
     l0, l1, l2, l3, l4, l5, l6, l7 = lanes
     return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
+
+
+def lane_squares(x) -> float:
+    """The sum of the squares of the values ``x`` in the order of a solve's
+    norm (``lane_sum``), in plain Python."""
+    return lane_sum(v * v for v in map(float, x))
+
+
+def run_of(x) -> np.ndarray:
+    """The grid ``x`` in the tapes' run layout, as a new flat array: along
+    the last axis each row holds, per part (the real one, then for complex
+    data the imaginary one), its points and then one zero pad cell."""
+    x = np.asarray(x)
+    parts = (x.real, x.imag) if np.iscomplexobj(x) else (x,)
+    pad = [(0, 0)] * (x.ndim - 1) + [(0, 1)]
+    return np.concatenate([np.pad(part, pad) for part in parts], axis=-1).ravel()
 
 
 def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
     """``multigrid.solve`` from ``v0`` as a loop of ``reference_vcycle``: the
     flat solution and the relative residual norms, each taken from a fresh
-    grid ``f - A v`` as ``solve`` takes them, over the run layout: in 2D one
-    zero cell after each row, the ``lane_squares`` of the real plane and
-    then of the imaginary one, added in that order."""
+    grid ``f - A v`` as ``solve`` takes them, the ``lane_squares`` of its
+    one run (``run_of``)."""
     op, shape = h.fine.operator, h.fine.shape
     f, v = np.reshape(f, shape), np.reshape(v0, shape)
 
     def residual_norm(v):
-        r = np.pad(f - reference_apply(op, v), [(0, 0)] + [(0, 1)] * (len(shape) - 1))
-        planes = (r.real, r.imag) if np.iscomplexobj(r) else (r,)
-        sq = 0.0
-        for plane in planes:
-            sq = sq + lane_squares(plane.ravel())
-        return math.sqrt(sq)
+        return math.sqrt(lane_squares(run_of(f - reference_apply(op, v))))
 
     r0, residuals = residual_norm(v), []
     for _ in range(max_iter):
@@ -457,19 +467,20 @@ def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
 
 def reference_contraction(h, trials: int = 4, iters: int = 12, discard: int = 3, seed: int = 0):
     """``multigrid.measure_contraction`` as a loop of ``reference_vcycle`` on
-    f = 0 from the same random errors, each energy norm sqrt((A e, e)) taken
-    with ``reference_apply``."""
+    f = 0 from the same random errors, each scaled to unit norm, each energy
+    norm sqrt((A e, e)) taken with ``reference_apply``; both inner products
+    the ``lane_sum`` of the products over the runs (``run_of``)."""
     rng = np.random.default_rng(seed)
     lv = h.fine
     zero = np.zeros(lv.shape)
 
     def energy(e):
-        return math.sqrt(max(np.vdot(e, reference_apply(lv.operator, e)).real, 0.0))
+        return math.sqrt(max(lane_sum(run_of(e) * run_of(reference_apply(lv.operator, e))), 0.0))
 
     worst = 0.0
     for _ in range(trials):
         e = rng.standard_normal(lv.unknowns).reshape(lv.shape)
-        e /= np.linalg.norm(e)
+        e /= math.sqrt(lane_squares(run_of(e)))
         prev = energy(e)
         for i in range(1, iters + 1):
             e = reference_vcycle(h, e, zero)

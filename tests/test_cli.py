@@ -234,20 +234,18 @@ def test_theory_refuses_smoothing_the_bound_does_not_cover(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("pages, needs, what", [
-    (2, 9240, "the sine symbol of the (15, 15) grid"),
-    (3, 12688, "a tape plane's arena"),
-    (4, 18088, "a contraction trial and its tape"),
+    pytest.param(10, 42448, "a tape's arena", id="arena"),
+    pytest.param(12, 50136, "a contraction start and its tape", id="contraction"),
 ])
 def test_theory_past_physical_memory_exit_one(capsys, monkeypatch, pages, needs, what):
-    # 2D M = 16 on a machine of two, three and four 4 KiB pages: the fine
-    # sine symbol (five 15 x 15 grids and two factors of 15 values), the
-    # tape's arena, and the arena with a contraction trial's three grids
-    # are each refused in turn, before they are allocated, with one error
-    # line and no traceback
+    # 2D M = 32 on a machine of ten and twelve 4 KiB pages: the tape's
+    # arena, and the arena with a contraction start (a 31 x 31 grid) are
+    # each refused in turn, before they are allocated, with one error line
+    # and no traceback; the smoother bounds before them form no grid
     sysconf = os.sysconf
     memory = {"SC_PHYS_PAGES": pages, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
-    assert main(["theory", "--preset", "example-6.2", "--M", "16"]) == 1
+    assert main(["theory", "--preset", "example-6.2", "--M", "32"]) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == [f"error: {what} needs {needs} bytes, more than the {pages * 4096} bytes of physical memory"]
 

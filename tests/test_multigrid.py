@@ -50,11 +50,12 @@ def fk_hierarchy_2d(alpha=0.3, nu=2, intervals=16, **kwargs):
 
 def sweeps(level, v, f, weight, steps):
     """``steps`` damped-Jacobi sweeps with ``weight`` on ``level`` from
-    ``v``: the kernels of a one-level plane of their dtype, run by numpy."""
-    (work,) = multigrid._plane((level,), np.result_type(v, f))
-    work.v[...], work.rhs[...] = v, f
+    ``v``: the kernels of a one-level, one-part tape of their dtype, run by
+    numpy."""
+    (work,) = multigrid._levels((level,), 1, np.result_type(v, f))
+    work.v[0], work.rhs[0] = v, f
     executor.run_numpy(work.sweep(weight) * steps)
-    return work.v
+    return work.v[0]
 
 
 def system(stencil):
@@ -295,13 +296,13 @@ def test_measure_contraction_takes_integer_counts_only(count):
 
 
 def test_a_tape_past_physical_memory_is_refused_before_its_arena(monkeypatch):
-    # the arena of the 2D m = 15 float plane is 12,688 bytes: on a machine
+    # the arena of the 2D m = 15 float tape is 12,688 bytes: on a machine
     # of three 4 KiB pages the tape is refused and none is kept
     h = build_hierarchy(fk_operator(2, 1.3, 40.0), 15)
     sysconf = os.sysconf
     memory = {"SC_PHYS_PAGES": 3, "SC_PAGE_SIZE": 4096}
     monkeypatch.setattr(os, "sysconf", lambda name: memory.get(name) or sysconf(name))
-    with pytest.raises(MgfkError, match="a tape plane's arena needs 12688 bytes, more than the 12288 bytes"):
+    with pytest.raises(MgfkError, match="a tape's arena needs 12688 bytes, more than the 12288 bytes"):
         solve(h, np.ones(h.fine.unknowns))
     assert h._tapes == {}
 
@@ -528,11 +529,10 @@ def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, m
 
 def _buffers(h, dtypes):
     """Every scratch array the hierarchy holds for these dtypes: the level
-    runs of each plane."""
+    runs of each tape."""
     for dtype in dtypes:
-        for work in h.tape(dtype).work:
-            for ws in work:
-                yield from ws.runs
+        for ws in h.tape(dtype).work:
+            yield from ws.runs
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -608,27 +608,33 @@ SMOKE = {
 }
 
 
+def arena_runs(h, dtype) -> list:
+    """Every run of every level of the ``dtype`` tape of ``h``, finest first."""
+    return [run for ws in h.tape(dtype).work for run in ws.runs]
+
+
 @pytest.mark.parametrize("ndim", [1, 2])
-def test_every_run_of_a_plane_is_a_view_of_its_one_arena(ndim):
-    # one allocation per plane: every run of every level, the 2D
-    # transfers' row buffers among them (one per level with a coarse
-    # neighbour), and every array the plane's kernels touch is a view of
-    # the plane's arena; no two runs overlap, and the real and imaginary
-    # planes of a complex tape share nothing
+def test_every_run_of_a_tape_is_a_view_of_its_one_arena(ndim):
+    # one allocation per tape, float64 or complex128: every run of every
+    # level, the 2D transfers' row buffers among them (one per level with a
+    # coarse neighbour), and every array the tape's kernels touch is a view
+    # of the tape's arena; no two runs overlap, and the two tapes of one
+    # hierarchy share nothing
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 31)
     arenas = []
-    for plane in h.tape(complex).work:
-        runs = [run for ws in plane for run in ws.runs]
+    for dtype in (float, complex):
+        runs = arena_runs(h, dtype)
         assert len(runs) == 3 * h.depth + (h.depth - 1 if ndim == 2 else 0)
         arena = runs[0].base
         assert arena.base is None and arena.dtype == np.float64
         assert all(run.base is arena and run.ndim == 1 for run in runs)
         assert all(not np.shares_memory(a, b) for i, a in enumerate(runs) for b in runs[i + 1 :])
-        kernels = [k for ws in plane for k in (*ws.sweep(1.0), ws.restrict, ws.prolong) if k is not None]
+        work = h.tape(dtype).work
+        kernels = [k for ws in work for k in (*ws.sweep(1.0), ws.restrict, ws.prolong) if k is not None]
         arrays = (x for k in kernels for x in (k.out, k.a, k.b, *(w for w, _ in k.taps)))
         assert all(x.base is arena for x in arrays if x is not None)
         arenas.append(arena)
-    assert len(arenas) == 2 and not np.shares_memory(*arenas)
+    assert not np.shares_memory(*arenas)
 
 
 #: What ``test_a_cycle_writes_only_inside_its_runs`` leaves in the arena
@@ -639,33 +645,31 @@ SENTINEL = np.int64(0x7FF0DEADBEEF0001)
 @pytest.mark.parametrize("ndim, m, backend", on_both_backends(
     pytest.param(ndim, m, id=f"{ndim}d") for ndim, m in ((1, 63), (2, 31))))
 def test_a_cycle_writes_only_inside_its_runs(ndim, m, backend, monkeypatch):
-    # every arena cell outside the runs (the alignment slack before, between
-    # and after them) holds a sentinel; cycles from warm and zero starts
-    # and a solve, on real and complex data, through every level down to
-    # 2D m = 3, whose row buffer is three cells, leave each one as it was:
+    # every cell of a tape's arena outside its runs (the alignment slack
+    # before, between and after them) holds a sentinel; cycles from warm and
+    # zero starts and a solve, on real and complex data, each tape one
+    # arena, through every level down to 2D m = 3, whose row buffer is
+    # three cells for real data and seven for complex, leave each one as it was:
     # an overrun that stays inside the arena, which no address sanitizer
     # sees, would change one
     use_backend(monkeypatch, backend)
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), m)
     rng = np.random.default_rng(25)
     for dtype in (float, complex):
-        slack = []
-        for plane in h.tape(dtype).work:
-            runs = [run for ws in plane for run in ws.runs]
-            arena = runs[0].base
-            outside = np.ones(arena.size, bool)
-            for run in runs:
-                start = (executor._at(run) - executor._at(arena)) // arena.itemsize
-                outside[start : start + run.size] = False
-            arena.view(np.int64)[outside] = SENTINEL
-            slack.append((arena.view(np.int64), outside))
-        assert sum(mask.sum() for _, mask in slack) > len(slack) * len(h.levels)
+        runs = arena_runs(h, dtype)
+        arena = runs[0].base
+        outside = np.ones(arena.size, bool)
+        for run in runs:
+            start = (executor._at(run) - executor._at(arena)) // arena.itemsize
+            outside[start : start + run.size] = False
+        cells = arena.view(np.int64)
+        cells[outside] = SENTINEL
+        assert outside.sum() > len(h.levels)
         f = rng.standard_normal(h.fine.unknowns) * (1.0 + 2.0j if dtype is complex else 1.0)
         vcycle(h, f, f)
         vcycle(h, None, f)
         assert solve(h, f, tol=1e-10)[1].converged
-        for cells, outside in slack:
-            assert np.all(cells[outside] == SENTINEL)
+        assert np.all(cells[outside] == SENTINEL)
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -677,9 +681,10 @@ def test_runs_are_zero_when_built_and_sit_at_the_chosen_alignment(ndim):
     # line
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 1023 if ndim == 1 else 127)
     pages = 0
-    for plane in h.tape(complex).work:
-        runs = [(run, cell) for ws in plane
-                for run, (_, cell) in zip(ws.runs, LevelWork.layout(ws.shape, ws is not plane[-1]))]
+    for dtype, parts in ((float, 1), (complex, 2)):
+        work = h.tape(dtype).work
+        runs = [(run, cell) for ws in work
+                for run, (_, cell) in zip(ws.runs, LevelWork.layout(ws.shape, parts, ws is not work[-1]))]
         for i, (run, cell) in enumerate(runs):
             assert not np.any(run)
             at = run[cell:].__array_interface__["data"][0]

@@ -22,6 +22,7 @@ from mgfk.stencil import (
     lambda_max,
     pad_period,
     require_coarsenable,
+    run_shape,
 )
 
 from helpers import gershgorin_bound, kron_sum_dense, prolongation_matrix, restriction_matrix, toeplitz_dense
@@ -256,11 +257,16 @@ def test_kronecker_sum_refuses_wide_factors(ndim):
 
 
 def test_pads_are_the_cell_after_each_row():
-    # a 2D run holds rows of n points and one pad cell; a 1D run has no pads
+    # a run holds rows of n points and one pad cell each, a 1D grid one such
+    # row; rows of two parts side by side, a complex grid's, are rows of a
+    # grid with a parts axis before the last
     a, period = np.arange(3 * 8.0), pad_period((3, 7))
     assert period == 8 and np.array_equal(a[period - 1 :: period], [7.0, 15.0, 23.0])
     assert np.array_equal(interior(a, (3, 7)).ravel(), np.delete(a, [7, 15, 23]))
-    assert pad_period((7,)) == 0
+    assert run_shape((7,)) == (8,) and pad_period((7,)) == 8
+    assert np.array_equal(interior(a[:8], (7,)), a[:7])
+    assert run_shape((3, 2, 3)) == (3, 2, 4) and pad_period((3, 2, 3)) == 4
+    assert np.array_equal(interior(a, (3, 2, 3)).ravel(), np.delete(a, [3, 7, 11, 15, 19, 23]))
 
 
 @pytest.mark.parametrize("ndim", [0, 3])

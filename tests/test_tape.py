@@ -2,6 +2,7 @@
 the same kernels, its one-call solve against the numpy backend's loop, and
 the build cache its loader keeps."""
 
+import dataclasses
 import gc
 import hashlib
 import math
@@ -26,7 +27,7 @@ from mgfk.multigrid import (
     GridLevel,
     MgHierarchy,
     _cycle_kernels,
-    _plane,
+    _levels,
     build_hierarchy,
     solve,
     vcycle,
@@ -52,11 +53,12 @@ from mgfk.stencil import (
     dst_solve,
 )
 
-from helpers import lane_squares, reference_prolong, restrict
+from helpers import lane_squares, lane_sum, reference_prolong, restrict
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
-#: NaN in one part spreads to the other, where the planes keep them apart.
+#: NaN in one part spreads to the other, where float64 kernels on each part
+#: keep them apart.
 FINITE = np.array([0.0, -0.0, 5e-324, 3.0])
 
 
@@ -83,35 +85,36 @@ def assert_same_bits(x, y):
     assert a[~nan].tobytes() == b[~nan].tobytes()
 
 
-def on_planes(k, planes):
-    """``k`` as the float64 kernel of each plane, as ``multigrid`` runs its
-    data: every array the same elements of its base's plane (``planes``
-    maps the id of a base to its planes), every float scalar as it is, and
-    for complex data a division a product by the reciprocal."""
+def on_parts(k, parts):
+    """``k`` as the float64 kernel of each part of its data, as a complex
+    tape runs them: every array the same elements of its base's part
+    (``parts`` maps the id of a base to float64 copies of its parts), every
+    float scalar as it is, and for complex data a division a product by the
+    reciprocal."""
 
     def view(x, p):
         base = x if x.base is None else x.base
         start = (x.__array_interface__["data"][0] - base.__array_interface__["data"][0]) // base.itemsize
         strides = tuple(st // base.itemsize * 8 for st in x.strides)
-        return np.lib.stride_tricks.as_strided(planes[id(base)][p][start:], x.shape, strides)
+        return np.lib.stride_tricks.as_strided(parts[id(base)][p][start:], x.shape, strides)
 
-    planes_of_k = 2 if k.out.dtype == complex else 1
+    parts_of_k = 2 if k.out.dtype == complex else 1
     kind, s = k.kind, k.s
-    if kind == DIVIDE and planes_of_k == 2:
+    if kind == DIVIDE and parts_of_k == 2:
         kind, s = SCALE, 1.0 / s
     return tuple(
         Kernel(kind, view(k.out, p), k.a if k.a is None else view(k.a, p), k.b if k.b is None else view(k.b, p),
                s, k.pad, tuple((view(w, p), c) for w, c in k.taps))
-        for p in range(planes_of_k))
+        for p in range(parts_of_k))
 
 
 def assert_record_matches_numpy(k, buffers):
-    """Run ``k`` by its records on the planes of copies of ``buffers``, every
-    base array it touches, and by ``run_numpy`` on ``buffers``: the planes
+    """Run ``k`` by its records on the parts of copies of ``buffers``, every
+    base array it touches, and by ``run_numpy`` on ``buffers``: the parts
     hold what numpy leaves, float data bit for bit and complex data in value
     (numpy's complex arithmetic picks other signs for some zeros)."""
-    planes = {id(b): (b.real.copy(), b.imag.copy()) if b.dtype == complex else (b.copy(),) for b in buffers}
-    kernels = on_planes(k, planes)
+    parts = {id(b): (b.real.copy(), b.imag.copy()) if b.dtype == complex else (b.copy(),) for b in buffers}
+    kernels = on_parts(k, parts)
     tape_runner(kernels)()
     with np.errstate(all="ignore"):
         run_numpy((k,))
@@ -120,9 +123,9 @@ def assert_record_matches_numpy(k, buffers):
             x[...] = 0
     for b in buffers:
         if b.dtype == complex:
-            assert np.array_equal(b.real, planes[id(b)][0]) and np.array_equal(b.imag, planes[id(b)][1])
+            assert np.array_equal(b.real, parts[id(b)][0]) and np.array_equal(b.imag, parts[id(b)][1])
         else:
-            assert_same_bits(b, planes[id(b)][0])
+            assert_same_bits(b, parts[id(b)][0])
     return kernels
 
 
@@ -130,17 +133,17 @@ def assert_record_matches_numpy(k, buffers):
 STENCILS = [(1, COMPACT_MASS), (2, IDENTITY), (2, COMPACT_MASS)]
 
 
-def cycle(ndim, mass, dtype, scalar, pre):
-    """The kernels of a cycle on ``dtype`` data over three levels of one
-    operator with stiffness ``scalar`` and weights ``scalar`` (so every
-    scalar a record reads depends on it), run as numpy runs them, and
-    every buffer they touch, pad cells and zero frames included.  The fine
-    grid is 1D m = 511, a run of odd length, or 2D m = 31."""
+def cycle(ndim, mass, dtype, parts, scalar, pre):
+    """The kernels of a cycle on ``dtype`` data of ``parts`` parts over three
+    levels of one operator with stiffness ``scalar`` and weights ``scalar``
+    (so every scalar a record reads depends on it), run as numpy runs them,
+    and every buffer they touch, pad cells and zero frames included.  The
+    fine grid is 1D m = 511 or 2D m = 31."""
     op = KroneckerSum(ndim, 1.0, scalar, mass, LAPLACIAN)
     sizes = (511, 255, 127) if ndim == 1 else (31, 15, 7)
     h = MgHierarchy(tuple(GridLevel(op, m, op.diagonal) for m in sizes), omega_pre=scalar,
                     omega_post=scalar, pre_count=pre, post_count=2, strategy="galerkin")
-    kernels = _cycle_kernels(h, _plane(h.levels, dtype), 0, False)
+    kernels = _cycle_kernels(h, _levels(h.levels, parts, dtype), 0, False)
     buffers = {}
     for k in kernels:
         for a in (k.out, k.a, k.b, *(window for window, _ in k.taps)):
@@ -153,12 +156,16 @@ def cycle(ndim, mass, dtype, scalar, pre):
 def assert_records_match_numpy(kinds, dtype, scalar, seed):
     """Each distinct kernel of one of ``kinds`` in every cycle, run by its
     records and by ``run_numpy`` from the same random and special values in
-    every buffer, leaves the same values in every buffer."""
+    every buffer, leaves the same values in every buffer.  Float data run
+    on rows of one part and of two, a complex tape's layout; complex data
+    in numpy's complex arithmetic, on one part."""
     rng = np.random.default_rng(seed)
     checked = set()
     for ndim, mass in STENCILS:
-        for pre in (0, 1):
-            kernels, buffers = cycle(ndim, mass, dtype, scalar, pre)
+        for pre, parts in ((0, 1), (1, 1), (0, 2), (1, 2)):
+            if parts == 2 and dtype == complex:
+                continue
+            kernels, buffers = cycle(ndim, mass, dtype, parts, scalar, pre)
             done = set()
             for k in kernels:
                 if id(k) in done or k.kind not in kinds:
@@ -185,9 +192,9 @@ OPERATIONS = {
 @pytest.mark.parametrize("scalar", [3.0, 0.1234567, 7.77e5, 1.0 / 3.0, -2.5])
 def test_tape_matches_numpy_on_every_layout(operation, dtype, scalar):
     # every kind that does the operation (residual, update, scale, divide,
-    # both transfers), on the 1D and 2D run layouts,
-    # with scalars made from `scalar`; complex data on their two planes,
-    # against numpy's complex arithmetic, its division included
+    # both transfers), on the 1D and 2D run layouts of one part and of two,
+    # with scalars made from `scalar`; complex data as float64 kernels on
+    # each part, against numpy's complex arithmetic, its division included
     assert_records_match_numpy(OPERATIONS[operation], dtype, scalar, 11)
 
 
@@ -197,6 +204,11 @@ def test_tape_copies_and_fills_like_numpy(dtype):
     # prolongation's pass across rows, and the pad cells the residual and
     # the restriction zero
     assert_records_match_numpy((ZERO, PROLONG, RESIDUAL, RESTRICT), dtype, 3.0, 12)
+
+
+def kernels_of(runner) -> tuple:
+    """The kernels a tape runner runs, compiled or numpy."""
+    return runner.kernels if hasattr(runner, "kernels") else runner.args[0]
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -211,7 +223,7 @@ def test_tapes_hold_only_float64(coarsening, ndim):
         vcycle(h, None, z)
         solve(h, z.ravel())
     runners = [runner for tape in h._tapes.values() for runner in (tape.residual, tape.cycle)]
-    kernels = [k for runner in runners for k in (runner.kernels if hasattr(runner, "kernels") else runner.args[0])]
+    kernels = [k for runner in runners for k in kernels_of(runner)]
     arrays = [x for k in kernels for x in (k.out, k.a, k.b, *(window for window, _ in k.taps))]
     scalars = [x for k in kernels for x in (k.s, *(c for _, c in k.taps))]
     assert len(h._tapes) == 2 and len(kernels) > 4 * h.depth
@@ -219,23 +231,61 @@ def test_tapes_hold_only_float64(coarsening, ndim):
     assert all(type(x) is float for x in scalars)
 
 
-def level_arrays(plane):
-    """Every array of every ``LevelWork`` of ``plane``."""
-    return [a for ws in plane for a in vars(ws).values() if isinstance(a, np.ndarray)]
+def level_arrays(work):
+    """Every array of every ``LevelWork`` of ``work``."""
+    return [a for ws in work for a in vars(ws).values() if isinstance(a, np.ndarray)]
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_the_float_and_complex_tapes_share_no_buffer(ndim):
-    # after real and complex cycles on one hierarchy: three planes, each
-    # owned by one tape, none sharing memory with another
+    # after real and complex cycles on one hierarchy: two tapes, each one
+    # set of levels on one arena of its own, sharing no memory
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 15)
     f = np.ones(h.fine.shape)
     for z in (f, f * (1.0 + 2.0j)):
         vcycle(h, None, z)
-    planes = h.tape(float).work + h.tape(complex).work
-    assert len(planes) == 3
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        assert not any(np.shares_memory(a, b) for a in level_arrays(planes[i]) for b in level_arrays(planes[j]))
+    real, cplx = (level_arrays(h.tape(dtype).work) for dtype in (float, complex))
+    assert not any(np.shares_memory(a, b) for a in real for b in cplx)
+
+
+@pytest.mark.parametrize("ndim, m, records", [(1, 1023, 55), (2, 127, 37)])
+@pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
+def test_a_complex_cycle_takes_the_float_cycles_records(coarsening, ndim, m, records):
+    # both parts of complex data share every record: the complex tape's
+    # cycle is as many kernels as the float tape's, over runs twice as long,
+    # at the sizes of the fk workloads, of the same kinds but the coarsest
+    # step, which multiplies by the diagonal's reciprocal where real data divide
+    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * (m + 1)), m, coarsening)
+    real, cplx = (kernels_of(h.tape(dtype).cycle) for dtype in (float, complex))
+    assert len(real) == len(cplx) == records
+    assert [SCALE if k.kind == DIVIDE else k.kind for k in real] == [k.kind for k in cplx]
+    assert all(c.out.size == 2 * r.out.size for r, c in zip(real, cplx))
+
+
+@pytest.mark.parametrize("ndim", [1, 2])
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_the_parts_of_a_complex_cycle_keep_apart(backend, ndim, monkeypatch):
+    # a complex cycle is a float cycle on each part, bit for bit: a part
+    # that is zero stays exactly 0.0, the other is the float tape's iterate,
+    # and a part a hundred decades above the other leaks nothing into it
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    h = build_hierarchy(KroneckerSum(ndim, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 31)
+    x, y, u, w = np.random.default_rng(27).standard_normal((4, *h.fine.shape))
+
+    def joined(re, im):
+        z = np.empty(re.shape, complex)
+        z.real, z.imag = re, im
+        return z
+
+    for scale in (0.0, 1e300):
+        for re, im, v_re, v_im in ((x, scale * y, u, scale * w), (scale * x, y, scale * u, w)):
+            for v, vr, vi in ((None, None, None), (joined(v_re, v_im), v_re, v_im)):
+                z = vcycle(h, v, joined(re, im))
+                assert z.real.tobytes() == vcycle(h, vr, re).tobytes()
+                assert z.imag.tobytes() == vcycle(h, vi, im).tobytes()
+    for z in (vcycle(h, None, joined(x, 0.0 * x)).imag, vcycle(h, None, joined(0.0 * x, x)).real):
+        assert not np.any(z) and not np.signbit(z).any()
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
@@ -246,26 +296,27 @@ def test_a_level_binds_its_transfers_when_it_is_built(ndim):
     # right-hand side, and the prolongation adds the coarse iterate's
     # interpolant onto the fine iterate, bit for bit
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 3)
-    fine, coarse = _plane(h.levels)
-    assert coarse.restrict is coarse.prolong is None
-    assert (fine.restrict.kind, fine.prolong.kind) == (RESTRICT, PROLONG)
     rng = np.random.default_rng(15)
-    for run in (lambda k: run_numpy((k,)), lambda k: tape_runner((k,))()):
-        fine.r[...] = rng.standard_normal(fine.shape)
-        run(fine.restrict)
-        assert np.array_equal(coarse.rhs, restrict(fine.r))
-        coarse.v[...] = rng.standard_normal(coarse.shape)
-        fine.v[...] = before = rng.standard_normal(fine.shape)
-        run(fine.prolong)
-        assert fine.v.tobytes() == (before + reference_prolong(coarse.v)).tobytes()
+    for parts in (1, 2):
+        fine, coarse = _levels(h.levels, parts)
+        assert coarse.restrict is coarse.prolong is None
+        assert (fine.restrict.kind, fine.prolong.kind) == (RESTRICT, PROLONG)
+        for run in (lambda k: run_numpy((k,)), lambda k: tape_runner((k,))()):
+            fine.r[...] = rng.standard_normal(fine.r.shape)
+            run(fine.restrict)
+            assert np.array_equal(coarse.rhs, [restrict(r) for r in fine.r])
+            coarse.v[...] = rng.standard_normal(coarse.v.shape)
+            fine.v[...] = before = rng.standard_normal(fine.v.shape)
+            run(fine.prolong)
+            assert fine.v.tobytes() == (before + [reference_prolong(v) for v in coarse.v]).tobytes()
 
 
 def test_a_hierarchy_holds_no_buffers():
     # the tapes own every buffer: the hierarchy keeps its levels, its
-    # parameters and its tapes, and nothing to hand planes out from
+    # parameters and its tapes, and nothing to hand buffers out from
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     vcycle(h, None, np.ones(7) * (1.0 + 2.0j))
-    assert not hasattr(h, "workspace") and not hasattr(h, "_planes")
+    assert set(vars(h)) - {f.name for f in dataclasses.fields(h)} == {"_tapes"}
     assert list(h._tapes) == [np.dtype(complex)]
 
 
@@ -281,8 +332,8 @@ def test_tapes_refuse_dtypes_the_executor_lacks():
     assert not h._tapes
     for dtype in (np.longdouble, np.complex128, np.float32):
         with pytest.raises(ValueError, match="float64 data only"):
-            tape_runner((_plane((h.fine,), dtype)[0].residual,))
-    (work,) = _plane((h.fine,), np.longdouble)
+            tape_runner((_levels((h.fine,), 1, dtype)[0].residual,))
+    (work,) = _levels((h.fine,), 1, np.longdouble)
     work.v[...] = work.rhs[...] = f
     run_numpy(work.sweep(0.5) * 2)
     assert work.v.dtype == np.longdouble and np.isfinite(work.v).all()
@@ -295,7 +346,7 @@ def test_tapes_refuse_scalars_that_are_not_real_floats(scalar, monkeypatch):
     # scalar or a tap's coefficient that is not a float is refused before
     # any record is packed, a complex one with a zero imaginary part too
     monkeypatch.setattr(executor, "_record", lambda k: pytest.fail("a record was packed"))
-    (ws,) = _plane((build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine,))
+    (ws,) = _levels((build_hierarchy(KroneckerSum(2, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 7).fine,), 1)
     (window, c), *taps = ws.residual.taps
     for k in (ws.update(0.5)._replace(s=scalar), ws.residual._replace(taps=((window, scalar * c), *taps))):
         with pytest.raises(ValueError, match="real float scalars only"):
@@ -338,40 +389,42 @@ def transfer_kernel(kind, n, period, dtype, seed):
     """A ``kind`` transfer kernel with ``n`` single-element rows, its pad cells every
     ``period``-th (none for 0), on buffers filled with random and special
     values from ``seed``, and the storage of its output, two cells longer
-    than the output.  The input is as long as the record reads: 2n + 1
-    cells for a restriction, (n + 1) // 2 + 1 for a prolongation; and the
-    buffers, that storage and the input."""
+    than the output.  The input is as long as the record reads: 2n cells
+    for a restriction, which skips the last output cell, a pad cell of a
+    run, n / 2 + 1 for a prolongation; and the buffers, that storage and the
+    input."""
     rng = np.random.default_rng(seed)
     store = data(rng, n + 2, dtype)
-    out, a = store[:n], data(rng, 2 * n + 1 if kind == RESTRICT else (n + 1) // 2 + 1, dtype)
+    out, a = store[:n], data(rng, 2 * n if kind == RESTRICT else n // 2 + 1, dtype)
     return Kernel(kind, out, a, pad=period), [store, a]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("kind", [RESTRICT, PROLONG])
 def test_single_element_row_transfers_match_numpy(kind, dtype):
-    # every 1D pass and the last-axis pass of a 2D transfer: runs of either
-    # parity (a prolongation's odd last element, a restriction's read of
-    # a[2n]), with and without pad cells, and nothing written past the end
-    for n in range(1, 71):
-        for period in (0, 3, 8):
+    # every 1D pass and the last-axis pass of a 2D transfer: runs of even
+    # length, as every run and row in the run layout is (parts times a power
+    # of two), across the prolongation's chunks of 64, a restriction's read
+    # of a[2n - 2], with and without pad cells, and nothing written past the end
+    for n in range(2, 142, 2):
+        for period in (0, 2, 8):
             k = assert_record_matches_numpy(*transfer_kernel(kind, n, period, dtype, n))[0]
             record = executor._record(k)
             assert (record["n"], record["len"], record["pad"]) == (n, 1, period)
 
 
-def row_transfer_kernel(kind, shape, dtype, seed):
-    """The ``kind`` transfer kernel of a 2D fine grid of ``shape``, bound to
-    buffers filled with random and special values from ``seed``, its row
-    buffer among them, and those buffers: the input and the output each
-    the run of its grid, the coarse one with a row more on either side, a
-    prolongation's frame."""
+def row_transfer_kernel(kind, shape, parts, dtype, seed):
+    """The ``kind`` transfer kernel of a 2D fine grid of ``shape`` in rows of
+    ``parts`` parts, bound to buffers filled with random and special values
+    from ``seed``, its row buffer among them, and those buffers: the input
+    and the output each the run of its grid, the coarse one with a row more
+    on either side, a prolongation's frame."""
     rng = np.random.default_rng(seed)
     (m, n), (mc, nc) = shape, ((k - 1) // 2 for k in shape)
-    fine, coarse = (data(rng, rows * (cols + 1), dtype) for rows, cols in ((m, n), (mc + 2, nc)))
-    row = data(rng, transfer.row_buffer(shape), dtype)
+    fine, coarse = (data(rng, rows * parts * (cols + 1), dtype) for rows, cols in ((m, n), (mc + 2, nc)))
+    row = data(rng, transfer.row_buffer(shape, parts), dtype)
     if kind == RESTRICT:
-        k = transfer.restriction(fine, coarse[: mc * (nc + 1)], shape, row)
+        k = transfer.restriction(fine, coarse[: mc * parts * (nc + 1)], shape, row)
     else:
         k = transfer.prolongation(coarse, fine, shape, row)
     return k, [fine, coarse, row]
@@ -382,11 +435,12 @@ def row_transfer_kernel(kind, shape, dtype, seed):
 def test_row_transfers_match_numpy(kind, dtype):
     # the 2D transfers, row by row through their row buffer: grids down to
     # 3 points on an axis, whose coarse rows are 2 cells long, square and
-    # not, from any values left in the row buffer
-    for seed, shape in enumerate(((3, 3), (7, 3), (3, 7), (7, 7), (15, 31), (31, 15), (63, 63))):
-        k = assert_record_matches_numpy(*row_transfer_kernel(kind, shape, dtype, seed))[0]
+    # not, rows of one part and of two, from any values left in the row buffer
+    shapes = ((3, 3), (7, 3), (3, 7), (7, 7), (15, 31), (31, 15), (63, 63))
+    for seed, (shape, parts) in enumerate((shape, parts) for shape in shapes for parts in (1, 2)):
+        k = assert_record_matches_numpy(*row_transfer_kernel(kind, shape, parts, dtype, seed))[0]
         record = executor._record(k)
-        assert record["len"] == (shape[1] + 1 if kind == PROLONG else (shape[1] + 1) // 2)
+        assert record["len"] == parts * (shape[1] + 1 if kind == PROLONG else (shape[1] + 1) // 2)
         assert record["n"] == (shape[0] if kind == PROLONG else (shape[0] - 1) // 2)
 
 
@@ -395,15 +449,18 @@ def test_row_transfers_match_numpy(kind, dtype):
 def test_transfers_pack_as_one_record_each(coarsening, ndim):
     # in 1D a transfer is a record of single-element rows, the executor's
     # flat loop, with no row buffer; in 2D a record of the output's rows,
-    # which passes through the level's row buffer, one fine row of points
+    # which passes through the level's row buffer, a fine row of every part
+    # but its last cell
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), 63, coarsening)
-    for ws in h.tape(float).work[0][:-1]:
-        for k in (ws.restrict, ws.prolong):
-            record = executor._record(k)
-            if ndim == 1:
-                assert record["len"] == 1 and record["b"] == 0
-            else:
-                assert record["len"] > 1 and k.b is ws.runs[3] and ws.runs[3].size == ws.shape[1]
+    for dtype, parts in ((float, 1), (complex, 2)):
+        for ws in h.tape(dtype).work[:-1]:
+            for k in (ws.restrict, ws.prolong):
+                record = executor._record(k)
+                if ndim == 1:
+                    assert record["len"] == 1 and record["b"] == 0
+                else:
+                    assert record["len"] > 1 and k.b is ws.runs[3]
+                    assert ws.runs[3].size == parts * (ws.shape[1] + 1) - 1
 
 
 def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
@@ -415,7 +472,7 @@ def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
     def cycled():
         h = build_hierarchy(op, 31, "geometric")
         v = vcycle(h, 0.5 * f, f)
-        assert all(ws.residual.taps == () for ws in h.tape(float).work[0])
+        assert all(ws.residual.taps == () for ws in h.tape(float).work)
         return v
 
     compiled = cycled()
@@ -443,8 +500,7 @@ def test_a_runner_keeps_every_buffer_alive(monkeypatch):
     monkeypatch.setattr(executor, "_library", lambda: None)
     ref_residual, ref_cycle, ref_fine = cycled(build_hierarchy(op, 15))
     ref_residual(), ref_cycle()
-    for ws, ref in zip(fine, ref_fine, strict=True):
-        assert ws.v.tobytes() == ref.v.tobytes()
+    assert fine.v.tobytes() == ref_fine.v.tobytes()
 
 
 class Counted:
@@ -649,30 +705,38 @@ def wide(rng, n):
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
 def test_a_solve_norm_sums_in_eight_lanes(backend, monkeypatch):
-    # r0 of a solve whose residual records write their right-hand sides
-    # (a zero operator), over runs of 0 to 40 values, one plane and two, and
-    # a 2D run of the fk2d-vcycle fine grid, its pad cells zero: the square
-    # root of the planes' lane_squares, added in order; numpy's twin of the
-    # lane sum gives the oracle's bits before the square root too
+    # r0 of a solve whose residual record writes its right-hand side (a zero
+    # operator), over runs of 0 to 40 values and a 2D run of the fk2d-vcycle
+    # fine grid, its pad cells zero, of one part and of two: the square root
+    # of the run's lane_squares; numpy's twins of the lane sum give the
+    # oracle's bits before the square root too
     if backend == "numpy":
         monkeypatch.setattr(executor, "_library", lambda: None)
     rng = np.random.default_rng(25)
 
-    def r0(*planes):
-        kernels = tuple(Kernel(RESIDUAL, np.empty_like(b), np.zeros_like(b), b) for b in planes)
-        solve = executor.Solve((), kernels)
+    def r0(b):
+        solve = executor.Solve((), Kernel(RESIDUAL, np.empty_like(b), np.zeros_like(b), b))
         solve(0.5, 1)
         return solve.norms[0]
 
-    grid = wide(rng, 127 * 128).reshape(127, 128)
-    grid[:, -1] = 0.0
-    runs = [wide(rng, n) for n in range(41)] + [grid.ravel()]
-    for x, y in zip(runs, runs[1:] + runs[:1]):
-        assert executor._squares(x) == lane_squares(x)
+    grid = wide(rng, 127 * 256).reshape(127, 2, 128)
+    grid[..., -1] = 0.0
+    runs = [wide(rng, n) for n in range(41)] + [grid[:, 0].ravel(), grid.ravel()]
+    for x in runs:
+        assert executor.dot(x, x) == lane_squares(x)
+        assert executor.dot(x, x[::-1].copy()) == lane_sum(x * x[::-1])
         assert r0(x) == math.sqrt(lane_squares(x))
-        assert r0(x, y) == math.sqrt(lane_squares(x) + lane_squares(y))
     # the data tell the lane order from others: its sum is not the correctly rounded one
     assert sum(lane_squares(x) != math.fsum(v * v for v in x.tolist()) for x in runs) > len(runs) // 3
+
+
+def test_dot_takes_contiguous_flat_float64_runs_of_one_length():
+    # dot hands the executor two pointers and one length: anything else is
+    # refused before the call
+    x = np.ones(16)
+    for a, b in ((x, x[:8]), (x[::2], x[:8]), (x, x.astype(np.float32)), (x.reshape(4, 4), x.reshape(4, 4))):
+        with pytest.raises(ValueError, match="contiguous flat float64"):
+            executor.dot(a, b)
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
@@ -693,10 +757,30 @@ def test_a_solve_is_the_same_at_any_blas_thread_count(backend, tmp_path):
     assert one == two
 
 
-def python(code: str, **env) -> str:
-    """Standard output of ``code`` in a fresh interpreter, ``env`` added."""
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_the_contraction_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+    # at 2D M = 256 the fine runs are long enough for OpenBLAS to thread a
+    # ddot or a norm, which then sum in another order; the contraction
+    # estimate's inner products are lane sums, so mgfk theory writes the
+    # same JSON under one thread and two
+    code = ("import sys; from mgfk import executor; from mgfk.cli import main; "
+            "main(['theory', '--preset', 'example-6.2', '--alpha', '0.8', '--M', '256', "
+            "'--json', sys.argv[1]]); print(executor.compiled_tapes())")
+    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"theory-{threads}.json"
+        assert python(code, str(out), OPENBLAS_NUM_THREADS=threads, **env).endswith(str(backend == "compiled"))
+        reports.append(out.read_bytes())
+    assert b"||I - B A||_A" in reports[0] and reports[0] == reports[1]
+
+
+def python(code: str, *args: str, **env) -> str:
+    """Standard output of ``code`` in a fresh interpreter, given ``args``
+    and with ``env`` added."""
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mgfk.__file__)), **env)
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, check=True).stdout.strip()
 
 

@@ -188,35 +188,38 @@ HIERARCHIES = [pytest.param(ndim, m, id=f"{ndim}d-b1") for ndim, m in ((1, 63), 
 
 def _pad_cells(ws, run):
     period = pad_period(ws.shape)
-    return run[period - 1 :: period] if period else run[:0]
+    return run[period - 1 :: period]
 
 
 @pytest.mark.parametrize("ndim, m", HIERARCHIES)
 def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
-    # at every level of both planes of complex data, run by the executor
+    # at every level of the float and the complex tape, run by the executor
     # and by numpy: the bound restriction equals the allocating oracle bit
-    # for bit, whatever the fine pad cells and the row buffer held, and
-    # leaves every pad cell of the coarse rhs exactly zero, which the
+    # for bit on each part, whatever the fine pad cells and the row buffer
+    # held, though a pass crosses from the real part into the imaginary one,
+    # and leaves every pad cell of the coarse rhs exactly zero, which the
     # zero-start cycle below relies on; the bound prolongation adds the
-    # oracle's interpolant onto the fine iterate and leaves its pad cells zero
+    # oracle's interpolant of each part onto the fine iterate and leaves its
+    # pad cells zero
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), m)
     rng = np.random.default_rng(ndim + 1)
     runners = (lambda k: tape_runner((k,))(), lambda k: run_numpy((k,)))
-    for run, work in ((run, work) for run in runners for work in h.tape(complex).work):
+    for run, dtype in ((run, dtype) for run in runners for dtype in (float, complex)):
+        work = h.tape(dtype).work
         for fine, coarse in zip(work, work[1:]):
             scratch = fine.runs[3:]
             for x in (fine.r_run, coarse.rhs_run, *scratch):  # pads included
                 x[...] = rng.standard_normal(x.shape)
-            grid = fine.r.copy()
+            grids = fine.r.copy()
             run(fine.restrict)
-            assert np.array_equal(coarse.rhs, reference_restrict(grid))
+            assert np.array_equal(coarse.rhs, [reference_restrict(grid) for grid in grids])
             assert not np.any(_pad_cells(coarse, coarse.rhs_run))
             coarse.v[...] = rng.standard_normal(coarse.v.shape)
             fine.v[...] = before = rng.standard_normal(fine.v.shape)
             for x in scratch:
                 x[...] = rng.standard_normal(x.shape)
             run(fine.prolong)
-            assert np.array_equal(fine.v, before + reference_prolong(coarse.v))
+            assert np.array_equal(fine.v, before + [reference_prolong(grid) for grid in coarse.v])
             assert not np.any(_pad_cells(fine, fine.v_run))
             assert fine.v.dtype == coarse.rhs.dtype == np.float64
 
@@ -225,11 +228,11 @@ def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
 def test_each_transfer_pass_is_one_kernel(ndim):
     # one kernel per transfer, a 2D one's two passes included: in 1D a 1-D
     # stride-2 pass over whole runs; in 2D a kernel over the rows of its
-    # output, on (rows, n + 1) views with contiguous rows, and the level's
+    # output, on (rows, cells) views with contiguous rows, and the level's
     # row buffer
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 127)
-    for work in h.tape(complex).work:
-        for ws in work[:-1]:
+    for dtype in (float, complex):
+        for ws in h.tape(dtype).work[:-1]:
             for k in (ws.restrict, ws.prolong):
                 assert k.out.ndim == k.a.ndim == ndim
                 assert k.out.strides[-1] == k.a.strides[-1] == k.out.itemsize
