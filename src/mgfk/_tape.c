@@ -1,5 +1,6 @@
-/* Executor of compiled V-cycle tapes, multigrid solves, sums of products and
- * quadrature weights (mgfk.executor: tape_runner, Solve, dot, fill_weights).
+/* Executor of compiled V-cycle tapes, multigrid solves, sums of products,
+ * quadrature weights and the history convolution (mgfk.executor:
+ * tape_runner, Solve, dot, fill_weights, convolve).
  *
  * A tape is an array of records, each one level kernel of a V-cycle on
  * float64 buffers (a mgfk.executor.Kernel, packed by
@@ -47,6 +48,18 @@
  * mgfk_weights fills the quadrature weights of mgfk.fsd, l_1 to l_count,
  * from l_0 by the Miller recurrence of mgfk.executor.fill_weights, each
  * l_n a chain of C99 fma calls; libm's (hence -lm) rounds once, exactly.
+ *
+ * mgfk_convolve is the history convolution of mgfk.feynman_kac: onto row r
+ * of acc, for the step j = first + r, it adds the sum over the stored
+ * levels k = lo..hi of w_{j-k} H_k, each element summed in ascending k:
+ * acc + w h on real data, and on complex data, read as (re, im) pairs,
+ * acc_re + (w_re h_re - w_im h_im) and acc_im + (w_re h_im + w_im h_re).
+ * So rows summed a block of levels at a time, in one call for a block of
+ * steps, get the bits of the plain sum of each step from 0.  It reads each
+ * level once per call, TILE values at a time, and adds them onto every row
+ * while that tile of the rows sits in L1.  It is cloned for AVX-512 as well:
+ * with no fused multiply-add, the complex product is compute-bound, and the
+ * wide registers carry most of the gain of the blocking.
  */
 #include <math.h>
 #include <stdint.h>
@@ -82,8 +95,10 @@ typedef struct {
 
 #if defined(__x86_64__) && defined(__GLIBC__)
 #define CLONES __attribute__((target_clones("avx2", "default")))
+#define WIDE_CLONES __attribute__((target_clones("avx512f", "avx2", "default")))
 #else
 #define CLONES
+#define WIDE_CLONES
 #endif
 
 /* The transfers' flat stride-2 passes over the n elements of o, n even
@@ -246,5 +261,45 @@ void mgfk_weights(double alpha, const double *w, int64_t nu, int64_t count, doub
         for (int64_t j = 1; j <= (n < nu ? n : nu); j++)
             acc = fma((a1 * (double)j - (double)n) * w[j], l[n - j], acc);
         l[n] = acc / ((double)n * w[0]);
+    }
+}
+
+#define TILE 128 /* values of a row at a time: 8 rows of them stay in L1 */
+
+/* acc holds rows rows and levels the stored levels, each row of len float64
+ * values, parts (1 or 2) to an element; w holds w_q, q = 0, 1, ..., as
+ * elements.  acc may be rows of the levels' own array that the call does
+ * not read, as a block's sums are (mgfk.feynman_kac.History).  A complex
+ * level's tile is first stored as (-h_im, h_re) pairs, so that every row
+ * adds c h + s t, (c, s) = (w_re, w_im), on one value at a time:
+ * w_re h_re + (-(w_im h_im)) is w_re h_re - w_im h_im. */
+WIDE_CLONES void mgfk_convolve(const double *w, const double *levels, int64_t len, int64_t parts, int64_t lo,
+                               int64_t hi, int64_t first, int64_t rows, double *acc)
+{
+    double t[TILE];
+    for (int64_t e0 = 0; e0 < len; e0 += TILE) {
+        const int64_t m = len - e0 < TILE ? len - e0 : TILE;
+        for (int64_t k = lo; k <= hi; k++) {
+            const double *restrict h = levels + k * len + e0;
+            if (parts == 1) {
+                for (int64_t r = 0; r < rows; r++) {
+                    double *restrict a = acc + r * len + e0;
+                    const double c = w[first + r - k];
+                    for (int64_t e = 0; e < m; e++)
+                        a[e] = a[e] + c * h[e];
+                }
+                continue;
+            }
+            for (int64_t e = 0; e < m; e += 2) {
+                t[e] = -h[e + 1];
+                t[e + 1] = h[e];
+            }
+            for (int64_t r = 0; r < rows; r++) {
+                double *restrict a = acc + r * len + e0;
+                const double c = w[2 * (first + r - k)], s = w[2 * (first + r - k) + 1];
+                for (int64_t e = 0; e < m; e++)
+                    a[e] = a[e] + (c * h[e] + s * t[e]);
+            }
+        }
     }
 }

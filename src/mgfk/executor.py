@@ -6,9 +6,10 @@ operands of one ``_tape.c`` record, on buffers a caller keeps.  Each entry
 point of ``_tape.c`` has one callable here, which runs it, or its numpy
 twin where it cannot run, to the same bits: ``tape_runner``
 (``mgfk_run_tape``, whose twin is ``run_numpy``), ``Solve``
-(``mgfk_solve``), ``dot`` (``mgfk_dot``, the solve's norm's sum) and
-``fill_weights`` (``mgfk_weights``); the last three sum in orders of their
-own, so that no result depends on the CPU, the BLAS or its threads.
+(``mgfk_solve``), ``dot`` (``mgfk_dot``, the solve's norm's sum),
+``fill_weights`` (``mgfk_weights``) and ``convolve`` (``mgfk_convolve``,
+the history convolution); the last four sum in orders of their own, so
+that no result depends on the CPU, the BLAS or its threads.
 ``_library`` builds the executor on first use into the user's cache, with
 ``-ffp-contract=off``, so that every element gets exactly the IEEE
 operations of ``run_numpy``; ``compiled_tapes`` says which backend runs.
@@ -31,8 +32,9 @@ import numpy as np
 #: reassociate, is left out; -fno-math-errno makes ``sqrt`` one instruction
 #: that sets no ``errno``, of the same value.  -march=native is left out, as
 #: a build is cached per platform, not per CPU: on x86-64 glibc ``_tape.c``
-#: clones its kernels for AVX2 itself, and the loader picks the clone per
-#: CPU at load time.  -lm, after the source, links ``mgfk_weights``' ``fma``.
+#: clones its kernels for AVX2 (the convolution for AVX-512 too) itself,
+#: and the loader picks the clone per CPU at load time.  -lm, after the
+#: source, links ``mgfk_weights``' ``fma``.
 _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno", "-std=c99", "-fPIC", "-shared", "-lm")
 
 #: Kernel kinds of ``_tape.c``, which says what each does.  5 was a kind of
@@ -174,11 +176,12 @@ def _build(source: str, path: str) -> bool:
 @lru_cache(maxsize=None)
 def _library():
     """The executor, ``_tape.c`` with its entry points ``mgfk_run_tape``,
-    ``mgfk_solve`` and ``mgfk_weights``, built on first use (``_build``)
-    into ``$XDG_CACHE_HOME/mgfk`` (default ``~/.cache/mgfk``) under a name
-    hashed from the source, the flags and the platform; ``None`` without a
-    compiler, after a failed build, or when that directory is not the
-    user's own or is writable by group or others."""
+    ``mgfk_solve``, ``mgfk_dot``, ``mgfk_weights`` and ``mgfk_convolve``,
+    built on first use (``_build``) into ``$XDG_CACHE_HOME/mgfk`` (default
+    ``~/.cache/mgfk``) under a name hashed from the source, the flags and
+    the platform; ``None`` without a compiler, after a failed build, or
+    when that directory is not the user's own or is writable by group or
+    others."""
     import platform
     import zlib
 
@@ -212,12 +215,15 @@ def _load(path: str):
     lib.mgfk_weights.argtypes = (ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p)
     lib.mgfk_weights.restype = None
     lib.mgfk_dot.argtypes, lib.mgfk_dot.restype = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64), ctypes.c_double
+    lib.mgfk_convolve.argtypes = (ctypes.c_void_p, ctypes.c_void_p, *(ctypes.c_int64,) * 6, ctypes.c_void_p)
+    lib.mgfk_convolve.restype = None
     return lib
 
 
 def compiled_tapes() -> bool:
-    """Whether ``tape_runner``, ``Solve`` and ``fill_weights`` run in the
-    compiled executor, else as numpy twins; the first call may build it."""
+    """Whether ``tape_runner``, ``Solve``, ``dot``, ``fill_weights`` and
+    ``convolve`` run in the compiled executor, else as numpy twins; the
+    first call may build it."""
     return _library() is not None
 
 
@@ -366,3 +372,50 @@ def fill_weights(alpha: float, w: np.ndarray, l: np.ndarray) -> None:
             for j in range(1, min(n, nu) + 1):
                 acc = float(Fraction(((alpha + 1.0) * j - n) * w[j]) * Fraction(l[n - j]) + Fraction(acc))
             l[n] = acc / (n * w[0])
+
+
+def convolve(w: np.ndarray, levels: np.ndarray, lo: int, hi: int, first: int, acc: np.ndarray) -> None:
+    """Add onto row r of ``acc``, for the step j = first + r, the sum over
+    the rows k = lo..hi of ``levels`` of w_{j-k} levels[k], each element
+    summed in ascending k: acc + w h, and on complex data acc_re + (w_re h_re
+    - w_im h_im) and acc_im + (w_re h_im + w_im h_re), no product fused.  So
+    a row summed over a block of levels at a time ends with the bits of its
+    plain sum from 0, whatever the blocks.  ``w``, ``levels`` and ``acc``
+    are C-contiguous, of one dtype, float64 or complex128, ``levels`` and
+    ``acc`` of rows of one length, and every w_{j-k} in ``w``, else
+    ``ValueError`` before anything is read; ``acc`` may be rows of
+    ``levels`` that the call does not read.  One ``mgfk_convolve`` call
+    where ``compiled_tapes()`` is true, else the same bits with numpy, a
+    level at a time for every row at once."""
+    arrays = (w, levels, acc)
+    if not (w.dtype == levels.dtype == acc.dtype and w.dtype in (np.float64, np.complex128)
+            and w.ndim == 1 and levels.ndim == acc.ndim == 2 and levels.shape[1] == acc.shape[1]
+            and all(x.flags.c_contiguous for x in arrays)):
+        raise ValueError("convolve takes contiguous float64 or complex128 weights, levels and rows of one dtype")
+    rows = len(acc)
+    if lo > hi or not acc.size:
+        return
+    if not (0 <= lo and hi < len(levels) and first >= hi and first + rows - 1 - lo < len(w)):
+        raise ValueError(f"levels {lo}..{hi} for steps {first}..{first + rows - 1} reach past the "
+                         f"{len(levels)} levels or {len(w)} weights")
+    lib = _library()
+    if lib is not None:
+        parts = w.itemsize // 8
+        lib.mgfk_convolve(_at(w), _at(levels), parts * levels.shape[1], parts, lo, hi, first, rows, _at(acc))
+        return
+    q = first - lo + np.arange(rows)  # the weight of level lo on each row
+    if w.dtype == np.float64:
+        for k in range(lo, hi + 1):
+            acc += w[q - (k - lo), None] * levels[k]
+        return
+    pairs = acc.view(np.float64).reshape(rows, -1, 2)
+    re, im = pairs[..., 0], pairs[..., 1]
+    for k in range(lo, hi + 1):
+        x, h = w[q - (k - lo)], levels[k]
+        c, s = x.real[:, None], x.imag[:, None]
+        t = c * h.real
+        t -= s * h.imag
+        re += t
+        t = c * h.imag
+        t += s * h.real
+        im += t

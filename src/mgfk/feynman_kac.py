@@ -19,11 +19,16 @@ exact sine-transform solve.  Real problems (real rho, initial values and
 boundary traces) step in float64 and complex ones in complex128; the first
 forcing value with a nonzero imaginary part promotes a real run to
 complex128, which is exact because every stored level is real.  The memory
-convolution is evaluated naively at O(n) per step as one matrix-vector
-product over the stored levels; in 1D the mass H is linear and the weights
-are scalars, so H is applied once to the summed level.  Every level is
-stored, so a run whose history would not fit in the machine's physical
-memory raises ``MgfkError`` before any of it is allocated.
+convolution is summed naively, O(n) levels at step n, by ``History``: each
+element in ascending level order from 0, so that its bits do not depend on
+how the sum is split.  A step that starts a block of up to 8 steps sums
+the stored levels once for every row of the block, and each later step of
+the block adds only the levels solved since; in 1D the two wall traces are
+summed alongside, as a row of two values a level.  In 1D the mass H is
+linear and the weights are scalars, so H is applied once to the summed
+level.  Every level is stored, so a run whose history would not fit in the
+machine's physical memory raises ``MgfkError`` before any of it is
+allocated.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ import numpy as np
 from . import multigrid as vc
 from .coarsen import fk_operator, mu_coefficient
 from .errors import ConvergenceFailure, DimensionError, MgfkError, require_memory
+from .executor import convolve
 from .fsd import weights
 from .stencil import COMPACT_MASS, dst_solve
 
@@ -116,6 +122,95 @@ def _require_history_fits(p: Problem, *dtypes: np.dtype) -> None:
     require_memory(levels * p.m**p.ndim * sum(d.itemsize for d in dtypes), f"the {names} history of {levels} levels")
 
 
+#: A block's rows fill at most ``_BLOCK_BYTES`` and number at most
+#: ``_BLOCK_ROWS``: 8 rows of a 1D M = 1024 complex level, 4 of a 2D M = 128
+#: real one.  Every stored grid row starts on a cache line of ``_LINE`` bytes.
+_BLOCK_BYTES, _BLOCK_ROWS, _LINE = 512 * 1024, 8, 64
+
+
+def _lined(count: int, width: int, dtype) -> np.ndarray:
+    """A zeroed C-contiguous (count, stride) ``dtype`` array whose rows start
+    on ``_LINE``-byte lines: ``width`` values, then zeros up to a whole line."""
+    item = np.dtype(dtype).itemsize
+    stride = -(-width * item // _LINE) * _LINE // item
+    flat = np.zeros(count * stride + _LINE // item, dtype)
+    base = -flat.__array_interface__["data"][0] % _LINE // item
+    return flat[base : base + count * stride].reshape(count, stride)
+
+
+class History:
+    """The stored time levels of a run and the memory convolution over them.
+
+    Row k of ``store`` holds level k of the grid, padded with zeros to
+    whole cache lines, and in 1D row k of ``walls`` the two wall traces at
+    level k, given for every level at the start.  ``levels`` shows the grid
+    at levels 0..``solved``, the final ones; ``append`` stores the next.
+    ``weights`` holds w_q = e^{-rho q tau} l_q.
+
+    ``convolution(n)`` is sum_{k=1..n-1} w_{n-k} row k, of the store and of
+    the walls, each element summed in ascending k from 0
+    (``executor.convolve``), so its bits do not depend on how the sum is
+    split.  Asked for the next level, n = solved + 1, outside the block in
+    hand, it starts a block: one pass over levels 1..n-1 sums them into
+    the rows of steps n, n + 1, ..., as many as fit in ``_BLOCK_BYTES``, at
+    most ``_BLOCK_ROWS``.  The sum for step j is formed in store row j, until
+    ``append`` stores level j over it, so a block takes no memory of its own.
+    A later step of the block adds to its own row only the levels solved
+    since, so asking twice adds nothing twice.  Any other n is summed from
+    scratch, with the same bits, over the levels solved so far (the others
+    are zero).  The rows returned are valid until the next call.
+    """
+
+    def __init__(self, initial: np.ndarray, walls: np.ndarray, weights: np.ndarray):
+        self.weights, self.solved = weights, 0
+        self._allocate(initial.size, walls)
+        self.store[0, : initial.size] = initial
+
+    def _allocate(self, width: int, walls: np.ndarray) -> None:
+        """A store of ``width`` grid values a level and a copy of ``walls``,
+        in the weights' dtype, and the walls' block rows; no block in hand."""
+        dtype = self.weights.dtype
+        self.width, self.store, self.walls = width, _lined(len(self.weights), width, dtype), walls.astype(dtype)
+        self.rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // self.store[0].nbytes))
+        self.wall_sums = np.zeros((self.rows, walls.shape[1]), dtype)
+        self.first, self.summed = 0, []
+
+    @property
+    def levels(self) -> np.ndarray:
+        return self.store[: self.solved + 1, : self.width]
+
+    def append(self, level: np.ndarray) -> None:
+        self.solved += 1
+        row = self.store[self.solved]
+        row[: self.width], row[self.width :] = level, 0
+
+    def promote(self) -> None:
+        """Carry on in complex128; the block in hand is dropped."""
+        levels, self.weights = self.levels, self.weights.astype(complex)
+        self._allocate(self.width, self.walls)
+        self.levels[...] = levels
+
+    def convolution(self, n: int) -> tuple:
+        i = n - self.first
+        if n != self.solved + 1:
+            grid, walls = (np.zeros((1, x.shape[1]), x.dtype) for x in (self.store, self.walls))
+            convolve(self.weights, self.store, 1, min(n - 1, self.solved), n, grid)
+            convolve(self.weights, self.walls, 1, n - 1, n, walls)
+            return grid[0, : self.width], walls[0]
+        if 0 <= i < len(self.summed):
+            lo, grid, walls = self.summed[i] + 1, self.store[n : n + 1], self.wall_sums[i : i + 1]
+        else:
+            count = min(self.rows, len(self.store) - n)
+            lo, grid, walls = 1, self.store[n : n + count], self.wall_sums[:count]
+            grid.fill(0)
+            walls.fill(0)
+            i, self.first, self.summed = 0, n, [0] * count
+        convolve(self.weights, self.store, lo, n - 1, n, grid)
+        convolve(self.weights, self.walls, lo, n - 1, n, walls)
+        self.summed[i : i + len(grid)] = [n - 1] * len(grid)
+        return grid[0, : self.width], walls[0]
+
+
 class Evolution:
     """Stepper for the 1D compact and the 2D centred scheme; ``reports`` holds
     each multigrid step's ``SolveReport``, its cycles within ``multigrid.solve``'s cap.
@@ -171,10 +266,6 @@ class Evolution:
         if np.count_nonzero(finite) < finite.size:
             raise MgfkError(f"the tempering exp(-rho k tau) is not finite at k = {np.argmin(finite)}, "
                             f"rho={p.rho}, tau={p.tau}")
-        # w_N..w_1 of w_k = e^{-rho k tau} l_k, reversed once into a contiguous
-        # array: a positive-stride slice goes to BLAS, while numpy runs its own
-        # unblocked loop on the negative-stride view w[1:n][::-1].
-        self._w_rev = (self.decay * self.l)[:0:-1].copy()
         self.partial_sums = np.concatenate(([0.0], np.cumsum(self.l)))
         self.mu = mu_coefficient(p.kappa, p.alpha, p.tau, p.h)
         self.system = fk_operator(p.ndim, self.l[0], self.mu)
@@ -195,34 +286,47 @@ class Evolution:
         else:
             raise ValueError(f"unknown solver {solver!r}")
 
-        self.g_left, self.g_right = (np.asarray(g.real if real else g, self.dtype) for g in traces)
-        self.history = np.zeros((p.n_steps + 1, p.m**p.ndim), self.dtype)
-        self.history[0] = initial.real if real else initial
-        self.step_index = 0
+        walls = np.stack(traces, axis=1) if p.ndim == 1 else np.empty((p.n_steps + 1, 0))
+        self.memory = History(initial.real if real else initial, walls.real if real else walls,
+                              (self.decay * self.l).astype(self.dtype, copy=False))
         self.reports: list[vc.SolveReport] = []
+
+    @property
+    def history(self) -> np.ndarray:
+        """The grid at levels 0..``step_index``, one row each (``History.levels``)."""
+        return self.memory.levels
+
+    @property
+    def walls(self) -> np.ndarray:
+        """The wall traces, one row (left, right) a level; rows of none in 2D."""
+        return self.memory.walls
+
+    @property
+    def step_index(self) -> int:
+        return self.memory.solved
 
     def assemble_rhs(self, n: int) -> np.ndarray:
         """Right-hand side of the level-n system: history convolution,
         initial-condition sum and forcing; in 1D compact-weighted, plus the
-        boundary completion of the truncated operators."""
+        boundary completion of the truncated operators.  An n outside
+        1..n_steps raises ``MgfkError`` before the forcing is read."""
         p = self.problem
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= p.n_steps:
+            raise MgfkError(f"assemble_rhs takes a level n in 1..{p.n_steps}, got n={n!r}")
         tau_alpha = p.tau**p.alpha
         # The forcing is read before any sum: a complex value promotes the stepper.
         fn = self._read(_on_points("forcing", p.forcing(*self._forced_at, self.t[n]), self._forced_at))
-        w = self._w_rev[p.n_steps + 1 - n :]
-        levels = self.partial_sums[n] * self.decay[n] * self.history[0] - w @ self.history[1:n]
+        (past, walls), start = self.memory.convolution(n), self.partial_sums[n] * self.decay[n]
+        levels = start * self.history[0] - past
         if p.ndim == 2:
             return levels + tau_alpha * fn
         rhs = COMPACT_MASS.apply(levels + tau_alpha * fn[1:-1])
 
         # Dirichlet completion of the truncated operators at both walls.
-        walls = (fn[0].item(), fn[-1].item())
-        for pos, trace, f_ghost in zip((0, p.m - 1), (self.g_left, self.g_right), walls):
+        ghosts = (fn[0].item(), fn[-1].item())
+        for pos, trace, wall, f_ghost in zip((0, p.m - 1), self.walls.T, walls, ghosts):
             rhs[pos] += self.mu * trace[n] + (
-                -self.l[0] * trace[n]
-                - w @ trace[1:n]
-                + self.partial_sums[n] * self.decay[n] * trace[0]
-                + tau_alpha * f_ghost
+                -self.l[0] * trace[n] - wall + start * trace[0] + tau_alpha * f_ghost
             ) / 12.0
         return rhs
 
@@ -244,8 +348,8 @@ class Evolution:
         memory, ``MgfkError`` is raised before anything is cast."""
         _require_history_fits(self.problem, np.dtype(float), np.dtype(complex))
         self.dtype = np.dtype(complex)
-        for name in ("decay", "_w_rev", "g_left", "g_right", "history"):
-            setattr(self, name, getattr(self, name).astype(complex))
+        self.decay = self.decay.astype(complex)
+        self.memory.promote()
 
     def _multigrid_solve(self, n: int, rhs: np.ndarray) -> np.ndarray:
         # warm start from the last level, which solve copies into its tape
@@ -263,8 +367,7 @@ class Evolution:
         if self.step_index >= self.problem.n_steps:
             raise MgfkError("time stepping already complete")
         n = self.step_index + 1
-        self.history[n] = self._solve(n, self.assemble_rhs(n))
-        self.step_index = n
+        self.memory.append(self._solve(n, self.assemble_rhs(n)))
 
     def run(self) -> "Evolution":
         while self.step_index < self.problem.n_steps:

@@ -429,6 +429,33 @@ def lane_sum(x) -> float:
     return ((l0 + l1) + (l2 + l3)) + ((l4 + l5) + (l6 + l7))
 
 
+def history_sum(w, levels, hi: int, j: int) -> np.ndarray:
+    """sum_{k=1..hi} w_{j-k} levels[k] in the order of ``executor.convolve``,
+    in plain Python: each element from 0.0 in ascending k, acc + w h on real
+    data, and on complex data acc_re + (w_re h_re - w_im h_im) and acc_im +
+    (w_re h_im + w_im h_re), each operation one Python float's."""
+    if not np.iscomplexobj(levels):
+        out = []
+        for e in range(levels.shape[1]):
+            acc = 0.0
+            for k in range(1, hi + 1):
+                acc = acc + float(w[j - k]) * float(levels[k][e])
+            out.append(acc)
+        return np.array(out, float)
+    re, im = [], []
+    for e in range(levels.shape[1]):
+        a, b = 0.0, 0.0
+        for k in range(1, hi + 1):
+            x, h = complex(w[j - k]), complex(levels[k][e])
+            a = a + (x.real * h.real - x.imag * h.imag)
+            b = b + (x.real * h.imag + x.imag * h.real)
+        re.append(a)
+        im.append(b)
+    out = np.empty(levels.shape[1], complex)
+    out.real, out.imag = re, im
+    return out
+
+
 def lane_squares(x) -> float:
     """The sum of the squares of the values ``x`` in the order of a solve's
     norm (``lane_sum``), in plain Python."""

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from mgfk import executor, feynman_kac
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import ConvergenceFailure, DimensionError, MgfkError
 from mgfk.feynman_kac import (
@@ -20,7 +21,7 @@ from mgfk.feynman_kac import (
 )
 from mgfk.fsd import weights
 
-from helpers import gershgorin_bound, kron_sum_dense, naive_level_rhs
+from helpers import gershgorin_bound, history_sum, kron_sum_dense, naive_level_rhs
 
 
 def zero_problem_1d(m=7, n_steps=4):
@@ -117,8 +118,7 @@ def test_a_trace_shared_by_both_walls_is_evaluated_once():
     shared = Evolution(dataclasses.replace(p, bc_left=trace, bc_right=trace), order=4)
     assert len(calls) == p.n_steps + 1
     apart = Evolution(dataclasses.replace(p, bc_right=lambda t: p.bc_left(t)), order=4)
-    for a, b in ((shared.g_left, apart.g_left), (shared.g_right, apart.g_right)):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert shared.walls.dtype == apart.walls.dtype and shared.walls.tobytes() == apart.walls.tobytes()
     shared.run()
     apart.run()
     assert shared.history.tobytes() == apart.history.tobytes()
@@ -389,7 +389,7 @@ def test_real_problem_steps_in_float64(intervals, kw):
     # imaginary parts are exactly zero: nothing complex to carry
     real = Evolution(example_6_2(0.3, intervals), order=2, **kw).run()
     assert real.history.dtype == np.float64
-    assert real.decay.dtype == real._w_rev.dtype == np.float64
+    assert real.decay.dtype == real.memory.weights.dtype == np.float64
 
     cplx = Evolution(scaled(example_6_2(0.3, intervals), 1 + 1j), order=2, **kw).run()
     assert cplx.history.dtype == np.complex128
@@ -407,7 +407,7 @@ def test_forcing_turning_complex_promotes_the_stepper(kw):
         ev.step()
     assert ev.history.dtype == np.float64
     ev.step()
-    assert ev.history.dtype == ev.decay.dtype == ev._w_rev.dtype == np.complex128
+    assert ev.history.dtype == ev.decay.dtype == ev.memory.weights.dtype == np.complex128
     assert np.any(ev.state.imag)
     ev.run()
 
@@ -437,7 +437,7 @@ def refused_promotion(kw, halves, monkeypatch):
         ev.step()
     with pytest.raises(MgfkError, match=rf"history of 17 levels needs {3 * real_bytes} bytes, more than the {memory} bytes"):
         ev.step()
-    assert ev.history.dtype == ev.decay.dtype == ev._w_rev.dtype == ev.dtype == np.float64
+    assert ev.history.dtype == ev.decay.dtype == ev.memory.weights.dtype == ev.dtype == np.float64
     assert ev.step_index == 7
 
 
@@ -456,7 +456,7 @@ def test_promotion_counts_both_histories_the_cast_holds(kw, monkeypatch):
 
 def test_complex_rate_steps_in_complex128_from_the_start():
     ev = Evolution(example_6_1(0.3, 16), order=4)
-    for a in (ev.history, ev.decay, ev._w_rev, ev.g_left, ev.g_right):
+    for a in (ev.history, ev.decay, ev.memory.weights, ev.walls):
         assert a.dtype == np.complex128
     ev.run()
     assert ev.history.dtype == np.complex128
@@ -479,7 +479,7 @@ def real_problem_1d(**kw):
 @pytest.mark.parametrize("solver", ["mgm", "direct"])
 def test_real_1d_problem_matches_naive_rhs_in_float64(solver):
     ev = Evolution(real_problem_1d(), order=3, solver=solver)
-    for a in (ev.history, ev.decay, ev._w_rev, ev.g_left, ev.g_right):
+    for a in (ev.history, ev.decay, ev.memory.weights, ev.walls):
         assert a.dtype == np.float64
     for n in range(1, ev.problem.n_steps + 1):
         got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
@@ -492,7 +492,7 @@ def test_real_1d_problem_matches_naive_rhs_in_float64(solver):
 def test_complex_trace_keeps_a_1d_run_complex():
     p = real_problem_1d(bc_right=lambda t: np.cos(t) + 0.25j * t)
     ev = Evolution(p, order=3, solver="direct")
-    assert ev.history.dtype == ev.g_right.dtype == np.complex128
+    assert ev.history.dtype == ev.walls.dtype == np.complex128
     for n in (1, 2):
         got, want = ev.assemble_rhs(n), naive_level_rhs(ev, n)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
@@ -555,7 +555,7 @@ def test_one_trace_value_of_any_shape_is_taken():
     p = example_6_1(0.3, 16)
     ev = Evolution(p, order=2, solver="direct")
     want = np.array([complex(p.bc_left(t)) for t in ev.t])
-    assert ev.g_left.tobytes() == np.asarray(want if ev.dtype.kind == "c" else want.real, ev.dtype).tobytes()
+    assert ev.walls[:, 0].tobytes() == np.asarray(want if ev.dtype.kind == "c" else want.real, ev.dtype).tobytes()
 
 
 def test_a_trace_of_more_than_one_value_is_refused():
@@ -566,3 +566,75 @@ def test_a_trace_of_more_than_one_value_is_refused():
                                (lambda t: 0.0, lambda t: np.ones(0), r"bc_right .*\(0,\)")):
         with pytest.raises(DimensionError, match=match):
             Evolution(dataclasses.replace(p, bc_left=left, bc_right=right), order=2, solver="direct")
+
+
+def test_assemble_rhs_refuses_a_level_outside_the_run():
+    # n = 0 returned an all-zero right-hand side, n = 9 raised numpy's
+    # IndexError and n = -1 a matmul ValueError; none reads the forcing
+    p, reads = example_6_2(0.3, 8), []
+    p.forcing = lambda *a, f=p.forcing: reads.append(a[-1]) or f(*a)
+    ev = Evolution(p, order=2)
+    for n in (0, 9, -1, 2.5, True):
+        with pytest.raises(MgfkError, match=rf"level n in 1\.\.8, got n={re.escape(repr(n))}"):
+            ev.assemble_rhs(n)
+    assert reads == []
+    ev.assemble_rhs(np.int64(8))
+    assert reads == [1.0]
+
+
+def convolution_cases():
+    """Problems whose histories are real, complex, and real until a forcing
+    that turns complex at step 8 promotes the run."""
+    turning = example_6_2(0.3, 16)
+    turning.forcing = lambda x, y, t, f=turning.forcing: (1.0 if t < 0.5 else 1 + 1j) * f(x, y, t)
+    return {"1d-real": real_problem_1d(), "1d-complex": example_6_1(0.3, 16), "2d-real": example_6_2(0.3, 16),
+            "2d-promoted": turning}
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-promoted"])
+def test_each_step_sums_its_history_as_the_oracle(case, backend, monkeypatch):
+    # the convolution of every step, of the grid and of the walls, is the
+    # plain-Python oracle's, bit for bit, and the run's history is the same
+    # with blocks of 3 rows as with blocks of 8
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    p = convolution_cases()[case]
+
+    def run():
+        ev = Evolution(p, order=3, solver="direct")
+        for n in range(1, p.n_steps + 1):
+            grid, walls = (x.tobytes() for x in ev.memory.convolution(n))
+            m = ev.memory
+            assert grid == history_sum(m.weights, m.levels, n - 1, n).tobytes()
+            assert walls == history_sum(m.weights, m.walls, n - 1, n).tobytes()
+            ev.step()
+        assert ev.memory.rows == feynman_kac._BLOCK_ROWS
+        return ev.history.tobytes()
+
+    eight = run()
+    monkeypatch.setattr(feynman_kac, "_BLOCK_ROWS", 3)
+    assert run() == eight
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-real"])
+def test_assemble_rhs_asked_again_gives_the_stepped_bytes(case, backend, monkeypatch):
+    # asked twice before its step, a level adds nothing twice; asked ahead
+    # of the run, it leaves the run as it was; asked again after the run,
+    # out of step order, it is summed from scratch to the stepped bytes
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    p = convolution_cases()[case]
+    ev, plain = Evolution(p, order=3, solver="direct"), Evolution(p, order=3, solver="direct")
+    stepped = []
+    for n in range(1, p.n_steps + 1):
+        stepped.append(ev.assemble_rhs(n).tobytes())
+        assert ev.assemble_rhs(n).tobytes() == stepped[-1]
+        ev.assemble_rhs(min(n + 3, p.n_steps))
+        ev.step()
+        plain.step()
+    assert ev.history.tobytes() == plain.history.tobytes()
+    for n in reversed(range(1, p.n_steps + 1)):
+        assert ev.assemble_rhs(n).tobytes() == stepped[n - 1]
+

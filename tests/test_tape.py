@@ -21,7 +21,7 @@ import mgfk
 from mgfk import executor, transfer
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import MgfkError
-from mgfk.feynman_kac import preset
+from mgfk.feynman_kac import Evolution, preset
 from mgfk.fsd import weights
 from mgfk.multigrid import (
     GridLevel,
@@ -53,7 +53,7 @@ from mgfk.stencil import (
     dst_solve,
 )
 
-from helpers import lane_squares, lane_sum, reference_prolong, restrict
+from helpers import history_sum, lane_squares, lane_sum, reference_prolong, restrict
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
@@ -520,16 +520,19 @@ class Counted:
         return counted
 
 
-def default_clone(tmp_path):
-    """The executor built from a copy of ``_tape.c`` whose kernel has no
-    AVX2 clone, the kernel a CPU without AVX2 runs, built into ``tmp_path``."""
+def single_clone(tmp_path, target=None):
+    """The executor built from a copy of ``_tape.c`` whose kernels are not
+    cloned, into ``tmp_path``: built for the CPU ``target`` alone, or with no
+    target, the kernels a CPU without AVX2 runs."""
+    attribute = f' __attribute__((target("{target}")))' if target else ""
     with open(os.path.join(os.path.dirname(executor.__file__), "_tape.c")) as f:
-        source, found = re.subn(r"^#define CLONES __attribute__\(\(target_clones\(.*\)\)\)$",
-                                "#define CLONES", f.read(), flags=re.M)
-    assert found == 1
-    (tmp_path / "_tape.c").write_text(source)
-    assert executor._build(str(tmp_path / "_tape.c"), str(tmp_path / "tape.so"))
-    return executor._load(str(tmp_path / "tape.so"))
+        source, found = re.subn(r"^#define (\w*CLONES) __attribute__\(\(target_clones\(.*\)\)\)$",
+                                rf"#define \1{attribute}", f.read(), flags=re.M)
+    assert found == 2
+    name = target or "default"
+    (tmp_path / f"{name}.c").write_text(source)
+    assert executor._build(str(tmp_path / f"{name}.c"), str(tmp_path / f"{name}.so"))
+    return executor._load(str(tmp_path / f"{name}.so"))
 
 
 def fk_system(name, alpha, nu, intervals):
@@ -539,15 +542,17 @@ def fk_system(name, alpha, nu, intervals):
 
 
 COMPILER = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
+CLONED = pytest.mark.skipif(
+    not (platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc" and COMPILER),
+    reason="the executor is cloned for AVX2 and AVX-512 on x86-64 glibc only, and needs a compiler")
 
 
-@pytest.mark.skipif(not (platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc" and COMPILER),
-                    reason="the executor is cloned for AVX2 on x86-64 glibc only, and needs a compiler")
+@CLONED
 def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
     # a CPU with AVX2 only ever runs that clone: the default one, built
     # alone, cycles the fk1d-history hierarchy (complex data), the
     # fk2d-vcycle one (real data) and a 9-point Galerkin one as numpy does
-    lib = Counted(default_clone(tmp_path))
+    lib = Counted(single_clone(tmp_path))
     hierarchies = (
         (fk_system("example-6.1", 0.3, 4, 1024), 1023, "galerkin", complex),  # fk1d-history
         (fk_system("example-6.2", 0.3, 2, 128), 127, "geometric", float),  # fk2d-vcycle
@@ -703,6 +708,111 @@ def wide(rng, n):
     return rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0, n)
 
 
+def history_data(kind, levels, width, rng):
+    """Weights w_0..w_{levels-1} and ``levels`` rows of ``width`` wide
+    values for ``executor.convolve``: ``real``, ``complex``, or
+    ``promoted``, complex128 as a run promoted from float64 holds them:
+    weights of zero imaginary part, and rows of zero imaginary part up to
+    the middle one."""
+    w, h = wide(rng, levels), wide(rng, levels * width).reshape(levels, width)
+    if kind == "real":
+        return w, h
+    h = h + 1j * wide(rng, h.size).reshape(h.shape)
+    if kind == "promoted":
+        h[: levels // 2].imag = 0.0
+        return w.astype(complex), h
+    return w + 1j * wide(rng, levels), h
+
+
+def blocked_sums(w, levels, rows):
+    """sum_{k=1..n-1} w_{n-k} levels[k] for every step n, from
+    ``executor.convolve`` called as ``feynman_kac.History`` calls it: each
+    block of up to ``rows`` steps in one call over the levels before it,
+    then each step's row topped up with the levels of the block."""
+    steps, out, first, summed = len(levels) - 1, [], 0, []
+    for n in range(1, steps + 1):
+        if n >= first + len(summed):
+            first, acc = n, np.zeros((min(rows, steps + 1 - n), levels.shape[1]), levels.dtype)
+            executor.convolve(w, levels, 1, n - 1, n, acc)
+            summed = [n - 1] * len(acc)
+        i = n - first
+        executor.convolve(w, levels, summed[i] + 1, n - 1, n, acc[i : i + 1])
+        summed[i] = n - 1
+        out.append(acc[i].tobytes())
+    return out
+
+
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("kind", ["real", "complex", "promoted"])
+@pytest.mark.parametrize("steps", [1, 2, 7, 16, 37])
+def test_the_convolution_sums_as_the_oracle(steps, kind, backend, monkeypatch):
+    # every step's sum, in blocks of 3 rows, of 8, and from scratch, is the
+    # plain-Python oracle's, bit for bit: a one-step run, a block's tail
+    # and a run of several blocks
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+    w, levels = history_data(kind, steps + 1, 6, np.random.default_rng(28 + steps))
+    want = [history_sum(w, levels, n - 1, n).tobytes() for n in range(1, steps + 1)]
+    assert blocked_sums(w, levels, 3) == blocked_sums(w, levels, 8) == want
+    for n in range(1, steps + 1):
+        acc = np.zeros((1, levels.shape[1]), levels.dtype)
+        executor.convolve(w, levels, 1, n - 1, n, acc)
+        assert acc.tobytes() == want[n - 1]
+    if kind == "real" and steps == 37:
+        # the data tell ascending k from descending k
+        down = [sum(w[steps - k] * levels[k][e] for k in range(steps - 1, 0, -1)) for e in range(6)]
+        assert np.array(down).tobytes() != want[-1]
+
+
+def test_the_convolution_refuses_what_it_cannot_read():
+    # convolve hands the executor pointers and counts: a mixed dtype, a
+    # strided array, rows of two lengths, or a level or weight out of range
+    # is refused before the call
+    w, h, acc = np.ones(9), np.ones((9, 4)), np.zeros((2, 4))
+    for args in ((w.astype(complex), h, 1, 3, 4, acc), (w, h[:, ::2], 1, 3, 4, acc[:, :2]), (w, h, 1, 3, 4, acc[:, :3]),
+                 (w, h.astype(np.float32), 1, 3, 4, acc), (w[::2], h, 1, 3, 4, acc)):
+        with pytest.raises(ValueError, match="contiguous float64 or complex128"):
+            executor.convolve(*args)
+    for lo, hi, first in ((-1, 3, 4), (1, 9, 9), (1, 5, 4), (0, 3, 8)):
+        with pytest.raises(ValueError, match="reach past"):
+            executor.convolve(w, h, lo, hi, first, acc)
+    executor.convolve(w, h, 5, 4, 8, acc)  # no level: nothing to read
+    assert not acc.any()
+
+
+@CLONED
+def test_every_clone_convolves_as_numpy(tmp_path, monkeypatch):
+    # the convolution built with no clone, built for AVX2 alone and as the
+    # loader picks it (for AVX-512 where the CPU has it) sums the stores of
+    # the fk1d-history (complex) and fk2d-vcycle (real) runs, of wide
+    # values, as numpy does: blocks early and late in the run, and a top-up
+    rng, cases = np.random.default_rng(29), []
+    for name, nu, intervals in (("example-6.1", 4, 1024), ("example-6.2", 2, 128)):
+        memory = Evolution(preset(name, 0.3, intervals), order=nu, solver="direct").memory
+        kind = "complex" if memory.store.dtype == complex else "real"
+        levels = history_data(kind, *memory.store.shape, rng)[1]
+        cases.append((memory.weights, levels, memory.rows))
+
+    def sums():
+        for w, levels, rows in cases:
+            steps = len(levels) - 1
+            for lo, hi, first, count in ((1, 8, 9, rows), (1, steps - rows, steps - rows + 1, rows),
+                                         (steps - 5, steps - 1, steps, 1)):
+                acc = np.zeros((count, levels.shape[1]), levels.dtype)
+                executor.convolve(w, levels, lo, hi, first, acc)
+                yield acc.tobytes()
+
+    libraries = [executor._library(), single_clone(tmp_path)]
+    with open("/proc/cpuinfo") as f:
+        if " avx2" in f.read():
+            libraries.append(single_clone(tmp_path, "avx2"))
+    monkeypatch.setattr(executor, "_library", lambda: None)
+    want = list(sums())
+    for lib in libraries:
+        monkeypatch.setattr(executor, "_library", lambda: lib)
+        assert list(sums()) == want
+
+
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])
 def test_a_solve_norm_sums_in_eight_lanes(backend, monkeypatch):
     # r0 of a solve whose residual record writes its right-hand side (a zero
@@ -774,6 +884,23 @@ def test_the_contraction_is_the_same_at_any_blas_thread_count(backend, tmp_path)
         assert python(code, str(out), OPENBLAS_NUM_THREADS=threads, **env).endswith(str(backend == "compiled"))
         reports.append(out.read_bytes())
     assert b"||I - B A||_A" in reports[0] and reports[0] == reports[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+def test_a_run_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+    # the fk2d-vcycle run: its history convolution was an OpenBLAS dgemv,
+    # which sums in another order on two threads (max error
+    # 1.9100359437140835e-05 under one, 1.91003594349759e-05 under two);
+    # the executor's convolution sums in its own
+    code = ("import hashlib; from mgfk import executor; from mgfk.feynman_kac import Evolution, example_6_2; "
+            "ev = Evolution(example_6_2(0.3, 128), order=2, coarsening='geometric', tol=1e-7).run(); "
+            "print(executor.compiled_tapes(), hashlib.sha256(ev.history.tobytes()).hexdigest(), "
+            "repr(ev.max_error()), ev.iterations)")
+    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
+    one, two = (python(code, OPENBLAS_NUM_THREADS=threads, **env) for threads in ("1", "2"))
+    assert one.startswith(str(backend == "compiled")) and one.count(",") == 127
+    assert one == two
 
 
 def python(code: str, *args: str, **env) -> str:
