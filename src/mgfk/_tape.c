@@ -57,9 +57,11 @@
  * So rows summed a block of levels at a time, in one call for a block of
  * steps, get the bits of the plain sum of each step from 0.  It reads each
  * level once per call, TILE values at a time, and adds them onto every row
- * while that tile of the rows sits in L1.  It is cloned for AVX-512 as well:
- * with no fused multiply-add, the complex product is compute-bound, and the
- * wide registers carry most of the gain of the blocking.
+ * while that tile of the rows sits in L1, so its working set does not grow
+ * with the row, and each value of a row's tile takes KB levels' terms in a
+ * register between one load and one store.  It is cloned for AVX-512 as
+ * well: with no fused multiply-add, the complex product is compute-bound,
+ * and the wide registers carry most of the gain of the blocking.
  */
 #include <math.h>
 #include <stdint.h>
@@ -264,42 +266,72 @@ void mgfk_weights(double alpha, const double *w, int64_t nu, int64_t count, doub
     }
 }
 
-#define TILE 128 /* values of a row at a time: 8 rows of them stay in L1 */
+#define TILE 128 /* values of a row at a time: 16 rows of them and KB levels' stay in L1 */
+#define KB 8     /* levels summed in a register between a value's load and store */
+
+/* Adds the nk (KB or fewer, a constant once inlined) levels from k onto the
+ * m values from e0 of every row: each value is loaded once, takes the nk
+ * terms in ascending k in a register, and is stored once.  A complex
+ * level's values go first to t[p] as (-h_im, h_re) pairs, so that every
+ * row adds c h + s t, (c, s) = (w_re, w_im), on one value at a time:
+ * w_re h_re + (-(w_im h_im)) is w_re h_re - w_im h_im. */
+static inline __attribute__((always_inline)) void add_levels(int nk, const double *w, const double *levels, int64_t len,
+                                                             int64_t parts, int64_t k, int64_t e0, int64_t m,
+                                                             int64_t first, int64_t rows, double *acc,
+                                                             double t[KB][TILE])
+{
+    const double *h[KB];
+    double c[KB], s[KB];
+    for (int p = 0; p < nk; p++)
+        h[p] = levels + (k + p) * len + e0;
+    if (parts == 2)
+        for (int p = 0; p < nk; p++)
+            for (int64_t e = 0; e < m; e += 2) {
+                t[p][e] = -h[p][e + 1];
+                t[p][e + 1] = h[p][e];
+            }
+    for (int64_t r = 0; r < rows; r++) {
+        double *restrict a = acc + r * len + e0;
+        if (parts == 1) {
+            for (int p = 0; p < nk; p++)
+                c[p] = w[first + r - k - p];
+            for (int64_t e = 0; e < m; e++) {
+                double x = a[e];
+                for (int p = 0; p < nk; p++)
+                    x = x + c[p] * h[p][e];
+                a[e] = x;
+            }
+            continue;
+        }
+        for (int p = 0; p < nk; p++) {
+            c[p] = w[2 * (first + r - k - p)];
+            s[p] = w[2 * (first + r - k - p) + 1];
+        }
+        for (int64_t e = 0; e < m; e++) {
+            double x = a[e];
+            for (int p = 0; p < nk; p++)
+                x = x + (c[p] * h[p][e] + s[p] * t[p][e]);
+            a[e] = x;
+        }
+    }
+}
 
 /* acc holds rows rows and levels the stored levels, each row of len float64
  * values, parts (1 or 2) to an element; w holds w_q, q = 0, 1, ..., as
  * elements.  acc may be rows of the levels' own array that the call does
- * not read, as a block's sums are (mgfk.feynman_kac.History).  A complex
- * level's tile is first stored as (-h_im, h_re) pairs, so that every row
- * adds c h + s t, (c, s) = (w_re, w_im), on one value at a time:
- * w_re h_re + (-(w_im h_im)) is w_re h_re - w_im h_im. */
+ * not read, as a block's sums are (mgfk.feynman_kac.History).  The levels
+ * go KB at a time, the last ones, fewer than KB, one at a time, so each
+ * value gets the operations of a level at a time, in the same order. */
 WIDE_CLONES void mgfk_convolve(const double *w, const double *levels, int64_t len, int64_t parts, int64_t lo,
                                int64_t hi, int64_t first, int64_t rows, double *acc)
 {
-    double t[TILE];
+    double t[KB][TILE];
     for (int64_t e0 = 0; e0 < len; e0 += TILE) {
         const int64_t m = len - e0 < TILE ? len - e0 : TILE;
-        for (int64_t k = lo; k <= hi; k++) {
-            const double *restrict h = levels + k * len + e0;
-            if (parts == 1) {
-                for (int64_t r = 0; r < rows; r++) {
-                    double *restrict a = acc + r * len + e0;
-                    const double c = w[first + r - k];
-                    for (int64_t e = 0; e < m; e++)
-                        a[e] = a[e] + c * h[e];
-                }
-                continue;
-            }
-            for (int64_t e = 0; e < m; e += 2) {
-                t[e] = -h[e + 1];
-                t[e + 1] = h[e];
-            }
-            for (int64_t r = 0; r < rows; r++) {
-                double *restrict a = acc + r * len + e0;
-                const double c = w[2 * (first + r - k)], s = w[2 * (first + r - k) + 1];
-                for (int64_t e = 0; e < m; e++)
-                    a[e] = a[e] + (c * h[e] + s * t[e]);
-            }
-        }
+        int64_t k = lo;
+        for (; k + KB - 1 <= hi; k += KB)
+            add_levels(KB, w, levels, len, parts, k, e0, m, first, rows, acc, t);
+        for (; k <= hi; k++)
+            add_levels(1, w, levels, len, parts, k, e0, m, first, rows, acc, t);
     }
 }

@@ -374,6 +374,11 @@ def fill_weights(alpha: float, w: np.ndarray, l: np.ndarray) -> None:
             l[n] = acc / (n * w[0])
 
 
+#: The numpy twin of ``convolve`` forms a temporary of its rows for each
+#: level, so it takes the rows in chunks of at most this many bytes.
+_TWIN_BYTES = 512 * 1024
+
+
 def convolve(w: np.ndarray, levels: np.ndarray, lo: int, hi: int, first: int, acc: np.ndarray) -> None:
     """Add onto row r of ``acc``, for the step j = first + r, the sum over
     the rows k = lo..hi of ``levels`` of w_{j-k} levels[k], each element
@@ -385,8 +390,10 @@ def convolve(w: np.ndarray, levels: np.ndarray, lo: int, hi: int, first: int, ac
     ``acc`` of rows of one length, and every w_{j-k} in ``w``, else
     ``ValueError`` before anything is read; ``acc`` may be rows of
     ``levels`` that the call does not read.  One ``mgfk_convolve`` call
-    where ``compiled_tapes()`` is true, else the same bits with numpy, a
-    level at a time for every row at once."""
+    where ``compiled_tapes()`` is true, KB = 8 levels at a time in a
+    register on each value of a 128-value tile of every row, else the same
+    bits with numpy, a level at a time for every row of a chunk of at most
+    ``_TWIN_BYTES`` at once."""
     arrays = (w, levels, acc)
     if not (w.dtype == levels.dtype == acc.dtype and w.dtype in (np.float64, np.complex128)
             and w.ndim == 1 and levels.ndim == acc.ndim == 2 and levels.shape[1] == acc.shape[1]
@@ -402,6 +409,11 @@ def convolve(w: np.ndarray, levels: np.ndarray, lo: int, hi: int, first: int, ac
     if lib is not None:
         parts = w.itemsize // 8
         lib.mgfk_convolve(_at(w), _at(levels), parts * levels.shape[1], parts, lo, hi, first, rows, _at(acc))
+        return
+    chunk = max(1, _TWIN_BYTES // acc[0].nbytes)
+    if rows > chunk:
+        for r in range(0, rows, chunk):
+            convolve(w, levels, lo, hi, first + r, acc[r : r + chunk])
         return
     q = first - lo + np.arange(rows)  # the weight of level lo on each row
     if w.dtype == np.float64:

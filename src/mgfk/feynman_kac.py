@@ -21,14 +21,14 @@ forcing value with a nonzero imaginary part promotes a real run to
 complex128, which is exact because every stored level is real.  The memory
 convolution is summed naively, O(n) levels at step n, by ``History``: each
 element in ascending level order from 0, so that its bits do not depend on
-how the sum is split.  A step that starts a block of up to 8 steps sums
-the stored levels once for every row of the block, and each later step of
-the block adds only the levels solved since; in 1D the two wall traces are
-summed alongside, as a row of two values a level.  In 1D the mass H is
-linear and the weights are scalars, so H is applied once to the summed
-level.  Every level is stored, so a run whose history would not fit in the
-machine's physical memory raises ``MgfkError`` before any of it is
-allocated.
+how the sum is split.  A step that starts a block of 16 steps, at every
+grid size, sums the stored levels once for every row of the block, and
+each later step of the block adds only the levels solved since; in 1D
+the two wall traces are summed alongside, as a row of two values a level.
+In 1D the mass H is linear and the weights are scalars, so H is applied
+once to the summed level.  Every level is stored, so a run whose history
+would not fit in the machine's physical memory raises ``MgfkError``
+before any of it is allocated.
 """
 
 from __future__ import annotations
@@ -122,10 +122,11 @@ def _require_history_fits(p: Problem, *dtypes: np.dtype) -> None:
     require_memory(levels * p.m**p.ndim * sum(d.itemsize for d in dtypes), f"the {names} history of {levels} levels")
 
 
-#: A block's rows fill at most ``_BLOCK_BYTES`` and number at most
-#: ``_BLOCK_ROWS``: 8 rows of a 1D M = 1024 complex level, 4 of a 2D M = 128
-#: real one.  Every stored grid row starts on a cache line of ``_LINE`` bytes.
-_BLOCK_BYTES, _BLOCK_ROWS, _LINE = 512 * 1024, 8, 64
+#: A block is ``_BLOCK_ROWS`` steps at every grid size: ``mgfk_convolve``
+#: works on a tile of each row at a time, so its working set does not grow
+#: with the row; 16 rows' tiles and a group of levels' stay in L1.  Every
+#: stored grid row starts on a cache line of ``_LINE`` bytes.
+_BLOCK_ROWS, _LINE = 16, 64
 
 
 def _lined(count: int, width: int, dtype) -> np.ndarray:
@@ -152,9 +153,10 @@ class History:
     (``executor.convolve``), so its bits do not depend on how the sum is
     split.  Asked for the next level, n = solved + 1, outside the block in
     hand, it starts a block: one pass over levels 1..n-1 sums them into
-    the rows of steps n, n + 1, ..., as many as fit in ``_BLOCK_BYTES``, at
-    most ``_BLOCK_ROWS``.  The sum for step j is formed in store row j, until
-    ``append`` stores level j over it, so a block takes no memory of its own.
+    the rows of steps n, n + 1, ..., ``_BLOCK_ROWS`` of them whatever the
+    width of a row, fewer only at the end of the run.  The sum for step j
+    is formed in store row j, until ``append`` stores level j over it, so
+    a block takes no memory of its own.
     A later step of the block adds to its own row only the levels solved
     since, so asking twice adds nothing twice.  Any other n is summed from
     scratch, with the same bits, over the levels solved so far (the others
@@ -171,7 +173,7 @@ class History:
         in the weights' dtype, and the walls' block rows; no block in hand."""
         dtype = self.weights.dtype
         self.width, self.store, self.walls = width, _lined(len(self.weights), width, dtype), walls.astype(dtype)
-        self.rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // self.store[0].nbytes))
+        self.rows = _BLOCK_ROWS
         self.wall_sums = np.zeros((self.rows, walls.shape[1]), dtype)
         self.first, self.summed = 0, []
 

@@ -596,7 +596,7 @@ def convolution_cases():
 def test_each_step_sums_its_history_as_the_oracle(case, backend, monkeypatch):
     # the convolution of every step, of the grid and of the walls, is the
     # plain-Python oracle's, bit for bit, and the run's history is the same
-    # with blocks of 3 rows as with blocks of 8
+    # with blocks of 3 rows as with blocks of the default size
     if backend == "numpy":
         monkeypatch.setattr(executor, "_library", lambda: None)
     p = convolution_cases()[case]
@@ -612,9 +612,20 @@ def test_each_step_sums_its_history_as_the_oracle(case, backend, monkeypatch):
         assert ev.memory.rows == feynman_kac._BLOCK_ROWS
         return ev.history.tobytes()
 
-    eight = run()
+    default = run()
     monkeypatch.setattr(feynman_kac, "_BLOCK_ROWS", 3)
-    assert run() == eight
+    assert run() == default
+
+
+@pytest.mark.parametrize("m", [255, 511])
+def test_a_block_has_the_same_rows_at_every_width(m):
+    # a level of 2D M = 256 fills 520 KB and one of M = 512 2.1 MB, and a
+    # block still holds _BLOCK_ROWS steps' sums, as in 1D: the block's rows
+    # are store rows not yet solved, so they take no memory of their own
+    # (four levels here, so that little is allocated)
+    memory = feynman_kac.History(np.ones(m * m), np.empty((4, 0)), weights(0.3, 2, 3))
+    assert memory.rows == feynman_kac._BLOCK_ROWS
+    assert memory.wall_sums.shape == (feynman_kac._BLOCK_ROWS, 0)
 
 
 @pytest.mark.parametrize("backend", ["compiled", "numpy"])

@@ -764,6 +764,30 @@ def test_the_convolution_sums_as_the_oracle(steps, kind, backend, monkeypatch):
         assert np.array(down).tobytes() != want[-1]
 
 
+@pytest.mark.parametrize("backend", ["compiled", "numpy"])
+@pytest.mark.parametrize("kind", ["real", "complex", "promoted"])
+def test_the_register_groups_sum_as_the_oracle(kind, backend, monkeypatch):
+    # rows that hold the sum of levels 1..lo-1 take levels lo..hi, 1 to 19
+    # of them, so that a call runs no group of 8 levels, one or two, with a
+    # part-group after them or none, from lo 1, 2 and 3, so that groups
+    # start off multiples of 8, onto blocks of 1, 3, 16 and 32 rows: every
+    # row ends with the plain-Python oracle's bits.  The numpy twin takes
+    # the rows two at a time, so that its chunks are cut too
+    w, levels = history_data(kind, 22 + 32, 10, np.random.default_rng(31))
+    if backend == "numpy":
+        monkeypatch.setattr(executor, "_library", lambda: None)
+        monkeypatch.setattr(executor, "_TWIN_BYTES", 2 * levels[0].nbytes)
+    for lo in (1, 2, 3):
+        for hi in range(lo, lo + 19):
+            first = hi + 1
+            start = [history_sum(w, levels, lo - 1, first + r) for r in range(32)]
+            want = [history_sum(w, levels, hi, first + r).tobytes() for r in range(32)]
+            for rows in (1, 3, 16, 32):
+                acc = np.array(start[:rows])
+                executor.convolve(w, levels, lo, hi, first, acc)
+                assert [row.tobytes() for row in acc] == want[:rows], (lo, hi, rows)
+
+
 def test_the_convolution_refuses_what_it_cannot_read():
     # convolve hands the executor pointers and counts: a mixed dtype, a
     # strided array, rows of two lengths, or a level or weight out of range
@@ -785,7 +809,8 @@ def test_every_clone_convolves_as_numpy(tmp_path, monkeypatch):
     # the convolution built with no clone, built for AVX2 alone and as the
     # loader picks it (for AVX-512 where the CPU has it) sums the stores of
     # the fk1d-history (complex) and fk2d-vcycle (real) runs, of wide
-    # values, as numpy does: blocks early and late in the run, and a top-up
+    # values, as numpy does: blocks early and late in the run, a block of a
+    # group of 8 levels and a part-group of 5, and a top-up
     rng, cases = np.random.default_rng(29), []
     for name, nu, intervals in (("example-6.1", 4, 1024), ("example-6.2", 2, 128)):
         memory = Evolution(preset(name, 0.3, intervals), order=nu, solver="direct").memory
@@ -796,8 +821,8 @@ def test_every_clone_convolves_as_numpy(tmp_path, monkeypatch):
     def sums():
         for w, levels, rows in cases:
             steps = len(levels) - 1
-            for lo, hi, first, count in ((1, 8, 9, rows), (1, steps - rows, steps - rows + 1, rows),
-                                         (steps - 5, steps - 1, steps, 1)):
+            for lo, hi, first, count in ((1, 8, 9, rows), (2, 14, 15, rows),
+                                         (1, steps - rows, steps - rows + 1, rows), (steps - 5, steps - 1, steps, 1)):
                 acc = np.zeros((count, levels.shape[1]), levels.dtype)
                 executor.convolve(w, levels, lo, hi, first, acc)
                 yield acc.tobytes()
