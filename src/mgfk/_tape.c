@@ -8,7 +8,8 @@
  * last axis each row holds, per part, n points and one zero pad cell, a 1D
  * grid one row, complex data the real and then the imaginary part, so one
  * record runs both parts.  Each loop does, per element, the IEEE
- * operations of mgfk.executor.run_numpy in their order.  Built with
+ * operations of the numpy reference in their order (run_numpy in the
+ * tests' helpers.py).  Built with
  * -ffp-contract=off and without -ffast-math: no fused multiply-add but
  * mgfk_weights' fma calls, no reassociation; vector code only runs the
  * same operations on several elements at once.  The residual has a loop

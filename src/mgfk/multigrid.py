@@ -478,10 +478,9 @@ def measure_contraction(
     Euclidean norm, and the residual r = -A e that starts each cycle gives
     ||e||_A = sqrt(-(e, r)): both are ``executor.dot``s over the fine runs,
     whose pad cells are zero, the same at any BLAS thread count.  A
-    cycle that drives the energy norm to inf or nan diverges, without
-    numpy warnings: the estimate is then ``math.inf``.  If
-    ``monotone_slack`` is given, a ratio above 1 + monotone_slack raises
-    ``AssertionError``.  ``trials`` and ``iters`` are integers, not
+    cycle that drives the energy norm to inf or nan diverges: the estimate
+    is then ``math.inf``.  If ``monotone_slack`` is given, a ratio above
+    1 + monotone_slack raises ``AssertionError``.  ``trials`` and ``iters`` are integers, not
     ``bool``s.  Where the tape's arena and a start grid would not fit in
     physical memory, ``MgfkError`` is raised first.
     """
@@ -502,22 +501,21 @@ def measure_contraction(
         return math.sqrt(max(-dot(ws.v_run, ws.r_run), 0.0))
 
     worst = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(trials):
-            ws.v[0] = rng.standard_normal(lv.unknowns).reshape(lv.shape)
-            ws.v_run /= math.sqrt(dot(ws.v_run, ws.v_run))
-            prev = energy()
-            for i in range(1, iters + 1):
-                tape.cycle()
-                cur = energy()
-                if not math.isfinite(cur):
-                    return math.inf
-                if prev <= 1e-300:
-                    break
-                ratio = cur / prev
-                if monotone_slack is not None:
-                    assert ratio <= 1.0 + monotone_slack, f"energy norm grew: ratio={ratio}"
-                if i > 3:  # past the transient iterations
-                    worst = max(worst, ratio)
-                prev = cur
+    for _ in range(trials):
+        ws.v[0] = rng.standard_normal(lv.unknowns).reshape(lv.shape)
+        ws.v_run /= math.sqrt(dot(ws.v_run, ws.v_run))
+        prev = energy()
+        for i in range(1, iters + 1):
+            tape.cycle()
+            cur = energy()
+            if not math.isfinite(cur):
+                return math.inf
+            if prev <= 1e-300:
+                break
+            ratio = cur / prev
+            if monotone_slack is not None:
+                assert ratio <= 1.0 + monotone_slack, f"energy norm grew: ratio={ratio}"
+            if i > 3:  # past the transient iterations
+                worst = max(worst, ratio)
+            prev = cur
     return worst

@@ -8,10 +8,9 @@ cell.  Part p's fine pad cell, 2(p(nc + 1) + nc) + 1 in its row, lies on
 coarse part p's, so a fine row is two coarse rows long, and what crosses
 from one part into the next lands on pad cells only.  Each returns one
 ``executor.Kernel``, which the V-cycle splices into its tape; the weights,
-2 and 1/4 or 1/2, are fixed in the kernels' kinds, on both of the
-executor's backends.  Along a row coarse cell q sits at 2q + 1 of the
-fine one, so a 1D transfer is one stride-2 pass, one flat loop over the
-elements.  A 2D transfer is one kernel over the rows of its output: per
+2 and 1/4 or 1/2, are fixed in the kernels' kinds.  Along a row coarse
+cell q sits at 2q + 1 of the fine one, so a 1D transfer is one stride-2
+pass, one flat loop over the elements.  A 2D transfer is one kernel over the rows of its output: per
 output row it first combines whole rows of its input into a row buffer
 (``row_buffer`` cells, carved from the tape's arena), then runs that pass
 along the row from the buffer; no grid between the two passes is stored.

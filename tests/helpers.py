@@ -10,7 +10,10 @@ smoother and transfers, and applies the operator to every iterate, zero or
 not, the time-level right-hand side is summed term by term in Python loops,
 the contraction estimate cycles the reference V-cycle and takes each
 energy norm from a fresh apply, and the V-cycle's approximate inverse and
-contraction norm are dense matrices.  The exact integer coefficients of the
+contraction norm are dense matrices.  ``run_numpy`` runs the package's
+``executor.Kernel`` lists with numpy, the reference the compiled executor
+matches bit for bit, and ``fraction_weights`` forms the quadrature weights'
+fma chain exactly in fractions.  The exact integer coefficients of the
 unnormalised Galerkin recursion (``coefficient``) cover stencils of any
 width, which the package's tridiagonal stencils never reach.
 """
@@ -21,11 +24,11 @@ import math
 
 import numpy as np
 
-from mgfk import stencil, transfer
+from mgfk import fsd, stencil, transfer
 from mgfk.coarsen import c_constant
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
-from mgfk.executor import run_numpy
+from mgfk.executor import DIVIDE, RESIDUAL, RESTRICT, SCALE, UPDATE, ZERO
 from mgfk.stencil import ToeplitzStencil, grid_depth, interior, require_coarsenable, run_shape
 
 
@@ -358,6 +361,87 @@ def reference_prolong(x):
     return x
 
 
+def _restrict(o: np.ndarray, a: np.ndarray) -> None:
+    """Full weighting along the first axis: ``o[q]`` from ``a[2q]``,
+    ``a[2q + 1]`` and ``a[2q + 2]``."""
+    np.multiply(a[1::2], 2.0, o)
+    np.add(a[0:-1:2], o, o)
+    o += a[2::2]
+    o *= 0.25
+
+
+def _prolong(o: np.ndarray, a: np.ndarray, add: bool) -> None:
+    """Linear interpolation along the first axis, into ``o`` or (``add``)
+    onto it: ``o[2q]`` from ``a[q]`` and ``a[q + 1]``, ``o[2q + 1]`` from
+    ``a[q + 1]``."""
+    even, odd = o[0::2], o[1::2]
+    if add:
+        even += (a[: len(even)] + a[1 : len(even) + 1]) * 0.5
+        odd += a[1 : len(odd) + 1]
+    else:
+        np.copyto(odd, a[1 : len(odd) + 1])
+        np.add(a[: len(even)], a[1 : len(even) + 1], even)
+        even *= 0.5
+
+
+def run_numpy(kernels) -> None:
+    """Run the ``executor.Kernel`` list ``kernels`` in order with numpy: per
+    element the IEEE operations ``_tape.c`` does for each record, in its
+    order, each tap's product formed as a temporary, the transfers' weights
+    2, 1/4 and 1/2 as in the executor.  A 2D transfer (an ``out`` of rows)
+    forms its pass across rows for the whole grid at once, into a temporary
+    laid out as the executor's row buffers follow each other (one zero cell
+    before the prolongation's), and leaves ``b`` alone; the restriction
+    skips ``out``'s last cell, a pad.  Kernels of any dtype run, complex and
+    long double ones included.  numpy warns of overflows and invalid values."""
+    for kind, o, a, b, s, pad, taps in kernels:
+        if kind == RESIDUAL:
+            np.multiply(a, s, o)
+            for window, c in taps:
+                o += window * c
+            np.subtract(b, o, o)
+        elif kind == UPDATE:
+            o += a * s
+        elif kind == SCALE:
+            np.multiply(a, s, o)
+        elif kind == DIVIDE:
+            np.divide(a, s, o)
+        elif kind == ZERO:
+            o.fill(0)
+        elif kind == RESTRICT:
+            if o.ndim == 2:
+                rows = np.empty(2 * o.size, o.dtype)
+                _restrict(rows.reshape(len(o), -1), a)
+                a = rows
+            _restrict(o.reshape(-1)[:-1], a[: 2 * o.size - 1])
+        else:  # PROLONG
+            if o.ndim == 2:
+                rows = np.zeros(1 + o.size // 2, o.dtype)
+                _prolong(rows[1:].reshape(len(o), -1), a, add=False)
+                a = rows
+            _prolong(o.reshape(-1), a, add=True)
+        if pad:
+            o.reshape(-1)[pad - 1 :: pad] = 0
+
+
+def fraction_weights(alpha: float, nu: int, count: int) -> np.ndarray:
+    """``fsd.weights(alpha, nu, count)`` by the recurrence of
+    ``executor.fill_weights`` in plain Python: l_0 as ``fsd.weights`` forms
+    it, then each fma of l_n's chain formed exactly in fractions and
+    rounded once, as C99's ``fma`` is."""
+    from fractions import Fraction
+
+    w = fsd.generating_poly(nu)
+    l = np.zeros(count + 1)
+    l[0] = w[0] ** alpha
+    for n in range(1, count + 1):
+        acc = 0.0
+        for j in range(1, min(n, nu) + 1):
+            acc = float(Fraction(((alpha + 1.0) * j - n) * w[j]) * Fraction(l[n - j]) + Fraction(acc))
+        l[n] = acc / (n * w[0])
+    return l
+
+
 def _grid(x) -> np.ndarray:
     x = np.asarray(x)
     if x.ndim not in (1, 2):
@@ -473,21 +557,27 @@ def run_of(x) -> np.ndarray:
 
 
 def reference_solve(h, f, v0, tol: float, max_iter: int = 200):
-    """``multigrid.solve`` from ``v0`` as a loop of ``reference_vcycle``: the
-    flat solution and the relative residual norms, each taken from a fresh
-    grid ``f - A v`` as ``solve`` takes them, the ``lane_squares`` of its
-    one run (``run_of``)."""
+    """``multigrid.solve`` from ``v0`` (``None``: zero) as a loop of
+    ``reference_vcycle``: the flat solution and the relative residual
+    norms, each taken from a fresh grid ``f - A v`` as ``solve`` takes
+    them, the ``lane_squares`` of its one run (``run_of``).  The loop stops
+    as ``solve``'s does: before any cycle at an r0 of zero (no residuals)
+    or not finite (one NaN), and after the cycle whose relative residual is
+    below ``tol`` or not finite."""
     op, shape = h.fine.operator, h.fine.shape
-    f, v = np.reshape(f, shape), np.reshape(v0, shape)
+    f = np.reshape(f, shape)
+    v = np.zeros(shape, f.dtype) if v0 is None else np.reshape(v0, shape)
 
     def residual_norm(v):
         return math.sqrt(lane_squares(run_of(f - reference_apply(op, v))))
 
     r0, residuals = residual_norm(v), []
+    if r0 == 0.0 or not math.isfinite(r0):
+        return v.ravel(), [] if r0 == 0.0 else [math.nan]
     for _ in range(max_iter):
         v = reference_vcycle(h, v, f)
         residuals.append(residual_norm(v) / r0)
-        if residuals[-1] < tol:
+        if residuals[-1] < tol or not math.isfinite(residuals[-1]):
             break
     return v.ravel(), residuals
 

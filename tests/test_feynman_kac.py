@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from mgfk import executor, feynman_kac
+from mgfk import feynman_kac
 from mgfk.coarsen import fk_operator, mu_coefficient
 from mgfk.errors import ConvergenceFailure, DimensionError, MgfkError
 from mgfk.feynman_kac import (
@@ -591,14 +591,11 @@ def convolution_cases():
             "2d-promoted": turning}
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-promoted"])
-def test_each_step_sums_its_history_as_the_oracle(case, backend, monkeypatch):
+def test_each_step_sums_its_history_as_the_oracle(case, monkeypatch):
     # the convolution of every step, of the grid and of the walls, is the
     # plain-Python oracle's, bit for bit, and the run's history is the same
     # with blocks of 3 rows as with blocks of the default size
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
     p = convolution_cases()[case]
 
     def run():
@@ -628,14 +625,11 @@ def test_a_block_has_the_same_rows_at_every_width(m):
     assert memory.wall_sums.shape == (feynman_kac._BLOCK_ROWS, 0)
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-real"])
-def test_assemble_rhs_asked_again_gives_the_stepped_bytes(case, backend, monkeypatch):
+def test_assemble_rhs_asked_again_gives_the_stepped_bytes(case):
     # asked twice before its step, a level adds nothing twice; asked ahead
     # of the run, it leaves the run as it was; asked again after the run,
     # out of step order, it is summed from scratch to the stepped bytes
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
     p = convolution_cases()[case]
     ev, plain = Evolution(p, order=3, solver="direct"), Evolution(p, order=3, solver="direct")
     stepped = []

@@ -7,7 +7,7 @@ import pytest
 from mgfk import executor, fsd
 from mgfk.fsd import FsdCoefficients, generating_poly, tempered, weights, write_csv
 
-from helpers import binomial_weights, naive_series_power, read_csv
+from helpers import binomial_weights, fraction_weights, naive_series_power, read_csv
 
 
 def test_generating_polynomials():
@@ -73,15 +73,14 @@ def test_partial_sums_decay(nu):
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
-def test_compiled_weights_are_the_numpy_loops_bits(nu, monkeypatch):
-    # where the executor is built (CI asserts it is), the recurrence runs
-    # there, an fma chain: the bytes of the numpy fallback's exact one
+def test_compiled_weights_are_the_numpy_loops_bits(nu):
+    # the recurrence runs in the executor, an fma chain: the bytes of the
+    # oracle's exact one, each fma formed in fractions
     counts = sorted({0, 1, nu, nu + 1, 1024, 4096})
     alphas = (0.01, 0.3, 0.5, 0.77, 0.99)
     compiled = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    numpy = [fsd.weights(alpha, nu, count) for alpha in alphas for count in counts]
-    assert [c.tobytes() for c in compiled] == [n.tobytes() for n in numpy]
+    exact = [fraction_weights(alpha, nu, count) for alpha in alphas for count in counts]
+    assert [c.tobytes() for c in compiled] == [x.tobytes() for x in exact]
 
 
 #: sha-256 of the bytes of ``weights(0.3, nu, 16384)``, as numpy's OpenBLAS
@@ -95,13 +94,12 @@ WEIGHT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("nu", [1, 2, 3, 4])
-def test_weights_keep_their_bytes(nu, backend, monkeypatch):
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
-    digest = hashlib.sha256(weights(0.3, nu, 16384).tobytes()).hexdigest()
-    assert digest == WEIGHT_DIGESTS[nu]
+def test_weights_keep_their_bytes(nu):
+    # the executor's weights and the oracle's exact chain both give the
+    # pinned bytes
+    for l in (weights(0.3, nu, 16384), fraction_weights(0.3, nu, 16384)):
+        assert hashlib.sha256(l.tobytes()).hexdigest() == WEIGHT_DIGESTS[nu]
 
 
 def test_the_leading_weight_alone_loads_no_executor(monkeypatch):

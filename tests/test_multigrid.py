@@ -33,6 +33,7 @@ from helpers import (
     reference_solve,
     reference_vcycle,
     restriction_matrix,
+    run_numpy,
 )
 
 
@@ -51,10 +52,10 @@ def fk_hierarchy_2d(alpha=0.3, nu=2, intervals=16, **kwargs):
 def sweeps(level, v, f, weight, steps):
     """``steps`` damped-Jacobi sweeps with ``weight`` on ``level`` from
     ``v``: the kernels of a one-level, one-part tape of their dtype, run by
-    numpy."""
+    the numpy reference."""
     (work,) = multigrid._levels((level,), 1, np.result_type(v, f))
     work.v[0], work.rhs[0] = v, f
-    executor.run_numpy(work.sweep(weight) * steps)
+    run_numpy(work.sweep(weight) * steps)
     return work.v[0]
 
 
@@ -309,10 +310,11 @@ def test_a_tape_past_physical_memory_is_refused_before_its_arena(monkeypatch):
 
 def test_diverging_cycle_measures_infinite_contraction():
     # a weight of 1e200 overflows the first iterate: the energy norm is no
-    # longer finite, and the estimate must not read as a perfect 0.0
+    # longer finite, and the estimate must not read as a perfect 0.0; the
+    # executor raises no floating-point warning, which pytest would make an
+    # error
     h = build_hierarchy(LAPLACIAN_1D, 31, omega_pre=1e200, omega_post=1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert measure_contraction(h) == math.inf
+    assert measure_contraction(h) == math.inf
 
 
 def test_contraction_estimator_matches_dense_norm():
@@ -418,10 +420,10 @@ def test_solve_stops_at_non_finite_residual(ndim):
 
 def test_solve_stops_when_an_iterate_turns_non_finite():
     # finite r0, then a V-cycle whose weight of 1e200 overflows the iterate
-    # to inf and its residual to nan: the loop must stop after it
+    # to inf and its residual to nan: the loop must stop after it, with no
+    # floating-point warning
     h = fk_hierarchy_1d(intervals=32, omega_pre=1e200, omega_post=1e200)
-    with np.errstate(over="ignore", invalid="ignore"):
-        _, report = solve(h, np.ones(h.fine.unknowns), tol=1e-11)
+    _, report = solve(h, np.ones(h.fine.unknowns), tol=1e-11)
     assert not report.converged
     assert report.iterations == 1
     assert np.isnan(report.residuals[-1])
@@ -444,36 +446,14 @@ ORACLE_CASES = [
 ]
 
 
-def on_both_backends(cases):
-    """Each case with the tapes compiled (under its own id) and run by
-    numpy (id + "-numpy").  "compiled" is not skipped where no compiler
-    exists: its tapes then fall back to numpy, and CI asserts the compiler."""
-    cases = list(cases)
-    return [
-        pytest.param(*case.values, backend, id=case.id + suffix)
-        for backend, suffix in (("compiled", ""), ("numpy", "-numpy"))
-        for case in cases
-    ]
-
-
-def use_backend(monkeypatch, backend):
-    """Make hierarchies built from here on run their tapes on ``backend``."""
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
-        assert not executor.compiled_tapes()
-
-
-@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, backend",
-                         on_both_backends(ORACLE_CASES))
-def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count, backend,
-                                            monkeypatch):
+@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count", ORACLE_CASES)
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count):
     # coarse levels skip the operator apply on their zero start, the fine
     # level cycles from the residual it has formed, and every level runs its
     # part of one prebuilt tape in place in its buffers, the residual as
     # one kernel over the operator's points; the iterates must not move by a bit,
     # real or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
-    # count, on either backend
-    use_backend(monkeypatch, backend)
+    # count
     rng = np.random.default_rng(17)
     for intervals in ORACLE_SIZES[ndim]:
         h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
@@ -490,29 +470,27 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
                     assert np.array_equal(x, ref)
 
 
-@pytest.mark.parametrize("ndim, coarsening, pre_count, backend", on_both_backends(
+@pytest.mark.parametrize("ndim, coarsening, pre_count", [
     pytest.param(ndim, coarsening, pre, id=f"{pre}-{ndim}-{coarsening}")
-    for pre in (0, 1) for ndim, coarsening in GRIDS))
-def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count, backend, monkeypatch):
+    for pre in (0, 1) for ndim, coarsening in GRIDS])
+def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count):
     # the energy norm read from the residual r = -A e that starts each cycle
     # equals sqrt((A e, e)) of a fresh apply, and the in-place cycles equal
-    # the oracle's: the estimate must not move by a bit, on either backend
-    use_backend(monkeypatch, backend)
+    # the oracle's: the estimate must not move by a bit
     for intervals in {1: (32, 128), 2: (16, 32)}[ndim]:
         h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
                             pre_count=pre_count)
         assert measure_contraction(h) == reference_contraction(h)
 
 
-@pytest.mark.parametrize("ndim, coarsening, backend", on_both_backends(
+@pytest.mark.parametrize("ndim, coarsening", [
     pytest.param(ndim, coarsening, id=f"{ndim}-{coarsening}")
-    for ndim, coarsening in [(1, "galerkin"), (2, "geometric")]))
-def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, backend, monkeypatch):
+    for ndim, coarsening in [(1, "galerkin"), (2, "geometric")]])
+def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening):
     # the benchmark's sizes, 1D m = 1023 Galerkin and 2D m = 127 geometric,
     # complex data and a warm start near the solution, where the iterates sit
     # at the rounding floor: the solution and every relative residual equal
-    # the oracle's, on either backend
-    use_backend(monkeypatch, backend)
+    # the oracle's
     intervals = 1024 if ndim == 1 else 128
     h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening)
     n = h.fine.unknowns
@@ -642,9 +620,8 @@ def test_every_run_of_a_tape_is_a_view_of_its_one_arena(ndim):
 SENTINEL = np.int64(0x7FF0DEADBEEF0001)
 
 
-@pytest.mark.parametrize("ndim, m, backend", on_both_backends(
-    pytest.param(ndim, m, id=f"{ndim}d") for ndim, m in ((1, 63), (2, 31))))
-def test_a_cycle_writes_only_inside_its_runs(ndim, m, backend, monkeypatch):
+@pytest.mark.parametrize("ndim, m", [pytest.param(ndim, m, id=f"{ndim}d") for ndim, m in ((1, 63), (2, 31))])
+def test_a_cycle_writes_only_inside_its_runs(ndim, m):
     # every cell of a tape's arena outside its runs (the alignment slack
     # before, between and after them) holds a sentinel; cycles from warm and
     # zero starts and a solve, on real and complex data, each tape one
@@ -652,7 +629,6 @@ def test_a_cycle_writes_only_inside_its_runs(ndim, m, backend, monkeypatch):
     # three cells for real data and seven for complex, leave each one as it was:
     # an overrun that stays inside the arena, which no address sanitizer
     # sees, would change one
-    use_backend(monkeypatch, backend)
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), m)
     rng = np.random.default_rng(25)
     for dtype in (float, complex):
@@ -697,11 +673,11 @@ def test_runs_are_zero_when_built_and_sit_at_the_chosen_alignment(ndim):
 
 
 @pytest.mark.parametrize("workload", list(SMOKE))
-def test_smoke_hierarchies_cycle_to_the_same_bits_after_any_heap_layout(workload, monkeypatch):
+def test_smoke_hierarchies_cycle_to_the_same_bits_after_any_heap_layout(workload):
     # the arena fixes where every run sits, whatever was allocated before
-    # it: built after dummy allocations of several sizes, on the executor
-    # and on the numpy fallback, the hierarchy cycles and solves to the
-    # same bits from warm and zero starts, on real and complex data
+    # it: built after dummy allocations of several sizes, the hierarchy
+    # cycles and solves to the same bits from warm and zero starts, on real
+    # and complex data, its cycles those of the oracle
     def outcome(dummy):
         junk = np.ones(dummy // 8)
         h = build_hierarchy(*SMOKE[workload])
@@ -716,6 +692,11 @@ def test_smoke_hierarchies_cycle_to_the_same_bits_after_any_heap_layout(workload
 
     dummies = (0, 8, 24, 1000, 3600, 70000)
     compiled = [outcome(dummy) for dummy in dummies]
-    use_backend(monkeypatch, "numpy")
-    fallback = [outcome(dummy) for dummy in dummies]
-    assert all(got == compiled[0] for got in compiled + fallback)
+    assert all(got == compiled[0] for got in compiled)
+    h = build_hierarchy(*SMOKE[workload])
+    rng, n, oracle = np.random.default_rng(21), h.fine.unknowns, []
+    for f in (rng.standard_normal(n), rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        x, residuals = reference_solve(h, f, None, 1e-11)
+        oracle += [reference_vcycle(h, f, f).tobytes(), reference_vcycle(h, np.zeros_like(f), f).tobytes(),
+                   x.tobytes(), residuals]
+    assert compiled[0] == oracle

@@ -1,6 +1,7 @@
-"""The compiled V-cycle tape: its kernel records against ``run_numpy`` of
-the same kernels, its one-call solve against the numpy backend's loop, and
-the build cache its loader keeps."""
+"""The compiled executor: its kernel records against ``run_numpy`` of the
+same kernels, its one-call solve, sums and history convolution against
+the plain-Python and numpy oracles, and the build cache its loader keeps,
+or the one-line error where it cannot."""
 
 import dataclasses
 import gc
@@ -9,7 +10,6 @@ import math
 import os
 import platform
 import re
-import shlex
 import shutil
 import subprocess
 import sys
@@ -26,6 +26,7 @@ from mgfk.fsd import weights
 from mgfk.multigrid import (
     GridLevel,
     MgHierarchy,
+    SolveReport,
     _cycle_kernels,
     _levels,
     build_hierarchy,
@@ -41,7 +42,6 @@ from mgfk.executor import (
     UPDATE,
     ZERO,
     Kernel,
-    run_numpy,
     tape_runner,
 )
 from mgfk.stencil import (
@@ -53,7 +53,16 @@ from mgfk.stencil import (
     dst_solve,
 )
 
-from helpers import history_sum, lane_squares, lane_sum, reference_prolong, restrict
+from helpers import (
+    history_sum,
+    lane_squares,
+    lane_sum,
+    reference_prolong,
+    reference_solve,
+    reference_vcycle,
+    restrict,
+    run_numpy,
+)
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -1e308, 3.0])
 #: The special values complex data get: in complex arithmetic an infinity or
@@ -206,11 +215,6 @@ def test_tape_copies_and_fills_like_numpy(dtype):
     assert_records_match_numpy((ZERO, PROLONG, RESIDUAL, RESTRICT), dtype, 3.0, 12)
 
 
-def kernels_of(runner) -> tuple:
-    """The kernels a tape runner runs, compiled or numpy."""
-    return runner.kernels if hasattr(runner, "kernels") else runner.args[0]
-
-
 @pytest.mark.parametrize("ndim", [1, 2])
 @pytest.mark.parametrize("coarsening", ["galerkin", "geometric"])
 def test_tapes_hold_only_float64(coarsening, ndim):
@@ -223,7 +227,7 @@ def test_tapes_hold_only_float64(coarsening, ndim):
         vcycle(h, None, z)
         solve(h, z.ravel())
     runners = [runner for tape in h._tapes.values() for runner in (tape.residual, tape.cycle)]
-    kernels = [k for runner in runners for k in kernels_of(runner)]
+    kernels = [k for runner in runners for k in runner.kernels]
     arrays = [x for k in kernels for x in (k.out, k.a, k.b, *(window for window, _ in k.taps))]
     scalars = [x for k in kernels for x in (k.s, *(c for _, c in k.taps))]
     assert len(h._tapes) == 2 and len(kernels) > 4 * h.depth
@@ -256,20 +260,17 @@ def test_a_complex_cycle_takes_the_float_cycles_records(coarsening, ndim, m, rec
     # at the sizes of the fk workloads, of the same kinds but the coarsest
     # step, which multiplies by the diagonal's reciprocal where real data divide
     h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * (m + 1)), m, coarsening)
-    real, cplx = (kernels_of(h.tape(dtype).cycle) for dtype in (float, complex))
+    real, cplx = (h.tape(dtype).cycle.kernels for dtype in (float, complex))
     assert len(real) == len(cplx) == records
     assert [SCALE if k.kind == DIVIDE else k.kind for k in real] == [k.kind for k in cplx]
     assert all(c.out.size == 2 * r.out.size for r, c in zip(real, cplx))
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_the_parts_of_a_complex_cycle_keep_apart(backend, ndim, monkeypatch):
+def test_the_parts_of_a_complex_cycle_keep_apart(ndim):
     # a complex cycle is a float cycle on each part, bit for bit: a part
     # that is zero stays exactly 0.0, the other is the float tape's iterate,
     # and a part a hundred decades above the other leaks nothing into it
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 31)
     x, y, u, w = np.random.default_rng(27).standard_normal((4, *h.fine.shape))
 
@@ -291,10 +292,10 @@ def test_the_parts_of_a_complex_cycle_keep_apart(backend, ndim, monkeypatch):
 @pytest.mark.parametrize("ndim", [1, 2])
 def test_a_level_binds_its_transfers_when_it_is_built(ndim):
     # a level built with its coarse neighbour carries both transfers between
-    # them, one kernel each; the coarsest level carries none.  On either
-    # backend the restriction takes the fine residual into the coarse
-    # right-hand side, and the prolongation adds the coarse iterate's
-    # interpolant onto the fine iterate, bit for bit
+    # them, one kernel each; the coarsest level carries none.  Run by the
+    # executor and by the numpy reference, the restriction takes the fine
+    # residual into the coarse right-hand side, and the prolongation adds
+    # the coarse iterate's interpolant onto the fine iterate, bit for bit
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 3.0, COMPACT_MASS, LAPLACIAN), 3)
     rng = np.random.default_rng(15)
     for parts in (1, 2):
@@ -323,7 +324,7 @@ def test_a_hierarchy_holds_no_buffers():
 def test_tapes_refuse_dtypes_the_executor_lacks():
     # a record of other data would be read as float64: cycles refuse such
     # data before they make a tape, and a tape of such kernels is
-    # refused, complex ones included; they still run through numpy
+    # refused, complex ones included; the numpy reference still runs them
     h = build_hierarchy(KroneckerSum(1, 1.0, 1.0, IDENTITY, LAPLACIAN), 7)
     f = np.ones(7, np.longdouble)
     for cycled in (lambda: vcycle(h, None, f), lambda: vcycle(h, f, f), lambda: solve(h, f)):
@@ -463,44 +464,32 @@ def test_transfers_pack_as_one_record_each(coarsening, ndim):
                     assert ws.runs[3].size == parts * (ws.shape[1] + 1) - 1
 
 
-def test_a_hierarchy_without_taps_cycles_as_numpy(monkeypatch):
+def test_a_hierarchy_without_taps_cycles_as_numpy():
     # diagonal stiffness and identity mass leave every level's residual
-    # the centre point alone
+    # the centre point alone; the cycle is the numpy oracle's, bit for bit
     op = KroneckerSum(1, 1.0, 1.0, IDENTITY, ToeplitzStencil((2.0,)))
     f = np.random.default_rng(14).standard_normal(31)
-
-    def cycled():
-        h = build_hierarchy(op, 31, "geometric")
-        v = vcycle(h, 0.5 * f, f)
-        assert all(ws.residual.taps == () for ws in h.tape(float).work)
-        return v
-
-    compiled = cycled()
-    assert executor.compiled_tapes()
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    assert compiled.tobytes() == cycled().tobytes()
+    h = build_hierarchy(op, 31, "geometric")
+    v = vcycle(h, 0.5 * f, f)
+    assert all(ws.residual.taps == () for ws in h.tape(float).work)
+    assert v.tobytes() == reference_vcycle(h, 0.5 * f, f).tobytes()
 
 
-def test_a_runner_keeps_every_buffer_alive(monkeypatch):
+def test_a_runner_keeps_every_buffer_alive():
     # the runner holds its kernels: with its hierarchy dropped and the
-    # freed memory reused, it still cycles as run_numpy does
+    # freed memory reused, it still cycles as the oracle does
     op = KroneckerSum(2, 1.0, 1.0, IDENTITY, LAPLACIAN)
     rng = np.random.default_rng(13)
     v0, f = (rng.standard_normal((15, 15)) + 1j * rng.standard_normal((15, 15)) for _ in range(2))
-
-    def cycled(h):
-        tape = h.tape(complex)
-        tape.load(v0, f)
-        return tape.residual, tape.cycle, tape.fine
-
-    residual, cycle, fine = cycled(build_hierarchy(op, 15))
+    want = reference_vcycle(build_hierarchy(op, 15), v0, f)
+    tape = build_hierarchy(op, 15).tape(complex)
+    tape.load(v0, f)
+    residual, cycle, fine = tape.residual, tape.cycle, tape.fine
+    del tape
     gc.collect()
     clutter = [np.full(4096, np.nan) for _ in range(64)]  # noqa: F841 (takes the freed blocks)
     residual(), cycle()
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    ref_residual, ref_cycle, ref_fine = cycled(build_hierarchy(op, 15))
-    ref_residual(), ref_cycle()
-    assert fine.v.tobytes() == ref_fine.v.tobytes()
+    assert fine.v[0].tobytes() == want.real.tobytes() and fine.v[1].tobytes() == want.imag.tobytes()
 
 
 class Counted:
@@ -531,7 +520,7 @@ def single_clone(tmp_path, target=None):
     assert found == 2
     name = target or "default"
     (tmp_path / f"{name}.c").write_text(source)
-    assert executor._build(str(tmp_path / f"{name}.c"), str(tmp_path / f"{name}.so"))
+    executor._build(str(tmp_path / f"{name}.c"), str(tmp_path / f"{name}.so"))
     return executor._load(str(tmp_path / f"{name}.so"))
 
 
@@ -541,17 +530,17 @@ def fk_system(name, alpha, nu, intervals):
     return fk_operator(p.ndim, weights(alpha, nu, 0)[0], mu_coefficient(p.kappa, p.alpha, p.tau, p.h))
 
 
-COMPILER = shutil.which((shlex.split(os.environ.get("CC") or "cc") or ["cc"])[0]) is not None
 CLONED = pytest.mark.skipif(
-    not (platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc" and COMPILER),
-    reason="the executor is cloned for AVX2 and AVX-512 on x86-64 glibc only, and needs a compiler")
+    not (platform.machine() == "x86_64" and platform.libc_ver()[0] == "glibc"),
+    reason="the executor is cloned for AVX2 and AVX-512 on x86-64 glibc only")
 
 
 @CLONED
 def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
-    # a CPU with AVX2 only ever runs that clone: the default one, built
-    # alone, cycles the fk1d-history hierarchy (complex data), the
-    # fk2d-vcycle one (real data) and a 9-point Galerkin one as numpy does
+    # a CPU without AVX2 only ever runs the default clone: built alone, it
+    # cycles the fk1d-history hierarchy (complex data), the fk2d-vcycle one
+    # (real data) and a 9-point Galerkin one as the build the loader picks
+    # does, which the oracle tests compare with numpy
     lib = Counted(single_clone(tmp_path))
     hierarchies = (
         (fk_system("example-6.1", 0.3, 4, 1024), 1023, "galerkin", complex),  # fk1d-history
@@ -570,11 +559,10 @@ def test_the_default_clone_cycles_as_numpy(tmp_path, monkeypatch):
             x, report = solve(h, f)
             yield x.tobytes(), report.residuals
 
+    picked = list(cycles())
     monkeypatch.setattr(executor, "_library", lambda: lib)
-    clone = list(cycles())
+    assert list(cycles()) == picked
     assert lib.calls.count("mgfk_run_tape") == 12 and lib.calls.count("mgfk_solve") == 3
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    assert clone == list(cycles())
 
 
 #: Hierarchies, as their fine operator, size and coarsening: of the
@@ -599,43 +587,45 @@ def outcome(x, report) -> tuple:
     return digest, report.iterations, report.converged, report.residuals
 
 
-def solves(case, dtype):
-    """Solves of ``dtype`` data on a fresh hierarchy of ``SOLVED[case]``:
-    from zero, and from a warm start near the solution, where the residuals
-    sit at the rounding floor; each as its ``outcome``."""
+def reference_report(h, f, v0=None, tol=1e-11, max_iter=200) -> tuple:
+    """``reference_solve`` as ``solve`` returns it: the solution and a
+    ``SolveReport`` of as many cycles as residuals, converged as ``solve``
+    decides, on no residual (r0 zero) or a last one below ``tol``."""
+    x, residuals = reference_solve(h, f, v0, tol, max_iter)
+    return x, SolveReport(len(residuals), residuals, converged=not residuals or residuals[-1] < tol)
+
+
+def solves(case, dtype, solver):
+    """Solves of ``dtype`` data by ``solver`` (``solve`` or
+    ``reference_report``) on a fresh hierarchy of ``SOLVED[case]``: from
+    zero, and from a warm start near the solution, where the residuals sit
+    at the rounding floor; each as its ``outcome``."""
     h = build_hierarchy(*SOLVED[case])
     rng = np.random.default_rng(21)
     f, noise = (x + 1j * y if dtype is complex else x for x, y in rng.standard_normal((2, 2, h.fine.unknowns)))
     warm = dst_solve(h.fine.operator, f) * (1.0 + 1e-4 * noise)
-    out = []
-    for v0, tol in ((None, 1e-11), (None, 1e-7), (warm, 1e-11)):
-        out.append(outcome(*solve(h, f, v0, tol)))
-    return out
-
-
-COMPILED = pytest.mark.skipif(not COMPILER, reason="the executor needs a compiler")
+    return [outcome(*solver(h, f, v0, tol)) for v0, tol in ((None, 1e-11), (None, 1e-7), (warm, 1e-11))]
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
 @pytest.mark.parametrize("case", list(SOLVED))
-def test_a_compiled_solve_equals_the_numpy_solve(case, dtype, monkeypatch):
+def test_a_compiled_solve_equals_the_numpy_solve(case, dtype):
     # one call into the executor, its norm summed in 8 lanes, against the
-    # numpy backend's loop and its twin of that sum: the same iterates,
-    # cycles, stopping decisions and residuals, compared by repr, which
-    # names every bit of a float
-    compiled = solves(case, dtype)
-    monkeypatch.setattr(executor, "_library", lambda: None)
-    assert not executor.compiled_tapes()
-    assert repr(compiled) == repr(solves(case, dtype))
+    # oracle's loop of numpy V-cycles and its plain-Python lane sum: the
+    # same iterates, cycles, stopping decisions and residuals, compared by
+    # repr, which names every bit of a float
+    compiled = solves(case, dtype, solve)
+    assert repr(compiled) == repr(solves(case, dtype, reference_report))
     assert all(iterations > 2 for _, iterations, converged, *_ in compiled[:2] if converged)
 
 
-def ends(dtype):
-    """Solves of ``dtype`` data that end each way: r0 zero (from a zero
-    start and from an exact solution), r0 not finite (a NaN and an
-    infinite right-hand side value), the iterate overflowing in the first
-    cycle (weights of 1e200), and ``max_iter`` cycles run without
-    converging; each as its ``outcome``."""
+def ends(dtype, solver):
+    """Solves of ``dtype`` data by ``solver`` (``solve`` or
+    ``reference_report``) that end each way: r0 zero (from a zero start and
+    from an exact solution), r0 not finite (a NaN and an infinite
+    right-hand side value), the iterate overflowing in the first cycle
+    (weights of 1e200), and ``max_iter`` cycles run without converging;
+    each as its ``outcome``."""
     op = fk_system("example-6.1", 0.3, 4, 64)
     h, wild = build_hierarchy(op, 63), build_hierarchy(op, 63, omega_pre=1e200, omega_post=1e200)
     rng = np.random.default_rng(22)
@@ -645,25 +635,27 @@ def ends(dtype):
     out = []
     for g, f, v0, kw in ((h, 0.0 * v, None, {}), (h, op.apply(v), v, {}), (h, nan, None, {}), (h, inf, v, {}),
                          (wild, v, None, {}), (h, v, None, {"tol": 1e-300, "max_iter": 3})):
-        out.append(outcome(*solve(g, f, v0, **kw)))
+        out.append(outcome(*solver(g, f, v0, **kw)))
     return out
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_a_compiled_solve_ends_as_the_numpy_solve(dtype, monkeypatch):
-    # the compiled solve raises no floating-point warning; numpy's warns
-    # of the overflow
-    compiled = ends(dtype)
+def test_a_compiled_solve_ends_as_the_numpy_solve(dtype):
+    # the compiled solve raises no floating-point warning, where the
+    # oracle's numpy cycles warn of the overflow; both stop where the
+    # stopping test says, with the same iterates and residuals (the oracle
+    # counts a cycle for the NaN of an r0 that is not finite)
+    compiled = ends(dtype, solve)
     stops = [(iterations, converged, len(residuals)) for _, iterations, converged, residuals in compiled]
     assert stops == [(0, True, 0), (0, True, 0), (0, False, 1), (0, False, 1), (1, False, 1), (3, False, 3)]
     assert [repr(c[3]) for c in compiled[:4]] == ["[]"] * 2 + ["[nan]"] * 2
     assert math.isnan(compiled[4][3][0]) and compiled[5][3][-1] < 1.0
-    monkeypatch.setattr(executor, "_library", lambda: None)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert repr(compiled) == repr(ends(dtype))
+        oracle = ends(dtype, reference_report)
+    assert repr([(x, converged, r) for x, _, converged, r in compiled]) == \
+        repr([(x, converged, r) for x, _, converged, r in oracle])
 
 
-@COMPILED
 def test_a_compiled_solve_is_one_executor_call(monkeypatch):
     # after the load, the whole solve is one call, and the tape's norms
     # array, made with the tape, is reused by every solve that fits in it
@@ -680,13 +672,10 @@ def test_a_compiled_solve_is_one_executor_call(monkeypatch):
         assert report.iterations == min(max_iter, 13) and tape.solve.norms is norms
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_a_solve_that_fills_its_norms_resumes_where_it_stopped(backend, monkeypatch):
+def test_a_solve_that_fills_its_norms_resumes_where_it_stopped():
     # a solve with room for 2 cycles grows its norms four times, each a
     # call that resumes from the cycles run; it ends as a solve that never
     # grows them, which a cap of 10**12 does not make larger either
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
     f = np.random.default_rng(24).standard_normal(127 * 127) * (1.0 - 3.0j)
 
     def run(room, **kw):
@@ -742,15 +731,12 @@ def blocked_sums(w, levels, rows):
     return out
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("kind", ["real", "complex", "promoted"])
 @pytest.mark.parametrize("steps", [1, 2, 7, 16, 37])
-def test_the_convolution_sums_as_the_oracle(steps, kind, backend, monkeypatch):
+def test_the_convolution_sums_as_the_oracle(steps, kind):
     # every step's sum, in blocks of 3 rows, of 8, and from scratch, is the
     # plain-Python oracle's, bit for bit: a one-step run, a block's tail
     # and a run of several blocks
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
     w, levels = history_data(kind, steps + 1, 6, np.random.default_rng(28 + steps))
     want = [history_sum(w, levels, n - 1, n).tobytes() for n in range(1, steps + 1)]
     assert blocked_sums(w, levels, 3) == blocked_sums(w, levels, 8) == want
@@ -764,19 +750,14 @@ def test_the_convolution_sums_as_the_oracle(steps, kind, backend, monkeypatch):
         assert np.array(down).tobytes() != want[-1]
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
 @pytest.mark.parametrize("kind", ["real", "complex", "promoted"])
-def test_the_register_groups_sum_as_the_oracle(kind, backend, monkeypatch):
+def test_the_register_groups_sum_as_the_oracle(kind):
     # rows that hold the sum of levels 1..lo-1 take levels lo..hi, 1 to 19
     # of them, so that a call runs no group of 8 levels, one or two, with a
     # part-group after them or none, from lo 1, 2 and 3, so that groups
     # start off multiples of 8, onto blocks of 1, 3, 16 and 32 rows: every
-    # row ends with the plain-Python oracle's bits.  The numpy twin takes
-    # the rows two at a time, so that its chunks are cut too
+    # row ends with the plain-Python oracle's bits
     w, levels = history_data(kind, 22 + 32, 10, np.random.default_rng(31))
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
-        monkeypatch.setattr(executor, "_TWIN_BYTES", 2 * levels[0].nbytes)
     for lo in (1, 2, 3):
         for hi in range(lo, lo + 19):
             first = hi + 1
@@ -806,11 +787,12 @@ def test_the_convolution_refuses_what_it_cannot_read():
 
 @CLONED
 def test_every_clone_convolves_as_numpy(tmp_path, monkeypatch):
-    # the convolution built with no clone, built for AVX2 alone and as the
-    # loader picks it (for AVX-512 where the CPU has it) sums the stores of
-    # the fk1d-history (complex) and fk2d-vcycle (real) runs, of wide
-    # values, as numpy does: blocks early and late in the run, a block of a
-    # group of 8 levels and a part-group of 5, and a top-up
+    # the convolution built with no clone and built for AVX2 alone sums the
+    # stores of the fk1d-history (complex) and fk2d-vcycle (real) runs, of
+    # wide values, as the build the loader picks does (for AVX-512 where
+    # the CPU has it), which the oracle tests compare with plain Python:
+    # blocks early and late in the run, a block of a group of 8 levels and
+    # a part-group of 5, and a top-up
     rng, cases = np.random.default_rng(29), []
     for name, nu, intervals in (("example-6.1", 4, 1024), ("example-6.2", 2, 128)):
         memory = Evolution(preset(name, 0.3, intervals), order=nu, solver="direct").memory
@@ -827,26 +809,22 @@ def test_every_clone_convolves_as_numpy(tmp_path, monkeypatch):
                 executor.convolve(w, levels, lo, hi, first, acc)
                 yield acc.tobytes()
 
-    libraries = [executor._library(), single_clone(tmp_path)]
+    libraries = [single_clone(tmp_path)]
     with open("/proc/cpuinfo") as f:
         if " avx2" in f.read():
             libraries.append(single_clone(tmp_path, "avx2"))
-    monkeypatch.setattr(executor, "_library", lambda: None)
     want = list(sums())
     for lib in libraries:
         monkeypatch.setattr(executor, "_library", lambda: lib)
         assert list(sums()) == want
 
 
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_a_solve_norm_sums_in_eight_lanes(backend, monkeypatch):
+def test_a_solve_norm_sums_in_eight_lanes():
     # r0 of a solve whose residual record writes its right-hand side (a zero
     # operator), over runs of 0 to 40 values and a 2D run of the fk2d-vcycle
     # fine grid, its pad cells zero, of one part and of two: the square root
-    # of the run's lane_squares; numpy's twins of the lane sum give the
-    # oracle's bits before the square root too
-    if backend == "numpy":
-        monkeypatch.setattr(executor, "_library", lambda: None)
+    # of the run's lane_squares; dot gives the oracle's bits before the
+    # square root too
     rng = np.random.default_rng(25)
 
     def r0(b):
@@ -875,56 +853,49 @@ def test_dot_takes_contiguous_flat_float64_runs_of_one_length():
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_a_solve_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+def test_a_solve_is_the_same_at_any_blas_thread_count():
     # the fk2d-vcycle fine run is long enough for OpenBLAS to thread a
     # ddot, which then sums in another order; the solve's own sums do not
-    code = ("import hashlib, numpy as np; from mgfk import executor, multigrid, stencil; "
+    code = ("import hashlib, numpy as np; from mgfk import multigrid, stencil; "
             "from mgfk.coarsen import fk_operator, mu_coefficient; from mgfk.feynman_kac import preset; "
             "from mgfk.fsd import weights; p = preset('example-6.2', 0.3, 128); "
             "op = fk_operator(2, weights(0.3, 2, 0)[0], mu_coefficient(p.kappa, p.alpha, p.tau, p.h)); "
             "h = multigrid.build_hierarchy(op, 127, 'geometric'); "
             "x, report = multigrid.solve(h, np.random.default_rng(26).standard_normal(127 * 127), tol=1e-7); "
-            "print(executor.compiled_tapes(), hashlib.sha256(x.tobytes()).hexdigest(), repr(report.residuals))")
-    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
-    one, two = (python(code, OPENBLAS_NUM_THREADS=threads, **env) for threads in ("1", "2"))
-    assert one.startswith(str(backend == "compiled")) and one.count(",") > 10
+            "print(hashlib.sha256(x.tobytes()).hexdigest(), repr(report.residuals))")
+    one, two = (python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one.count(",") > 10
     assert one == two
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_the_contraction_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+def test_the_contraction_is_the_same_at_any_blas_thread_count(tmp_path):
     # at 2D M = 256 the fine runs are long enough for OpenBLAS to thread a
     # ddot or a norm, which then sum in another order; the contraction
     # estimate's inner products are lane sums, so mgfk theory writes the
     # same JSON under one thread and two
-    code = ("import sys; from mgfk import executor; from mgfk.cli import main; "
-            "main(['theory', '--preset', 'example-6.2', '--alpha', '0.8', '--M', '256', "
-            "'--json', sys.argv[1]]); print(executor.compiled_tapes())")
-    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
+    code = ("import sys; from mgfk.cli import main; "
+            "sys.exit(main(['theory', '--preset', 'example-6.2', '--alpha', '0.8', '--M', '256', "
+            "'--json', sys.argv[1]]))")
     reports = []
     for threads in ("1", "2"):
         out = tmp_path / f"theory-{threads}.json"
-        assert python(code, str(out), OPENBLAS_NUM_THREADS=threads, **env).endswith(str(backend == "compiled"))
+        python(code, str(out), OPENBLAS_NUM_THREADS=threads)
         reports.append(out.read_bytes())
     assert b"||I - B A||_A" in reports[0] and reports[0] == reports[1]
 
 
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="a second BLAS thread needs a second CPU")
-@pytest.mark.parametrize("backend", ["compiled", "numpy"])
-def test_a_run_is_the_same_at_any_blas_thread_count(backend, tmp_path):
+def test_a_run_is_the_same_at_any_blas_thread_count():
     # the fk2d-vcycle run: its history convolution was an OpenBLAS dgemv,
     # which sums in another order on two threads (max error
     # 1.9100359437140835e-05 under one, 1.91003594349759e-05 under two);
     # the executor's convolution sums in its own
-    code = ("import hashlib; from mgfk import executor; from mgfk.feynman_kac import Evolution, example_6_2; "
+    code = ("import hashlib; from mgfk.feynman_kac import Evolution, example_6_2; "
             "ev = Evolution(example_6_2(0.3, 128), order=2, coarsening='geometric', tol=1e-7).run(); "
-            "print(executor.compiled_tapes(), hashlib.sha256(ev.history.tobytes()).hexdigest(), "
-            "repr(ev.max_error()), ev.iterations)")
-    env = {} if backend == "compiled" else {"CC": "false", "XDG_CACHE_HOME": str(tmp_path)}
-    one, two = (python(code, OPENBLAS_NUM_THREADS=threads, **env) for threads in ("1", "2"))
-    assert one.startswith(str(backend == "compiled")) and one.count(",") == 127
+            "print(hashlib.sha256(ev.history.tobytes()).hexdigest(), repr(ev.max_error()), ev.iterations)")
+    one, two = (python(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "2"))
+    assert one.count(",") == 127
     assert one == two
 
 
@@ -937,36 +908,91 @@ def python(code: str, *args: str, **env) -> str:
 
 
 SOLVE = (
-    "import numpy as np; from mgfk import executor, multigrid, stencil; "
+    "import numpy as np; from mgfk import multigrid, stencil; "
     "op = stencil.KroneckerSum(1, 0.0, 1.0, stencil.IDENTITY, stencil.LAPLACIAN); "
     "x, report = multigrid.solve(multigrid.build_hierarchy(op, 31), np.ones(31)); "
-    "print(executor.compiled_tapes(), report.converged)"
+    "print(report.converged)"
 )
 
 
-def test_a_cached_library_loads_without_a_compiler(tmp_path):
-    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path)) == "True True"
-    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path), CC="false") == "True True"
-    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path / "empty"), CC="false") == "False True"
+def table(**env) -> subprocess.CompletedProcess:
+    """``python -m mgfk.cli table --preset example-6.2 --M 16`` with ``env``
+    added, run to its end."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(mgfk.__file__)), **env)
+    return subprocess.run([sys.executable, "-m", "mgfk.cli", "table", "--preset", "example-6.2", "--M", "16"],
+                          env=env, capture_output=True, text=True)
+
+
+def assert_refused(run: subprocess.CompletedProcess, *names: str) -> None:
+    """``run`` exited 1 with one line on stderr, an ``error:`` naming each
+    of ``names``, and so no traceback."""
+    assert run.returncode == 1, run.stderr
+    (line,) = run.stderr.splitlines()
+    assert line.startswith("error: ") and all(name in line for name in names), line
+
+
+@pytest.fixture(scope="module")
+def built(tmp_path_factory):
+    """A ``$XDG_CACHE_HOME`` whose ``mgfk`` directory holds a build of the
+    executor, made by a first solve there."""
+    home = tmp_path_factory.mktemp("built")
+    assert python(SOLVE, XDG_CACHE_HOME=str(home)) == "True"
+    return home
+
+
+def test_a_cached_library_loads_without_a_compiler(built, tmp_path):
+    # a cached build loads with no compiler; an empty cache with none is
+    # refused in one line naming $CC and the cache directory
+    assert python(SOLVE, XDG_CACHE_HOME=str(built), CC="false") == "True"
+    assert_refused(table(XDG_CACHE_HOME=str(tmp_path), CC="false"), "$CC='false'", str(tmp_path / "mgfk"))
+    assert os.listdir(tmp_path / "mgfk") == []
 
 
 @pytest.mark.parametrize("mode", [0o770, 0o707])
-def test_a_cache_others_can_write_is_not_loaded(tmp_path, mode):
-    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path)) == "True True"
+def test_a_cache_others_can_write_is_not_loaded(built, tmp_path, mode):
+    # a copy of a cache with a build in it loads, until group or others can
+    # write to it: then it is refused in one line naming the directory
+    shutil.copytree(built / "mgfk", tmp_path / "mgfk")
+    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path)) == "True"
     os.chmod(tmp_path / "mgfk", mode)
-    assert python(SOLVE, XDG_CACHE_HOME=str(tmp_path)) == "False True"
+    assert_refused(table(XDG_CACHE_HOME=str(tmp_path)), str(tmp_path / "mgfk"), f"(mode {mode:#o})")
+
+
+def counting_compiler(tmp_path):
+    """A fake ``$CC`` in ``tmp_path`` that appends a line to the file it
+    returns at each run, writes one line to stderr and fails."""
+    runs, cc = tmp_path / "cc-runs", tmp_path / "cc"
+    cc.write_text(f"#!/bin/sh\necho ran >> '{runs}'\necho 'cc: cannot compile' >&2\nexit 1\n")
+    cc.chmod(0o700)
+    return cc, runs
 
 
 def test_import_starts_no_build(tmp_path):
     # numpy itself imports ctypes, so what counts is what `import mgfk` adds
-    marker, cc = tmp_path / "cc-ran", tmp_path / "cc"
-    cc.write_text(f"#!/bin/sh\ntouch '{marker}'\nexit 1\n")
-    cc.chmod(0o700)
+    cc, runs = counting_compiler(tmp_path)
     env = {"CC": str(cc), "XDG_CACHE_HOME": str(tmp_path / "cache")}
     code = ("import sys, numpy; before = set(sys.modules); import mgfk; "
             "print(sorted({'ctypes', 'subprocess'} & (set(sys.modules) - before)))")
     assert python(code, **env) == "[]"
-    assert not marker.exists() and not (tmp_path / "cache").exists()
-    # the first tape does start the compiler, and its failed build falls back
-    assert python(SOLVE, **env) == "False True"
-    assert marker.exists()
+    assert not runs.exists() and not (tmp_path / "cache").exists()
+    # the first tape does start the compiler, and its failed build is
+    # refused in one line naming $CC, its exit and the cache directory
+    assert_refused(table(**env), f"$CC={str(cc)!r} exited with status 1: cc: cannot compile",
+                   str(tmp_path / "cache" / "mgfk"))
+    assert runs.read_text() == "ran\n"
+
+
+def test_a_failed_build_is_kept_for_the_process(tmp_path):
+    # two solves in one process run the compiler once and raise the same
+    # error twice: a failed build is not retried on every call
+    cc, runs = counting_compiler(tmp_path)
+    code = ("import numpy as np; from mgfk import multigrid, stencil; from mgfk.errors import MgfkError\n"
+            "op = stencil.KroneckerSum(1, 0.0, 1.0, stencil.IDENTITY, stencil.LAPLACIAN)\n"
+            "for _ in range(2):\n"
+            "    try:\n"
+            "        multigrid.solve(multigrid.build_hierarchy(op, 31), np.ones(31))\n"
+            "    except MgfkError as exc:\n"
+            "        print(exc)\n")
+    first, second = python(code, CC=str(cc), XDG_CACHE_HOME=str(tmp_path / "cache")).splitlines()
+    assert first == second and "cc: cannot compile" in first
+    assert runs.read_text() == "ran\n"

@@ -3,7 +3,7 @@ import pytest
 
 from mgfk.errors import DimensionError, GridSizeError
 from mgfk.multigrid import build_hierarchy
-from mgfk.executor import run_numpy, tape_runner
+from mgfk.executor import tape_runner
 from mgfk.stencil import COMPACT_MASS, LAPLACIAN, KroneckerSum, pad_period
 
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     reference_restrict,
     restrict,
     restriction_matrix,
+    run_numpy,
 )
 
 
@@ -194,7 +195,7 @@ def _pad_cells(ws, run):
 @pytest.mark.parametrize("ndim, m", HIERARCHIES)
 def test_bound_transfers_match_the_oracle_and_leave_zero_pads(ndim, m):
     # at every level of the float and the complex tape, run by the executor
-    # and by numpy: the bound restriction equals the allocating oracle bit
+    # and by the numpy reference: the bound restriction equals the allocating oracle bit
     # for bit on each part, whatever the fine pad cells and the row buffer
     # held, though a pass crosses from the real part into the imaginary one,
     # and leaves every pad cell of the coarse rhs exactly zero, which the
