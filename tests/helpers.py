@@ -12,8 +12,10 @@ the contraction estimate cycles the reference V-cycle and takes each
 energy norm from a fresh apply, and the V-cycle's approximate inverse and
 contraction norm are dense matrices.  ``run_numpy`` runs the package's
 ``executor.Kernel`` lists with numpy, the reference the compiled executor
-matches bit for bit, and ``fraction_weights`` forms the quadrature weights'
-fma chain exactly in fractions.  The exact integer coefficients of the
+matches bit for bit, ``on_the_oracle`` makes a hierarchy's tapes run by
+it and solve in a Python loop (``OracleSolve``), and ``fraction_weights``
+forms the quadrature weights' fma chain exactly in fractions.  The exact
+integer coefficients of the
 unnormalised Galerkin recursion (``coefficient``) cover stencils of any
 width, which the package's tridiagonal stencils never reach.
 """
@@ -28,7 +30,7 @@ from mgfk import fsd, stencil, transfer
 from mgfk.coarsen import c_constant
 from mgfk.errors import DimensionError, EligibilityError, GridSizeError
 from mgfk.multigrid import MgHierarchy, vcycle
-from mgfk.executor import DIVIDE, RESIDUAL, RESTRICT, SCALE, UPDATE, ZERO
+from mgfk.executor import CONVERGED, DIVIDE, NOT_FINITE, RAN_OUT, RESIDUAL, RESTRICT, SCALE, UPDATE, ZERO
 from mgfk.stencil import ToeplitzStencil, grid_depth, interior, require_coarsenable, run_shape
 
 
@@ -422,6 +424,44 @@ def run_numpy(kernels) -> None:
             _prolong(o.reshape(-1), a, add=True)
         if pad:
             o.reshape(-1)[pad - 1 :: pad] = 0
+
+
+class OracleSolve:
+    """``executor.Solve`` as a Python loop over the runners ``cycle`` and
+    ``residual``: r0 and the relative residual after each cycle go into
+    ``norms``, each norm the square root of the ``lane_squares`` of
+    ``run``, the run the residual kernel writes; a call returns how the
+    solve ended and the cycles run, stopping as ``mgfk_solve`` does."""
+
+    def __init__(self, cycle, residual, run: np.ndarray):
+        self.cycle, self.residual, self.run = cycle, residual, run
+
+    def norm(self) -> float:
+        self.residual()
+        return math.sqrt(lane_squares(self.run.ravel()))
+
+    def __call__(self, tol: float, max_iter: int) -> tuple[int, int]:
+        self.norms = np.empty(max_iter + 1)
+        self.norms[0] = r0 = self.norm()
+        if r0 == 0.0 or not math.isfinite(r0):
+            return (CONVERGED if r0 == 0.0 else NOT_FINITE), 0
+        for it in range(1, max_iter + 1):
+            self.cycle()
+            self.norms[it] = rel = self.norm() / r0
+            if rel < tol or not math.isfinite(rel):
+                return (CONVERGED if rel < tol else NOT_FINITE), it
+        return RAN_OUT, max_iter
+
+
+def on_the_oracle(h) -> None:
+    """Make the float and complex tapes of the hierarchy ``h`` run their
+    kernels by ``run_numpy`` and their solves by ``OracleSolve``, where the
+    executor ran them."""
+    for dtype in (float, complex):
+        tape = h.tape(dtype)
+        residual, cycle = (functools.partial(run_numpy, r.kernels) for r in (tape.residual, tape.cycle))
+        tape.residual, tape.cycle = residual, cycle
+        tape.solve = OracleSolve(cycle, residual, residual.args[0][0].out)
 
 
 def fraction_weights(alpha: float, nu: int, count: int) -> np.ndarray:

@@ -28,6 +28,7 @@ from helpers import (
     dense_approximate_inverse,
     dense_contraction_norm,
     dense_operator,
+    on_the_oracle,
     prolongation_matrix,
     reference_contraction,
     reference_solve,
@@ -446,18 +447,39 @@ ORACLE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count", ORACLE_CASES)
-def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count):
+def on_both_runners(cases):
+    """Each case with the tapes run by the executor (under its own id) and
+    by the test oracle ``run_numpy`` (id + "-numpy", ``on_the_oracle``),
+    which the executor's records match and these tests hold to the
+    references too."""
+    cases = list(cases)
+    return [
+        pytest.param(*case.values, runner, id=case.id + suffix)
+        for runner, suffix in (("compiled", ""), ("numpy", "-numpy"))
+        for case in cases
+    ]
+
+
+def hierarchy(runner, *args, **kwargs):
+    """``build_hierarchy(*args, **kwargs)``, its tapes run by ``runner``."""
+    h = build_hierarchy(*args, **kwargs)
+    if runner == "numpy":
+        on_the_oracle(h)
+    return h
+
+
+@pytest.mark.parametrize("ndim, coarsening, pre_count, post_count, runner", on_both_runners(ORACLE_CASES))
+def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_count, runner):
     # coarse levels skip the operator apply on their zero start, the fine
     # level cycles from the residual it has formed, and every level runs its
     # part of one prebuilt tape in place in its buffers, the residual as
     # one kernel over the operator's points; the iterates must not move by a bit,
     # real or complex, up to 1D m = 1023 and 2D m = 127, for every smoothing
-    # count
+    # count, run by the executor or by the oracle
     rng = np.random.default_rng(17)
     for intervals in ORACLE_SIZES[ndim]:
-        h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
-                            pre_count=pre_count, post_count=post_count)
+        h = hierarchy(runner, oracle_operator(ndim, intervals), intervals - 1, coarsening,
+                      pre_count=pre_count, post_count=post_count)
         n = h.fine.unknowns
         for imag in (0.0, 1.0):
             v = rng.standard_normal(n) + imag * 1j * rng.standard_normal(n)
@@ -470,29 +492,30 @@ def test_vcycle_zero_guess_matches_reference(ndim, coarsening, pre_count, post_c
                     assert np.array_equal(x, ref)
 
 
-@pytest.mark.parametrize("ndim, coarsening, pre_count", [
+@pytest.mark.parametrize("ndim, coarsening, pre_count, runner", on_both_runners(
     pytest.param(ndim, coarsening, pre, id=f"{pre}-{ndim}-{coarsening}")
-    for pre in (0, 1) for ndim, coarsening in GRIDS])
-def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count):
+    for pre in (0, 1) for ndim, coarsening in GRIDS))
+def test_contraction_estimate_matches_reference(ndim, coarsening, pre_count, runner):
     # the energy norm read from the residual r = -A e that starts each cycle
     # equals sqrt((A e, e)) of a fresh apply, and the in-place cycles equal
-    # the oracle's: the estimate must not move by a bit
+    # the oracle's: the estimate must not move by a bit, the cycles run by
+    # the executor or by the oracle
     for intervals in {1: (32, 128), 2: (16, 32)}[ndim]:
-        h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening,
-                            pre_count=pre_count)
+        h = hierarchy(runner, oracle_operator(ndim, intervals), intervals - 1, coarsening,
+                      pre_count=pre_count)
         assert measure_contraction(h) == reference_contraction(h)
 
 
-@pytest.mark.parametrize("ndim, coarsening", [
+@pytest.mark.parametrize("ndim, coarsening, runner", on_both_runners(
     pytest.param(ndim, coarsening, id=f"{ndim}-{coarsening}")
-    for ndim, coarsening in [(1, "galerkin"), (2, "geometric")]])
-def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening):
+    for ndim, coarsening in [(1, "galerkin"), (2, "geometric")]))
+def test_solve_matches_reference_cycles_bit_for_bit(ndim, coarsening, runner):
     # the benchmark's sizes, 1D m = 1023 Galerkin and 2D m = 127 geometric,
     # complex data and a warm start near the solution, where the iterates sit
     # at the rounding floor: the solution and every relative residual equal
-    # the oracle's
+    # the reference's, solved by the executor or by the oracle
     intervals = 1024 if ndim == 1 else 128
-    h = build_hierarchy(oracle_operator(ndim, intervals), intervals - 1, coarsening)
+    h = hierarchy(runner, oracle_operator(ndim, intervals), intervals - 1, coarsening)
     n = h.fine.unknowns
     rng = np.random.default_rng(20)
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -620,16 +643,17 @@ def test_every_run_of_a_tape_is_a_view_of_its_one_arena(ndim):
 SENTINEL = np.int64(0x7FF0DEADBEEF0001)
 
 
-@pytest.mark.parametrize("ndim, m", [pytest.param(ndim, m, id=f"{ndim}d") for ndim, m in ((1, 63), (2, 31))])
-def test_a_cycle_writes_only_inside_its_runs(ndim, m):
+@pytest.mark.parametrize("ndim, m, runner", on_both_runners(
+    pytest.param(ndim, m, id=f"{ndim}d") for ndim, m in ((1, 63), (2, 31))))
+def test_a_cycle_writes_only_inside_its_runs(ndim, m, runner):
     # every cell of a tape's arena outside its runs (the alignment slack
     # before, between and after them) holds a sentinel; cycles from warm and
     # zero starts and a solve, on real and complex data, each tape one
     # arena, through every level down to 2D m = 3, whose row buffer is
     # three cells for real data and seven for complex, leave each one as it was:
     # an overrun that stays inside the arena, which no address sanitizer
-    # sees, would change one
-    h = build_hierarchy(fk_operator(ndim, 1.3, 17.0 * 32), m)
+    # sees, would change one; run by the executor or by the oracle
+    h = hierarchy(runner, fk_operator(ndim, 1.3, 17.0 * 32), m)
     rng = np.random.default_rng(25)
     for dtype in (float, complex):
         runs = arena_runs(h, dtype)

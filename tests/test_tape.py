@@ -57,6 +57,7 @@ from helpers import (
     history_sum,
     lane_squares,
     lane_sum,
+    on_the_oracle,
     reference_prolong,
     reference_solve,
     reference_vcycle,
@@ -267,11 +268,15 @@ def test_a_complex_cycle_takes_the_float_cycles_records(coarsening, ndim, m, rec
 
 
 @pytest.mark.parametrize("ndim", [1, 2])
-def test_the_parts_of_a_complex_cycle_keep_apart(ndim):
+@pytest.mark.parametrize("runner", ["compiled", "numpy"])
+def test_the_parts_of_a_complex_cycle_keep_apart(runner, ndim):
     # a complex cycle is a float cycle on each part, bit for bit: a part
     # that is zero stays exactly 0.0, the other is the float tape's iterate,
-    # and a part a hundred decades above the other leaks nothing into it
+    # and a part a hundred decades above the other leaks nothing into it;
+    # run by the executor or by the oracle
     h = build_hierarchy(KroneckerSum(ndim, 1.0, 1.0, COMPACT_MASS, LAPLACIAN), 31)
+    if runner == "numpy":
+        on_the_oracle(h)
     x, y, u, w = np.random.default_rng(27).standard_normal((4, *h.fine.shape))
 
     def joined(re, im):
