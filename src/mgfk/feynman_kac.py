@@ -21,14 +21,14 @@ forcing value with a nonzero imaginary part promotes a real run to
 complex128, which is exact because every stored level is real.  The memory
 convolution is summed naively, O(n) levels at step n, by ``History``: each
 element in ascending level order from 0, so that its bits do not depend on
-how the sum is split.  A step that starts a block of 16 steps, at every
-grid size, sums the stored levels once for every row of the block, and
-each later step of the block adds only the levels solved since; in 1D
-the two wall traces are summed alongside, as a row of two values a level.
-In 1D the mass H is linear and the weights are scalars, so H is applied
-once to the summed level.  Every level is stored, so a run whose history
-would not fit in the machine's physical memory raises ``MgfkError``
-before any of it is allocated.
+how the sum is split.  A level is one stored row, the grid and in 1D its
+two wall traces after it, so a step makes one executor call.  A step that
+starts a block of 16 steps, at every grid size, sums the stored rows once
+for every row of the block, and each later step of the block adds only
+the levels solved since.  In 1D the mass H is linear and the weights are
+scalars, so H is applied once to the summed level.  Every level is
+stored, so a run whose history would not fit in the machine's physical
+memory raises ``MgfkError`` before any of it is allocated.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ def _require_history_fits(p: Problem, *dtypes: np.dtype) -> None:
 #: A block is ``_BLOCK_ROWS`` steps at every grid size: ``mgfk_convolve``
 #: works on a tile of each row at a time, so its working set does not grow
 #: with the row; 16 rows' tiles and a group of levels' stay in L1.  Every
-#: stored grid row starts on a cache line of ``_LINE`` bytes.
+#: stored row starts on a cache line of ``_LINE`` bytes.
 _BLOCK_ROWS, _LINE = 16, 64
 
 
@@ -142,40 +142,44 @@ def _lined(count: int, width: int, dtype) -> np.ndarray:
 class History:
     """The stored time levels of a run and the memory convolution over them.
 
-    Row k of ``store`` holds level k of the grid, padded with zeros to
-    whole cache lines, and in 1D row k of ``walls`` the two wall traces at
-    level k, given for every level at the start.  ``levels`` shows the grid
-    at levels 0..``solved``, the final ones; ``append`` stores the next.
+    Row k of ``store`` is the whole of level k: the grid, then in 1D the
+    two wall traces at level k (none in 2D), then zeros up to whole cache
+    lines.  ``walls`` holds the traces of every level, given at the start;
+    ``append`` stores the next level's grid and walls in its row.
+    ``levels`` shows the grid at levels 0..``solved``, the final ones.
     ``weights`` holds w_q = e^{-rho q tau} l_q.
 
-    ``convolution(n)`` is sum_{k=1..n-1} w_{n-k} row k, of the store and of
-    the walls, each element summed in ascending k from 0
-    (``executor.convolve``), so its bits do not depend on how the sum is
-    split.  Asked for the next level, n = solved + 1, outside the block in
-    hand, it starts a block: one pass over levels 1..n-1 sums them into
-    the rows of steps n, n + 1, ..., ``_BLOCK_ROWS`` of them whatever the
-    width of a row, fewer only at the end of the run.  The sum for step j
-    is formed in store row j, until ``append`` stores level j over it, so
-    a block takes no memory of its own.
-    A later step of the block adds to its own row only the levels solved
-    since, so asking twice adds nothing twice.  Any other n is summed from
-    scratch, with the same bits, over the levels solved so far (the others
-    are zero).  The rows returned are valid until the next call.
+    ``convolution(n)`` takes n <= ``solved`` + 1 only and is one row, the
+    grid sums then the wall sums: sum_{k=1..n-1} w_{n-k} row k, each element
+    summed in ascending k from 0 by one ``executor.convolve`` call, so its
+    bits do not depend on how the sum is split.  An n <= ``solved`` is
+    summed from scratch in a fresh row.  The next level, n = ``solved`` + 1,
+    outside the block in hand starts a block: one pass over levels 1..n-1
+    sums them into the rows of steps n, n + 1, ..., ``_BLOCK_ROWS`` of them
+    whatever the width of a row, fewer only at the end of the run.  Step j's
+    sum is formed in store row j, which ``append`` fills with level j, so a
+    block takes no memory of its own.  A later step of the block adds to its
+    own row only the levels solved since the block's ``first`` step;
+    ``ready`` is the last step whose row is complete, so asking twice adds
+    nothing twice.  The row is valid until the next call.
     """
 
     def __init__(self, initial: np.ndarray, walls: np.ndarray, weights: np.ndarray):
         self.weights, self.solved = weights, 0
         self._allocate(initial.size, walls)
-        self.store[0, : initial.size] = initial
+        self._put(0, initial)
 
     def _allocate(self, width: int, walls: np.ndarray) -> None:
-        """A store of ``width`` grid values a level and a copy of ``walls``,
-        in the weights' dtype, and the walls' block rows; no block in hand."""
+        """A zeroed store of ``width`` grid values and the walls a level, and
+        a copy of ``walls``, in the weights' dtype; no block in hand."""
         dtype = self.weights.dtype
-        self.width, self.store, self.walls = width, _lined(len(self.weights), width, dtype), walls.astype(dtype)
-        self.rows = _BLOCK_ROWS
-        self.wall_sums = np.zeros((self.rows, walls.shape[1]), dtype)
-        self.first, self.summed = 0, []
+        self.width, self.span, self.walls = width, width + walls.shape[1], walls.astype(dtype)
+        self.store, self.rows = _lined(len(self.weights), self.span, dtype), _BLOCK_ROWS
+        self.first = self.ready = 0
+
+    def _put(self, k: int, level: np.ndarray) -> None:
+        row = self.store[k]
+        row[: self.width], row[self.width : self.span], row[self.span :] = level, self.walls[k], 0
 
     @property
     def levels(self) -> np.ndarray:
@@ -183,34 +187,24 @@ class History:
 
     def append(self, level: np.ndarray) -> None:
         self.solved += 1
-        row = self.store[self.solved]
-        row[: self.width], row[self.width :] = level, 0
+        self._put(self.solved, level)
 
     def promote(self) -> None:
         """Carry on in complex128; the block in hand is dropped."""
-        levels, self.weights = self.levels, self.weights.astype(complex)
+        rows, self.weights = self.store[: self.solved + 1, : self.span], self.weights.astype(complex)
         self._allocate(self.width, self.walls)
-        self.levels[...] = levels
+        self.store[: self.solved + 1, : self.span] = rows
 
-    def convolution(self, n: int) -> tuple:
-        i = n - self.first
-        if n != self.solved + 1:
-            grid, walls = (np.zeros((1, x.shape[1]), x.dtype) for x in (self.store, self.walls))
-            convolve(self.weights, self.store, 1, min(n - 1, self.solved), n, grid)
-            convolve(self.weights, self.walls, 1, n - 1, n, walls)
-            return grid[0, : self.width], walls[0]
-        if 0 <= i < len(self.summed):
-            lo, grid, walls = self.summed[i] + 1, self.store[n : n + 1], self.wall_sums[i : i + 1]
+    def convolution(self, n: int) -> np.ndarray:
+        if n <= self.solved:
+            lo, acc = 1, np.zeros((1, self.store.shape[1]), self.store.dtype)
+        elif self.ready and n < self.first + self.rows:
+            lo, acc, self.ready = (self.first if n > self.ready else n), self.store[n : n + 1], n
         else:
-            count = min(self.rows, len(self.store) - n)
-            lo, grid, walls = 1, self.store[n : n + count], self.wall_sums[:count]
-            grid.fill(0)
-            walls.fill(0)
-            i, self.first, self.summed = 0, n, [0] * count
-        convolve(self.weights, self.store, lo, n - 1, n, grid)
-        convolve(self.weights, self.walls, lo, n - 1, n, walls)
-        self.summed[i : i + len(grid)] = [n - 1] * len(grid)
-        return grid[0, : self.width], walls[0]
+            lo, acc, self.first, self.ready = 1, self.store[n : n + self.rows], n, n
+            acc.fill(0)
+        convolve(self.weights, self.store, lo, n - 1, n, acc)
+        return acc[0, : self.span]
 
 
 class Evolution:
@@ -300,7 +294,8 @@ class Evolution:
 
     @property
     def walls(self) -> np.ndarray:
-        """The wall traces, one row (left, right) a level; rows of none in 2D."""
+        """The wall traces of every level, one row (left, right) a level, rows
+        of none in 2D; ``History`` stores level k's in row k after the grid."""
         return self.memory.walls
 
     @property
@@ -310,15 +305,18 @@ class Evolution:
     def assemble_rhs(self, n: int) -> np.ndarray:
         """Right-hand side of the level-n system: history convolution,
         initial-condition sum and forcing; in 1D compact-weighted, plus the
-        boundary completion of the truncated operators.  An n outside
-        1..n_steps raises ``MgfkError`` before the forcing is read."""
+        boundary completion of the truncated operators.  n is a level solved
+        or the next, 1..min(``step_index`` + 1, n_steps), else ``MgfkError``
+        is raised before the forcing is read."""
         p = self.problem
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= p.n_steps:
-            raise MgfkError(f"assemble_rhs takes a level n in 1..{p.n_steps}, got n={n!r}")
+        last = min(self.step_index + 1, p.n_steps)
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or not 1 <= n <= last:
+            raise MgfkError(f"assemble_rhs takes a level n in 1..{last}, got n={n!r}")
         tau_alpha = p.tau**p.alpha
         # The forcing is read before any sum: a complex value promotes the stepper.
         fn = self._read(_on_points("forcing", p.forcing(*self._forced_at, self.t[n]), self._forced_at))
-        (past, walls), start = self.memory.convolution(n), self.partial_sums[n] * self.decay[n]
+        row, start = self.memory.convolution(n), self.partial_sums[n] * self.decay[n]
+        past, walls = row[: self.memory.width], row[self.memory.width :]
         levels = start * self.history[0] - past
         if p.ndim == 2:
             return levels + tau_alpha * fn

@@ -329,7 +329,9 @@ def _require_integers(**counts) -> None:
 
 @dataclass
 class SolveReport:
-    """Outcome of an iterative solve."""
+    """Outcome of an iterative solve: one relative residual per cycle, save
+    where no cycle ran: ``(0, [])`` for a zero r0, which has converged, and
+    ``(0, [nan])`` for a non-finite r0."""
 
     iterations: int
     residuals: list = field(default_factory=list)

@@ -570,10 +570,16 @@ def test_a_trace_of_more_than_one_value_is_refused():
 
 def test_assemble_rhs_refuses_a_level_outside_the_run():
     # n = 0 returned an all-zero right-hand side, n = 9 raised numpy's
-    # IndexError and n = -1 a matmul ValueError; none reads the forcing
+    # IndexError and n = -1 a matmul ValueError; none reads the forcing.
+    # A level is one solved or the next: after 7 steps, 1..8
     p, reads = example_6_2(0.3, 8), []
-    p.forcing = lambda *a, f=p.forcing: reads.append(a[-1]) or f(*a)
+    fresh = Evolution(p, order=2)
+    with pytest.raises(MgfkError, match=r"level n in 1\.\.1, got n=2"):
+        fresh.assemble_rhs(2)
     ev = Evolution(p, order=2)
+    for _ in range(7):
+        ev.step()
+    p.forcing = lambda *a, f=p.forcing: reads.append(a[-1]) or f(*a)
     for n in (0, 9, -1, 2.5, True):
         with pytest.raises(MgfkError, match=rf"level n in 1\.\.8, got n={re.escape(repr(n))}"):
             ev.assemble_rhs(n)
@@ -593,18 +599,17 @@ def convolution_cases():
 
 @pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-promoted"])
 def test_each_step_sums_its_history_as_the_oracle(case, monkeypatch):
-    # the convolution of every step, of the grid and of the walls, is the
-    # plain-Python oracle's, bit for bit, and the run's history is the same
-    # with blocks of 3 rows as with blocks of the default size
+    # the convolution of every step, one row of the grid and the walls, is
+    # the plain-Python oracle's over the stored rows, bit for bit, and the
+    # run's history is the same with blocks of 3 rows as with blocks of the
+    # default size
     p = convolution_cases()[case]
 
     def run():
         ev = Evolution(p, order=3, solver="direct")
         for n in range(1, p.n_steps + 1):
-            grid, walls = (x.tobytes() for x in ev.memory.convolution(n))
-            m = ev.memory
-            assert grid == history_sum(m.weights, m.levels, n - 1, n).tobytes()
-            assert walls == history_sum(m.weights, m.walls, n - 1, n).tobytes()
+            row, m = ev.memory.convolution(n).tobytes(), ev.memory
+            assert row == history_sum(m.weights, m.store[:, : m.span], n - 1, n).tobytes()
             ev.step()
         assert ev.memory.rows == feynman_kac._BLOCK_ROWS
         return ev.history.tobytes()
@@ -618,28 +623,46 @@ def test_each_step_sums_its_history_as_the_oracle(case, monkeypatch):
 def test_a_block_has_the_same_rows_at_every_width(m):
     # a level of 2D M = 256 fills 520 KB and one of M = 512 2.1 MB, and a
     # block still holds _BLOCK_ROWS steps' sums, as in 1D: the block's rows
-    # are store rows not yet solved, so they take no memory of their own
-    # (four levels here, so that little is allocated)
+    # are store rows not yet solved, so starting one allocates less than a
+    # row (four levels here, so that little is allocated)
     memory = feynman_kac.History(np.ones(m * m), np.empty((4, 0)), weights(0.3, 2, 3))
     assert memory.rows == feynman_kac._BLOCK_ROWS
-    assert memory.wall_sums.shape == (feynman_kac._BLOCK_ROWS, 0)
+    tracemalloc.start()
+    try:
+        memory.convolution(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < memory.store[0].nbytes
 
 
 @pytest.mark.parametrize("case", ["1d-real", "1d-complex", "2d-real"])
 def test_assemble_rhs_asked_again_gives_the_stepped_bytes(case):
     # asked twice before its step, a level adds nothing twice; asked ahead
-    # of the run, it leaves the run as it was; asked again after the run,
-    # out of step order, it is summed from scratch to the stepped bytes
+    # of the run, it is refused and leaves the run as it was; asked again
+    # after the run, out of step order, it is summed from scratch to the
+    # stepped bytes
     p = convolution_cases()[case]
     ev, plain = Evolution(p, order=3, solver="direct"), Evolution(p, order=3, solver="direct")
     stepped = []
     for n in range(1, p.n_steps + 1):
         stepped.append(ev.assemble_rhs(n).tobytes())
         assert ev.assemble_rhs(n).tobytes() == stepped[-1]
-        ev.assemble_rhs(min(n + 3, p.n_steps))
+        if n < p.n_steps:
+            with pytest.raises(MgfkError, match=rf"level n in 1\.\.{n}, got n={n + 1}"):
+                ev.assemble_rhs(n + 1)
         ev.step()
         plain.step()
     assert ev.history.tobytes() == plain.history.tobytes()
     for n in reversed(range(1, p.n_steps + 1)):
         assert ev.assemble_rhs(n).tobytes() == stepped[n - 1]
 
+
+@pytest.mark.parametrize("case", ["1d-complex", "2d-real"])
+def test_each_step_makes_one_convolution_call(case, monkeypatch):
+    # the grid and, in 1D, the walls of a level are one row, so an N-step
+    # run sums its history in N executor calls, not 2N
+    p, calls = convolution_cases()[case], []
+    monkeypatch.setattr(feynman_kac, "convolve", lambda *a, f=feynman_kac.convolve: calls.append(1) or f(*a))
+    Evolution(p, order=3).run()
+    assert len(calls) == p.n_steps

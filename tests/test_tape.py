@@ -722,17 +722,15 @@ def blocked_sums(w, levels, rows):
     """sum_{k=1..n-1} w_{n-k} levels[k] for every step n, from
     ``executor.convolve`` called as ``feynman_kac.History`` calls it: each
     block of up to ``rows`` steps in one call over the levels before it,
-    then each step's row topped up with the levels of the block."""
-    steps, out, first, summed = len(levels) - 1, [], 0, []
+    each later step's row in one call over the levels of the block."""
+    steps, out, first = len(levels) - 1, [], 0
     for n in range(1, steps + 1):
-        if n >= first + len(summed):
+        if not first or n >= first + rows:
             first, acc = n, np.zeros((min(rows, steps + 1 - n), levels.shape[1]), levels.dtype)
             executor.convolve(w, levels, 1, n - 1, n, acc)
-            summed = [n - 1] * len(acc)
-        i = n - first
-        executor.convolve(w, levels, summed[i] + 1, n - 1, n, acc[i : i + 1])
-        summed[i] = n - 1
-        out.append(acc[i].tobytes())
+        else:
+            executor.convolve(w, levels, first, n - 1, n, acc[n - first : n - first + 1])
+        out.append(acc[n - first].tobytes())
     return out
 
 
